@@ -2,8 +2,11 @@
 
 use std::cmp::Ordering;
 
+use tkspmv::rank_cmp;
+
 /// Whether pair `a` ranks strictly below pair `b` under the workspace's
-/// ranking order: score descending, ties broken by ascending row index.
+/// ranking order ([`rank_cmp`]: score descending, ties broken by
+/// ascending row index).
 ///
 /// Using the *total* order for selection — not just for the final sort —
 /// is what makes the kept set arrival-order invariant: when candidates
@@ -12,11 +15,7 @@ use std::cmp::Ordering;
 /// serving layer depends on this (cross-shard merges must reproduce the
 /// unsharded ranking however the shards slice the rows).
 fn ranks_below(a: (u32, f64), b: (u32, f64)) -> bool {
-    match a.1.total_cmp(&b.1) {
-        Ordering::Less => true,
-        Ordering::Greater => false,
-        Ordering::Equal => a.0 > b.0,
-    }
+    rank_cmp(&a, &b, f64::total_cmp) == Ordering::Greater
 }
 
 /// A fixed-capacity min-heap keeping the `k` best `(index, score)`
@@ -105,7 +104,7 @@ impl BoundedMinHeap {
     /// index ascending).
     pub fn into_sorted_desc(self) -> Vec<(u32, f64)> {
         let mut v = self.items;
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        v.sort_by(|a, b| rank_cmp(a, b, f64::total_cmp));
         v
     }
 

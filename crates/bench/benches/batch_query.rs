@@ -10,9 +10,9 @@
 //! while the sequential path pays the full decode every time. Results
 //! are bit-identical — only the host-side walltime differs.
 //!
-//! The collection is the ≥1M-nnz packet stream that
-//! `BENCH_hotpath.json` tracks (same shape as `engine.rs`'s
-//! `large_matrix`).
+//! The collection is the ≥1M-nnz packet stream `engine.rs`'s
+//! `large_matrix` also uses; the ledger's `direct_b1` / `direct_b32`
+//! workloads (`benchmark/`) report the same comparison end to end.
 
 // The criterion_group! macro expands to an undocumented function;
 // bench binaries need no per-item docs.

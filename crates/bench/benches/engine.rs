@@ -6,7 +6,7 @@
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tkspmv::{quantize_vector, run_core, run_core_with_scratch, CoreScratch, Fidelity};
+use tkspmv::{quantize_vector, run_core_batch_with_scratch, BatchScratch, Fidelity};
 use tkspmv_fixed::{F32, Q1_19, Q1_31};
 use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
 use tkspmv_sparse::{BsCsr, Csr, PacketLayout};
@@ -44,25 +44,35 @@ fn bench_core(c: &mut Criterion) {
     let bs20 = BsCsr::encode::<Q1_19>(&csr, PacketLayout::solve(1024, 20).unwrap());
     let x20 = quantize_vector::<Q1_19>(x.as_slice());
     group.bench_with_input(BenchmarkId::new("fixed", 20), &(), |b, ()| {
-        b.iter(|| run_core::<Q1_19>(&bs20, &x20, 8, Fidelity::Reference));
+        let mut scratch = BatchScratch::<Q1_19>::new();
+        b.iter(|| {
+            run_core_batch_with_scratch(&bs20, &[&x20], 8, Fidelity::Reference, &mut scratch).len()
+        });
     });
 
     let bs32 = BsCsr::encode::<Q1_31>(&csr, PacketLayout::solve(1024, 32).unwrap());
     let x32 = quantize_vector::<Q1_31>(x.as_slice());
     group.bench_with_input(BenchmarkId::new("fixed", 32), &(), |b, ()| {
-        b.iter(|| run_core::<Q1_31>(&bs32, &x32, 8, Fidelity::Reference));
+        let mut scratch = BatchScratch::<Q1_31>::new();
+        b.iter(|| {
+            run_core_batch_with_scratch(&bs32, &[&x32], 8, Fidelity::Reference, &mut scratch).len()
+        });
     });
 
     let bsf = BsCsr::encode::<F32>(&csr, PacketLayout::solve(1024, 32).unwrap());
     let xf = quantize_vector::<F32>(x.as_slice());
     group.bench_with_input(BenchmarkId::new("float", 32), &(), |b, ()| {
-        b.iter(|| run_core::<F32>(&bsf, &xf, 8, Fidelity::Reference));
+        let mut scratch = BatchScratch::<F32>::new();
+        b.iter(|| {
+            run_core_batch_with_scratch(&bsf, &[&xf], 8, Fidelity::Reference, &mut scratch).len()
+        });
     });
     group.finish();
 }
 
 /// Packet-stream throughput over a ≥1M-nnz matrix at the paper's small-k
-/// operating points — the bench `BENCH_hotpath.json` tracks.
+/// operating points: one query (a one-lane batch) through one warm
+/// scratch, the per-core steady state.
 fn bench_packet_stream(c: &mut Criterion) {
     let csr = large_matrix();
     assert!(csr.nnz() >= 1_000_000, "bench matrix must be >= 1M nnz");
@@ -74,14 +84,9 @@ fn bench_packet_stream(c: &mut Criterion) {
     group.throughput(Throughput::Elements(csr.nnz() as u64));
     for k in [8usize, 16, 32] {
         group.bench_with_input(BenchmarkId::new("fixed20", k), &k, |b, &k| {
-            b.iter(|| run_core::<Q1_19>(&bs, &xq, k, Fidelity::Reference));
-        });
-        // The multicore steady state: one scratch reused across calls,
-        // zero allocations per packet once warm.
-        group.bench_with_input(BenchmarkId::new("fixed20_scratch_reuse", k), &k, |b, &k| {
-            let mut scratch = CoreScratch::new();
+            let mut scratch = BatchScratch::<Q1_19>::new();
             b.iter(|| {
-                run_core_with_scratch::<Q1_19>(&bs, &xq, k, Fidelity::Reference, &mut scratch)
+                run_core_batch_with_scratch(&bs, &[&xq], k, Fidelity::Reference, &mut scratch).len()
             });
         });
     }

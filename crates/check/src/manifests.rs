@@ -4,8 +4,9 @@
 //! `workspace_guard.rs` test, folded into the tool: the crate dependency
 //! DAG must stay acyclic and honour the intended layering, every shared
 //! dependency must be pinned once in `[workspace.dependencies]` and
-//! referenced with `workspace = true`, and the member list must match
-//! the directories on disk in both directions.
+//! referenced with `workspace = true`, the member list must match the
+//! directories on disk in both directions, and no member may declare a
+//! cargo feature.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -80,6 +81,13 @@ fn scan_manifest(text: &str) -> (String, BTreeMap<String, bool>) {
         }
     }
     (package_name, deps)
+}
+
+/// 1-based line of the manifest's `[features]` table, if it has one.
+fn features_table_line(text: &str) -> Option<usize> {
+    text.lines()
+        .position(|l| l.trim() == "[features]")
+        .map(|i| i + 1)
 }
 
 fn member_manifests(root: &Path, report: &mut Report) -> Vec<(PathBuf, String)> {
@@ -229,6 +237,16 @@ pub fn check(root: &Path, report: &mut Report) {
     }
     for (path, text) in &manifests {
         let (member, deps) = scan_manifest(text);
+        // A cargo feature is a build-time option: every one doubles the
+        // configurations CI must build, lint and measure.
+        if let Some(line) = features_table_line(text) {
+            report.push(
+                Lint::Manifests,
+                path,
+                line,
+                format!("{member} declares a [features] table; workspace members carry no cargo features"),
+            );
+        }
         for (dep, via_workspace) in deps {
             if WORKSPACE_MANAGED.contains(&dep.as_str()) && !via_workspace {
                 report.push(
@@ -280,5 +298,18 @@ pub fn check(root: &Path, report: &mut Report) {
                 break;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn features_table_is_found_by_line() {
+        let clean = "[package]\nname = \"x\"\n\n[dependencies]\n# [features] in a comment\n";
+        assert_eq!(features_table_line(clean), None);
+        let knob = "[package]\nname = \"x\"\n\n  [features]\ntimers = []\n";
+        assert_eq!(features_table_line(knob), Some(4));
     }
 }

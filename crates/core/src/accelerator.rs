@@ -11,11 +11,10 @@ use tkspmv_fixed::{Half, Precision, F32, Q1_19, Q1_24, Q1_31};
 use tkspmv_hw::{ChannelModel, DesignPoint, HbmConfig, ResourceModel, UramBudget};
 use tkspmv_sparse::{BsCsr, Csr, DenseVector, PacketLayout};
 
-use crate::engine::{
-    quantize_vector, run_multicore, run_multicore_batch, CoreStats, Fidelity, MulticoreOutput,
-};
+use crate::engine::{quantize_vector, run_multicore, CoreStats, Fidelity, MulticoreOutput};
 use crate::error::EngineError;
 use crate::perf::PerfReport;
+use crate::stages::StageTimes;
 use crate::topk::TopKResult;
 
 /// Validated accelerator configuration (see [`Accelerator::builder`]).
@@ -342,7 +341,8 @@ impl Accelerator {
         }
     }
 
-    /// Runs a Top-K query against a loaded matrix.
+    /// Runs a Top-K query against a loaded matrix — the B = 1 case of
+    /// [`Accelerator::query_batch`].
     ///
     /// # Errors
     ///
@@ -355,54 +355,24 @@ impl Accelerator {
         x: &DenseVector,
         big_k: usize,
     ) -> Result<QueryOutput, EngineError> {
-        self.validate_query(matrix, big_k)?;
-        if x.len() != matrix.num_cols {
-            return Err(EngineError::vector_length_mismatch(
-                x.len(),
-                matrix.num_cols,
-            ));
-        }
-        let fidelity = self.fidelity_for(matrix);
-        let k = self.config.k;
-        let out = match self.config.precision {
-            Precision::Fixed20 => {
-                let xs = quantize_vector::<Q1_19>(x.as_slice());
-                run_multicore::<Q1_19>(&matrix.partitions, &xs, k, big_k, fidelity)
-            }
-            Precision::Fixed25 => {
-                let xs = quantize_vector::<Q1_24>(x.as_slice());
-                run_multicore::<Q1_24>(&matrix.partitions, &xs, k, big_k, fidelity)
-            }
-            Precision::Fixed32 => {
-                let xs = quantize_vector::<Q1_31>(x.as_slice());
-                run_multicore::<Q1_31>(&matrix.partitions, &xs, k, big_k, fidelity)
-            }
-            Precision::Float32 => {
-                let xs = quantize_vector::<F32>(x.as_slice());
-                run_multicore::<F32>(&matrix.partitions, &xs, k, big_k, fidelity)
-            }
-            Precision::Half16 => {
-                let xs = quantize_vector::<Half>(x.as_slice());
-                run_multicore::<Half>(&matrix.partitions, &xs, k, big_k, fidelity)
-            }
-        };
-        Ok(self.attach_perf(matrix, out))
+        let mut outs = self.query_batch(matrix, std::slice::from_ref(x), big_k)?;
+        // invariant: a validated one-query batch yields exactly one output
+        Ok(outs.pop().expect("one output per query"))
     }
 
     /// Runs a batch of queries against a loaded matrix.
     ///
     /// A deployment answers many queries against the same collection;
     /// the expensive load/encode step is paid once and the batch reuses
-    /// it. Beyond that, batching amortises per-call work that
-    /// [`Accelerator::query`] repeats every time: the precision dispatch
-    /// and query quantisation happen once for the whole batch, and each
-    /// per-channel BS-CSR partition stays resident in its worker thread
-    /// while *all* queries stream through it (the hardware picture — the
-    /// matrix lives in HBM, queries are swapped through URAM). Results
-    /// are in input order and element-wise identical to sequential
-    /// [`Accelerator::query`] calls. (On the real device queries are
-    /// serialised through the kernel; the per-query [`PerfReport`]s model
-    /// that serial latency, not the host-side parallel walltime.)
+    /// it. Beyond that, batching amortises per-call work: the precision
+    /// dispatch happens once for the whole batch, and each per-channel
+    /// BS-CSR partition stays resident in its worker thread while *all*
+    /// queries stream through it (the hardware picture — the matrix
+    /// lives in HBM, queries are swapped through URAM). Results are in
+    /// input order and element-wise identical to one-query batches. (On
+    /// the real device queries are serialised through the kernel; the
+    /// per-query [`PerfReport`]s model that serial latency, not the
+    /// host-side parallel walltime.)
     ///
     /// # Errors
     ///
@@ -478,6 +448,7 @@ impl Accelerator {
             topk: out.topk,
             perf,
             core_stats: out.core_stats,
+            stages: out.stages,
         }
     }
 
@@ -511,7 +482,7 @@ fn batch_typed<S: tkspmv_fixed::SpmvScalar>(
         .iter()
         .map(|x| quantize_vector::<S>(x.as_slice()))
         .collect();
-    run_multicore_batch::<S>(&matrix.partitions, &xs, k, big_k, fidelity)
+    run_multicore::<S, _>(&matrix.partitions, &xs, k, big_k, fidelity)
 }
 
 /// An embedding collection encoded and partitioned for an accelerator.
@@ -550,6 +521,9 @@ pub struct QueryOutput {
     pub perf: PerfReport,
     /// Per-core statistics.
     pub core_stats: Vec<CoreStats>,
+    /// Decode/score time of the batch this query rode in, on its
+    /// busiest core.
+    pub stages: StageTimes,
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 //!    [`QueryResult`] (ranked rows + performance + backend statistics);
 //! 3. [`TopKBackend::query_batch`] answers a [`QueryBatch`], letting
 //!    backends amortise per-call overhead — the accelerator keeps each
-//!    HBM channel's BS-CSR partition resident across the whole batch and
-//!    quantises with a single precision dispatch.
+//!    HBM channel's BS-CSR partition resident across the whole batch
+//!    (its `query` is the one-lane case of the same call).
 //!
 //! Results of `query_batch` are guaranteed element-wise identical to
 //! issuing the same queries one at a time (property-tested in
@@ -34,6 +34,7 @@ use crate::accelerator::{Accelerator, LoadedMatrix};
 use crate::engine::CoreStats;
 use crate::error::EngineError;
 use crate::perf::PerfReport;
+use crate::stages::StageTimes;
 use crate::topk::TopKResult;
 
 /// A Top-K SpMV engine: prepares a sparse embedding collection once,
@@ -705,6 +706,9 @@ pub enum BackendStats {
         report: PerfReport,
         /// Per-core statistics, in partition order.
         cores: Vec<CoreStats>,
+        /// Decode/score time of the batch this query rode in, on its
+        /// busiest core.
+        stages: StageTimes,
     },
     /// The CPU baseline.
     Cpu {
@@ -730,6 +734,10 @@ pub enum BackendStats {
         /// query fell through to the exact path (no companion index, or
         /// the shortlist would have covered every row anyway).
         pruned: bool,
+        /// This query's prune and rescore time, plus whatever stages
+        /// the wrapped backend reported for the rescore (or, on the
+        /// fall-through, for the whole query).
+        stages: StageTimes,
     },
 }
 
@@ -739,6 +747,16 @@ impl BackendStats {
         match self {
             BackendStats::Fpga { cores, .. } => Some(cores),
             _ => None,
+        }
+    }
+
+    /// Engine stage times measured by the call that produced this
+    /// result; all zero for backends that do not split their work into
+    /// stages.
+    pub fn stage_times(&self) -> StageTimes {
+        match self {
+            BackendStats::Fpga { stages, .. } | BackendStats::Pruned { stages, .. } => *stages,
+            _ => StageTimes::default(),
         }
     }
 
@@ -805,6 +823,7 @@ fn fpga_result(out: crate::accelerator::QueryOutput) -> QueryResult {
         stats: BackendStats::Fpga {
             report: out.perf,
             cores: out.core_stats,
+            stages: out.stages,
         },
     }
 }

@@ -1,8 +1,11 @@
 //! Single-core emulation of the 4-stage dataflow pipeline (Algorithm 1).
 
+use std::time::Instant;
+
 use tkspmv_fixed::SpmvScalar;
 use tkspmv_sparse::{BsCsr, PacketScratch};
 
+use crate::stages::StageTimes;
 use crate::topk::TopKTracker;
 
 /// How faithfully the emulator mirrors the RTL's resource-saving
@@ -106,6 +109,9 @@ pub struct BatchScratch<S: SpmvScalar> {
     /// Per-query outputs, reusing each lane's sorted-topk buffer across
     /// batches.
     outputs: Vec<CoreOutput<S::Acc>>,
+    /// Decode/score split of the latest batch (see
+    /// [`BatchScratch::stage_times`]).
+    stage_times: StageTimes,
 }
 
 impl<S: SpmvScalar> BatchScratch<S> {
@@ -120,7 +126,17 @@ impl<S: SpmvScalar> BatchScratch<S> {
             segs: Vec::new(),
             lanes: Vec::new(),
             outputs: Vec::new(),
+            stage_times: StageTimes::default(),
         }
+    }
+
+    /// Where the latest [`run_core_batch_with_scratch`] call through
+    /// this scratch spent its time: chunk decode vs. lane replay
+    /// (`prune`/`rescore` stay zero). Kept beside [`CoreStats`] rather
+    /// than in it because wall time is not a reproducible fact of the
+    /// stream.
+    pub fn stage_times(&self) -> StageTimes {
+        self.stage_times
     }
 }
 
@@ -130,32 +146,14 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
     }
 }
 
-/// Reusable working memory for [`run_core_with_scratch`] — a
-/// single-lane [`BatchScratch`], kept as its own type so single-query
-/// call sites keep their simple signature.
-#[derive(Debug, Clone)]
-pub struct CoreScratch<S: SpmvScalar> {
-    batch: BatchScratch<S>,
-}
-
-impl<S: SpmvScalar> CoreScratch<S> {
-    /// Creates an empty scratch; the first packet sizes its buffers.
-    pub fn new() -> Self {
-        Self {
-            batch: BatchScratch::new(),
-        }
-    }
-}
-
-impl<S: SpmvScalar> Default for CoreScratch<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Runs one core over a BS-CSR partition, returning its local top-`k`.
+/// Runs one core over a BS-CSR partition for a whole batch of queries
+/// in a single **matrix-major** pass: each packet is decoded into the
+/// scratch **once** and its entries are accumulated into all B query
+/// lanes before the stream advances, instead of replaying the decode
+/// once per query. This is the engine's one entry point; a single query
+/// is a one-lane batch.
 ///
-/// This follows Algorithm 1 stage by stage:
+/// Per lane it follows Algorithm 1 stage by stage:
 ///
 /// 1. **Scatter**: for each of the packet's `B` entries, read `x[idx]`
 ///    from (emulated) URAM and form the point-wise product;
@@ -166,58 +164,8 @@ impl<S: SpmvScalar> Default for CoreScratch<S> {
 /// 4. **Top-K update**: offer every row finished in this packet (at most
 ///    `r` in faithful mode) to the argmin scratchpad.
 ///
-/// `x` must already be quantised to `S` (the URAM upload step); use
+/// Queries must already be quantised to `S` (the URAM upload step); use
 /// [`quantize_vector`].
-///
-/// # Panics
-///
-/// Panics if `x` is shorter than the matrix's column count or if
-/// `k == 0`.
-pub fn run_core<S: SpmvScalar>(
-    matrix: &BsCsr,
-    x: &[S],
-    k: usize,
-    fidelity: Fidelity,
-) -> CoreOutput<S::Acc> {
-    run_core_with_scratch(matrix, x, k, fidelity, &mut CoreScratch::new())
-}
-
-/// [`run_core`] with caller-owned working memory — the steady-state hot
-/// path, implemented as a single-lane [`run_core_batch_with_scratch`]
-/// so there is exactly one accumulation-order implementation to
-/// maintain.
-///
-/// Identical results to [`run_core`] for any scratch state (each packet
-/// overwrites the scratch completely), but reusing one [`CoreScratch`]
-/// across packets, queries, and matrices keeps the decode→accumulate
-/// loop free of heap allocation. [`run_multicore`] and
-/// [`run_multicore_batch`] allocate one scratch per partition thread and
-/// stream everything through it.
-///
-/// [`run_multicore`]: crate::run_multicore
-/// [`run_multicore_batch`]: crate::run_multicore_batch
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_core`].
-pub fn run_core_with_scratch<S: SpmvScalar>(
-    matrix: &BsCsr,
-    x: &[S],
-    k: usize,
-    fidelity: Fidelity,
-    scratch: &mut CoreScratch<S>,
-) -> CoreOutput<S::Acc> {
-    let outputs = run_core_batch_with_scratch(matrix, &[x], k, fidelity, &mut scratch.batch);
-    // One owned clone per call — constant-size, independent of the
-    // stream length, so the zero-allocation-per-packet property holds.
-    outputs[0].clone()
-}
-
-/// Runs one core over a BS-CSR partition for a whole batch of queries
-/// in a single **matrix-major** pass: each packet is decoded into the
-/// scratch **once** and its entries are accumulated into all B query
-/// lanes before the stream advances, instead of replaying the decode
-/// once per query.
 ///
 /// The queries stay resident in the [`BatchScratch`] (one Top-K tracker
 /// and carry register per lane — the software picture of B query
@@ -248,6 +196,7 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     scratch: &'s mut BatchScratch<S>,
 ) -> &'s [CoreOutput<S::Acc>] {
     let b = queries.len();
+    scratch.stage_times = StageTimes::default();
     if b == 0 {
         return &[];
     }
@@ -285,6 +234,10 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
         Fidelity::Reference => u32::MAX,
     };
 
+    // Stage clock: two reads per chunk — the end of one chunk's score
+    // phase is the start of the next chunk's decode phase.
+    let mut mark = Instant::now();
+
     let num_packets = matrix.num_packets();
     let mut p = 0usize;
     while p < num_packets {
@@ -298,9 +251,6 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
         // the chunk becomes one merged segment: the sequential path's
         // carry is just the running sum at the packet boundary, so the
         // merged accumulation performs the identical operation sequence.
-        // Stage hook: one timestamp pair per chunk (zero-sized no-op
-        // unless the `obs-trace` feature is on; see `obs_hooks`).
-        let decode_timer = crate::obs_hooks::StageTimer::start(crate::obs_hooks::STAGE_DECODE);
         scratch.dvals.clear();
         scratch.cidx.clear();
         scratch.segs.clear();
@@ -348,13 +298,11 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
             None
         };
         carry_active = tail.is_some();
-
-        decode_timer.stop();
+        let decoded = Instant::now();
 
         let dvals = &scratch.dvals;
         let idx = &scratch.cidx;
         let segs = &scratch.segs;
-        let score_timer = crate::obs_hooks::StageTimer::start(crate::obs_hooks::STAGE_SCORE);
 
         // Stages 1b+2+3+4 per lane: fused gather-multiply-accumulate
         // replaying the shared segment program, then the Top-K offer.
@@ -381,7 +329,10 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
                 lane_pass::<S>(lane, x, dvals, idx, segs, tail, |x, i| x[i as usize]);
             }
         }
-        score_timer.stop();
+        let scored = Instant::now();
+        scratch.stage_times.decode += decoded - mark;
+        scratch.stage_times.score += scored - decoded;
+        mark = scored;
 
         p = chunk_end;
     }
@@ -411,6 +362,8 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
             ..shared
         };
     }
+    // The Top-K drain above belongs to stage 4.
+    scratch.stage_times.score += mark.elapsed();
     &scratch.outputs[..b]
 }
 
@@ -488,6 +441,16 @@ mod tests {
         quantize_vector::<Q1_19>(&vec![1.0f32; m])
     }
 
+    /// One query through a fresh scratch: a one-lane batch.
+    fn run_one<S: SpmvScalar>(
+        matrix: &BsCsr,
+        x: &[S],
+        k: usize,
+        fidelity: Fidelity,
+    ) -> CoreOutput<S::Acc> {
+        run_core_batch_with_scratch(matrix, &[x], k, fidelity, &mut BatchScratch::new())[0].clone()
+    }
+
     #[test]
     fn single_packet_topk_matches_row_sums() {
         let csr = Csr::from_triplets(
@@ -497,7 +460,7 @@ mod tests {
         )
         .unwrap();
         let bs = encode20(&csr);
-        let out = run_core::<Q1_19>(&bs, &ones(8), 2, Fidelity::Reference);
+        let out = run_one::<Q1_19>(&bs, &ones(8), 2, Fidelity::Reference);
         let rows: Vec<u32> = out.topk.iter().map(|&(r, _)| r).collect();
         assert_eq!(rows, vec![2, 0]); // 0.9 > 0.75 > 0.125
         assert_eq!(out.stats.rows_finished, 3);
@@ -512,7 +475,7 @@ mod tests {
         let csr = Csr::from_triplets(1, 1024, &triplets).unwrap();
         let bs = encode20(&csr);
         assert_eq!(bs.num_packets(), 3);
-        let out = run_core::<Q1_19>(&bs, &ones(1024), 1, Fidelity::Reference);
+        let out = run_one::<Q1_19>(&bs, &ones(1024), 1, Fidelity::Reference);
         assert_eq!(out.topk.len(), 1);
         let v = Q1_19::acc_to_f64(out.topk[0].1);
         assert!((v - 0.8).abs() < 1e-4, "row sum {v}");
@@ -532,7 +495,7 @@ mod tests {
         let exact = csr.spmv_exact(x.as_slice());
         let bs = BsCsr::encode::<Q1_31>(&csr, PacketLayout::solve(256, 32).unwrap());
         let xs = quantize_vector::<Q1_31>(x.as_slice());
-        let out = run_core::<Q1_31>(&bs, &xs, 200, Fidelity::Reference);
+        let out = run_one::<Q1_31>(&bs, &xs, 200, Fidelity::Reference);
         assert_eq!(out.topk.len(), 200);
         for &(row, acc) in &out.topk {
             let got = Q1_31::acc_to_f64(acc);
@@ -549,7 +512,7 @@ mod tests {
         let bs = BsCsr::encode::<F32>(&csr, layout);
         let x = [0.5f32, 0.5, 0.5, 0.5];
         let xs = quantize_vector::<F32>(&x);
-        let out = run_core::<F32>(&bs, &xs, 2, Fidelity::Reference);
+        let out = run_one::<F32>(&bs, &xs, 2, Fidelity::Reference);
         // f32 arithmetic, exact per-step.
         let want0 = 0.1f32 * 0.5 + 0.2 * 0.5;
         let want1 = 0.3f32 * 0.5 + 0.4 * 0.5;
@@ -566,7 +529,7 @@ mod tests {
     fn empty_rows_contribute_zero() {
         let csr = Csr::from_triplets(5, 8, &[(0, 0, 0.5), (4, 7, 0.75)]).unwrap();
         let bs = encode20(&csr);
-        let out = run_core::<Q1_19>(&bs, &ones(8), 5, Fidelity::Reference);
+        let out = run_one::<Q1_19>(&bs, &ones(8), 5, Fidelity::Reference);
         assert_eq!(out.stats.rows_finished, 5);
         let best: Vec<u32> = out.topk.iter().map(|&(r, _)| r).collect();
         assert_eq!(best[0], 4);
@@ -583,7 +546,7 @@ mod tests {
             (0..15).map(|r| (r, r, 0.1 + 0.01 * r as f32)).collect();
         let csr = Csr::from_triplets(15, 1024, &triplets).unwrap();
         let bs = encode20(&csr);
-        let out = run_core::<Q1_19>(
+        let out = run_one::<Q1_19>(
             &bs,
             &ones(1024),
             8,
@@ -607,7 +570,7 @@ mod tests {
         .generate();
         let bs = encode20(&csr);
         let x = quantize_vector::<Q1_19>(tkspmv_sparse::gen::query_vector(512, 1).as_slice());
-        let faithful = run_core::<Q1_19>(
+        let faithful = run_one::<Q1_19>(
             &bs,
             &x,
             8,
@@ -615,7 +578,7 @@ mod tests {
                 rows_per_packet: 15,
             },
         );
-        let reference = run_core::<Q1_19>(&bs, &x, 8, Fidelity::Reference);
+        let reference = run_one::<Q1_19>(&bs, &x, 8, Fidelity::Reference);
         assert_eq!(faithful.topk, reference.topk);
         assert_eq!(faithful.stats.rows_dropped, 0);
     }
@@ -631,9 +594,41 @@ mod tests {
         }
         .generate();
         let bs = encode20(&csr);
-        let out = run_core::<Q1_19>(&bs, &ones(512), 8, Fidelity::Reference);
+        let out = run_one::<Q1_19>(&bs, &ones(512), 8, Fidelity::Reference);
         assert_eq!(out.stats.packets, bs.num_packets() as u64);
         assert_eq!(out.stats.entries, bs.stored_entries());
         assert_eq!(out.stats.rows_finished, 100);
+    }
+
+    #[test]
+    fn stage_clock_covers_the_latest_batch_only() {
+        let csr = tkspmv_sparse::gen::SyntheticConfig {
+            num_rows: 2_000,
+            num_cols: 512,
+            avg_nnz_per_row: 20,
+            distribution: tkspmv_sparse::gen::NnzDistribution::Uniform,
+            seed: 9,
+        }
+        .generate();
+        let bs = encode20(&csr);
+        let mut scratch = BatchScratch::<Q1_19>::new();
+        assert_eq!(scratch.stage_times(), StageTimes::default());
+        let started = Instant::now();
+        run_core_batch_with_scratch(&bs, &[ones(512)], 8, Fidelity::Reference, &mut scratch);
+        let wall = started.elapsed();
+        let stages = scratch.stage_times();
+        assert!(
+            !stages.decode.is_zero() && !stages.score.is_zero(),
+            "{stages:?}"
+        );
+        assert!(
+            stages.prune.is_zero() && stages.rescore.is_zero(),
+            "{stages:?}"
+        );
+        assert!(stages.total() <= wall, "{stages:?} inside {wall:?}");
+        // An empty batch streams nothing and reports nothing.
+        let none: [Vec<Q1_19>; 0] = [];
+        run_core_batch_with_scratch(&bs, &none, 8, Fidelity::Reference, &mut scratch);
+        assert_eq!(scratch.stage_times(), StageTimes::default());
     }
 }

@@ -4,12 +4,13 @@ use tkspmv_fixed::SpmvScalar;
 use tkspmv_sparse::BsCsr;
 
 use super::core_model::{run_core_batch_with_scratch, BatchScratch, CoreStats, Fidelity};
+use crate::stages::StageTimes;
 use crate::topk::TopKResult;
 
 /// Output of a multi-core run: the merged approximate Top-K plus
 /// per-core statistics.
 #[derive(Debug, Clone)]
-pub struct MulticoreOutput {
+pub(crate) struct MulticoreOutput {
     /// Merged global Top-K (scores converted to `f64`).
     pub topk: TopKResult,
     /// Statistics of each core, in partition order.
@@ -18,81 +19,45 @@ pub struct MulticoreOutput {
     /// wall-clock time, since cores run in lock-step on independent
     /// channels.
     pub max_packets_per_core: u64,
+    /// Decode/score split of the batch on the core that spent longest
+    /// in them. Cores run in parallel, so the busiest one — not the sum
+    /// over cores — is what fits inside the call's wall time.
+    pub stages: StageTimes,
 }
 
-/// Runs `c` independent cores, one per `(first_row, partition)` pair, and
-/// merges their local top-`k` lists into a global top-`big_k`.
+/// Runs a batch of queries over `c` independent cores, one per
+/// `(first_row, partition)` pair, and merges each query's local top-`k`
+/// lists into a global top-`big_k`: one [`MulticoreOutput`] per query,
+/// in input order.
 ///
 /// Each core computes the exact top-`k` of its own partition; the merge
 /// keeps the best `big_k` of the `k·c` candidates. This is the paper's
 /// approximation: it is exact whenever no partition holds more than `k`
 /// of the true global Top-K (Figure 2).
 ///
-/// Cores execute on OS threads to mirror their hardware independence
-/// (and to keep the emulator fast at 32 cores).
+/// This is the **matrix-major** loop: each partition thread is spawned
+/// once per batch and makes **one pass** over its packet stream,
+/// decoding every BS-CSR packet into its scratch exactly once and
+/// accumulating the decoded entries into all B resident query lanes
+/// before advancing (see [`run_core_batch_with_scratch`]). That mirrors
+/// the hardware — the BS-CSR stream stays resident in its HBM channel
+/// while B query vectors sit in URAM — and amortises packet field
+/// extraction, value decode, thread setup, and partition traversal
+/// across the batch. Cores execute on OS threads to mirror their
+/// hardware independence (and to keep the emulator fast at 32 cores).
+///
+/// Results are **bit-identical** to running each query alone: per
+/// query, multiplies, accumulations, and Top-K offers happen in the
+/// same packet-arrival order, and cores carry no state between queries.
 ///
 /// # Panics
 ///
 /// Panics if `partitions` is empty, `k == 0`, or `k * partitions.len() <
 /// big_k` (the configuration could not possibly fill the requested K).
-pub fn run_multicore<S: SpmvScalar>(
-    partitions: &[(usize, BsCsr)],
-    x: &[S],
-    k: usize,
-    big_k: usize,
-    fidelity: Fidelity,
-) -> MulticoreOutput {
-    // Delegate to the batch engine with B = 1: one accumulation-order
-    // implementation to maintain, one place for future SIMD work.
-    run_multicore_impl(partitions, &[x], k, big_k, fidelity)
-        .pop()
-        // invariant: a one-query batch yields exactly one output
-        .expect("a single-query batch yields exactly one output")
-}
-
-/// Runs a batch of queries over the same partitioned matrix, one
-/// [`MulticoreOutput`] per query, in input order.
-///
-/// This is the **matrix-major** loop: each partition thread is spawned
-/// once per batch and makes **one pass** over its packet stream,
-/// decoding every BS-CSR packet into its scratch exactly once and
-/// accumulating the decoded entries into all B resident query lanes
-/// before advancing (see
-/// [`run_core_batch_with_scratch`](crate::run_core_batch_with_scratch)).
-/// That mirrors the hardware — the BS-CSR stream stays resident in its
-/// HBM channel while B query vectors sit in URAM — and amortises packet
-/// field extraction, value decode, thread setup, and partition traversal
-/// across the batch. The per-query cost therefore falls toward the pure
-/// multiply-accumulate floor as B grows, where the query-major
-/// formulation (B full decode passes per partition) paid the decode
-/// every time.
-///
-/// Results are **bit-identical** to running each query alone: per
-/// query, multiplies, accumulations, and Top-K offers happen in the
-/// same packet-arrival order as the sequential path, and cores carry no
-/// state between queries.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_multicore`] (`partitions`
-/// empty, `k == 0`, or `k·c < big_k`).
-pub fn run_multicore_batch<S: SpmvScalar>(
-    partitions: &[(usize, BsCsr)],
-    queries: &[Vec<S>],
-    k: usize,
-    big_k: usize,
-    fidelity: Fidelity,
-) -> Vec<MulticoreOutput> {
-    run_multicore_impl(partitions, queries, k, big_k, fidelity)
-}
-
-/// Shared implementation behind [`run_multicore`] (B = 1) and
-/// [`run_multicore_batch`]: one thread per partition, one matrix-major
-/// pass over each partition's packets per batch.
 // alloc-ok(fn): per-batch fan-out and owned result assembly; the
 // per-packet loop lives in run_core_batch_with_scratch, which reuses
 // each thread's BatchScratch across batches.
-fn run_multicore_impl<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
+pub(crate) fn run_multicore<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
     partitions: &[(usize, BsCsr)],
     queries: &[Q],
     k: usize,
@@ -109,12 +74,13 @@ fn run_multicore_impl<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
         return Vec::new();
     }
 
-    // `per_partition[p][q]` = partition p's globalised top-k and stats
-    // for query q. Each partition thread owns one BatchScratch and makes
-    // a single decode-once pass over its packets for the whole batch, so
-    // the steady-state loop allocates nothing per packet.
+    // `per_partition[p]` = (partition p's globalised top-k and stats per
+    // query, its stage split for the batch). Each partition thread owns
+    // one BatchScratch and makes a single decode-once pass over its
+    // packets for the whole batch, so the steady-state loop allocates
+    // nothing per packet.
     type PerQuery = Vec<(Vec<(u32, f64)>, CoreStats)>;
-    let per_partition: Vec<PerQuery> = std::thread::scope(|scope| {
+    let per_partition: Vec<(PerQuery, StageTimes)> = std::thread::scope(|scope| {
         let handles: Vec<_> = partitions
             .iter()
             .map(|(first_row, part)| {
@@ -122,7 +88,7 @@ fn run_multicore_impl<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
                     let mut scratch = BatchScratch::<S>::new();
                     let outputs =
                         run_core_batch_with_scratch(part, queries, k, fidelity, &mut scratch);
-                    outputs
+                    let per_query = outputs
                         .iter()
                         .map(|out| {
                             let globalised: Vec<(u32, f64)> = out
@@ -134,7 +100,8 @@ fn run_multicore_impl<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
                                 .collect();
                             (globalised, out.stats)
                         })
-                        .collect()
+                        .collect();
+                    (per_query, scratch.stage_times())
                 })
             })
             .collect();
@@ -144,6 +111,11 @@ fn run_multicore_impl<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
             .map(|h| h.join().expect("core thread panicked"))
             .collect()
     });
+    let stages = per_partition
+        .iter()
+        .map(|(_, stages)| *stages)
+        .max_by_key(StageTimes::total)
+        .unwrap_or_default();
 
     // Transpose partition-major to query-major by moving each per-query
     // pair vector exactly once — the merge consumes owned pairs, so no
@@ -151,7 +123,7 @@ fn run_multicore_impl<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
     let mut per_query: Vec<PerQuery> = (0..queries.len())
         .map(|_| Vec::with_capacity(partitions.len()))
         .collect();
-    for partition_outputs in per_partition {
+    for (partition_outputs, _) in per_partition {
         for (q, output) in partition_outputs.into_iter().enumerate() {
             per_query[q].push(output);
         }
@@ -167,6 +139,7 @@ fn run_multicore_impl<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
                 topk: merged,
                 core_stats,
                 max_packets_per_core,
+                stages,
             }
         })
         .collect()
@@ -176,6 +149,7 @@ fn run_multicore_impl<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
 mod tests {
     use super::*;
     use crate::engine::core_model::quantize_vector;
+    use crate::topk::rank_cmp;
     use tkspmv_fixed::Q1_31;
     use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
     use tkspmv_sparse::{Csr, PacketLayout};
@@ -188,6 +162,18 @@ mod tests {
             .collect()
     }
 
+    /// One query: a one-lane batch.
+    fn run_single(
+        parts: &[(usize, BsCsr)],
+        x: &[Q1_31],
+        k: usize,
+        big_k: usize,
+    ) -> MulticoreOutput {
+        run_multicore::<Q1_31, _>(parts, &[x], k, big_k, Fidelity::Reference)
+            .pop()
+            .expect("a one-lane batch yields one output")
+    }
+
     fn exact_topk(csr: &Csr, x: &[f32], k: usize) -> Vec<u32> {
         let y = csr.spmv_exact(x);
         let mut pairs: Vec<(u32, f64)> = y
@@ -195,7 +181,7 @@ mod tests {
             .enumerate()
             .map(|(i, v)| (i as u32, v))
             .collect();
-        pairs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        pairs.sort_by(|a, b| rank_cmp(a, b, f64::total_cmp));
         pairs.truncate(k);
         pairs.into_iter().map(|(i, _)| i).collect()
     }
@@ -215,7 +201,7 @@ mod tests {
         let parts = encode_partitions(&csr, 8);
         // k = K: approximation can only fail if >k of top-K land in one
         // partition; with k = 10 = K that is impossible.
-        let out = run_multicore::<Q1_31>(&parts, &xs, 10, 10, Fidelity::Reference);
+        let out = run_single(&parts, &xs, 10, 10);
         let exact = exact_topk(&csr, x.as_slice(), 10);
         assert_eq!(out.topk.indices(), exact);
     }
@@ -231,7 +217,7 @@ mod tests {
         let x = [1.0f32, 0.0, 0.0, 0.0];
         let xs = quantize_vector::<Q1_31>(&x);
         let parts = encode_partitions(&csr, 3);
-        let out = run_multicore::<Q1_31>(&parts, &xs, 2, 3, Fidelity::Reference);
+        let out = run_single(&parts, &xs, 2, 3);
         // Best rows are 5 (0.6), 4 (0.5), 3 (0.4).
         assert_eq!(out.topk.indices(), vec![5, 4, 3]);
     }
@@ -246,7 +232,7 @@ mod tests {
         let csr = Csr::from_triplets(8, 2, &triplets).unwrap();
         let xs = quantize_vector::<Q1_31>(&[1.0, 0.0]);
         let parts = encode_partitions(&csr, 2); // rows 0-3 | rows 4-7
-        let out = run_multicore::<Q1_31>(&parts, &xs, 1, 2, Fidelity::Reference);
+        let out = run_single(&parts, &xs, 1, 2);
         // Exact top-2 is {0, 1}, but partition 0 only returns row 0.
         let got = out.topk.indices();
         assert_eq!(got[0], 0);
@@ -265,7 +251,7 @@ mod tests {
         .generate();
         let xs = quantize_vector::<Q1_31>(query_vector(64, 1).as_slice());
         let parts = encode_partitions(&csr, 4);
-        let out = run_multicore::<Q1_31>(&parts, &xs, 8, 8, Fidelity::Reference);
+        let out = run_single(&parts, &xs, 8, 8);
         assert_eq!(out.core_stats.len(), 4);
         let rows: u64 = out.core_stats.iter().map(|s| s.rows_finished).sum();
         assert_eq!(rows, 100);
@@ -286,10 +272,10 @@ mod tests {
         let queries: Vec<Vec<_>> = (0..5u64)
             .map(|q| quantize_vector::<Q1_31>(query_vector(128, q).as_slice()))
             .collect();
-        let batch = run_multicore_batch::<Q1_31>(&parts, &queries, 8, 16, Fidelity::Reference);
+        let batch = run_multicore::<Q1_31, _>(&parts, &queries, 8, 16, Fidelity::Reference);
         assert_eq!(batch.len(), queries.len());
         for (x, got) in queries.iter().zip(&batch) {
-            let single = run_multicore::<Q1_31>(&parts, x, 8, 16, Fidelity::Reference);
+            let single = run_single(&parts, x, 8, 16);
             assert_eq!(got.topk, single.topk);
             assert_eq!(got.core_stats, single.core_stats);
             assert_eq!(got.max_packets_per_core, single.max_packets_per_core);
@@ -300,7 +286,7 @@ mod tests {
     fn empty_batch_returns_no_outputs() {
         let csr = Csr::from_triplets(4, 2, &[(0, 0, 0.5), (3, 1, 0.25)]).unwrap();
         let parts = encode_partitions(&csr, 2);
-        let batch = run_multicore_batch::<Q1_31>(&parts, &[], 2, 4, Fidelity::Reference);
+        let batch = run_multicore::<Q1_31, Vec<Q1_31>>(&parts, &[], 2, 4, Fidelity::Reference);
         assert!(batch.is_empty());
     }
 
@@ -310,6 +296,6 @@ mod tests {
         let csr = Csr::from_triplets(4, 2, &[(0, 0, 0.5)]).unwrap();
         let xs = quantize_vector::<Q1_31>(&[1.0, 0.0]);
         let parts = encode_partitions(&csr, 2);
-        let _ = run_multicore::<Q1_31>(&parts, &xs, 1, 4, Fidelity::Reference);
+        let _ = run_single(&parts, &xs, 1, 4);
     }
 }

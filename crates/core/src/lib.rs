@@ -24,6 +24,10 @@
 //! plus the CPU and GPU baselines in `tkspmv_baselines` — speaks the
 //! [`backend::TopKBackend`] trait: `prepare` a collection once, then
 //! `query` it, one vector at a time or as a [`backend::QueryBatch`].
+//! Underneath there is one way in: every accelerator query, single or
+//! batched, is [`Accelerator::query_batch`] fanning
+//! [`run_core_batch_with_scratch`] out over the cores, and every result
+//! carries the [`StageTimes`] its own call measured.
 //!
 //! ```
 //! use tkspmv::backend::{QueryBatch, TopKBackend};
@@ -71,9 +75,9 @@ pub mod backend;
 pub mod engine;
 mod error;
 mod math;
-pub mod obs_hooks;
 mod perf;
 mod pruned;
+mod stages;
 mod topk;
 
 pub use accelerator::{
@@ -84,12 +88,11 @@ pub use backend::{
     TimingSource, TopKBackend,
 };
 pub use engine::{
-    quantize_vector, run_core, run_core_batch_with_scratch, run_core_with_scratch, run_multicore,
-    run_multicore_batch, trace_core, BatchScratch, CoreOutput, CoreScratch, CoreStats, Fidelity,
-    MulticoreOutput, PacketTrace,
+    quantize_vector, run_core_batch_with_scratch, BatchScratch, CoreOutput, CoreStats, Fidelity,
 };
 pub use error::EngineError;
 pub use math::{hypergeometric_pmf, ln_choose, ln_gamma};
 pub use perf::{PerfReport, HOST_OVERHEAD_SECONDS};
 pub use pruned::PrunedBackend;
-pub use topk::{TopKResult, TopKTracker};
+pub use stages::StageTimes;
+pub use topk::{rank_cmp, TopKResult, TopKTracker};

@@ -37,6 +37,7 @@ use crate::backend::{
     BackendPerf, BackendStats, PreparedMatrix, QueryBatch, QueryResult, QueryTier, TopKBackend,
 };
 use crate::error::EngineError;
+use crate::stages::StageTimes;
 use crate::topk::TopKResult;
 
 /// A [`TopKBackend`] that answers queries in two phases — low-bit prune,
@@ -197,12 +198,15 @@ impl PrunedBackend {
                 bits: self.bits.bits(),
                 shortlist: rows,
                 pruned: false,
+                stages: out.stats.stage_times(),
             };
             return Ok(out);
         };
 
+        // One clock read per stage boundary: prune runs `started` →
+        // `pruned`, rescore `pruned` → `rescored`. Reported perf and
+        // stage attribution are both derived from these three instants.
         let started = Instant::now();
-        let prune_timer = crate::obs_hooks::StageTimer::start(crate::obs_hooks::STAGE_PRUNE);
         let q = prune.quantize_query(x.as_slice());
         let scores = self.prune_scores(prune, &q);
 
@@ -248,20 +252,23 @@ impl PrunedBackend {
         }
         let sub = Csr::from_parts(shortlist, st.csr.num_cols(), row_ptr, col_idx, values)
             .map_err(|e| EngineError::bad_query(format!("shortlist gather failed: {e}")))?;
-        let prune_seconds = started.elapsed().as_secs_f64();
-        prune_timer.stop();
+        let pruned = Instant::now();
 
         // Rescore exactly through the wrapped backend and re-base the
         // shortlist-local row ids into collection coordinates. Ascending
         // gather order makes local row order agree with global row
-        // order, so ties break identically. (The rescore stage timer
-        // wraps the inner engine call, whose own decode/score hooks
-        // also fire — consumers attribute a pruned query to
-        // prune+rescore and never add decode/score on top.)
-        let rescore_timer = crate::obs_hooks::StageTimer::start(crate::obs_hooks::STAGE_RESCORE);
+        // order, so ties break identically.
         let sub_prepared = self.inner.prepare(&sub)?;
         let out = self.inner.query(&sub_prepared, x, k)?;
-        rescore_timer.stop();
+        let rescored = Instant::now();
+        // The inner call's own stages are carved out of `rescore`, so
+        // the four stages stay disjoint and sum to prune + rescore.
+        let inner = out.stats.stage_times();
+        let stages = StageTimes {
+            prune: pruned - started,
+            rescore: (rescored - pruned).saturating_sub(inner.decode + inner.score),
+            ..inner
+        };
         let pairs: Vec<(u32, f64)> = out
             .topk
             .entries()
@@ -270,16 +277,18 @@ impl PrunedBackend {
             .collect();
         Ok(QueryResult {
             topk: TopKResult::from_pairs(pairs),
-            perf: BackendPerf {
-                seconds: prune_seconds + out.perf.seconds,
-                kernel_seconds: prune_seconds + out.perf.kernel_seconds,
-                nnz: prune.nnz() + out.perf.nnz,
-                timing: out.perf.timing,
-            },
+            // Wall time of both stages, including the shortlist
+            // `prepare` the rescore pays (an encode when the wrapped
+            // backend is the accelerator).
+            perf: BackendPerf::measured(
+                (rescored - started).as_secs_f64(),
+                prune.nnz() + out.perf.nnz,
+            ),
             stats: BackendStats::Pruned {
                 bits: self.bits.bits(),
                 shortlist,
                 pruned: true,
+                stages,
             },
         })
     }
@@ -455,6 +464,7 @@ mod tests {
                 bits,
                 shortlist,
                 pruned,
+                ..
             } => {
                 assert_eq!(bits, 8);
                 assert_eq!(shortlist, 40);
@@ -464,6 +474,37 @@ mod tests {
         }
         assert!(out.perf.seconds > 0.0);
         assert!(out.perf.nnz > 0);
+    }
+
+    /// Reported perf and stage attribution come from the same two
+    /// measurements: `perf.seconds` is prune + rescore, and the rescore
+    /// — shortlist `prepare` included — splits into the wrapped
+    /// engine's decode/score plus the remainder.
+    #[test]
+    fn perf_seconds_equal_the_stage_sum() {
+        let b = PrunedBackend::new(accel(), PruneBits::Eight, 4).unwrap();
+        let m = b.prepare(&collection()).unwrap();
+        let out = b.query(&m, &query_vector(128, 3), 10).unwrap();
+        let stages = out.stats.stage_times();
+        for stage in [stages.prune, stages.rescore, stages.decode, stages.score] {
+            assert!(!stage.is_zero(), "{stages:?}");
+        }
+        assert_eq!(out.perf.seconds, stages.total().as_secs_f64());
+        assert_eq!(out.perf.timing, crate::backend::TimingSource::Measured);
+
+        // A wrapped backend without stages of its own: prune + rescore.
+        let b = PrunedBackend::new(Arc::new(RefBackend), PruneBits::Eight, 4).unwrap();
+        let m = b.prepare(&collection()).unwrap();
+        let out = b.query(&m, &query_vector(128, 3), 10).unwrap();
+        let stages = out.stats.stage_times();
+        assert!(
+            stages.decode.is_zero() && stages.score.is_zero(),
+            "{stages:?}"
+        );
+        assert_eq!(
+            out.perf.seconds,
+            (stages.prune + stages.rescore).as_secs_f64()
+        );
     }
 
     #[test]

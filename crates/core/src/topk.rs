@@ -7,6 +7,33 @@
 //! argmin scan over `k` registers is what creates the RAW dependency that
 //! caps `k` at small values (§IV-B).
 
+use std::cmp::Ordering;
+
+/// The workspace's one ranking order over `(row, score)` pairs: score
+/// descending, ties broken by ascending row index. `Less` means `a`
+/// ranks ahead of `b`, so sorting with it puts the best pair first.
+///
+/// `by_score` orders two scores ascending: [`f64::total_cmp`] for
+/// merged `f64` scores (a total order even on NaN, which can arrive
+/// over the wire), [`PartialOrd`] for a core's raw accumulators.
+/// Every selector — the tracker's drain, the cross-core and cross-shard
+/// merges, the CPU baseline's heap — ranks through this function, so
+/// their tie-breaks cannot drift apart.
+pub fn rank_cmp<A>(
+    a: &(u32, A),
+    b: &(u32, A),
+    by_score: impl FnOnce(&A, &A) -> Ordering,
+) -> Ordering {
+    by_score(&b.1, &a.1).then(a.0.cmp(&b.0))
+}
+
+/// Ascending order of two accumulators.
+fn acc_cmp<A: PartialOrd>(a: &A, b: &A) -> Ordering {
+    a.partial_cmp(b)
+        // invariant: accumulators are u64 fixed-point or finite float sums of normalised inputs, never NaN
+        .expect("comparable values")
+}
+
 /// Fixed-capacity tracker of the `k` largest `(index, value)` pairs seen.
 ///
 /// Mirrors the RTL scratchpad: `k` slots with valid bits, candidate
@@ -170,14 +197,11 @@ impl<A: PartialOrd + Copy> TopKTracker<A> {
 
     /// Extracts the tracked pairs sorted by value descending (ties by
     /// index ascending, for deterministic output).
+    // alloc-ok(fn): owned convenience extraction; the engine drains
+    // through write_sorted_into and a reused buffer.
     pub fn into_sorted(self) -> Vec<(u32, A)> {
-        let mut out = self.slots;
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                // invariant: accumulators are u64 fixed-point or finite float sums of normalised inputs, never NaN
-                .expect("comparable values")
-                .then(a.0.cmp(&b.0))
-        });
+        let mut out = Vec::new();
+        self.write_sorted_into(&mut out);
         out
     }
 
@@ -194,12 +218,7 @@ impl<A: PartialOrd + Copy> TopKTracker<A> {
     pub fn write_sorted_into(&self, out: &mut Vec<(u32, A)>) {
         out.clear();
         out.extend_from_slice(&self.slots);
-        out.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                // invariant: accumulators are u64 fixed-point or finite float sums of normalised inputs, never NaN
-                .expect("comparable values")
-                .then(a.0.cmp(&b.0))
-        });
+        out.sort_unstable_by(|a, b| rank_cmp(a, b, acc_cmp));
     }
 }
 
@@ -223,7 +242,7 @@ pub struct TopKResult {
 impl TopKResult {
     /// Builds a result from unsorted `(row, score)` pairs.
     pub fn from_pairs(mut pairs: Vec<(u32, f64)>) -> Self {
-        pairs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        pairs.sort_by(|a, b| rank_cmp(a, b, f64::total_cmp));
         Self { entries: pairs }
     }
 

@@ -45,14 +45,14 @@ pub struct TierMetrics {
 /// Where one answered request spent its time, stage by stage.
 ///
 /// `queue`, `coalesce`, `engine` and `merge` are exact wall intervals
-/// measured on the serving path. `decode`/`score` (exact tier) and
-/// `prune`/`rescore` (pruned tier) subdivide the engine interval using
-/// the core engine's `obs_hooks` deltas: exact when queries are
-/// dispatched one at a time, an aggregate attribution under concurrent
-/// batches, and all-zero unless the workspace is built with the
-/// `obs-trace` feature. For a batched request, `engine` is the whole
+/// measured on the serving path. `decode`/`score`/`prune`/`rescore`
+/// subdivide the engine interval: they are the stage times the backend
+/// call that answered this request measured and returned with its
+/// result (`tkspmv::StageTimes`, from the slowest shard), so they are
+/// exact per request however many batches run concurrently, and never
+/// exceed `engine`. For a batched request, `engine` is the whole
 /// batch's engine wall time (the request really was in the engine that
-/// long).
+/// long), and so are the accelerator's `decode`/`score`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct StageBreakdown {
@@ -62,88 +62,52 @@ pub struct StageBreakdown {
     pub coalesce: Duration,
     /// Engine wall time for the batch (max across shard workers).
     pub engine: Duration,
-    /// Packet-decode share of `engine` (exact tier, `obs-trace` only).
+    /// Packet-decode share of `engine`.
     pub decode: Duration,
-    /// Scoring share of `engine` (exact tier, `obs-trace` only).
+    /// Scoring share of `engine`, as the backend reported it.
     pub score: Duration,
-    /// Prune-pass share of `engine` (pruned tier, `obs-trace` only).
+    /// Prune-pass share of `engine` (pruned tier).
     pub prune: Duration,
-    /// Exact-rescore share of `engine` (pruned tier, `obs-trace` only).
+    /// Exact-rescore share of `engine` outside decode/score (pruned
+    /// tier).
     pub rescore: Duration,
     /// Cross-shard top-k merge for this request.
     pub merge: Duration,
 }
 
 impl StageBreakdown {
-    /// `(stage, duration)` for every non-zero stage, pipeline order.
-    pub fn present(&self) -> Vec<(Stage, Duration)> {
+    /// `(stage, duration)` for the seven serve stages, pipeline order,
+    /// covering the engine interval exactly: whatever part of `engine`
+    /// the backend attributed to no stage (all of it, for backends that
+    /// report none) counts as `score`.
+    pub fn stages(&self) -> [(Stage, Duration); 7] {
+        let attributed = self.decode + self.score + self.prune + self.rescore;
+        let remainder = self.engine.saturating_sub(attributed);
         [
             (Stage::Queue, self.queue),
             (Stage::Coalesce, self.coalesce),
             (Stage::Decode, self.decode),
-            (Stage::Score, self.score),
+            (Stage::Score, self.score + remainder),
             (Stage::Prune, self.prune),
             (Stage::Rescore, self.rescore),
             (Stage::Merge, self.merge),
         ]
-        .into_iter()
-        .filter(|(_, d)| !d.is_zero())
-        .collect()
     }
 
-    /// Lays the stages out as sequential spans inside a query of
-    /// `total_us` microseconds: queue, coalesce, then the engine
-    /// sub-stages (scaled down if the hook attributions overshoot the
-    /// engine wall), then merge — truncated so the record never
-    /// escapes `[0, total_us]` and span durations always sum to at
-    /// most the total.
+    /// Lays [`StageBreakdown::stages`] out as sequential spans inside a
+    /// query of `total` — truncated so the record never escapes
+    /// `[0, total]` and span durations always sum to at most the total.
     pub fn to_span_record(&self, trace_id: TraceId, total: Duration) -> SpanRecord {
         let total_us = u32::try_from(total.as_micros()).unwrap_or(u32::MAX);
         let mut rec = SpanRecord::new(trace_id, total_us);
         let mut cursor: u64 = 0;
-        fn push(rec: &mut SpanRecord, cursor: &mut u64, total_us: u32, stage: Stage, d: Duration) {
+        for (stage, d) in self.stages() {
             let dur = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-            let start = (*cursor).min(u64::from(total_us));
+            let start = cursor.min(u64::from(total_us));
             let dur = dur.min(u64::from(total_us) - start);
             rec.push(stage, start as u32, dur as u32);
-            *cursor = start + dur;
+            cursor = start + dur;
         }
-        push(&mut rec, &mut cursor, total_us, Stage::Queue, self.queue);
-        push(
-            &mut rec,
-            &mut cursor,
-            total_us,
-            Stage::Coalesce,
-            self.coalesce,
-        );
-        // Engine sub-stages: scale the hook attributions into the
-        // engine wall interval so they can never overshoot it.
-        let sub: [(Stage, Duration); 4] = [
-            (Stage::Decode, self.decode),
-            (Stage::Score, self.score),
-            (Stage::Prune, self.prune),
-            (Stage::Rescore, self.rescore),
-        ];
-        let sub_total: Duration = sub.iter().map(|(_, d)| *d).sum();
-        let scale = if sub_total > self.engine && !sub_total.is_zero() {
-            self.engine.as_secs_f64() / sub_total.as_secs_f64()
-        } else {
-            1.0
-        };
-        let engine_start = cursor;
-        if sub_total.is_zero() {
-            // No attribution available (obs-trace off): one engine span.
-            push(&mut rec, &mut cursor, total_us, Stage::Score, self.engine);
-        } else {
-            for (stage, d) in sub {
-                push(&mut rec, &mut cursor, total_us, stage, d.mul_f64(scale));
-            }
-            // Advance past any unattributed engine remainder so merge
-            // starts after the engine interval.
-            cursor = cursor
-                .max(engine_start + u64::try_from(self.engine.as_micros()).unwrap_or(u64::MAX));
-        }
-        push(&mut rec, &mut cursor, total_us, Stage::Merge, self.merge);
         rec
     }
 }
@@ -249,16 +213,11 @@ struct BatchShape {
     engine_us_by_size: Vec<u64>,
 }
 
-/// Serve-level stages tracked in per-stage histograms, pipeline order.
-const SERVE_STAGES: [Stage; 7] = [
-    Stage::Queue,
-    Stage::Coalesce,
-    Stage::Decode,
-    Stage::Score,
-    Stage::Prune,
-    Stage::Rescore,
-    Stage::Merge,
-];
+/// The serve-level stages, one per-stage histogram each, in
+/// [`StageBreakdown::stages`] order.
+fn serve_stages() -> [Stage; 7] {
+    StageBreakdown::default().stages().map(|(stage, _)| stage)
+}
 
 /// The service's metric state. Recording served/failed/shed and
 /// latencies is lock-free (atomics + striped histograms); only the
@@ -320,7 +279,7 @@ impl MetricsShared {
             "tkspmv_serve_latency_seconds",
             "End-to-end request latency (admission to response).",
         );
-        let stage_hists = SERVE_STAGES
+        let stage_hists = serve_stages()
             .iter()
             .map(|s| {
                 registry.histogram_with(
@@ -435,18 +394,9 @@ impl MetricsShared {
         total: Duration,
         trace_id: TraceId,
     ) {
-        for (stage, d) in stages.present() {
-            if let Some(i) = SERVE_STAGES.iter().position(|s| *s == stage) {
-                self.stage_hists[i].record(d);
-            }
-        }
-        // Mirror `to_span_record`: with no engine-internal attribution
-        // (obs-trace off) the whole engine interval lands on `score`, so
-        // the stage table still accounts for engine time.
-        let attributed = !(stages.decode + stages.score + stages.prune + stages.rescore).is_zero();
-        if !attributed && !stages.engine.is_zero() {
-            if let Some(i) = SERVE_STAGES.iter().position(|s| *s == Stage::Score) {
-                self.stage_hists[i].record(stages.engine);
+        for (hist, (_, d)) in self.stage_hists.iter().zip(stages.stages()) {
+            if !d.is_zero() {
+                hist.record(d);
             }
         }
         self.spans.record(&stages.to_span_record(trace_id, total));
@@ -519,7 +469,7 @@ impl MetricsShared {
             tiers.sort_by(|a, b| a.tier.cmp(&b.tier));
             tiers
         };
-        let stages = SERVE_STAGES
+        let stages = serve_stages()
             .iter()
             .zip(&self.stage_hists)
             .filter_map(|(stage, h)| {
@@ -746,26 +696,32 @@ mod tests {
             queue: Duration::from_micros(100),
             coalesce: Duration::from_micros(50),
             engine: Duration::from_micros(400),
-            decode: Duration::from_micros(300),
-            score: Duration::from_micros(300), // decode+score overshoot engine
+            decode: Duration::from_micros(120),
+            score: Duration::from_micros(200),
             prune: Duration::ZERO,
             rescore: Duration::ZERO,
             merge: Duration::from_micros(30),
         };
-        let total = Duration::from_micros(600);
-        let rec = b.to_span_record(TraceId::ZERO, total);
+        let span = |rec: &SpanRecord, stage: Stage| {
+            let s = rec.spans().iter().find(|s| s.stage == stage);
+            s.map(|s| (s.start_us, s.dur_us))
+        };
+        // The engine interval is covered exactly: the 80 µs the backend
+        // attributed to no stage ride on `score`, and merge starts where
+        // the engine ends.
+        let rec = b.to_span_record(TraceId::ZERO, Duration::from_micros(600));
+        assert_eq!(span(&rec, Stage::Decode), Some((150, 120)));
+        assert_eq!(span(&rec, Stage::Score), Some((270, 280)));
+        assert_eq!(span(&rec, Stage::Merge), Some((550, 30)));
+        // A total shorter than the stages truncates; it never escapes.
+        let rec = b.to_span_record(TraceId::ZERO, Duration::from_micros(300));
         let sum: u64 = rec.spans().iter().map(|s| u64::from(s.dur_us)).sum();
-        assert!(sum <= 600, "span durations exceed the query total: {sum}");
+        assert_eq!(sum, 300);
         for s in rec.spans() {
-            assert!(u64::from(s.start_us) + u64::from(s.dur_us) <= 600);
+            assert!(u64::from(s.start_us) + u64::from(s.dur_us) <= 300);
         }
-        // The overshooting engine attribution was scaled into the wall.
-        let decode = rec
-            .spans()
-            .iter()
-            .find(|s| s.stage == Stage::Decode)
-            .expect("decode span");
-        assert!(decode.dur_us <= 400);
+        assert_eq!(span(&rec, Stage::Score), Some((270, 30)));
+        assert_eq!(span(&rec, Stage::Merge), None);
     }
 
     #[test]
@@ -782,7 +738,7 @@ mod tests {
         let names: Vec<&str> = s.stages.iter().map(|st| st.stage).collect();
         assert!(names.contains(&"queue"));
         assert!(names.contains(&"merge"));
-        // No attribution sub-split: the engine interval lands on score.
+        // Nothing attributed: the whole engine interval lands on score.
         assert!(names.contains(&"score"));
         assert_eq!(m.slowest_spans(5).len(), 1);
         assert_eq!(m.slowest_spans(5)[0].total_us, 500);

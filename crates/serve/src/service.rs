@@ -9,7 +9,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tkspmv::backend::{MatrixShard, PreparedMatrix, QueryBatch, QueryTier, TopKBackend};
-use tkspmv::{EngineError, TopKResult};
+use tkspmv::{EngineError, StageTimes, TopKResult};
 use tkspmv_sparse::{Csr, DenseVector};
 
 use crate::batch::BatchPolicy;
@@ -46,8 +46,8 @@ pub struct ServedResult {
     /// The precision tier this request was answered at.
     pub tier: QueryTier,
     /// Where the request spent its time, stage by stage (queue wait,
-    /// batch coalesce, engine — with decode/prune/rescore attribution
-    /// when the `obs-trace` feature is on — and cross-shard merge).
+    /// batch coalesce, engine — with the decode/score/prune/rescore
+    /// split its own backend call measured — and cross-shard merge).
     pub stages: StageBreakdown,
 }
 
@@ -124,9 +124,17 @@ struct Responder {
     tx: mpsc::Sender<Result<ServedResult, ServeError>>,
 }
 
-/// What one shard contributes to a job: per-query globalized
-/// `(row, score)` candidate lists, or the shard's failure.
-type ShardOutcome = Result<Vec<Vec<(u32, f64)>>, ServeError>;
+/// One query's answer from one shard: its globalized `(row, score)`
+/// candidates and the engine stage times its result carried.
+type ShardAnswer = (Vec<(u32, f64)>, StageTimes);
+
+/// What one shard contributes to a job.
+struct ShardDone {
+    /// Wall time of this shard's backend batch call.
+    engine: Duration,
+    /// One answer per query, or the shard's failure.
+    outcome: Result<Vec<ShardAnswer>, ServeError>,
+}
 
 /// One dispatched batch, shared by every shard's worker pool.
 struct Job {
@@ -139,23 +147,11 @@ struct Job {
     /// (the batcher only coalesces same-epoch requests).
     epoch: Arc<Epoch>,
     responders: Vec<Responder>,
-    /// `partials[s]` = shard `s`'s outcome, filled exactly once.
-    partials: Mutex<Vec<Option<ShardOutcome>>>,
+    /// `partials[s]` = what shard `s` contributed, filled exactly once.
+    partials: Mutex<Vec<Option<ShardDone>>>,
     /// Shards still running; the worker that decrements this to zero
     /// merges and responds.
     remaining: AtomicUsize,
-    /// Time spent inside the backend's batch call, in µs, summed over
-    /// shards — the engine's share of the batch, excluding queue wait
-    /// and merge.
-    engine_us: AtomicU64,
-    /// Engine *wall* time in µs: the slowest shard's batch call
-    /// (shards run in parallel, so this — not the sum — is how long
-    /// the batch actually sat in the engine).
-    engine_wall_us: AtomicU64,
-    /// Engine-stage attribution deltas from `tkspmv::obs_hooks`
-    /// (decode/score/prune/rescore ns), summed over shard workers.
-    /// All zero unless the `obs-trace` feature is on.
-    hook_ns: [AtomicU64; tkspmv::obs_hooks::NUM_STAGES],
 }
 
 impl Job {
@@ -164,23 +160,37 @@ impl Job {
     fn finalize(&self, inner: &Inner) {
         let parts = std::mem::take(&mut *lock(&self.partials));
         let batch_size = self.batch.len();
-        let engine_time = Duration::from_micros(self.engine_us.load(Ordering::Acquire));
+        // Time inside the backend's batch call summed over shards (the
+        // engine's share of the batch), and the slowest shard's call:
+        // shards run in parallel, so the maximum — not the sum — is how
+        // long the batch actually sat in the engine. That shard's stage
+        // split is the one that fits inside the interval.
+        let mut engine_time = Duration::ZERO;
+        let mut engine_wall = Duration::ZERO;
+        let mut stages = vec![StageTimes::default(); batch_size];
         let mut failure: Option<ServeError> = None;
         let mut per_query: Vec<Vec<(u32, f64)>> = vec![Vec::new(); batch_size];
-        for outcome in parts {
+        for done in parts {
+            let Some(ShardDone { engine, outcome }) = done else {
+                failure.get_or_insert(ServeError::WorkerPanicked {
+                    detail: "a shard never reported its outcome".to_string(),
+                });
+                continue;
+            };
+            engine_time += engine;
+            let slowest = engine >= engine_wall;
+            engine_wall = engine_wall.max(engine);
             match outcome {
-                Some(Ok(shard_lists)) => {
-                    for (q, pairs) in shard_lists.into_iter().enumerate() {
+                Ok(shard_results) => {
+                    for (q, (pairs, shard_stages)) in shard_results.into_iter().enumerate() {
                         per_query[q].extend(pairs);
+                        if slowest {
+                            stages[q] = shard_stages;
+                        }
                     }
                 }
-                Some(Err(e)) => {
+                Err(e) => {
                     failure.get_or_insert(e);
-                }
-                None => {
-                    failure.get_or_insert(ServeError::WorkerPanicked {
-                        detail: "a shard never reported its outcome".to_string(),
-                    });
                 }
             }
         }
@@ -203,51 +213,19 @@ impl Job {
                 }
             }
             None => {
-                let engine_wall =
-                    Duration::from_micros(self.engine_wall_us.load(Ordering::Acquire));
-                // Engine sub-stage attribution from the core hooks
-                // (exact per query when dispatch is serial; an
-                // aggregate share under concurrent batches). Divided
-                // across the batch so per-request histograms are not
-                // inflated B-fold; the span layout re-clamps anyway.
-                let per_req = |i: usize| {
-                    // ordering: diagnostic stage totals read at
-                    // finalize; the partials-mutex handoff already
-                    // ordered the worker's writes before this read.
-                    let ns = self.hook_ns[i].load(Ordering::Relaxed) / batch_size as u64;
-                    Duration::from_nanos(ns)
-                };
-                let (decode, score, prune, rescore) =
-                    if matches!(self.tier, QueryTier::Pruned { .. }) {
-                        // A pruned query's rescore wraps an inner engine
-                        // call whose decode/score hooks also fire — count
-                        // prune+rescore only, never both attributions.
-                        (
-                            Duration::ZERO,
-                            Duration::ZERO,
-                            per_req(tkspmv::obs_hooks::STAGE_PRUNE),
-                            per_req(tkspmv::obs_hooks::STAGE_RESCORE),
-                        )
-                    } else {
-                        (
-                            per_req(tkspmv::obs_hooks::STAGE_DECODE),
-                            per_req(tkspmv::obs_hooks::STAGE_SCORE),
-                            Duration::ZERO,
-                            Duration::ZERO,
-                        )
-                    };
                 let mut outputs = Vec::with_capacity(batch_size);
-                for (responder, pairs) in self.responders.iter().zip(per_query) {
+                for ((responder, pairs), split) in self.responders.iter().zip(per_query).zip(stages)
+                {
                     let merge_started = Instant::now();
                     let topk = TopKResult::merge_pairs(pairs, self.k);
                     let stages = StageBreakdown {
                         queue: responder.queue_wait,
                         coalesce: responder.coalesce_wait,
                         engine: engine_wall,
-                        decode,
-                        score,
-                        prune,
-                        rescore,
+                        decode: split.decode,
+                        score: split.score,
+                        prune: split.prune,
+                        rescore: split.rescore,
                         merge: merge_started.elapsed(),
                     };
                     outputs.push((responder, topk, responder.enqueued.elapsed(), stages));
@@ -365,9 +343,6 @@ impl Inner {
             responders,
             partials: Mutex::new((0..self.shards.len()).map(|_| None).collect()),
             remaining: AtomicUsize::new(self.shards.len()),
-            engine_us: AtomicU64::new(0),
-            engine_wall_us: AtomicU64::new(0),
-            hook_ns: Default::default(),
         });
         for shard in &self.shards {
             lock(&shard.queue).jobs.push_back(Arc::clone(&job));
@@ -512,7 +487,6 @@ fn worker_loop(inner: &Arc<Inner>, shard_index: usize) {
         // "current" state: a hot swap installed after this job was
         // admitted must not change what it runs against.
         let shard = &job.epoch.shards[shard_index];
-        let hooks_before = tkspmv::obs_hooks::totals_ns();
         let engine_started = Instant::now();
         let ran = catch_unwind(AssertUnwindSafe(|| {
             let results =
@@ -521,39 +495,18 @@ fn worker_loop(inner: &Arc<Inner>, shard_index: usize) {
                     .query_batch_tiered(shard.matrix(), &job.batch, job.k, job.tier)?;
             Ok(results
                 .iter()
-                .map(|r| shard.globalize(&r.topk))
+                .map(|r| (shard.globalize(&r.topk), r.stats.stage_times()))
                 .collect::<Vec<_>>())
         }));
-        let engine_us = u64::try_from(engine_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        // ordering: diagnostic timing accumulators; finalize's read is
-        // ordered after all shard writes by the partials-mutex handoff
-        // and the AcqRel `remaining` countdown below.
-        job.engine_us.fetch_add(engine_us, Ordering::Relaxed);
-        // Wall-clock engine time for the request is the slowest shard
-        // (they run concurrently), not the sum across shards.
-        // ordering: diagnostic accumulator, same handoff as above.
-        job.engine_wall_us.fetch_max(engine_us, Ordering::Relaxed);
-        // Attribute the engine-internal stage-hook time this shard's
-        // call added. The hooks are process-global counters (the engine
-        // fans out to its own scoped threads), so concurrent jobs can
-        // bleed into each other's deltas; the breakdown is diagnostic,
-        // and finalize clamps sub-stages into the engine wall interval.
-        let hooks_after = tkspmv::obs_hooks::totals_ns();
-        for (i, slot) in job.hook_ns.iter().enumerate() {
-            // ordering: diagnostic accumulators, same handoff as above.
-            slot.fetch_add(
-                hooks_after[i].saturating_sub(hooks_before[i]),
-                Ordering::Relaxed,
-            );
-        }
-        let outcome: ShardOutcome = match ran {
-            Ok(Ok(lists)) => Ok(lists),
+        let engine = engine_started.elapsed();
+        let outcome = match ran {
+            Ok(Ok(results)) => Ok(results),
             Ok(Err(e)) => Err(ServeError::Engine(e)),
             Err(payload) => Err(ServeError::WorkerPanicked {
                 detail: panic_detail(payload),
             }),
         };
-        lock(&job.partials)[shard_index] = Some(outcome);
+        lock(&job.partials)[shard_index] = Some(ShardDone { engine, outcome });
         if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             // A finalize panic (it runs caller-adjacent merge code and
             // responder sends) drops the job's senders, so unanswered

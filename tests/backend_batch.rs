@@ -7,9 +7,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use tkspmv::backend::{QueryBatch, TopKBackend};
-use tkspmv::{
-    quantize_vector, run_core, run_core_batch_with_scratch, Accelerator, BatchScratch, Fidelity,
-};
+use tkspmv::{quantize_vector, run_core_batch_with_scratch, Accelerator, BatchScratch, Fidelity};
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_baselines::gpu::{GpuModel, GpuPrecision, GpuTopK};
 use tkspmv_fixed::{SpmvScalar, F32, Q1_19};
@@ -79,7 +77,8 @@ fn assert_engine_batch_matches_sequential<S: SpmvScalar>(
         let outputs = run_core_batch_with_scratch(&bs, &qs, k, fidelity, &mut scratch);
         prop_assert_eq!(outputs.len(), qs.len());
         for (x, got) in qs.iter().zip(outputs) {
-            let single = run_core::<S>(&bs, x, k, fidelity);
+            let mut one_lane = BatchScratch::<S>::new();
+            let single = &run_core_batch_with_scratch(&bs, &[x], k, fidelity, &mut one_lane)[0];
             prop_assert_eq!(
                 &single.topk,
                 &got.topk,

@@ -3,9 +3,21 @@
 //! for any input, not just the evaluation workloads.
 
 use proptest::prelude::*;
-use tkspmv::{quantize_vector, run_core, Fidelity, TopKTracker};
+use tkspmv::{
+    quantize_vector, run_core_batch_with_scratch, BatchScratch, CoreOutput, Fidelity, TopKTracker,
+};
 use tkspmv_fixed::{SpmvScalar, F32, Q1_31};
 use tkspmv_sparse::{BsCsr, Csr, PacketLayout};
+
+/// One query through the engine: a one-lane batch.
+fn run_core<S: SpmvScalar>(
+    matrix: &BsCsr,
+    x: &[S],
+    k: usize,
+    fidelity: Fidelity,
+) -> CoreOutput<S::Acc> {
+    run_core_batch_with_scratch(matrix, &[x], k, fidelity, &mut BatchScratch::new())[0].clone()
+}
 
 /// A random matrix plus a random non-negative query vector.
 fn arb_problem() -> impl Strategy<Value = (Csr, Vec<f32>)> {

@@ -3,18 +3,23 @@
 //! is structurally well-formed and consistent with the latency the
 //! caller actually measured — across precision tiers, and with trace
 //! ids surviving a compaction epoch hot-swap happening mid-stream.
+//! Underneath that: the engine stage split inside each span is the one
+//! the request's own backend call measured, exact under concurrency.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use tkspmv::backend::{QueryTier, TopKBackend};
-use tkspmv::PrunedBackend;
+use tkspmv::backend::{
+    BackendPerf, BackendStats, PreparedMatrix, QueryResult, QueryTier, TopKBackend,
+};
+use tkspmv::{Accelerator, EngineError, PrunedBackend, StageTimes, TopKResult};
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_fabric::{DeltaCollection, NodeClient, NodeServer, Router, RouterConfig, ShardSpec};
 use tkspmv_fixed::PruneBits;
-use tkspmv_obs::{QueryTrace, TraceId};
+use tkspmv_obs::{QueryTrace, Stage, TraceId};
 use tkspmv_serve::{BatchPolicy, TopKService};
 use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
 use tkspmv_sparse::{Csr, DenseVector};
@@ -25,21 +30,31 @@ const DEADLINE: Duration = Duration::from_secs(10);
 /// matrices this suite generates (c·k ≥ rows).
 const COVERING_FACTOR: usize = 64;
 
-/// One in-process node per partition behind a real TCP port.
+/// One in-process node per partition behind a real TCP port, over the
+/// CPU baseline (wrapped in the staged pipeline when `pruned`).
 fn spawn_fleet(csr: &Csr, parts: usize, pruned: bool) -> (Vec<NodeServer>, Vec<ShardSpec>) {
+    let exact: Arc<dyn TopKBackend> = Arc::new(CpuTopK::new(1));
+    let backend: Arc<dyn TopKBackend> = if pruned {
+        Arc::new(
+            PrunedBackend::new(exact, PruneBits::Eight, COVERING_FACTOR)
+                .expect("covering factor is valid"),
+        )
+    } else {
+        exact
+    };
+    spawn_fleet_over(csr, parts, &backend)
+}
+
+/// One in-process node per partition behind a real TCP port.
+fn spawn_fleet_over(
+    csr: &Csr,
+    parts: usize,
+    backend: &Arc<dyn TopKBackend>,
+) -> (Vec<NodeServer>, Vec<ShardSpec>) {
     let mut nodes = Vec::with_capacity(parts);
     let mut specs = Vec::with_capacity(parts);
     for (first_row, shard) in csr.partition_rows(parts) {
-        let exact: Arc<dyn TopKBackend> = Arc::new(CpuTopK::new(1));
-        let backend: Arc<dyn TopKBackend> = if pruned {
-            Arc::new(
-                PrunedBackend::new(exact, PruneBits::Eight, COVERING_FACTOR)
-                    .expect("covering factor is valid"),
-            )
-        } else {
-            exact
-        };
-        let service = TopKService::builder(backend)
+        let service = TopKService::builder(Arc::clone(backend))
             .batch_policy(BatchPolicy::immediate())
             .build(&shard)
             .expect("shard service builds");
@@ -105,8 +120,7 @@ fn assert_trace_consistent(trace: &QueryTrace, answered: usize, wall: Duration) 
             shard.dur_us,
             trace.to_json()
         );
-        // Every answered node reported spans (the serve layer always
-        // times queue/engine/merge, hooks or not).
+        // Every answered node reported spans.
         let node = shard.children.first().expect("node span report");
         assert_eq!(node.name, "node");
         assert!(
@@ -155,6 +169,230 @@ fn routed_query_across_two_tcp_nodes_assembles_one_consistent_tree() {
     for node in nodes {
         node.shutdown();
     }
+}
+
+/// Node spans of an accelerator-backed fleet split the engine interval
+/// into the stages the engine itself timed: decode and score on the
+/// exact tier, plus prune and rescore on the staged tier.
+#[test]
+fn accelerator_fleet_node_spans_carry_the_engine_stage_split() {
+    let csr = SyntheticConfig {
+        num_rows: 6_000,
+        num_cols: 256,
+        avg_nnz_per_row: 16,
+        distribution: NnzDistribution::Uniform,
+        seed: 23,
+    }
+    .generate();
+    let accelerator: Arc<dyn TopKBackend> = Arc::new(
+        Accelerator::builder()
+            .cores(2)
+            .k(64)
+            .build()
+            .expect("small design builds"),
+    );
+    // A non-covering shortlist (8·100 of 3 000 rows per node), so the
+    // staged path really prunes and rescores.
+    let staged: Arc<dyn TopKBackend> = Arc::new(
+        PrunedBackend::new(Arc::clone(&accelerator), PruneBits::Eight, 8).expect("valid factor"),
+    );
+    let cases: [(&Arc<dyn TopKBackend>, QueryTier, &[Stage]); 2] = [
+        (
+            &accelerator,
+            QueryTier::Exact,
+            &[Stage::Decode, Stage::Score],
+        ),
+        (
+            &staged,
+            QueryTier::Pruned {
+                shortlist_factor: 8,
+            },
+            &[Stage::Decode, Stage::Score, Stage::Prune, Stage::Rescore],
+        ),
+    ];
+    for (backend, tier, expected) in cases {
+        let (nodes, specs) = spawn_fleet_over(&csr, 2, backend);
+        let router = traced_router(specs);
+        let x = query_vector(256, 3);
+        let started = Instant::now();
+        let result = router.query(x.as_slice(), 100, tier).expect("routed query");
+        let trace = result.trace.expect("tracing is on");
+        assert_trace_consistent(&trace, 2, started.elapsed());
+        for shard in &trace.root.children {
+            let node = shard.children.first().expect("node span report");
+            for stage in expected {
+                assert!(
+                    node.stages.iter().any(|s| s.stage == *stage),
+                    "{tier}: node span lacks {stage:?}: {}",
+                    trace.to_json()
+                );
+            }
+        }
+        for node in nodes {
+            node.shutdown();
+        }
+    }
+}
+
+/// A backend whose every result is stamped with stage values derived
+/// from the query itself, so a ticket can tell whose values it got. Its
+/// first two calls rendezvous, which forces two backend calls to be in
+/// flight at once.
+struct StampBackend {
+    calls: AtomicUsize,
+    overlap: Barrier,
+}
+
+fn stamp(x: &DenseVector) -> StageTimes {
+    let id = x.as_slice()[0] as u64;
+    StageTimes {
+        decode: Duration::from_nanos(10 * id + 1),
+        score: Duration::from_nanos(10 * id + 2),
+        prune: Duration::from_nanos(10 * id + 3),
+        rescore: Duration::from_nanos(10 * id + 4),
+    }
+}
+
+impl TopKBackend for StampBackend {
+    fn name(&self) -> String {
+        "stamp".to_string()
+    }
+
+    fn prepare(&self, csr: &Csr) -> Result<PreparedMatrix, EngineError> {
+        Ok(PreparedMatrix::new(
+            self.name(),
+            csr.num_rows(),
+            csr.num_cols(),
+            csr.nnz() as u64,
+            (),
+        ))
+    }
+
+    fn query(
+        &self,
+        _matrix: &PreparedMatrix,
+        x: &DenseVector,
+        _k: usize,
+    ) -> Result<QueryResult, EngineError> {
+        // ordering: test-only call counter; the barrier orders the two
+        // calls it admits.
+        if self.calls.fetch_add(1, Ordering::Relaxed) < 2 {
+            self.overlap.wait();
+        }
+        Ok(QueryResult {
+            topk: TopKResult::from_pairs(vec![(0, 1.0)]),
+            perf: BackendPerf::measured(1e-9, 1),
+            stats: BackendStats::Pruned {
+                bits: 8,
+                shortlist: 1,
+                pruned: true,
+                stages: stamp(x),
+            },
+        })
+    }
+}
+
+/// Concurrent submitters into a multi-worker service: every ticket's
+/// stage breakdown holds exactly the values its own backend call
+/// reported — nothing from the calls running beside it.
+#[test]
+fn concurrent_requests_keep_their_own_stage_attribution() {
+    const SUBMITTERS: usize = 8;
+    const PER_SUBMITTER: usize = 40;
+    let csr = SyntheticConfig {
+        num_rows: 8,
+        num_cols: 4,
+        avg_nnz_per_row: 2,
+        distribution: NnzDistribution::Uniform,
+        seed: 1,
+    }
+    .generate();
+    let service = TopKService::builder(Arc::new(StampBackend {
+        calls: AtomicUsize::new(0),
+        overlap: Barrier::new(2),
+    }))
+    .shards(2)
+    .workers_per_shard(3)
+    .batch_policy(BatchPolicy::coalescing(4, Duration::from_micros(200)))
+    .build(&csr)
+    .expect("service builds");
+
+    let start = Barrier::new(SUBMITTERS);
+    std::thread::scope(|scope| {
+        for submitter in 0..SUBMITTERS {
+            let (service, start) = (&service, &start);
+            scope.spawn(move || {
+                start.wait();
+                let tickets: Vec<_> = (0..PER_SUBMITTER)
+                    .map(|i| {
+                        let id = (submitter * PER_SUBMITTER + i + 1) as f32;
+                        let x = DenseVector::from_values(vec![id, 0.0, 0.0, 0.0]);
+                        let ticket = service.submit(x.clone(), 1).expect("admitted");
+                        (x, ticket)
+                    })
+                    .collect();
+                for (x, ticket) in tickets {
+                    let served = ticket.wait().expect("served");
+                    let st = served.stages;
+                    let got = StageTimes {
+                        decode: st.decode,
+                        score: st.score,
+                        prune: st.prune,
+                        rescore: st.rescore,
+                    };
+                    assert_eq!(got, stamp(&x), "query {:?}", x.as_slice());
+                }
+            });
+        }
+    });
+    let metrics = service.shutdown();
+    assert_eq!(metrics.served, (SUBMITTERS * PER_SUBMITTER) as u64);
+}
+
+/// The same through the real accelerator: the decode/score split of
+/// each served request is what its own batch measured on its busiest
+/// core, so it fits inside that request's engine interval as reported —
+/// no clamp involved.
+#[test]
+fn served_accelerator_stages_fit_their_engine_interval() {
+    let csr = SyntheticConfig {
+        num_rows: 4_000,
+        num_cols: 128,
+        avg_nnz_per_row: 12,
+        distribution: NnzDistribution::Uniform,
+        seed: 9,
+    }
+    .generate();
+    let backend = Arc::new(
+        Accelerator::builder()
+            .cores(4)
+            .k(8)
+            .build()
+            .expect("builds"),
+    );
+    let service = TopKService::builder(backend)
+        .shards(2)
+        .workers_per_shard(2)
+        .batch_policy(BatchPolicy::coalescing(4, Duration::from_micros(500)))
+        .build(&csr)
+        .expect("service builds");
+    std::thread::scope(|scope| {
+        for submitter in 0..4u64 {
+            let service = &service;
+            scope.spawn(move || {
+                let tickets: Vec<_> = (0..12)
+                    .map(|i| service.submit(query_vector(128, 100 * submitter + i), 10))
+                    .collect();
+                for ticket in tickets {
+                    let st = ticket.expect("admitted").wait().expect("served").stages;
+                    assert!(!st.decode.is_zero() && !st.score.is_zero(), "{st:?}");
+                    assert!(st.decode + st.score <= st.engine, "{st:?}");
+                    assert_eq!((st.prune, st.rescore), (Duration::ZERO, Duration::ZERO));
+                }
+            });
+        }
+    });
+    service.shutdown();
 }
 
 /// Trace ids must keep flowing — and spans keep landing in the node's

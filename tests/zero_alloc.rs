@@ -1,13 +1,14 @@
 //! Counting-allocator proof that the packet hot path is zero-allocation
 //! in steady state: streaming a matrix with 10x the packets through a
-//! warm [`CoreScratch`] must cost exactly the same number of heap
-//! allocations, i.e. the per-packet decode→accumulate→top-k loop never
-//! touches the allocator.
+//! warm [`BatchScratch`] must cost exactly the same number of heap
+//! allocations, i.e. the per-packet decode→accumulate→top-k loop —
+//! stage clock included — never touches the allocator.
 //!
 //! Ignored by default because the `#[global_allocator]` swap is global
 //! to this test binary (which is why the test lives alone in it); CI
 //! runs it explicitly with `cargo test --release --test zero_alloc --
-//! --ignored`.
+//! --ignored --test-threads=1` (one thread: the counter is shared by
+//! every test in the binary).
 
 // The one sanctioned unsafe block in the workspace: implementing
 // `GlobalAlloc` for the counting allocator requires it. Library code
@@ -17,10 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tkspmv::{
-    quantize_vector, run_core_batch_with_scratch, run_core_with_scratch, BatchScratch, CoreScratch,
-    Fidelity,
-};
+use tkspmv::{quantize_vector, run_core_batch_with_scratch, BatchScratch, Fidelity};
 use tkspmv_fixed::Q1_19;
 use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
 use tkspmv_sparse::{BsCsr, Csr, PacketLayout};
@@ -79,53 +77,10 @@ fn allocations_during<R>(mut f: impl FnMut() -> R) -> u64 {
     min
 }
 
-#[test]
-#[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
-fn steady_state_packet_loop_is_allocation_free() {
-    let layout = PacketLayout::solve(1024, 20).unwrap();
-    let small = BsCsr::encode::<Q1_19>(&synthetic(1_500, 3), layout);
-    let large = BsCsr::encode::<Q1_19>(&synthetic(20_000, 4), layout);
-    assert!(
-        large.num_packets() >= 10 * small.num_packets(),
-        "need a 10x packet-count spread ({} vs {})",
-        large.num_packets(),
-        small.num_packets()
-    );
-    let x = quantize_vector::<Q1_19>(query_vector(1024, 9).as_slice());
-    let k = 8;
-
-    // Warm the scratch on the large stream so every buffer is at final
-    // capacity before anything is measured.
-    let mut scratch = CoreScratch::new();
-    let warm = run_core_with_scratch::<Q1_19>(&large, &x, k, Fidelity::Reference, &mut scratch);
-    assert_eq!(warm.stats.packets, large.num_packets() as u64);
-
-    let small_allocs = allocations_during(|| {
-        run_core_with_scratch::<Q1_19>(&small, &x, k, Fidelity::Reference, &mut scratch)
-    });
-    let large_allocs = allocations_during(|| {
-        run_core_with_scratch::<Q1_19>(&large, &x, k, Fidelity::Reference, &mut scratch)
-    });
-
-    // Identical counts across a 10x packet spread: zero allocations per
-    // packet. The remaining constant is per-*call* (the top-k slab and
-    // its sorted extraction), not per-packet.
-    assert_eq!(
-        small_allocs, large_allocs,
-        "hot loop allocates per packet ({small_allocs} vs {large_allocs} allocation calls)"
-    );
-    assert!(
-        large_allocs <= 8,
-        "per-call constant unexpectedly large: {large_allocs} allocation calls"
-    );
-}
-
 /// The observability recording path a request completion touches —
 /// counter bump, latency histogram record, span-ring write — must be
 /// allocation-free, or the metrics refactor would smuggle allocations
-/// back onto the hot path it was built to clean up. (With `obs-trace`
-/// off the engine hooks compile to nothing, so the packet-loop tests
-/// above already prove the hooks-off hot path gained zero allocations.)
+/// back onto the hot path it was built to clean up.
 #[test]
 #[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
 fn obs_recording_path_is_allocation_free() {
@@ -260,24 +215,35 @@ fn warm_batch_scratch_is_allocation_free_across_packet_count_and_batch_size() {
         .map(|seed| quantize_vector::<Q1_19>(query_vector(1024, seed).as_slice()))
         .collect();
     let k = 8;
-    let fidelity = Fidelity::Faithful { rows_per_packet: 2 };
+    let faithful = Fidelity::Faithful { rows_per_packet: 2 };
 
     // Warm on the large stream at the largest batch size, so lanes,
     // outputs and every chunk buffer are at final capacity.
     let mut scratch = BatchScratch::<Q1_19>::new();
-    let warm = run_core_batch_with_scratch(&large, &queries, k, fidelity, &mut scratch);
+    let warm = run_core_batch_with_scratch(&large, &queries, k, faithful, &mut scratch);
     assert_eq!(warm.len(), 32);
+    assert_eq!(warm[0].stats.packets, large.num_packets() as u64);
 
-    // Every (stream, B) combination must cost the same number of
-    // allocation calls on the warm scratch: zero per packet AND zero
-    // per lane — batching amortises decode without touching the heap.
+    // Every (stream, B, fidelity) combination — the single-query call
+    // is B = 1 — must cost the same number of allocation calls on the
+    // warm scratch: zero per packet AND zero per lane, with the stage
+    // clock running. Batching amortises decode without touching the
+    // heap.
     let mut counts = Vec::new();
     for matrix in [&small, &large] {
         for b in [1usize, 4, 32] {
-            let allocs = allocations_during(|| {
-                run_core_batch_with_scratch(matrix, &queries[..b], k, fidelity, &mut scratch).len()
-            });
-            counts.push((matrix.num_packets(), b, allocs));
+            for fidelity in [faithful, Fidelity::Reference] {
+                let allocs = allocations_during(|| {
+                    run_core_batch_with_scratch(matrix, &queries[..b], k, fidelity, &mut scratch)
+                        .len()
+                });
+                let stages = scratch.stage_times();
+                assert!(
+                    !stages.decode.is_zero() && !stages.score.is_zero(),
+                    "{stages:?}"
+                );
+                counts.push((matrix.num_packets(), b, allocs));
+            }
         }
     }
     let baseline = counts[0].2;
