@@ -2,10 +2,11 @@
 //!
 //! `sparse_dot_topn` computes exact Top-K sparse-dense products on CPU
 //! with CSR traversal and per-row bounded heaps. This module is the same
-//! algorithm in Rust: rows are split across worker threads (`std::thread`
-//! scoped threads), each worker keeps a local [`BoundedMinHeap`], and the
-//! locals are merged at the end. Arithmetic is `f32` accumulated in `f64`
-//! per row — matching a careful C++ float implementation.
+//! algorithm in Rust: rows are split into one contiguous range per
+//! worker thread ([`tkspmv::fanout::fork_join`]), each range keeps a
+//! local [`BoundedMinHeap`], and the locals are merged at the end.
+//! Arithmetic is `f32` accumulated in `f64` per row — matching a careful
+//! C++ float implementation.
 
 use std::time::Instant;
 
@@ -13,6 +14,7 @@ use tkspmv_sparse::{Csr, DenseVector};
 
 use crate::heap::BoundedMinHeap;
 use tkspmv::backend::{BackendPerf, BackendStats, PreparedMatrix, QueryResult, TopKBackend};
+use tkspmv::fanout::{fork_join, host_parallelism};
 use tkspmv::{EngineError, TopKResult};
 
 /// Exact multi-threaded CPU Top-K SpMV.
@@ -57,11 +59,7 @@ impl CpuTopK {
 
     /// A runner using all available parallelism.
     pub fn with_all_cores() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
+        Self::new(host_parallelism())
     }
 
     /// Computes the exact Top-K of `csr * x`.
@@ -82,30 +80,24 @@ impl CpuTopK {
         let threads = self.threads.min(csr.num_rows()).max(1);
         let rows_per_thread = csr.num_rows().div_ceil(threads);
 
-        let heaps: Vec<BoundedMinHeap> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = t * rows_per_thread;
-                    let hi = ((t + 1) * rows_per_thread).min(csr.num_rows());
-                    scope.spawn(move || {
-                        let mut heap = BoundedMinHeap::new(k);
-                        for r in lo..hi {
-                            let mut acc = 0.0f64;
-                            for (c, v) in csr.row(r) {
-                                acc += v as f64 * x[c as usize] as f64;
-                            }
-                            heap.push(r as u32, acc);
-                        }
-                        heap
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // invariant: join fails only when the worker panicked; propagating that panic is intended
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
+        let (heaps, _) = fork_join(
+            threads,
+            threads,
+            || (),
+            |(), t| {
+                let lo = t * rows_per_thread;
+                let hi = ((t + 1) * rows_per_thread).min(csr.num_rows());
+                let mut heap = BoundedMinHeap::new(k);
+                for r in lo..hi {
+                    let mut acc = 0.0f64;
+                    for (c, v) in csr.row(r) {
+                        acc += v as f64 * x[c as usize] as f64;
+                    }
+                    heap.push(r as u32, acc);
+                }
+                heap
+            },
+        );
 
         let mut merged = BoundedMinHeap::new(k);
         for h in heaps {
@@ -220,8 +212,10 @@ mod tests {
     #[test]
     fn more_threads_than_rows_is_safe() {
         let csr = Csr::from_triplets(3, 2, &[(0, 0, 0.5), (2, 1, 0.25)]).unwrap();
-        let out = CpuTopK::new(64).run(&csr, &[1.0, 1.0], 2);
-        assert_eq!(out.indices(), vec![0, 2]);
+        let run = CpuTopK::new(64).run_timed(&csr, &[1.0, 1.0], 2);
+        assert_eq!(run.topk.indices(), vec![0, 2]);
+        // The report is the participants actually used, not the request.
+        assert_eq!(run.threads, 3);
     }
 
     #[test]

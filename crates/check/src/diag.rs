@@ -14,6 +14,8 @@ pub enum Lint {
     Locks,
     /// Panic-freedom lint.
     Panic,
+    /// Compute-path spawn lint.
+    Spawns,
     /// Manifest drift / dependency-DAG guard.
     Manifests,
 }
@@ -26,6 +28,7 @@ impl Lint {
             Lint::Atomics => "atomics",
             Lint::Locks => "locks",
             Lint::Panic => "panic",
+            Lint::Spawns => "spawns",
             Lint::Manifests => "manifests",
         }
     }

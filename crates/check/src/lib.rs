@@ -13,6 +13,9 @@
 //!   cross-crate lock graph;
 //! - **panic** — `unwrap`/`expect`/`panic!` in library code needs an
 //!   `// invariant: <reason>` comment;
+//! - **spawns** — the compute crates spawn threads only inside
+//!   `tkspmv::fanout`; every other fan-out goes through its
+//!   `fork_join`;
 //! - **manifests** — dependency-DAG acyclicity, layering, and
 //!   workspace-dependency pinning (folded in from the old
 //!   `workspace_guard` test).
@@ -28,6 +31,7 @@ pub mod locks;
 pub mod manifests;
 pub mod panics;
 pub mod scan;
+pub mod spawns;
 
 use std::path::{Path, PathBuf};
 
@@ -44,6 +48,8 @@ pub struct Options {
     pub locks: bool,
     /// Panic-freedom lint.
     pub panics: bool,
+    /// Compute-path spawn lint.
+    pub spawns: bool,
     /// Manifest drift guard.
     pub manifests: bool,
 }
@@ -56,6 +62,7 @@ impl Options {
             atomics: true,
             locks: true,
             panics: true,
+            spawns: true,
             manifests: true,
         }
     }
@@ -103,7 +110,7 @@ pub fn run(root: &Path, opts: Options) -> Result<Report, String> {
     if opts.manifests {
         manifests::check(root, &mut report);
     }
-    if !(opts.alloc || opts.atomics || opts.locks || opts.panics) {
+    if !(opts.alloc || opts.atomics || opts.locks || opts.panics || opts.spawns) {
         return Ok(report);
     }
     let sources =
@@ -133,6 +140,13 @@ pub fn run(root: &Path, opts: Options) -> Result<Report, String> {
         for (rel, _, file) in &lexed {
             if !scan::is_bin(rel) {
                 panics::check_file(rel, file, &mut report);
+            }
+        }
+    }
+    if opts.spawns {
+        for (rel, krate, file) in &lexed {
+            if spawns::in_scope(krate, &rel.to_string_lossy().replace('\\', "/")) {
+                spawns::check_file(rel, file, &mut report);
             }
         }
     }

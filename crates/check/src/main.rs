@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p tkspmv_check -- --all            # every pass, human output
 //! cargo run -p tkspmv_check -- --all --json     # JSON findings on stdout
-//! cargo run -p tkspmv_check -- --locks --panics # selected passes
+//! cargo run -p tkspmv_check -- --locks --spawns # selected passes
 //! cargo run -p tkspmv_check -- --manifests      # drift guard only
 //! ```
 //!
@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use tkspmv_check::{baseline, diag, find_root, run, Options};
 
 const USAGE: &str = "usage: tkspmv_check [--all] [--alloc] [--atomics] [--locks] [--panics] \
-                     [--manifests] [--json] [--root <dir>]";
+                     [--spawns] [--manifests] [--json] [--root <dir>]";
 
 fn main() -> ExitCode {
     let mut opts = Options::default();
@@ -32,6 +32,7 @@ fn main() -> ExitCode {
             "--atomics" => opts.atomics = true,
             "--locks" => opts.locks = true,
             "--panics" => opts.panics = true,
+            "--spawns" => opts.spawns = true,
             "--manifests" => opts.manifests = true,
             "--json" => json = true,
             "--root" => match args.next() {
@@ -51,7 +52,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if !(opts.alloc || opts.atomics || opts.locks || opts.panics || opts.manifests) {
+    if !(opts.alloc || opts.atomics || opts.locks || opts.panics || opts.spawns || opts.manifests) {
         eprintln!("no passes selected\n{USAGE}");
         return ExitCode::from(2);
     }

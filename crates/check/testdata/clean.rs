@@ -22,7 +22,7 @@ fn exempt_function() -> String {
 
 fn strings_do_not_count() -> &'static str {
     // The lexer must keep these out of the code channel entirely.
-    "Vec::new() panic! unwrap() Ordering::SeqCst"
+    "Vec::new() panic! unwrap() Ordering::SeqCst thread::spawn()"
 }
 
 #[cfg(test)]
@@ -32,5 +32,8 @@ mod tests {
         let v: Vec<u32> = Vec::new();
         assert!(v.first().is_none());
         let _ = format!("{:?}", v);
+        std::thread::scope(|s| {
+            s.spawn(|| ());
+        });
     }
 }

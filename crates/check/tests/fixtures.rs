@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use tkspmv_check::diag::{Lint, Report};
 use tkspmv_check::lexer::lex;
-use tkspmv_check::{alloc, atomics, locks, panics};
+use tkspmv_check::{alloc, atomics, locks, panics, spawns};
 
 fn fixture(name: &str) -> (PathBuf, String) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -64,6 +64,25 @@ fn panics_fixture_fires_exactly_once() {
 }
 
 #[test]
+fn spawns_fixture_fires_exactly_once() {
+    let (_, text) = fixture("spawns_fires.rs");
+    let report = run_single_file("spawns_fires.rs", spawns::check_file);
+    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
+    assert_eq!(report.diagnostics[0].lint, Lint::Spawns);
+    assert_eq!(report.diagnostics[0].line, marked_line(&text));
+}
+
+/// The lint covers the compute crates and exempts only the fork-join
+/// module itself.
+#[test]
+fn spawns_lint_scope_is_the_compute_crates_minus_fanout() {
+    assert!(spawns::in_scope("core", "crates/core/src/pruned.rs"));
+    assert!(spawns::in_scope("baselines", "crates/baselines/src/cpu.rs"));
+    assert!(!spawns::in_scope("core", "crates/core/src/fanout.rs"));
+    assert!(!spawns::in_scope("serve", "crates/serve/src/service.rs"));
+}
+
+#[test]
 fn locks_fixture_reports_the_backward_edge() {
     let (_, config_text) = fixture("locks.toml");
     let cfg = locks::parse_config(&config_text).unwrap();
@@ -109,5 +128,6 @@ fn clean_fixture_passes_every_lint() {
     alloc::check_file(&path, &file, &mut report);
     atomics::check_file(&path, &file, &mut report);
     panics::check_file(&path, &file, &mut report);
+    spawns::check_file(&path, &file, &mut report);
     assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
 }

@@ -13,6 +13,7 @@ use tkspmv_sparse::{BsCsr, Csr, DenseVector, PacketLayout};
 
 use crate::engine::{quantize_vector, run_multicore, CoreStats, Fidelity, MulticoreOutput};
 use crate::error::EngineError;
+use crate::fanout::host_parallelism;
 use crate::perf::PerfReport;
 use crate::stages::StageTimes;
 use crate::topk::TopKResult;
@@ -366,13 +367,17 @@ impl Accelerator {
     /// the expensive load/encode step is paid once and the batch reuses
     /// it. Beyond that, batching amortises per-call work: the precision
     /// dispatch happens once for the whole batch, and each per-channel
-    /// BS-CSR partition stays resident in its worker thread while *all*
-    /// queries stream through it (the hardware picture — the matrix
-    /// lives in HBM, queries are swapped through URAM). Results are in
-    /// input order and element-wise identical to one-query batches. (On
-    /// the real device queries are serialised through the kernel; the
-    /// per-query [`PerfReport`]s model that serial latency, not the
-    /// host-side parallel walltime.)
+    /// BS-CSR partition is streamed once while *all* queries ride
+    /// through it (the hardware picture — the matrix lives in HBM,
+    /// queries are swapped through URAM). The configured cores are the
+    /// design: they fix the partitioning, the approximation and the
+    /// modelled time. The host walks those partitions on
+    /// `min(host parallelism, cores)` participants
+    /// ([`crate::fanout::fork_join`]), which changes no answer. Results
+    /// are in input order and element-wise identical to one-query
+    /// batches. (On the real device queries are serialised through the
+    /// kernel; the per-query [`PerfReport`]s model that serial latency,
+    /// not the host-side parallel walltime.)
     ///
     /// # Errors
     ///
@@ -482,7 +487,14 @@ fn batch_typed<S: tkspmv_fixed::SpmvScalar>(
         .iter()
         .map(|x| quantize_vector::<S>(x.as_slice()))
         .collect();
-    run_multicore::<S, _>(&matrix.partitions, &xs, k, big_k, fidelity)
+    run_multicore::<S, _>(
+        &matrix.partitions,
+        &xs,
+        k,
+        big_k,
+        fidelity,
+        host_parallelism(),
+    )
 }
 
 /// An embedding collection encoded and partitioned for an accelerator.
@@ -522,7 +534,7 @@ pub struct QueryOutput {
     /// Per-core statistics.
     pub core_stats: Vec<CoreStats>,
     /// Decode/score time of the batch this query rode in, on its
-    /// busiest core.
+    /// busiest participant, summed over the partitions it walked.
     pub stages: StageTimes,
 }
 

@@ -707,7 +707,7 @@ pub enum BackendStats {
         /// Per-core statistics, in partition order.
         cores: Vec<CoreStats>,
         /// Decode/score time of the batch this query rode in, on its
-        /// busiest core.
+        /// busiest participant, summed over the partitions it walked.
         stages: StageTimes,
     },
     /// The CPU baseline.

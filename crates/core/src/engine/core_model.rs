@@ -83,7 +83,8 @@ const CHUNK_PACKETS: usize = 64;
 /// decoded packet fields, the once-per-packet decoded matrix values, and
 /// one resident lane (Top-K tracker + carry) per query in the batch.
 ///
-/// Allocate one per worker thread and stream every batch through it.
+/// Allocate one per participant (see [`crate::fanout::fork_join`]) and
+/// stream every partition and batch it walks through it.
 /// Lane and output buffers only ever grow to the largest batch size
 /// seen, and every per-packet buffer is capacity-warm after the first
 /// few packets, so the steady-state loop performs zero heap allocations

@@ -4,6 +4,7 @@ use tkspmv_fixed::SpmvScalar;
 use tkspmv_sparse::BsCsr;
 
 use super::core_model::{run_core_batch_with_scratch, BatchScratch, CoreStats, Fidelity};
+use crate::fanout::fork_join;
 use crate::stages::StageTimes;
 use crate::topk::TopKResult;
 
@@ -16,12 +17,14 @@ pub(crate) struct MulticoreOutput {
     /// Statistics of each core, in partition order.
     pub core_stats: Vec<CoreStats>,
     /// Packets streamed by the busiest core — the quantity that bounds
-    /// wall-clock time, since cores run in lock-step on independent
-    /// channels.
+    /// the modelled device time, since the design's cores run in
+    /// lock-step on independent channels.
     pub max_packets_per_core: u64,
-    /// Decode/score split of the batch on the core that spent longest
-    /// in them. Cores run in parallel, so the busiest one — not the sum
-    /// over cores — is what fits inside the call's wall time.
+    /// Decode/score split of the batch on the busiest participant,
+    /// summed over the partitions it walked. Participants run in
+    /// parallel and each walks its partitions back to back, so the
+    /// busiest one — not the busiest partition, and not the sum over
+    /// participants — is what fills the call's wall time.
     pub stages: StageTimes,
 }
 
@@ -35,20 +38,29 @@ pub(crate) struct MulticoreOutput {
 /// approximation: it is exact whenever no partition holds more than `k`
 /// of the true global Top-K (Figure 2).
 ///
-/// This is the **matrix-major** loop: each partition thread is spawned
-/// once per batch and makes **one pass** over its packet stream,
-/// decoding every BS-CSR packet into its scratch exactly once and
-/// accumulating the decoded entries into all B resident query lanes
-/// before advancing (see [`run_core_batch_with_scratch`]). That mirrors
-/// the hardware — the BS-CSR stream stays resident in its HBM channel
-/// while B query vectors sit in URAM — and amortises packet field
-/// extraction, value decode, thread setup, and partition traversal
-/// across the batch. Cores execute on OS threads to mirror their
-/// hardware independence (and to keep the emulator fast at 32 cores).
+/// The `c` cores are the *design* — they fix the partitioning and with
+/// it the approximation and the modelled device time. `participants`
+/// is the *host*: that many threads (the caller included, clamped to
+/// `c`) claim partitions from a shared counter through
+/// [`fork_join`], so a 2-CPU machine walks a 32-core design on two
+/// threads instead of spawning thirty-two. Callers pass
+/// [`crate::fanout::host_parallelism`].
 ///
-/// Results are **bit-identical** to running each query alone: per
-/// query, multiplies, accumulations, and Top-K offers happen in the
-/// same packet-arrival order, and cores carry no state between queries.
+/// This is the **matrix-major** loop: each partition is walked once per
+/// batch in **one pass** over its packet stream, decoding every BS-CSR
+/// packet exactly once and accumulating the decoded entries into all B
+/// resident query lanes before advancing (see
+/// [`run_core_batch_with_scratch`]) — the software picture of a stream
+/// resident in its HBM channel while B query vectors sit in URAM. Each
+/// participant owns one [`BatchScratch`] and reuses it for every
+/// partition it walks, which amortises packet field extraction, value
+/// decode and buffer warm-up across both the batch and the partitions.
+///
+/// Results are **bit-identical** to running each query alone, and do
+/// not depend on `participants`: per query, multiplies, accumulations,
+/// and Top-K offers happen in the same packet-arrival order, cores
+/// carry no state between queries or partitions, and per-partition
+/// outputs are reassembled in partition order before the merge.
 ///
 /// # Panics
 ///
@@ -56,13 +68,14 @@ pub(crate) struct MulticoreOutput {
 /// big_k` (the configuration could not possibly fill the requested K).
 // alloc-ok(fn): per-batch fan-out and owned result assembly; the
 // per-packet loop lives in run_core_batch_with_scratch, which reuses
-// each thread's BatchScratch across batches.
+// each participant's BatchScratch across the partitions it walks.
 pub(crate) fn run_multicore<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
     partitions: &[(usize, BsCsr)],
     queries: &[Q],
     k: usize,
     big_k: usize,
     fidelity: Fidelity,
+    participants: usize,
 ) -> Vec<MulticoreOutput> {
     assert!(!partitions.is_empty(), "need at least one partition");
     assert!(
@@ -74,46 +87,37 @@ pub(crate) fn run_multicore<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
         return Vec::new();
     }
 
-    // `per_partition[p]` = (partition p's globalised top-k and stats per
-    // query, its stage split for the batch). Each partition thread owns
-    // one BatchScratch and makes a single decode-once pass over its
-    // packets for the whole batch, so the steady-state loop allocates
-    // nothing per packet.
+    // `per_partition[p]` = partition p's globalised top-k and stats per
+    // query. A participant's state is its BatchScratch plus the
+    // decode/score time of every partition it has walked so far.
     type PerQuery = Vec<(Vec<(u32, f64)>, CoreStats)>;
-    let per_partition: Vec<(PerQuery, StageTimes)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .iter()
-            .map(|(first_row, part)| {
-                scope.spawn(move || {
-                    let mut scratch = BatchScratch::<S>::new();
-                    let outputs =
-                        run_core_batch_with_scratch(part, queries, k, fidelity, &mut scratch);
-                    let per_query = outputs
+    let (per_partition, walked): (Vec<PerQuery>, Vec<(BatchScratch<S>, StageTimes)>) = fork_join(
+        partitions.len(),
+        participants,
+        || (BatchScratch::<S>::new(), StageTimes::default()),
+        |(scratch, walked), p| {
+            let (first_row, part) = &partitions[p];
+            let outputs = run_core_batch_with_scratch(part, queries, k, fidelity, scratch);
+            let per_query = outputs
+                .iter()
+                .map(|out| {
+                    let globalised: Vec<(u32, f64)> = out
+                        .topk
                         .iter()
-                        .map(|out| {
-                            let globalised: Vec<(u32, f64)> = out
-                                .topk
-                                .iter()
-                                .map(|&(local, acc)| {
-                                    (local + *first_row as u32, S::acc_to_f64(acc))
-                                })
-                                .collect();
-                            (globalised, out.stats)
-                        })
+                        .map(|&(local, acc)| (local + *first_row as u32, S::acc_to_f64(acc)))
                         .collect();
-                    (per_query, scratch.stage_times())
+                    (globalised, out.stats)
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // invariant: join fails only when the worker panicked; propagating that panic is intended
-            .map(|h| h.join().expect("core thread panicked"))
-            .collect()
-    });
-    let stages = per_partition
+                .collect();
+            let partition = scratch.stage_times();
+            walked.decode += partition.decode;
+            walked.score += partition.score;
+            per_query
+        },
+    );
+    let stages = walked
         .iter()
-        .map(|(_, stages)| *stages)
+        .map(|(_, walked)| *walked)
         .max_by_key(StageTimes::total)
         .unwrap_or_default();
 
@@ -123,7 +127,7 @@ pub(crate) fn run_multicore<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
     let mut per_query: Vec<PerQuery> = (0..queries.len())
         .map(|_| Vec::with_capacity(partitions.len()))
         .collect();
-    for (partition_outputs, _) in per_partition {
+    for partition_outputs in per_partition {
         for (q, output) in partition_outputs.into_iter().enumerate() {
             per_query[q].push(output);
         }
@@ -149,6 +153,7 @@ pub(crate) fn run_multicore<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
 mod tests {
     use super::*;
     use crate::engine::core_model::quantize_vector;
+    use crate::fanout::host_parallelism;
     use crate::topk::rank_cmp;
     use tkspmv_fixed::Q1_31;
     use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
@@ -162,14 +167,24 @@ mod tests {
             .collect()
     }
 
-    /// One query: a one-lane batch.
+    /// One query: a one-lane batch, on the host's participant count.
     fn run_single(
         parts: &[(usize, BsCsr)],
         x: &[Q1_31],
         k: usize,
         big_k: usize,
     ) -> MulticoreOutput {
-        run_multicore::<Q1_31, _>(parts, &[x], k, big_k, Fidelity::Reference)
+        run_single_on(parts, x, k, big_k, host_parallelism())
+    }
+
+    fn run_single_on(
+        parts: &[(usize, BsCsr)],
+        x: &[Q1_31],
+        k: usize,
+        big_k: usize,
+        participants: usize,
+    ) -> MulticoreOutput {
+        run_multicore::<Q1_31, _>(parts, &[x], k, big_k, Fidelity::Reference, participants)
             .pop()
             .expect("a one-lane batch yields one output")
     }
@@ -258,6 +273,10 @@ mod tests {
         assert!(out.max_packets_per_core >= 1);
     }
 
+    /// Batched ≡ sequential, and neither depends on how many
+    /// participants walk the partitions: one participant (everything on
+    /// the calling thread), fewer than partitions (several partitions
+    /// per participant, claimed in any order), one per partition.
     #[test]
     fn batch_matches_sequential_runs() {
         let csr = SyntheticConfig {
@@ -268,25 +287,66 @@ mod tests {
             seed: 23,
         }
         .generate();
-        let parts = encode_partitions(&csr, 4);
+        let parts = encode_partitions(&csr, 6);
         let queries: Vec<Vec<_>> = (0..5u64)
             .map(|q| quantize_vector::<Q1_31>(query_vector(128, q).as_slice()))
             .collect();
-        let batch = run_multicore::<Q1_31, _>(&parts, &queries, 8, 16, Fidelity::Reference);
-        assert_eq!(batch.len(), queries.len());
-        for (x, got) in queries.iter().zip(&batch) {
-            let single = run_single(&parts, x, 8, 16);
-            assert_eq!(got.topk, single.topk);
-            assert_eq!(got.core_stats, single.core_stats);
-            assert_eq!(got.max_packets_per_core, single.max_packets_per_core);
+        // The reference: each query alone, on one participant.
+        let singles: Vec<MulticoreOutput> = queries
+            .iter()
+            .map(|x| run_single_on(&parts, x, 8, 16, 1))
+            .collect();
+        for participants in [1, 2, 3, parts.len()] {
+            let batch = run_multicore::<Q1_31, _>(
+                &parts,
+                &queries,
+                8,
+                16,
+                Fidelity::Reference,
+                participants,
+            );
+            assert_eq!(batch.len(), queries.len());
+            for ((x, got), single) in queries.iter().zip(&batch).zip(&singles) {
+                for out in [got, &run_single_on(&parts, x, 8, 16, participants)] {
+                    assert_eq!(out.topk, single.topk, "participants = {participants}");
+                    assert_eq!(out.core_stats, single.core_stats);
+                    assert_eq!(out.max_packets_per_core, single.max_packets_per_core);
+                }
+            }
         }
+    }
+
+    /// With one participant every partition is walked back to back on
+    /// the calling thread, so the reported decode + score is most of the
+    /// call: reporting only the busiest *partition* would read ~1/c of
+    /// it and leave the rest unattributed.
+    #[test]
+    fn one_participant_stage_sum_fills_the_call() {
+        let csr = SyntheticConfig {
+            num_rows: 8_000,
+            num_cols: 256,
+            avg_nnz_per_row: 16,
+            distribution: NnzDistribution::Uniform,
+            seed: 31,
+        }
+        .generate();
+        assert!(csr.nnz() >= 100_000);
+        let parts = encode_partitions(&csr, 8);
+        let xs = quantize_vector::<Q1_31>(query_vector(256, 3).as_slice());
+        let started = std::time::Instant::now();
+        let out = run_single_on(&parts, &xs, 8, 16, 1);
+        let wall = started.elapsed();
+        let stages = out.stages;
+        assert!(!stages.decode.is_zero() && !stages.score.is_zero());
+        assert!(stages.total() <= wall, "{stages:?} inside {wall:?}");
+        assert!(2 * stages.total() >= wall, "{stages:?} fills {wall:?}");
     }
 
     #[test]
     fn empty_batch_returns_no_outputs() {
         let csr = Csr::from_triplets(4, 2, &[(0, 0, 0.5), (3, 1, 0.25)]).unwrap();
         let parts = encode_partitions(&csr, 2);
-        let batch = run_multicore::<Q1_31, Vec<Q1_31>>(&parts, &[], 2, 4, Fidelity::Reference);
+        let batch = run_multicore::<Q1_31, Vec<Q1_31>>(&parts, &[], 2, 4, Fidelity::Reference, 2);
         assert!(batch.is_empty());
     }
 

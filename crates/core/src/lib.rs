@@ -74,6 +74,7 @@ pub mod approx;
 pub mod backend;
 pub mod engine;
 mod error;
+pub mod fanout;
 mod math;
 mod perf;
 mod pruned;

@@ -37,6 +37,7 @@ use crate::backend::{
     BackendPerf, BackendStats, PreparedMatrix, QueryBatch, QueryResult, QueryTier, TopKBackend,
 };
 use crate::error::EngineError;
+use crate::fanout::{fork_join, host_parallelism};
 use crate::stages::StageTimes;
 use crate::topk::TopKResult;
 
@@ -103,14 +104,11 @@ impl PrunedBackend {
                 "shortlist factor must be at least 1",
             ));
         }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         Ok(Self {
             inner,
             bits,
             shortlist_factor,
-            threads,
+            threads: host_parallelism(),
         })
     }
 
@@ -148,22 +146,23 @@ impl PrunedBackend {
         matrix.downcast(&self.family())
     }
 
-    /// Scores every row with the low-bit index, in parallel row ranges.
-    fn prune_scores(&self, prune: &PruneIndex, q: &[u16]) -> Vec<u64> {
+    /// Scores every row with the low-bit index: one contiguous row
+    /// range per thread, returned in row order.
+    fn prune_scores(&self, prune: &PruneIndex, q: &[u16]) -> Vec<Vec<u64>> {
         let rows = prune.num_rows();
-        let mut scores = vec![0u64; rows];
-        let threads = self.threads.clamp(1, rows.max(1));
-        if threads <= 1 {
-            prune.score_rows(0, q, &mut scores);
-        } else {
-            let chunk = rows.div_ceil(threads);
-            std::thread::scope(|s| {
-                for (i, out) in scores.chunks_mut(chunk).enumerate() {
-                    s.spawn(move || prune.score_rows(i * chunk, q, out));
-                }
-            });
-        }
-        scores
+        let chunk = rows.div_ceil(self.threads).max(1);
+        let (ranges, _) = fork_join(
+            rows.div_ceil(chunk),
+            self.threads,
+            || (),
+            |(), i| {
+                let first = i * chunk;
+                let mut scores = vec![0u64; chunk.min(rows - first)];
+                prune.score_rows(first, q, &mut scores);
+                scores
+            },
+        );
+        ranges
     }
 
     /// The staged query at an explicit shortlist factor.
@@ -220,7 +219,7 @@ impl PrunedBackend {
         // so the common path is one compare.
         let mut heap: BinaryHeap<Reverse<(u64, Reverse<u32>)>> =
             BinaryHeap::with_capacity(shortlist);
-        for (row, &s) in scores.iter().enumerate() {
+        for (row, &s) in scores.iter().flatten().enumerate() {
             let key = (s, Reverse(row as u32));
             if heap.len() < shortlist {
                 heap.push(Reverse(key));

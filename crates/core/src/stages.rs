@@ -14,7 +14,10 @@ use std::time::Duration;
 ///
 /// The four stages are disjoint: a staged query's `rescore` excludes
 /// the `decode`/`score` its inner engine call reports, so
-/// [`StageTimes::total`] never exceeds the call's wall time.
+/// [`StageTimes::total`] never exceeds the call's wall time. A call that
+/// fans out over participants reports `decode`/`score` of its busiest
+/// participant, summed over the partitions that participant walked —
+/// the one sequence of work that spans the call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimes {
     /// Packet decode: chunk → flat arrays + segment program.

@@ -351,8 +351,8 @@ fn concurrent_requests_keep_their_own_stage_attribution() {
 
 /// The same through the real accelerator: the decode/score split of
 /// each served request is what its own batch measured on its busiest
-/// core, so it fits inside that request's engine interval as reported —
-/// no clamp involved.
+/// participant, summed over the partitions it walked, so it fits inside
+/// that request's engine interval as reported — no clamp involved.
 #[test]
 fn served_accelerator_stages_fit_their_engine_interval() {
     let csr = SyntheticConfig {
