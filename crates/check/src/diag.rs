@@ -18,6 +18,8 @@ pub enum Lint {
     Spawns,
     /// Manifest drift / dependency-DAG guard.
     Manifests,
+    /// Public-surface ratchet.
+    Api,
 }
 
 impl Lint {
@@ -30,6 +32,7 @@ impl Lint {
             Lint::Panic => "panic",
             Lint::Spawns => "spawns",
             Lint::Manifests => "manifests",
+            Lint::Api => "api",
         }
     }
 }

@@ -49,7 +49,8 @@ pub struct Tok {
 }
 
 impl Tok {
-    fn is_word(&self) -> bool {
+    /// True for identifier/number words, false for punctuation.
+    pub(crate) fn is_word(&self) -> bool {
         self.text
             .chars()
             .next()

@@ -18,12 +18,15 @@
 //!   `fork_join`;
 //! - **manifests** — dependency-DAG acyclicity, layering, and
 //!   workspace-dependency pinning (folded in from the old
-//!   `workspace_guard` test).
+//!   `workspace_guard` test);
+//! - **api** — the list of `pub` items must equal the checked-in
+//!   `api.txt`, so every change to the public surface shows in a diff.
 //!
 //! Run as `cargo run -p tkspmv_check -- --all` (CI gates on it); add
 //! `--json` for machine output.
 
 pub mod alloc;
+pub mod api;
 pub mod atomics;
 pub mod diag;
 pub mod lexer;
@@ -52,6 +55,8 @@ pub struct Options {
     pub spawns: bool,
     /// Manifest drift guard.
     pub manifests: bool,
+    /// Public-surface ratchet.
+    pub api: bool,
 }
 
 impl Options {
@@ -64,6 +69,7 @@ impl Options {
             panics: true,
             spawns: true,
             manifests: true,
+            api: true,
         }
     }
 }
@@ -110,7 +116,7 @@ pub fn run(root: &Path, opts: Options) -> Result<Report, String> {
     if opts.manifests {
         manifests::check(root, &mut report);
     }
-    if !(opts.alloc || opts.atomics || opts.locks || opts.panics || opts.spawns) {
+    if !(opts.alloc || opts.atomics || opts.locks || opts.panics || opts.spawns || opts.api) {
         return Ok(report);
     }
     let sources =
@@ -155,6 +161,17 @@ pub fn run(root: &Path, opts: Options) -> Result<Report, String> {
             .map_err(|e| format!("reading locks.toml: {e}"))?;
         let cfg = locks::parse_config(&text)?;
         locks::check(&lexed, &cfg, &mut report);
+    }
+    if opts.api {
+        let listing = std::fs::read_to_string(root.join("crates/check/api.txt"))
+            .map_err(|e| format!("reading api.txt: {e}"))?;
+        let mut found = Vec::new();
+        for (rel, _, file) in &lexed {
+            for (name, line) in api::items(&api::module_path(rel), file) {
+                found.push((name, rel.clone(), line));
+            }
+        }
+        api::check(found, &listing, &mut report);
     }
     Ok(report)
 }

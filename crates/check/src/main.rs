@@ -5,6 +5,7 @@
 //! cargo run -p tkspmv_check -- --all --json     # JSON findings on stdout
 //! cargo run -p tkspmv_check -- --locks --spawns # selected passes
 //! cargo run -p tkspmv_check -- --manifests      # drift guard only
+//! cargo run -p tkspmv_check -- --api            # public surface vs api.txt
 //! ```
 //!
 //! Exit code 0 when no un-baselined finding remains, 1 when findings
@@ -18,7 +19,7 @@ use std::process::ExitCode;
 use tkspmv_check::{baseline, diag, find_root, run, Options};
 
 const USAGE: &str = "usage: tkspmv_check [--all] [--alloc] [--atomics] [--locks] [--panics] \
-                     [--spawns] [--manifests] [--json] [--root <dir>]";
+                     [--spawns] [--manifests] [--api] [--json] [--root <dir>]";
 
 fn main() -> ExitCode {
     let mut opts = Options::default();
@@ -34,6 +35,7 @@ fn main() -> ExitCode {
             "--panics" => opts.panics = true,
             "--spawns" => opts.spawns = true,
             "--manifests" => opts.manifests = true,
+            "--api" => opts.api = true,
             "--json" => json = true,
             "--root" => match args.next() {
                 Some(dir) => root_arg = Some(PathBuf::from(dir)),
@@ -52,7 +54,14 @@ fn main() -> ExitCode {
             }
         }
     }
-    if !(opts.alloc || opts.atomics || opts.locks || opts.panics || opts.spawns || opts.manifests) {
+    if !(opts.alloc
+        || opts.atomics
+        || opts.locks
+        || opts.panics
+        || opts.spawns
+        || opts.manifests
+        || opts.api)
+    {
         eprintln!("no passes selected\n{USAGE}");
         return ExitCode::from(2);
     }

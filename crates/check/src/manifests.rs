@@ -28,7 +28,6 @@ pub const WORKSPACE_MANAGED: &[&str] = &[
     "tkspmv_bench",
     "tkspmv_check",
     "proptest",
-    "criterion",
 ];
 
 /// The intended layering: `(lower, upper)` — lower must never depend on

@@ -22,7 +22,17 @@ fn exempt_function() -> String {
 
 fn strings_do_not_count() -> &'static str {
     // The lexer must keep these out of the code channel entirely.
-    "Vec::new() panic! unwrap() Ordering::SeqCst thread::spawn()"
+    "Vec::new() panic! unwrap() Ordering::SeqCst thread::spawn() pub fn ghost()"
+}
+
+// Restricted visibility is not public surface: the API listing of this
+// file is empty.
+pub(crate) struct Restricted {
+    pub(crate) field: u32,
+}
+
+pub(super) fn also_restricted(r: &Restricted) -> u32 {
+    r.field
 }
 
 #[cfg(test)]
@@ -36,4 +46,6 @@ mod tests {
             s.spawn(|| ());
         });
     }
+
+    pub fn tests_may_be_public() {}
 }

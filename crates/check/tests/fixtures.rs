@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use tkspmv_check::diag::{Lint, Report};
 use tkspmv_check::lexer::lex;
-use tkspmv_check::{alloc, atomics, locks, panics, spawns};
+use tkspmv_check::{alloc, api, atomics, locks, panics, spawns};
 
 fn fixture(name: &str) -> (PathBuf, String) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -82,6 +82,47 @@ fn spawns_lint_scope_is_the_compute_crates_minus_fanout() {
     assert!(!spawns::in_scope("serve", "crates/serve/src/service.rs"));
 }
 
+/// One public item is missing from the fixture's listing; a line the
+/// sources no longer back fires too, at its line in the listing.
+#[test]
+fn api_fixture_fires_exactly_once() {
+    let (path, text) = fixture("api_fires.rs");
+    let (_, listing) = fixture("api_fires.txt");
+    let found = |text: &str| -> Vec<(String, PathBuf, usize)> {
+        api::items("fixture", &lex(text))
+            .into_iter()
+            .map(|(name, line)| (name, path.clone(), line))
+            .collect()
+    };
+    let mut report = Report::default();
+    api::check(found(&text), &listing, &mut report);
+    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
+    assert_eq!(report.diagnostics[0].lint, Lint::Api);
+    assert_eq!(report.diagnostics[0].line, marked_line(&text));
+    assert!(report.diagnostics[0].message.contains("Listed::unlisted"));
+
+    let stale = format!("{listing}fixture::Listed::unlisted\nfixture::gone\n");
+    let mut report = Report::default();
+    api::check(found(&text), &stale, &mut report);
+    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
+    assert_eq!(report.diagnostics[0].line, stale.lines().count());
+    assert!(report.diagnostics[0].message.contains("fixture::gone"));
+}
+
+#[test]
+fn api_module_paths_follow_the_source_tree() {
+    for (rel, module) in [
+        ("crates/core/src/lib.rs", "core"),
+        ("crates/core/src/engine/mod.rs", "core::engine"),
+        (
+            "crates/fabric/src/bin/tkspmv_node.rs",
+            "fabric::bin::tkspmv_node",
+        ),
+    ] {
+        assert_eq!(api::module_path(Path::new(rel)), module);
+    }
+}
+
 #[test]
 fn locks_fixture_reports_the_backward_edge() {
     let (_, config_text) = fixture("locks.toml");
@@ -130,4 +171,5 @@ fn clean_fixture_passes_every_lint() {
     panics::check_file(&path, &file, &mut report);
     spawns::check_file(&path, &file, &mut report);
     assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+    assert_eq!(api::items("fixture", &file), Vec::new());
 }

@@ -261,7 +261,7 @@ impl Accelerator {
     /// [`EngineError::BadQuery`] for precision/layout/partition-count
     /// mismatches, [`EngineError::Infeasible`] if the design no longer
     /// places, [`EngineError::InvalidConfig`] for an empty partition set.
-    pub fn restore_matrix(
+    pub(crate) fn restore_matrix(
         &self,
         precision: Precision,
         layout: PacketLayout,

@@ -21,6 +21,13 @@
 //! issuing the same queries one at a time (property-tested in
 //! `tests/backend_batch.rs`); batching only changes *how fast* the
 //! answers arrive.
+//!
+//! Persistence is one adjacent pair on the same trait:
+//! [`TopKBackend::to_snapshot`] says what a backend writes,
+//! [`TopKBackend::from_snapshot`] which families it adopts and how it
+//! rebuilds its state. [`PreparedMatrix::save`] and
+//! [`PreparedMatrix::load`] only frame those two calls with the codec
+//! and the header-shape check.
 
 use std::any::Any;
 use std::io::{Read, Write};
@@ -107,10 +114,14 @@ pub trait TopKBackend: Send + Sync {
 
     /// Answers a batch at an explicit precision tier.
     ///
-    /// [`QueryTier::Exact`] is [`TopKBackend::query_batch`] by another
-    /// name and every backend supports it. [`QueryTier::Pruned`] asks for
-    /// the staged low-bit prune + exact rescore pipeline; only backends
-    /// that implement it (the `PrunedBackend` wrapper) accept the tier —
+    /// Every backend supports [`QueryTier::Exact`]: the full-precision
+    /// answer. For a plain backend that is [`TopKBackend::query_batch`]
+    /// by another name; for the `PrunedBackend` wrapper it is the
+    /// *wrapped* backend's `query_batch`, while the wrapper's own
+    /// `query`/`query_batch` are the staged path at its constructor's
+    /// shortlist factor. [`QueryTier::Pruned`] asks for the staged
+    /// low-bit prune + exact rescore pipeline at an explicit factor;
+    /// only backends that implement it (the wrapper) accept the tier —
     /// everything else fails typed rather than silently degrading to an
     /// exact answer the caller did not pay for.
     ///
@@ -134,98 +145,75 @@ pub trait TopKBackend: Send + Sync {
         }
     }
 
-    /// Family string written into snapshots this backend saves
-    /// (defaults to [`family`]).
+    /// What this backend persists for `matrix` — the save half of the
+    /// snapshot contract, read next to [`TopKBackend::from_snapshot`].
     ///
-    /// Wrappers that add a query-time companion around an inner backend
-    /// (the `PrunedBackend`) override this to write the *inner* family,
-    /// so their snapshots remain loadable by the plain inner backend —
-    /// the companion section is an optional accelerant, not a new
-    /// on-disk dialect.
-    ///
-    /// [`family`]: TopKBackend::family
-    fn snapshot_family(&self) -> String {
-        self.family()
-    }
-
-    /// Whether this backend can adopt a snapshot written under `family`
-    /// (defaults to exact equality with [`family`]).
-    ///
-    /// [`family`]: TopKBackend::family
-    fn accepts_snapshot_family(&self, family: &str) -> bool {
-        family == self.family()
-    }
-
-    /// The optional low-bit companion section persisted next to the
-    /// payload (defaults to none).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::BadQuery`] if `matrix` does not belong to this
-    /// backend.
-    fn snapshot_companion(
-        &self,
-        matrix: &PreparedMatrix,
-    ) -> Result<Option<PruneIndex>, EngineError> {
-        let _ = matrix;
-        Ok(None)
-    }
-
-    /// [`TopKBackend::restore_payload`], with the snapshot's optional
-    /// companion section offered alongside. The default drops the
-    /// companion — exact backends have no use for it; the
-    /// `PrunedBackend` adopts it to skip rebuilding the prune stream.
-    ///
-    /// # Errors
-    ///
-    /// As [`TopKBackend::restore_payload`].
-    fn restore_payload_with_companion(
-        &self,
-        payload: SnapshotPayload,
-        companion: Option<PruneIndex>,
-    ) -> Result<PreparedMatrix, EngineError> {
-        let _ = companion;
-        self.restore_payload(payload)
-    }
-
-    /// Serialises a prepared matrix's private state into a snapshot
-    /// payload — the backend half of [`PreparedMatrix::save`].
-    ///
-    /// The default implementation covers every backend whose prepared
-    /// state is the source [`Csr`] (the CPU and GPU baselines keep the
-    /// matrix as-is); backends with a richer prepared form override it —
-    /// the accelerator persists its encoded per-core BS-CSR partitions.
+    /// The default covers every backend whose prepared state is the
+    /// source [`Csr`] (the CPU and GPU baselines): that CSR, under
+    /// [`family`]. The accelerator persists its encoded BS-CSR
+    /// partitions instead; the `PrunedBackend` wrapper writes the CSR it
+    /// keeps plus its companion prune stream under the *inner* family,
+    /// so its snapshots stay loadable by the plain inner backend.
     ///
     /// # Errors
     ///
     /// [`EngineError::BadQuery`] if `matrix` does not belong to this
     /// backend's family.
-    fn snapshot_payload(&self, matrix: &PreparedMatrix) -> Result<SnapshotPayload, EngineError> {
+    ///
+    /// [`family`]: TopKBackend::family
+    fn to_snapshot(&self, matrix: &PreparedMatrix) -> Result<Snapshot, EngineError> {
         let csr: &Csr = matrix.downcast(&self.family())?;
-        Ok(SnapshotPayload::Csr(csr.clone()))
+        Ok(matrix.snapshot_of(self.family(), SnapshotPayload::Csr(csr.clone()), None))
     }
 
-    /// Reconstructs a prepared matrix from a snapshot payload — the
-    /// backend half of [`PreparedMatrix::load`].
+    /// Adopts a decoded snapshot — the load half: which families this
+    /// backend may adopt and how it rebuilds its prepared state.
     ///
-    /// The default implementation re-prepares from a persisted CSR
-    /// (free for the baselines, whose `prepare` is a clone); the
-    /// accelerator overrides it to adopt the encoded partitions without
-    /// re-running the layout solve and encode.
+    /// The default accepts exactly its own [`family`] and re-prepares
+    /// from a CSR payload (free for the baselines, whose `prepare` is a
+    /// clone), dropping any companion section. The accelerator adopts
+    /// encoded partitions without re-running the layout solve and
+    /// encode; the `PrunedBackend` also accepts its inner family and
+    /// keeps the companion.
     ///
     /// # Errors
     ///
-    /// [`EngineError::BadQuery`] if the payload shape is not one this
-    /// backend can restore; otherwise whatever
-    /// [`TopKBackend::prepare`]-level validation reports.
-    fn restore_payload(&self, payload: SnapshotPayload) -> Result<PreparedMatrix, EngineError> {
-        match payload {
-            SnapshotPayload::Csr(csr) => self.prepare(&csr),
-            _ => Err(EngineError::bad_query(format!(
-                "backend `{}` cannot restore this snapshot payload kind",
+    /// [`SnapshotError::FamilyMismatch`] for a family this backend does
+    /// not adopt, [`SnapshotError::Rejected`] for a payload kind it
+    /// cannot restore or whatever [`TopKBackend::prepare`]-level
+    /// validation reports.
+    ///
+    /// [`family`]: TopKBackend::family
+    // The backend is the factory here: `&self` decides what is adopted.
+    #[allow(clippy::wrong_self_convention)]
+    fn from_snapshot(&self, snapshot: Snapshot) -> Result<PreparedMatrix, SnapshotError> {
+        check_family(&snapshot.family, &[&self.family()])?;
+        match snapshot.payload {
+            SnapshotPayload::Csr(csr) => self.prepare(&csr).map_err(rejected),
+            _ => Err(rejected(EngineError::bad_query(format!(
+                "backend `{}` restores CSR snapshots, not encoded payload kinds",
                 self.name()
-            ))),
+            )))),
         }
+    }
+}
+
+/// [`SnapshotError::FamilyMismatch`] unless `snapshot` is one of the
+/// families `accepted` lists (the adopting backend's own family first).
+pub(crate) fn check_family(snapshot: &str, accepted: &[&str]) -> Result<(), SnapshotError> {
+    if accepted.contains(&snapshot) {
+        return Ok(());
+    }
+    Err(SnapshotError::FamilyMismatch {
+        snapshot: snapshot.to_string(),
+        backend: accepted[0].to_string(),
+    })
+}
+
+/// A backend's refusal of a snapshot it could decode.
+pub(crate) fn rejected(e: EngineError) -> SnapshotError {
+    SnapshotError::Rejected {
+        detail: e.to_string(),
     }
 }
 
@@ -318,12 +306,31 @@ impl PreparedMatrix {
             .ok_or_else(|| EngineError::corrupt_prepared_state(family))
     }
 
+    /// The snapshot header for this matrix around a backend's payload:
+    /// the shape travels with the matrix, the rest is the backend's
+    /// [`TopKBackend::to_snapshot`] decision.
+    pub(crate) fn snapshot_of(
+        &self,
+        family: String,
+        payload: SnapshotPayload,
+        companion: Option<PruneIndex>,
+    ) -> Snapshot {
+        Snapshot {
+            family,
+            num_rows: self.num_rows as u64,
+            num_cols: self.num_cols as u64,
+            nnz: self.nnz,
+            payload,
+            companion,
+        }
+    }
+
     /// Persists this prepared collection as a versioned, checksummed
     /// snapshot (see [`tkspmv_sparse::snapshot`]), so the next process
     /// can [`PreparedMatrix::load`] it instead of re-paying `prepare`.
     ///
-    /// `backend` must be of the family that prepared this matrix; it
-    /// supplies the payload through [`TopKBackend::snapshot_payload`].
+    /// `backend` must be of the family that prepared this matrix; what
+    /// is written is its [`TopKBackend::to_snapshot`].
     ///
     /// # Errors
     ///
@@ -335,32 +342,11 @@ impl PreparedMatrix {
         backend: &dyn TopKBackend,
         writer: W,
     ) -> Result<(), SnapshotError> {
-        let family = backend.family();
-        if self.family != family {
-            return Err(SnapshotError::FamilyMismatch {
-                snapshot: self.family.clone(),
-                backend: family,
-            });
-        }
-        let payload = backend
-            .snapshot_payload(self)
-            .map_err(|e| SnapshotError::Rejected {
-                detail: e.to_string(),
-            })?;
-        let companion = backend
-            .snapshot_companion(self)
-            .map_err(|e| SnapshotError::Rejected {
-                detail: e.to_string(),
-            })?;
-        Snapshot {
-            family: backend.snapshot_family(),
-            num_rows: self.num_rows as u64,
-            num_cols: self.num_cols as u64,
-            nnz: self.nnz,
-            payload,
-            companion,
-        }
-        .write_to(writer)
+        check_family(&self.family, &[&backend.family()])?;
+        backend
+            .to_snapshot(self)
+            .map_err(rejected)?
+            .write_to(writer)
     }
 
     /// [`PreparedMatrix::save`] to a file path (buffered).
@@ -378,9 +364,11 @@ impl PreparedMatrix {
     }
 
     /// Loads a prepared collection persisted by [`PreparedMatrix::save`],
-    /// fully verifying the stream (magic, version, structure, CRC) and
-    /// that it belongs to `backend`'s family, then letting the backend
-    /// adopt it through [`TopKBackend::restore_payload`].
+    /// fully verifying the stream (magic, version, structure, CRC), then
+    /// letting the backend adopt it through
+    /// [`TopKBackend::from_snapshot`] — which also decides whether the
+    /// snapshot's family is one it may adopt — and checking the result
+    /// against the header's shape.
     ///
     /// A loaded matrix answers queries element-wise identical to a fresh
     /// `prepare` of the same collection (property-tested per backend in
@@ -393,30 +381,16 @@ impl PreparedMatrix {
     /// the stream; [`SnapshotError::FamilyMismatch`] if the snapshot was
     /// saved by a different backend family (including an accelerator of
     /// a different precision — the family string carries it);
-    /// [`SnapshotError::Rejected`] if the backend refuses the payload.
+    /// [`SnapshotError::Rejected`] if the backend refuses the payload;
+    /// [`SnapshotError::Invalid`] if the restored shape contradicts the
+    /// header.
     pub fn load<R: Read>(
         backend: &dyn TopKBackend,
         reader: R,
     ) -> Result<PreparedMatrix, SnapshotError> {
-        let Snapshot {
-            family: snapshot_family,
-            num_rows,
-            num_cols,
-            nnz,
-            payload,
-            companion,
-        } = Snapshot::read_from(reader)?;
-        if !backend.accepts_snapshot_family(&snapshot_family) {
-            return Err(SnapshotError::FamilyMismatch {
-                snapshot: snapshot_family,
-                backend: backend.family(),
-            });
-        }
-        let prepared = backend
-            .restore_payload_with_companion(payload, companion)
-            .map_err(|e| SnapshotError::Rejected {
-                detail: e.to_string(),
-            })?;
+        let snapshot = Snapshot::read_from(reader)?;
+        let (num_rows, num_cols, nnz) = (snapshot.num_rows, snapshot.num_cols, snapshot.nnz);
+        let prepared = backend.from_snapshot(snapshot)?;
         if (
             prepared.num_rows as u64,
             prepared.num_cols as u64,
@@ -828,6 +802,19 @@ fn fpga_result(out: crate::accelerator::QueryOutput) -> QueryResult {
     }
 }
 
+impl Accelerator {
+    /// Wraps a loaded (encoded or snapshot-adopted) matrix for the trait.
+    fn prepared(&self, loaded: LoadedMatrix) -> PreparedMatrix {
+        PreparedMatrix::new(
+            self.name(),
+            loaded.num_rows,
+            loaded.num_cols,
+            loaded.nnz,
+            loaded,
+        )
+    }
+}
+
 impl TopKBackend for Accelerator {
     fn name(&self) -> String {
         format!(
@@ -837,14 +824,7 @@ impl TopKBackend for Accelerator {
     }
 
     fn prepare(&self, csr: &Csr) -> Result<PreparedMatrix, EngineError> {
-        let loaded = self.load_matrix(csr)?;
-        Ok(PreparedMatrix::new(
-            self.name(),
-            loaded.num_rows,
-            loaded.num_cols,
-            loaded.nnz,
-            loaded,
-        ))
+        Ok(self.prepared(self.load_matrix(csr)?))
     }
 
     fn query(
@@ -871,9 +851,9 @@ impl TopKBackend for Accelerator {
     /// The accelerator persists its *encoded* form — per-core BS-CSR
     /// packet streams plus the layout and precision — so a load skips
     /// the one-time encode entirely.
-    fn snapshot_payload(&self, matrix: &PreparedMatrix) -> Result<SnapshotPayload, EngineError> {
+    fn to_snapshot(&self, matrix: &PreparedMatrix) -> Result<Snapshot, EngineError> {
         let loaded = checked_loaded(self, matrix)?;
-        Ok(SnapshotPayload::BsCsrPartitions {
+        let payload = SnapshotPayload::BsCsrPartitions {
             precision: loaded.precision,
             layout: loaded.layout,
             partitions: loaded
@@ -881,29 +861,29 @@ impl TopKBackend for Accelerator {
                 .iter()
                 .map(|(first_row, part)| (*first_row as u64, part.clone()))
                 .collect(),
-        })
+        };
+        Ok(matrix.snapshot_of(self.family(), payload, None))
     }
 
-    fn restore_payload(&self, payload: SnapshotPayload) -> Result<PreparedMatrix, EngineError> {
-        let SnapshotPayload::BsCsrPartitions {
-            precision,
-            layout,
-            partitions,
-        } = payload
-        else {
-            return Err(EngineError::bad_query(format!(
-                "backend `{}` restores BS-CSR partition snapshots, not raw CSR payloads",
+    /// Encoded partitions are adopted as they are; a CSR payload under
+    /// this family (what a `PrunedBackend` around this design writes) is
+    /// prepared from scratch — correct, just not accelerated.
+    fn from_snapshot(&self, snapshot: Snapshot) -> Result<PreparedMatrix, SnapshotError> {
+        check_family(&snapshot.family, &[&self.family()])?;
+        let loaded = match snapshot.payload {
+            SnapshotPayload::BsCsrPartitions {
+                precision,
+                layout,
+                partitions,
+            } => self.restore_matrix(precision, layout, partitions),
+            SnapshotPayload::Csr(csr) => self.load_matrix(&csr),
+            _ => Err(EngineError::bad_query(format!(
+                "backend `{}` restores BS-CSR partition or CSR snapshots only",
                 self.name()
-            )));
-        };
-        let loaded = self.restore_matrix(precision, layout, partitions)?;
-        Ok(PreparedMatrix::new(
-            self.name(),
-            loaded.num_rows,
-            loaded.num_cols,
-            loaded.nnz,
-            loaded,
-        ))
+            ))),
+        }
+        .map_err(rejected)?;
+        Ok(self.prepared(loaded))
     }
 }
 
@@ -1064,7 +1044,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_family_checks_are_typed() {
+    fn foreign_family_snapshots_fail_typed() {
         use tkspmv_fixed::Precision;
         let b20 = accelerator_backend();
         let b32: Box<dyn TopKBackend> = Box::new(

@@ -23,6 +23,12 @@
 //! pruned tier never does *worse* than the engine it wraps, and with
 //! `c·k ≥ rows` its answers are element-wise identical to it
 //! (property-tested in `tests/prune_correctness.rs`).
+//!
+//! **Snapshots.** The wrapper writes the source CSR it keeps for
+//! gathering plus the companion, under the wrapped backend's family,
+//! and adopts a CSR snapshot of either family — so a pruned snapshot
+//! loads on the plain inner backend (companion ignored) and a plain CSR
+//! snapshot loads here (staged path unavailable, exact fall-through).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -30,11 +36,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tkspmv_fixed::PruneBits;
-use tkspmv_sparse::snapshot::SnapshotPayload;
+use tkspmv_sparse::snapshot::{Snapshot, SnapshotError, SnapshotPayload};
 use tkspmv_sparse::{Csr, DenseVector, PruneIndex};
 
 use crate::backend::{
-    BackendPerf, BackendStats, PreparedMatrix, QueryBatch, QueryResult, QueryTier, TopKBackend,
+    check_family, rejected, BackendPerf, BackendStats, PreparedMatrix, QueryBatch, QueryResult,
+    QueryTier, TopKBackend,
 };
 use crate::error::EngineError;
 use crate::fanout::{fork_join, host_parallelism};
@@ -43,6 +50,11 @@ use crate::topk::TopKResult;
 
 /// A [`TopKBackend`] that answers queries in two phases — low-bit prune,
 /// then exact rescore through the backend it wraps.
+///
+/// [`TopKBackend::query`] and [`TopKBackend::query_batch`] are the
+/// staged path at [`PrunedBackend::shortlist_factor`];
+/// [`QueryTier::Exact`] through [`TopKBackend::query_batch_tiered`] is
+/// the wrapped backend's own `query_batch`.
 ///
 /// # Example
 ///
@@ -144,6 +156,26 @@ impl PrunedBackend {
 
     fn state<'m>(&self, matrix: &'m PreparedMatrix) -> Result<&'m PrunedState, EngineError> {
         matrix.downcast(&self.family())
+    }
+
+    /// Wraps the three pieces of prepared state for the trait.
+    fn prepared(
+        &self,
+        csr: Csr,
+        inner_prepared: PreparedMatrix,
+        prune: Option<PruneIndex>,
+    ) -> PreparedMatrix {
+        PreparedMatrix::new(
+            self.family(),
+            csr.num_rows(),
+            csr.num_cols(),
+            csr.nnz() as u64,
+            PrunedState {
+                csr,
+                inner_prepared,
+                prune,
+            },
+        )
     }
 
     /// Scores every row with the low-bit index: one contiguous row
@@ -309,17 +341,7 @@ impl TopKBackend for PrunedBackend {
         // path; `BackendStats::Pruned { pruned: false }` makes the
         // fall-through observable.
         let prune = PruneIndex::build(csr, self.bits).ok();
-        Ok(PreparedMatrix::new(
-            self.family(),
-            csr.num_rows(),
-            csr.num_cols(),
-            csr.nnz() as u64,
-            PrunedState {
-                csr: csr.clone(),
-                inner_prepared,
-                prune,
-            },
-        ))
+        Ok(self.prepared(csr.clone(), inner_prepared, prune))
     }
 
     fn query(
@@ -349,58 +371,35 @@ impl TopKBackend for PrunedBackend {
         }
     }
 
-    fn snapshot_family(&self) -> String {
-        self.inner.snapshot_family()
-    }
-
-    fn accepts_snapshot_family(&self, family: &str) -> bool {
-        family == self.family() || self.inner.accepts_snapshot_family(family)
-    }
-
-    fn snapshot_payload(&self, matrix: &PreparedMatrix) -> Result<SnapshotPayload, EngineError> {
+    /// Writes the source CSR this wrapper keeps for gathering — never
+    /// the inner backend's encoded form — plus the companion prune
+    /// stream, under the *inner* family: the snapshot stays loadable by
+    /// the plain inner backend, which ignores the companion.
+    fn to_snapshot(&self, matrix: &PreparedMatrix) -> Result<Snapshot, EngineError> {
         let st = self.state(matrix)?;
-        self.inner.snapshot_payload(&st.inner_prepared)
+        Ok(matrix.snapshot_of(
+            self.inner.family(),
+            SnapshotPayload::Csr(st.csr.clone()),
+            st.prune.clone(),
+        ))
     }
 
-    fn snapshot_companion(
-        &self,
-        matrix: &PreparedMatrix,
-    ) -> Result<Option<PruneIndex>, EngineError> {
-        Ok(self.state(matrix)?.prune.clone())
-    }
-
-    fn restore_payload(&self, payload: SnapshotPayload) -> Result<PreparedMatrix, EngineError> {
-        self.restore_payload_with_companion(payload, None)
-    }
-
-    /// Adopts a persisted collection plus its optional companion prune
-    /// stream. A pre-companion (format v1) snapshot restores with the
-    /// staged path unavailable — queries fall through to the exact
-    /// backend rather than failing.
-    fn restore_payload_with_companion(
-        &self,
-        payload: SnapshotPayload,
-        companion: Option<PruneIndex>,
-    ) -> Result<PreparedMatrix, EngineError> {
-        let SnapshotPayload::Csr(csr) = payload else {
-            return Err(EngineError::bad_query(format!(
+    /// Adopts a CSR snapshot of its own or the inner family, with the
+    /// companion if one was persisted. Without one (a plain inner
+    /// backend's snapshot, or format v1) the staged path is unavailable
+    /// and queries fall through to the exact backend rather than
+    /// failing.
+    fn from_snapshot(&self, snapshot: Snapshot) -> Result<PreparedMatrix, SnapshotError> {
+        check_family(&snapshot.family, &[&self.family(), &self.inner.family()])?;
+        let SnapshotPayload::Csr(csr) = snapshot.payload else {
+            return Err(rejected(EngineError::bad_query(format!(
                 "backend `{}` restores CSR snapshots (its rescore path gathers source rows), \
                  not encoded payload kinds",
                 self.name()
-            )));
+            ))));
         };
-        let inner_prepared = self.inner.prepare(&csr)?;
-        Ok(PreparedMatrix::new(
-            self.family(),
-            csr.num_rows(),
-            csr.num_cols(),
-            csr.nnz() as u64,
-            PrunedState {
-                csr,
-                inner_prepared,
-                prune: companion,
-            },
-        ))
+        let inner_prepared = self.inner.prepare(&csr).map_err(rejected)?;
+        Ok(self.prepared(csr, inner_prepared, snapshot.companion))
     }
 }
 
@@ -430,10 +429,6 @@ mod tests {
         let b = PrunedBackend::new(accel(), PruneBits::Four, 4).unwrap();
         assert_eq!(b.name(), "pruned-4b+fpga-20b");
         assert_eq!(b.family(), "pruned+fpga-20b");
-        assert_eq!(b.snapshot_family(), "fpga-20b");
-        assert!(b.accepts_snapshot_family("pruned+fpga-20b"));
-        assert!(b.accepts_snapshot_family("fpga-20b"));
-        assert!(!b.accepts_snapshot_family("cpu"));
         assert_eq!(b.bits(), PruneBits::Four);
         assert_eq!(b.shortlist_factor(), 4);
         assert_eq!(b.inner().name(), "fpga-20b");
@@ -536,34 +531,44 @@ mod tests {
         ));
     }
 
+    /// The tier rule, both halves: the wrapper's own `query_batch` is
+    /// the staged path at the constructor's `c`, and `Exact` is the
+    /// wrapped backend's `query_batch` — not the wrapper's.
     #[test]
     fn tiered_batches_match_their_direct_counterparts() {
         let b = PrunedBackend::new(accel(), PruneBits::Eight, 4).unwrap();
         let m = b.prepare(&collection()).unwrap();
         let batch = QueryBatch::random(4, 128, 21);
+        let topks = |results: &[QueryResult]| -> Vec<TopKResult> {
+            results.iter().map(|r| r.topk.clone()).collect()
+        };
 
         let exact = b
             .query_batch_tiered(&m, &batch, 12, QueryTier::Exact)
             .unwrap();
         let inner = accel();
         let im = inner.prepare(&collection()).unwrap();
-        for (x, got) in batch.iter().zip(&exact) {
-            assert_eq!(got.topk, inner.query(&im, x, 12).unwrap().topk);
-        }
+        assert_eq!(
+            topks(&exact),
+            topks(&inner.query_batch(&im, &batch, 12).unwrap())
+        );
+        assert!(exact
+            .iter()
+            .all(|r| matches!(r.stats, BackendStats::Fpga { .. })));
 
-        let pruned = b
-            .query_batch_tiered(
-                &m,
-                &batch,
-                12,
-                QueryTier::Pruned {
-                    shortlist_factor: 4,
-                },
-            )
-            .unwrap();
+        let tier = QueryTier::Pruned {
+            shortlist_factor: b.shortlist_factor(),
+        };
+        let pruned = b.query_batch_tiered(&m, &batch, 12, tier).unwrap();
+        let own = b.query_batch(&m, &batch, 12).unwrap();
+        assert_eq!(topks(&pruned), topks(&own));
         for (x, got) in batch.iter().zip(&pruned) {
             assert_eq!(got.topk, b.query(&m, x, 12).unwrap().topk);
         }
+        assert!(pruned
+            .iter()
+            .chain(&own)
+            .all(|r| matches!(r.stats, BackendStats::Pruned { pruned: true, .. })));
     }
 
     #[test]
@@ -647,6 +652,44 @@ mod tests {
         assert!(matches!(
             restored.stats,
             BackendStats::Pruned { pruned: true, .. }
+        ));
+    }
+
+    /// The wrapper persists the CSR it keeps, not the inner backend's
+    /// encoded partitions, so what it saves it can load — and the plain
+    /// inner backend can too, whatever its own payload kind is.
+    #[test]
+    fn snapshot_round_trips_over_an_accelerator() {
+        let b = PrunedBackend::new(accel(), PruneBits::Eight, 4).unwrap();
+        let m = b.prepare(&collection()).unwrap();
+        let mut buf = Vec::new();
+        m.save(&b, &mut buf).unwrap();
+        let x = query_vector(128, 11);
+
+        let loaded = PreparedMatrix::load(&b, buf.as_slice()).unwrap();
+        assert_eq!(loaded.family(), "pruned+fpga-20b");
+        let fresh = b.query(&m, &x, 10).unwrap();
+        let restored = b.query(&loaded, &x, 10).unwrap();
+        assert_eq!(fresh.topk, restored.topk);
+        assert!(matches!(
+            restored.stats,
+            BackendStats::Pruned { pruned: true, .. }
+        ));
+
+        let inner = accel();
+        let plain = PreparedMatrix::load(inner.as_ref(), buf.as_slice()).unwrap();
+        assert_eq!(plain.family(), "fpga-20b");
+        let im = inner.prepare(&collection()).unwrap();
+        assert_eq!(
+            inner.query(&plain, &x, 10).unwrap().topk,
+            inner.query(&im, &x, 10).unwrap().topk
+        );
+
+        // Own and inner family are adopted; anything else is foreign.
+        let other = PrunedBackend::new(Arc::new(RefBackend), PruneBits::Eight, 4).unwrap();
+        assert!(matches!(
+            PreparedMatrix::load(&other, buf.as_slice()),
+            Err(SnapshotError::FamilyMismatch { .. })
         ));
     }
 

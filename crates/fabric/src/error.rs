@@ -9,6 +9,7 @@
 
 use core::fmt;
 
+use crate::client::CallError;
 use crate::router::CoverageReport;
 use crate::wire::WireError;
 
@@ -160,6 +161,15 @@ impl std::error::Error for FabricError {
 impl From<WireError> for FabricError {
     fn from(e: WireError) -> Self {
         FabricError::Wire(e)
+    }
+}
+
+impl From<CallError> for FabricError {
+    fn from(e: CallError) -> Self {
+        match e {
+            CallError::Wire(w) => FabricError::Wire(w),
+            CallError::Rpc(r) => FabricError::Rpc(r),
+        }
     }
 }
 

@@ -99,9 +99,6 @@ pub struct RouterConfig {
     pub hedge_after: Option<Duration>,
     /// Behaviour when shards fail (see [`PartialPolicy`]).
     pub partial: PartialPolicy,
-    /// Pooled connections kept per replica; calls beyond the pool open
-    /// transient connections.
-    pub pool_slots: usize,
     /// Required deadline margin above the slowest node's `max_wait` —
     /// the transport + execution budget. Size it to cover the node's
     /// p99 service time.
@@ -121,7 +118,6 @@ impl Default for RouterConfig {
             connect_timeout: Duration::from_secs(1),
             hedge_after: None,
             partial: PartialPolicy::Fail,
-            pool_slots: 4,
             headroom: Duration::from_millis(50),
             trace: false,
         }
@@ -262,17 +258,21 @@ impl RouterMetrics {
     }
 }
 
+/// Pooled connections kept per replica; calls beyond the pool open
+/// transient connections.
+const POOL_SLOTS: usize = 4;
+
 /// A pooled connection slot set for one replica.
 struct ReplicaPool {
     addr: String,
-    slots: Vec<Mutex<Option<NodeClient>>>,
+    slots: [Mutex<Option<NodeClient>>; POOL_SLOTS],
 }
 
 impl ReplicaPool {
-    fn new(addr: String, slots: usize) -> Self {
+    fn new(addr: String) -> Self {
         Self {
             addr,
-            slots: (0..slots.max(1)).map(|_| Mutex::new(None)).collect(),
+            slots: std::array::from_fn(|_| Mutex::new(None)),
         }
     }
 
@@ -350,7 +350,7 @@ impl Router {
             let pools: Vec<Arc<ReplicaPool>> = spec
                 .replicas
                 .iter()
-                .map(|addr| Arc::new(ReplicaPool::new(addr.clone(), config.pool_slots)))
+                .map(|addr| Arc::new(ReplicaPool::new(addr.clone())))
                 .collect();
             let mut info = None;
             let mut last_err: Option<CallError> = None;
@@ -366,13 +366,14 @@ impl Router {
             let info = match info {
                 Some(info) => info,
                 None => {
-                    return Err(match last_err {
-                        Some(CallError::Wire(e)) => FabricError::Wire(e),
-                        Some(CallError::Rpc(e)) => FabricError::Rpc(e),
-                        None => FabricError::invalid_config(format!(
-                            "shard group {i}: no replica reachable"
-                        )),
-                    })
+                    return Err(last_err.map_or_else(
+                        || {
+                            FabricError::invalid_config(format!(
+                                "shard group {i}: no replica reachable"
+                            ))
+                        },
+                        FabricError::from,
+                    ))
                 }
             };
             shards.push(ShardGroup { pools, info });
@@ -591,14 +592,9 @@ impl Router {
         let tail = self.shards.last().expect("validated non-empty");
         let mut agreed: Option<Vec<u32>> = None;
         for pool in &tail.pools {
-            let ids = pool
-                .call(self.config.connect_timeout, |c| {
-                    c.append(rows, self.config.deadline)
-                })
-                .map_err(|e| match e {
-                    CallError::Wire(w) => FabricError::Wire(w),
-                    CallError::Rpc(r) => FabricError::Rpc(r),
-                })?;
+            let ids = pool.call(self.config.connect_timeout, |c| {
+                c.append(rows, self.config.deadline)
+            })?;
             match &agreed {
                 None => agreed = Some(ids),
                 Some(prev) if *prev == ids => {}
@@ -624,14 +620,9 @@ impl Router {
         for shard in self.shards.iter() {
             let mut first = None;
             for pool in &shard.pools {
-                let r = pool
-                    .call(self.config.connect_timeout, |c| {
-                        c.compact(self.config.deadline)
-                    })
-                    .map_err(|e| match e {
-                        CallError::Wire(w) => FabricError::Wire(w),
-                        CallError::Rpc(r) => FabricError::Rpc(r),
-                    })?;
+                let r = pool.call(self.config.connect_timeout, |c| {
+                    c.compact(self.config.deadline)
+                })?;
                 if first.is_none() {
                     first = Some(r);
                 }

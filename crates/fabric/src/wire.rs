@@ -279,14 +279,14 @@ pub fn encode_frame(kind: FrameKind, body: &[u8]) -> Vec<u8> {
 /// # Panics
 ///
 /// As [`encode_frame`].
-pub fn encode_frame_versioned(version: u16, kind: FrameKind, body: &[u8]) -> Vec<u8> {
+fn encode_frame_versioned(version: u16, kind: FrameKind, body: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + body.len() + 4);
     encode_frame_into(&mut buf, version, kind, body);
     buf
 }
 
-/// [`encode_frame_versioned`] into a caller-owned buffer: clears `buf`
-/// and appends the complete frame, reusing the buffer's capacity. The
+/// [`encode_frame`] at an explicit version into a caller-owned buffer:
+/// clears `buf` and appends the complete frame, reusing its capacity. The
 /// per-call encode path of a warm connection goes through here so a
 /// node answering a stream of queries does not pay a frame-sized
 /// allocation per response.
@@ -312,12 +312,12 @@ pub fn encode_frame_into(buf: &mut Vec<u8>, version: u16, kind: FrameKind, body:
 }
 
 /// Writes one frame to `w` at the current [`WIRE_VERSION`].
-pub fn write_frame<W: Write>(w: &mut W, kind: FrameKind, body: &[u8]) -> Result<(), WireError> {
+fn write_frame<W: Write>(w: &mut W, kind: FrameKind, body: &[u8]) -> Result<(), WireError> {
     write_frame_versioned(w, WIRE_VERSION, kind, body)
 }
 
 /// Writes one frame to `w` at an explicit version.
-pub fn write_frame_versioned<W: Write>(
+fn write_frame_versioned<W: Write>(
     w: &mut W,
     version: u16,
     kind: FrameKind,

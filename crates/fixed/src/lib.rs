@@ -32,13 +32,11 @@
 
 mod half;
 mod precision;
-mod quant;
 mod scalar;
 mod ufixed;
 
 pub use half::Half;
 pub use precision::{ParsePrecisionError, Precision, PruneBits};
-pub use quant::{quantization_error, QuantizationReport};
 pub use scalar::{SpmvScalar, F32};
 pub use ufixed::{QFormat, UFixed};
 

@@ -29,14 +29,12 @@
 
 mod axi;
 mod hbm;
-mod pipeline;
 mod resources;
 mod roofline;
 mod uram;
 
 pub use axi::{AxiBurstModel, BurstTiming};
 pub use hbm::{ChannelModel, HbmConfig};
-pub use pipeline::{PipelineModel, StageSpec};
 pub use resources::{DesignPoint, ResourceModel, ResourceUsage, U280_RESOURCES};
 pub use roofline::{Roofline, RooflinePoint};
 pub use uram::UramBudget;

@@ -13,7 +13,7 @@
 //! # Architecture
 //!
 //! ```text
-//!  callers ──submit──▶ bounded queue ──▶ batcher ──▶ shard 0 workers ─┐
+//!  callers ──submit──▶ bounded queue ──▶ batcher ──▶ shard 0 worker ──┐
 //!     ▲                 (backpressure:    (seed +     [PreparedMatrix │
 //!     │                  QueueFull shed)   coalesce    rows 0..n/S]   │ merge_pairs
 //!  Ticket◀──────────────────────────────  ≤ max_wait,      ...        ├────▶ responses
@@ -22,9 +22,10 @@
 //!
 //! - **Sharding** — [`TopKService`] splits the collection into `S`
 //!   row-contiguous shards ([`tkspmv::PreparedMatrix::prepare_row_shards`]),
-//!   each prepared once and owned by its worker pool: the paper's
-//!   per-HBM-channel partitioning (§III-A) applied one level up, at
-//!   serving granularity.
+//!   each prepared once and owned by one worker thread fed through
+//!   its own channel: the paper's per-HBM-channel partitioning (§III-A)
+//!   applied one level up, at serving granularity. The shard count is
+//!   the one concurrency knob — `S` backend calls can overlap.
 //! - **Micro-batching** — a batcher thread coalesces concurrent
 //!   same-`k` requests under a [`BatchPolicy`] (`max_batch_size` /
 //!   `max_wait`) into [`tkspmv::QueryBatch`]es, so the backend's batched
@@ -35,7 +36,7 @@
 //!   queueing unboundedly. Every other failure is equally typed:
 //!   rejected requests ([`ServeError::BadRequest`]), engine failures
 //!   ([`ServeError::Engine`]), and backend panics, which are caught in
-//!   the worker so the pool recovers ([`ServeError::WorkerPanicked`]).
+//!   the worker so it recovers ([`ServeError::WorkerPanicked`]).
 //! - **Merge** — per-shard Top-K answers are re-based to global row
 //!   indices and reduced with [`tkspmv::TopKResult::merge_pairs`], the
 //!   same reduction the accelerator uses across cores.
@@ -45,7 +46,7 @@
 //!   new *epoch*: requests admitted before the swap finish against the
 //!   collection they were admitted to, later admissions see the new
 //!   one, the batcher never mixes epochs in one backend batch, and no
-//!   worker pool restarts. [`ServiceMetrics::epoch`] /
+//!   worker restarts. [`ServiceMetrics::epoch`] /
 //!   [`ServiceMetrics::swaps`] account for it.
 //! - **Cold start from snapshots** — `ServiceBuilder::build_from_shards`
 //!   assembles a service from shards loaded with
@@ -95,7 +96,6 @@
 //! let backend = Arc::new(Accelerator::builder().cores(8).k(8).build()?);
 //! let service = TopKService::builder(backend)
 //!     .shards(2)
-//!     .workers_per_shard(1)
 //!     .batch_policy(BatchPolicy::default())
 //!     .queue_capacity(256)
 //!     .build(&collection)?;

@@ -1,5 +1,5 @@
-//! The serving engine: bounded admission, dynamic micro-batching,
-//! per-shard worker pools, cross-shard merge, metrics and shutdown.
+//! The serving engine: bounded admission, dynamic micro-batching, one
+//! worker per shard, cross-shard merge, metrics and shutdown.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,16 +70,6 @@ impl Ticket {
     pub fn wait(self) -> Result<ServedResult, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::Disconnected))
     }
-
-    /// Returns the response if it is already available, `None` while the
-    /// request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<ServedResult, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(response) => Some(response),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::Disconnected)),
-        }
-    }
 }
 
 /// One generation of the served collection: the prepared row shards
@@ -136,7 +126,7 @@ struct ShardDone {
     outcome: Result<Vec<ShardAnswer>, ServeError>,
 }
 
-/// One dispatched batch, shared by every shard's worker pool.
+/// One dispatched batch, shared by every shard's worker.
 struct Job {
     batch: QueryBatch,
     k: usize,
@@ -259,27 +249,18 @@ struct SubmitQueue {
     open: bool,
 }
 
-/// One shard's dispatch queue, guarded by `ShardState::queue`.
-struct ShardJobs {
-    jobs: VecDeque<Arc<Job>>,
-    /// Set after the batcher exits; workers finish the remaining jobs
-    /// and then return.
-    closed: bool,
-}
-
-/// One shard slot's worker-pool queue. The shard's *data* lives in the
-/// current [`Epoch`]; the queue and its worker pool survive hot swaps.
-struct ShardState {
-    queue: Mutex<ShardJobs>,
-    cv: Condvar,
-}
+/// The sending half of one shard slot's dispatch channel. The batcher
+/// owns every sender, so its exit closes the channels: each worker
+/// drains what was already dispatched and returns. The shard's *data*
+/// lives in the job's [`Epoch`]; channel and worker survive hot swaps.
+type ShardSender = mpsc::Sender<Arc<Job>>;
 
 /// State shared by the service handle, the batcher and every worker.
 struct Inner {
     backend: Arc<dyn TopKBackend>,
-    /// One entry per shard slot; `epoch.shards` always has the same
-    /// length (enforced at build and swap time).
-    shards: Vec<ShardState>,
+    /// Shard slots; `epoch.shards` always has this length (enforced at
+    /// build and swap time).
+    num_shards: usize,
     /// The collection generation new admissions are stamped with.
     epoch: Mutex<Arc<Epoch>>,
     submit: Mutex<SubmitQueue>,
@@ -301,7 +282,7 @@ impl Inner {
 
     /// Ships a coalesced set of same-`k`, same-tier, same-epoch requests
     /// to every shard.
-    fn dispatch(&self, members: Vec<Pending>) {
+    fn dispatch(&self, members: Vec<Pending>, shards: &[ShardSender]) {
         let k = members[0].k;
         let tier = members[0].tier;
         let epoch = Arc::clone(&members[0].epoch);
@@ -341,12 +322,14 @@ impl Inner {
             tier,
             epoch,
             responders,
-            partials: Mutex::new((0..self.shards.len()).map(|_| None).collect()),
-            remaining: AtomicUsize::new(self.shards.len()),
+            partials: Mutex::new((0..shards.len()).map(|_| None).collect()),
+            remaining: AtomicUsize::new(shards.len()),
         });
-        for shard in &self.shards {
-            lock(&shard.queue).jobs.push_back(Arc::clone(&job));
-            shard.cv.notify_one();
+        for shard in shards {
+            // A worker returns only once this sender is dropped, so the
+            // send cannot fail; and a job that never finalizes resolves
+            // its tickets to `Disconnected` when it drops, not a hang.
+            let _ = shard.send(Arc::clone(&job));
         }
     }
 }
@@ -386,7 +369,8 @@ fn extract_compatible(queue: &mut VecDeque<Pending>, members: &mut Vec<Pending>,
 }
 
 /// The batcher thread: seed, coalesce under the policy, dispatch.
-fn batcher_loop(inner: &Arc<Inner>) {
+/// Returning drops `shards`, which is what stops the workers.
+fn batcher_loop(inner: &Inner, shards: Vec<ShardSender>) {
     loop {
         let mut seed = {
             let mut q = lock(&inner.submit);
@@ -455,34 +439,22 @@ fn batcher_loop(inner: &Arc<Inner>) {
                 }
             }
         }
-        inner.dispatch(members);
+        inner.dispatch(members, &shards);
     }
 }
 
-/// A shard worker: pop a job, run the batch against this shard's
+/// A shard worker: receive a job, run the batch against this shard's
 /// prepared partition (catching backend panics), contribute the
-/// globalized candidates, merge-and-respond if last.
+/// globalized candidates, merge-and-respond if last. Returns once the
+/// batcher has dropped its sender and every dispatched job is done.
 ///
 /// The panic guard covers everything from the backend call through
 /// index globalization, and the remaining-counter decrement runs
 /// unconditionally afterwards — a panic anywhere in a job must cost
 /// that job at most, never the worker (a dead worker would strand every
-/// later request on its shard queue).
-fn worker_loop(inner: &Arc<Inner>, shard_index: usize) {
-    let state = &inner.shards[shard_index];
-    loop {
-        let job = {
-            let mut q = lock(&state.queue);
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    break job;
-                }
-                if q.closed {
-                    return;
-                }
-                q = state.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
-            }
-        };
+/// later request on its shard's channel).
+fn worker_loop(inner: &Inner, shard_index: usize, jobs: &mpsc::Receiver<Arc<Job>>) {
+    for job in jobs {
         // The shard data comes from the job's epoch, not from any global
         // "current" state: a hot swap installed after this job was
         // admitted must not change what it runs against.
@@ -591,7 +563,6 @@ fn validate_shard_layout(
 pub struct ServiceBuilder {
     backend: Arc<dyn TopKBackend>,
     shards: usize,
-    workers_per_shard: usize,
     policy: BatchPolicy,
     queue_capacity: usize,
 }
@@ -601,7 +572,6 @@ impl std::fmt::Debug for ServiceBuilder {
         f.debug_struct("ServiceBuilder")
             .field("backend", &self.backend.name())
             .field("shards", &self.shards)
-            .field("workers_per_shard", &self.workers_per_shard)
             .field("policy", &self.policy)
             .field("queue_capacity", &self.queue_capacity)
             .finish()
@@ -610,19 +580,12 @@ impl std::fmt::Debug for ServiceBuilder {
 
 impl ServiceBuilder {
     /// Row shards to split the collection into (default 2). Each shard
-    /// is prepared independently and owns a worker pool, mirroring the
-    /// paper's per-HBM-channel partitions one level up.
+    /// is prepared independently and owns one worker thread, mirroring
+    /// the paper's per-HBM-channel partitions one level up; the shard
+    /// count is therefore also how many backend calls can overlap.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Worker threads per shard (default 1). More workers let a shard
-    /// overlap independent batches.
-    #[must_use]
-    pub fn workers_per_shard(mut self, workers: usize) -> Self {
-        self.workers_per_shard = workers;
         self
     }
 
@@ -646,8 +609,8 @@ impl ServiceBuilder {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] for unusable knobs (zero workers,
-    /// zero queue capacity, zero-sized batches, shard count outside
+    /// [`ServeError::InvalidConfig`] for unusable knobs (zero queue
+    /// capacity, zero-sized batches, shard count outside
     /// `1..=rows`); [`ServeError::Engine`] if the backend rejects a
     /// shard in `prepare`.
     ///
@@ -678,11 +641,6 @@ impl ServiceBuilder {
     /// Panics only if the OS refuses to spawn service threads.
     pub fn build_from_shards(self, shards: Vec<MatrixShard>) -> Result<TopKService, ServeError> {
         self.policy.validate()?;
-        if self.workers_per_shard == 0 {
-            return Err(ServeError::invalid_config(
-                "workers_per_shard must be at least 1",
-            ));
-        }
         if self.queue_capacity == 0 {
             return Err(ServeError::invalid_config(
                 "queue_capacity must be at least 1",
@@ -692,15 +650,7 @@ impl ServiceBuilder {
         let num_shards = shards.len();
         let inner = Arc::new(Inner {
             backend: self.backend,
-            shards: (0..num_shards)
-                .map(|_| ShardState {
-                    queue: Mutex::new(ShardJobs {
-                        jobs: VecDeque::new(),
-                        closed: false,
-                    }),
-                    cv: Condvar::new(),
-                })
-                .collect(),
+            num_shards,
             epoch: Mutex::new(Arc::new(Epoch {
                 id: 0,
                 shards,
@@ -718,27 +668,28 @@ impl ServiceBuilder {
             metrics: MetricsShared::new(),
         });
 
+        let (senders, receivers): (Vec<ShardSender>, Vec<_>) =
+            (0..num_shards).map(|_| mpsc::channel()).unzip();
         let batcher = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("tkspmv-serve-batcher".to_string())
-                .spawn(move || batcher_loop(&inner))
+                .spawn(move || batcher_loop(&inner, senders))
                 // invariant: spawn fails only on OS thread exhaustion; the service cannot run without its batcher
                 .expect("spawn batcher thread")
         };
-        let mut workers = Vec::with_capacity(inner.shards.len() * self.workers_per_shard);
-        for shard_index in 0..inner.shards.len() {
-            for worker in 0..self.workers_per_shard {
+        let workers = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(shard_index, jobs)| {
                 let inner = Arc::clone(&inner);
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("tkspmv-serve-s{shard_index}w{worker}"))
-                        .spawn(move || worker_loop(&inner, shard_index))
-                        // invariant: spawn fails only on OS thread exhaustion; the service cannot run without its workers
-                        .expect("spawn shard worker thread"),
-                );
-            }
-        }
+                std::thread::Builder::new()
+                    .name(format!("tkspmv-serve-s{shard_index}"))
+                    .spawn(move || worker_loop(&inner, shard_index, &jobs))
+                    // invariant: spawn fails only on OS thread exhaustion; the service cannot run without its workers
+                    .expect("spawn shard worker thread")
+            })
+            .collect();
         Ok(TopKService {
             inner,
             batcher: Some(batcher),
@@ -751,7 +702,7 @@ impl ServiceBuilder {
 /// [`TopKBackend`].
 ///
 /// The collection is split into row shards, each prepared once and held
-/// resident by a dedicated worker pool (the serving-layer picture of the
+/// resident by a dedicated worker thread (the serving-layer picture of the
 /// paper's matrix-resident HBM channels). Concurrent callers
 /// [`submit`](TopKService::submit) queries into a bounded queue; a
 /// batcher thread coalesces them under a [`BatchPolicy`] and dispatches
@@ -797,7 +748,7 @@ impl std::fmt::Debug for Inner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Inner")
             .field("backend", &self.backend.name())
-            .field("shards", &self.shards.len())
+            .field("shards", &self.num_shards)
             .field("dim", &self.dim)
             .field("epoch", &self.current_epoch().id)
             .finish_non_exhaustive()
@@ -810,7 +761,6 @@ impl TopKService {
         ServiceBuilder {
             backend,
             shards: 2,
-            workers_per_shard: 1,
             policy: BatchPolicy::default(),
             queue_capacity: 1024,
         }
@@ -829,7 +779,7 @@ impl TopKService {
 
     /// Row shards the collection is split into.
     pub fn num_shards(&self) -> usize {
-        self.inner.shards.len()
+        self.inner.num_shards
     }
 
     /// The collection epoch new admissions are served from (0 at build;
@@ -865,7 +815,7 @@ impl TopKService {
     /// swap finish against the collection they were admitted to (their
     /// epoch travels with them through batching and execution), requests
     /// admitted after are answered from the new collection, and no
-    /// worker pool restarts — the pools only ever see per-job epochs.
+    /// worker restarts — the workers only ever see per-job epochs.
     /// The batcher never mixes epochs inside one backend batch.
     ///
     /// The new collection must keep the service's dimension and support
@@ -1085,12 +1035,9 @@ impl TopKService {
         if let Some(batcher) = self.batcher.take() {
             let _ = batcher.join();
         }
-        // The batcher has dispatched everything it will ever dispatch;
-        // closing the shard queues now lets workers drain and exit.
-        for shard in &self.inner.shards {
-            lock(&shard.queue).closed = true;
-            shard.cv.notify_all();
-        }
+        // The batcher has dispatched everything it will ever dispatch
+        // and dropped the shard senders with its stack; the workers
+        // drain their channels and return.
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -1261,12 +1208,6 @@ mod tests {
         ));
         assert!(matches!(
             TopKService::builder(backend()).shards(51).build(&csr),
-            Err(ServeError::InvalidConfig { .. })
-        ));
-        assert!(matches!(
-            TopKService::builder(backend())
-                .workers_per_shard(0)
-                .build(&csr),
             Err(ServeError::InvalidConfig { .. })
         ));
         assert!(matches!(
@@ -1466,8 +1407,7 @@ mod tests {
             delay: Duration::from_millis(15),
             panic_on_k: None,
         }))
-        .shards(2)
-        .workers_per_shard(2)
+        .shards(4)
         .batch_policy(BatchPolicy::coalescing(4, Duration::from_millis(1)))
         .build(&csr)
         .unwrap();

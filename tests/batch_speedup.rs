@@ -1,9 +1,9 @@
 //! Release-mode smoke guard for the matrix-major batch engine: one
 //! B = 32 `query_batch` must be decisively faster than 32 sequential
-//! `query` calls on a non-trivial stream. Not a benchmark — the full
-//! sweep lives in `benches/batch_query.rs` — just the cheapest
-//! assertion that the decode-once amortisation has not regressed into
-//! a query-major loop.
+//! `query` calls on a non-trivial stream. Not a benchmark — the
+//! measurement is the perf ledger's `direct_b1` vs `direct_b32` — just
+//! the cheapest assertion that the decode-once amortisation has not
+//! regressed into a query-major loop.
 //!
 //! Ignored by default because wall-clock comparison is meaningless in
 //! debug builds and on loaded machines; CI runs it explicitly with

@@ -32,8 +32,7 @@ fn soak_concurrent_traffic_then_shutdown_drains_everything() {
     }
     .generate();
     let service = TopKService::builder(Arc::new(CpuTopK::new(2)))
-        .shards(3)
-        .workers_per_shard(2)
+        .shards(6)
         .batch_policy(BatchPolicy::coalescing(8, Duration::from_micros(500)))
         .queue_capacity(32)
         .build(&csr)

@@ -21,17 +21,22 @@ use tkspmv_fixed::PruneBits;
 use tkspmv_sparse::snapshot::{crc32, SnapshotError, PRUNE_SECTION_VERSION, SNAPSHOT_VERSION};
 use tkspmv_sparse::{Csr, DenseVector};
 
+fn small_accelerator() -> Arc<dyn TopKBackend> {
+    Arc::new(
+        Accelerator::builder()
+            .cores(4)
+            .k(8)
+            .build()
+            .expect("small design builds"),
+    )
+}
+
 /// Every backend family in the workspace, including the staged prune +
-/// rescore pipeline (whose snapshots carry a companion section).
+/// rescore pipeline (whose snapshots carry a companion section) around
+/// both payload kinds of inner backend.
 fn all_backends() -> Vec<Arc<dyn TopKBackend>> {
     vec![
-        Arc::new(
-            Accelerator::builder()
-                .cores(4)
-                .k(8)
-                .build()
-                .expect("small design builds"),
-        ),
+        small_accelerator(),
         Arc::new(CpuTopK::new(2)),
         Arc::new(GpuTopK::new(GpuModel::tesla_p100(), GpuPrecision::F32)),
         Arc::new(GpuTopK::new(GpuModel::tesla_p100(), GpuPrecision::F16).with_zero_cost_sort()),
@@ -39,7 +44,16 @@ fn all_backends() -> Vec<Arc<dyn TopKBackend>> {
             PrunedBackend::new(Arc::new(CpuTopK::new(2)), PruneBits::Eight, 4)
                 .expect("factor 4 is valid"),
         ),
+        pruned_accelerator(),
     ]
+}
+
+/// The staged pipeline around the accelerator: it persists the source
+/// CSR (not the inner backend's encoded partitions) plus the companion.
+fn pruned_accelerator() -> Arc<dyn TopKBackend> {
+    Arc::new(
+        PrunedBackend::new(small_accelerator(), PruneBits::Eight, 4).expect("factor 4 is valid"),
+    )
 }
 
 fn save_to_vec(backend: &dyn TopKBackend, prepared: &PreparedMatrix) -> Vec<u8> {
@@ -48,15 +62,8 @@ fn save_to_vec(backend: &dyn TopKBackend, prepared: &PreparedMatrix) -> Vec<u8> 
     buf
 }
 
-/// A deterministic accelerator snapshot for the corruption table tests.
-fn accelerator_snapshot_bytes() -> (Arc<dyn TopKBackend>, Vec<u8>) {
-    let backend: Arc<dyn TopKBackend> = Arc::new(
-        Accelerator::builder()
-            .cores(4)
-            .k(8)
-            .build()
-            .expect("small design builds"),
-    );
+/// A deterministic snapshot of `backend` for the corruption table tests.
+fn snapshot_bytes(backend: Arc<dyn TopKBackend>) -> (Arc<dyn TopKBackend>, Vec<u8>) {
     let csr = tkspmv_sparse::gen::SyntheticConfig {
         num_rows: 200,
         num_cols: 128,
@@ -70,6 +77,10 @@ fn accelerator_snapshot_bytes() -> (Arc<dyn TopKBackend>, Vec<u8>) {
     (backend, bytes)
 }
 
+fn accelerator_snapshot_bytes() -> (Arc<dyn TopKBackend>, Vec<u8>) {
+    snapshot_bytes(small_accelerator())
+}
+
 /// Re-seals a patched snapshot so its CRC passes again — proving the
 /// *semantic* layer (not just the checksum) catches the defect.
 fn reseal(bytes: &mut [u8]) {
@@ -80,22 +91,58 @@ fn reseal(bytes: &mut [u8]) {
 
 #[test]
 fn truncated_snapshots_fail_typed_at_every_cut() {
-    let (backend, bytes) = accelerator_snapshot_bytes();
-    // A dense sweep near the front (header fields) plus spread cuts
-    // through the payload and the trailer.
-    let mut cuts: Vec<usize> = (0..64).collect();
-    cuts.extend([
-        bytes.len() / 4,
-        bytes.len() / 2,
-        bytes.len() - 5,
-        bytes.len() - 1,
-    ]);
-    for cut in cuts {
-        match PreparedMatrix::load(backend.as_ref(), &bytes[..cut]) {
-            Err(SnapshotError::Truncated { .. }) => {}
-            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+    // Both payload kinds: encoded partitions, and CSR + companion.
+    for (backend, bytes) in [
+        accelerator_snapshot_bytes(),
+        snapshot_bytes(pruned_accelerator()),
+    ] {
+        // A dense sweep near the front (header fields) plus spread cuts
+        // through the payload and the trailer.
+        let mut cuts: Vec<usize> = (0..64).collect();
+        cuts.extend([
+            bytes.len() / 4,
+            bytes.len() / 2,
+            bytes.len() - 5,
+            bytes.len() - 1,
+        ]);
+        for cut in cuts {
+            match PreparedMatrix::load(backend.as_ref(), &bytes[..cut]) {
+                Err(SnapshotError::Truncated { .. }) => {}
+                other => panic!(
+                    "{}: cut at {cut}: expected Truncated, got {other:?}",
+                    backend.name()
+                ),
+            }
         }
     }
+}
+
+/// What the staged pipeline saves over an accelerator, it loads — and so
+/// does the plain accelerator, which prepares the CSR payload and
+/// ignores the companion.
+#[test]
+fn pruned_accelerator_snapshot_loads_on_both_backends() {
+    let (staged, bytes) = snapshot_bytes(pruned_accelerator());
+    let loaded = PreparedMatrix::load(staged.as_ref(), bytes.as_slice())
+        .expect("the staged pipeline loads its own snapshot");
+    let x = tkspmv_sparse::gen::query_vector(128, 3);
+    let got = staged.query(&loaded, &x, 10).expect("staged query");
+    assert!(
+        matches!(got.stats, BackendStats::Pruned { pruned: true, .. }),
+        "the companion must survive the round trip, got {:?}",
+        got.stats
+    );
+
+    let plain = small_accelerator();
+    let adopted = PreparedMatrix::load(plain.as_ref(), bytes.as_slice())
+        .expect("the plain inner backend loads a pruned snapshot");
+    let (_, own_bytes) = accelerator_snapshot_bytes();
+    let own = PreparedMatrix::load(plain.as_ref(), own_bytes.as_slice()).expect("own snapshot");
+    assert_eq!(
+        plain.query(&adopted, &x, 10).expect("query").topk,
+        plain.query(&own, &x, 10).expect("query").topk,
+        "CSR-adopted and partition-adopted matrices must answer alike"
+    );
 }
 
 #[test]

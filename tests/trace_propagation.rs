@@ -292,9 +292,9 @@ impl TopKBackend for StampBackend {
     }
 }
 
-/// Concurrent submitters into a multi-worker service: every ticket's
-/// stage breakdown holds exactly the values its own backend call
-/// reported — nothing from the calls running beside it.
+/// Concurrent submitters into a four-shard (so four-worker) service:
+/// every ticket's stage breakdown holds exactly the values its own
+/// backend call reported — nothing from the calls running beside it.
 #[test]
 fn concurrent_requests_keep_their_own_stage_attribution() {
     const SUBMITTERS: usize = 8;
@@ -311,8 +311,7 @@ fn concurrent_requests_keep_their_own_stage_attribution() {
         calls: AtomicUsize::new(0),
         overlap: Barrier::new(2),
     }))
-    .shards(2)
-    .workers_per_shard(3)
+    .shards(4)
     .batch_policy(BatchPolicy::coalescing(4, Duration::from_micros(200)))
     .build(&csr)
     .expect("service builds");
@@ -371,8 +370,7 @@ fn served_accelerator_stages_fit_their_engine_interval() {
             .expect("builds"),
     );
     let service = TopKService::builder(backend)
-        .shards(2)
-        .workers_per_shard(2)
+        .shards(4)
         .batch_policy(BatchPolicy::coalescing(4, Duration::from_micros(500)))
         .build(&csr)
         .expect("service builds");
