@@ -1,6 +1,7 @@
 //! Shared plumbing for the reproduction binaries.
 //!
-//! Every binary accepts the same flags:
+//! `run_all` (after its section names) and `autotune` accept the same
+//! flags:
 //!
 //! ```text
 //! --scale <N>    divide Table III matrix sizes by N (default 100)

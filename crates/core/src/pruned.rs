@@ -386,9 +386,8 @@ impl TopKBackend for PrunedBackend {
 
     /// Adopts a CSR snapshot of its own or the inner family, with the
     /// companion if one was persisted. Without one (a plain inner
-    /// backend's snapshot, or format v1) the staged path is unavailable
-    /// and queries fall through to the exact backend rather than
-    /// failing.
+    /// backend's snapshot) the staged path is unavailable and queries
+    /// fall through to the exact backend rather than failing.
     fn from_snapshot(&self, snapshot: Snapshot) -> Result<PreparedMatrix, SnapshotError> {
         check_family(&snapshot.family, &[&self.family(), &self.inner.family()])?;
         let SnapshotPayload::Csr(csr) = snapshot.payload else {

@@ -1,15 +1,16 @@
 //! Evaluation harness: metrics, datasets and experiment drivers that
 //! regenerate every table and figure of the paper.
 //!
-//! | Artifact | Driver | Binary (`tkspmv-bench`) |
-//! |----------|--------|--------------------------|
+//! | Artifact | Driver | `run_all` section (`tkspmv_bench`) |
+//! |----------|--------|-------------------------------------|
 //! | Table I (partition precision) | [`experiments::precision_table`] | `table1` |
 //! | Table II (resources/clock/power) | [`experiments::resources_table`] | `table2` |
 //! | Table III (evaluation matrices) | [`experiments::datasets_table`] | `table3` |
-//! | Figure 3 (packing density) | [`experiments::packing`] | `fig3_packing` |
-//! | Figure 5 (speedup vs CPU) | [`experiments::speedup`] | `fig5_speedup` |
-//! | Figure 6 (roofline) | [`experiments::roofline`] | `fig6_roofline` |
-//! | Figure 7 (accuracy metrics) | [`experiments::accuracy`] | `fig7_accuracy` |
+//! | Figure 3 (packing density) | [`experiments::packing`] | `fig3` |
+//! | Figure 5 (speedup vs CPU) | [`experiments::speedup`] | `fig5` |
+//! | Figure 6 (roofline) | [`experiments::roofline`] | `fig6` |
+//! | Figure 7 (accuracy metrics) | [`experiments::accuracy`] | `fig7` |
+//! | Power efficiency (§V-B) | [`experiments::power`] | `power` |
 //! | `r` ablation (§IV-B) | [`experiments::ablation`] | `ablation_r` |
 //! | Layout design space (§IV-C) | [`experiments::ablation`] | `ablation_layout` |
 //!

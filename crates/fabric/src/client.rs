@@ -26,14 +26,15 @@ pub struct NodeClient {
 }
 
 /// A traced ranking: the entries plus the node's per-stage span report
-/// when the query carried a non-zero trace id (v2 nodes only).
+/// when the query carried a non-zero trace id.
 pub type TracedRanking = (Vec<(u32, f64)>, Option<WireTrace>);
 
 /// What a typed call can report: a transport/protocol failure or a
 /// node-side [`RpcError`].
 #[derive(Debug)]
 pub enum CallError {
-    /// The wire failed (connect, timeout, corruption, version skew).
+    /// The wire failed (connect, timeout, corruption, version skew, a
+    /// request too large to frame).
     Wire(WireError),
     /// The node answered with a typed error.
     Rpc(RpcError),
@@ -159,7 +160,7 @@ impl NodeClient {
 
     /// [`NodeClient::query`] with a distributed trace id. A non-zero id
     /// asks the node to report its per-stage spans alongside the
-    /// ranking; `None` comes back for untraced queries and v1 nodes.
+    /// ranking; `None` comes back for untraced queries.
     pub fn query_traced(
         &mut self,
         x: &[f32],
@@ -182,12 +183,19 @@ impl NodeClient {
     }
 
     /// Appends rows to the node's delta shard; returns assigned global
-    /// row ids.
+    /// row ids. A row whose column and value counts differ cannot be
+    /// framed (the wire carries one count per row), so it is refused
+    /// here, before any byte is sent, in the node's own words.
     pub fn append(
         &mut self,
         rows: &[SparseRow],
         deadline: Duration,
     ) -> Result<Vec<u32>, CallError> {
+        if let Some(i) = rows.iter().position(|(c, v)| c.len() != v.len()) {
+            let (cols, vals) = (rows[i].0.len(), rows[i].1.len());
+            let detail = format!("append row {i}: {cols} columns but {vals} values");
+            return Err(CallError::Rpc(RpcError::BadRequest { detail }));
+        }
         let req = Request::Append {
             rows: rows.to_vec(),
         };

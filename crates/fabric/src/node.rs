@@ -23,8 +23,7 @@ use tkspmv_sparse::DenseVector;
 use crate::delta::DeltaCollection;
 use crate::error::RpcError;
 use crate::wire::{
-    read_frame, write_response, write_response_versioned, NodeInfo, Request, Response, WireError,
-    WireTrace,
+    read_request, write_response, NodeInfo, Request, Response, WireError, WireTrace,
 };
 
 /// Maps a serving-layer failure to its wire-typed form.
@@ -259,14 +258,8 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<NodeShared>) {
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
-        // Read the raw frame first: the answer must go back in the
-        // version the request arrived in, so a v1 peer never sees v2
-        // trace fields.
-        let (version, req) = match read_frame(&mut stream).and_then(|f| {
-            let version = f.version;
-            Request::decode(&f).map(|req| (version, req))
-        }) {
-            Ok(pair) => pair,
+        let req = match read_request(&mut stream) {
+            Ok(req) => req,
             Err(WireError::Io(_)) | Err(WireError::Truncated { .. }) => {
                 // Peer gone (or shutdown unblocked us); nothing to say.
                 return;
@@ -288,7 +281,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<NodeShared>) {
             shared.stop.store(true, Ordering::Release);
         }
         let resp = shared.respond(req);
-        if write_response_versioned(&mut stream, version, &resp).is_err() {
+        if write_response(&mut stream, &resp).is_err() {
             return;
         }
         if is_shutdown {
@@ -368,6 +361,32 @@ mod tests {
             .query(&x, 1, QueryTier::Exact, DEADLINE)
             .expect("query after compact");
         assert_eq!(entries[0], (3, 9.5));
+        node.shutdown();
+    }
+
+    #[test]
+    fn ragged_append_rows_are_refused_before_any_byte_is_sent() {
+        let node = spawn_node(3, 0);
+        let mut client = NodeClient::connect(node.local_addr(), DEADLINE).expect("connect");
+        let long_vals = (vec![0], vec![9.5, 7.0, 3.0]);
+        let short_vals = (vec![0, 1], vec![9.5]);
+        let good = (vec![0], vec![9.5]);
+        for (name, batch) in [
+            ("long vals", vec![long_vals.clone()]),
+            ("short vals", vec![short_vals]),
+            ("good row after a bad one", vec![long_vals, good.clone()]),
+        ] {
+            match client.append(&batch, DEADLINE) {
+                Err(crate::client::CallError::Rpc(RpcError::BadRequest { detail })) => {
+                    assert!(detail.contains("row 0"), "{name}: {detail}");
+                }
+                other => panic!("{name}: expected BadRequest, got {other:?}"),
+            }
+            let info = client.info(DEADLINE).expect("info");
+            assert_eq!(info.delta_rows, 0, "{name}: delta must stay untouched");
+        }
+        // The connection and the delta are fine: a well-formed row lands.
+        assert_eq!(client.append(&[good], DEADLINE).expect("append"), vec![3]);
         node.shutdown();
     }
 

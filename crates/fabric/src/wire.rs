@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  "TKFB"
-//!      4     2  version (u16 LE, currently 2; 1 still accepted)
+//!      4     2  version (u16 LE, currently 2)
 //!      6     1  frame kind
 //!      7     1  flags (reserved, 0)
 //!      8     4  body length (u32 LE, capped at 64 MiB)
@@ -13,20 +13,21 @@
 //!   12+n     4  CRC-32 of bytes [0, 12+n) (u32 LE)
 //! ```
 //!
-//! Version 2 extends two bodies for distributed tracing — a `Query`
-//! gains an optional 16-byte trace id and a `TopK` an optional stage
-//! span section — and nothing else. Readers accept
-//! [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] (a v1 frame simply carries
-//! no trace fields), and a node answers at the version the request
-//! arrived in, so old peers on either side keep working.
+//! **Versions.** Both ends speak exactly [`WIRE_VERSION`]: a `Query`
+//! carries an optional 16-byte trace id and a `TopK` an optional stage
+//! span section. A frame at any other version — including version 1,
+//! the same bodies without the trace fields, which nothing writes any
+//! more — is a typed [`WireError::VersionSkew`].
 //!
 //! The reader validates in this order — magic, version, kind, length —
 //! *before* allocating anything for the body, so a hostile peer cannot
 //! make the node preallocate from a forged length prefix: lengths above
 //! [`MAX_BODY_LEN`] are rejected with a typed error, and admissible
-//! lengths reserve at most [`RESERVE_CAP`] up front (the buffer then
-//! grows only as bytes actually arrive). The CRC trails the frame so a
-//! writer can stream; the reader verifies it before decoding the body.
+//! lengths fall under the cap rule of [`tkspmv_sparse::codec`], the
+//! byte-level reader this format is a schema over (the buffer grows
+//! only as bytes actually arrive). The CRC trails the frame so a writer
+//! can stream; the reader hashes header and body as they arrive and
+//! verifies the trailer before the body is decoded.
 //!
 //! Scores cross the wire as `f64::to_bits` and query values as
 //! `f32::to_bits`, so routed results are bit-identical to local ones —
@@ -36,31 +37,26 @@ use std::io::{Read, Write};
 
 use tkspmv::backend::QueryTier;
 use tkspmv_obs::{Stage, StageSpan, TraceId, MAX_SPANS_PER_RECORD};
-use tkspmv_sparse::snapshot::crc32;
+use tkspmv_sparse::codec::{crc32, CodecError, CrcIo, Reader};
 
 use crate::error::RpcError;
 
 /// Frame magic: identifies a byte stream as fabric traffic.
-pub const MAGIC: [u8; 4] = *b"TKFB";
+const MAGIC: [u8; 4] = *b"TKFB";
 
-/// Current wire-protocol version. Bumped on any layout change; peers
-/// outside [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] get a typed
+/// The one wire-protocol version this build speaks. Bumped on any
+/// layout change; a peer at any other version gets a typed
 /// [`WireError::VersionSkew`], never a silent misparse.
 pub const WIRE_VERSION: u16 = 2;
-
-/// Oldest wire-protocol version this build still reads. Version 1
-/// frames are version 2 frames without the trace fields.
-pub const MIN_WIRE_VERSION: u16 = 1;
 
 /// Hard cap on a frame body. Large enough for a 64-query batch of
 /// 4096-dim vectors or a multi-thousand-row append, small enough that a
 /// forged length prefix cannot exhaust memory.
 pub const MAX_BODY_LEN: u32 = 64 * 1024 * 1024;
 
-/// Upper bound on any *up-front* allocation driven by wire-declared
-/// sizes (body lengths, element counts). Buffers grow past this only as
-/// real bytes arrive.
-pub const RESERVE_CAP: usize = 1 << 20;
+/// Most `Append` rows reserved up front from a declared row count (a
+/// decoded row is a dozen times larger than the 4 bytes that admit it).
+const ROWS_RESERVE_CAP: usize = 1 << 16;
 
 /// Frame header size in bytes (magic + version + kind + flags + length).
 pub const HEADER_LEN: usize = 12;
@@ -130,7 +126,7 @@ pub enum WireError {
         /// Which part of the frame was cut short.
         context: &'static str,
     },
-    /// The first four bytes are not [`MAGIC`] — not fabric traffic.
+    /// The first four bytes are not `"TKFB"` — not fabric traffic.
     BadMagic {
         /// The bytes actually found.
         found: [u8; 4],
@@ -227,6 +223,20 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+/// How a *body* read fails: the frame arrived whole and CRC-clean, so
+/// a body that ends early is malformed, not a truncated stream.
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Io(e) => WireError::Io(e),
+            CodecError::Truncated { what } => {
+                WireError::malformed(format!("{what}: body ends early"))
+            }
+            CodecError::Malformed { detail } => WireError::Malformed { detail },
+        }
+    }
+}
+
 impl WireError {
     fn malformed(detail: impl Into<String>) -> Self {
         WireError::Malformed {
@@ -251,8 +261,7 @@ impl WireError {
 /// One decoded frame: its declared version, kind, and raw body bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// The protocol version the frame was encoded at (governs how the
-    /// body decodes — v1 bodies carry no trace fields).
+    /// The protocol version the frame was encoded at.
     pub version: u16,
     /// What the body claims to carry.
     pub kind: FrameKind,
@@ -269,19 +278,8 @@ pub struct Frame {
 /// Panics if `body` exceeds [`MAX_BODY_LEN`] — encoders construct bodies
 /// and are responsible for staying under the cap.
 pub fn encode_frame(kind: FrameKind, body: &[u8]) -> Vec<u8> {
-    encode_frame_versioned(WIRE_VERSION, kind, body)
-}
-
-/// [`encode_frame`] at an explicit version — how a node answers a v1
-/// peer in the frame version it spoke, and how compatibility tests
-/// author old-version traffic.
-///
-/// # Panics
-///
-/// As [`encode_frame`].
-fn encode_frame_versioned(version: u16, kind: FrameKind, body: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + body.len() + 4);
-    encode_frame_into(&mut buf, version, kind, body);
+    encode_frame_into(&mut buf, WIRE_VERSION, kind, body);
     buf
 }
 
@@ -311,81 +309,65 @@ pub fn encode_frame_into(buf: &mut Vec<u8>, version: u16, kind: FrameKind, body:
     buf.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Writes one frame to `w` at the current [`WIRE_VERSION`].
+/// Writes one frame to `w` at the current [`WIRE_VERSION`]; a body
+/// over the cap is the caller's typed error, not a panic.
 fn write_frame<W: Write>(w: &mut W, kind: FrameKind, body: &[u8]) -> Result<(), WireError> {
-    write_frame_versioned(w, WIRE_VERSION, kind, body)
-}
-
-/// Writes one frame to `w` at an explicit version.
-fn write_frame_versioned<W: Write>(
-    w: &mut W,
-    version: u16,
-    kind: FrameKind,
-    body: &[u8],
-) -> Result<(), WireError> {
-    let buf = encode_frame_versioned(version, kind, body);
-    w.write_all(&buf)?;
+    if body.len() > MAX_BODY_LEN as usize {
+        return Err(WireError::FrameTooLarge {
+            len: u32::try_from(body.len()).unwrap_or(u32::MAX),
+            max: MAX_BODY_LEN,
+        });
+    }
+    w.write_all(&encode_frame(kind, body))?;
     w.flush()?;
     Ok(())
 }
 
-fn read_exact_or_truncated<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    context: &'static str,
-) -> Result<(), WireError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Truncated { context }
-        } else {
-            WireError::Io(e)
-        }
-    })
+/// How a *stream* read fails: the peer went away mid-frame.
+fn cut_short(e: CodecError) -> WireError {
+    match e {
+        CodecError::Truncated { what } => WireError::Truncated { context: what },
+        other => other.into(),
+    }
 }
 
 /// Reads and validates one frame from `r`.
 ///
 /// Validation order: magic, version, kind, length — all from the fixed
-/// 12-byte header, before any body allocation. The body buffer reserves
-/// at most [`RESERVE_CAP`] up front regardless of the declared length.
+/// 12-byte header, before any body allocation.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_exact_or_truncated(r, &mut header, "header")?;
-    if header[0..4] != MAGIC {
-        return Err(WireError::BadMagic {
-            found: [header[0], header[1], header[2], header[3]],
-        });
+    let mut hashed = CrcIo::new(&mut *r);
+    let header: [u8; HEADER_LEN] = Reader::new(&mut hashed)
+        .fixed("header")
+        .map_err(cut_short)?;
+    let mut h = Reader::new(header.as_slice());
+    let magic = h.fixed("header")?;
+    if magic != MAGIC {
+        return Err(WireError::BadMagic { found: magic });
     }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    let version = h.u16("header")?;
+    if version != WIRE_VERSION {
         return Err(WireError::VersionSkew {
             found: version,
             expected: WIRE_VERSION,
         });
     }
-    let kind = FrameKind::from_u8(header[6]).ok_or(WireError::UnknownKind { kind: header[6] })?;
-    let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+    let kind = h.u8("header")?;
+    let kind = FrameKind::from_u8(kind).ok_or(WireError::UnknownKind { kind })?;
+    let _flags = h.u8("header")?;
+    let len = h.u32("header")?;
     if len > MAX_BODY_LEN {
         return Err(WireError::FrameTooLarge {
             len,
             max: MAX_BODY_LEN,
         });
     }
-    let len = len as usize;
-    // Capped preallocation: trust the peer for at most RESERVE_CAP of
-    // reserve; beyond that the buffer grows only as bytes arrive.
-    let mut body = Vec::with_capacity(len.min(RESERVE_CAP));
-    let got = r.take(len as u64).read_to_end(&mut body)?;
-    if got < len {
-        return Err(WireError::Truncated { context: "body" });
-    }
-    let mut stored = [0u8; 4];
-    read_exact_or_truncated(r, &mut stored, "CRC trailer")?;
-    let stored = u32::from_le_bytes(stored);
-    let mut framed = Vec::with_capacity(HEADER_LEN + body.len());
-    framed.extend_from_slice(&header);
-    framed.extend_from_slice(&body);
-    let computed = crc32(&framed);
+    let body = Reader::new(&mut hashed)
+        .bytes(len as usize, "body")
+        .map_err(cut_short)?;
+    let computed = hashed.crc();
+    // The trailer is not covered by itself: read it unhashed.
+    let stored = Reader::new(r).u32("CRC trailer").map_err(cut_short)?;
     if stored != computed {
         return Err(WireError::CrcMismatch { stored, computed });
     }
@@ -394,96 +376,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
         kind,
         body,
     })
-}
-
-// ---------------------------------------------------------------------------
-// Body codec primitives
-// ---------------------------------------------------------------------------
-
-struct BodyReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BodyReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::malformed(format!(
-                "{what}: need {n} bytes, {} remain",
-                self.remaining()
-            )));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, WireError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, WireError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f32_bits(&mut self, what: &str) -> Result<f32, WireError> {
-        Ok(f32::from_bits(self.u32(what)?))
-    }
-
-    /// Declares `count` elements of `elem_size` bytes each are about to
-    /// be read; fails unless the body actually holds that many bytes.
-    /// This is what keeps a forged element count from driving a huge
-    /// `Vec::with_capacity`.
-    fn expect_elems(
-        &mut self,
-        count: usize,
-        elem_size: usize,
-        what: &str,
-    ) -> Result<(), WireError> {
-        let need = count.checked_mul(elem_size).ok_or_else(|| {
-            WireError::malformed(format!("{what}: element count {count} overflows"))
-        })?;
-        if self.remaining() < need {
-            return Err(WireError::malformed(format!(
-                "{what}: {count} elements need {need} bytes, {} remain",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, WireError> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::malformed(format!("{what}: invalid UTF-8")))
-    }
-
-    fn finish(self, what: &str) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::malformed(format!(
-                "{what}: {} trailing bytes after message",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
 }
 
 fn put_string(buf: &mut Vec<u8>, s: &str) {
@@ -501,7 +393,7 @@ fn encode_tier(buf: &mut Vec<u8>, tier: QueryTier) {
     }
 }
 
-fn decode_tier(r: &mut BodyReader<'_>) -> Result<QueryTier, WireError> {
+fn decode_tier(r: &mut Reader<&[u8]>) -> Result<QueryTier, WireError> {
     match r.u8("tier tag")? {
         0 => Ok(QueryTier::Exact),
         1 => Ok(QueryTier::Pruned {
@@ -509,6 +401,24 @@ fn decode_tier(r: &mut BodyReader<'_>) -> Result<QueryTier, WireError> {
         }),
         t => Err(WireError::malformed(format!("unknown tier tag {t}"))),
     }
+}
+
+/// A length-prefixed string (`u32` length, then UTF-8).
+fn decode_string(r: &mut Reader<&[u8]>, what: &'static str) -> Result<String, WireError> {
+    let len = r.u32(what)? as usize;
+    Ok(r.string(len, what)?)
+}
+
+/// `count` `f32` values, transported as their bits.
+fn decode_f32s(
+    r: &mut Reader<&[u8]>,
+    count: usize,
+    what: &'static str,
+) -> Result<Vec<f32>, WireError> {
+    Ok(r.array::<u32>(count, what)?
+        .into_iter()
+        .map(f32::from_bits)
+        .collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -562,10 +472,9 @@ pub enum Request {
         k: u32,
         /// Precision tier.
         tier: QueryTier,
-        /// Distributed trace id; [`TraceId::ZERO`] means "untraced" and
-        /// is what v1 peers implicitly send. A non-zero id asks the node
-        /// to stamp its stage spans with it and return them on the
-        /// `TopK` answer.
+        /// Distributed trace id; [`TraceId::ZERO`] means "untraced". A
+        /// non-zero id asks the node to stamp its stage spans with it
+        /// and return them on the `TopK` answer.
         trace: TraceId,
     },
     /// Append rows (sorted sparse form) to the delta shard.
@@ -584,12 +493,6 @@ impl Request {
     /// Encodes into a frame kind and body at the current
     /// [`WIRE_VERSION`].
     pub fn encode(&self) -> (FrameKind, Vec<u8>) {
-        self.encode_versioned(WIRE_VERSION)
-    }
-
-    /// Encodes into a frame kind and body at an explicit version (a v1
-    /// body omits the trace fields).
-    pub fn encode_versioned(&self, version: u16) -> (FrameKind, Vec<u8>) {
         match self {
             Request::Ping => (FrameKind::Ping, Vec::new()),
             Request::Info => (FrameKind::InfoRequest, Vec::new()),
@@ -601,13 +504,11 @@ impl Request {
                 for v in x {
                     body.extend_from_slice(&v.to_bits().to_le_bytes());
                 }
-                if version >= 2 {
-                    if trace.is_zero() {
-                        body.push(0);
-                    } else {
-                        body.push(1);
-                        body.extend_from_slice(&trace.0);
-                    }
+                if trace.is_zero() {
+                    body.push(0);
+                } else {
+                    body.push(1);
+                    body.extend_from_slice(&trace.0);
                 }
                 (FrameKind::Query, body)
             }
@@ -619,12 +520,9 @@ impl Request {
                     for c in cols {
                         body.extend_from_slice(&c.to_le_bytes());
                     }
-                    for v in vals.iter().take(cols.len()) {
+                    for v in vals {
                         body.extend_from_slice(&v.to_bits().to_le_bytes());
                     }
-                    // A malformed caller-side row (cols.len() != vals.len())
-                    // is caught before encoding by the client API; the wire
-                    // format itself carries one count per row.
                 }
                 (FrameKind::Append, body)
             }
@@ -635,7 +533,7 @@ impl Request {
 
     /// Decodes from a received frame.
     pub fn decode(frame: &Frame) -> Result<Self, WireError> {
-        let mut r = BodyReader::new(&frame.body);
+        let mut r = Reader::new(frame.body.as_slice());
         let req = match frame.kind {
             FrameKind::Ping => Request::Ping,
             FrameKind::InfoRequest => Request::Info,
@@ -644,17 +542,9 @@ impl Request {
                 let tier = decode_tier(&mut r)?;
                 let dim = r.u32("query length")? as usize;
                 r.expect_elems(dim, 4, "query values")?;
-                let mut x = Vec::with_capacity(dim);
-                for _ in 0..dim {
-                    x.push(r.f32_bits("query value")?);
-                }
-                // v1 peers carry no trace fields; their queries decode
-                // as untraced.
-                let trace = if frame.version >= 2 && r.u8("trace presence")? != 0 {
-                    let bytes = r.take(16, "trace id")?;
-                    let mut id = [0u8; 16];
-                    id.copy_from_slice(bytes);
-                    TraceId(id)
+                let x = decode_f32s(&mut r, dim, "query values")?;
+                let trace = if r.u8("trace presence")? != 0 {
+                    TraceId(r.fixed("trace id")?)
                 } else {
                     TraceId::ZERO
                 };
@@ -664,18 +554,12 @@ impl Request {
                 let n = r.u32("row count")? as usize;
                 // Each row needs at least its own count field.
                 r.expect_elems(n, 4, "append rows")?;
-                let mut rows = Vec::with_capacity(n.min(RESERVE_CAP / 8));
+                let mut rows = Vec::with_capacity(n.min(ROWS_RESERVE_CAP));
                 for _ in 0..n {
                     let nnz = r.u32("row nnz")? as usize;
                     r.expect_elems(nnz, 8, "row entries")?;
-                    let mut cols = Vec::with_capacity(nnz);
-                    for _ in 0..nnz {
-                        cols.push(r.u32("column index")?);
-                    }
-                    let mut vals = Vec::with_capacity(nnz);
-                    for _ in 0..nnz {
-                        vals.push(r.f32_bits("value")?);
-                    }
+                    let cols = r.array(nnz, "column indices")?;
+                    let vals = decode_f32s(&mut r, nnz, "values")?;
                     rows.push((cols, vals));
                 }
                 Request::Append { rows }
@@ -694,7 +578,7 @@ impl Request {
     }
 }
 
-/// A node's stage-span report for one traced query, as carried on a v2
+/// A node's stage-span report for one traced query, as carried on a
 /// `TopK` frame. Span offsets are relative to the node's own query
 /// start; the router re-bases them into its wire round-trip interval
 /// when assembling the cross-node tree.
@@ -720,7 +604,7 @@ pub enum Response {
         /// `(global row id, score)` pairs, best first.
         entries: Vec<(u32, f64)>,
         /// The node's stage spans for a traced query; `None` when the
-        /// query was untraced or the answer came from a v1 node.
+        /// query was untraced.
         trace: Option<WireTrace>,
     },
     /// Rows admitted to the delta shard, with their assigned global ids.
@@ -745,12 +629,6 @@ impl Response {
     /// Encodes into a frame kind and body at the current
     /// [`WIRE_VERSION`].
     pub fn encode(&self) -> (FrameKind, Vec<u8>) {
-        self.encode_versioned(WIRE_VERSION)
-    }
-
-    /// Encodes into a frame kind and body at an explicit version (a v1
-    /// body omits the trace fields — how a node answers a v1 peer).
-    pub fn encode_versioned(&self, version: u16) -> (FrameKind, Vec<u8>) {
         match self {
             Response::Pong => (FrameKind::Pong, Vec::new()),
             Response::Info(info) => {
@@ -772,19 +650,17 @@ impl Response {
                     body.extend_from_slice(&row.to_le_bytes());
                     body.extend_from_slice(&score.to_bits().to_le_bytes());
                 }
-                if version >= 2 {
-                    match trace {
-                        None => body.push(0),
-                        Some(t) => {
-                            body.push(1);
-                            body.extend_from_slice(&t.total_us.to_le_bytes());
-                            let n = t.stages.len().min(MAX_SPANS_PER_RECORD);
-                            body.push(n as u8);
-                            for s in t.stages.iter().take(n) {
-                                body.push(s.stage as u8);
-                                body.extend_from_slice(&s.start_us.to_le_bytes());
-                                body.extend_from_slice(&s.dur_us.to_le_bytes());
-                            }
+                match trace {
+                    None => body.push(0),
+                    Some(t) => {
+                        body.push(1);
+                        body.extend_from_slice(&t.total_us.to_le_bytes());
+                        let n = t.stages.len().min(MAX_SPANS_PER_RECORD);
+                        body.push(n as u8);
+                        for s in t.stages.iter().take(n) {
+                            body.push(s.stage as u8);
+                            body.extend_from_slice(&s.start_us.to_le_bytes());
+                            body.extend_from_slice(&s.dur_us.to_le_bytes());
                         }
                     }
                 }
@@ -830,7 +706,7 @@ impl Response {
 
     /// Decodes from a received frame.
     pub fn decode(frame: &Frame) -> Result<Self, WireError> {
-        let mut r = BodyReader::new(&frame.body);
+        let mut r = Reader::new(frame.body.as_slice());
         let resp = match frame.kind {
             FrameKind::Pong => Response::Pong,
             FrameKind::Info => Response::Info(NodeInfo {
@@ -852,7 +728,7 @@ impl Response {
                     let score = f64::from_bits(r.u64("score bits")?);
                     entries.push((row, score));
                 }
-                let trace = if frame.version >= 2 && r.u8("trace presence")? != 0 {
+                let trace = if r.u8("trace presence")? != 0 {
                     let total_us = r.u32("trace total")?;
                     let count = r.u8("span count")? as usize;
                     if count > MAX_SPANS_PER_RECORD {
@@ -886,11 +762,9 @@ impl Response {
             FrameKind::AppendOk => {
                 let n = r.u32("id count")? as usize;
                 r.expect_elems(n, 4, "row ids")?;
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(r.u32("row id")?);
+                Response::AppendOk {
+                    ids: r.array(n, "row ids")?,
                 }
-                Response::AppendOk { ids }
             }
             FrameKind::CompactOk => Response::CompactOk {
                 epoch: r.u64("epoch")?,
@@ -901,13 +775,13 @@ impl Response {
                     0 => RpcError::Overloaded,
                     1 => RpcError::ShuttingDown,
                     2 => RpcError::BadRequest {
-                        detail: r.string("error detail")?,
+                        detail: decode_string(&mut r, "error detail")?,
                     },
                     3 => RpcError::Engine {
-                        detail: r.string("error detail")?,
+                        detail: decode_string(&mut r, "error detail")?,
                     },
                     4 => RpcError::Internal {
-                        detail: r.string("error detail")?,
+                        detail: decode_string(&mut r, "error detail")?,
                     },
                     t => return Err(WireError::malformed(format!("unknown error tag {t}"))),
                 };
@@ -941,18 +815,6 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Request, WireError> {
 pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<(), WireError> {
     let (kind, body) = resp.encode();
     write_frame(w, kind, &body)
-}
-
-/// Writes a response at an explicit version — a node answers in the
-/// version the request arrived in, so a v1 peer never sees v2 fields.
-pub fn write_response_versioned<W: Write>(
-    w: &mut W,
-    version: u16,
-    resp: &Response,
-) -> Result<(), WireError> {
-    let version = version.clamp(MIN_WIRE_VERSION, WIRE_VERSION);
-    let (kind, body) = resp.encode_versioned(version);
-    write_frame_versioned(w, version, kind, &body)
 }
 
 /// Reads and decodes one response frame.
@@ -1088,60 +950,103 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_decode_without_trace_fields() {
-        // A v1 Query (no trace section) from an old peer.
-        let req = Request::Query {
-            x: vec![0.5, 1.5],
-            k: 4,
-            tier: QueryTier::Exact,
-            trace: TraceId::generate(),
-        };
-        let (kind, body) = req.encode_versioned(1);
-        let bytes = encode_frame_versioned(1, kind, &body);
-        let frame = read_frame(&mut bytes.as_slice()).expect("v1 frame accepted");
-        assert_eq!(frame.version, 1);
-        match Request::decode(&frame).expect("decode") {
-            Request::Query { x, k, trace, .. } => {
-                assert_eq!(x, vec![0.5, 1.5]);
-                assert_eq!(k, 4);
-                // The trace id cannot ride a v1 body: it decodes as
-                // untraced, never as garbage.
-                assert!(trace.is_zero());
+    fn version_skew_is_typed() {
+        // Version 1 (v2 without the trace fields, no writer left) is
+        // skew like any other.
+        for skewed in [1u16, 0x7FFF] {
+            let mut bytes = encode_frame(FrameKind::Ping, &[]);
+            bytes[4..6].copy_from_slice(&skewed.to_le_bytes());
+            match read_frame(&mut bytes.as_slice()) {
+                Err(WireError::VersionSkew { found, expected }) => {
+                    assert_eq!(found, skewed);
+                    assert_eq!(expected, WIRE_VERSION);
+                }
+                other => panic!("v{skewed}: unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
         }
-        // A v1 TopK (no span section) from an old node.
-        let resp = Response::TopK {
-            entries: vec![(9, 1.25)],
-            trace: Some(WireTrace {
-                total_us: 10,
-                stages: Vec::new(),
-            }),
-        };
-        let (kind, body) = resp.encode_versioned(1);
-        let bytes = encode_frame_versioned(1, kind, &body);
-        let frame = read_frame(&mut bytes.as_slice()).expect("v1 frame accepted");
-        match Response::decode(&frame).expect("decode") {
-            Response::TopK { entries, trace } => {
-                assert_eq!(entries, vec![(9, 1.25)]);
-                assert!(trace.is_none());
+    }
+
+    #[test]
+    fn over_cap_body_is_a_typed_error_not_a_panic() {
+        let body = vec![0u8; MAX_BODY_LEN as usize + 1];
+        match write_frame(&mut std::io::sink(), FrameKind::Append, &body) {
+            Err(WireError::FrameTooLarge { len, max }) => {
+                assert_eq!(len, MAX_BODY_LEN + 1);
+                assert_eq!(max, MAX_BODY_LEN);
             }
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
-    fn version_skew_is_typed() {
-        let mut bytes = encode_frame(FrameKind::Ping, &[]);
-        bytes[4] = 0xFF;
-        bytes[5] = 0x7F;
-        match read_frame(&mut bytes.as_slice()) {
-            Err(WireError::VersionSkew { found, expected }) => {
-                assert_eq!(found, 0x7FFF);
-                assert_eq!(expected, WIRE_VERSION);
-            }
+    fn short_bodies_are_malformed_not_truncated_streams() {
+        // The frame is whole and CRC-clean; only its body is too short
+        // for its kind. A node must answer that typed, not hang up.
+        let bytes = encode_frame(FrameKind::Query, &3u32.to_le_bytes());
+        let frame = read_frame(&mut bytes.as_slice()).expect("frame is structurally fine");
+        match Request::decode(&frame) {
+            Err(WireError::Malformed { detail }) => assert!(detail.contains("tier tag")),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// One `Query` and one `TopK` frame against the bytes the commit
+    /// before the codec extraction produced for them.
+    #[test]
+    fn golden_frames_match_the_pre_codec_encoder() {
+        let mut id = [0u8; 16];
+        for (i, b) in id.iter_mut().enumerate() {
+            *b = i as u8 + 1;
+        }
+        let query = Request::Query {
+            x: vec![0.5, -1.25],
+            k: 3,
+            tier: QueryTier::Pruned {
+                shortlist_factor: 8,
+            },
+            trace: TraceId(id),
+        };
+        let golden = unhex(concat!(
+            "544b46420200050026000000030000000108000000020000000000003f0000a0",
+            "bf010102030405060708090a0b0c0d0e0f10e4505947",
+        ));
+        let (kind, body) = query.encode();
+        assert_eq!(encode_frame(kind, &body), golden);
+        assert_eq!(read_request(&mut golden.as_slice()).unwrap(), query);
+
+        let topk = Response::TopK {
+            entries: vec![(42, 0.987654321), (7, 0.5)],
+            trace: Some(WireTrace {
+                total_us: 950,
+                stages: vec![
+                    StageSpan {
+                        stage: Stage::Queue,
+                        start_us: 0,
+                        dur_us: 120,
+                    },
+                    StageSpan {
+                        stage: Stage::Score,
+                        start_us: 120,
+                        dur_us: 700,
+                    },
+                ],
+            }),
+        };
+        let golden = unhex(concat!(
+            "544b46420200060034000000020000002a000000b8560e3cdd9aef3f07000000",
+            "000000000000e03f01b6030000020000000000780000000378000000bc020000",
+            "0b029f67",
+        ));
+        let (kind, body) = topk.encode();
+        assert_eq!(encode_frame(kind, &body), golden);
+        assert_eq!(read_response(&mut golden.as_slice()).unwrap(), topk);
     }
 
     #[test]

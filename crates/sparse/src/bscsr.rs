@@ -242,18 +242,6 @@ impl BsCsr {
         (self.stored_entries - consumed).min(b) as usize
     }
 
-    /// Parses packet `i` into its fields.
-    ///
-    /// Allocates fresh buffers per call; hot loops should reuse a
-    /// [`PacketScratch`] via [`BsCsr::view_into`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn view(&self, i: usize) -> PacketView {
-        PacketView::parse(&self.packets[i], self.layout, self.entries_in_packet(i))
-    }
-
     /// Parses packet `i` into caller-owned scratch buffers, allocating
     /// nothing once the scratch capacity has warmed up.
     ///
@@ -261,12 +249,7 @@ impl BsCsr {
     ///
     /// Panics if `i` is out of range.
     pub fn view_into(&self, i: usize, scratch: &mut PacketScratch) {
-        PacketView::parse_into(
-            &self.packets[i],
-            self.layout,
-            self.entries_in_packet(i),
-            scratch,
-        );
+        scratch.parse_into(&self.packets[i], self.layout, self.entries_in_packet(i));
     }
 
     /// Iterates over `(row, col, raw_value)` for every stored entry,
@@ -329,7 +312,7 @@ impl BsCsr {
                      (open={prev_tail_open})"
                 ));
             }
-            // Walk the ptr fields exactly as `PacketView::parse_into`
+            // Walk the ptr fields exactly as `PacketScratch::parse_into`
             // does (non-zero entries are row ends), without touching the
             // idx/val regions.
             let mut prev_end = 0u32;
@@ -424,160 +407,10 @@ impl BsCsr {
     }
 }
 
-/// The decoded fields of one BS-CSR packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PacketView {
-    /// Whether the first entry starts a new row.
-    pub new_row: bool,
-    /// Cumulative in-packet entry counts at which rows end (strictly
-    /// increasing, 1-based).
-    pub row_ends: Vec<u32>,
-    /// Column indices of the real entries.
-    pub idx: Vec<u32>,
-    /// Raw value bits of the real entries.
-    pub val: Vec<u64>,
-}
-
-impl PacketView {
-    /// Parses a packet given its layout and real entry count.
-    ///
-    /// Allocates the field buffers per call; see [`PacketView::parse_into`]
-    /// for the allocation-free path hot loops use.
-    pub fn parse(packet: &Packet512, layout: PacketLayout, real_entries: usize) -> Self {
-        let mut scratch = PacketScratch::new();
-        Self::parse_into(packet, layout, real_entries, &mut scratch);
-        Self {
-            new_row: scratch.new_row,
-            row_ends: scratch.row_ends,
-            idx: scratch.idx,
-            val: scratch.val,
-        }
-    }
-
-    /// Parses a packet into `scratch`, overwriting whatever the scratch
-    /// held before (no state survives from a previous packet).
-    ///
-    /// This is the steady-state decode path: once the scratch vectors
-    /// have grown to the layout's `B`, parsing performs no heap
-    /// allocation at all — the software analogue of the hardware's
-    /// wire-speed field slicing.
-    pub fn parse_into(
-        packet: &Packet512,
-        layout: PacketLayout,
-        real_entries: usize,
-        scratch: &mut PacketScratch,
-    ) {
-        let b = layout.entries_per_packet() as usize;
-        debug_assert!(real_entries <= b, "more real entries than layout B");
-        debug_assert!(layout.bits_used() as usize <= crate::packet::PACKET_BITS);
-        let ptr_bits = layout.ptr_bits();
-        let idx_bits = layout.idx_bits();
-        let val_bits = layout.value_bits();
-        let words = packet.words();
-
-        // Field base offsets are fixed by the layout, so every region is
-        // decoded with SWAR multi-field extraction (whole `u64` word
-        // reads, several fields sliced per read) instead of a per-field
-        // cursor walk; padding fields past `real_entries` are never
-        // touched. The layout solver guarantees every field lies within
-        // the 512-bit packet (`bits_used() <= 512`), so the masked word
-        // indexing is exact, not a wrap-around. Fields wider than the
-        // 32-bit SWAR limit (the layout permits up to 64) fall back to
-        // the scalar two-word extract.
-        scratch.new_row = words[0] & 1 == 1;
-
-        // The whole ptr region usually fits one extract (e.g. the paper's
-        // 15 x 4-bit = 60 bits); shift the fields out of a register.
-        scratch.row_ends.clear();
-        let ptr_mask = field_mask(ptr_bits);
-        let ptr_region = b as u32 * ptr_bits;
-        let push_end = |row_ends: &mut Vec<u32>, p: u32| {
-            if p != 0 {
-                debug_assert!(
-                    row_ends.last().is_none_or(|&last| p > last),
-                    "ptr entries must be strictly increasing"
-                );
-                row_ends.push(p);
-            }
-        };
-        if ptr_region <= 64 {
-            let mut region = extract_field(words, 1, ptr_region, field_mask(ptr_region));
-            for _ in 0..b {
-                let p = (region & ptr_mask) as u32;
-                region >>= ptr_bits;
-                push_end(&mut scratch.row_ends, p);
-            }
-        } else if ptr_bits <= 32 {
-            for_each_field(words, 1, ptr_bits, b, |p| {
-                push_end(&mut scratch.row_ends, p as u32);
-            });
-        } else {
-            let mut pos = 1usize;
-            for _ in 0..b {
-                let p = extract_field(words, pos, ptr_bits, ptr_mask) as u32;
-                pos += ptr_bits as usize;
-                push_end(&mut scratch.row_ends, p);
-            }
-        }
-
-        scratch.idx.clear();
-        let idx_base = 1 + b * ptr_bits as usize;
-        if idx_bits <= 32 {
-            scratch.idx.reserve(real_entries);
-            for_each_field(words, idx_base, idx_bits, real_entries, |v| {
-                scratch.idx.push(v as u32);
-            });
-        } else {
-            let idx_mask = field_mask(idx_bits);
-            let mut pos = idx_base;
-            scratch.idx.extend((0..real_entries).map(|_| {
-                let v = extract_field(words, pos, idx_bits, idx_mask) as u32;
-                pos += idx_bits as usize;
-                v
-            }));
-        }
-
-        scratch.val.clear();
-        let val_base = 1 + b * (ptr_bits + idx_bits) as usize;
-        if val_bits <= 32 {
-            scratch.val.reserve(real_entries);
-            for_each_field(words, val_base, val_bits, real_entries, |v| {
-                scratch.val.push(v);
-            });
-        } else {
-            let val_mask = field_mask(val_bits);
-            let mut pos = val_base;
-            scratch.val.extend((0..real_entries).map(|_| {
-                let v = extract_field(words, pos, val_bits, val_mask);
-                pos += val_bits as usize;
-                v
-            }));
-        }
-    }
-
-    /// Number of real entries.
-    pub fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Whether the packet holds no real entries.
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
-    /// Number of entries after the last row end — the unfinished tail
-    /// carried into the next packet.
-    pub fn tail_len(&self) -> usize {
-        self.len() - self.row_ends.last().copied().unwrap_or(0) as usize
-    }
-}
-
-/// Caller-owned buffers for the allocation-free decode path
-/// ([`PacketView::parse_into`] / [`BsCsr::view_into`]).
-///
-/// Holds the same fields as [`PacketView`], but reused across packets:
-/// each parse clears and refills the vectors, so after the first few
-/// packets their capacity is warm and decoding allocates nothing.
+/// The decoded fields of one BS-CSR packet, in caller-owned buffers
+/// reused across packets ([`BsCsr::view_into`]): each parse clears and
+/// refills the vectors, so after the first few packets their capacity
+/// is warm and decoding allocates nothing.
 ///
 /// # Example
 ///
@@ -610,6 +443,102 @@ impl PacketScratch {
     /// Creates an empty scratch; the first parse sizes its buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Parses a packet into this scratch, overwriting whatever it held
+    /// before (no state survives from a previous packet).
+    ///
+    /// This is the steady-state decode path: once the scratch vectors
+    /// have grown to the layout's `B`, parsing performs no heap
+    /// allocation at all — the software analogue of the hardware's
+    /// wire-speed field slicing.
+    fn parse_into(&mut self, packet: &Packet512, layout: PacketLayout, real_entries: usize) {
+        let b = layout.entries_per_packet() as usize;
+        debug_assert!(real_entries <= b, "more real entries than layout B");
+        debug_assert!(layout.bits_used() as usize <= crate::packet::PACKET_BITS);
+        let ptr_bits = layout.ptr_bits();
+        let idx_bits = layout.idx_bits();
+        let val_bits = layout.value_bits();
+        let words = packet.words();
+
+        // Field base offsets are fixed by the layout, so every region is
+        // decoded with SWAR multi-field extraction (whole `u64` word
+        // reads, several fields sliced per read) instead of a per-field
+        // cursor walk; padding fields past `real_entries` are never
+        // touched. The layout solver guarantees every field lies within
+        // the 512-bit packet (`bits_used() <= 512`), so the masked word
+        // indexing is exact, not a wrap-around. Fields wider than the
+        // 32-bit SWAR limit (the layout permits up to 64) fall back to
+        // the scalar two-word extract.
+        self.new_row = words[0] & 1 == 1;
+
+        // The whole ptr region usually fits one extract (e.g. the paper's
+        // 15 x 4-bit = 60 bits); shift the fields out of a register.
+        self.row_ends.clear();
+        let ptr_mask = field_mask(ptr_bits);
+        let ptr_region = b as u32 * ptr_bits;
+        let push_end = |row_ends: &mut Vec<u32>, p: u32| {
+            if p != 0 {
+                debug_assert!(
+                    row_ends.last().is_none_or(|&last| p > last),
+                    "ptr entries must be strictly increasing"
+                );
+                row_ends.push(p);
+            }
+        };
+        if ptr_region <= 64 {
+            let mut region = extract_field(words, 1, ptr_region, field_mask(ptr_region));
+            for _ in 0..b {
+                let p = (region & ptr_mask) as u32;
+                region >>= ptr_bits;
+                push_end(&mut self.row_ends, p);
+            }
+        } else if ptr_bits <= 32 {
+            for_each_field(words, 1, ptr_bits, b, |p| {
+                push_end(&mut self.row_ends, p as u32);
+            });
+        } else {
+            let mut pos = 1usize;
+            for _ in 0..b {
+                let p = extract_field(words, pos, ptr_bits, ptr_mask) as u32;
+                pos += ptr_bits as usize;
+                push_end(&mut self.row_ends, p);
+            }
+        }
+
+        self.idx.clear();
+        let idx_base = 1 + b * ptr_bits as usize;
+        if idx_bits <= 32 {
+            self.idx.reserve(real_entries);
+            for_each_field(words, idx_base, idx_bits, real_entries, |v| {
+                self.idx.push(v as u32);
+            });
+        } else {
+            let idx_mask = field_mask(idx_bits);
+            let mut pos = idx_base;
+            self.idx.extend((0..real_entries).map(|_| {
+                let v = extract_field(words, pos, idx_bits, idx_mask) as u32;
+                pos += idx_bits as usize;
+                v
+            }));
+        }
+
+        self.val.clear();
+        let val_base = 1 + b * (ptr_bits + idx_bits) as usize;
+        if val_bits <= 32 {
+            self.val.reserve(real_entries);
+            for_each_field(words, val_base, val_bits, real_entries, |v| {
+                self.val.push(v);
+            });
+        } else {
+            let val_mask = field_mask(val_bits);
+            let mut pos = val_base;
+            self.val.extend((0..real_entries).map(|_| {
+                let v = extract_field(words, pos, val_bits, val_mask);
+                pos += val_bits as usize;
+                v
+            }));
+        }
     }
 
     /// Number of real entries in the last parsed packet.
@@ -689,6 +618,12 @@ mod tests {
         PacketLayout::solve(cols, 20).unwrap()
     }
 
+    fn view(bs: &BsCsr, i: usize) -> PacketScratch {
+        let mut scratch = PacketScratch::new();
+        bs.view_into(i, &mut scratch);
+        scratch
+    }
+
     /// Asserts two matrices have identical structure and values equal up
     /// to the quantisation error of a 20-bit format.
     fn assert_csr_close(a: &Csr, b: &Csr) {
@@ -711,7 +646,7 @@ mod tests {
         let bs = BsCsr::encode::<Q1_19>(&csr, layout20(8));
         assert_eq!(bs.num_packets(), 1);
         assert_eq!(bs.stored_entries(), 4);
-        let v = bs.view(0);
+        let v = view(&bs, 0);
         assert!(v.new_row);
         assert_eq!(v.row_ends, vec![2, 3, 4]);
         assert_eq!(v.idx, vec![1, 3, 0, 2]);
@@ -726,11 +661,11 @@ mod tests {
         let csr = Csr::from_triplets(1, 1024, &triplets).unwrap();
         let bs = BsCsr::encode::<Q1_19>(&csr, layout20(1024));
         assert_eq!(bs.num_packets(), 2);
-        let v0 = bs.view(0);
+        let v0 = view(&bs, 0);
         assert!(v0.new_row);
         assert!(v0.row_ends.is_empty(), "row does not end in packet 0");
         assert_eq!(v0.tail_len(), 15);
-        let v1 = bs.view(1);
+        let v1 = view(&bs, 1);
         assert!(!v1.new_row, "packet 1 continues the row");
         assert_eq!(v1.row_ends, vec![5]);
         assert_eq!(v1.len(), 5);
@@ -743,10 +678,10 @@ mod tests {
         triplets.push((1, 0, 0.5));
         let csr = Csr::from_triplets(2, 1024, &triplets).unwrap();
         let bs = BsCsr::encode::<Q1_19>(&csr, layout20(1024));
-        let v0 = bs.view(0);
+        let v0 = view(&bs, 0);
         assert_eq!(v0.row_ends, vec![15]);
         assert_eq!(v0.tail_len(), 0);
-        let v1 = bs.view(1);
+        let v1 = view(&bs, 1);
         assert!(v1.new_row, "boundary-aligned row end starts a new row");
         assert_csr_close(&bs.decode::<Q1_19>(), &csr);
     }
@@ -832,7 +767,7 @@ mod tests {
         let csr = Csr::from_triplets(15, 1024, &triplets).unwrap();
         let bs = BsCsr::encode::<Q1_19>(&csr, layout20(1024));
         assert_eq!(bs.num_packets(), 1);
-        let v = bs.view(0);
+        let v = view(&bs, 0);
         assert_eq!(v.row_ends, (1..=15).collect::<Vec<u32>>());
         assert_csr_close(&bs.decode::<Q1_19>(), &csr);
     }

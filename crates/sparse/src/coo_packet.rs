@@ -11,13 +11,10 @@
 //!
 //! The row coordinate cannot be reduced because the number of matrix
 //! rows is unbounded (millions); this is exactly the redundancy BS-CSR
-//! removes.
+//! removes. Figure 3 compares the packings arithmetically (entries per
+//! packet, operational intensity), so only the arithmetic lives here.
 
-use tkspmv_fixed::SpmvScalar;
-
-use crate::bitio::{BitReader, BitWriter};
-use crate::csr::Csr;
-use crate::packet::{Packet512, PACKET_BITS, PACKET_BYTES};
+use crate::packet::{PACKET_BITS, PACKET_BYTES};
 
 /// Which COO packing to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,168 +53,9 @@ impl CooPacketKind {
     }
 }
 
-/// A matrix packed as a stream of COO packets.
-///
-/// # Example
-///
-/// ```
-/// use tkspmv_sparse::{CooPacketKind, CooPackets, Csr};
-/// use tkspmv_fixed::Q1_19;
-///
-/// let csr = Csr::from_triplets(2, 8, &[(0, 1, 0.5), (1, 2, 0.25)])?;
-/// let naive = CooPackets::encode::<tkspmv_fixed::F32>(&csr, CooPacketKind::Naive);
-/// assert_eq!(CooPacketKind::Naive.entries_per_packet(), 5);
-/// assert_eq!(naive.num_packets(), 1);
-/// # Ok::<(), tkspmv_sparse::SparseError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct CooPackets {
-    kind: CooPacketKind,
-    packets: Vec<Packet512>,
-    nnz: u64,
-    num_rows: usize,
-    num_cols: usize,
-}
-
-impl CooPackets {
-    /// Packs a CSR matrix into COO packets, quantising values with `S`
-    /// (use [`tkspmv_fixed::F32`] for the naive 32-bit packing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packing's value width does not match `S::VALUE_BITS`
-    /// or a coordinate does not fit its field.
-    pub fn encode<S: SpmvScalar>(csr: &Csr, kind: CooPacketKind) -> Self {
-        let (idx_bits, value_bits) = match kind {
-            CooPacketKind::Naive => (32, 32),
-            CooPacketKind::Optimized {
-                idx_bits,
-                value_bits,
-            } => (idx_bits, value_bits),
-        };
-        assert_eq!(value_bits, S::VALUE_BITS, "value width mismatch");
-        let b = kind.entries_per_packet() as usize;
-        let entries: Vec<(u32, u32, u64)> = (0..csr.num_rows())
-            .flat_map(|r| {
-                csr.row(r)
-                    .map(move |(c, v)| (r as u32, c, S::encode(v as f64)))
-            })
-            .collect();
-        let mut packets = Vec::with_capacity(entries.len().div_ceil(b));
-        for chunk in entries.chunks(b) {
-            let mut w = BitWriter::new();
-            for &(r, _, _) in chunk {
-                w.write(r as u64, 32);
-            }
-            for j in chunk.len()..b {
-                let _ = j;
-                w.write(0, 32);
-            }
-            for &(_, c, _) in chunk {
-                w.write(c as u64, idx_bits);
-            }
-            for _ in chunk.len()..b {
-                w.write(0, idx_bits);
-            }
-            for &(_, _, v) in chunk {
-                w.write(v, value_bits);
-            }
-            for _ in chunk.len()..b {
-                w.write(0, value_bits);
-            }
-            packets.push(w.finish());
-        }
-        Self {
-            kind,
-            packets,
-            nnz: entries.len() as u64,
-            num_rows: csr.num_rows(),
-            num_cols: csr.num_cols(),
-        }
-    }
-
-    /// The packing in use.
-    pub fn kind(&self) -> CooPacketKind {
-        self.kind
-    }
-
-    /// Number of packets.
-    pub fn num_packets(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// Raw packets.
-    pub fn packets(&self) -> &[Packet512] {
-        &self.packets
-    }
-
-    /// Stored non-zeros.
-    pub fn nnz(&self) -> u64 {
-        self.nnz
-    }
-
-    /// Memory footprint in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.packets.len() as u64 * PACKET_BYTES as u64
-    }
-
-    /// Iterates `(row, col, raw_value)` over all stored entries.
-    pub fn entries<S: SpmvScalar>(&self) -> Vec<(u32, u32, u64)> {
-        let (idx_bits, value_bits) = match self.kind {
-            CooPacketKind::Naive => (32, 32),
-            CooPacketKind::Optimized {
-                idx_bits,
-                value_bits,
-            } => (idx_bits, value_bits),
-        };
-        let b = self.kind.entries_per_packet() as usize;
-        let mut out = Vec::with_capacity(self.nnz as usize);
-        let mut remaining = self.nnz as usize;
-        for p in &self.packets {
-            let real = remaining.min(b);
-            let mut r = BitReader::new(p);
-            let mut rows = Vec::with_capacity(real);
-            for j in 0..b {
-                let v = r.read(32) as u32;
-                if j < real {
-                    rows.push(v);
-                }
-            }
-            let mut cols = Vec::with_capacity(real);
-            for j in 0..b {
-                let v = r.read(idx_bits) as u32;
-                if j < real {
-                    cols.push(v);
-                }
-            }
-            for j in 0..b {
-                let v = r.read(value_bits);
-                if j < real {
-                    out.push((rows[j], cols[j], v));
-                }
-            }
-            remaining -= real;
-        }
-        out
-    }
-
-    /// Decodes back to CSR through scalar type `S`.
-    pub fn decode<S: SpmvScalar>(&self) -> Csr {
-        let triplets: Vec<(u32, u32, f32)> = self
-            .entries::<S>()
-            .into_iter()
-            .map(|(r, c, raw)| (r, c, S::decode(raw).value_to_f64() as f32))
-            .collect();
-        Csr::from_triplets(self.num_rows, self.num_cols, &triplets)
-            // invariant: decoded entries come from a packet encoded from a valid Csr
-            .expect("decoded entries valid by construction")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tkspmv_fixed::{F32, Q1_19};
 
     #[test]
     fn figure3_packing_counts() {
@@ -233,41 +71,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_round_trip() {
-        let csr = Csr::from_triplets(
-            3,
-            100,
-            &[(0, 4, 0.5), (0, 7, 0.25), (1, 99, 1.0), (2, 0, 0.125)],
-        )
-        .unwrap();
-        let packed = CooPackets::encode::<F32>(&csr, CooPacketKind::Naive);
-        assert_eq!(packed.num_packets(), 1);
-        assert_eq!(packed.decode::<F32>(), csr);
-    }
-
-    #[test]
-    fn optimized_round_trip_across_packets() {
-        let triplets: Vec<(u32, u32, f32)> = (0..20)
-            .map(|i| (i / 4, (i * 31) % 1000, 0.01 * (i + 1) as f32))
-            .collect();
-        let csr = Csr::from_triplets(5, 1024, &triplets).unwrap();
-        let kind = CooPacketKind::Optimized {
-            idx_bits: 10,
-            value_bits: 20,
-        };
-        let packed = CooPackets::encode::<Q1_19>(&csr, kind);
-        assert_eq!(packed.num_packets(), 3); // 20 entries / 8 per packet
-        let back = packed.decode::<Q1_19>();
-        assert_eq!(back.nnz(), csr.nnz());
-        for r in 0..5 {
-            for ((c1, v1), (c2, v2)) in csr.row(r).zip(back.row(r)) {
-                assert_eq!(c1, c2);
-                assert!((v1 - v2).abs() < 2e-6);
-            }
-        }
-    }
-
-    #[test]
     fn bscsr_beats_coo_packing_density() {
         // The central Figure 3 claim: for M < 1024 and V = 20, BS-CSR
         // packs 3x the entries of naive COO.
@@ -276,13 +79,5 @@ mod tests {
             bscsr.entries_per_packet(),
             3 * CooPacketKind::Naive.entries_per_packet()
         );
-    }
-
-    #[test]
-    fn size_accounting() {
-        let csr = Csr::from_triplets(1, 8, &[(0, 0, 0.5)]).unwrap();
-        let packed = CooPackets::encode::<F32>(&csr, CooPacketKind::Naive);
-        assert_eq!(packed.size_bytes(), 64);
-        assert_eq!(packed.nnz(), 1);
     }
 }

@@ -18,7 +18,8 @@
 //! - persisted index snapshots (module [`snapshot`]): a versioned,
 //!   CRC-checked binary container for encoded collections, so the
 //!   one-time BS-CSR encode is paid once per collection instead of once
-//!   per process start;
+//!   per process start — a schema over the byte-level [`codec`] it
+//!   shares with the fabric wire protocol;
 //! - a companion [`PruneIndex`]: a 4/8-bit row-major stream built
 //!   alongside the exact form for the candidate-generation pass of a
 //!   staged prune + exact-rescore query pipeline, persisted as an
@@ -44,6 +45,7 @@
 
 mod bitio;
 mod bscsr;
+pub mod codec;
 mod coo;
 mod coo_packet;
 mod csr;
@@ -57,9 +59,9 @@ mod prune;
 pub mod snapshot;
 
 pub use bitio::{BitReader, BitWriter};
-pub use bscsr::{BsCsr, PacketEntries, PacketScratch, PacketView};
+pub use bscsr::{BsCsr, PacketEntries, PacketScratch};
 pub use coo::Coo;
-pub use coo_packet::{CooPacketKind, CooPackets};
+pub use coo_packet::CooPacketKind;
 pub use csr::{Csr, RowStats};
 pub use dense::DenseVector;
 pub use error::SparseError;

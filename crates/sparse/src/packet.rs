@@ -77,37 +77,6 @@ impl Packet512 {
         );
         extract_field(&self.words, pos, bits, field_mask(bits))
     }
-
-    /// Extracts `count` consecutive `width`-bit fields starting at bit
-    /// `base` into `out` (cleared first) — the SWAR counterpart of
-    /// calling [`Packet512::bits`] in a loop.
-    ///
-    /// Instead of re-deriving word index, shift, and straddle for every
-    /// field, this pulls whole `u64` words and slices multiple fields
-    /// out of each word read: one shift-and-mask per field in the common
-    /// case, one extra word load only when a field straddles a word
-    /// boundary. The BS-CSR decoder uses this for the `ptr`/`idx`/`val`
-    /// regions, whose fixed widths the [`crate::PacketLayout`] solver
-    /// keeps well under the 32-bit SWAR limit at every useful precision.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is 0 or greater than 32, or if the fields would
-    /// run past bit 512. (Widths in `33..=64` are legal packet fields —
-    /// use the scalar [`Packet512::bits`] path for those.)
-    pub fn extract_fields_into(&self, base: usize, width: u32, count: usize, out: &mut Vec<u64>) {
-        assert!(
-            (1..=32).contains(&width),
-            "SWAR field width must be in 1..=32"
-        );
-        assert!(
-            base + width as usize * count <= PACKET_BITS,
-            "{count} fields of {width} bits at position {base} overflow the packet"
-        );
-        out.clear();
-        out.reserve(count);
-        for_each_field(&self.words, base, width, count, |v| out.push(v));
-    }
 }
 
 /// Streams `count` consecutive `width`-bit fields starting at bit `base`
@@ -129,8 +98,14 @@ pub(crate) fn for_each_field(
     count: usize,
     mut f: impl FnMut(u64),
 ) {
-    debug_assert!((1..=32).contains(&width));
-    debug_assert!(base + width as usize * count <= PACKET_BITS);
+    debug_assert!(
+        (1..=32).contains(&width),
+        "SWAR field width must be in 1..=32"
+    );
+    debug_assert!(
+        base + width as usize * count <= PACKET_BITS,
+        "{count} fields of {width} bits at position {base} overflow the packet"
+    );
     let mask = field_mask(width);
     let mut word_i = base >> 6;
     let offset = (base & 63) as u32;
@@ -265,6 +240,13 @@ mod tests {
         let _ = Packet512::ZERO.bits(509, 4);
     }
 
+    /// The fields `for_each_field` streams, collected.
+    fn fields(p: &Packet512, base: usize, width: u32, count: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        for_each_field(p.words(), base, width, count, |v| out.push(v));
+        out
+    }
+
     #[test]
     fn extract_fields_matches_scalar_bits_on_every_alignment() {
         let p = Packet512::from_words([
@@ -277,11 +259,10 @@ mod tests {
             0xDEAD_BEEF_CAFE_F00D,
             0x1357_9BDF_0246_8ACE,
         ]);
-        let mut out = Vec::new();
         for width in [1u32, 3, 4, 7, 10, 13, 20, 25, 31, 32] {
             for base in 0..64.min(PACKET_BITS - width as usize) {
                 let count = (PACKET_BITS - base) / width as usize;
-                p.extract_fields_into(base, width, count, &mut out);
+                let out = fields(&p, base, width, count);
                 assert_eq!(out.len(), count);
                 for (i, &got) in out.iter().enumerate() {
                     let want = p.bits(base + i * width as usize, width);
@@ -293,22 +274,22 @@ mod tests {
 
     #[test]
     fn extract_fields_zero_count_is_empty() {
-        let mut out = vec![42];
-        Packet512::ZERO.extract_fields_into(5, 10, 0, &mut out);
-        assert!(out.is_empty());
+        assert!(fields(&Packet512::ZERO, 5, 10, 0).is_empty());
     }
 
+    // `for_each_field` is crate-private and its callers uphold the
+    // bounds by construction, so they are debug assertions.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "SWAR field width")]
     fn extract_fields_rejects_wide_fields() {
-        let mut out = Vec::new();
-        Packet512::ZERO.extract_fields_into(0, 33, 1, &mut out);
+        fields(&Packet512::ZERO, 0, 33, 1);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "overflow the packet")]
     fn extract_fields_rejects_overflowing_run() {
-        let mut out = Vec::new();
-        Packet512::ZERO.extract_fields_into(500, 10, 2, &mut out);
+        fields(&Packet512::ZERO, 500, 10, 2);
     }
 }

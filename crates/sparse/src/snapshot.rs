@@ -28,15 +28,21 @@
 //! failure mode is a distinct [`SnapshotError`] so callers can tell a
 //! truncated copy from a corrupted one from a version skew.
 //!
-//! Format version 2 appends an optional **companion section** after the
-//! payload: a low-bit [`PruneIndex`] for the staged prune + rescore
-//! query pipeline. The section carries its own version field
-//! ([`PRUNE_SECTION_VERSION`]) so the companion codec can evolve
-//! independently of the container; a skewed companion version fails
-//! with [`SnapshotError::UnsupportedCompanionVersion`]. Version-1
-//! streams (no companion byte at all) still load — the companion is an
-//! optional accelerant, so they simply come back with `companion: None`
-//! and pruning unavailable.
+//! The optional **companion section** after the payload is a low-bit
+//! [`PruneIndex`] for the staged prune + rescore query pipeline. It
+//! carries its own version field ([`PRUNE_SECTION_VERSION`]) so the
+//! companion codec can evolve independently of the container; a skewed
+//! companion version fails with
+//! [`SnapshotError::UnsupportedCompanionVersion`].
+//!
+//! **Versions.** This build writes and reads exactly
+//! [`SNAPSHOT_VERSION`]. Any other version — including version 1, which
+//! predates the companion tag and has no writer left — fails with
+//! [`SnapshotError::UnsupportedVersion`]; re-`prepare` and save again.
+//!
+//! The bytes are read and written through [`crate::codec`]: streaming,
+//! O(chunk) memory beyond the decoded arrays, every byte hashed as it
+//! passes.
 //!
 //! # Example
 //!
@@ -61,35 +67,31 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 
 use tkspmv_fixed::{Precision, PruneBits};
 
 use crate::bscsr::BsCsr;
+use crate::codec::{write_le, CodecError, CrcIo, Reader};
 use crate::csr::Csr;
 use crate::layout::PacketLayout;
 use crate::packet::Packet512;
 use crate::prune::PruneIndex;
 
 /// The 8-byte magic every snapshot stream starts with.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TKSPSNAP";
+const SNAPSHOT_MAGIC: [u8; 8] = *b"TKSPSNAP";
 
-/// The snapshot format version this build writes.
+/// The one snapshot format version this build writes and reads.
 pub const SNAPSHOT_VERSION: u16 = 2;
-
-/// The oldest format version this build still reads. Version 1 predates
-/// the companion prune-index section; v1 streams load with
-/// `companion: None` (pruning unavailable), nothing else changes.
-pub const MIN_SNAPSHOT_VERSION: u16 = 1;
 
 /// Version of the companion prune-index section codec, carried inside
 /// the section so it can evolve independently of the container format.
 pub const PRUNE_SECTION_VERSION: u16 = 1;
 
-/// Initial element reservation cap for header-declared counts, so a
-/// hostile length field cannot force a huge up-front allocation — the
-/// vectors still grow to the real (CRC-verified) size, just amortised.
-const RESERVE_CAP: usize = 1 << 16;
+/// Packets per bulk read of a partition's stream (256 KiB): the load
+/// path exists to beat re-encoding, and a 1M-nnz collection is ~70k
+/// packets. Also caps what a hostile packet count reserves up front.
+const PACKETS_PER_CHUNK: usize = 4_096;
 
 /// Why a snapshot could not be written, read, or accepted.
 #[derive(Debug)]
@@ -98,7 +100,7 @@ pub enum SnapshotError {
     /// Underlying I/O failure (other than a short read, which is
     /// reported as [`SnapshotError::Truncated`]).
     Io(std::io::Error),
-    /// The stream does not start with [`SNAPSHOT_MAGIC`] — not a
+    /// The stream does not start with the magic `"TKSPSNAP"` — not a
     /// snapshot at all.
     BadMagic {
         /// The first eight bytes actually found.
@@ -232,6 +234,16 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Io(e) => SnapshotError::Io(e),
+            CodecError::Truncated { what } => SnapshotError::Truncated { section: what },
+            CodecError::Malformed { detail } => SnapshotError::Invalid { detail },
+        }
+    }
+}
+
 impl SnapshotError {
     fn invalid(detail: impl Into<String>) -> Self {
         SnapshotError::Invalid {
@@ -304,10 +316,9 @@ pub struct Snapshot {
     pub nnz: u64,
     /// The backend-specific body.
     pub payload: SnapshotPayload,
-    /// Optional low-bit companion prune index (format v2+), built at
-    /// prepare time for the staged prune + rescore pipeline. `None` in
-    /// v1 streams and for backends that do not keep one — loading then
-    /// simply leaves pruning unavailable.
+    /// Optional low-bit companion prune index, built at prepare time
+    /// for the staged prune + rescore pipeline. `None` for backends that
+    /// do not keep one — loading then leaves pruning unavailable.
     pub companion: Option<PruneIndex>,
 }
 
@@ -320,18 +331,17 @@ impl Snapshot {
     /// if the in-memory snapshot violates format limits (e.g. a family
     /// string longer than a `u16` length field).
     pub fn write_to<W: Write>(&self, writer: W) -> Result<(), SnapshotError> {
-        let mut w = CrcWriter::new(writer);
+        // Buffered above the hasher, so the CRC sees chunks, not fields.
+        let mut w =
+            BufWriter::with_capacity(crate::PACKET_BYTES * PACKETS_PER_CHUNK, CrcIo::new(writer));
         w.write_all(&SNAPSHOT_MAGIC)?;
-        w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
+        write_le(&mut w, &[SNAPSHOT_VERSION])?;
         w.write_all(&[self.payload.kind_tag(), self.payload.precision_tag()])?;
-        let family = self.family.as_bytes();
-        let family_len = u16::try_from(family.len())
+        let family_len = u16::try_from(self.family.len())
             .map_err(|_| SnapshotError::invalid("family name longer than 65535 bytes"))?;
-        w.write_all(&family_len.to_le_bytes())?;
-        w.write_all(family)?;
-        for v in [self.num_rows, self.num_cols, self.nnz] {
-            w.write_all(&v.to_le_bytes())?;
-        }
+        write_le(&mut w, &[family_len])?;
+        w.write_all(self.family.as_bytes())?;
+        write_le(&mut w, &[self.num_rows, self.num_cols, self.nnz])?;
         match &self.payload {
             SnapshotPayload::Csr(csr) => write_csr(&mut w, csr)?,
             SnapshotPayload::BsCsrPartitions {
@@ -339,15 +349,18 @@ impl Snapshot {
             } => write_partitions(&mut w, *layout, partitions)?,
         }
         match &self.companion {
-            None => w.write_all(&[0u8])?,
+            None => w.write_all(&[0])?,
             Some(index) => {
-                w.write_all(&[1u8])?;
+                w.write_all(&[1])?;
                 write_prune_index(&mut w, index)?;
             }
         }
-        let crc = w.crc();
-        w.into_inner().write_all(&crc.to_le_bytes())?;
-        Ok(())
+        let hashed = w.into_inner().map_err(|e| e.into_error())?;
+        let crc = hashed.crc();
+        // The trailer is not covered by itself: written unhashed.
+        let mut sink = hashed.into_inner();
+        write_le(&mut sink, &[crc])?;
+        Ok(sink.flush()?)
     }
 
     /// Deserialises and fully verifies a snapshot: magic, version, tags,
@@ -358,29 +371,26 @@ impl Snapshot {
     ///
     /// The [`SnapshotError`] variant naming the first defect found.
     pub fn read_from<R: Read>(reader: R) -> Result<Self, SnapshotError> {
-        let mut r = CrcReader::new(reader);
-        let mut magic = [0u8; 8];
-        read_exact(&mut r, &mut magic, "magic")?;
+        let mut hashed = CrcIo::new(reader);
+        let mut r = Reader::new(&mut hashed);
+        let magic = r.fixed("magic")?;
         if magic != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic { found: magic });
         }
-        let version = read_u16(&mut r, "version")?;
-        if !(MIN_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+        let version = r.u16("version")?;
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,
             });
         }
-        let kind = read_u8(&mut r, "payload kind")?;
-        let precision_tag = read_u8(&mut r, "precision tag")?;
-        let family_len = read_u16(&mut r, "family")? as usize;
-        let mut family = vec![0u8; family_len];
-        read_exact(&mut r, &mut family, "family")?;
-        let family = String::from_utf8(family)
-            .map_err(|_| SnapshotError::invalid("family name is not UTF-8"))?;
-        let num_rows = read_u64(&mut r, "header")?;
-        let num_cols = read_u64(&mut r, "header")?;
-        let nnz = read_u64(&mut r, "header")?;
+        let kind = r.u8("payload kind")?;
+        let precision_tag = r.u8("precision tag")?;
+        let family_len = r.u16("family")? as usize;
+        let family = r.string(family_len, "family")?;
+        let num_rows = r.u64("header")?;
+        let num_cols = r.u64("header")?;
+        let nnz = r.u64("header")?;
 
         let payload = match kind {
             0 => {
@@ -403,30 +413,15 @@ impl Snapshot {
             other => return Err(SnapshotError::UnknownPayloadKind { kind: other }),
         };
 
-        // v1 streams end at the payload; v2+ carry a companion tag.
-        let companion = if version >= 2 {
-            match read_u8(&mut r, "companion tag")? {
-                0 => None,
-                1 => Some(read_prune_index(&mut r)?),
-                tag => return Err(SnapshotError::UnknownCompanionTag { tag }),
-            }
-        } else {
-            None
+        let companion = match r.u8("companion tag")? {
+            0 => None,
+            1 => Some(read_prune_index(&mut r)?),
+            tag => return Err(SnapshotError::UnknownCompanionTag { tag }),
         };
 
-        let computed = r.crc();
-        let mut trailer = [0u8; 4];
+        let computed = hashed.crc();
         // The trailer is not covered by itself: read it unhashed.
-        match r.inner.read_exact(&mut trailer) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                return Err(SnapshotError::Truncated {
-                    section: "checksum trailer",
-                })
-            }
-            Err(e) => return Err(SnapshotError::Io(e)),
-        }
-        let stored = u32::from_le_bytes(trailer);
+        let stored = Reader::new(hashed.into_inner()).u32("checksum trailer")?;
         if stored != computed {
             return Err(SnapshotError::ChecksumMismatch { stored, computed });
         }
@@ -503,21 +498,17 @@ impl Snapshot {
     }
 }
 
-fn write_csr<W: Write>(w: &mut CrcWriter<W>, csr: &Csr) -> Result<(), SnapshotError> {
-    for &p in csr.row_ptr() {
-        w.write_all(&p.to_le_bytes())?;
-    }
-    for &c in csr.col_idx() {
-        w.write_all(&c.to_le_bytes())?;
-    }
-    for &v in csr.values() {
-        w.write_all(&v.to_bits().to_le_bytes())?;
-    }
+fn write_csr(w: &mut impl Write, csr: &Csr) -> Result<(), SnapshotError> {
+    write_le(w, csr.row_ptr())?;
+    write_le(w, csr.col_idx())?;
+    csr.values()
+        .iter()
+        .try_for_each(|v| write_le(w, &[v.to_bits()]))?;
     Ok(())
 }
 
 fn read_csr<R: Read>(
-    r: &mut CrcReader<R>,
+    r: &mut Reader<R>,
     num_rows: u64,
     num_cols: u64,
     nnz: u64,
@@ -530,9 +521,10 @@ fn read_csr<R: Read>(
         .map_err(|_| SnapshotError::invalid("column count does not fit this platform"))?;
     let entries = usize::try_from(nnz)
         .map_err(|_| SnapshotError::invalid("nnz does not fit this platform"))?;
-    let row_ptr = read_u64_array(r, rows + 1, "CSR row pointers")?;
-    let col_idx = read_u32_array(r, entries, "CSR column indices")?;
-    let values = read_u32_array(r, entries, "CSR values")?
+    let row_ptr = r.array(rows + 1, "CSR row pointers")?;
+    let col_idx = r.array(entries, "CSR column indices")?;
+    let values = r
+        .array::<u32>(entries, "CSR values")?
         .into_iter()
         .map(f32::from_bits)
         .collect();
@@ -540,56 +532,52 @@ fn read_csr<R: Read>(
         .map_err(|e| SnapshotError::invalid(format!("CSR payload invalid: {e}")))
 }
 
-fn write_partitions<W: Write>(
-    w: &mut CrcWriter<W>,
+fn write_partitions(
+    w: &mut impl Write,
     layout: PacketLayout,
     partitions: &[(u64, BsCsr)],
 ) -> Result<(), SnapshotError> {
     let count = u32::try_from(partitions.len())
         .map_err(|_| SnapshotError::invalid("more than u32::MAX partitions"))?;
-    w.write_all(&count.to_le_bytes())?;
-    for field in [
+    let header = [
+        count,
         layout.entries_per_packet(),
         layout.ptr_bits(),
         layout.idx_bits(),
         layout.value_bits(),
-    ] {
-        w.write_all(&field.to_le_bytes())?;
-    }
+    ];
+    write_le(w, &header)?;
     for (first_row, part) in partitions {
         if part.layout() != layout {
             return Err(SnapshotError::invalid(
                 "partition layout differs from the snapshot layout",
             ));
         }
-        for v in [
+        let header = [
             *first_row,
             part.num_rows() as u64,
             part.num_cols() as u64,
             part.stored_entries(),
             part.logical_nnz(),
             part.num_packets() as u64,
-        ] {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        for packet in part.packets() {
-            for word in packet.words() {
-                w.write_all(&word.to_le_bytes())?;
-            }
-        }
+        ];
+        write_le(w, &header)?;
+        part.packets()
+            .iter()
+            .try_for_each(|packet| write_le(w, packet.words()))?;
     }
     Ok(())
 }
 
 fn read_partitions<R: Read>(
-    r: &mut CrcReader<R>,
+    r: &mut Reader<R>,
     precision: Precision,
 ) -> Result<(PacketLayout, Vec<(u64, BsCsr)>), SnapshotError> {
-    let count = read_u32(r, "partition count")? as usize;
-    let b = read_u32(r, "packet layout")?;
-    let ptr_bits = read_u32(r, "packet layout")?;
-    let idx_bits = read_u32(r, "packet layout")?;
-    let value_bits = read_u32(r, "packet layout")?;
+    let count = r.u32("partition count")? as usize;
+    let b = r.u32("packet layout")?;
+    let ptr_bits = r.u32("packet layout")?;
+    let idx_bits = r.u32("packet layout")?;
+    let value_bits = r.u32("packet layout")?;
     let layout = PacketLayout::from_parts(b, ptr_bits, idx_bits, value_bits)
         .map_err(|e| SnapshotError::invalid(format!("packet layout invalid: {e}")))?;
     if layout.value_bits() != precision.value_bits() {
@@ -600,38 +588,26 @@ fn read_partitions<R: Read>(
             precision.value_bits()
         )));
     }
-    let mut partitions = Vec::with_capacity(count.min(RESERVE_CAP));
+    let mut partitions = Vec::with_capacity(count.min(PACKETS_PER_CHUNK));
     for i in 0..count {
-        let first_row = read_u64(r, "partition header")?;
-        let num_rows = usize::try_from(read_u64(r, "partition header")?)
+        let first_row = r.u64("partition header")?;
+        let num_rows = usize::try_from(r.u64("partition header")?)
             .map_err(|_| SnapshotError::invalid("partition row count overflow"))?;
-        let num_cols = usize::try_from(read_u64(r, "partition header")?)
+        let num_cols = usize::try_from(r.u64("partition header")?)
             .map_err(|_| SnapshotError::invalid("partition column count overflow"))?;
-        let stored_entries = read_u64(r, "partition header")?;
-        let logical_nnz = read_u64(r, "partition header")?;
-        let num_packets = usize::try_from(read_u64(r, "partition header")?)
+        let stored_entries = r.u64("partition header")?;
+        let logical_nnz = r.u64("partition header")?;
+        let num_packets = usize::try_from(r.u64("partition header")?)
             .map_err(|_| SnapshotError::invalid("partition packet count overflow"))?;
-        // Packets are read in bulk chunks (not word-by-word through the
-        // `Read` trait): the load path exists to beat re-encoding, and a
-        // 1M-nnz collection is ~70k packets. The chunk size also caps
-        // what a hostile count can make us allocate up front.
-        const PACKETS_PER_CHUNK: usize = 4_096;
-        let mut packets = Vec::with_capacity(num_packets.min(RESERVE_CAP));
-        let mut buf = vec![0u8; crate::PACKET_BYTES * num_packets.min(PACKETS_PER_CHUNK)];
-        let mut remaining = num_packets;
-        while remaining > 0 {
-            let take = remaining.min(PACKETS_PER_CHUNK);
-            let bytes = &mut buf[..crate::PACKET_BYTES * take];
-            read_exact(r, bytes, "packet stream")?;
-            for packet in bytes.chunks_exact(crate::PACKET_BYTES) {
+        let mut packets = Vec::with_capacity(num_packets.min(PACKETS_PER_CHUNK));
+        while packets.len() < num_packets {
+            let take = (num_packets - packets.len()).min(PACKETS_PER_CHUNK);
+            let flat = r.array::<u64>(8 * take, "packet stream")?;
+            packets.extend(flat.chunks_exact(8).map(|packet| {
                 let mut words = [0u64; 8];
-                for (word, raw) in words.iter_mut().zip(packet.chunks_exact(8)) {
-                    // invariant: chunks_exact yields exactly 8-byte slices
-                    *word = u64::from_le_bytes(raw.try_into().expect("8-byte chunk"));
-                }
-                packets.push(Packet512::from_words(words));
-            }
-            remaining -= take;
+                words.copy_from_slice(packet);
+                Packet512::from_words(words)
+            }));
         }
         let part = BsCsr::from_parts(
             layout,
@@ -647,38 +623,30 @@ fn read_partitions<R: Read>(
     Ok((layout, partitions))
 }
 
-fn write_prune_index<W: Write>(
-    w: &mut CrcWriter<W>,
-    index: &PruneIndex,
-) -> Result<(), SnapshotError> {
-    w.write_all(&PRUNE_SECTION_VERSION.to_le_bytes())?;
+fn write_prune_index(w: &mut impl Write, index: &PruneIndex) -> Result<(), SnapshotError> {
+    write_le(w, &[PRUNE_SECTION_VERSION])?;
     w.write_all(&[index.bits().bits() as u8])?;
-    for v in [
+    let shape = [
         index.num_rows() as u64,
         index.num_cols() as u64,
         index.nnz(),
-    ] {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    for &p in index.row_ptr() {
-        w.write_all(&p.to_le_bytes())?;
-    }
-    for &c in index.col_idx() {
-        w.write_all(&c.to_le_bytes())?;
-    }
+    ];
+    write_le(w, &shape)?;
+    write_le(w, index.row_ptr())?;
+    write_le(w, index.col_idx())?;
     w.write_all(index.packed())?;
     Ok(())
 }
 
-fn read_prune_index<R: Read>(r: &mut CrcReader<R>) -> Result<PruneIndex, SnapshotError> {
-    let section_version = read_u16(r, "companion section")?;
+fn read_prune_index<R: Read>(r: &mut Reader<R>) -> Result<PruneIndex, SnapshotError> {
+    let section_version = r.u16("companion section")?;
     if section_version != PRUNE_SECTION_VERSION {
         return Err(SnapshotError::UnsupportedCompanionVersion {
             found: section_version,
             supported: PRUNE_SECTION_VERSION,
         });
     }
-    let bits = match read_u8(r, "companion section")? {
+    let bits = match r.u8("companion section")? {
         4 => PruneBits::Four,
         8 => PruneBits::Eight,
         tag => {
@@ -687,22 +655,22 @@ fn read_prune_index<R: Read>(r: &mut CrcReader<R>) -> Result<PruneIndex, Snapsho
             )))
         }
     };
-    let num_rows = usize::try_from(read_u64(r, "companion section")?)
+    let num_rows = usize::try_from(r.u64("companion section")?)
         .map_err(|_| SnapshotError::invalid("companion row count does not fit this platform"))?;
-    let num_cols = usize::try_from(read_u64(r, "companion section")?)
+    let num_cols = usize::try_from(r.u64("companion section")?)
         .map_err(|_| SnapshotError::invalid("companion column count does not fit this platform"))?;
-    let nnz = usize::try_from(read_u64(r, "companion section")?)
+    let nnz = usize::try_from(r.u64("companion section")?)
         .map_err(|_| SnapshotError::invalid("companion nnz does not fit this platform"))?;
     let rows_plus_one = num_rows
         .checked_add(1)
         .ok_or_else(|| SnapshotError::invalid("companion row count overflow"))?;
-    let row_ptr = read_u32_array(r, rows_plus_one, "companion row pointers")?;
-    let col_idx = read_u16_array(r, nnz, "companion column indices")?;
+    let row_ptr = r.array(rows_plus_one, "companion row pointers")?;
+    let col_idx = r.array(nnz, "companion column indices")?;
     let packed_len = match bits {
         PruneBits::Eight => nnz,
         PruneBits::Four => nnz.div_ceil(2),
     };
-    let packed = read_u8_array(r, packed_len, "companion value stream")?;
+    let packed = r.bytes(packed_len, "companion value stream")?;
     PruneIndex::from_parts(bits, num_rows, num_cols, row_ptr, col_idx, packed)
         .map_err(|e| SnapshotError::invalid(format!("companion prune index invalid: {e}")))
 }
@@ -728,280 +696,10 @@ fn tag_to_precision(tag: u8) -> Result<Precision, SnapshotError> {
     }
 }
 
-// ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), slicing-by-8.
-//
-// The checksum runs over every payload byte on both the save and the
-// load path, and the load path's whole purpose is to be much cheaper
-// than re-encoding — so the CRC is table-sliced to process eight bytes
-// per step instead of one.
-
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut j = 0;
-        while j < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            j += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-}
-
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-/// Streaming CRC-32 state.
-#[derive(Debug, Clone, Copy)]
-struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    fn new() -> Self {
-        Self { state: !0 }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let t = &CRC32_TABLES;
-        let mut chunks = bytes.chunks_exact(8);
-        let mut state = self.state;
-        for chunk in &mut chunks {
-            let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ state;
-            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-            state = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
-        }
-        for &b in chunks.remainder() {
-            state = t[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
-        }
-        self.state = state;
-    }
-
-    fn finish(self) -> u32 {
-        !self.state
-    }
-}
-
-/// One-shot CRC-32 (IEEE) of a byte slice — public so fault-injection
-/// tests can re-seal a deliberately patched snapshot and prove the
-/// *semantic* checks fire, not just the checksum.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(bytes);
-    crc.finish()
-}
-
-/// Writer wrapper that hashes every byte written through it.
-struct CrcWriter<W> {
-    inner: W,
-    crc: Crc32,
-}
-
-impl<W: Write> CrcWriter<W> {
-    fn new(inner: W) -> Self {
-        Self {
-            inner,
-            crc: Crc32::new(),
-        }
-    }
-
-    fn write_all(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        self.inner.write_all(bytes)?;
-        self.crc.update(bytes);
-        Ok(())
-    }
-
-    fn crc(&self) -> u32 {
-        self.crc.finish()
-    }
-
-    fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-/// Reader wrapper that hashes every byte read through it.
-struct CrcReader<R> {
-    inner: R,
-    crc: Crc32,
-}
-
-impl<R: Read> CrcReader<R> {
-    fn new(inner: R) -> Self {
-        Self {
-            inner,
-            crc: Crc32::new(),
-        }
-    }
-
-    fn crc(&self) -> u32 {
-        self.crc.finish()
-    }
-}
-
-/// Fills `buf` from the reader, hashing it and mapping a short read to
-/// [`SnapshotError::Truncated`] naming `section`.
-fn read_exact<R: Read>(
-    r: &mut CrcReader<R>,
-    buf: &mut [u8],
-    section: &'static str,
-) -> Result<(), SnapshotError> {
-    match r.inner.read_exact(buf) {
-        Ok(()) => {
-            r.crc.update(buf);
-            Ok(())
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-            Err(SnapshotError::Truncated { section })
-        }
-        Err(e) => Err(SnapshotError::Io(e)),
-    }
-}
-
-fn read_u8<R: Read>(r: &mut CrcReader<R>, section: &'static str) -> Result<u8, SnapshotError> {
-    let mut b = [0u8; 1];
-    read_exact(r, &mut b, section)?;
-    Ok(b[0])
-}
-
-fn read_u16<R: Read>(r: &mut CrcReader<R>, section: &'static str) -> Result<u16, SnapshotError> {
-    let mut b = [0u8; 2];
-    read_exact(r, &mut b, section)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn read_u32<R: Read>(r: &mut CrcReader<R>, section: &'static str) -> Result<u32, SnapshotError> {
-    let mut b = [0u8; 4];
-    read_exact(r, &mut b, section)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut CrcReader<R>, section: &'static str) -> Result<u64, SnapshotError> {
-    let mut b = [0u8; 8];
-    read_exact(r, &mut b, section)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Elements per bulk-read chunk for array sections. Chunking both
-/// amortises the per-call `Read`/CRC overhead (the load path exists to
-/// beat re-preparation) and caps what a hostile count can make the
-/// reader allocate before the stream runs dry.
-const ELEMS_PER_CHUNK: usize = 65_536;
-
-fn read_u64_array<R: Read>(
-    r: &mut CrcReader<R>,
-    count: usize,
-    section: &'static str,
-) -> Result<Vec<u64>, SnapshotError> {
-    let mut out = Vec::with_capacity(count.min(RESERVE_CAP));
-    let mut buf = vec![0u8; 8 * count.min(ELEMS_PER_CHUNK)];
-    let mut remaining = count;
-    while remaining > 0 {
-        let take = remaining.min(ELEMS_PER_CHUNK);
-        let bytes = &mut buf[..8 * take];
-        read_exact(r, bytes, section)?;
-        out.extend(
-            bytes
-                .chunks_exact(8)
-                // invariant: chunks_exact yields exactly 8-byte slices
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
-        );
-        remaining -= take;
-    }
-    Ok(out)
-}
-
-fn read_u32_array<R: Read>(
-    r: &mut CrcReader<R>,
-    count: usize,
-    section: &'static str,
-) -> Result<Vec<u32>, SnapshotError> {
-    let mut out = Vec::with_capacity(count.min(RESERVE_CAP));
-    let mut buf = vec![0u8; 4 * count.min(ELEMS_PER_CHUNK)];
-    let mut remaining = count;
-    while remaining > 0 {
-        let take = remaining.min(ELEMS_PER_CHUNK);
-        let bytes = &mut buf[..4 * take];
-        read_exact(r, bytes, section)?;
-        out.extend(
-            bytes
-                .chunks_exact(4)
-                // invariant: chunks_exact yields exactly 4-byte slices
-                .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk"))),
-        );
-        remaining -= take;
-    }
-    Ok(out)
-}
-
-fn read_u16_array<R: Read>(
-    r: &mut CrcReader<R>,
-    count: usize,
-    section: &'static str,
-) -> Result<Vec<u16>, SnapshotError> {
-    let mut out = Vec::with_capacity(count.min(RESERVE_CAP));
-    let mut buf = vec![0u8; 2 * count.min(ELEMS_PER_CHUNK)];
-    let mut remaining = count;
-    while remaining > 0 {
-        let take = remaining.min(ELEMS_PER_CHUNK);
-        let bytes = &mut buf[..2 * take];
-        read_exact(r, bytes, section)?;
-        out.extend(
-            bytes
-                .chunks_exact(2)
-                // invariant: chunks_exact yields exactly 2-byte slices
-                .map(|b| u16::from_le_bytes(b.try_into().expect("2-byte chunk"))),
-        );
-        remaining -= take;
-    }
-    Ok(out)
-}
-
-fn read_u8_array<R: Read>(
-    r: &mut CrcReader<R>,
-    count: usize,
-    section: &'static str,
-) -> Result<Vec<u8>, SnapshotError> {
-    let mut out = Vec::with_capacity(count.min(RESERVE_CAP));
-    let mut buf = vec![0u8; count.min(ELEMS_PER_CHUNK)];
-    let mut remaining = count;
-    while remaining > 0 {
-        let take = remaining.min(ELEMS_PER_CHUNK);
-        let bytes = &mut buf[..take];
-        read_exact(r, bytes, section)?;
-        out.extend_from_slice(bytes);
-        remaining -= take;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::crc32;
     use crate::gen::{NnzDistribution, SyntheticConfig};
     use tkspmv_fixed::Q1_19;
 
@@ -1078,7 +776,7 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vector() {
-        // The canonical IEEE CRC-32 check value.
+        // The trailer's checksum is the canonical IEEE CRC-32.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
@@ -1116,14 +814,18 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
-        let mut bytes = to_bytes(&csr_snapshot());
-        bytes[8] = 0x7F; // version LE low byte
-        match Snapshot::read_from(bytes.as_slice()) {
-            Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(found, 0x7F);
-                assert_eq!(supported, SNAPSHOT_VERSION);
+        // Version 1 (the pre-companion layout, no writer left) is skew
+        // like any other.
+        for skewed in [1u8, 0x7F] {
+            let mut bytes = to_bytes(&csr_snapshot());
+            bytes[8] = skewed; // version LE low byte
+            match Snapshot::read_from(bytes.as_slice()) {
+                Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!(found, u16::from(skewed));
+                    assert_eq!(supported, SNAPSHOT_VERSION);
+                }
+                other => panic!("v{skewed}: expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
 
@@ -1254,22 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_stream_loads_with_companion_unavailable() {
-        // A PR-5 era (v1) stream is a v2 stream minus the companion tag
-        // byte, with the version field set to 1. Synthesise one by byte
-        // surgery and check it still loads — pruning simply unavailable.
-        let snap = csr_snapshot();
-        let mut bytes = to_bytes(&snap);
-        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
-        let tag_at = bytes.len() - 5;
-        bytes.remove(tag_at);
-        reseal(&mut bytes);
-        let back = Snapshot::read_from(bytes.as_slice()).unwrap();
-        assert_eq!(back.companion, None);
-        assert_eq!(back.payload, snap.payload);
-    }
-
-    #[test]
     fn companion_section_version_skew_is_typed() {
         let len_none = to_bytes(&csr_snapshot()).len();
         let mut bytes = to_bytes(&csr_snapshot_with_companion(PruneBits::Eight));
@@ -1310,6 +996,79 @@ mod tests {
             Snapshot::read_from(bytes.as_slice()),
             Err(SnapshotError::Invalid { .. })
         ));
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The on-disk bytes of two fixed snapshots, as written by the
+    /// commit before the codec extraction: "same format" is checked
+    /// against the old writer's output, not against this one's.
+    #[test]
+    fn golden_bytes_match_the_pre_codec_writer() {
+        let csr = Csr::from_triplets(2, 4, &[(0, 1, 0.5), (1, 3, 0.25)]).unwrap();
+        let tiny = Snapshot {
+            family: "cpu".to_string(),
+            num_rows: 2,
+            num_cols: 4,
+            nnz: 2,
+            payload: SnapshotPayload::Csr(csr),
+            companion: None,
+        };
+        let golden = unhex(concat!(
+            "544b5350534e4150020000000300637075020000000000000004000000000000",
+            "0002000000000000000000000000000000010000000000000002000000000000",
+            "0001000000030000000000003f0000803e005148181e",
+        ));
+        assert_eq!(to_bytes(&tiny), golden);
+        assert_eq!(Snapshot::read_from(golden.as_slice()).unwrap(), tiny);
+
+        let csr = Csr::from_triplets(
+            3,
+            8,
+            &[(0, 1, 0.5), (0, 3, 0.25), (1, 0, 1.0), (2, 2, 0.75)],
+        )
+        .unwrap();
+        let layout = PacketLayout::solve(8, 20).unwrap();
+        let partitions = csr
+            .partition_rows(2)
+            .into_iter()
+            .map(|(first, part)| (first as u64, BsCsr::encode::<Q1_19>(&part, layout)))
+            .collect();
+        let with_companion = Snapshot {
+            family: "fpga-20b".to_string(),
+            num_rows: 3,
+            num_cols: 8,
+            nnz: 4,
+            payload: SnapshotPayload::BsCsrPartitions {
+                precision: Precision::Fixed20,
+                layout,
+                partitions,
+            },
+            companion: Some(PruneIndex::build(&csr, PruneBits::Four).unwrap()),
+        };
+        let golden = unhex(concat!(
+            "544b5350534e4150020001010800667067612d32306203000000000000000800",
+            "0000000000000400000000000000020000001200000005000000030000001400",
+            "0000000000000000000002000000000000000800000000000000030000000000",
+            "000003000000000000000100000000000000c500000000000000000000c80000",
+            "0000000000000800400000100000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000200000000000000010000000000",
+            "0000080000000000000001000000000000000100000000000000010000000000",
+            "000003000000000000000000001000000000000000000c000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000010100040300000000000000080000000000000004000000000000000000",
+            "0000020000000300000004000000010003000000020024682f3f08fe",
+        ));
+        assert_eq!(to_bytes(&with_companion), golden);
+        assert_eq!(
+            Snapshot::read_from(golden.as_slice()).unwrap(),
+            with_companion
+        );
     }
 
     #[test]

@@ -74,6 +74,20 @@ fn corruption_table() -> Vec<CorruptionRow> {
         )
     }));
 
+    // Version 1 (these bodies minus the trace fields) has no writer
+    // left; it is skew like any other version.
+    let mut v1 = healthy.clone();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    rows.push(("version 1", v1, |e| {
+        matches!(
+            e,
+            WireError::VersionSkew {
+                found: 1,
+                expected: WIRE_VERSION
+            }
+        )
+    }));
+
     let mut unknown_kind = healthy.clone();
     unknown_kind[6] = 0xAB;
     rows.push(("unknown kind", unknown_kind, |e| {

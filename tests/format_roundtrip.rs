@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tkspmv_fixed::{F32, Q1_19, Q1_24, Q1_31};
-use tkspmv_sparse::{BsCsr, CooPacketKind, CooPackets, Csr, PacketLayout};
+use tkspmv_sparse::{BsCsr, Csr, PacketLayout};
 
 /// Strategy: a random sparse matrix as sorted unique triplets with
 /// values in the unsigned datapath domain (0, 1].
@@ -96,13 +96,6 @@ proptest! {
         tkspmv_sparse::io::write_mtx(&mut buf, &csr).expect("write to Vec");
         let back = tkspmv_sparse::io::read_mtx(buf.as_slice()).expect("parse own output");
         prop_assert_eq!(&csr, &back);
-    }
-
-    #[test]
-    fn coo_packets_roundtrip(csr in arb_matrix()) {
-        let packed = CooPackets::encode::<F32>(&csr, CooPacketKind::Naive);
-        prop_assert_eq!(&csr, &packed.decode::<F32>());
-        prop_assert_eq!(packed.nnz(), csr.nnz() as u64);
     }
 
     #[test]

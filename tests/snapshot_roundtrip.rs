@@ -18,7 +18,8 @@ use tkspmv::{Accelerator, PrunedBackend};
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_baselines::gpu::{GpuModel, GpuPrecision, GpuTopK};
 use tkspmv_fixed::PruneBits;
-use tkspmv_sparse::snapshot::{crc32, SnapshotError, PRUNE_SECTION_VERSION, SNAPSHOT_VERSION};
+use tkspmv_sparse::codec::crc32;
+use tkspmv_sparse::snapshot::{SnapshotError, PRUNE_SECTION_VERSION, SNAPSHOT_VERSION};
 use tkspmv_sparse::{Csr, DenseVector};
 
 fn small_accelerator() -> Arc<dyn TopKBackend> {
@@ -160,14 +161,18 @@ fn flipped_crc_byte_fails_the_checksum() {
 
 #[test]
 fn wrong_version_fails_typed() {
-    let (backend, mut bytes) = accelerator_snapshot_bytes();
-    bytes[8] = SNAPSHOT_VERSION as u8 + 1;
-    match PreparedMatrix::load(backend.as_ref(), bytes.as_slice()) {
-        Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, SNAPSHOT_VERSION + 1);
-            assert_eq!(supported, SNAPSHOT_VERSION);
+    // A newer version, and version 1 (the pre-companion layout, which
+    // no build writes any more): both are skew, neither is guessed at.
+    for skewed in [SNAPSHOT_VERSION + 1, 1] {
+        let (backend, mut bytes) = accelerator_snapshot_bytes();
+        bytes[8..10].copy_from_slice(&skewed.to_le_bytes());
+        match PreparedMatrix::load(backend.as_ref(), bytes.as_slice()) {
+            Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, skewed);
+                assert_eq!(supported, SNAPSHOT_VERSION);
+            }
+            other => panic!("v{skewed}: expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 
@@ -223,40 +228,6 @@ fn cpu_pair() -> (Arc<dyn TopKBackend>, PrunedBackend, Csr) {
     }
     .generate();
     (cpu, staged, csr)
-}
-
-#[test]
-fn v1_snapshots_load_with_pruning_unavailable() {
-    // A version-1 stream is the v2 layout minus the companion tag byte
-    // (v1 predates companions), so back-dating a companion-free v2
-    // snapshot by surgery produces a faithful v1 stream.
-    let (cpu, staged, csr) = cpu_pair();
-    let prepared = cpu.prepare(&csr).expect("prepare");
-    let mut bytes = save_to_vec(cpu.as_ref(), &prepared);
-    bytes[8] = 1;
-    bytes[9] = 0;
-    let tag_at = bytes.len() - 5;
-    assert_eq!(bytes[tag_at], 0, "companion tag byte should read `none`");
-    bytes.remove(tag_at);
-    reseal(&mut bytes);
-
-    // The plain engine loads it as before the format bump…
-    let x = tkspmv_sparse::gen::query_vector(128, 3);
-    let plain = PreparedMatrix::load(cpu.as_ref(), bytes.as_slice()).expect("v1 loads on cpu");
-    let exact = cpu.query(&plain, &x, 10).expect("cpu query");
-
-    // …and the staged pipeline loads it too — with the prune companion
-    // unavailable, so queries observably fall through to the exact path
-    // instead of failing.
-    let loaded =
-        PreparedMatrix::load(&staged, bytes.as_slice()).expect("v1 loads on the staged pipeline");
-    let got = staged.query(&loaded, &x, 10).expect("staged query");
-    assert_eq!(got.topk, exact.topk);
-    assert!(
-        matches!(got.stats, BackendStats::Pruned { pruned: false, .. }),
-        "a pre-companion snapshot must fall through to exact, got {:?}",
-        got.stats
-    );
 }
 
 #[test]
