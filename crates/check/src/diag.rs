@@ -14,7 +14,7 @@ pub enum Lint {
     Locks,
     /// Panic-freedom lint.
     Panic,
-    /// Compute-path spawn lint.
+    /// Spawn lint (compute path and service allow-list).
     Spawns,
     /// Manifest drift / dependency-DAG guard.
     Manifests,

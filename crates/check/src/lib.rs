@@ -15,7 +15,8 @@
 //!   `// invariant: <reason>` comment;
 //! - **spawns** — the compute crates spawn threads only inside
 //!   `tkspmv::fanout`; every other fan-out goes through its
-//!   `fork_join`;
+//!   `fork_join`. The service crates start threads only where
+//!   `spawn_sites.txt` says, request-path starts marked as such;
 //! - **manifests** — dependency-DAG acyclicity, layering, and
 //!   workspace-dependency pinning (folded in from the old
 //!   `workspace_guard` test);
@@ -51,7 +52,7 @@ pub struct Options {
     pub locks: bool,
     /// Panic-freedom lint.
     pub panics: bool,
-    /// Compute-path spawn lint.
+    /// Spawn lint (compute path and service allow-list).
     pub spawns: bool,
     /// Manifest drift guard.
     pub manifests: bool,
@@ -155,6 +156,9 @@ pub fn run(root: &Path, opts: Options) -> Result<Report, String> {
                 spawns::check_file(rel, file, &mut report);
             }
         }
+        let listing = std::fs::read_to_string(root.join("crates/check/spawn_sites.txt"))
+            .map_err(|e| format!("reading spawn_sites.txt: {e}"))?;
+        spawns::check_listed(&lexed, &listing, &mut report);
     }
     if opts.locks {
         let text = std::fs::read_to_string(root.join("crates/check/locks.toml"))

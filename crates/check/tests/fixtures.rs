@@ -82,6 +82,39 @@ fn spawns_lint_scope_is_the_compute_crates_minus_fanout() {
     assert!(!spawns::in_scope("serve", "crates/serve/src/service.rs"));
 }
 
+/// One thread start is missing from the fixture's allow-list; a line
+/// no start backs fires too, at its line in the list. Crates outside
+/// the service set are not the list's business.
+#[test]
+fn spawn_sites_fixture_fires_exactly_once() {
+    let (_, text) = fixture("spawn_sites_fires.rs");
+    let (_, listing) = fixture("spawn_sites_fires.txt");
+    let files = |krate: &str| {
+        let rel = PathBuf::from("testdata/spawn_sites_fires.rs");
+        vec![(rel, krate.to_string(), lex(&text))]
+    };
+    let mut report = Report::default();
+    spawns::check_listed(&files("fabric"), &listing, &mut report);
+    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
+    assert_eq!(report.diagnostics[0].lint, Lint::Spawns);
+    assert_eq!(report.diagnostics[0].line, marked_line(&text));
+    assert!(report.diagnostics[0].message.contains("::answer"));
+
+    let stale = format!(
+        "{listing}testdata/spawn_sites_fires.rs::answer # now listed\n\
+         testdata/spawn_sites_fires.rs::spawn # a second start that is not there\n"
+    );
+    let mut report = Report::default();
+    spawns::check_listed(&files("fabric"), &stale, &mut report);
+    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
+    assert_eq!(report.diagnostics[0].line, stale.lines().count());
+    assert!(report.diagnostics[0].message.contains("starts no thread"));
+
+    let mut report = Report::default();
+    spawns::check_listed(&files("bench"), "", &mut report);
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+}
+
 /// One public item is missing from the fixture's listing; a line the
 /// sources no longer back fires too, at its line in the listing.
 #[test]

@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use tkspmv::backend::QueryTier;
-use tkspmv::TopKResult;
+use tkspmv::{EngineError, TopKResult};
 use tkspmv_serve::{ServeError, StageBreakdown, TopKService};
 use tkspmv_sparse::{Csr, DenseVector};
 
@@ -119,44 +119,41 @@ impl DeltaCollection {
     }
 
     /// Ranks the top `k` rows for `x` at `tier`, over base *and* delta,
-    /// with global row ids, under the engine total order.
+    /// with global row ids, under the engine total order — and says
+    /// where the time went: the served request's [`StageBreakdown`]
+    /// (delta scoring and the final merge folded into its merge stage)
+    /// and the collection-level end-to-end latency. A fabric node sends
+    /// the ranking and, for a traced query, the other two.
     ///
     /// Delta rows bypass the prune pass regardless of tier: they are
     /// few, unprepared, and scored exactly — a pruned-tier answer can
     /// therefore only improve while the delta is non-empty.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] for a malformed query, before the delta
+    /// is touched (its scoring indexes `x` by column); otherwise whatever
+    /// [`TopKService::query_tiered`] reports.
     pub fn query(
-        &self,
-        x: DenseVector,
-        k: usize,
-        tier: QueryTier,
-    ) -> Result<TopKResult, ServeError> {
-        self.query_traced(x, k, tier).map(|(topk, _, _)| topk)
-    }
-
-    /// [`DeltaCollection::query`] plus where the time went: the served
-    /// request's [`StageBreakdown`] (with the delta scoring and final
-    /// merge folded into its merge stage) and the collection-level
-    /// end-to-end latency. This is what a fabric node reports for a
-    /// traced query.
-    pub fn query_traced(
         &self,
         x: DenseVector,
         k: usize,
         tier: QueryTier,
     ) -> Result<(TopKResult, StageBreakdown, Duration), ServeError> {
         let started = std::time::Instant::now();
-        // Snapshot the delta (and where it starts) before querying the
+        check_query(self.service.dim(), x.len(), k, tier).map_err(ServeError::BadRequest)?;
+        // Score the delta (and note where it starts) before querying the
         // base, so a compaction landing in between can only duplicate
         // rows — never drop them. Duplicates are deduped below.
-        let (delta_first, delta_rows): (usize, Vec<SparseRow>) = {
+        let delta_pairs: Vec<(u32, f64)> = {
             let s = lock(&self.state);
-            (self.start_row + s.base.num_rows(), s.delta.clone())
+            let delta_first = self.start_row + s.base.num_rows();
+            s.delta
+                .iter()
+                .enumerate()
+                .map(|(j, (cols, vals))| ((delta_first + j) as u32, score_row(&x, cols, vals)))
+                .collect()
         };
-        let delta_pairs: Vec<(u32, f64)> = delta_rows
-            .iter()
-            .enumerate()
-            .map(|(j, (cols, vals))| ((delta_first + j) as u32, score_row(&x, cols, vals)))
-            .collect();
         let served = self.service.query_tiered(x, k, tier)?;
         let merge_started = std::time::Instant::now();
         let base_pairs = served
@@ -230,6 +227,37 @@ fn score_row(x: &DenseVector, cols: &[u32], vals: &[f32]) -> f64 {
         .zip(vals)
         .map(|(&c, &v)| xs[c as usize] as f64 * v as f64)
         .sum()
+}
+
+/// What a query must satisfy for any node to answer it, refused in the
+/// engine's own words: a node checks it before touching its delta, the
+/// router before sending a byte (only there can `k` outgrow the wire).
+pub(crate) fn check_query(
+    dim: usize,
+    x_len: usize,
+    k: usize,
+    tier: QueryTier,
+) -> Result<(), EngineError> {
+    if x_len != dim {
+        return Err(EngineError::vector_length_mismatch(x_len, dim));
+    }
+    if k == 0 {
+        return Err(EngineError::zero_big_k());
+    }
+    if u32::try_from(k).is_err() {
+        return Err(EngineError::bad_query(format!(
+            "K = {k} does not fit the wire's 32-bit count"
+        )));
+    }
+    let zero_factor = QueryTier::Pruned {
+        shortlist_factor: 0,
+    };
+    if tier == zero_factor {
+        return Err(EngineError::invalid_config(
+            "shortlist factor must be at least 1",
+        ));
+    }
+    Ok(())
 }
 
 fn validate_row(dim: usize, cols: &[u32], vals: &[f32]) -> Result<(), String> {
@@ -392,7 +420,7 @@ mod tests {
         assert_eq!(ids, vec![104]);
         let mut x = DenseVector::zeros(8);
         x.as_mut_slice()[7] = 1.0;
-        let topk = c.query(x, 2, QueryTier::Exact).expect("query");
+        let (topk, ..) = c.query(x, 2, QueryTier::Exact).expect("query");
         assert_eq!(topk.entries()[0], (104, 5.0));
     }
 
@@ -403,14 +431,14 @@ mod tests {
             .expect("append");
         let mut x = DenseVector::zeros(8);
         x.as_mut_slice()[7] = 1.0;
-        let before = c.query(x.clone(), 3, QueryTier::Exact).expect("query");
+        let (before, ..) = c.query(x.clone(), 3, QueryTier::Exact).expect("query");
         let epoch0 = c.service().epoch();
         let (epoch, folded) = c.compact_once().expect("compact");
         assert_eq!(folded, 2);
         assert!(epoch > epoch0);
         assert_eq!(c.delta_rows(), 0);
         assert_eq!(c.base_rows(), 6);
-        let after = c.query(x, 3, QueryTier::Exact).expect("query");
+        let (after, ..) = c.query(x, 3, QueryTier::Exact).expect("query");
         assert_eq!(before.entries(), after.entries());
     }
 
@@ -433,7 +461,7 @@ mod tests {
         assert_eq!(c.base_rows(), 3);
         let mut x = DenseVector::zeros(4);
         x.as_mut_slice()[1] = 1.0;
-        let topk = c.query(x, 1, QueryTier::Exact).expect("query");
+        let (topk, ..) = c.query(x, 1, QueryTier::Exact).expect("query");
         assert_eq!(topk.entries()[0], (3, 8.0));
     }
 
@@ -452,12 +480,12 @@ mod tests {
         assert_eq!(c.delta_rows(), 1);
         let mut x = DenseVector::zeros(4);
         x.as_mut_slice()[2] = 1.0;
-        let topk = c.query(x.clone(), 1, QueryTier::Exact).expect("query");
+        let (topk, ..) = c.query(x.clone(), 1, QueryTier::Exact).expect("query");
         assert_eq!(topk.entries()[0], (2, 7.0));
         // The next run completes the fold.
         let (_, folded) = c.compact_once().expect("recovery compact");
         assert_eq!(folded, 1);
-        let topk = c.query(x, 1, QueryTier::Exact).expect("query");
+        let (topk, ..) = c.query(x, 1, QueryTier::Exact).expect("query");
         assert_eq!(topk.entries()[0], (2, 7.0));
     }
 

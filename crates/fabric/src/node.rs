@@ -73,33 +73,28 @@ impl NodeShared {
             Request::Ping => Response::Pong,
             Request::Info => Response::Info(self.info()),
             Request::Query { x, k, tier, trace } => {
-                let x = DenseVector::from_values(x);
-                if trace.is_zero() {
-                    match self.collection.query(x, k as usize, tier) {
-                        Ok(topk) => Response::TopK {
-                            entries: topk.entries().to_vec(),
-                            trace: None,
-                        },
-                        Err(e) => Response::Error(rpc_error_from_serve(&e)),
-                    }
-                } else {
-                    match self.collection.query_traced(x, k as usize, tier) {
-                        Ok((topk, stages, total)) => {
+                match self
+                    .collection
+                    .query(DenseVector::from_values(x), k as usize, tier)
+                {
+                    Ok((topk, stages, total)) => {
+                        let trace = (!trace.is_zero()).then(|| {
                             let rec = stages.to_span_record(trace, total);
                             // Re-record under the wire-propagated id so
                             // the node's own span ring is searchable by
                             // trace id, not just the router's tree.
                             self.collection.service().record_span(&rec);
-                            Response::TopK {
-                                entries: topk.entries().to_vec(),
-                                trace: Some(WireTrace {
-                                    total_us: rec.total_us,
-                                    stages: rec.spans().to_vec(),
-                                }),
+                            WireTrace {
+                                total_us: rec.total_us,
+                                stages: rec.spans().to_vec(),
                             }
+                        });
+                        Response::TopK {
+                            entries: topk.entries().to_vec(),
+                            trace,
                         }
-                        Err(e) => Response::Error(rpc_error_from_serve(&e)),
                     }
+                    Err(e) => Response::Error(rpc_error_from_serve(&e)),
                 }
             }
             Request::Append { rows } => match self.collection.append(&rows) {
@@ -404,6 +399,33 @@ mod tests {
         ));
         // The connection survives a typed rejection.
         client.ping(DEADLINE).expect("ping after rejection");
+        node.shutdown();
+    }
+
+    /// Delta scoring indexes the query by column, so a short vector
+    /// must be refused before the delta is read — typed, at once, with
+    /// the connection left usable — not by a panicking handler thread.
+    #[test]
+    fn short_query_over_a_delta_is_refused_not_a_handler_panic() {
+        let node = spawn_node(3, 0);
+        let mut client = NodeClient::connect(node.local_addr(), DEADLINE).expect("connect");
+        client
+            .append(&[(vec![2], vec![9.5])], DEADLINE)
+            .expect("append");
+        let asked = std::time::Instant::now();
+        for (name, x, k) in [("short x", vec![1.0f32; 1], 1), ("k = 0", vec![1.0; 3], 0)] {
+            match client.query(&x, k, QueryTier::Exact, DEADLINE) {
+                Err(crate::client::CallError::Rpc(RpcError::BadRequest { .. })) => {}
+                other => panic!("{name}: expected BadRequest, got {other:?}"),
+            }
+        }
+        assert!(
+            asked.elapsed() < DEADLINE / 2,
+            "a refusal must not burn the deadline ({:?})",
+            asked.elapsed()
+        );
+        client.ping(DEADLINE).expect("ping after rejection");
+        assert_eq!(client.info(DEADLINE).expect("info").delta_rows, 1);
         node.shutdown();
     }
 

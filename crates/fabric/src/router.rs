@@ -23,14 +23,28 @@
 //!
 //! # Retry, hedging, and partial answers
 //!
-//! Within a shard group the router tries the primary replica first; if
-//! it fails — or stays silent past a hedge stagger — the next replica
-//! is asked, all under the same per-query deadline. The first success
-//! wins. A group with no success by the deadline is recorded in the
-//! [`CoverageReport`]; whether the query then fails or returns the
-//! partial merge is the caller's [`PartialPolicy`]. The router never
-//! blocks past the deadline (plus bounded connect slack) regardless of
-//! how nodes die.
+//! Within a shard group the router tries the primary replica first. If
+//! it fails with something another replica might not — a wire failure,
+//! a node error that [`RpcError::is_retryable`] — the next replica is
+//! asked at once (a *failover*); if it stays silent for `deadline /
+//! replicas` the next one is asked as well (a *hedge*). The first
+//! success wins; a non-retryable node error is about the request, not
+//! the replica, and closes the group on the spot. A group with no
+//! success by the deadline is recorded in the [`CoverageReport`];
+//! whether the query then fails or returns the partial merge is the
+//! caller's [`PartialPolicy`]. A query no node could answer (wrong
+//! dimension, `k = 0`, a zero shortlist factor) never leaves the
+//! router: it gets the typed [`RpcError::BadRequest`] a node would have
+//! sent, before any thread or byte, and moves no degradation counter.
+//!
+//! # One loop
+//!
+//! [`Router::query`] is the fan-out's only event loop: every attempt of
+//! every group reports `(shard, result)` on one channel, and the loop
+//! wakes for an attempt result, the earliest hedge due, or the
+//! deadline. It owns the deadline, so the router never blocks past it
+//! however nodes die — attempts still in flight are left to their
+//! socket timeouts and report to nobody.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -42,6 +56,7 @@ use tkspmv::TopKResult;
 use tkspmv_obs::{Counter, QueryTrace, Registry, SpanNode, Stage, StageSpan, TraceId};
 
 use crate::client::{CallError, NodeClient};
+use crate::delta::check_query;
 use crate::error::{FabricError, RpcError, ShardFailure};
 use crate::wire::{NodeInfo, WireTrace};
 use crate::SparseRow;
@@ -93,10 +108,6 @@ pub struct RouterConfig {
     pub deadline: Duration,
     /// Per-attempt TCP connect budget.
     pub connect_timeout: Duration,
-    /// How long a replica may stay silent before the next replica is
-    /// also asked (hedging). `None` divides the deadline evenly across
-    /// the group's replicas.
-    pub hedge_after: Option<Duration>,
     /// Behaviour when shards fail (see [`PartialPolicy`]).
     pub partial: PartialPolicy,
     /// Required deadline margin above the slowest node's `max_wait` —
@@ -116,7 +127,6 @@ impl Default for RouterConfig {
         Self {
             deadline: Duration::from_secs(2),
             connect_timeout: Duration::from_secs(1),
-            hedge_after: None,
             partial: PartialPolicy::Fail,
             headroom: Duration::from_millis(50),
             trace: false,
@@ -195,8 +205,8 @@ pub struct RoutedResult {
     pub trace: Option<QueryTrace>,
 }
 
-/// The router's degradation counters and trace ring, shared with the
-/// fan-out threads and any metrics endpoint.
+/// The router's degradation counters and trace ring, shared with any
+/// metrics endpoint.
 struct RouterMetrics {
     registry: Registry,
     requests: Arc<Counter>,
@@ -311,7 +321,7 @@ struct ShardGroup {
 
 /// The fan-out router over a set of shard groups.
 pub struct Router {
-    shards: Arc<Vec<ShardGroup>>,
+    shards: Vec<ShardGroup>,
     config: RouterConfig,
     dim: usize,
     metrics: Arc<RouterMetrics>,
@@ -411,7 +421,7 @@ impl Router {
         }
 
         Ok(Self {
-            shards: Arc::new(shards),
+            shards,
             config,
             dim: dim as usize,
             metrics: Arc::new(RouterMetrics::new()),
@@ -466,7 +476,7 @@ impl Router {
         self.dim
     }
 
-    /// Total rows across the fleet, as of the last info refresh.
+    /// Total rows across the fleet, as of [`Router::connect`].
     pub fn total_rows(&self) -> u64 {
         self.shards.iter().map(|s| s.info.total_rows()).sum()
     }
@@ -477,15 +487,22 @@ impl Router {
     }
 
     /// Fans `x` out to every shard group and merges the top `k` under
-    /// the engine total order.
+    /// the engine total order. Returns by the deadline, answered or not.
     ///
     /// # Errors
     ///
-    /// [`FabricError::NoCoverage`] if every group failed;
+    /// [`RpcError::BadRequest`] for a query no node could answer (nothing
+    /// is sent); [`FabricError::NoCoverage`] if every group failed;
     /// [`FabricError::Partial`] if some failed under
     /// [`PartialPolicy::Fail`]. Under [`PartialPolicy::Allow`] a partial
     /// answer is `Ok` and its [`CoverageReport`] names the gaps.
     pub fn query(&self, x: &[f32], k: usize, tier: QueryTier) -> Result<RoutedResult, FabricError> {
+        if let Err(e) = check_query(self.dim, x.len(), k, tier) {
+            return Err(FabricError::Rpc(RpcError::BadRequest {
+                detail: e.to_string(),
+            }));
+        }
+
         let start = Instant::now();
         self.metrics.requests.inc();
         let trace_id = if self.config.trace {
@@ -493,63 +510,121 @@ impl Router {
         } else {
             TraceId::ZERO
         };
-        let (tx, rx) = mpsc::channel::<(usize, Result<ShardAnswer, ShardFailure>)>();
-        for (index, _) in self.shards.iter().enumerate() {
-            let tx = tx.clone();
-            let shards = Arc::clone(&self.shards);
-            let config = self.config.clone();
-            let metrics = Arc::clone(&self.metrics);
-            let x = x.to_vec();
+        let deadline = self.config.deadline;
+        let connect_timeout = self.config.connect_timeout;
+        let x: Arc<[f32]> = Arc::from(x);
+        let (tx, rx) = mpsc::channel::<(usize, Result<ShardAnswer, CallError>)>();
+        // The request path's one thread start: a replica attempt, which
+        // reports to the loop below and to nobody once the loop is gone.
+        let launch = |shard: usize, replica: usize| {
+            let pool = Arc::clone(&self.shards[shard].pools[replica]);
+            let (tx, x) = (tx.clone(), Arc::clone(&x));
+            let remaining = deadline
+                .saturating_sub(start.elapsed())
+                .max(Duration::from_millis(1));
             std::thread::Builder::new()
-                .name(format!("tkspmv-router-s{index}"))
+                .name("tkspmv-router-attempt".to_string())
                 .spawn(move || {
-                    let outcome = query_shard(
-                        &shards[index],
-                        &x,
-                        k,
-                        tier,
-                        trace_id,
-                        &config,
-                        &metrics,
-                        start,
-                    );
-                    let _ = tx.send((index, outcome));
+                    let sent_us = us(start.elapsed());
+                    let attempt = Instant::now();
+                    let result = pool.call(connect_timeout, |c| {
+                        c.query_traced(&x, k, tier, trace_id, remaining)
+                    });
+                    let rtt_us = us(attempt.elapsed());
+                    let _ = tx.send((
+                        shard,
+                        result.map(|(entries, node_trace)| ShardAnswer {
+                            replica,
+                            entries,
+                            sent_us,
+                            rtt_us,
+                            node_trace,
+                        }),
+                    ));
                 })
-                // invariant: spawn fails only on OS thread exhaustion; the query cannot proceed without its fan-out
-                .expect("spawn router fan-out thread");
-        }
-        drop(tx);
+                // invariant: spawn fails only on OS thread exhaustion; the attempt is lost without its thread
+                .expect("spawn attempt thread");
+        };
 
-        let mut outcomes: Vec<Option<ShardOutcome>> = vec![None; self.shards.len()];
+        let mut groups: Vec<GroupState> = Vec::new();
+        groups.resize_with(self.shards.len(), GroupState::default);
+        let mut answers: Vec<Option<ShardAnswer>> = Vec::new();
+        answers.resize_with(self.shards.len(), || None);
         let mut pairs: Vec<(u32, f64)> = Vec::new();
-        let mut answers: Vec<Option<ShardAnswer>> = (0..self.shards.len()).map(|_| None).collect();
-        let mut pending = self.shards.len();
-        // The shard threads enforce the deadline themselves; the grace
-        // covers their bounded connect/teardown slack so a wedged thread
-        // can never wedge the router.
-        let grace = self.config.connect_timeout + Duration::from_millis(250);
-        while pending > 0 {
-            let budget = (self.config.deadline + grace).saturating_sub(start.elapsed());
-            match rx.recv_timeout(budget.max(Duration::from_millis(1))) {
-                Ok((index, Ok(mut answer))) => {
-                    pairs.extend(std::mem::take(&mut answer.entries));
-                    outcomes[index] = Some(ShardOutcome::Answered {
+        while groups.iter().any(|g| g.outcome.is_none()) {
+            let elapsed = start.elapsed();
+            if elapsed >= deadline {
+                break;
+            }
+            // Start what is due — a group's primary at 0, its next
+            // replica after each further `deadline / replicas` of
+            // silence — and wake for the earliest start still ahead.
+            let mut wake = deadline;
+            for (shard, g) in groups.iter_mut().enumerate() {
+                let replicas = self.shards[shard].pools.len();
+                let due = |launched: usize| deadline / replicas as u32 * launched as u32;
+                if g.outcome.is_some() || g.launched == replicas {
+                    continue;
+                }
+                if elapsed >= due(g.launched) {
+                    if g.launched > 0 {
+                        self.metrics.hedged_sends.inc();
+                    }
+                    launch(shard, g.launched);
+                    g.launched += 1;
+                }
+                if g.launched < replicas {
+                    wake = wake.min(due(g.launched));
+                }
+            }
+            let Ok((shard, result)) = rx.recv_timeout(wake.saturating_sub(elapsed)) else {
+                continue;
+            };
+            let g = &mut groups[shard];
+            if g.outcome.is_some() {
+                // A closed group's straggler (the loser of a hedge race).
+                continue;
+            }
+            match result {
+                Ok(mut answer) => {
+                    pairs.append(&mut answer.entries);
+                    g.outcome = Some(ShardOutcome::Answered {
                         replica: answer.replica,
                     });
-                    answers[index] = Some(answer);
-                    pending -= 1;
+                    answers[shard] = Some(answer);
                 }
-                Ok((index, Err(failure))) => {
-                    outcomes[index] = Some(ShardOutcome::Failed(failure));
-                    pending -= 1;
+                Err(e) => {
+                    g.finished += 1;
+                    let retryable = match e {
+                        CallError::Rpc(rpc) => {
+                            let retryable = rpc.is_retryable();
+                            g.last_rpc = Some(rpc);
+                            retryable
+                        }
+                        CallError::Wire(w) => {
+                            g.saw_timeout |= w.is_timeout();
+                            g.attempts.push(w.to_string());
+                            true
+                        }
+                    };
+                    if retryable && g.launched < self.shards[shard].pools.len() {
+                        // Fail over immediately; don't wait for the stagger.
+                        self.metrics.failovers.inc();
+                        launch(shard, g.launched);
+                        g.launched += 1;
+                    } else if !retryable || g.finished == g.launched {
+                        g.outcome = Some(ShardOutcome::Failed(g.failure(false)));
+                    }
                 }
-                Err(_) => break,
             }
         }
         let coverage = CoverageReport {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.unwrap_or(ShardOutcome::Failed(ShardFailure::DeadlineExceeded)))
+            outcomes: groups
+                .iter_mut()
+                .map(|g| match g.outcome.take() {
+                    Some(outcome) => outcome,
+                    None => ShardOutcome::Failed(g.failure(true)),
+                })
                 .collect(),
         };
         if !coverage.is_complete() {
@@ -637,7 +712,7 @@ impl Router {
 /// One answered shard group's contribution: the winning replica, the
 /// entries it ranked, and — for trace assembly — when the winning
 /// attempt was sent (offset from query start), its wire round-trip, and
-/// the node's span report (absent for untraced queries and v1 nodes).
+/// the node's span report (absent for untraced queries).
 struct ShardAnswer {
     replica: usize,
     entries: Vec<(u32, f64)>,
@@ -646,150 +721,47 @@ struct ShardAnswer {
     node_trace: Option<WireTrace>,
 }
 
-/// What one replica attempt sends back: its index and its answer, or
-/// the typed call failure.
-type AttemptResult = (usize, Result<ShardAnswer, CallError>);
+/// One shard group's progress through a fan-out.
+#[derive(Default)]
+struct GroupState {
+    /// Replica attempts started, in preference order.
+    launched: usize,
+    /// Attempts that reported a failure.
+    finished: usize,
+    /// Whether any failed attempt was a socket timeout.
+    saw_timeout: bool,
+    /// The wire failures, stringified in the order they arrived.
+    attempts: Vec<String>,
+    /// The latest node-side error.
+    last_rpc: Option<RpcError>,
+    /// `None` while the group is open.
+    outcome: Option<ShardOutcome>,
+}
+
+impl GroupState {
+    /// Why the group has no answer. Cut off `at_deadline`, a timeout or
+    /// plain silence is the deadline's doing whatever else was seen;
+    /// otherwise (every attempt reported, or one was non-retryable) a
+    /// node's own words outrank a timeout, which outranks other io.
+    fn failure(&mut self, at_deadline: bool) -> ShardFailure {
+        let rpc = self.last_rpc.take();
+        let silent = rpc.is_none() && self.attempts.is_empty();
+        if at_deadline && (self.saw_timeout || silent) {
+            return ShardFailure::DeadlineExceeded;
+        }
+        match rpc {
+            Some(e) => ShardFailure::Rpc(e),
+            None if self.saw_timeout => ShardFailure::DeadlineExceeded,
+            None => ShardFailure::Unreachable {
+                attempts: std::mem::take(&mut self.attempts),
+            },
+        }
+    }
+}
 
 /// Saturating microseconds for span arithmetic.
 fn us(d: Duration) -> u32 {
     d.as_micros().min(u128::from(u32::MAX)) as u32
-}
-
-/// Queries one shard group under the router deadline: primary first,
-/// hedging to the next replica after a stagger (or immediately on
-/// failure), first success wins. Never blocks past the deadline.
-#[allow(clippy::too_many_arguments)]
-fn query_shard(
-    shard: &ShardGroup,
-    x: &[f32],
-    k: usize,
-    tier: QueryTier,
-    trace_id: TraceId,
-    config: &RouterConfig,
-    metrics: &RouterMetrics,
-    start: Instant,
-) -> Result<ShardAnswer, ShardFailure> {
-    let n = shard.pools.len();
-    let stagger = config
-        .hedge_after
-        .unwrap_or_else(|| config.deadline / (n as u32));
-    let (tx, rx) = mpsc::channel::<AttemptResult>();
-
-    let launch = |replica: usize, tx: &mpsc::Sender<AttemptResult>| {
-        let pool = Arc::clone(&shard.pools[replica]);
-        let tx = tx.clone();
-        let x = x.to_vec();
-        let connect_timeout = config.connect_timeout;
-        let remaining = config
-            .deadline
-            .saturating_sub(start.elapsed())
-            .max(Duration::from_millis(1));
-        std::thread::Builder::new()
-            .name("tkspmv-router-attempt".to_string())
-            .spawn(move || {
-                let sent_us = us(start.elapsed());
-                let attempt = Instant::now();
-                let result = pool.call(connect_timeout, |c| {
-                    c.query_traced(&x, k, tier, trace_id, remaining)
-                });
-                let rtt_us = us(attempt.elapsed());
-                let _ = tx.send((
-                    replica,
-                    result.map(|(entries, node_trace)| ShardAnswer {
-                        replica,
-                        entries,
-                        sent_us,
-                        rtt_us,
-                        node_trace,
-                    }),
-                ));
-            })
-            // invariant: spawn fails only on OS thread exhaustion; the attempt is lost without its thread
-            .expect("spawn attempt thread");
-    };
-
-    launch(0, &tx);
-    let mut launched = 1usize;
-    let mut finished = 0usize;
-    let mut saw_timeout = false;
-    let mut attempts: Vec<String> = Vec::new();
-    let mut last_rpc: Option<RpcError> = None;
-
-    loop {
-        let elapsed = start.elapsed();
-        if elapsed >= config.deadline {
-            return Err(
-                if saw_timeout || last_rpc.is_none() && attempts.is_empty() {
-                    ShardFailure::DeadlineExceeded
-                } else if let Some(e) = last_rpc {
-                    ShardFailure::Rpc(e)
-                } else {
-                    ShardFailure::Unreachable { attempts }
-                },
-            );
-        }
-        // Wake for whichever comes first: an attempt result, the next
-        // hedge launch, or the deadline.
-        let until_deadline = config.deadline - elapsed;
-        let until_hedge = if launched < n {
-            stagger
-                .checked_mul(launched as u32)
-                .unwrap_or(until_deadline)
-                .saturating_sub(elapsed)
-        } else {
-            until_deadline
-        };
-        match rx.recv_timeout(
-            until_hedge
-                .min(until_deadline)
-                .max(Duration::from_millis(1)),
-        ) {
-            Ok((_, Ok(answer))) => return Ok(answer),
-            Ok((_, Err(e))) => {
-                finished += 1;
-                match e {
-                    CallError::Rpc(rpc) => last_rpc = Some(rpc),
-                    CallError::Wire(w) => {
-                        if w.is_timeout() {
-                            saw_timeout = true;
-                        }
-                        attempts.push(w.to_string());
-                    }
-                }
-                if launched < n {
-                    // Fail over immediately; don't wait for the stagger.
-                    metrics.failovers.inc();
-                    launch(launched, &tx);
-                    launched += 1;
-                } else if finished == launched {
-                    return Err(if let Some(e) = last_rpc {
-                        ShardFailure::Rpc(e)
-                    } else if saw_timeout {
-                        ShardFailure::DeadlineExceeded
-                    } else {
-                        ShardFailure::Unreachable { attempts }
-                    });
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if launched < n && start.elapsed() >= stagger * (launched as u32) {
-                    metrics.hedged_sends.inc();
-                    launch(launched, &tx);
-                    launched += 1;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // All attempt threads gone without a success.
-                return Err(if let Some(e) = last_rpc {
-                    ShardFailure::Rpc(e)
-                } else if saw_timeout {
-                    ShardFailure::DeadlineExceeded
-                } else {
-                    ShardFailure::Unreachable { attempts }
-                });
-            }
-        }
-    }
 }
 
 /// Assembles one fan-out's cross-node trace tree.
@@ -853,5 +825,42 @@ fn assemble_trace(
         trace_id,
         total_us: u64::from(total_us),
         root,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every row the fan-out's failure reporting distinguishes, through
+    /// the one classifier.
+    #[test]
+    #[rustfmt::skip] // one row per line
+    fn failure_classifier_table() {
+        let rpc = || Some(RpcError::Overloaded);
+        let node_said = || ShardFailure::Rpc(RpcError::Overloaded);
+        let strings = |attempts: &[&str]| attempts.iter().map(|a| a.to_string()).collect();
+        let unreachable = |attempts: &[&str]| ShardFailure::Unreachable {
+            attempts: strings(attempts),
+        };
+        let row = |what, saw_timeout, attempts: &[&str], last_rpc, at_deadline, expected| {
+            let mut g = GroupState {
+                saw_timeout,
+                attempts: strings(attempts),
+                last_rpc,
+                ..GroupState::default()
+            };
+            assert_eq!(g.failure(at_deadline), expected, "{what}");
+        };
+        let expired = ShardFailure::DeadlineExceeded;
+        // what the group saw | saw_timeout | wire failures | last rpc | at_deadline | expected
+        row("timeout + rpc, cut off by the deadline", true, &["timed out"], rpc(), true, expired.clone());
+        row("timeout + rpc, every attempt reported", true, &["timed out"], rpc(), false, node_said());
+        row("silence at the deadline", false, &[], None, true, expired.clone());
+        row("rpc only, at the deadline", false, &[], rpc(), true, node_said());
+        row("io + rpc, at the deadline", false, &["refused"], rpc(), true, node_said());
+        row("io + timeout, every attempt reported", true, &["refused", "timed out"], None, false, expired);
+        row("io only, every attempt reported", false, &["refused", "reset"], None, false, unreachable(&["refused", "reset"]));
+        row("io only, at the deadline", false, &["refused", "reset"], None, true, unreachable(&["refused", "reset"]));
     }
 }

@@ -4,8 +4,12 @@
 //!
 //! The invariants under test:
 //!
-//! - A router query never blocks past its deadline (plus bounded
-//!   connect slack), however a node dies — wedged, refused, or gone.
+//! - A router query never blocks past its deadline, however a node
+//!   dies — wedged, refused, or gone.
+//! - A silent primary is hedged after `deadline / replicas`; a failed
+//!   one is failed over at once, unless its error says the request
+//!   itself is at fault — and a query that is visibly at fault never
+//!   leaves the router or moves a degradation counter.
 //! - Lost shards surface as typed coverage, not silent truncation:
 //!   [`PartialPolicy::Fail`] turns them into errors carrying the
 //!   report, [`PartialPolicy::Allow`] returns the partial merge with
@@ -26,7 +30,7 @@ use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_fabric::wire::{read_request, write_response, NodeInfo, Request, Response};
 use tkspmv_fabric::{
     DeltaCollection, FabricError, NodeClient, NodeServer, PartialPolicy, Router, RouterConfig,
-    ShardFailure, ShardOutcome, ShardSpec,
+    RpcError, ShardFailure, ShardOutcome, ShardSpec,
 };
 use tkspmv_serve::{BatchPolicy, TopKService};
 use tkspmv_sparse::Csr;
@@ -59,41 +63,63 @@ fn router_config(deadline: Duration) -> RouterConfig {
     }
 }
 
-/// A node that answers `Info` honestly, then goes silent forever on the
-/// first query — the shape of a process wedged mid-request.
-fn spawn_wedged_shard(start_row: u64, rows: u64, dim: u64) -> std::net::SocketAddr {
+/// A fake node that answers `Info` honestly and every other request
+/// with `reply` — or, given none, goes silent forever on the first one.
+fn spawn_scripted_shard(
+    start_row: u64,
+    rows: u64,
+    dim: u64,
+    reply: Option<RpcError>,
+) -> std::net::SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { continue };
+            let reply = reply.clone();
             std::thread::spawn(move || loop {
-                match read_request(&mut stream) {
-                    Ok(Request::Info) => {
-                        let info = NodeInfo {
-                            start_row,
-                            base_rows: rows,
-                            delta_rows: 0,
-                            dim,
-                            epoch: 0,
-                            max_wait_micros: 0,
-                            max_batch_size: 1,
-                            queue_capacity: 1024,
-                        };
-                        if write_response(&mut stream, &Response::Info(info)).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(_) => {
+                let response = match (read_request(&mut stream), &reply) {
+                    (Ok(Request::Info), _) => Response::Info(NodeInfo {
+                        start_row,
+                        base_rows: rows,
+                        delta_rows: 0,
+                        dim,
+                        epoch: 0,
+                        max_wait_micros: 0,
+                        max_batch_size: 1,
+                        queue_capacity: 1024,
+                    }),
+                    (Ok(_), Some(e)) => Response::Error(e.clone()),
+                    (Ok(_), None) => {
                         // Wedge: never answer, never close.
                         std::thread::sleep(Duration::from_secs(3600));
+                        return;
                     }
-                    Err(_) => return,
+                    (Err(_), _) => return,
+                };
+                if write_response(&mut stream, &response).is_err() {
+                    return;
                 }
             });
         }
     });
     addr
+}
+
+/// The shape of a process wedged mid-request.
+fn spawn_wedged_shard(start_row: u64, rows: u64, dim: u64) -> std::net::SocketAddr {
+    spawn_scripted_shard(start_row, rows, dim, None)
+}
+
+/// One of the router's counters, read off its Prometheus rendering.
+fn counter(router: &Router, name: &str) -> f64 {
+    let rendered = router.render_metrics();
+    rendered
+        .lines()
+        .find(|l| l.starts_with(name))
+        .and_then(|l| l.rsplit(' ').next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{name} not rendered:\n{rendered}"))
 }
 
 #[test]
@@ -119,8 +145,8 @@ fn wedged_node_times_out_within_the_deadline() {
         .expect_err("wedged shard must fail the query under Fail policy");
     let elapsed = start.elapsed();
     assert!(
-        elapsed < deadline + Duration::from_secs(2),
-        "router blocked {elapsed:?} — past the deadline plus connect slack"
+        elapsed < deadline + Duration::from_millis(250),
+        "router blocked {elapsed:?} — past the deadline"
     );
     match err {
         FabricError::Partial { coverage } => {
@@ -247,6 +273,148 @@ fn replica_failover_hides_a_dead_primary() {
     );
     assert_eq!(result.topk.entries()[0], (3, 4.0));
     live.shutdown();
+}
+
+#[test]
+fn silent_primary_is_hedged_after_the_stagger() {
+    let dim = 6;
+    let wedged = spawn_wedged_shard(0, 6, dim as u64);
+    let live = spawn_node(6, dim, 0, BatchPolicy::immediate());
+    let deadline = Duration::from_millis(1_200);
+    let router = Router::connect(
+        vec![ShardSpec::replicated([
+            wedged.to_string(),
+            live.local_addr().to_string(),
+        ])],
+        router_config(deadline),
+    )
+    .expect("connect");
+
+    let mut x = vec![0.0f32; dim];
+    x[3] = 1.0;
+    let start = Instant::now();
+    let result = router.query(&x, 1, QueryTier::Exact).expect("hedged");
+    let elapsed = start.elapsed();
+    assert_eq!(
+        result.coverage.outcomes(),
+        [ShardOutcome::Answered { replica: 1 }]
+    );
+    assert_eq!(result.topk.entries()[0], (3, 4.0));
+    // Two replicas: the secondary is asked after deadline / 2 of silence.
+    assert!(
+        elapsed >= deadline / 2 && elapsed < deadline,
+        "hedged answer took {elapsed:?} (stagger {:?}, deadline {deadline:?})",
+        deadline / 2
+    );
+    assert_eq!(counter(&router, "tkspmv_router_hedged_sends_total"), 1.0);
+    assert_eq!(counter(&router, "tkspmv_router_failovers_total"), 0.0);
+    live.shutdown();
+}
+
+#[test]
+fn malformed_queries_never_leave_the_router() {
+    let dim = 6;
+    let a = spawn_node(6, dim, 0, BatchPolicy::immediate());
+    let b = spawn_node(6, dim, 0, BatchPolicy::immediate());
+    let router = Router::connect(
+        vec![ShardSpec::replicated([
+            a.local_addr().to_string(),
+            b.local_addr().to_string(),
+        ])],
+        router_config(Duration::from_secs(5)),
+    )
+    .expect("connect");
+
+    let pruned_zero = QueryTier::Pruned {
+        shortlist_factor: 0,
+    };
+    for (name, x, k, tier) in [
+        (
+            "wrong dimension",
+            vec![1.0f32; dim + 1],
+            1,
+            QueryTier::Exact,
+        ),
+        ("k = 0", vec![1.0; dim], 0, QueryTier::Exact),
+        ("zero shortlist factor", vec![1.0; dim], 1, pruned_zero),
+    ] {
+        match router.query(&x, k, tier) {
+            Err(FabricError::Rpc(RpcError::BadRequest { .. })) => {}
+            other => panic!("{name}: expected a typed BadRequest, got {other:?}"),
+        }
+    }
+    #[cfg(target_pointer_width = "64")]
+    match router.query(&vec![1.0; dim], u32::MAX as usize + 1, QueryTier::Exact) {
+        Err(FabricError::Rpc(RpcError::BadRequest { detail })) => {
+            assert!(detail.contains("32-bit"), "{detail}")
+        }
+        other => panic!("k past the wire's range: got {other:?}"),
+    }
+    // A client's typo is not the fleet degrading.
+    for name in [
+        "tkspmv_router_requests_total",
+        "tkspmv_router_failovers_total",
+        "tkspmv_router_incomplete_coverage_total",
+    ] {
+        assert_eq!(counter(&router, name), 0.0, "{name}");
+    }
+    a.shutdown();
+    b.shutdown();
+}
+
+#[test]
+fn only_retryable_node_errors_fail_over() {
+    let dim = 6;
+    let mut x = vec![0.0f32; dim];
+    x[3] = 1.0;
+
+    // Plain CpuTopK nodes have no pruned tier: the node answers the
+    // non-retryable `Engine`, which the other replica would only repeat.
+    let a = spawn_node(6, dim, 0, BatchPolicy::immediate());
+    let b = spawn_node(6, dim, 0, BatchPolicy::immediate());
+    let router = Router::connect(
+        vec![ShardSpec::replicated([
+            a.local_addr().to_string(),
+            b.local_addr().to_string(),
+        ])],
+        router_config(Duration::from_secs(5)),
+    )
+    .expect("connect");
+    let pruned = QueryTier::Pruned {
+        shortlist_factor: 2,
+    };
+    match router.query(&x, 1, pruned) {
+        Err(FabricError::NoCoverage { coverage }) => assert!(
+            matches!(
+                coverage.outcomes(),
+                [ShardOutcome::Failed(ShardFailure::Rpc(
+                    RpcError::Engine { .. }
+                ))]
+            ),
+            "{coverage:?}"
+        ),
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(counter(&router, "tkspmv_router_failovers_total"), 0.0);
+    b.shutdown();
+
+    // An overloaded primary says nothing about the secondary.
+    let shedding = spawn_scripted_shard(0, 6, dim as u64, Some(RpcError::Overloaded));
+    let router = Router::connect(
+        vec![ShardSpec::replicated([
+            shedding.to_string(),
+            a.local_addr().to_string(),
+        ])],
+        router_config(Duration::from_secs(5)),
+    )
+    .expect("connect");
+    let result = router.query(&x, 1, QueryTier::Exact).expect("failover");
+    assert_eq!(
+        result.coverage.outcomes(),
+        [ShardOutcome::Answered { replica: 1 }]
+    );
+    assert_eq!(counter(&router, "tkspmv_router_failovers_total"), 1.0);
+    a.shutdown();
 }
 
 #[test]
