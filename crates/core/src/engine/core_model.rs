@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use tkspmv_fixed::SpmvScalar;
-use tkspmv_sparse::{BsCsr, PacketScratch};
+use tkspmv_sparse::{BsCsr, PacketLayout};
 
 use crate::stages::StageTimes;
 use crate::topk::TopKTracker;
@@ -76,29 +76,36 @@ struct Segment {
 /// Packets decoded per chunk before the lane sweep. Large enough to
 /// amortise the per-lane loop entry/exit over many packets (and to
 /// merge most cross-packet row segments), small enough that the flat
-/// `dvals`/`cidx` chunk stays inside L1 alongside a query vector.
+/// `dvals`/`cidx` chunk — `CHUNK_PACKETS · B` entries, 7.5 KiB at the
+/// paper's B = 15 — stays inside L1 alongside a query vector.
 const CHUNK_PACKETS: usize = 64;
 
 /// Reusable working memory for [`run_core_batch_with_scratch`]: the
-/// decoded packet fields, the once-per-packet decoded matrix values, and
-/// one resident lane (Top-K tracker + carry) per query in the batch.
+/// current chunk's flat value/index arrays and segment program, and one
+/// resident lane (Top-K tracker + carry) per query in the batch.
 ///
 /// Allocate one per participant (see [`crate::fanout::fork_join`]) and
 /// stream every partition and batch it walks through it.
-/// Lane and output buffers only ever grow to the largest batch size
-/// seen, and every per-packet buffer is capacity-warm after the first
-/// few packets, so the steady-state loop performs zero heap allocations
-/// per packet — *independent of both the packet count and the batch
-/// size* (asserted by the `zero_alloc` integration test). That is what
-/// lets the software model be bandwidth- rather than allocator-bound.
+/// The chunk buffers are sized **once per call** to `CHUNK_PACKETS · B`
+/// (a no-op when the previous call used the same layout) and the packet
+/// loop writes into them by position, so a call allocates a number of
+/// times that depends on neither the packet count nor — once lanes and
+/// outputs have grown to the largest batch seen — the batch size; on a
+/// warm scratch that number is zero (both asserted by the `zero_alloc`
+/// integration test). That is what lets the software model be
+/// bandwidth- rather than allocator-bound.
 #[derive(Debug, Clone)]
 pub struct BatchScratch<S: SpmvScalar> {
-    /// Decoded packet fields (`row_ends` / `idx` / `val`).
-    packet: PacketScratch,
+    /// One packet's `B` raw `ptr` slots (0 = unused), rewritten per
+    /// packet.
+    ends: Vec<u32>,
     /// The current chunk's values decoded into the scalar domain —
-    /// computed once per chunk of packets, shared by every query lane.
+    /// sliced straight out of the packet words, once per chunk, shared
+    /// by every query lane. `CHUNK_PACKETS · B` long; a ragged last
+    /// packet leaves padding past the real entry count, which replay
+    /// never sees (its slices are cut at that count).
     dvals: Vec<S>,
-    /// The current chunk's column indices, flattened across its packets.
+    /// The current chunk's column indices, laid out like `dvals`.
     cidx: Vec<u32>,
     /// The current chunk's segment program — computed once, replayed by
     /// every query lane. Rows spanning packets inside the chunk appear
@@ -121,7 +128,7 @@ impl<S: SpmvScalar> BatchScratch<S> {
     // buffers whose reuse makes the batch loop allocation-free.
     pub fn new() -> Self {
         Self {
-            packet: PacketScratch::new(),
+            ends: Vec::new(),
             dvals: Vec::new(),
             cidx: Vec::new(),
             segs: Vec::new(),
@@ -148,11 +155,11 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 }
 
 /// Runs one core over a BS-CSR partition for a whole batch of queries
-/// in a single **matrix-major** pass: each packet is decoded into the
-/// scratch **once** and its entries are accumulated into all B query
-/// lanes before the stream advances, instead of replaying the decode
-/// once per query. This is the engine's one entry point; a single query
-/// is a one-lane batch.
+/// in a single **matrix-major** pass: each chunk of packets is sliced
+/// into flat value/index arrays **once** and its entries are
+/// accumulated into all B query lanes before the stream advances,
+/// instead of replaying the decode once per query. This is the engine's
+/// one entry point; a single query is a one-lane batch.
 ///
 /// Per lane it follows Algorithm 1 stage by stage:
 ///
@@ -174,6 +181,19 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// per-packet field extraction and value decode are paid once and
 /// amortised over the batch.
 ///
+/// **What is constant.** The hardware slices a packet at one per clock
+/// because its layout is fixed in the bitstream (§IV-B/C). The software
+/// form of that: when the stream's layout equals the paper's design
+/// layout for this scalar ([`PacketLayout::paper`], `M = 1024`), the
+/// one loop body below is entered with that layout as a *compile-time
+/// constant*, so `B`, every field offset, shift and mask are immediates
+/// and the per-packet extract loops unroll completely. Any other layout
+/// enters the same body with the run-time value. Nothing else differs
+/// between the two instantiations — the packet words, the query, the
+/// segment program, the arithmetic and its order are the same — so
+/// results are bit-identical whichever runs (pinned by a unit test over
+/// all five Table-II scalars).
+///
 /// Results are **bit-identical** to running each query alone: per lane,
 /// the sequence of multiply/accumulate operations and Top-K offers is
 /// exactly the packet-arrival order the single-query loop produces —
@@ -188,7 +208,10 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// # Panics
 ///
 /// Panics if any query is shorter than the matrix's column count or if
-/// `k == 0` (for a non-empty batch).
+/// `k == 0` (for a non-empty batch). A stream that was never
+/// [validated](BsCsr::validate) and whose `ptr` slots point past a
+/// packet's real entries panics on a slice bound rather than read
+/// padding.
 pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     matrix: &BsCsr,
     queries: &[Q],
@@ -196,6 +219,28 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     fidelity: Fidelity,
     scratch: &'s mut BatchScratch<S>,
 ) -> &'s [CoreOutput<S::Acc>] {
+    let design = const { PacketLayout::paper(S::VALUE_BITS) };
+    if matrix.layout() == design {
+        run_with_layout(matrix, design, queries, k, fidelity, scratch)
+    } else {
+        run_with_layout(matrix, matrix.layout(), queries, k, fidelity, scratch)
+    }
+}
+
+/// The engine's one loop body. `layout` is `matrix.layout()`, passed by
+/// value so that the design-layout call site above can hand it over as
+/// a constant (hence `inline(always)`: the constant must reach the
+/// extract loops).
+#[inline(always)]
+fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
+    matrix: &BsCsr,
+    layout: PacketLayout,
+    queries: &[Q],
+    k: usize,
+    fidelity: Fidelity,
+    scratch: &'s mut BatchScratch<S>,
+) -> &'s [CoreOutput<S::Acc>] {
+    debug_assert_eq!(layout, matrix.layout());
     let b = queries.len();
     scratch.stage_times = StageTimes::default();
     if b == 0 {
@@ -239,51 +284,68 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     // phase is the start of the next chunk's decode phase.
     let mut mark = Instant::now();
 
-    let num_packets = matrix.num_packets();
-    let mut p = 0usize;
-    while p < num_packets {
-        let chunk_end = (p + CHUNK_PACKETS).min(num_packets);
+    // alloc-ok: the chunk buffers are sized here, once per call (a no-op
+    // when the scratch last saw the same layout); the packet loop
+    // writes into them by position and `segs` cannot outgrow one row
+    // end per entry, so nothing below grows with the packet count.
+    let per_packet = layout.entries_per_packet() as usize;
+    scratch.ends.resize(per_packet, 0);
+    scratch.cidx.resize(CHUNK_PACKETS * per_packet, 0);
+    scratch
+        .dvals
+        .resize(CHUNK_PACKETS * per_packet, S::decode(0));
+    scratch.segs.clear();
+    scratch.segs.reserve(CHUNK_PACKETS * per_packet);
 
-        // Stages 1a+2+3 structure, once per chunk: decode the chunk's
-        // packets into flat `dvals`/`cidx` arrays and build its segment
-        // program (entry ranges, destination rows, carry stitching, `r`
-        // gate). The per-lane loop below only pays the query-dependent
-        // gather-multiply-accumulate. A row spanning packets *inside*
-        // the chunk becomes one merged segment: the sequential path's
-        // carry is just the running sum at the packet boundary, so the
-        // merged accumulation performs the identical operation sequence.
-        scratch.dvals.clear();
-        scratch.cidx.clear();
+    let packets = matrix.packets();
+    let mut p = 0usize;
+    while p < packets.len() {
+        let chunk_end = (p + CHUNK_PACKETS).min(packets.len());
+
+        // Stages 1a+2+3 structure, once per chunk: slice the chunk's
+        // packets into the flat `dvals`/`cidx` arrays and build its
+        // segment program (entry ranges, destination rows, carry
+        // stitching, `r` gate). The per-lane loop below only pays the
+        // query-dependent gather-multiply-accumulate. A row spanning
+        // packets *inside* the chunk becomes one merged segment: the
+        // sequential path's carry is just the running sum at the packet
+        // boundary, so the merged accumulation performs the identical
+        // operation sequence.
         scratch.segs.clear();
         let mut base = 0u32; // chunk-relative entry offset of the packet
         let mut seg_open_start = 0u32; // where the next segment begins
         let mut seg_open_carry = carry_active; // continues pre-chunk row?
-        for pk in p..chunk_end {
-            matrix.view_into(pk, &mut scratch.packet);
-            let view = &scratch.packet;
-            let len = view.len() as u32;
+        let slots = scratch
+            .cidx
+            .chunks_exact_mut(per_packet)
+            .zip(scratch.dvals.chunks_exact_mut(per_packet));
+        for (pk, (idx_out, val_out)) in (p..chunk_end).zip(slots) {
+            // All `B` slots are sliced; only the stream's last packet
+            // can hold fewer real entries, and its padding lands past
+            // `base`, beyond what replay is shown.
+            let new_row =
+                packets[pk].decode_fields(layout, &mut scratch.ends, idx_out, val_out, S::decode);
+            let len = matrix.entries_in_packet(pk) as u32;
             shared.packets += 1;
             shared.entries += len as u64;
             debug_assert_eq!(
-                view.new_row,
+                new_row,
                 !(seg_open_start < base || seg_open_carry),
                 "encoder new_row bit consistent with carry state"
             );
-            scratch.cidx.extend_from_slice(&view.idx);
-            scratch
-                .dvals
-                .extend(view.val.iter().map(|&raw| S::decode(raw)));
-            let ends_in_packet = view.row_ends.len() as u32;
-            for (n, &end) in view.row_ends.iter().enumerate() {
+            // Non-zero `ptr` slots are the rows ending in this packet.
+            let mut ends_in_packet = 0u32;
+            for &end in scratch.ends.iter().filter(|&&end| end != 0) {
                 scratch.segs.push(Segment {
                     start: seg_open_start,
                     end: base + end,
-                    row: current_row + n as u32,
+                    row: current_row + ends_in_packet,
                     use_carry: seg_open_carry,
-                    offer: (n as u32) < r_limit,
+                    offer: ends_in_packet < r_limit,
                 });
                 seg_open_start = base + end;
                 seg_open_carry = false;
+                ends_in_packet += 1;
             }
             let finished = ends_in_packet.min(r_limit);
             shared.rows_finished += finished as u64;
@@ -301,8 +363,8 @@ pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
         carry_active = tail.is_some();
         let decoded = Instant::now();
 
-        let dvals = &scratch.dvals;
-        let idx = &scratch.cidx;
+        let dvals = &scratch.dvals[..base as usize];
+        let idx = &scratch.cidx[..base as usize];
         let segs = &scratch.segs;
 
         // Stages 1b+2+3+4 per lane: fused gather-multiply-accumulate
@@ -431,8 +493,10 @@ pub fn quantize_vector<S: SpmvScalar>(x: &[f32]) -> Vec<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tkspmv_fixed::{F32, Q1_19, Q1_31};
-    use tkspmv_sparse::{Csr, PacketLayout};
+    use std::hint::black_box;
+    use tkspmv_fixed::{Half, F32, Q1_19, Q1_24, Q1_31};
+    use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
+    use tkspmv_sparse::Csr;
 
     fn encode20(csr: &Csr) -> BsCsr {
         BsCsr::encode::<Q1_19>(csr, PacketLayout::solve(csr.num_cols(), 20).unwrap())
@@ -631,5 +695,172 @@ mod tests {
         let none: [Vec<Q1_19>; 0] = [];
         run_core_batch_with_scratch(&bs, &none, 8, Fidelity::Reference, &mut scratch);
         assert_eq!(scratch.stage_times(), StageTimes::default());
+    }
+
+    /// What one run reports per lane: the Top-K list and every
+    /// [`CoreStats`] field (`topk_accepted` is the lane's accept count).
+    type Lanes<S> = Vec<(Vec<(u32, <S as SpmvScalar>::Acc)>, CoreStats)>;
+
+    /// One batch through the private body with an explicit layout.
+    fn run_layout<S: SpmvScalar>(
+        matrix: &BsCsr,
+        layout: PacketLayout,
+        queries: &[Vec<S>],
+        fidelity: Fidelity,
+    ) -> Lanes<S> {
+        run_with_layout(
+            matrix,
+            layout,
+            queries,
+            8,
+            fidelity,
+            &mut BatchScratch::new(),
+        )
+        .iter()
+        .map(|out| (out.topk.clone(), out.stats))
+        .collect()
+    }
+
+    /// Both instantiations of the body — the design layout as a
+    /// constant, and the same layout handed over opaquely — and the
+    /// public dispatch, over both fidelities and B in {1, 5}.
+    fn both_instantiations<S: SpmvScalar>(matrix: &BsCsr) -> Vec<Lanes<S>> {
+        // Pins the dispatch constant to the M = 1024 solution the
+        // streams were encoded with.
+        let design = const { PacketLayout::paper(S::VALUE_BITS) };
+        assert_eq!(matrix.layout(), design, "stream is on the design layout");
+        let queries: Vec<Vec<S>> = (0..5)
+            .map(|seed| quantize_vector::<S>(query_vector(matrix.num_cols(), seed).as_slice()))
+            .collect();
+        let mut runs = Vec::new();
+        for fidelity in [
+            Fidelity::Faithful { rows_per_packet: 2 },
+            Fidelity::Reference,
+        ] {
+            for b in [1, 5] {
+                let constant = run_layout(matrix, design, &queries[..b], fidelity);
+                let runtime =
+                    run_layout(matrix, black_box(matrix.layout()), &queries[..b], fidelity);
+                assert_eq!(constant, runtime, "{fidelity:?} B={b}");
+                let mut scratch = BatchScratch::new();
+                let dispatched =
+                    run_core_batch_with_scratch(matrix, &queries[..b], 8, fidelity, &mut scratch);
+                for (lane, out) in constant.iter().zip(dispatched) {
+                    assert_eq!((&lane.0, lane.1), (&out.topk, out.stats));
+                }
+                runs.push(constant);
+            }
+        }
+        runs
+    }
+
+    /// A gamma-distributed stream whose last packet is ragged, and one
+    /// with a 70-entry row (five or more packets at every design `B`)
+    /// between short ones.
+    fn design_streams<S: SpmvScalar>() -> [BsCsr; 2] {
+        let layout = PacketLayout::solve(1024, S::VALUE_BITS).unwrap();
+        let gamma = SyntheticConfig {
+            num_rows: 300,
+            num_cols: 1024,
+            avg_nnz_per_row: 18,
+            distribution: NnzDistribution::table3_gamma(),
+            seed: 11,
+        }
+        .generate();
+        let mut triplets: Vec<(u32, u32, f32)> = (0..70).map(|c| (1, c * 13, 0.011)).collect();
+        triplets.extend([(0, 5, 0.5), (2, 1023, 0.25), (3, 0, 0.75)]);
+        triplets.sort_by_key(|&(r, c, _)| (r, c));
+        let long_row = Csr::from_triplets(4, 1024, &triplets).unwrap();
+        let streams = [gamma, long_row].map(|csr| BsCsr::encode::<S>(&csr, layout));
+        let b = layout.entries_per_packet() as u64;
+        assert_ne!(streams[0].stored_entries() % b, 0, "ragged last packet");
+        assert!(streams[1].num_packets() >= 5);
+        streams
+    }
+
+    fn constant_and_runtime_layouts_agree<S: SpmvScalar>() {
+        for stream in design_streams::<S>() {
+            both_instantiations::<S>(&stream);
+        }
+    }
+
+    #[test]
+    fn constant_and_runtime_layout_instantiations_are_bit_identical() {
+        constant_and_runtime_layouts_agree::<Q1_19>();
+        constant_and_runtime_layouts_agree::<Q1_24>();
+        constant_and_runtime_layouts_agree::<Q1_31>();
+        constant_and_runtime_layouts_agree::<F32>();
+        constant_and_runtime_layouts_agree::<Half>();
+    }
+
+    /// Overwrites entry `j`'s field (`idx` region if `val` is false) in
+    /// `packet` with `bits`-wide `raw`.
+    fn poke(matrix: &mut BsCsr, packet: usize, val: bool, j: usize, raw: u64) {
+        let l = matrix.layout();
+        let b = l.entries_per_packet() as usize;
+        let idx_base = 1 + b * l.ptr_bits() as usize;
+        let (base, bits) = if val {
+            (idx_base + b * l.idx_bits() as usize, l.value_bits())
+        } else {
+            (idx_base, l.idx_bits())
+        };
+        let words = matrix.packets_mut()[packet].words_mut();
+        for i in 0..bits as usize {
+            let pos = base + j * bits as usize + i;
+            words[pos / 64] &= !(1 << (pos % 64));
+            words[pos / 64] |= ((raw >> i) & 1) << (pos % 64);
+        }
+    }
+
+    #[test]
+    fn padding_of_a_ragged_last_packet_never_reaches_a_sum() {
+        let [clean, _] = design_streams::<Q1_19>();
+        let last = clean.num_packets() - 1;
+        let real = clean.entries_in_packet(last);
+        let mut doctored = clean.clone();
+        for j in real..clean.layout().entries_per_packet() as usize {
+            poke(&mut doctored, last, false, j, 0x3ff);
+            poke(&mut doctored, last, true, j, 0xf_ffff);
+        }
+        assert_ne!(doctored, clean);
+        assert_eq!(doctored.validate(), Ok(()), "structure untouched");
+        assert_eq!(
+            both_instantiations::<Q1_19>(&doctored),
+            both_instantiations::<Q1_19>(&clean)
+        );
+    }
+
+    /// A stream `validate` rejects: row 1 ends at entry 3 of 3 in the
+    /// only packet, and its `ptr` slot is moved to 5 — into the padding.
+    /// Replay must hit its slice bound, never read the padding.
+    fn stream_with_row_end_in_padding() -> BsCsr {
+        let csr = Csr::from_triplets(2, 1024, &[(0, 1, 0.5), (1, 2, 0.25), (1, 3, 0.125)]).unwrap();
+        let mut bs = BsCsr::encode::<Q1_19>(&csr, PacketLayout::solve(1024, 20).unwrap());
+        let second_ptr = 1 + bs.layout().ptr_bits();
+        let words = bs.packets_mut()[0].words_mut();
+        words[0] = (words[0] & !(0xf << second_ptr)) | (5 << second_ptr);
+        assert!(bs.validate().is_err());
+        bs
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for slice of length 3")]
+    fn row_end_in_padding_panics_with_the_constant_layout() {
+        // The public entry dispatches a design-layout stream to the
+        // constant instantiation.
+        let bs = stream_with_row_end_in_padding();
+        run_one::<Q1_19>(&bs, &ones(1024), 8, Fidelity::Reference);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for slice of length 3")]
+    fn row_end_in_padding_panics_with_the_runtime_layout() {
+        let bs = stream_with_row_end_in_padding();
+        run_layout::<Q1_19>(
+            &bs,
+            black_box(bs.layout()),
+            &[ones(1024)],
+            Fidelity::Reference,
+        );
     }
 }

@@ -22,7 +22,7 @@ use crate::bitio::BitWriter;
 use crate::csr::Csr;
 use crate::error::SparseError;
 use crate::layout::PacketLayout;
-use crate::packet::{extract_field, field_mask, for_each_field, Packet512, PACKET_BYTES};
+use crate::packet::{Packet512, PACKET_BYTES};
 
 /// A sparse matrix encoded as a stream of BS-CSR packets.
 ///
@@ -235,11 +235,12 @@ impl BsCsr {
     }
 
     /// Number of *real* entries in packet `i` (the last packet may be
-    /// partially filled).
+    /// partially filled); 0 for any `i` past the end of the stream.
+    #[inline]
     pub fn entries_in_packet(&self, i: usize) -> usize {
         let b = self.layout.entries_per_packet() as u64;
-        let consumed = i as u64 * b;
-        (self.stored_entries - consumed).min(b) as usize
+        let consumed = (i as u64).saturating_mul(b);
+        self.stored_entries.saturating_sub(consumed).min(b) as usize
     }
 
     /// Parses packet `i` into caller-owned scratch buffers, allocating
@@ -296,13 +297,12 @@ impl BsCsr {
     pub fn validate(&self) -> Result<(), String> {
         let b = self.layout.entries_per_packet() as usize;
         let ptr_bits = self.layout.ptr_bits();
-        let ptr_mask = field_mask(ptr_bits);
         let mut rows_terminated = 0u64;
         let mut prev_tail_open = false;
         for p in 0..self.num_packets() {
             let real = self.entries_in_packet(p);
-            let words = self.packets[p].words();
-            let new_row = words[0] & 1 == 1;
+            let packet = &self.packets[p];
+            let new_row = packet.words()[0] & 1 == 1;
             if p == 0 && !new_row {
                 return Err("packet 0 cannot continue a previous row".to_string());
             }
@@ -312,15 +312,13 @@ impl BsCsr {
                      (open={prev_tail_open})"
                 ));
             }
-            // Walk the ptr fields exactly as `PacketScratch::parse_into`
-            // does (non-zero entries are row ends), without touching the
-            // idx/val regions.
+            // Walk the ptr slots exactly as the decoders do (non-zero
+            // entries are row ends), without touching the idx/val
+            // regions.
             let mut prev_end = 0u32;
             let mut ends_in_packet = 0u64;
-            let mut pos = 1usize;
-            for _ in 0..b {
-                let end = extract_field(words, pos, ptr_bits, ptr_mask) as u32;
-                pos += ptr_bits as usize;
+            for j in 0..b {
+                let end = packet.field(1 + j * ptr_bits as usize, ptr_bits) as u32;
                 if end == 0 {
                     continue;
                 }
@@ -350,15 +348,10 @@ impl BsCsr {
         // common case pays nothing.
         if (self.num_cols as u64) < 1u64 << self.layout.idx_bits().min(63) {
             let idx_bits = self.layout.idx_bits();
-            let idx_mask = field_mask(idx_bits);
-            let idx_base = 1 + b * ptr_bits as usize;
-            for p in 0..self.num_packets() {
-                let real = self.entries_in_packet(p);
-                let words = self.packets[p].words();
-                let mut pos = idx_base;
-                for j in 0..real {
-                    let idx = extract_field(words, pos, idx_bits, idx_mask);
-                    pos += idx_bits as usize;
+            let idx_base = self.layout.idx_base();
+            for (p, packet) in self.packets.iter().enumerate() {
+                for j in 0..self.entries_in_packet(p) {
+                    let idx = packet.field(idx_base + j * idx_bits as usize, idx_bits);
                     if idx >= self.num_cols as u64 {
                         return Err(format!(
                             "packet {p} entry {j}: column index {idx} outside {} columns",
@@ -408,9 +401,10 @@ impl BsCsr {
 }
 
 /// The decoded fields of one BS-CSR packet, in caller-owned buffers
-/// reused across packets ([`BsCsr::view_into`]): each parse clears and
-/// refills the vectors, so after the first few packets their capacity
-/// is warm and decoding allocates nothing.
+/// reused across packets ([`BsCsr::view_into`]) — the cold-path view
+/// behind [`BsCsr::entries`], [`BsCsr::decode`] and tests. The engine
+/// does not go through it: it slices packets straight into its chunk
+/// arrays with the same [`Packet512::decode_fields`] this calls.
 ///
 /// # Example
 ///
@@ -446,99 +440,29 @@ impl PacketScratch {
     }
 
     /// Parses a packet into this scratch, overwriting whatever it held
-    /// before (no state survives from a previous packet).
-    ///
-    /// This is the steady-state decode path: once the scratch vectors
-    /// have grown to the layout's `B`, parsing performs no heap
-    /// allocation at all — the software analogue of the hardware's
-    /// wire-speed field slicing.
+    /// before (no state survives from a previous packet): all `B` slots
+    /// are sliced, then the unused `ptr` slots and the padding entries
+    /// past `real_entries` are dropped.
     fn parse_into(&mut self, packet: &Packet512, layout: PacketLayout, real_entries: usize) {
         let b = layout.entries_per_packet() as usize;
         debug_assert!(real_entries <= b, "more real entries than layout B");
-        debug_assert!(layout.bits_used() as usize <= crate::packet::PACKET_BITS);
-        let ptr_bits = layout.ptr_bits();
-        let idx_bits = layout.idx_bits();
-        let val_bits = layout.value_bits();
-        let words = packet.words();
-
-        // Field base offsets are fixed by the layout, so every region is
-        // decoded with SWAR multi-field extraction (whole `u64` word
-        // reads, several fields sliced per read) instead of a per-field
-        // cursor walk; padding fields past `real_entries` are never
-        // touched. The layout solver guarantees every field lies within
-        // the 512-bit packet (`bits_used() <= 512`), so the masked word
-        // indexing is exact, not a wrap-around. Fields wider than the
-        // 32-bit SWAR limit (the layout permits up to 64) fall back to
-        // the scalar two-word extract.
-        self.new_row = words[0] & 1 == 1;
-
-        // The whole ptr region usually fits one extract (e.g. the paper's
-        // 15 x 4-bit = 60 bits); shift the fields out of a register.
-        self.row_ends.clear();
-        let ptr_mask = field_mask(ptr_bits);
-        let ptr_region = b as u32 * ptr_bits;
-        let push_end = |row_ends: &mut Vec<u32>, p: u32| {
-            if p != 0 {
-                debug_assert!(
-                    row_ends.last().is_none_or(|&last| p > last),
-                    "ptr entries must be strictly increasing"
-                );
-                row_ends.push(p);
-            }
-        };
-        if ptr_region <= 64 {
-            let mut region = extract_field(words, 1, ptr_region, field_mask(ptr_region));
-            for _ in 0..b {
-                let p = (region & ptr_mask) as u32;
-                region >>= ptr_bits;
-                push_end(&mut self.row_ends, p);
-            }
-        } else if ptr_bits <= 32 {
-            for_each_field(words, 1, ptr_bits, b, |p| {
-                push_end(&mut self.row_ends, p as u32);
-            });
-        } else {
-            let mut pos = 1usize;
-            for _ in 0..b {
-                let p = extract_field(words, pos, ptr_bits, ptr_mask) as u32;
-                pos += ptr_bits as usize;
-                push_end(&mut self.row_ends, p);
-            }
-        }
-
-        self.idx.clear();
-        let idx_base = 1 + b * ptr_bits as usize;
-        if idx_bits <= 32 {
-            self.idx.reserve(real_entries);
-            for_each_field(words, idx_base, idx_bits, real_entries, |v| {
-                self.idx.push(v as u32);
-            });
-        } else {
-            let idx_mask = field_mask(idx_bits);
-            let mut pos = idx_base;
-            self.idx.extend((0..real_entries).map(|_| {
-                let v = extract_field(words, pos, idx_bits, idx_mask) as u32;
-                pos += idx_bits as usize;
-                v
-            }));
-        }
-
-        self.val.clear();
-        let val_base = 1 + b * (ptr_bits + idx_bits) as usize;
-        if val_bits <= 32 {
-            self.val.reserve(real_entries);
-            for_each_field(words, val_base, val_bits, real_entries, |v| {
-                self.val.push(v);
-            });
-        } else {
-            let val_mask = field_mask(val_bits);
-            let mut pos = val_base;
-            self.val.extend((0..real_entries).map(|_| {
-                let v = extract_field(words, pos, val_bits, val_mask);
-                pos += val_bits as usize;
-                v
-            }));
-        }
+        self.row_ends.resize(b, 0);
+        self.idx.resize(b, 0);
+        self.val.resize(b, 0);
+        self.new_row = packet.decode_fields(
+            layout,
+            &mut self.row_ends,
+            &mut self.idx,
+            &mut self.val,
+            |raw| raw,
+        );
+        self.row_ends.retain(|&end| end != 0);
+        debug_assert!(
+            self.row_ends.windows(2).all(|w| w[0] < w[1]),
+            "ptr entries must be strictly increasing"
+        );
+        self.idx.truncate(real_entries);
+        self.val.truncate(real_entries);
     }
 
     /// Number of real entries in the last parsed packet.
@@ -751,6 +675,17 @@ mod tests {
         let csr = Csr::from_triplets(1, 8, &[(0, 0, 0.5)]).unwrap();
         let bs = BsCsr::encode::<Q1_19>(&csr, layout20(8));
         assert_eq!(bs.size_bytes(), 64);
+    }
+
+    #[test]
+    fn entries_in_packet_is_zero_past_the_end() {
+        let csr = Csr::from_triplets(1, 8, &[(0, 0, 0.5), (0, 1, 0.5), (0, 2, 0.5)]).unwrap();
+        let bs = BsCsr::encode::<Q1_19>(&csr, layout20(8));
+        assert_eq!(bs.num_packets(), 1);
+        assert_eq!(bs.entries_in_packet(0), 3);
+        for past in [1, 2, usize::MAX] {
+            assert_eq!(bs.entries_in_packet(past), 0, "packet {past}");
+        }
     }
 
     #[test]

@@ -58,28 +58,55 @@ impl PacketLayout {
             });
         }
         let idx_bits = bits_for(num_cols.saturating_sub(1).max(1) as u64);
-        let mut best: Option<(u32, u32)> = None;
-        for b in 1..=PACKET_BITS as u32 {
+        Self::largest(idx_bits, value_bits).ok_or(SparseError::LayoutUnsatisfiable {
+            idx_bits,
+            value_bits,
+        })
+    }
+
+    /// The paper's design layout for `value_bits`-wide values: the
+    /// solution of the capacity equation at `M = 1024` (§IV-C; `B = 15`
+    /// at `V = 20`), as a compile-time constant. The engine compares a
+    /// stream's layout with `const { PacketLayout::paper(S::VALUE_BITS) }`
+    /// and, on a match, decodes with every field offset an immediate —
+    /// the software form of "the layout is fixed in the bitstream".
+    /// Equal to `PacketLayout::solve(1024, value_bits)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time in a `const` context) if `value_bits` is
+    /// outside `1..=64`.
+    pub const fn paper(value_bits: u32) -> Self {
+        assert!(value_bits >= 1 && value_bits <= 64, "value_bits in 1..=64");
+        match Self::largest(10, value_bits) {
+            Some(layout) => layout,
+            // invariant: B = 1 needs 1 + (1 + 10 + 64) = 76 <= 512 bits.
+            None => panic!("a 10-bit index always leaves room for one entry"),
+        }
+    }
+
+    /// The capacity loop of §IV-C: the largest `B` whose fields fit one
+    /// packet beside the `new_row` bit, or `None` if not even `B = 1`
+    /// does. (`while`, not `for`: it runs in `const` contexts.)
+    const fn largest(idx_bits: u32, value_bits: u32) -> Option<Self> {
+        let mut best = None;
+        let mut b = 1u32;
+        while b <= PACKET_BITS as u32 {
             let ptr_bits = bits_for(b as u64);
             let total = b as usize * (ptr_bits + idx_bits + value_bits) as usize + 1;
             if total <= PACKET_BITS {
-                best = Some((b, ptr_bits));
+                best = Some(Self {
+                    entries_per_packet: b,
+                    ptr_bits,
+                    idx_bits,
+                    value_bits,
+                });
             } else if best.is_some() {
                 break;
             }
+            b += 1;
         }
-        match best {
-            Some((entries_per_packet, ptr_bits)) => Ok(Self {
-                entries_per_packet,
-                ptr_bits,
-                idx_bits,
-                value_bits,
-            }),
-            None => Err(SparseError::LayoutUnsatisfiable {
-                idx_bits,
-                value_bits,
-            }),
-        }
+        best
     }
 
     /// Builds a layout with an explicit `B` (for studying sub-maximal
@@ -145,23 +172,40 @@ impl PacketLayout {
     }
 
     /// `B`: non-zero entries per 512-bit packet.
+    #[inline]
     pub fn entries_per_packet(self) -> u32 {
         self.entries_per_packet
     }
 
     /// Width of one packet-local cumulative `ptr` entry.
+    #[inline]
     pub fn ptr_bits(self) -> u32 {
         self.ptr_bits
     }
 
     /// Width of one column index.
+    #[inline]
     pub fn idx_bits(self) -> u32 {
         self.idx_bits
     }
 
     /// Width of one value (`V`).
+    #[inline]
     pub fn value_bits(self) -> u32 {
         self.value_bits
+    }
+
+    /// Bit offset of the first column index (the `ptr` slots start at
+    /// bit 1, just past `new_row`).
+    #[inline]
+    pub(crate) fn idx_base(self) -> usize {
+        1 + (self.entries_per_packet * self.ptr_bits) as usize
+    }
+
+    /// Bit offset of the first value.
+    #[inline]
+    pub(crate) fn val_base(self) -> usize {
+        1 + (self.entries_per_packet * (self.ptr_bits + self.idx_bits)) as usize
     }
 
     /// Total bits used by the fields (`<= 512`); the remainder is padding.
@@ -187,8 +231,12 @@ impl PacketLayout {
 }
 
 /// Minimum number of bits needed to represent `max_value`.
-fn bits_for(max_value: u64) -> u32 {
-    (64 - max_value.leading_zeros()).max(1)
+const fn bits_for(max_value: u64) -> u32 {
+    if max_value == 0 {
+        1
+    } else {
+        64 - max_value.leading_zeros()
+    }
 }
 
 #[cfg(test)]
@@ -203,6 +251,19 @@ mod tests {
         assert_eq!(l.ptr_bits(), 4);
         assert_eq!(l.idx_bits(), 10);
         assert_eq!(l.bits_used(), 511);
+    }
+
+    #[test]
+    fn paper_layouts_are_the_m1024_solutions() {
+        // The engine's constant-layout dispatch compares against these.
+        const Q1_19: PacketLayout = PacketLayout::paper(20);
+        assert_eq!(Q1_19.entries_per_packet(), 15);
+        for v in 1..=64 {
+            assert_eq!(
+                PacketLayout::paper(v),
+                PacketLayout::solve(1024, v).unwrap()
+            );
+        }
     }
 
     #[test]

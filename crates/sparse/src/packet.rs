@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use crate::layout::PacketLayout;
+
 /// Width of an HBM packet in bits.
 ///
 /// The Alveo U280 HBM memory controllers are most efficient with 256—512
@@ -60,10 +62,6 @@ impl Packet512 {
     /// Extracts the `bits`-wide field starting at bit `pos` — the
     /// random-access counterpart of the sequential [`crate::BitReader`].
     ///
-    /// A field spans at most two of the backing words (`bits <= 64`), so
-    /// this compiles to two shifts, an or, and a mask: the packet-decode
-    /// hot path calls it three times per entry at wire speed.
-    ///
     /// # Panics
     ///
     /// Panics if `bits` is 0 or greater than 64, or if the field would
@@ -75,94 +73,90 @@ impl Packet512 {
             pos + bits as usize <= PACKET_BITS,
             "field of {bits} bits at position {pos} overflows the packet"
         );
-        extract_field(&self.words, pos, bits, field_mask(bits))
+        self.field(pos, bits)
     }
-}
 
-/// Streams `count` consecutive `width`-bit fields starting at bit `base`
-/// through `f`, reading each backing word at most once (SWAR multi-field
-/// extraction).
-///
-/// The register window `(buf, avail)` maintains the invariant that bits
-/// `>= avail` of `buf` are zero, so the fast path is a single
-/// mask-shift-subtract per field; a refill (one word load, one
-/// merge) runs only when a field straddles a word boundary. Callers
-/// guarantee `1 <= width <= 32` and `base + width*count <= 512`; the
-/// `& 7` index masking keeps the word accesses provably in-bounds
-/// (no panic path in the generated code).
-#[inline(always)]
-pub(crate) fn for_each_field(
-    words: &[u64; 8],
-    base: usize,
-    width: u32,
-    count: usize,
-    mut f: impl FnMut(u64),
-) {
-    debug_assert!(
-        (1..=32).contains(&width),
-        "SWAR field width must be in 1..=32"
-    );
-    debug_assert!(
-        base + width as usize * count <= PACKET_BITS,
-        "{count} fields of {width} bits at position {base} overflow the packet"
-    );
-    let mask = field_mask(width);
-    let mut word_i = base >> 6;
-    let offset = (base & 63) as u32;
-    let mut buf = words[word_i & 7] >> offset;
-    let mut avail = 64 - offset;
-    for _ in 0..count {
-        if avail >= width {
-            f(buf & mask);
-            buf >>= width;
-            avail -= width;
-        } else {
-            // Straddle: `buf` holds the field's low `avail` bits (its
-            // high bits are zero by the window invariant); the next word
-            // supplies the rest. `avail < width <= 32` keeps every shift
-            // below in range.
-            word_i += 1;
-            let next = words[word_i & 7];
-            f((buf | (next << avail)) & mask);
-            buf = next >> (width - avail);
-            avail = 64 - (width - avail);
+    /// The one field-extraction primitive: a branch-free two-word
+    /// extract. Everything that reads a packet — [`Packet512::bits`],
+    /// [`Packet512::decode_fields`] and through it the engine's chunk
+    /// decode and [`crate::PacketScratch`], [`crate::BsCsr::validate`]
+    /// — goes through here.
+    ///
+    /// A field spans at most two backing words. The high word is always
+    /// read and shifted in two steps (`<< 1 << (63 - off)`), so an
+    /// aligned field (`off = 0`) shifts it out entirely without a
+    /// branch or an out-of-range shift; whatever it contributes above
+    /// the field is masked off. When `pos` and `bits` are compile-time
+    /// constants (the engine's design-layout instantiation) this is a
+    /// load, a shift by an immediate and a mask, and the high-word half
+    /// disappears for fields that do not straddle.
+    ///
+    /// Callers guarantee `1 <= bits <= 64` and `pos + bits <= 512` (the
+    /// layout's `bits_used() <= 512` invariant); the `& 7` keeps the
+    /// word accesses in bounds without a panic path.
+    #[inline(always)]
+    pub(crate) fn field(&self, pos: usize, bits: u32) -> u64 {
+        debug_assert!(
+            (1..=64).contains(&bits) && pos + bits as usize <= PACKET_BITS,
+            "a {bits}-bit field at position {pos} would overflow the packet"
+        );
+        let word = pos >> 6;
+        let off = (pos & 63) as u32;
+        let lo = self.words[word & 7] >> off;
+        let hi = (self.words[(word + 1) & 7] << 1) << (63 - off);
+        (lo | hi) & (u64::MAX >> (64 - bits))
+    }
+
+    /// Slices the packet into its three field arrays, as the hardware's
+    /// wiring does (§IV-B): all `B` `ptr` slots into `ptr` (unused slots
+    /// read 0), all `B` column indices into `idx`, and all `B` values,
+    /// passed through `decode`, into `val`. Returns the `new_row` bit.
+    ///
+    /// Every slot is sliced, padding included: the loops have the fixed
+    /// trip count `B` and nothing else, so with a constant `layout` they
+    /// unroll into straight-line extracts with immediate offsets. A
+    /// ragged last packet therefore leaves `B - real` padding entries at
+    /// the end of `idx`/`val`; the caller cuts them off
+    /// ([`crate::BsCsr::entries_in_packet`]).
+    ///
+    /// This is the engine's chunk-decode step and is generic over
+    /// `decode` so that it is compiled — and inlined — in the calling
+    /// crate, next to the layout constant it is specialised on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any output slice is shorter than
+    /// `layout.entries_per_packet()`.
+    #[inline(always)]
+    pub fn decode_fields<T>(
+        &self,
+        layout: PacketLayout,
+        ptr: &mut [u32],
+        idx: &mut [u32],
+        val: &mut [T],
+        decode: impl Fn(u64) -> T,
+    ) -> bool {
+        let b = layout.entries_per_packet() as usize;
+        self.fields_into(1, layout.ptr_bits(), &mut ptr[..b], |v| v as u32);
+        self.fields_into(layout.idx_base(), layout.idx_bits(), &mut idx[..b], |v| {
+            v as u32
+        });
+        self.fields_into(
+            layout.val_base(),
+            layout.value_bits(),
+            &mut val[..b],
+            decode,
+        );
+        self.words[0] & 1 == 1
+    }
+
+    /// `out.len()` consecutive `bits`-wide fields from bit `base` on.
+    #[inline(always)]
+    fn fields_into<T>(&self, base: usize, bits: u32, out: &mut [T], convert: impl Fn(u64) -> T) {
+        for (j, slot) in out.iter_mut().enumerate() {
+            *slot = convert(self.field(base + j * bits as usize, bits));
         }
     }
-}
-
-/// Low `bits` set, for masking an extracted field (`bits <= 64`).
-#[inline(always)]
-pub(crate) fn field_mask(bits: u32) -> u64 {
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
-}
-
-/// Branch-light two-word bitfield extract — the single shared core
-/// behind both the checked [`Packet512::bits`] and the decode hot loop
-/// in the BS-CSR codec.
-///
-/// The `& 7` index masking makes the word accesses provably in-bounds
-/// (no panic path in the generated code); callers guarantee
-/// `pos + bits <= 512` — the BS-CSR decoder gets that from the layout
-/// solver's `bits_used() <= 512` invariant — so the masking never
-/// actually wraps.
-#[inline(always)]
-pub(crate) fn extract_field(words: &[u64; 8], pos: usize, bits: u32, mask: u64) -> u64 {
-    debug_assert!(pos + bits as usize <= PACKET_BITS);
-    let word = (pos >> 6) & 7;
-    let offset = (pos & 63) as u32;
-    let lo = words[word] >> offset;
-    // Only fields that actually straddle a word boundary touch the next
-    // word (offset > 0 there, so the shift below is in range).
-    let hi = if offset + bits > 64 {
-        words[(word + 1) & 7] << (64 - offset)
-    } else {
-        0
-    };
-    (lo | hi) & mask
 }
 
 impl fmt::Debug for Packet512 {
@@ -182,6 +176,18 @@ impl fmt::Debug for Packet512 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A packet with varied bit patterns in every word.
+    const PATTERN: [u64; 8] = [
+        0x0123_4567_89AB_CDEF,
+        0xFEDC_BA98_7654_3210,
+        0xA5A5_A5A5_A5A5_A5A5,
+        0x5A5A_5A5A_5A5A_5A5A,
+        0xFFFF_0000_FFFF_0000,
+        0x0000_FFFF_0000_FFFF,
+        0xDEAD_BEEF_CAFE_F00D,
+        0x1357_9BDF_0246_8ACE,
+    ];
 
     #[test]
     fn zero_packet_has_no_bits() {
@@ -206,17 +212,7 @@ mod tests {
 
     #[test]
     fn bits_matches_sequential_reader_on_every_alignment() {
-        // A packet with varied bit patterns in every word.
-        let p = Packet512::from_words([
-            0x0123_4567_89AB_CDEF,
-            0xFEDC_BA98_7654_3210,
-            0xA5A5_A5A5_A5A5_A5A5,
-            0x5A5A_5A5A_5A5A_5A5A,
-            0xFFFF_0000_FFFF_0000,
-            0x0000_FFFF_0000_FFFF,
-            0xDEAD_BEEF_CAFE_F00D,
-            0x1357_9BDF_0246_8ACE,
-        ]);
+        let p = Packet512::from_words(PATTERN);
         for bits in [1u32, 4, 10, 20, 33, 64] {
             for pos in 0..(PACKET_BITS - bits as usize + 1) {
                 let mut r = crate::BitReader::new(&p);
@@ -240,33 +236,30 @@ mod tests {
         let _ = Packet512::ZERO.bits(509, 4);
     }
 
-    /// The fields `for_each_field` streams, collected.
+    /// `count` consecutive fields, sliced as the decode loops slice them.
     fn fields(p: &Packet512, base: usize, width: u32, count: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        for_each_field(p.words(), base, width, count, |v| out.push(v));
+        let mut out = vec![0; count];
+        p.fields_into(base, width, &mut out, |v| v);
         out
     }
 
     #[test]
     fn extract_fields_matches_scalar_bits_on_every_alignment() {
-        let p = Packet512::from_words([
-            0x0123_4567_89AB_CDEF,
-            0xFEDC_BA98_7654_3210,
-            0xA5A5_A5A5_A5A5_A5A5,
-            0x5A5A_5A5A_5A5A_5A5A,
-            0xFFFF_0000_FFFF_0000,
-            0x0000_FFFF_0000_FFFF,
-            0xDEAD_BEEF_CAFE_F00D,
-            0x1357_9BDF_0246_8ACE,
-        ]);
-        for width in [1u32, 3, 4, 7, 10, 13, 20, 25, 31, 32] {
+        let p = Packet512::from_words(PATTERN);
+        for width in [1u32, 3, 4, 7, 10, 13, 20, 25, 31, 32, 33, 47, 64] {
             for base in 0..64.min(PACKET_BITS - width as usize) {
                 let count = (PACKET_BITS - base) / width as usize;
                 let out = fields(&p, base, width, count);
-                assert_eq!(out.len(), count);
+                // The sequential reader shares no code with `field`.
+                let mut oracle = crate::BitReader::new(&p);
+                oracle.skip(base as u32);
                 for (i, &got) in out.iter().enumerate() {
-                    let want = p.bits(base + i * width as usize, width);
-                    assert_eq!(got, want, "base={base} width={width} field={i}");
+                    assert_eq!(
+                        got,
+                        oracle.read(width),
+                        "base={base} width={width} field={i}"
+                    );
+                    assert_eq!(got, p.bits(base + i * width as usize, width));
                 }
             }
         }
@@ -277,19 +270,47 @@ mod tests {
         assert!(fields(&Packet512::ZERO, 5, 10, 0).is_empty());
     }
 
-    // `for_each_field` is crate-private and its callers uphold the
-    // bounds by construction, so they are debug assertions.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "SWAR field width")]
-    fn extract_fields_rejects_wide_fields() {
-        fields(&Packet512::ZERO, 0, 33, 1);
-    }
-
+    // `field` is crate-private and its callers uphold the bounds by
+    // construction (`bits_used() <= 512`), so it is a debug assertion.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "overflow the packet")]
     fn extract_fields_rejects_overflowing_run() {
         fields(&Packet512::ZERO, 500, 10, 2);
+    }
+
+    #[test]
+    fn decode_fields_slices_every_slot_of_design_submaximal_and_wide_ptr_layouts() {
+        let p = Packet512::from_words(PATTERN);
+        for layout in [
+            PacketLayout::paper(20),
+            PacketLayout::paper(32),
+            PacketLayout::with_entries(1024, 20, 5).unwrap(),
+            // B = 56, 6-bit ptr: a ptr region far wider than one word.
+            PacketLayout::solve(2, 2).unwrap(),
+            PacketLayout::solve(1 << 40, 64).unwrap(),
+        ] {
+            let b = layout.entries_per_packet() as usize;
+            let (mut ptr, mut idx, mut val) = (vec![9; b + 1], vec![9; b + 1], vec![9u64; b + 1]);
+            let new_row = p.decode_fields(layout, &mut ptr, &mut idx, &mut val, |raw| !raw);
+            assert!(new_row, "bit 0 of the pattern is set");
+            let mut oracle = crate::BitReader::new(&p);
+            oracle.skip(1);
+            for (what, got) in [("ptr", &ptr), ("idx", &idx)] {
+                let bits = if what == "ptr" {
+                    layout.ptr_bits()
+                } else {
+                    layout.idx_bits()
+                };
+                for (j, &g) in got[..b].iter().enumerate() {
+                    assert_eq!(g, oracle.read(bits) as u32, "{layout:?} {what}[{j}]");
+                }
+                assert_eq!(got[b], 9, "nothing written past B");
+            }
+            for (j, &g) in val[..b].iter().enumerate() {
+                assert_eq!(g, !oracle.read(layout.value_bits()), "{layout:?} val[{j}]");
+            }
+            assert_eq!(val[b], 9);
+        }
     }
 }

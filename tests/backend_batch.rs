@@ -32,24 +32,30 @@ fn all_backends() -> Vec<Box<dyn TopKBackend>> {
 }
 
 /// A random matrix, a random batch of queries of matching dimension,
-/// and a K every backend can serve.
+/// and a K every backend can serve. Narrow widths reach the engine as
+/// run-time layouts; 513..=1024 columns solve to the M = 1024 layouts
+/// the engine holds as constants.
 fn arb_case() -> impl Strategy<Value = (Csr, Vec<DenseVector>, usize)> {
-    (2usize..40, 4usize..96, 1usize..9).prop_flat_map(|(rows, cols, k)| {
-        let matrix = proptest::collection::btree_set((0..rows as u32, 0..cols as u32), 1..120)
-            .prop_map(move |coords| {
-                let triplets: Vec<(u32, u32, f32)> = coords
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (r, c))| (r, c, ((i * 13 % 89) + 1) as f32 / 100.0))
-                    .collect();
-                Csr::from_triplets(rows, cols, &triplets).expect("valid")
-            });
-        let batch = proptest::collection::vec(
-            proptest::collection::vec(0.0f32..1.0, cols..=cols).prop_map(DenseVector::from_values),
-            1..6,
-        );
-        (matrix, batch, Just(k))
-    })
+    (2usize..40, 4usize..96, 513usize..=1024, 0u8..2, 1usize..9).prop_flat_map(
+        |(rows, narrow, wide, arm, k)| {
+            let cols = if arm == 0 { narrow } else { wide };
+            let matrix = proptest::collection::btree_set((0..rows as u32, 0..cols as u32), 1..120)
+                .prop_map(move |coords| {
+                    let triplets: Vec<(u32, u32, f32)> = coords
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, (r, c))| (r, c, ((i * 13 % 89) + 1) as f32 / 100.0))
+                        .collect();
+                    Csr::from_triplets(rows, cols, &triplets).expect("valid")
+                });
+            let batch = proptest::collection::vec(
+                proptest::collection::vec(0.0f32..1.0, cols..=cols)
+                    .prop_map(DenseVector::from_values),
+                1..6,
+            );
+            (matrix, batch, Just(k))
+        },
+    )
 }
 
 /// Engine-level oracle check for one scalar type: the matrix-major

@@ -10,9 +10,13 @@ use tkspmv_sparse::gen::query_vector;
 use tkspmv_sparse::{BitReader, BsCsr, Csr, PacketLayout, PacketScratch};
 
 /// Strategy: a random sparse matrix as sorted unique triplets with
-/// values in the unsigned datapath domain (0, 1].
+/// values in the unsigned datapath domain (0, 1]. Two width arms: below
+/// 200 columns the layouts have `ptr` regions wider than one word and
+/// reach the engine as run-time values; 513..=1024 columns solve to the
+/// paper's M = 1024 layouts, the ones the engine holds as constants.
 fn arb_matrix() -> impl Strategy<Value = Csr> {
-    (1usize..40, 1usize..200).prop_flat_map(|(rows, cols)| {
+    (1usize..40, 1usize..200, 513usize..=1024, 0u8..2).prop_flat_map(|(rows, narrow, wide, arm)| {
+        let cols = if arm == 0 { narrow } else { wide };
         proptest::collection::btree_set((0..rows as u32, 0..cols as u32), 0..200).prop_map(
             move |coords| {
                 let triplets: Vec<(u32, u32, f32)> = coords
@@ -34,7 +38,7 @@ fn scratch_fields(s: &PacketScratch) -> (bool, Vec<u32>, Vec<u32>, Vec<u64>) {
 
 /// Independent reference decoder: a sequential `BitReader` walk over
 /// every field, including the padding fields the production decoder
-/// skips. It shares no code with the SWAR extraction under `view_into`.
+/// drops. It shares no code with the two-word extract under `view_into`.
 fn bitreader_oracle(bs: &BsCsr, p: usize) -> (bool, Vec<u32>, Vec<u32>, Vec<u64>) {
     let layout = bs.layout();
     let b = layout.entries_per_packet() as usize;
@@ -80,8 +84,14 @@ proptest! {
     /// "parse" is the reference parse: the `BitReader` oracle above.
     #[test]
     fn parse_into_matches_parse_for_any_packet_stream(csr in arb_matrix()) {
-        for value_bits in [20u32, 32] {
-            let layout = PacketLayout::solve(csr.num_cols(), value_bits).unwrap();
+        // The largest-B layout at both widths, and Fig. 6a's B = 5.
+        let layouts = [
+            PacketLayout::solve(csr.num_cols(), 20).unwrap(),
+            PacketLayout::solve(csr.num_cols(), 32).unwrap(),
+            PacketLayout::with_entries(csr.num_cols(), 20, 5).unwrap(),
+        ];
+        for layout in layouts {
+            let value_bits = layout.value_bits();
             let bs = if value_bits == 20 {
                 BsCsr::encode::<Q1_19>(&csr, layout)
             } else {
@@ -95,8 +105,8 @@ proptest! {
                 prop_assert_eq!(
                     scratch_fields(&scratch),
                     oracle.clone(),
-                    "scratch decode vs BitReader oracle, packet {} of {} (V={})",
-                    p, bs.num_packets(), value_bits
+                    "scratch decode vs BitReader oracle, packet {} of {} ({:?})",
+                    p, bs.num_packets(), layout
                 );
                 let (_, row_ends, idx, _) = oracle;
                 prop_assert_eq!(scratch.len(), idx.len());

@@ -2,7 +2,9 @@
 //! in steady state: streaming a matrix with 10x the packets through a
 //! warm [`BatchScratch`] must cost exactly the same number of heap
 //! allocations, i.e. the per-packet decode→accumulate→top-k loop —
-//! stage clock included — never touches the allocator.
+//! stage clock included — never touches the allocator; and a cold
+//! scratch sizes its buffers in a packet-count-independent number of
+//! allocations.
 //!
 //! Ignored by default because the `#[global_allocator]` swap is global
 //! to this test binary (which is why the test lives alone in it); CI
@@ -216,6 +218,22 @@ fn warm_batch_scratch_is_allocation_free_across_packet_count_and_batch_size() {
         .collect();
     let k = 8;
     let faithful = Fidelity::Faithful { rows_per_packet: 2 };
+
+    // Cold: a first call through a fresh scratch sizes each buffer once
+    // up front, so its allocation count must not depend on the packet
+    // count (`run_multicore` builds a fresh scratch per participant per
+    // query: growth-by-push here would be a per-query cost).
+    let cold = |matrix: &BsCsr| {
+        allocations_during(|| {
+            let mut fresh = BatchScratch::<Q1_19>::new();
+            run_core_batch_with_scratch(matrix, &queries[..1], k, faithful, &mut fresh).len()
+        })
+    };
+    assert_eq!(
+        cold(&small),
+        cold(&large),
+        "a cold call's allocation count depends on the packet count"
+    );
 
     // Warm on the large stream at the largest batch size, so lanes,
     // outputs and every chunk buffer are at final capacity.
