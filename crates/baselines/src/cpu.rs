@@ -1,18 +1,18 @@
 //! Multi-threaded CPU Top-K SpMV (the `sparse_dot_topn` baseline).
 //!
 //! `sparse_dot_topn` computes exact Top-K sparse-dense products on CPU
-//! with CSR traversal and per-row bounded heaps. This module is the same
-//! algorithm in Rust: rows are split into one contiguous range per
-//! worker thread ([`tkspmv::fanout::fork_join`]), each range keeps a
-//! local [`BoundedMinHeap`], and the locals are merged at the end.
-//! Arithmetic is `f32` accumulated in `f64` per row — matching a careful
-//! C++ float implementation.
+//! with CSR traversal and per-thread bounded heaps. This module is the
+//! same algorithm in Rust: rows are split into one contiguous range per
+//! worker thread ([`tkspmv::fanout::fork_join`]), each range streams its
+//! dot products through one bounded selection
+//! ([`TopKResult::merge_pairs`]), and [`TopKResult::merge`] keeps the
+//! best `k` of the ranges. Arithmetic is `f32` accumulated in `f64` per
+//! row — matching a careful C++ float implementation.
 
 use std::time::Instant;
 
 use tkspmv_sparse::{Csr, DenseVector};
 
-use crate::heap::BoundedMinHeap;
 use tkspmv::backend::{BackendPerf, BackendStats, PreparedMatrix, QueryResult, TopKBackend};
 use tkspmv::fanout::{fork_join, host_parallelism};
 use tkspmv::{EngineError, TopKResult};
@@ -80,31 +80,24 @@ impl CpuTopK {
         let threads = self.threads.min(csr.num_rows()).max(1);
         let rows_per_thread = csr.num_rows().div_ceil(threads);
 
-        let (heaps, _) = fork_join(
+        let (ranges, _) = fork_join(
             threads,
             threads,
             || (),
             |(), t| {
                 let lo = t * rows_per_thread;
                 let hi = ((t + 1) * rows_per_thread).min(csr.num_rows());
-                let mut heap = BoundedMinHeap::new(k);
-                for r in lo..hi {
-                    let mut acc = 0.0f64;
-                    for (c, v) in csr.row(r) {
-                        acc += v as f64 * x[c as usize] as f64;
-                    }
-                    heap.push(r as u32, acc);
-                }
-                heap
+                let dots = (lo..hi).map(|r| {
+                    let dot = csr
+                        .row(r)
+                        .fold(0.0f64, |acc, (c, v)| acc + v as f64 * x[c as usize] as f64);
+                    (r as u32, dot)
+                });
+                TopKResult::merge_pairs(dots, k)
             },
         );
-
-        let mut merged = BoundedMinHeap::new(k);
-        for h in heaps {
-            merged.merge(h);
-        }
         CpuRun {
-            topk: TopKResult::from_pairs(merged.into_sorted_desc()),
+            topk: TopKResult::merge(ranges, k),
             seconds: started.elapsed().as_secs_f64(),
             threads,
         }
@@ -157,12 +150,7 @@ impl TopKBackend for CpuTopK {
 /// metric in the evaluation (single-threaded, unambiguous).
 pub fn exact_topk(csr: &Csr, x: &[f32], k: usize) -> TopKResult {
     let y = csr.spmv_exact(x);
-    let pairs: Vec<(u32, f64)> = y
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| (i as u32, v))
-        .collect();
-    TopKResult::from_pairs(pairs).truncated(k)
+    TopKResult::merge_pairs(y.into_iter().enumerate().map(|(i, v)| (i as u32, v)), k)
 }
 
 #[cfg(test)]

@@ -2,18 +2,17 @@
 //!
 //! - [`cpu`]: a multi-threaded exact CSR Top-K SpMV equivalent to
 //!   `sparse_dot_topn` (the paper's CPU baseline, its ref. 1): row-parallel
-//!   dot products with per-thread bounded heaps, f32 arithmetic.
+//!   dot products, one bounded selection per row range
+//!   ([`tkspmv::TopKResult::merge_pairs`]), the ranges merged at the end.
 //! - [`gpu`]: the paper has no GPU Top-K SpMV to compare against, so it
 //!   models one as cuSPARSE SpMV followed by a Thrust radix sort (plus an
 //!   idealised "zero-cost sorting" variant). [`gpu::GpuModel`] reproduces
 //!   that: functional results computed bit-exactly in `f32`/software
-//!   `f16`, execution time from an analytic bandwidth model calibrated to
-//!   the Tesla P100.
-//! - [`radix_sort`]: the LSD radix sort used by the GPU model (and a
-//!   baseline in its own right for the sorting-cost analysis).
-//! - [`heap`]: the bounded min-heap underlying the CPU baseline.
+//!   `f16` and cut to the exact `k` best, execution time — sort included
+//!   — from an analytic bandwidth model calibrated to the Tesla P100.
 //!
-//! Both baselines implement [`tkspmv::TopKBackend`], the workspace-wide
+//! Both baselines select through the workspace's one exact selector,
+//! and both implement [`tkspmv::TopKBackend`], the workspace-wide
 //! execution interface, so experiments can race them against the
 //! accelerator through one `Box<dyn TopKBackend>` roster (with batched
 //! queries via `query_batch`).
@@ -40,5 +39,3 @@
 
 pub mod cpu;
 pub mod gpu;
-pub mod heap;
-pub mod radix_sort;

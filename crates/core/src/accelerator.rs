@@ -675,6 +675,88 @@ mod tests {
         }
     }
 
+    /// 64 rows over 16 columns; every third row touches columns 0 and 1,
+    /// every row has one finite entry elsewhere.
+    fn nan_prone_matrix() -> Csr {
+        let mut triplets = Vec::new();
+        for r in 0..64u32 {
+            if r % 3 == 0 {
+                triplets.extend([(r, 0, 0.5), (r, 1, 0.5)]);
+            }
+            triplets.push((r, 2 + r % 14, 0.01 * (r + 1) as f32));
+        }
+        Csr::from_triplets(64, 16, &triplets).unwrap()
+    }
+
+    /// A query whose accumulators go NaN on some rows answers `Ok` with
+    /// `K` comparable entries — each partition's fill phase takes NaN
+    /// rows in, and they are the first evicted — bit-equal on one
+    /// participant and on one per partition.
+    fn nan_accumulators_rank_last<S: tkspmv_fixed::SpmvScalar>(
+        precision: Precision,
+        x: &DenseVector,
+    ) {
+        use crate::backend::TopKBackend;
+        // 4 cores of k = 8 over 16-row partitions; r = 64 drops no row.
+        let acc = Accelerator::builder()
+            .precision(precision)
+            .cores(4)
+            .k(8)
+            .rows_per_packet(64)
+            .build()
+            .unwrap();
+        let csr = nan_prone_matrix();
+        let prepared = TopKBackend::prepare(&acc, &csr).unwrap();
+        let out = TopKBackend::query(&acc, &prepared, x, 16).unwrap();
+        assert_eq!(out.topk.len(), 16, "{precision:?}");
+        assert!(
+            out.topk.scores().iter().all(|s| !s.is_nan()),
+            "{precision:?}: {:?}",
+            out.topk
+        );
+
+        let bits = |r: &TopKResult| -> Vec<(u32, u64)> {
+            r.entries().iter().map(|&(i, s)| (i, s.to_bits())).collect()
+        };
+        let m = acc.load_matrix(&csr).unwrap();
+        let xs = [quantize_vector::<S>(x.as_slice())];
+        for participants in [1, m.partitions.len()] {
+            let run = run_multicore::<S, _>(
+                &m.partitions,
+                &xs,
+                8,
+                16,
+                acc.fidelity_for(&m),
+                participants,
+            );
+            assert_eq!(
+                bits(&run[0].topk),
+                bits(&out.topk),
+                "{precision:?}, {participants} participants"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_query_entry_ranks_its_rows_last_on_float_designs() {
+        let mut x = vec![0.5f32; 16];
+        x[0] = f32::NAN;
+        let x = DenseVector::from_values(x);
+        nan_accumulators_rank_last::<F32>(Precision::Float32, &x);
+        nan_accumulators_rank_last::<Half>(Precision::Half16, &x);
+    }
+
+    #[test]
+    fn half_overflow_to_inf_minus_inf_ranks_last() {
+        // ±1.0e5 is beyond binary16's 65 504: the two products are ±inf
+        // and rows touching both columns sum to NaN.
+        let mut x = vec![0.5f32; 16];
+        x[0] = 1.0e5;
+        x[1] = -1.0e5;
+        let x = DenseVector::from_values(x);
+        nan_accumulators_rank_last::<Half>(Precision::Half16, &x);
+    }
+
     #[test]
     fn query_batch_validates_before_running() {
         let acc = Accelerator::builder().cores(8).k(8).build().unwrap();

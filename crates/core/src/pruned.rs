@@ -31,7 +31,6 @@
 //! snapshot loads here (staged path unavailable, exact fall-through).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,7 +45,7 @@ use crate::backend::{
 use crate::error::EngineError;
 use crate::fanout::{fork_join, host_parallelism};
 use crate::stages::StageTimes;
-use crate::topk::TopKResult;
+use crate::topk::{top_keys, TopKResult};
 
 /// A [`TopKBackend`] that answers queries in two phases — low-bit prune,
 /// then exact rescore through the backend it wraps.
@@ -241,29 +240,19 @@ impl PrunedBackend {
         let q = prune.quantize_query(x.as_slice());
         let scores = self.prune_scores(prune, &q);
 
-        // Cut the shortlist under the engine-wide total order (score
-        // descending, row ascending) on the deterministic integer
-        // scores, then restore ascending row order so the gathered
-        // sub-matrix preserves global tie-breaks. A bounded min-heap of
-        // the best `shortlist` keys beats materialising and
-        // partition-selecting a full row permutation: after warm-up the
-        // per-row test "beats the current worst?" almost never passes,
-        // so the common path is one compare.
-        let mut heap: BinaryHeap<Reverse<(u64, Reverse<u32>)>> =
-            BinaryHeap::with_capacity(shortlist);
-        for (row, &s) in scores.iter().flatten().enumerate() {
-            let key = (s, Reverse(row as u32));
-            if heap.len() < shortlist {
-                heap.push(Reverse(key));
-            } else {
-                // invariant: this branch means len >= shortlist >= 1
-                let mut worst = heap.peek_mut().expect("heap is non-empty");
-                if key > worst.0 {
-                    *worst = Reverse(key);
-                }
-            }
-        }
-        let mut order: Vec<u32> = heap.into_iter().map(|Reverse((_, Reverse(r)))| r).collect();
+        // Cut the shortlist with the exact selector under the
+        // engine-wide total order (score descending, row ascending) on
+        // the deterministic integer scores, then restore ascending row
+        // order so the gathered sub-matrix preserves global tie-breaks.
+        let keys = scores
+            .iter()
+            .flatten()
+            .enumerate()
+            .map(|(row, &s)| (s, Reverse(row as u32)));
+        let mut order: Vec<u32> = top_keys(keys, shortlist)
+            .into_iter()
+            .map(|Reverse((_, Reverse(row)))| row)
+            .collect();
         order.sort_unstable();
 
         // Gather the shortlisted rows into a compact CSR.

@@ -7,7 +7,8 @@
 //! argmin scan over `k` registers is what creates the RAW dependency that
 //! caps `k` at small values (§IV-B).
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// The workspace's one ranking order over `(row, score)` pairs: score
 /// descending, ties broken by ascending row index. `Less` means `a`
@@ -15,10 +16,11 @@ use std::cmp::Ordering;
 ///
 /// `by_score` orders two scores ascending: [`f64::total_cmp`] for
 /// merged `f64` scores (a total order even on NaN, which can arrive
-/// over the wire), [`PartialOrd`] for a core's raw accumulators.
-/// Every selector — the tracker's drain, the cross-core and cross-shard
-/// merges, the CPU baseline's heap — ranks through this function, so
-/// their tie-breaks cannot drift apart.
+/// over the wire); for a core's raw accumulators, [`PartialOrd`] with
+/// an incomparable value (a float NaN) below every comparable one.
+/// The tracker's drain and [`TopKResult::from_pairs`] sort with it, and
+/// the one exact selector, [`TopKResult::merge_pairs`], keys its heap
+/// in the same order (pinned by a test), so tie-breaks cannot drift.
 pub fn rank_cmp<A>(
     a: &(u32, A),
     b: &(u32, A),
@@ -27,11 +29,17 @@ pub fn rank_cmp<A>(
     by_score(&b.1, &a.1).then(a.0.cmp(&b.0))
 }
 
-/// Ascending order of two accumulators.
+/// Whether `a` has a place in its type's order (a float NaN does not).
+fn comparable<A: PartialOrd>(a: &A) -> bool {
+    a.partial_cmp(a).is_some()
+}
+
+/// Ascending total order of two accumulators: [`PartialOrd`] where it
+/// answers, and an incomparable value (a float NaN, from a NaN query
+/// entry or an `inf − inf` sum) below every comparable one.
 fn acc_cmp<A: PartialOrd>(a: &A, b: &A) -> Ordering {
     a.partial_cmp(b)
-        // invariant: accumulators are u64 fixed-point or finite float sums of normalised inputs, never NaN
-        .expect("comparable values")
+        .unwrap_or_else(|| comparable(a).cmp(&comparable(b)))
 }
 
 /// Fixed-capacity tracker of the `k` largest `(index, value)` pairs seen.
@@ -40,6 +48,11 @@ fn acc_cmp<A: PartialOrd>(a: &A, b: &A) -> Ordering {
 /// insertion by argmin replacement. Generic over the accumulator type so
 /// fixed-point cores compare raw accumulators exactly as the hardware
 /// comparator does.
+///
+/// Deliberately not an exact selector: the `>=` replace rule lets a tie
+/// evict the current minimum, so which tied rows survive depends on
+/// arrival order, as in hardware. Exact cuts go through
+/// [`TopKResult::merge_pairs`], the only other Top-K structure.
 ///
 /// # Example
 ///
@@ -126,13 +139,15 @@ impl<A: PartialOrd + Copy> TopKTracker<A> {
     }
 
     /// Recomputes the cached argmin: the *first* slot holding a minimal
-    /// value, exactly what the old per-insert `min_by` scan selected.
+    /// value under the drain's total order, so an incomparable value
+    /// that entered during the fill phase is evicted before any
+    /// comparable one.
     fn rescan_min(&mut self) {
         debug_assert_eq!(self.slots.len(), self.k, "argmin only cached when full");
         let mut arg = 0usize;
         let mut min = self.slots[0].1;
         for (i, &(_, v)) in self.slots.iter().enumerate().skip(1) {
-            if v < min {
+            if acc_cmp(&v, &min) == Ordering::Less {
                 arg = i;
                 min = v;
             }
@@ -144,18 +159,14 @@ impl<A: PartialOrd + Copy> TopKTracker<A> {
     ///
     /// Empty slots are filled first; otherwise the candidate replaces the
     /// current minimum if its value is `>=` (the hardware comparison).
-    /// With the slab full, a losing candidate costs exactly one
-    /// comparison against the cached minimum.
+    /// With the slab full, a losing candidate costs one comparison
+    /// against the cached minimum (an integer accumulator never needs
+    /// the second, incomparability check).
     ///
-    /// Values must be totally ordered (the hardware comparator knows no
-    /// NaN): an incomparable candidate offered to a full slab compares
-    /// `false` and is rejected. Debug builds assert against it; release
-    /// builds keep the hot path branch-free.
+    /// An incomparable value (a float NaN) ranks below every comparable
+    /// one: offered to a full slab it is rejected, and those that entered
+    /// during the fill phase are the first to be replaced.
     pub fn insert(&mut self, index: u32, value: A) -> bool {
-        debug_assert!(
-            value.partial_cmp(&value).is_some(),
-            "top-k candidate values must be comparable (got an incomparable value, e.g. NaN)"
-        );
         self.offered += 1;
         // Fill phase: push until all k registers hold a candidate.
         if self.slots.len() < self.k {
@@ -167,7 +178,8 @@ impl<A: PartialOrd + Copy> TopKTracker<A> {
             return true;
         }
         // Steady state: one comparison against the cached minimum.
-        if value >= self.slots[self.min_slot].1 {
+        let min = self.slots[self.min_slot].1;
+        if value >= min || !comparable(&min) {
             self.slots[self.min_slot] = (index, value);
             self.rescan_min();
             self.accepted += 1;
@@ -240,7 +252,8 @@ pub struct TopKResult {
 }
 
 impl TopKResult {
-    /// Builds a result from unsorted `(row, score)` pairs.
+    /// Builds a result from unsorted `(row, score)` pairs that are
+    /// already bounded; [`TopKResult::merge_pairs`] cuts a longer list.
     pub fn from_pairs(mut pairs: Vec<(u32, f64)>) -> Self {
         pairs.sort_by(|a, b| rank_cmp(a, b, f64::total_cmp));
         Self { entries: pairs }
@@ -288,11 +301,13 @@ impl TopKResult {
         Self::merge_pairs(parts.into_iter().flat_map(|p| p.entries), k)
     }
 
-    /// Merges owned `(row, score)` pairs and keeps the global best `k`.
+    /// Merges owned `(row, score)` pairs and keeps the global best `k`:
+    /// the workspace's one exact bounded selector.
     ///
-    /// The clone-free reduction primitive: callers that already hold
-    /// per-core pair vectors move them straight in (one flat collect and
-    /// one sort, no intermediate per-part [`TopKResult`]s).
+    /// The pairs stream through a heap of at most `k` entries (O(n log k)
+    /// time, O(k) memory); only the survivors are sorted. The answer
+    /// equals a full sort's first `k` under [`rank_cmp`] with
+    /// [`f64::total_cmp`], ties and NaNs included.
     ///
     /// The merge is a *total* order — score descending, then row id
     /// ascending — so equal scores are broken deterministically and the
@@ -302,10 +317,20 @@ impl TopKResult {
     /// the per-shard candidate lists happen to be grouped or ordered
     /// (property-tested in `tests/serve_equivalence.rs`), including at
     /// the truncation boundary where a tie decides who makes the cut.
-    // alloc-ok(fn): per-query reduction assembling the owned result
-    // list — one flat collect per merge, not per packet.
+    // alloc-ok(fn): per-query reduction; the one k-bounded heap becomes
+    // the owned result list in place.
     pub fn merge_pairs<I: IntoIterator<Item = (u32, f64)>>(pairs: I, k: usize) -> Self {
-        Self::from_pairs(pairs.into_iter().collect()).truncated(k)
+        let keys = pairs
+            .into_iter()
+            .map(|(row, score)| (total_order_key(score.to_bits() as i64), Reverse(row)));
+        let mut kept = top_keys(keys, k);
+        // Ascending `Reverse` is descending key: best first.
+        kept.sort_unstable();
+        let entries = kept
+            .into_iter()
+            .map(|Reverse((key, Reverse(row)))| (row, f64::from_bits(total_order_key(key) as u64)))
+            .collect();
+        Self { entries }
     }
 
     /// [`TopKResult::merge_pairs`] for candidate sets that may mention
@@ -330,6 +355,33 @@ impl TopKResult {
         entries.truncate(k);
         Self { entries }
     }
+}
+
+/// The `k` largest of `keys`, unordered, from a min-heap of at most `k`
+/// keys whose root a candidate must beat to enter. Callers encode the
+/// ranking in the key: `(score, Reverse(row))` is [`rank_cmp`]'s.
+pub(crate) fn top_keys<K: Ord>(keys: impl IntoIterator<Item = K>, k: usize) -> Vec<Reverse<K>> {
+    let keys = keys.into_iter();
+    // alloc-ok: the selection's one buffer, at most k keys (fewer when
+    // the input says it is shorter); the result reuses it.
+    let mut heap = BinaryHeap::with_capacity(k.min(keys.size_hint().0));
+    for key in keys {
+        if heap.len() < k {
+            heap.push(Reverse(key));
+        } else if let Some(mut worst) = heap.peek_mut() {
+            if key > worst.0 {
+                *worst = Reverse(key);
+            }
+        }
+    }
+    // alloc-ok: hands back the heap's own buffer.
+    heap.into_vec()
+}
+
+/// Maps `f64` bits to an `i64` ordered as [`f64::total_cmp`] orders the
+/// floats (the transform `total_cmp` applies); its own inverse.
+fn total_order_key(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 #[cfg(test)]
@@ -506,5 +558,178 @@ mod tests {
         let mut out = vec![(0u32, 0.0f64); 10]; // stale contents must be cleared
         t.write_sorted_into(&mut out);
         assert_eq!(out, t.into_sorted());
+    }
+
+    #[test]
+    fn incomparable_values_rank_below_every_comparable_one() {
+        // NaNs accepted while filling are the first evicted, never a
+        // finite score; a NaN offered to a full slab is rejected.
+        let mut t = TopKTracker::<f32>::new(3);
+        t.insert(1, f32::NAN);
+        t.insert(2, 0.5);
+        t.insert(3, f32::NAN);
+        assert!(t.insert(4, 0.1)); // evicts row 1
+        assert!(t.insert(6, 0.2)); // evicts row 3
+        assert!(!t.insert(5, f32::NAN));
+        assert_eq!(t.into_sorted(), vec![(2, 0.5), (6, 0.2), (4, 0.1)]);
+
+        // A NaN still held at drain time ranks last instead of panicking.
+        let mut t = TopKTracker::<f32>::new(3);
+        t.insert(1, f32::NAN);
+        t.insert(2, -0.5);
+        let drained = t.into_sorted();
+        assert_eq!(drained[0], (2, -0.5));
+        assert!(drained[1].0 == 1 && drained[1].1.is_nan());
+    }
+
+    /// `(row, score bits)`: compares NaN scores bit for bit.
+    fn bits(pairs: &[(u32, f64)]) -> Vec<(u32, u64)> {
+        pairs.iter().map(|&(r, s)| (r, s.to_bits())).collect()
+    }
+
+    /// The reference the selector must equal: a full sort under
+    /// `rank_cmp(.., f64::total_cmp)`, cut at `k`.
+    fn sorted_cut(pairs: &[(u32, f64)], k: usize) -> Vec<(u32, u64)> {
+        let mut all = pairs.to_vec();
+        all.sort_by(|a, b| rank_cmp(a, b, f64::total_cmp));
+        all.truncate(k);
+        bits(&all)
+    }
+
+    /// A deterministic stream of `n` pairs: rows from `0..rows`, scores
+    /// drawn from `pool` (so exact ties and repeated rows are common).
+    fn random_pairs(seed: u64, n: usize, rows: u32, pool: &[f64]) -> Vec<(u32, f64)> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        (0..n)
+            .map(|_| {
+                let row = (next() % u64::from(rows)) as u32;
+                (row, pool[next() as usize % pool.len()])
+            })
+            .collect()
+    }
+
+    /// Scores where `total_cmp` and `PartialOrd` part ways: signed zeros
+    /// and infinities, NaNs of both signs and two payloads, subnormals.
+    const SPECIAL: [f64; 16] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 2.0,
+        f64::MAX,
+        f64::MIN,
+        1.0,
+        -1.0,
+        0.5,
+        0.5,
+    ];
+
+    #[test]
+    fn selector_key_order_is_rank_cmp_with_total_cmp() {
+        let key =
+            |&(row, score): &(u32, f64)| (total_order_key(score.to_bits() as i64), Reverse(row));
+        for seed in 0..8 {
+            let pairs = random_pairs(seed, 64, 16, &SPECIAL);
+            for a in &pairs {
+                let raw = a.1.to_bits() as i64;
+                assert_eq!(total_order_key(total_order_key(raw)), raw, "{a:?}");
+                for b in &pairs {
+                    // A higher key ranks ahead: `Less` under rank_cmp.
+                    assert_eq!(
+                        key(b).cmp(&key(a)),
+                        rank_cmp(a, b, f64::total_cmp),
+                        "{a:?} vs {b:?}"
+                    );
+                }
+            }
+            for k in [0, 1, 5, 63, 64, 100] {
+                assert_eq!(
+                    bits(TopKResult::merge_pairs(pairs.clone(), k).entries()),
+                    sorted_cut(&pairs, k),
+                    "seed {seed}, k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merge_pairs_matches_a_full_sort_on_a_random_stream() {
+        let pool: Vec<f64> = (0..1000).map(|i| f64::from(i) / 997.0).collect();
+        let pairs = random_pairs(12345, 1000, 1000, &pool);
+        for k in [3, 10, 999] {
+            assert_eq!(
+                bits(TopKResult::merge_pairs(pairs.clone(), k).entries()),
+                sorted_cut(&pairs, k),
+                "k {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_pairs_ties_at_the_capacity_boundary_keep_the_lowest_rows() {
+        // Six rows tie at 0.9 with k = 3: the survivors are the three
+        // lowest row ids however the candidates arrive.
+        let mut ids = vec![40u32, 7, 23, 3, 99, 15];
+        for _ in 0..ids.len() {
+            ids.rotate_left(1);
+            let pairs = ids.iter().map(|&i| (i, 0.9)).chain([(50, 0.1)]);
+            assert_eq!(
+                TopKResult::merge_pairs(pairs, 3).entries(),
+                &[(3, 0.9), (7, 0.9), (15, 0.9)],
+                "arrival order {ids:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_pairs_keeps_the_same_set_however_pairs_are_grouped() {
+        // Even rows tie at 0.9, odd rows at 0.5: merging partial
+        // selections of any split, in either order, equals the flat
+        // selection — the cross-range and cross-shard reductions.
+        let pairs: Vec<(u32, f64)> = [2u32, 5, 8, 11, 4, 7, 10, 13]
+            .iter()
+            .map(|&i| (i, if i % 2 == 0 { 0.9 } else { 0.5 }))
+            .collect();
+        let flat = TopKResult::merge_pairs(pairs.clone(), 4);
+        assert_eq!(flat.entries(), &[(2, 0.9), (4, 0.9), (8, 0.9), (10, 0.9)]);
+        for split in 0..=pairs.len() {
+            let (left, right) = pairs.split_at(split);
+            let left = TopKResult::merge_pairs(left.to_vec(), 4);
+            let right = TopKResult::merge_pairs(right.to_vec(), 4);
+            assert_eq!(TopKResult::merge([left.clone(), right.clone()], 4), flat);
+            assert_eq!(TopKResult::merge([right, left], 4), flat);
+        }
+    }
+
+    #[test]
+    fn merge_pairs_capacity_edges() {
+        let pairs = vec![(0u32, 0.5), (1, 0.1), (2, 0.9), (3, 0.7), (4, 0.3)];
+        // k >= n returns every pair, ranked.
+        for k in [5, 6, usize::MAX] {
+            assert_eq!(
+                TopKResult::merge_pairs(pairs.clone(), k).indices(),
+                vec![2, 3, 0, 4, 1]
+            );
+        }
+        // k = 1 keeps the best; a lower candidate arriving later is
+        // rejected, a higher one displaces it.
+        assert_eq!(
+            TopKResult::merge_pairs(pairs.clone(), 1).entries(),
+            &[(2, 0.9)]
+        );
+        // k = 0 keeps nothing.
+        assert!(TopKResult::merge_pairs(pairs, 0).is_empty());
+        assert!(TopKResult::merge_pairs(Vec::new(), 3).is_empty());
     }
 }

@@ -26,24 +26,31 @@ use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
 use tkspmv_sparse::{BsCsr, Csr, PacketLayout};
 
 /// Passes every request through to the system allocator, counting
-/// allocation calls (`alloc`, `alloc_zeroed`, `realloc`).
+/// allocation calls (`alloc`, `alloc_zeroed`, `realloc`) and the bytes
+/// they request.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -66,17 +73,51 @@ fn synthetic(rows: usize, seed: u64) -> Csr {
     .generate()
 }
 
-/// Allocation calls made while running `f`, minimised over a few trials
-/// so an unrelated one-off (e.g. lazy runtime init) cannot inflate it.
-fn allocations_during<R>(mut f: impl FnMut() -> R) -> u64 {
-    let mut min = u64::MAX;
+/// Allocation calls and bytes requested while running `f`, minimised
+/// over a few trials so an unrelated one-off (e.g. lazy runtime init)
+/// cannot inflate them.
+fn allocations_and_bytes_during<R>(mut f: impl FnMut() -> R) -> (u64, u64) {
+    let mut min = (u64::MAX, u64::MAX);
     for _ in 0..3 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = (
+            ALLOCATIONS.load(Ordering::Relaxed),
+            BYTES.load(Ordering::Relaxed),
+        );
         std::hint::black_box(f());
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        min = min.min(after - before);
+        let after = (
+            ALLOCATIONS.load(Ordering::Relaxed),
+            BYTES.load(Ordering::Relaxed),
+        );
+        min = min.min((after.0 - before.0, after.1 - before.1));
     }
     min
+}
+
+/// Allocation calls made while running `f` (see
+/// [`allocations_and_bytes_during`]).
+fn allocations_during<R>(f: impl FnMut() -> R) -> u64 {
+    allocations_and_bytes_during(f).0
+}
+
+/// The exact selector keeps O(k) memory: `TopKResult::merge_pairs` over
+/// 100x the input pairs requests the same allocations, byte for byte —
+/// one k-bounded heap, not a copy of the input.
+#[test]
+#[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
+fn merge_pairs_memory_is_bounded_by_k_not_by_the_input() {
+    use tkspmv::TopKResult;
+
+    let select = |n: u32| {
+        allocations_and_bytes_during(|| {
+            let pairs = (0..n).map(|i| (i, f64::from(i.wrapping_mul(2_654_435_761) >> 8)));
+            TopKResult::merge_pairs(pairs, 100).len()
+        })
+    };
+    let (small, large) = (select(1_000), select(100_000));
+    assert_eq!(
+        small, large,
+        "merge_pairs allocation (calls, bytes) grows with the input: {small:?} vs {large:?}"
+    );
 }
 
 /// The observability recording path a request completion touches —
