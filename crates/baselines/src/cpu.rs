@@ -6,12 +6,13 @@
 //! worker thread ([`tkspmv::fanout::fork_join`]), each range streams its
 //! dot products through one bounded selection
 //! ([`TopKResult::merge_pairs`]), and [`TopKResult::merge`] keeps the
-//! best `k` of the ranges. Arithmetic is `f32` accumulated in `f64` per
-//! row — matching a careful C++ float implementation.
+//! best `k` of the ranges. Each row is scored by
+//! [`tkspmv_sparse::exact_dot`]: `f32` products accumulated in `f64` in
+//! column order — matching a careful C++ float implementation.
 
 use std::time::Instant;
 
-use tkspmv_sparse::{Csr, DenseVector};
+use tkspmv_sparse::{exact_dot, Csr, DenseVector};
 
 use tkspmv::backend::{BackendPerf, BackendStats, PreparedMatrix, QueryResult, TopKBackend};
 use tkspmv::fanout::{fork_join, host_parallelism};
@@ -87,12 +88,7 @@ impl CpuTopK {
             |(), t| {
                 let lo = t * rows_per_thread;
                 let hi = ((t + 1) * rows_per_thread).min(csr.num_rows());
-                let dots = (lo..hi).map(|r| {
-                    let dot = csr
-                        .row(r)
-                        .fold(0.0f64, |acc, (c, v)| acc + v as f64 * x[c as usize] as f64);
-                    (r as u32, dot)
-                });
+                let dots = (lo..hi).map(|r| (r as u32, exact_dot(csr.row(r), x)));
                 TopKResult::merge_pairs(dots, k)
             },
         );

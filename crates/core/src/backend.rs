@@ -708,9 +708,8 @@ pub enum BackendStats {
         /// query fell through to the exact path (no companion index, or
         /// the shortlist would have covered every row anyway).
         pruned: bool,
-        /// This query's prune and rescore time, plus whatever stages
-        /// the wrapped backend reported for the rescore (or, on the
-        /// fall-through, for the whole query).
+        /// This query's prune and exact-rescore time — or, on the
+        /// fall-through, the stages the wrapped backend reported.
         stages: StageTimes,
     },
 }

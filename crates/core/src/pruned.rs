@@ -1,8 +1,9 @@
 //! Staged two-phase queries: a low-bit prune pass plus exact rescoring.
 //!
 //! The paper's accelerator wins by touching fewer bytes per non-zero;
-//! [`PrunedBackend`] applies the same lever one level up, as a query
-//! pipeline around *any* exact engine:
+//! [`PrunedBackend`] applies the same lever one level up, as AccelES
+//! does: a low-bit pass picks the candidates, exact arithmetic ranks
+//! them.
 //!
 //! 1. **Prune** — score every row against the query using the compact
 //!    4/8-bit companion [`PruneIndex`] built at `prepare` time. Integer
@@ -13,19 +14,21 @@
 //!    total order (score descending, then row id ascending). The cut is
 //!    on deterministic integer scores, so the shortlist is reproducible
 //!    bit-for-bit across runs and hosts.
-//! 3. **Rescore** — gather only the shortlisted rows into a small CSR
-//!    and answer through the wrapped backend at full precision, then
-//!    map row ids back to collection coordinates.
+//! 3. **Rescore** — score each shortlisted row from the CSR kept at
+//!    `prepare` with [`exact_dot`] (`f64`, column order) and keep the
+//!    best `k` with [`TopKResult::merge_pairs`]: the exact CPU engine's
+//!    scorer and selector, so the pruned answer is the same whatever
+//!    backend is wrapped.
 //!
-//! When the shortlist would cover the whole collection (`c·k ≥ rows`),
-//! or no companion index is available (degenerate shapes, pre-companion
-//! snapshots), the wrapper falls through to the exact path — so the
-//! pruned tier never does *worse* than the engine it wraps, and with
-//! `c·k ≥ rows` its answers are element-wise identical to it
-//! (property-tested in `tests/prune_correctness.rs`).
+//! The wrapped backend answers [`QueryTier::Exact`], and the staged
+//! path falls through to it when the shortlist would cover the whole
+//! collection (`c·k ≥ rows`) or no companion index is available
+//! (degenerate shapes, pre-companion snapshots) — so with `c·k ≥ rows`
+//! the pruned tier's answers are element-wise identical to the engine
+//! it wraps (property-tested in `tests/prune_correctness.rs`).
 //!
 //! **Snapshots.** The wrapper writes the source CSR it keeps for
-//! gathering plus the companion, under the wrapped backend's family,
+//! rescoring plus the companion, under the wrapped backend's family,
 //! and adopts a CSR snapshot of either family — so a pruned snapshot
 //! loads on the plain inner backend (companion ignored) and a plain CSR
 //! snapshot loads here (staged path unavailable, exact fall-through).
@@ -36,7 +39,7 @@ use std::time::Instant;
 
 use tkspmv_fixed::PruneBits;
 use tkspmv_sparse::snapshot::{Snapshot, SnapshotError, SnapshotPayload};
-use tkspmv_sparse::{Csr, DenseVector, PruneIndex};
+use tkspmv_sparse::{exact_dot, Csr, DenseVector, PruneIndex};
 
 use crate::backend::{
     check_family, rejected, BackendPerf, BackendStats, PreparedMatrix, QueryBatch, QueryResult,
@@ -48,7 +51,7 @@ use crate::stages::StageTimes;
 use crate::topk::{top_keys, TopKResult};
 
 /// A [`TopKBackend`] that answers queries in two phases — low-bit prune,
-/// then exact rescore through the backend it wraps.
+/// then exact `f64` rescore of the shortlist.
 ///
 /// [`TopKBackend::query`] and [`TopKBackend::query_batch`] are the
 /// staged path at [`PrunedBackend::shortlist_factor`];
@@ -87,9 +90,9 @@ pub struct PrunedBackend {
     threads: usize,
 }
 
-/// Prepared state: the source collection (for gathering), the wrapped
-/// backend's own prepared form (for exact fall-through and rescoring
-/// context), and the optional companion prune stream.
+/// Prepared state: the source collection (for rescoring), the wrapped
+/// backend's own prepared form (for the exact tier and fall-through),
+/// and the optional companion prune stream.
 struct PrunedState {
     csr: Csr,
     inner_prepared: PreparedMatrix,
@@ -148,7 +151,8 @@ impl PrunedBackend {
         self.shortlist_factor
     }
 
-    /// The exact backend answers are rescored through.
+    /// The wrapped exact backend: it answers the exact tier and the
+    /// staged path's fall-through.
     pub fn inner(&self) -> &Arc<dyn TopKBackend> {
         &self.inner
     }
@@ -242,73 +246,43 @@ impl PrunedBackend {
 
         // Cut the shortlist with the exact selector under the
         // engine-wide total order (score descending, row ascending) on
-        // the deterministic integer scores, then restore ascending row
-        // order so the gathered sub-matrix preserves global tie-breaks.
+        // the deterministic integer scores.
         let keys = scores
             .iter()
             .flatten()
             .enumerate()
             .map(|(row, &s)| (s, Reverse(row as u32)));
-        let mut order: Vec<u32> = top_keys(keys, shortlist)
+        let shortlisted: Vec<usize> = top_keys(keys, shortlist)
             .into_iter()
-            .map(|Reverse((_, Reverse(row)))| row)
+            .map(|Reverse((_, Reverse(row)))| row as usize)
             .collect();
-        order.sort_unstable();
-
-        // Gather the shortlisted rows into a compact CSR.
-        let src_ptr = st.csr.row_ptr();
-        let mut row_ptr = Vec::with_capacity(shortlist + 1);
-        row_ptr.push(0u64);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for &r in &order {
-            let (s, e) = (
-                src_ptr[r as usize] as usize,
-                src_ptr[r as usize + 1] as usize,
-            );
-            col_idx.extend_from_slice(&st.csr.col_idx()[s..e]);
-            values.extend_from_slice(&st.csr.values()[s..e]);
-            row_ptr.push(col_idx.len() as u64);
-        }
-        let sub = Csr::from_parts(shortlist, st.csr.num_cols(), row_ptr, col_idx, values)
-            .map_err(|e| EngineError::bad_query(format!("shortlist gather failed: {e}")))?;
         let pruned = Instant::now();
 
-        // Rescore exactly through the wrapped backend and re-base the
-        // shortlist-local row ids into collection coordinates. Ascending
-        // gather order makes local row order agree with global row
-        // order, so ties break identically.
-        let sub_prepared = self.inner.prepare(&sub)?;
-        let out = self.inner.query(&sub_prepared, x, k)?;
-        let rescored = Instant::now();
-        // The inner call's own stages are carved out of `rescore`, so
-        // the four stages stay disjoint and sum to prune + rescore.
-        let inner = out.stats.stage_times();
-        let stages = StageTimes {
-            prune: pruned - started,
-            rescore: (rescored - pruned).saturating_sub(inner.decode + inner.score),
-            ..inner
-        };
-        let pairs: Vec<(u32, f64)> = out
-            .topk
-            .entries()
+        // Rescore the shortlist exactly from the kept rows, with the
+        // exact CPU engine's scorer and selector, under the same total
+        // order: the answer depends on the shortlist alone, never on
+        // the wrapped backend.
+        let rescored_pairs = shortlisted
             .iter()
-            .map(|&(local, score)| (order[local as usize], score))
-            .collect();
+            .map(|&r| (r as u32, exact_dot(st.csr.row(r), x.as_slice())));
+        let topk = TopKResult::merge_pairs(rescored_pairs, k);
+        let rescored = Instant::now();
+        let rescored_nnz: usize = shortlisted.iter().map(|&r| st.csr.row_nnz(r)).sum();
         Ok(QueryResult {
-            topk: TopKResult::from_pairs(pairs),
-            // Wall time of both stages, including the shortlist
-            // `prepare` the rescore pays (an encode when the wrapped
-            // backend is the accelerator).
+            topk,
             perf: BackendPerf::measured(
                 (rescored - started).as_secs_f64(),
-                prune.nnz() + out.perf.nnz,
+                prune.nnz() + rescored_nnz as u64,
             ),
             stats: BackendStats::Pruned {
                 bits: self.bits.bits(),
                 shortlist,
                 pruned: true,
-                stages,
+                stages: StageTimes {
+                    prune: pruned - started,
+                    rescore: rescored - pruned,
+                    ..StageTimes::default()
+                },
             },
         })
     }
@@ -360,7 +334,7 @@ impl TopKBackend for PrunedBackend {
         }
     }
 
-    /// Writes the source CSR this wrapper keeps for gathering — never
+    /// Writes the source CSR this wrapper keeps for rescoring — never
     /// the inner backend's encoded form — plus the companion prune
     /// stream, under the *inner* family: the snapshot stays loadable by
     /// the plain inner backend, which ignores the companion.
@@ -381,7 +355,7 @@ impl TopKBackend for PrunedBackend {
         check_family(&snapshot.family, &[&self.family(), &self.inner.family()])?;
         let SnapshotPayload::Csr(csr) = snapshot.payload else {
             return Err(rejected(EngineError::bad_query(format!(
-                "backend `{}` restores CSR snapshots (its rescore path gathers source rows), \
+                "backend `{}` restores CSR snapshots (its rescore reads source rows), \
                  not encoded payload kinds",
                 self.name()
             ))));
@@ -459,34 +433,32 @@ mod tests {
     }
 
     /// Reported perf and stage attribution come from the same two
-    /// measurements: `perf.seconds` is prune + rescore, and the rescore
-    /// — shortlist `prepare` included — splits into the wrapped
-    /// engine's decode/score plus the remainder.
+    /// measurements: `perf.seconds` is prune + rescore, whatever the
+    /// wrapped backend — the staged path never enters it, so it has no
+    /// decode or score of its own to report.
     #[test]
     fn perf_seconds_equal_the_stage_sum() {
-        let b = PrunedBackend::new(accel(), PruneBits::Eight, 4).unwrap();
-        let m = b.prepare(&collection()).unwrap();
-        let out = b.query(&m, &query_vector(128, 3), 10).unwrap();
-        let stages = out.stats.stage_times();
-        for stage in [stages.prune, stages.rescore, stages.decode, stages.score] {
-            assert!(!stage.is_zero(), "{stages:?}");
+        let inners: [Arc<dyn TopKBackend>; 2] = [accel(), Arc::new(RefBackend)];
+        for inner in inners {
+            let b = PrunedBackend::new(inner, PruneBits::Eight, 4).unwrap();
+            let m = b.prepare(&collection()).unwrap();
+            let out = b.query(&m, &query_vector(128, 3), 10).unwrap();
+            let stages = out.stats.stage_times();
+            assert!(
+                !stages.prune.is_zero() && !stages.rescore.is_zero(),
+                "{stages:?}"
+            );
+            assert!(
+                stages.decode.is_zero() && stages.score.is_zero(),
+                "{}: {stages:?}",
+                b.name()
+            );
+            assert_eq!(
+                out.perf.seconds,
+                (stages.prune + stages.rescore).as_secs_f64()
+            );
+            assert_eq!(out.perf.timing, crate::backend::TimingSource::Measured);
         }
-        assert_eq!(out.perf.seconds, stages.total().as_secs_f64());
-        assert_eq!(out.perf.timing, crate::backend::TimingSource::Measured);
-
-        // A wrapped backend without stages of its own: prune + rescore.
-        let b = PrunedBackend::new(Arc::new(RefBackend), PruneBits::Eight, 4).unwrap();
-        let m = b.prepare(&collection()).unwrap();
-        let out = b.query(&m, &query_vector(128, 3), 10).unwrap();
-        let stages = out.stats.stage_times();
-        assert!(
-            stages.decode.is_zero() && stages.score.is_zero(),
-            "{stages:?}"
-        );
-        assert_eq!(
-            out.perf.seconds,
-            (stages.prune + stages.rescore).as_secs_f64()
-        );
     }
 
     #[test]

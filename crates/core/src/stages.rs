@@ -12,22 +12,21 @@ use std::time::Duration;
 
 /// Time one backend call spent in each engine stage.
 ///
-/// The four stages are disjoint: a staged query's `rescore` excludes
-/// the `decode`/`score` its inner engine call reports, so
-/// [`StageTimes::total`] never exceeds the call's wall time. A call that
-/// fans out over participants reports `decode`/`score` of its busiest
-/// participant, summed over the partitions that participant walked —
-/// the one sequence of work that spans the call.
+/// The accelerator reports `decode`/`score`; a staged query reports
+/// `prune`/`rescore`, or the wrapped backend's stages when it falls
+/// through to the exact path. A call that fans out over participants
+/// reports `decode`/`score` of its busiest participant, summed over the
+/// partitions that participant walked — the one sequence of work that
+/// spans the call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimes {
     /// Packet decode: chunk → flat arrays + segment program.
     pub decode: Duration,
     /// Exact scoring: gather-multiply-accumulate and Top-K offers.
     pub score: Duration,
-    /// Low-bit prune pass, shortlist cut and shortlist gather.
+    /// Low-bit prune pass and shortlist cut.
     pub prune: Duration,
-    /// Shortlist rescore outside the inner engine's own stages (its
-    /// `prepare` of the gathered rows, fan-out and merge).
+    /// Exact rescore of the shortlist.
     pub rescore: Duration,
 }
 

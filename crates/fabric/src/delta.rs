@@ -30,7 +30,7 @@ use std::time::Duration;
 use tkspmv::backend::QueryTier;
 use tkspmv::{EngineError, TopKResult};
 use tkspmv_serve::{ServeError, StageBreakdown, TopKService};
-use tkspmv_sparse::{Csr, DenseVector};
+use tkspmv_sparse::{exact_dot, Csr, DenseVector};
 
 /// One sparse row in caller form: strictly increasing column indices and
 /// their values, equal lengths.
@@ -144,14 +144,20 @@ impl DeltaCollection {
         check_query(self.service.dim(), x.len(), k, tier).map_err(ServeError::BadRequest)?;
         // Score the delta (and note where it starts) before querying the
         // base, so a compaction landing in between can only duplicate
-        // rows — never drop them. Duplicates are deduped below.
+        // rows — never drop them. Duplicates are deduped below. Delta
+        // rows are scored by the exact engines' own scorer, so a row
+        // scores bit-identically before and after compaction folds it
+        // into an exact base.
         let delta_pairs: Vec<(u32, f64)> = {
             let s = lock(&self.state);
             let delta_first = self.start_row + s.base.num_rows();
             s.delta
                 .iter()
                 .enumerate()
-                .map(|(j, (cols, vals))| ((delta_first + j) as u32, score_row(&x, cols, vals)))
+                .map(|(j, (cols, vals))| {
+                    let entries = cols.iter().copied().zip(vals.iter().copied());
+                    ((delta_first + j) as u32, exact_dot(entries, x.as_slice()))
+                })
                 .collect()
         };
         let served = self.service.query_tiered(x, k, tier)?;
@@ -215,18 +221,6 @@ impl DeltaCollection {
         }
         Ok((epoch, folded as u64))
     }
-}
-
-/// Scores one sparse row against a dense query exactly, in column order
-/// with `f64` accumulation — the same arithmetic as [`Csr::spmv_exact`]
-/// and the exact CPU engine, so a row scores bit-identically before and
-/// after compaction folds it into the base.
-fn score_row(x: &DenseVector, cols: &[u32], vals: &[f32]) -> f64 {
-    let xs = x.as_slice();
-    cols.iter()
-        .zip(vals)
-        .map(|(&c, &v)| xs[c as usize] as f64 * v as f64)
-        .sum()
 }
 
 /// What a query must satisfy for any node to answer it, refused in the
@@ -440,6 +434,25 @@ mod tests {
         assert_eq!(c.base_rows(), 6);
         let (after, ..) = c.query(x, 3, QueryTier::Exact).expect("query");
         assert_eq!(before.entries(), after.entries());
+    }
+
+    /// An empty row scores `+0.0` in the delta, exactly as the exact
+    /// engine scores it once compaction has folded it into the base.
+    #[test]
+    fn empty_appended_row_keeps_its_score_bits_through_compaction() {
+        let c = collection(4, 8, 0);
+        let ids = c.append(&[(vec![], vec![])]).expect("append");
+        let score_bits = || {
+            let (topk, ..) = c
+                .query(DenseVector::zeros(8), 5, QueryTier::Exact)
+                .expect("query");
+            let entry = topk.entries().iter().find(|e| e.0 == ids[0]);
+            entry.expect("empty row ranked").1.to_bits()
+        };
+        let before = score_bits();
+        assert_eq!(c.compact_once().expect("compact").1, 1);
+        assert_eq!(score_bits(), before);
+        assert_eq!(before, 0.0f64.to_bits());
     }
 
     #[test]

@@ -68,8 +68,7 @@ pub struct StageBreakdown {
     pub score: Duration,
     /// Prune-pass share of `engine` (pruned tier).
     pub prune: Duration,
-    /// Exact-rescore share of `engine` outside decode/score (pruned
-    /// tier).
+    /// Exact-rescore share of `engine` (pruned tier).
     pub rescore: Duration,
     /// Cross-shard top-k merge for this request.
     pub merge: Duration,

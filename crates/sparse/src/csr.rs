@@ -2,6 +2,7 @@
 
 use crate::coo::Coo;
 use crate::error::SparseError;
+use crate::exact_dot;
 
 /// A sparse matrix in CSR format.
 ///
@@ -187,8 +188,8 @@ impl Csr {
         (self.row_ptr[r + 1] - self.row_ptr[r]) as usize
     }
 
-    /// Computes `y[r] = dot(row r, x)` for every row, in `f64` — the
-    /// exact reference the approximate engines are scored against.
+    /// Scores every row against `x` with [`exact_dot`] — the exact
+    /// reference the approximate engines are scored against.
     ///
     /// # Panics
     ///
@@ -196,11 +197,7 @@ impl Csr {
     pub fn spmv_exact(&self, x: &[f32]) -> Vec<f64> {
         assert_eq!(x.len(), self.num_cols, "vector length mismatch");
         (0..self.num_rows)
-            .map(|r| {
-                self.row(r)
-                    .map(|(c, v)| v as f64 * x[c as usize] as f64)
-                    .sum()
-            })
+            .map(|r| exact_dot(self.row(r), x))
             .collect()
     }
 

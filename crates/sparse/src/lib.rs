@@ -68,3 +68,24 @@ pub use error::SparseError;
 pub use layout::PacketLayout;
 pub use packet::{Packet512, PACKET_BITS, PACKET_BYTES};
 pub use prune::{PruneIndex, PruneQuery};
+
+/// The exact score of one sparse row against a dense query: the
+/// workspace's one exact row dot.
+///
+/// `entries` are the row's `(col, value)` pairs in column order (as
+/// [`Csr::row`] yields them). Products are accumulated in `f64`, in that
+/// order, from `+0.0` — so an empty row, or one whose products are all
+/// `-0.0`, scores `+0.0` — and every exact path (the CPU engine,
+/// [`Csr::spmv_exact`], the pruned rescore, delta rows) calls this, so a
+/// row scores bit-identically wherever it is scored.
+///
+/// # Panics
+///
+/// Panics if a column is out of bounds for `x`.
+#[inline]
+pub fn exact_dot(entries: impl IntoIterator<Item = (u32, f32)>, x: &[f32]) -> f64 {
+    entries.into_iter().fold(0.0, |acc, (c, v)| {
+        // invariant: callers pass rows validated against `x.len()` columns
+        acc + v as f64 * x[c as usize] as f64
+    })
+}

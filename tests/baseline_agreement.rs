@@ -2,7 +2,7 @@
 //! FPGA engine — must agree on what the Top-K *is* (up to arithmetic
 //! noise), or no cross-architecture comparison is meaningful.
 
-use tkspmv::Accelerator;
+use tkspmv::{Accelerator, TopKResult};
 use tkspmv_baselines::cpu::{exact_topk, CpuTopK};
 use tkspmv_baselines::gpu::{GpuModel, GpuPrecision};
 use tkspmv_fixed::Precision;
@@ -20,15 +20,39 @@ fn matrix() -> Csr {
     .generate()
 }
 
+/// `(row, score bits)`: equality that tells `-0.0` from `+0.0`.
+fn bits(topk: &TopKResult) -> Vec<(u32, u64)> {
+    topk.entries()
+        .iter()
+        .map(|&(row, score)| (row, score.to_bits()))
+        .collect()
+}
+
 #[test]
 fn cpu_matches_oracle_exactly() {
     let csr = matrix();
-    for q in 0..5u64 {
-        let x = query_vector(256, q);
-        let oracle = exact_topk(&csr, x.as_slice(), 64);
-        let cpu = CpuTopK::with_all_cores().run(&csr, x.as_slice(), 64);
-        assert_eq!(cpu.indices(), oracle.indices(), "query {q}");
+    // Five embedding queries, then one whose every product is `-0.0`.
+    let mut queries: Vec<Vec<f32>> = (0..5u64)
+        .map(|q| query_vector(256, q).into_values())
+        .collect();
+    queries.push(vec![-0.0; 256]);
+    for (q, x) in queries.iter().enumerate() {
+        let oracle = exact_topk(&csr, x, 64);
+        let cpu = CpuTopK::with_all_cores().run(&csr, x, 64);
+        assert_eq!(bits(&cpu), bits(&oracle), "query {q}");
     }
+}
+
+/// A row whose only product is `-0.0` scores `+0.0` on every exact
+/// path, so it ties the `+0.0` row beside it and the tie breaks by row.
+#[test]
+fn signed_zero_products_tie_in_row_order() {
+    let csr = Csr::from_triplets(2, 1, &[(0, 0, -0.5), (1, 0, 0.5)]).expect("valid");
+    let x = [0.0f32];
+    let oracle = exact_topk(&csr, &x, 2);
+    let zero = 0.0f64.to_bits();
+    assert_eq!(bits(&oracle), [(0, zero), (1, zero)]);
+    assert_eq!(bits(&CpuTopK::new(1).run(&csr, &x, 2)), bits(&oracle));
 }
 
 #[test]

@@ -12,12 +12,16 @@
 //!    the shortlist survives exact rescoring; so recall@k can only grow
 //!    with `c`. Checked on the paper's Table III left-skewed `Γ(3, 4/3)`
 //!    synthetics.
+//! 3. **The wrapped backend does not matter below covering** — the
+//!    shortlist is rescored exactly from the rows the wrapper keeps,
+//!    never through the wrapped backend, so wrapping the approximate
+//!    accelerator or the exact CPU engine gives bit-identical answers.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tkspmv::backend::TopKBackend;
-use tkspmv::PrunedBackend;
+use tkspmv::backend::{BackendStats, TopKBackend};
+use tkspmv::{Accelerator, PrunedBackend, TopKResult};
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_eval::metrics::precision_at_k;
 use tkspmv_fixed::PruneBits;
@@ -71,6 +75,46 @@ proptest! {
                     "{}: covering shortlist (c = {}) diverged from exact",
                     staged.name(), factor
                 );
+            }
+        }
+    }
+
+    /// Property 3: at non-covering factors (`c·k < rows`: `k ≤ 8`,
+    /// `rows ≥ 24`) the accelerator and the CPU engine, wrapped, answer
+    /// bit for bit alike.
+    #[test]
+    fn pruned_answer_does_not_depend_on_the_wrapped_backend(
+        (csr, queries, k) in arb_case()
+    ) {
+        let accelerator: Arc<dyn TopKBackend> = Arc::new(
+            Accelerator::builder().cores(2).k(4).build().expect("small design builds"),
+        );
+        let cpu: Arc<dyn TopKBackend> = Arc::new(CpuTopK::new(2));
+        let bits = |topk: &TopKResult| -> Vec<(u32, u64)> {
+            topk.entries().iter().map(|&(row, s)| (row, s.to_bits())).collect()
+        };
+        for width in PruneBits::ALL {
+            for factor in [1usize, 2] {
+                let staged = |inner: &Arc<dyn TopKBackend>| {
+                    let b = PrunedBackend::new(Arc::clone(inner), width, factor)
+                        .expect("factor is valid");
+                    let m = b.prepare(&csr).expect("staged prepare");
+                    (b, m)
+                };
+                let (over_accel, accel_m) = staged(&accelerator);
+                let (over_cpu, cpu_m) = staged(&cpu);
+                for x in &queries {
+                    let got = over_accel.query(&accel_m, x, k).expect("staged query");
+                    let want = over_cpu.query(&cpu_m, x, k).expect("staged query");
+                    prop_assert!(
+                        matches!(got.stats, BackendStats::Pruned { pruned: true, .. }),
+                        "c = {} must prune", factor
+                    );
+                    prop_assert_eq!(
+                        bits(&got.topk), bits(&want.topk),
+                        "{} vs {} at c = {}", over_accel.name(), over_cpu.name(), factor
+                    );
+                }
             }
         }
     }
