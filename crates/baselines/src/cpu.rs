@@ -23,28 +23,20 @@ use tkspmv::{EngineError, TopKResult};
 /// # Example
 ///
 /// ```
+/// use tkspmv::backend::TopKBackend;
 /// use tkspmv_baselines::cpu::CpuTopK;
-/// use tkspmv_sparse::Csr;
+/// use tkspmv_sparse::{Csr, DenseVector};
 ///
 /// let csr = Csr::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, 0.5)])?;
-/// let out = CpuTopK::new(2).run(&csr, &[1.0, 1.0], 1);
-/// assert_eq!(out.indices(), vec![0]);
-/// # Ok::<(), tkspmv_sparse::SparseError>(())
+/// let cpu = CpuTopK::new(2);
+/// let x = DenseVector::from_values(vec![1.0, 1.0]);
+/// let out = cpu.query(&cpu.prepare(&csr)?, &x, 1)?;
+/// assert_eq!(out.topk.indices(), vec![0]);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct CpuTopK {
     threads: usize,
-}
-
-/// A timed CPU run: the exact result plus measured wall-clock seconds.
-#[derive(Debug, Clone)]
-pub struct CpuRun {
-    /// Exact Top-K result.
-    pub topk: TopKResult,
-    /// Measured wall-clock seconds.
-    pub seconds: f64,
-    /// Worker threads used.
-    pub threads: usize,
 }
 
 impl CpuTopK {
@@ -61,42 +53,6 @@ impl CpuTopK {
     /// A runner using all available parallelism.
     pub fn with_all_cores() -> Self {
         Self::new(host_parallelism())
-    }
-
-    /// Computes the exact Top-K of `csr * x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != csr.num_cols()` or `k == 0`.
-    pub fn run(&self, csr: &Csr, x: &[f32], k: usize) -> TopKResult {
-        self.run_timed(csr, x, k).topk
-    }
-
-    /// Like [`CpuTopK::run`] but also measures wall-clock time (the
-    /// Figure 5 baseline measurement).
-    pub fn run_timed(&self, csr: &Csr, x: &[f32], k: usize) -> CpuRun {
-        assert_eq!(x.len(), csr.num_cols(), "vector length mismatch");
-        assert!(k > 0, "k must be positive");
-        let started = Instant::now();
-        let threads = self.threads.min(csr.num_rows()).max(1);
-        let rows_per_thread = csr.num_rows().div_ceil(threads);
-
-        let (ranges, _) = fork_join(
-            threads,
-            threads,
-            || (),
-            |(), t| {
-                let lo = t * rows_per_thread;
-                let hi = ((t + 1) * rows_per_thread).min(csr.num_rows());
-                let dots = (lo..hi).map(|r| (r as u32, exact_dot(csr.row(r), x)));
-                TopKResult::merge_pairs(dots, k)
-            },
-        );
-        CpuRun {
-            topk: TopKResult::merge(ranges, k),
-            seconds: started.elapsed().as_secs_f64(),
-            threads,
-        }
     }
 }
 
@@ -118,6 +74,8 @@ impl TopKBackend for CpuTopK {
         ))
     }
 
+    /// Computes the exact Top-K of `csr * x`, timing it on the wall
+    /// clock (the Figure 5 baseline measurement).
     fn query(
         &self,
         matrix: &PreparedMatrix,
@@ -131,13 +89,27 @@ impl TopKBackend for CpuTopK {
         if k == 0 {
             return Err(EngineError::zero_big_k());
         }
-        let run = self.run_timed(csr, x.as_slice(), k);
-        Ok(QueryResult {
-            topk: run.topk,
-            perf: BackendPerf::measured(run.seconds, csr.nnz() as u64),
-            stats: BackendStats::Cpu {
-                threads: run.threads,
+        let started = Instant::now();
+        let x = x.as_slice();
+        let threads = self.threads.min(csr.num_rows()).max(1);
+        let rows_per_thread = csr.num_rows().div_ceil(threads);
+
+        let (ranges, _) = fork_join(
+            threads,
+            threads,
+            || (),
+            |(), t| {
+                let lo = t * rows_per_thread;
+                let hi = ((t + 1) * rows_per_thread).min(csr.num_rows());
+                let dots = (lo..hi).map(|r| (r as u32, exact_dot(csr.row(r), x)));
+                TopKResult::merge_pairs(dots, k)
             },
+        );
+        let topk = TopKResult::merge(ranges, k);
+        Ok(QueryResult {
+            topk,
+            perf: BackendPerf::measured(started.elapsed().as_secs_f64(), csr.nnz() as u64),
+            stats: BackendStats::Cpu { threads },
         })
     }
 }
@@ -165,13 +137,20 @@ mod tests {
         .generate()
     }
 
+    /// One query through the trait on a fresh `threads`-thread backend.
+    fn query(threads: usize, csr: &Csr, x: &[f32], k: usize) -> QueryResult {
+        let cpu = CpuTopK::new(threads);
+        let x = DenseVector::from_values(x.to_vec());
+        cpu.query(&cpu.prepare(csr).unwrap(), &x, k).unwrap()
+    }
+
     #[test]
     fn multithreaded_matches_oracle() {
         let csr = matrix(1);
         let x = query_vector(256, 2);
         let oracle = exact_topk(&csr, x.as_slice(), 50);
         for threads in [1, 2, 4, 8] {
-            let got = CpuTopK::new(threads).run(&csr, x.as_slice(), 50);
+            let got = query(threads, &csr, x.as_slice(), 50).topk;
             assert_eq!(got.indices(), oracle.indices(), "threads = {threads}");
         }
     }
@@ -180,33 +159,25 @@ mod tests {
     fn timed_run_reports_duration() {
         let csr = matrix(2);
         let x = query_vector(256, 3);
-        let run = CpuTopK::new(2).run_timed(&csr, x.as_slice(), 10);
-        assert!(run.seconds > 0.0);
-        assert_eq!(run.threads, 2);
+        let run = query(2, &csr, x.as_slice(), 10);
+        assert!(run.perf.seconds > 0.0);
+        assert!(matches!(run.stats, BackendStats::Cpu { threads: 2 }));
         assert_eq!(run.topk.len(), 10);
     }
 
     #[test]
     fn k_larger_than_rows_returns_all() {
         let csr = Csr::from_triplets(2, 2, &[(0, 0, 0.5), (1, 1, 0.25)]).unwrap();
-        let out = CpuTopK::new(4).run(&csr, &[1.0, 1.0], 10);
-        assert_eq!(out.len(), 2);
+        assert_eq!(query(4, &csr, &[1.0, 1.0], 10).topk.len(), 2);
     }
 
     #[test]
     fn more_threads_than_rows_is_safe() {
         let csr = Csr::from_triplets(3, 2, &[(0, 0, 0.5), (2, 1, 0.25)]).unwrap();
-        let run = CpuTopK::new(64).run_timed(&csr, &[1.0, 1.0], 2);
+        let run = query(64, &csr, &[1.0, 1.0], 2);
         assert_eq!(run.topk.indices(), vec![0, 2]);
         // The report is the participants actually used, not the request.
-        assert_eq!(run.threads, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "vector length mismatch")]
-    fn wrong_vector_length_panics() {
-        let csr = Csr::from_triplets(1, 2, &[(0, 0, 0.5)]).unwrap();
-        let _ = CpuTopK::new(1).run(&csr, &[1.0], 1);
+        assert!(matches!(run.stats, BackendStats::Cpu { threads: 3 }));
     }
 
     #[test]
@@ -217,8 +188,7 @@ mod tests {
         assert_eq!(backend.name(), "cpu");
         let prepared = backend.prepare(&csr).unwrap();
         let out = backend.query(&prepared, &x, 25).unwrap();
-        let direct = CpuTopK::new(2).run(&csr, x.as_slice(), 25);
-        assert_eq!(out.topk, direct);
+        assert_eq!(out.topk, exact_topk(&csr, x.as_slice(), 25));
         assert!(out.perf.seconds > 0.0);
         assert_eq!(out.perf.nnz, csr.nnz() as u64);
         assert!(matches!(out.stats, BackendStats::Cpu { threads: 2 }));
@@ -229,8 +199,7 @@ mod tests {
         let csr = matrix(5);
         let backend: &dyn TopKBackend = &CpuTopK::new(2);
         let prepared = backend.prepare(&csr).unwrap();
-        // Wrong length and zero K are errors through the trait, not
-        // panics as in the raw API.
+        // Wrong length and zero K are typed errors, not panics.
         assert!(backend.query(&prepared, &query_vector(99, 1), 5).is_err());
         assert!(backend.query(&prepared, &query_vector(256, 1), 0).is_err());
         let empty = Csr::from_triplets(0, 4, &[]);

@@ -6,14 +6,14 @@
 //! grants the GPU a *zero-cost sort* to get a conservative comparison.
 //! Without the physical P100 this module does the same two-part job:
 //!
-//! - **functional**: the full output vector `y` is computed bit-exactly
-//!   in `f32` or software binary16 (per-operation rounding, like `__half`
-//!   registers), then cut to the exact `k` best rows
-//!   ([`TopKResult::merge_pairs`]: what a stable descending sort's first
-//!   `k` are) — giving the exact accuracy the GPU baseline would have
-//!   (Figure 7);
-//! - **timing**: an analytic bandwidth model. cuSPARSE CSR SpMV is
-//!   memory-bound; its time is modelled as
+//! - **functional** ([`GpuTopK`]'s `query`): the full output vector `y`
+//!   is computed bit-exactly in `f32` or software binary16
+//!   (per-operation rounding, like `__half` registers), then cut to the
+//!   exact `k` best rows ([`TopKResult::merge_pairs`]: what a stable
+//!   descending sort's first `k` are) — giving the exact accuracy the
+//!   GPU baseline would have (Figure 7);
+//! - **timing** ([`GpuModel`]): an analytic bandwidth model. cuSPARSE
+//!   CSR SpMV is memory-bound; its time is modelled as
 //!   `traffic / (peak_bw × efficiency)`, with efficiency calibrated to
 //!   the speedups the paper reports (≈45% of peak for F32, a typical
 //!   published cuSPARSE figure). The Thrust sort of all `N` rows is
@@ -128,51 +128,6 @@ impl GpuModel {
     pub fn topk_seconds(&self, nnz: u64, rows: u64, precision: GpuPrecision) -> f64 {
         self.spmv_seconds(nnz, rows, precision) + self.sort_seconds(rows)
     }
-
-    /// Executes the baseline functionally and attaches modelled timings.
-    ///
-    /// The result is the exact `k` best rows of `y` under the total order
-    /// — what the full sort cut at `k` returns; the sort itself is only
-    /// billed ([`GpuModel::sort_seconds`]), not run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != csr.num_cols()` or `k == 0`.
-    pub fn run(&self, csr: &Csr, x: &[f32], k: usize, precision: GpuPrecision) -> GpuRun {
-        assert_eq!(x.len(), csr.num_cols(), "vector length mismatch");
-        assert!(k > 0, "k must be positive");
-        let y: Vec<f32> = match precision {
-            GpuPrecision::F32 => (0..csr.num_rows())
-                .map(|r| csr.row(r).map(|(c, v)| v * x[c as usize]).sum::<f32>())
-                .collect(),
-            GpuPrecision::F16 => {
-                // Matrix values, x, products and the running sum all live
-                // in binary16 registers.
-                let xh: Vec<Half> = x.iter().map(|&v| Half::from_f32(v)).collect();
-                (0..csr.num_rows())
-                    .map(|r| {
-                        let mut acc = Half::ZERO;
-                        for (c, v) in csr.row(r) {
-                            acc = acc.add(Half::from_f32(v).mul(xh[c as usize]));
-                        }
-                        acc.to_f32()
-                    })
-                    .collect()
-            }
-        };
-        let topk = TopKResult::merge_pairs(
-            y.into_iter()
-                .enumerate()
-                .map(|(i, v)| (i as u32, f64::from(v))),
-            k,
-        );
-        GpuRun {
-            topk,
-            spmv_seconds: self.spmv_seconds(csr.nnz() as u64, csr.num_rows() as u64, precision),
-            sort_seconds: self.sort_seconds(csr.num_rows() as u64),
-            precision,
-        }
-    }
 }
 
 /// The GPU baseline as a [`TopKBackend`]: one fixed arithmetic mode per
@@ -279,41 +234,51 @@ impl TopKBackend for GpuTopK {
         if k == 0 {
             return Err(EngineError::zero_big_k());
         }
-        let run = self.model.run(csr, x.as_slice(), k, self.precision);
+        let x = x.as_slice();
+        let y: Vec<f32> = match self.precision {
+            GpuPrecision::F32 => (0..csr.num_rows())
+                .map(|r| csr.row(r).map(|(c, v)| v * x[c as usize]).sum::<f32>())
+                .collect(),
+            GpuPrecision::F16 => {
+                // Matrix values, x, products and the running sum all live
+                // in binary16 registers.
+                let xh: Vec<Half> = x.iter().map(|&v| Half::from_f32(v)).collect();
+                (0..csr.num_rows())
+                    .map(|r| {
+                        let mut acc = Half::ZERO;
+                        for (c, v) in csr.row(r) {
+                            acc = acc.add(Half::from_f32(v).mul(xh[c as usize]));
+                        }
+                        acc.to_f32()
+                    })
+                    .collect()
+            }
+        };
+        // The exact `k` best rows under the total order — what the full
+        // sort cut at `k` returns; the sort itself is only billed.
+        let topk = TopKResult::merge_pairs(
+            y.into_iter()
+                .enumerate()
+                .map(|(i, v)| (i as u32, f64::from(v))),
+            k,
+        );
+        let (nnz, rows) = (csr.nnz() as u64, csr.num_rows() as u64);
+        let spmv_seconds = self.model.spmv_seconds(nnz, rows, self.precision);
+        let sort_seconds = self.model.sort_seconds(rows);
         let billed = if self.zero_cost_sort {
-            run.spmv_seconds
+            spmv_seconds
         } else {
-            run.total_seconds()
+            spmv_seconds + sort_seconds
         };
         Ok(QueryResult {
-            topk: run.topk,
-            perf: BackendPerf::modelled(billed, billed, csr.nnz() as u64),
+            topk,
+            perf: BackendPerf::modelled(billed, billed, nnz),
             stats: BackendStats::Gpu {
-                spmv_seconds: run.spmv_seconds,
-                sort_seconds: run.sort_seconds,
+                spmv_seconds,
+                sort_seconds,
                 zero_cost_sort: self.zero_cost_sort,
             },
         })
-    }
-}
-
-/// A GPU baseline run: functional result + modelled timings.
-#[derive(Debug, Clone)]
-pub struct GpuRun {
-    /// The Top-K result the GPU would produce.
-    pub topk: TopKResult,
-    /// Modelled SpMV kernel time (the "zero-cost sorting" total).
-    pub spmv_seconds: f64,
-    /// Modelled sort time.
-    pub sort_seconds: f64,
-    /// Arithmetic mode.
-    pub precision: GpuPrecision,
-}
-
-impl GpuRun {
-    /// Modelled end-to-end time including the sort.
-    pub fn total_seconds(&self) -> f64 {
-        self.spmv_seconds + self.sort_seconds
     }
 }
 
@@ -334,11 +299,18 @@ mod tests {
         .generate()
     }
 
+    /// One query through the trait on the P100 model at `precision`.
+    fn query(csr: &Csr, x: &[f32], k: usize, precision: GpuPrecision) -> QueryResult {
+        let gpu = GpuTopK::new(GpuModel::tesla_p100(), precision);
+        let x = DenseVector::from_values(x.to_vec());
+        gpu.query(&gpu.prepare(csr).unwrap(), &x, k).unwrap()
+    }
+
     #[test]
     fn f32_run_matches_oracle_ranking() {
         let csr = matrix();
         let x = query_vector(256, 1);
-        let gpu = GpuModel::tesla_p100().run(&csr, x.as_slice(), 20, GpuPrecision::F32);
+        let gpu = query(&csr, x.as_slice(), 20, GpuPrecision::F32);
         let oracle = exact_topk(&csr, x.as_slice(), 20);
         // f32 vs f64 reference: identical index sets at this scale.
         let mut a = gpu.topk.indices();
@@ -356,9 +328,8 @@ mod tests {
             .indices()
             .into_iter()
             .collect();
-        let gpu = GpuModel::tesla_p100();
         let hits = |p: GpuPrecision| {
-            gpu.run(&csr, x.as_slice(), 100, p)
+            query(&csr, x.as_slice(), 100, p)
                 .topk
                 .indices()
                 .iter()
@@ -375,14 +346,13 @@ mod tests {
     /// keep the lowest rows, and binary16 overflow ties at `+inf`.
     #[test]
     fn ties_at_the_cut_keep_the_lowest_rows() {
-        let gpu = GpuModel::tesla_p100();
         // All 50 rows score exactly 0.5 in f32 and in f16.
         let flat: Vec<(u32, u32, f32)> = (0..50).map(|r| (r, r % 4, 0.5)).collect();
         let csr = Csr::from_triplets(50, 4, &flat).unwrap();
         for p in [GpuPrecision::F32, GpuPrecision::F16] {
-            let run = gpu.run(&csr, &[1.0; 4], 10, p);
-            assert_eq!(run.topk.indices(), (0..10).collect::<Vec<u32>>(), "{p:?}");
-            assert!(run.topk.scores().iter().all(|&s| s == 0.5), "{p:?}");
+            let out = query(&csr, &[1.0; 4], 10, p);
+            assert_eq!(out.topk.indices(), (0..10).collect::<Vec<u32>>(), "{p:?}");
+            assert!(out.topk.scores().iter().all(|&s| s == 0.5), "{p:?}");
         }
 
         // Even rows sum 40 000 + 40 000: 80 000 in f32, +inf in f16
@@ -399,9 +369,9 @@ mod tests {
             (GpuPrecision::F32, 80_000.0),
             (GpuPrecision::F16, f64::INFINITY),
         ] {
-            let run = gpu.run(&csr, &[40_000.0; 2], 5, p);
-            assert_eq!(run.topk.indices(), vec![0, 2, 4, 6, 8], "{p:?}");
-            assert!(run.topk.scores().iter().all(|&s| s == top), "{p:?}");
+            let out = query(&csr, &[40_000.0; 2], 5, p);
+            assert_eq!(out.topk.indices(), vec![0, 2, 4, 6, 8], "{p:?}");
+            assert!(out.topk.scores().iter().all(|&s| s == top), "{p:?}");
         }
     }
 
@@ -439,18 +409,20 @@ mod tests {
             GpuTopK::new(GpuModel::tesla_p100(), GpuPrecision::F32).with_zero_cost_sort();
         let ideal: &dyn TopKBackend = &ideal_owned;
         let prepared = full.prepare(&csr)?;
-        let direct = GpuModel::tesla_p100().run(&csr, x.as_slice(), 30, GpuPrecision::F32);
+        let model = GpuModel::tesla_p100();
+        let (nnz, rows) = (csr.nnz() as u64, csr.num_rows() as u64);
 
-        let out = full.query(&prepared, &x, 30)?;
-        assert_eq!(out.topk, direct.topk);
-        assert!((out.perf.seconds - direct.total_seconds()).abs() < 1e-12);
+        let billed = full.query(&prepared, &x, 30)?;
+        let topk_seconds = model.topk_seconds(nnz, rows, GpuPrecision::F32);
+        assert!((billed.perf.seconds - topk_seconds).abs() < 1e-12);
 
         // Zero-cost sort: same ranking, SpMV-only billing, shared state.
         // The typed `gpu_timings` accessor replaces matching the stats
         // variant by hand (a wrong variant is an error, not a panic).
         let out = ideal.query(&prepared, &x, 30)?;
-        assert_eq!(out.topk, direct.topk);
-        assert!((out.perf.seconds - direct.spmv_seconds).abs() < 1e-12);
+        assert_eq!(out.topk, billed.topk);
+        let spmv = model.spmv_seconds(nnz, rows, GpuPrecision::F32);
+        assert!((out.perf.seconds - spmv).abs() < 1e-12);
         let (spmv_seconds, sort_seconds, zero_cost_sort) = out
             .stats
             .gpu_timings()

@@ -6,16 +6,17 @@
 //!   ([`tkspmv::TopKResult::merge_pairs`]), the ranges merged at the end.
 //! - [`gpu`]: the paper has no GPU Top-K SpMV to compare against, so it
 //!   models one as cuSPARSE SpMV followed by a Thrust radix sort (plus an
-//!   idealised "zero-cost sorting" variant). [`gpu::GpuModel`] reproduces
+//!   idealised "zero-cost sorting" variant). [`gpu::GpuTopK`] reproduces
 //!   that: functional results computed bit-exactly in `f32`/software
 //!   `f16` and cut to the exact `k` best, execution time — sort included
-//!   — from an analytic bandwidth model calibrated to the Tesla P100.
+//!   — from an analytic bandwidth model ([`gpu::GpuModel`]) calibrated
+//!   to the Tesla P100.
 //!
 //! Both baselines select through the workspace's one exact selector,
-//! and both implement [`tkspmv::TopKBackend`], the workspace-wide
-//! execution interface, so experiments can race them against the
-//! accelerator through one `Box<dyn TopKBackend>` roster (with batched
-//! queries via `query_batch`).
+//! and both are queried only through [`tkspmv::TopKBackend`], the
+//! workspace-wide execution interface, so experiments can race them
+//! against the accelerator through one `Box<dyn TopKBackend>` roster
+//! (with batched queries via `query_batch`).
 //!
 //! # Example
 //!
@@ -26,10 +27,6 @@
 //!
 //! let csr = Csr::from_triplets(3, 4, &[(0, 0, 0.9), (1, 1, 0.5), (2, 2, 0.7)])?;
 //! let cpu = CpuTopK::new(2);
-//! // The raw API...
-//! let out = cpu.run(&csr, &[1.0, 1.0, 1.0, 1.0], 2);
-//! assert_eq!(out.indices(), vec![0, 2]);
-//! // ...and the unified backend interface.
 //! let prepared = cpu.prepare(&csr)?;
 //! let ones = DenseVector::from_values(vec![1.0; 4]);
 //! let result = cpu.query(&prepared, &ones, 2)?;

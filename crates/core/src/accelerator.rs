@@ -3,20 +3,20 @@
 //! [`Accelerator`] plays the role of the paper's host program: it
 //! validates a design configuration against the device model, encodes
 //! the embedding collection into per-channel BS-CSR partitions
-//! ([`Accelerator::load_matrix`]), and launches queries that run the
-//! multi-core engine and return ranked results with a performance model
-//! report ([`Accelerator::query`]).
+//! ([`Accelerator::load_matrix`]). Queries enter only through the
+//! [`TopKBackend`](crate::TopKBackend) trait, whose `query` and
+//! `query_batch` run the multi-core engine and return ranked results
+//! with a performance model report.
 
 use tkspmv_fixed::{Half, Precision, F32, Q1_19, Q1_24, Q1_31};
 use tkspmv_hw::{ChannelModel, DesignPoint, HbmConfig, ResourceModel, UramBudget};
 use tkspmv_sparse::{BsCsr, Csr, DenseVector, PacketLayout};
 
-use crate::engine::{quantize_vector, run_multicore, CoreStats, Fidelity, MulticoreOutput};
+use crate::backend::{BackendPerf, BackendStats, QueryResult};
+use crate::engine::{quantize_vector, run_multicore, Fidelity, MulticoreOutput};
 use crate::error::EngineError;
 use crate::fanout::host_parallelism;
 use crate::perf::PerfReport;
-use crate::stages::StageTimes;
-use crate::topk::TopKResult;
 
 /// Validated accelerator configuration (see [`Accelerator::builder`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -342,54 +342,30 @@ impl Accelerator {
         }
     }
 
-    /// Runs a Top-K query against a loaded matrix — the B = 1 case of
-    /// [`Accelerator::query_batch`].
+    /// Answers `queries` against a loaded matrix — the one body behind
+    /// both `TopKBackend` query methods (a single query is a one-element
+    /// slice): the whole batch is validated before any of it runs, the
+    /// precision dispatch happens once, and every answer carries the
+    /// modelled performance report.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::BadQuery`] if the vector length does not
-    /// match, `big_k` is zero, or `k·c < big_k` (the per-core depth
-    /// cannot cover the requested K).
-    pub fn query(
-        &self,
-        matrix: &LoadedMatrix,
-        x: &DenseVector,
-        big_k: usize,
-    ) -> Result<QueryOutput, EngineError> {
-        let mut outs = self.query_batch(matrix, std::slice::from_ref(x), big_k)?;
-        // invariant: a validated one-query batch yields exactly one output
-        Ok(outs.pop().expect("one output per query"))
-    }
-
-    /// Runs a batch of queries against a loaded matrix.
-    ///
-    /// A deployment answers many queries against the same collection;
-    /// the expensive load/encode step is paid once and the batch reuses
-    /// it. Beyond that, batching amortises per-call work: the precision
-    /// dispatch happens once for the whole batch, and each per-channel
-    /// BS-CSR partition is streamed once while *all* queries ride
-    /// through it (the hardware picture — the matrix lives in HBM,
-    /// queries are swapped through URAM). The configured cores are the
-    /// design: they fix the partitioning, the approximation and the
-    /// modelled time. The host walks those partitions on
-    /// `min(host parallelism, cores)` participants
-    /// ([`crate::fanout::fork_join`]), which changes no answer. Results
-    /// are in input order and element-wise identical to one-query
-    /// batches. (On the real device queries are serialised through the
-    /// kernel; the per-query [`PerfReport`]s model that serial latency,
-    /// not the host-side parallel walltime.)
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing query's error; the whole batch is
-    /// validated before any query runs.
-    pub fn query_batch(
+    /// [`EngineError::BadQuery`] if a vector length does not match,
+    /// `big_k` is zero, or `k·c < big_k` (the per-core depth cannot
+    /// cover the requested K).
+    pub(crate) fn answer(
         &self,
         matrix: &LoadedMatrix,
         queries: &[DenseVector],
         big_k: usize,
-    ) -> Result<Vec<QueryOutput>, EngineError> {
-        self.validate_query(matrix, big_k)?;
+    ) -> Result<Vec<QueryResult>, EngineError> {
+        if big_k == 0 {
+            return Err(EngineError::zero_big_k());
+        }
+        let covered = self.config.k * matrix.partitions.len();
+        if covered < big_k {
+            return Err(EngineError::coverage_too_small(covered, big_k));
+        }
         for x in queries {
             if x.len() != matrix.num_cols {
                 return Err(EngineError::vector_length_mismatch(
@@ -397,9 +373,6 @@ impl Accelerator {
                     matrix.num_cols,
                 ));
             }
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
         }
         let fidelity = self.fidelity_for(matrix);
         let k = self.config.k;
@@ -416,18 +389,6 @@ impl Accelerator {
             .collect())
     }
 
-    /// Shared query-shape validation (`K` positive, coverable by `k·c`).
-    fn validate_query(&self, matrix: &LoadedMatrix, big_k: usize) -> Result<(), EngineError> {
-        if big_k == 0 {
-            return Err(EngineError::zero_big_k());
-        }
-        let covered = self.config.k * matrix.partitions.len();
-        if covered < big_k {
-            return Err(EngineError::coverage_too_small(covered, big_k));
-        }
-        Ok(())
-    }
-
     fn fidelity_for(&self, matrix: &LoadedMatrix) -> Fidelity {
         Fidelity::Faithful {
             rows_per_packet: self.config.rows_per_packet.unwrap_or(matrix.design.r),
@@ -435,25 +396,28 @@ impl Accelerator {
     }
 
     /// Wraps an engine output with the modelled performance report.
-    fn attach_perf(&self, matrix: &LoadedMatrix, out: MulticoreOutput) -> QueryOutput {
+    fn attach_perf(&self, matrix: &LoadedMatrix, out: MulticoreOutput) -> QueryResult {
         let channel = self.channel_model(&matrix.design);
         let total_packets: u64 = matrix
             .partitions
             .iter()
             .map(|(_, p)| p.num_packets() as u64)
             .sum();
-        let perf = PerfReport::from_stream(
+        let report = PerfReport::from_stream(
             &channel,
             matrix.partitions.len() as u32,
             out.max_packets_per_core,
             total_packets,
             matrix.nnz,
         );
-        QueryOutput {
+        QueryResult {
             topk: out.topk,
-            perf,
-            core_stats: out.core_stats,
-            stages: out.stages,
+            perf: BackendPerf::modelled(report.seconds, report.kernel_seconds, report.nnz),
+            stats: BackendStats::Fpga {
+                report,
+                cores: out.core_stats,
+                stages: out.stages,
+            },
         }
     }
 
@@ -523,24 +487,11 @@ impl LoadedMatrix {
     }
 }
 
-/// Result of one query: ranked rows, modelled performance, per-core
-/// statistics.
-#[derive(Debug, Clone)]
-pub struct QueryOutput {
-    /// The approximate Top-K, best first.
-    pub topk: TopKResult,
-    /// Modelled execution performance.
-    pub perf: PerfReport,
-    /// Per-core statistics.
-    pub core_stats: Vec<CoreStats>,
-    /// Decode/score time of the batch this query rode in, on its
-    /// busiest participant, summed over the partitions it walked.
-    pub stages: StageTimes,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{QueryBatch, TopKBackend};
+    use crate::topk::TopKResult;
     use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
 
     fn small_matrix() -> Csr {
@@ -557,10 +508,10 @@ mod tests {
     #[test]
     fn end_to_end_query_returns_k_results() {
         let acc = Accelerator::builder().build().unwrap();
-        let m = acc.load_matrix(&small_matrix()).unwrap();
+        let m = acc.prepare(&small_matrix()).unwrap();
         let out = acc.query(&m, &query_vector(512, 1), 100).unwrap();
         assert_eq!(out.topk.len(), 100);
-        assert_eq!(out.core_stats.len(), 32);
+        assert_eq!(out.stats.core_stats().map(<[_]>::len), Some(32));
         assert!(out.perf.seconds > 0.0);
         // Scores are descending.
         let scores = out.topk.scores();
@@ -579,7 +530,7 @@ mod tests {
     #[test]
     fn query_validation() {
         let acc = Accelerator::builder().k(2).cores(4).build().unwrap();
-        let m = acc.load_matrix(&small_matrix()).unwrap();
+        let m = acc.prepare(&small_matrix()).unwrap();
         // Wrong vector length.
         assert!(acc.query(&m, &query_vector(100, 1), 4).is_err());
         // K = 0.
@@ -599,7 +550,7 @@ mod tests {
             Precision::Half16,
         ] {
             let acc = Accelerator::builder().precision(p).build().unwrap();
-            let m = acc.load_matrix(&small_matrix()).unwrap();
+            let m = acc.prepare(&small_matrix()).unwrap();
             let out = acc.query(&m, &query_vector(512, 3), 10).unwrap();
             assert_eq!(out.topk.len(), 10, "{p:?}");
         }
@@ -626,12 +577,12 @@ mod tests {
     fn fewer_rows_than_cores_clamps_partitions() {
         let acc = Accelerator::builder().cores(32).k(8).build().unwrap();
         let tiny = Csr::from_triplets(3, 16, &[(0, 0, 0.9), (1, 1, 0.5), (2, 2, 0.7)]).unwrap();
-        let m = acc.load_matrix(&tiny).unwrap();
-        assert_eq!(m.partitions.len(), 3);
+        assert_eq!(acc.load_matrix(&tiny).unwrap().partitions.len(), 3);
         // All-ones query makes scores equal to the stored values.
-        let ones = tkspmv_sparse::DenseVector::from_values(vec![1.0; 16]);
-        let out = acc.query(&m, &ones, 3).unwrap();
+        let ones = DenseVector::from_values(vec![1.0; 16]);
+        let out = acc.query(&acc.prepare(&tiny).unwrap(), &ones, 3).unwrap();
         assert_eq!(out.topk.indices(), vec![0, 2, 1]);
+        assert_eq!(out.stats.core_stats().map(<[_]>::len), Some(3));
     }
 
     #[test]
@@ -645,8 +596,8 @@ mod tests {
     #[test]
     fn query_batch_matches_individual_queries() {
         let acc = Accelerator::builder().cores(8).k(8).build().unwrap();
-        let m = acc.load_matrix(&small_matrix()).unwrap();
-        let queries: Vec<_> = (0..4u64).map(|q| query_vector(512, 10 + q)).collect();
+        let m = acc.prepare(&small_matrix()).unwrap();
+        let queries = QueryBatch::random(4, 512, 10);
         let batch = acc.query_batch(&m, &queries, 20).unwrap();
         assert_eq!(batch.len(), 4);
         for (x, out) in queries.iter().zip(&batch) {
@@ -656,22 +607,16 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_of_nothing_is_ok() {
-        let acc = Accelerator::builder().cores(8).k(8).build().unwrap();
-        let m = acc.load_matrix(&small_matrix()).unwrap();
-        assert_eq!(acc.query_batch(&m, &[], 10).unwrap().len(), 0);
-    }
-
-    #[test]
     fn query_batch_reports_per_query_perf() {
         let acc = Accelerator::builder().cores(8).k(8).build().unwrap();
-        let m = acc.load_matrix(&small_matrix()).unwrap();
-        let queries: Vec<_> = (0..3u64).map(|q| query_vector(512, q)).collect();
+        let m = acc.prepare(&small_matrix()).unwrap();
+        let queries = QueryBatch::random(3, 512, 0);
         let batch = acc.query_batch(&m, &queries, 10).unwrap();
         for (x, out) in queries.iter().zip(&batch) {
             let single = acc.query(&m, x, 10).unwrap();
             assert_eq!(single.perf, out.perf);
-            assert_eq!(single.core_stats, out.core_stats);
+            assert_eq!(single.stats.perf_report(), out.stats.perf_report());
+            assert_eq!(single.stats.core_stats(), out.stats.core_stats());
         }
     }
 
@@ -696,7 +641,6 @@ mod tests {
         precision: Precision,
         x: &DenseVector,
     ) {
-        use crate::backend::TopKBackend;
         // 4 cores of k = 8 over 16-row partitions; r = 64 drops no row.
         let acc = Accelerator::builder()
             .precision(precision)
@@ -706,8 +650,8 @@ mod tests {
             .build()
             .unwrap();
         let csr = nan_prone_matrix();
-        let prepared = TopKBackend::prepare(&acc, &csr).unwrap();
-        let out = TopKBackend::query(&acc, &prepared, x, 16).unwrap();
+        let prepared = acc.prepare(&csr).unwrap();
+        let out = acc.query(&prepared, x, 16).unwrap();
         assert_eq!(out.topk.len(), 16, "{precision:?}");
         assert!(
             out.topk.scores().iter().all(|s| !s.is_nan()),
@@ -760,8 +704,15 @@ mod tests {
     #[test]
     fn query_batch_validates_before_running() {
         let acc = Accelerator::builder().cores(8).k(8).build().unwrap();
-        let m = acc.load_matrix(&small_matrix()).unwrap();
-        let queries = vec![query_vector(512, 1), query_vector(99, 2)];
-        assert!(acc.query_batch(&m, &queries, 10).is_err());
+        let m = acc.prepare(&small_matrix()).unwrap();
+        // A batch shares one dimension, so a mismatch refuses all of it;
+        // so does a K that is zero or beyond k·c = 64.
+        assert!(acc
+            .query_batch(&m, &QueryBatch::random(2, 99, 1), 10)
+            .is_err());
+        for big_k in [0, 65] {
+            let batch = QueryBatch::random(2, 512, 1);
+            assert!(acc.query_batch(&m, &batch, big_k).is_err(), "K = {big_k}");
+        }
     }
 }

@@ -788,19 +788,6 @@ fn checked_loaded<'m>(
     Ok(loaded)
 }
 
-/// Lifts an accelerator's native output into the uniform result shape.
-fn fpga_result(out: crate::accelerator::QueryOutput) -> QueryResult {
-    QueryResult {
-        perf: BackendPerf::modelled(out.perf.seconds, out.perf.kernel_seconds, out.perf.nnz),
-        topk: out.topk,
-        stats: BackendStats::Fpga {
-            report: out.perf,
-            cores: out.core_stats,
-            stages: out.stages,
-        },
-    }
-}
-
 impl Accelerator {
     /// Wraps a loaded (encoded or snapshot-adopted) matrix for the trait.
     fn prepared(&self, loaded: LoadedMatrix) -> PreparedMatrix {
@@ -826,6 +813,13 @@ impl TopKBackend for Accelerator {
         Ok(self.prepared(self.load_matrix(csr)?))
     }
 
+    /// The B = 1 case of [`TopKBackend::query_batch`].
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::BadQuery`] if the vector length does not match,
+    /// `k` is zero, or the per-core depth times the partition count
+    /// cannot cover `k`.
     fn query(
         &self,
         matrix: &PreparedMatrix,
@@ -833,18 +827,38 @@ impl TopKBackend for Accelerator {
         k: usize,
     ) -> Result<QueryResult, EngineError> {
         let loaded = checked_loaded(self, matrix)?;
-        Ok(fpga_result(self.query(loaded, x, k)?))
+        let mut results = self.answer(loaded, std::slice::from_ref(x), k)?;
+        // invariant: a validated one-query batch yields exactly one result
+        Ok(results.pop().expect("one result per query"))
     }
 
+    /// A deployment answers many queries against the same collection;
+    /// the expensive load/encode step is paid once and the batch reuses
+    /// it. Beyond that, batching amortises per-call work: the precision
+    /// dispatch happens once for the whole batch, and each per-channel
+    /// BS-CSR partition is streamed once while *all* queries ride
+    /// through it (the hardware picture — the matrix lives in HBM,
+    /// queries are swapped through URAM). The configured cores are the
+    /// design: they fix the partitioning, the approximation and the
+    /// modelled time. The host walks those partitions on
+    /// `min(host parallelism, cores)` participants
+    /// ([`crate::fanout::fork_join`]), which changes no answer. Results
+    /// are in input order and element-wise identical to one-query
+    /// batches. (On the real device queries are serialised through the
+    /// kernel; the per-query [`PerfReport`]s model that serial latency,
+    /// not the host-side parallel walltime.)
+    ///
+    /// # Errors
+    ///
+    /// As [`TopKBackend::query`]; the whole batch is validated before
+    /// any query runs.
     fn query_batch(
         &self,
         matrix: &PreparedMatrix,
         batch: &QueryBatch,
         k: usize,
     ) -> Result<Vec<QueryResult>, EngineError> {
-        let loaded = checked_loaded(self, matrix)?;
-        let outs = self.query_batch(loaded, batch.queries(), k)?;
-        Ok(outs.into_iter().map(fpga_result).collect())
+        self.answer(checked_loaded(self, matrix)?, batch.queries(), k)
     }
 
     /// The accelerator persists its *encoded* form — per-core BS-CSR

@@ -3,8 +3,8 @@
 //! [`run_core_batch_with_scratch`] is the engine's one entry point: a
 //! functional emulation of one FPGA core's four-stage pipeline over a
 //! BS-CSR packet stream, for a batch of resident queries (a single
-//! query is a one-lane batch). [`crate::Accelerator::query_batch`] runs
-//! it on `c` cores over a partitioned matrix and merges their
+//! query is a one-lane batch). The accelerator's
+//! [`crate::TopKBackend`] impl runs it on `c` cores over a partitioned matrix and merges their
 //! per-partition Top-k lists (§III-A). Packets are sliced straight into
 //! the engine's chunk arrays by [`tkspmv_sparse::Packet512::decode_fields`];
 //! a stream on the paper's M = 1024 layout

@@ -24,8 +24,9 @@
 //! plus the CPU and GPU baselines in `tkspmv_baselines` — speaks the
 //! [`backend::TopKBackend`] trait: `prepare` a collection once, then
 //! `query` it, one vector at a time or as a [`backend::QueryBatch`].
-//! Underneath there is one way in: every accelerator query, single or
-//! batched, is [`Accelerator::query_batch`] fanning
+//! The trait is the only way in: every accelerator query, single or
+//! batched, enters through [`TopKBackend::query`] or
+//! [`TopKBackend::query_batch`], which fan
 //! [`run_core_batch_with_scratch`] out over the cores, and every result
 //! carries the [`StageTimes`] its own call measured.
 //!
@@ -81,9 +82,7 @@ mod pruned;
 mod stages;
 mod topk;
 
-pub use accelerator::{
-    Accelerator, AcceleratorBuilder, AcceleratorConfig, LoadedMatrix, QueryOutput,
-};
+pub use accelerator::{Accelerator, AcceleratorBuilder, AcceleratorConfig, LoadedMatrix};
 pub use backend::{
     BackendPerf, BackendStats, MatrixShard, PreparedMatrix, QueryBatch, QueryResult, QueryTier,
     TimingSource, TopKBackend,

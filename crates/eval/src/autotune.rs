@@ -9,7 +9,7 @@
 //! decision procedure a reconfigurable deployment would run before
 //! choosing which bitstream to flash.
 
-use tkspmv::{Accelerator, EngineError};
+use tkspmv::{Accelerator, EngineError, TopKBackend};
 use tkspmv_baselines::cpu::exact_topk;
 use tkspmv_fixed::Precision;
 use tkspmv_sparse::gen::{query_vector, Rng64};
@@ -82,13 +82,13 @@ pub fn choose_precision(
             .cores(32)
             .k(8)
             .build()?;
-        let loaded = acc.load_matrix(&sample)?;
+        let prepared = acc.prepare(&sample)?;
         let mut samples = Vec::with_capacity(queries);
         let mut gnnz = 0.0;
         for q in 0..queries {
             let x = query_vector(sample.num_cols(), seed ^ (q as u64 + 1));
             let truth = exact_topk(&sample, x.as_slice(), target.k.min(sample.num_rows()));
-            let out = acc.query(&loaded, &x, target.k.min(sample.num_rows()))?;
+            let out = acc.query(&prepared, &x, target.k.min(sample.num_rows()))?;
             samples.push(RankingQuality::score(&out.topk.indices(), truth.entries()));
             gnnz += out.perf.gnnz_per_sec() / queries as f64;
         }

@@ -1,6 +1,6 @@
 //! Figure 6: roofline analysis of the FPGA design vs CPU and GPU.
 
-use tkspmv::Accelerator;
+use tkspmv::{Accelerator, TopKBackend};
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_baselines::gpu::{GpuModel, GpuPrecision};
 use tkspmv_fixed::Precision;
@@ -44,13 +44,18 @@ pub fn architecture_points(config: &ExpConfig) -> Vec<RooflinePoint> {
     // CPU: measured nnz/s; CSR traffic = 8 bytes per nnz + row
     // pointers, OI ~ 1/8.5 nnz/byte; bandwidth roof from a typical
     // 2-socket server (~200 GB/s).
-    let cpu_run = CpuTopK::with_all_cores().run_timed(&csr, x.as_slice(), 100);
+    let cpu = CpuTopK::with_all_cores();
+    // invariant: experiment driver; a failed query invalidates the run, so fail loudly
+    let cpu_run = cpu
+        .prepare(&csr)
+        .and_then(|m| cpu.query(&m, &x, 100))
+        .expect("CPU query runs");
     let cpu_oi = nnz as f64 / (nnz * 8 + rows * 8) as f64;
     let cpu_roof = Roofline::new(200.0e9, cpu_oi);
     points.push(RooflinePoint {
         label: "CPU Top-K SpMV".to_string(),
         operational_intensity: cpu_oi,
-        performance_nnz_per_sec: nnz as f64 / cpu_run.seconds,
+        performance_nnz_per_sec: nnz as f64 / cpu_run.perf.seconds,
         attainable_nnz_per_sec: cpu_roof.attainable_nnz_per_sec(),
     });
 
@@ -79,16 +84,18 @@ pub fn architecture_points(config: &ExpConfig) -> Vec<RooflinePoint> {
             // invariant: the fixed paper configuration always builds
             .expect("paper design builds");
         // invariant: experiment driver; a failed load invalidates the run, so fail loudly
-        let m = acc.load_matrix(&csr).expect("matrix loads");
+        let m = acc.prepare(&csr).expect("matrix loads");
         // invariant: experiment driver; a failed query invalidates the run, so fail loudly
         let out = acc.query(&m, &x, 100).expect("query runs");
+        // invariant: an accelerator result always carries its perf model
+        let report = out.stats.perf_report().expect("FPGA perf report");
         let layout =
             // invariant: the paper grid stays within the layout solver's field widths
             PacketLayout::solve(csr.num_cols(), precision.value_bits()).expect("layout fits");
         let roof = Roofline::new(hbm.effective_bandwidth(32), layout.operational_intensity());
         points.push(RooflinePoint {
             label: format!("FPGA, 32C {}", precision.label()),
-            operational_intensity: out.perf.operational_intensity(),
+            operational_intensity: report.operational_intensity(),
             performance_nnz_per_sec: nnz as f64 / out.perf.kernel_seconds,
             attainable_nnz_per_sec: roof.attainable_nnz_per_sec(),
         });

@@ -67,9 +67,8 @@ impl Default for Args {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
@@ -97,6 +96,9 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag {other} (see --help)")),
         }
+    }
+    if args.threads == 0 {
+        return Err("--threads must be at least 1".to_string());
     }
     Ok(args)
 }
@@ -129,7 +131,7 @@ const USAGE: &str = "tkspmv_node: one fabric shard behind a TCP port
                          the bound address is printed for harnesses)";
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("tkspmv_node: {e}");
@@ -231,4 +233,20 @@ fn main() -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_flags(flags: &[&str]) -> Result<Args, String> {
+        parse_args(flags.iter().map(|f| f.to_string()))
+    }
+
+    #[test]
+    fn zero_threads_is_a_usage_error() {
+        let err = parse_flags(&["--threads", "0"]).err();
+        assert_eq!(err.as_deref(), Some("--threads must be at least 1"));
+        assert_eq!(parse_flags(&["--threads", "2"]).map(|a| a.threads), Ok(2));
+    }
 }

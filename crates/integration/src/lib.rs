@@ -1,190 +1,6 @@
 //! Workspace-level integration harness.
 //!
-//! This crate owns the cross-crate test suites in the repository-root
-//! `tests/` directory and the runnable `examples/` (see its
-//! `Cargo.toml` for the target wiring), and provides [`smoke_test`]: a
-//! one-call end-to-end exercise of the whole stack — synthetic matrix →
-//! BS-CSR encode → [`Accelerator`] query → comparison against the exact
-//! CPU baseline. CI and future backends can call it as a cheap
-//! is-the-world-sane probe before running the full evaluation.
-
-use tkspmv::Accelerator;
-use tkspmv_baselines::cpu::exact_topk;
-use tkspmv_fixed::Precision;
-use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
-
-/// Outcome of one [`smoke_test`] run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SmokeReport {
-    /// Rows in the synthetic collection.
-    pub num_rows: usize,
-    /// Non-zeros actually generated.
-    pub nnz: usize,
-    /// Result length requested from both engines.
-    pub k: usize,
-    /// Fraction of the exact top-K the accelerator retrieved.
-    pub precision: f64,
-    /// Modelled accelerator execution time in seconds.
-    pub modelled_seconds: f64,
-}
-
-/// Parameters for [`smoke_test`]; `Default` matches a laptop-friendly
-/// slice of the paper's Table III workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SmokeConfig {
-    /// Synthetic collection rows.
-    pub num_rows: usize,
-    /// Embedding dimensionality.
-    pub num_cols: usize,
-    /// Average non-zeros per row.
-    pub avg_nnz_per_row: usize,
-    /// Results requested (`K`).
-    pub k: usize,
-    /// Accelerator cores (`c`).
-    pub cores: u32,
-    /// Numeric format under test.
-    pub precision: Precision,
-    /// Generator seed.
-    pub seed: u64,
-}
-
-impl Default for SmokeConfig {
-    fn default() -> Self {
-        SmokeConfig {
-            num_rows: 2_000,
-            num_cols: 256,
-            avg_nnz_per_row: 20,
-            k: 50,
-            cores: 16,
-            precision: Precision::Fixed20,
-            seed: 77,
-        }
-    }
-}
-
-/// Runs the full pipeline once and scores it against the exact oracle.
-///
-/// Per-core scratchpad depth `k` is chosen as `max(8, ceil(K / c))`,
-/// the paper's sizing rule (`k·c ≥ K`) with its default floor of 8.
-///
-/// # Errors
-///
-/// Propagates any [`tkspmv::EngineError`] from accelerator
-/// construction, matrix loading, or the query itself.
-///
-/// # Example
-///
-/// ```
-/// use tkspmv_integration::{smoke_test, SmokeConfig};
-///
-/// let report = smoke_test(SmokeConfig::default())?;
-/// assert!(report.precision > 0.9, "precision {}", report.precision);
-/// # Ok::<(), tkspmv::EngineError>(())
-/// ```
-pub fn smoke_test(config: SmokeConfig) -> Result<SmokeReport, tkspmv::EngineError> {
-    let csr = SyntheticConfig {
-        num_rows: config.num_rows,
-        num_cols: config.num_cols,
-        avg_nnz_per_row: config.avg_nnz_per_row,
-        distribution: NnzDistribution::Uniform,
-        seed: config.seed,
-    }
-    .generate();
-
-    // k·c ≥ K with the paper's floor of 8; cores == 0 is passed through
-    // unscaled so the builder reports the configuration error itself.
-    let scratch_k = match config.cores as usize {
-        0 => config.k,
-        c => config.k.div_ceil(c).max(8),
-    };
-    let acc = Accelerator::builder()
-        .precision(config.precision)
-        .cores(config.cores)
-        .k(scratch_k)
-        .build()?;
-    let loaded = acc.load_matrix(&csr)?;
-
-    let x = query_vector(config.num_cols, config.seed ^ 0xBEEF);
-    let out = acc.query(&loaded, &x, config.k)?;
-    let truth = exact_topk(&csr, x.as_slice(), config.k);
-
-    let truth_set: std::collections::BTreeSet<u32> = truth.indices().into_iter().collect();
-    let hits = out
-        .topk
-        .indices()
-        .into_iter()
-        .filter(|i| truth_set.contains(i))
-        .count();
-
-    Ok(SmokeReport {
-        num_rows: csr.num_rows(),
-        nnz: csr.nnz(),
-        k: config.k,
-        precision: hits as f64 / truth_set.len().max(1) as f64,
-        modelled_seconds: out.perf.seconds,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_smoke_is_accurate_and_sized() {
-        let report = smoke_test(SmokeConfig::default()).unwrap();
-        assert_eq!(report.num_rows, 2_000);
-        assert!(report.nnz > 0);
-        assert!(report.precision > 0.9, "precision {}", report.precision);
-        assert!(
-            report.modelled_seconds > 0.0,
-            "perf model must report positive time"
-        );
-    }
-
-    #[test]
-    fn smoke_covers_all_fpga_precisions() {
-        for precision in [
-            Precision::Fixed32,
-            Precision::Fixed25,
-            Precision::Fixed20,
-            Precision::Float32,
-        ] {
-            let report = smoke_test(SmokeConfig {
-                precision,
-                ..SmokeConfig::default()
-            })
-            .unwrap();
-            assert!(
-                report.precision > 0.9,
-                "{precision:?}: precision {}",
-                report.precision
-            );
-        }
-    }
-
-    #[test]
-    fn degenerate_single_core_float32_is_exact() {
-        // One core with k ≥ K removes the partitioning approximation,
-        // and Float32 removes quantization: the retrieved row set must
-        // equal the oracle's exactly.
-        let report = smoke_test(SmokeConfig {
-            cores: 1,
-            k: 10,
-            num_rows: 200,
-            precision: Precision::Float32,
-            ..SmokeConfig::default()
-        })
-        .unwrap();
-        assert_eq!(report.k, 10);
-        assert_eq!(report.precision, 1.0);
-    }
-
-    #[test]
-    fn invalid_core_count_is_rejected() {
-        let err = smoke_test(SmokeConfig {
-            cores: 0,
-            ..SmokeConfig::default()
-        });
-        assert!(err.is_err());
-    }
-}
+//! This crate holds no code of its own: its library target exists only
+//! to own the cross-crate test suites in the repository-root `tests/`
+//! directory and the runnable `examples/` (see its `Cargo.toml` for the
+//! target wiring).

@@ -19,7 +19,7 @@ use std::time::Instant;
 use tkspmv::backend::TopKBackend;
 use tkspmv::{Accelerator, PrunedBackend};
 use tkspmv_baselines::cpu::{exact_topk, CpuTopK};
-use tkspmv_baselines::gpu::{GpuModel, GpuPrecision};
+use tkspmv_baselines::gpu::{GpuModel, GpuPrecision, GpuTopK};
 use tkspmv_fixed::{Precision, PruneBits};
 use tkspmv_sparse::gen::{glove_like, query_vector};
 
@@ -40,7 +40,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .cores(32)
         .k(8)
         .build()?;
-    let matrix = accelerator.load_matrix(&corpus)?;
+    let matrix = accelerator.prepare(&corpus)?;
+    let cpu = CpuTopK::with_all_cores();
+    let cpu_matrix = cpu.prepare(&corpus)?;
+    let gpu = GpuTopK::new(GpuModel::tesla_p100(), GpuPrecision::F16);
+    let gpu_matrix = gpu.prepare(&corpus)?;
 
     let k = 10;
     println!("\nsearching top-{k} similar documents for 3 queries:\n");
@@ -50,9 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // FPGA (modelled time, bit-exact ranking).
         let fpga = accelerator.query(&matrix, &query, k)?;
         // CPU baseline (measured wall clock).
-        let cpu = CpuTopK::with_all_cores().run_timed(&corpus, query.as_slice(), k);
+        let cpu_out = cpu.query(&cpu_matrix, &query, k)?;
         // GPU F16 model.
-        let gpu = GpuModel::tesla_p100().run(&corpus, query.as_slice(), k, GpuPrecision::F16);
+        let gpu_out = gpu.query(&gpu_matrix, &query, k)?;
         // Exact oracle.
         let oracle = exact_topk(&corpus, query.as_slice(), k);
 
@@ -70,14 +74,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!(
             "  GPU F16  : docs {:?}  (rank-exact vs oracle: {}/{k})",
-            &gpu.topk.indices()[..5.min(k)],
-            agree(&gpu.topk.indices())
+            &gpu_out.topk.indices()[..5.min(k)],
+            agree(&gpu_out.topk.indices())
         );
         println!(
             "  latency  : FPGA {:.3} ms (modelled) | CPU {:.3} ms (measured) | GPU {:.3} ms (modelled)",
             fpga.perf.seconds * 1e3,
-            cpu.seconds * 1e3,
-            gpu.total_seconds() * 1e3
+            cpu_out.perf.seconds * 1e3,
+            gpu_out.perf.seconds * 1e3
         );
         println!();
     }

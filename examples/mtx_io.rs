@@ -8,11 +8,12 @@
 //!
 //! Run with: `cargo run --release --bin mtx_io`
 
+use tkspmv::backend::{QueryBatch, TopKBackend};
 use tkspmv::Accelerator;
 use tkspmv_fixed::Q1_19;
 use tkspmv_sparse::gen::{query_vector, sparsify_batch, Normal, Rng64};
 use tkspmv_sparse::io::{read_mtx, write_mtx};
-use tkspmv_sparse::{BsCsr, DenseVector, PacketLayout};
+use tkspmv_sparse::{BsCsr, PacketLayout};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Pretend these came from a neural encoder: 5k dense embeddings.
@@ -55,8 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 6. Search it.
     let acc = Accelerator::builder().cores(16).k(8).build()?;
-    let matrix = acc.load_matrix(&reloaded)?;
-    let queries: Vec<DenseVector> = (0..3).map(|q| query_vector(256, 1000 + q)).collect();
+    let matrix = acc.prepare(&reloaded)?;
+    let queries = QueryBatch::new((0..3).map(|q| query_vector(256, 1000 + q)).collect())?;
     let results = acc.query_batch(&matrix, &queries, 10)?;
     for (q, out) in results.iter().enumerate() {
         println!(

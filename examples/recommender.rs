@@ -10,6 +10,7 @@
 //! Run with: `cargo run --release --bin recommender`
 
 use tkspmv::approx::expected_precision;
+use tkspmv::backend::TopKBackend;
 use tkspmv::Accelerator;
 use tkspmv_baselines::cpu::exact_topk;
 use tkspmv_eval::metrics::RankingQuality;
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .cores(32)
             .k(8)
             .build()?;
-        let matrix = acc.load_matrix(&catalogue)?;
+        let matrix = acc.prepare(&catalogue)?;
         let mut quality = Vec::new();
         let mut ms = 0.0;
         let mut gnnz = 0.0;
@@ -61,15 +62,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    // k·c must cover K = 50, so the sweep starts at 8 cores.
     println!("\n2) partition count sweep (20-bit design, k = 8 per core):\n");
     println!("   cores | measured Precision@{k} | closed-form E[P]");
-    for cores in [2u32, 4, 8, 16, 32] {
+    for cores in [8u32, 12, 16, 24, 32] {
         let acc = Accelerator::builder()
             .precision(Precision::Fixed20)
             .cores(cores)
             .k(8)
             .build()?;
-        let matrix = acc.load_matrix(&catalogue)?;
+        let matrix = acc.prepare(&catalogue)?;
         let mut precision_sum = 0.0;
         for user in &users {
             let truth = exact_topk(&catalogue, user.as_slice(), k);

@@ -2,7 +2,7 @@
 //! precision must track the closed-form expectation of §III-A.
 
 use tkspmv::approx::{expected_precision, monte_carlo_precision};
-use tkspmv::{Accelerator, TopKResult};
+use tkspmv::{Accelerator, TopKBackend, TopKResult};
 use tkspmv_baselines::cpu::exact_topk;
 use tkspmv_fixed::Precision;
 use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
@@ -30,7 +30,7 @@ fn measured_precision_tracks_theory() {
         .k(k)
         .build()
         .unwrap();
-    let m = acc.load_matrix(&csr).unwrap();
+    let m = acc.prepare(&csr).unwrap();
 
     let queries = 40;
     let mut total = 0.0;
@@ -108,7 +108,7 @@ fn increasing_cores_improves_accuracy_monotonically() {
             .k(8)
             .build()
             .unwrap();
-        let m = acc.load_matrix(&csr).unwrap();
+        let m = acc.prepare(&csr).unwrap();
         let mut total = 0.0;
         let queries = 20;
         for q in 0..queries {

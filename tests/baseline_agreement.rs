@@ -2,12 +2,12 @@
 //! FPGA engine — must agree on what the Top-K *is* (up to arithmetic
 //! noise), or no cross-architecture comparison is meaningful.
 
-use tkspmv::{Accelerator, TopKResult};
+use tkspmv::{Accelerator, TimingSource, TopKBackend, TopKResult};
 use tkspmv_baselines::cpu::{exact_topk, CpuTopK};
-use tkspmv_baselines::gpu::{GpuModel, GpuPrecision};
+use tkspmv_baselines::gpu::{GpuModel, GpuPrecision, GpuTopK};
 use tkspmv_fixed::Precision;
 use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
-use tkspmv_sparse::Csr;
+use tkspmv_sparse::{Csr, DenseVector};
 
 fn matrix() -> Csr {
     SyntheticConfig {
@@ -18,6 +18,16 @@ fn matrix() -> Csr {
         seed: 31,
     }
     .generate()
+}
+
+fn p100(precision: GpuPrecision) -> GpuTopK {
+    GpuTopK::new(GpuModel::tesla_p100(), precision)
+}
+
+/// One query through `backend` on a fresh preparation of `csr`.
+fn top(backend: &dyn TopKBackend, csr: &Csr, x: &DenseVector, k: usize) -> TopKResult {
+    let prepared = backend.prepare(csr).unwrap();
+    backend.query(&prepared, x, k).unwrap().topk
 }
 
 /// `(row, score bits)`: equality that tells `-0.0` from `+0.0`.
@@ -31,15 +41,15 @@ fn bits(topk: &TopKResult) -> Vec<(u32, u64)> {
 #[test]
 fn cpu_matches_oracle_exactly() {
     let csr = matrix();
+    let cpu = CpuTopK::with_all_cores();
+    let prepared = cpu.prepare(&csr).unwrap();
     // Five embedding queries, then one whose every product is `-0.0`.
-    let mut queries: Vec<Vec<f32>> = (0..5u64)
-        .map(|q| query_vector(256, q).into_values())
-        .collect();
-    queries.push(vec![-0.0; 256]);
+    let mut queries: Vec<DenseVector> = (0..5u64).map(|q| query_vector(256, q)).collect();
+    queries.push(DenseVector::from_values(vec![-0.0; 256]));
     for (q, x) in queries.iter().enumerate() {
-        let oracle = exact_topk(&csr, x, 64);
-        let cpu = CpuTopK::with_all_cores().run(&csr, x, 64);
-        assert_eq!(bits(&cpu), bits(&oracle), "query {q}");
+        let oracle = exact_topk(&csr, x.as_slice(), 64);
+        let got = cpu.query(&prepared, x, 64).unwrap().topk;
+        assert_eq!(bits(&got), bits(&oracle), "query {q}");
     }
 }
 
@@ -48,24 +58,22 @@ fn cpu_matches_oracle_exactly() {
 #[test]
 fn signed_zero_products_tie_in_row_order() {
     let csr = Csr::from_triplets(2, 1, &[(0, 0, -0.5), (1, 0, 0.5)]).expect("valid");
-    let x = [0.0f32];
-    let oracle = exact_topk(&csr, &x, 2);
+    let x = DenseVector::from_values(vec![0.0]);
+    let oracle = exact_topk(&csr, x.as_slice(), 2);
     let zero = 0.0f64.to_bits();
     assert_eq!(bits(&oracle), [(0, zero), (1, zero)]);
-    assert_eq!(bits(&CpuTopK::new(1).run(&csr, &x, 2)), bits(&oracle));
+    assert_eq!(bits(&top(&CpuTopK::new(1), &csr, &x, 2)), bits(&oracle));
 }
 
 #[test]
 fn gpu_f32_matches_oracle_set() {
     let csr = matrix();
-    let gpu = GpuModel::tesla_p100();
+    let gpu = p100(GpuPrecision::F32);
+    let prepared = gpu.prepare(&csr).unwrap();
     for q in 0..5u64 {
         let x = query_vector(256, 50 + q);
         let mut oracle = exact_topk(&csr, x.as_slice(), 64).indices();
-        let mut got = gpu
-            .run(&csr, x.as_slice(), 64, GpuPrecision::F32)
-            .topk
-            .indices();
+        let mut got = gpu.query(&prepared, &x, 64).unwrap().topk.indices();
         oracle.sort_unstable();
         got.sort_unstable();
         // f32 vs f64 summation can swap near-equal boundary items; the
@@ -87,12 +95,13 @@ fn fpga_f32_single_partition_matches_gpu_f32() {
         .k(64)
         .build()
         .unwrap();
-    let m = acc.load_matrix(&csr).unwrap();
-    let gpu = GpuModel::tesla_p100();
+    let m = acc.prepare(&csr).unwrap();
+    let gpu = p100(GpuPrecision::F32);
+    let gpu_m = gpu.prepare(&csr).unwrap();
     for q in 0..3u64 {
         let x = query_vector(256, 80 + q);
         let fpga = acc.query(&m, &x, 64).unwrap().topk;
-        let gpu_run = gpu.run(&csr, x.as_slice(), 64, GpuPrecision::F32).topk;
+        let gpu_run = gpu.query(&gpu_m, &x, 64).unwrap().topk;
         assert_eq!(fpga.indices(), gpu_run.indices(), "query {q}");
         for (a, b) in fpga.scores().iter().zip(gpu_run.scores()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
@@ -107,14 +116,10 @@ fn all_architectures_agree_on_top1() {
     let csr = matrix();
     let x = query_vector(256, 123);
     let oracle_top1 = exact_topk(&csr, x.as_slice(), 1).indices()[0];
-    let cpu = CpuTopK::new(4).run(&csr, x.as_slice(), 1).indices()[0];
-    let gpu16 = GpuModel::tesla_p100()
-        .run(&csr, x.as_slice(), 1, GpuPrecision::F16)
-        .topk
-        .indices()[0];
+    let cpu = top(&CpuTopK::new(4), &csr, &x, 1).indices()[0];
+    let gpu16 = top(&p100(GpuPrecision::F16), &csr, &x, 1).indices()[0];
     let acc = Accelerator::builder().cores(32).k(8).build().unwrap();
-    let m = acc.load_matrix(&csr).unwrap();
-    let fpga = acc.query(&m, &x, 1).unwrap().topk.indices()[0];
+    let fpga = top(&acc, &csr, &x, 1).indices()[0];
     assert_eq!(cpu, oracle_top1);
     assert_eq!(fpga, oracle_top1);
     assert_eq!(gpu16, oracle_top1);
@@ -153,18 +158,17 @@ fn timing_sources_are_labelled_consistently() {
     assert!(t_big > t_small);
 
     let acc = Accelerator::builder().cores(8).k(8).build().unwrap();
-    let pm_small = acc
-        .query(&acc.load_matrix(&small).unwrap(), &x, 8)
-        .unwrap()
-        .perf
-        .kernel_seconds;
-    let pm_big = acc
-        .query(&acc.load_matrix(&big).unwrap(), &x, 8)
-        .unwrap()
-        .perf
-        .kernel_seconds;
-    assert!(pm_big > pm_small * 4.0, "roughly linear in nnz");
+    let kernel_seconds = |csr: &Csr| {
+        let out = acc.query(&acc.prepare(csr).unwrap(), &x, 8).unwrap();
+        out.perf.kernel_seconds
+    };
+    assert!(
+        kernel_seconds(&big) > kernel_seconds(&small) * 4.0,
+        "roughly linear in nnz"
+    );
 
-    let measured = CpuTopK::new(2).run_timed(&small, x.as_slice(), 8).seconds;
-    assert!(measured > 0.0);
+    let cpu = CpuTopK::new(2);
+    let measured = cpu.query(&cpu.prepare(&small).unwrap(), &x, 8).unwrap();
+    assert_eq!(measured.perf.timing, TimingSource::Measured);
+    assert!(measured.perf.seconds > 0.0);
 }

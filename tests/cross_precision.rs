@@ -1,7 +1,7 @@
 //! Cross-precision behaviour: accuracy ordering, agreement between
 //! designs, quantisation error propagation.
 
-use tkspmv::Accelerator;
+use tkspmv::{Accelerator, TopKBackend};
 use tkspmv_baselines::cpu::exact_topk;
 use tkspmv_eval::metrics::RankingQuality;
 use tkspmv_fixed::{Precision, QFormat};
@@ -26,7 +26,7 @@ fn mean_quality(precision: Precision, csr: &Csr, big_k: usize) -> RankingQuality
         .k(8)
         .build()
         .unwrap();
-    let m = acc.load_matrix(csr).unwrap();
+    let m = acc.prepare(csr).unwrap();
     let mut samples = Vec::new();
     for q in 0..5u64 {
         let x = query_vector(csr.num_cols(), 300 + q);
@@ -81,8 +81,8 @@ fn fixed32_and_float32_agree_closely() {
         .k(8)
         .build()
         .unwrap();
-    let m32 = a32.load_matrix(&csr).unwrap();
-    let mf = af.load_matrix(&csr).unwrap();
+    let m32 = a32.prepare(&csr).unwrap();
+    let mf = af.prepare(&csr).unwrap();
     for q in 0..3u64 {
         let x = query_vector(512, 600 + q);
         let i32s = a32.query(&m32, &x, 50).unwrap().topk.indices();
@@ -104,7 +104,7 @@ fn score_error_bounded_by_quantisation_theory() {
         .k(100)
         .build()
         .unwrap();
-    let m = acc.load_matrix(&csr).unwrap();
+    let m = acc.prepare(&csr).unwrap();
     let x = query_vector(512, 8);
     let out = acc.query(&m, &x, 100).unwrap();
     let exact = csr.spmv_exact(x.as_slice());

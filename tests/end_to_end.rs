@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: generator → accelerator → results vs the
 //! exact oracle, across all precisions and dataset kinds.
 
-use tkspmv::Accelerator;
+use tkspmv::{Accelerator, TopKBackend};
 use tkspmv_baselines::cpu::exact_topk;
 use tkspmv_eval::metrics::RankingQuality;
 use tkspmv_fixed::Precision;
@@ -41,7 +41,7 @@ fn paper_design_reaches_97_percent_precision() {
             .k(8)
             .build()
             .unwrap();
-        let m = acc.load_matrix(&csr).unwrap();
+        let m = acc.prepare(&csr).unwrap();
         let mut precisions = Vec::new();
         for q in 0..3u64 {
             let x = query_vector(csr.num_cols(), 900 + q);
@@ -61,7 +61,7 @@ fn top_ranked_rows_are_never_lost() {
     // must be exact.
     let csr = gamma_matrix();
     let acc = Accelerator::builder().cores(32).k(8).build().unwrap();
-    let m = acc.load_matrix(&csr).unwrap();
+    let m = acc.prepare(&csr).unwrap();
     for q in 0..5u64 {
         let x = query_vector(csr.num_cols(), 40 + q);
         let truth = exact_topk(&csr, x.as_slice(), 8);
@@ -88,7 +88,7 @@ fn all_precisions_complete_with_sane_results() {
             .k(8)
             .build()
             .unwrap();
-        let m = acc.load_matrix(&csr).unwrap();
+        let m = acc.prepare(&csr).unwrap();
         let out = acc.query(&m, &x, 50).unwrap();
         assert_eq!(out.topk.len(), 50, "{precision:?}");
         let q = RankingQuality::score(&out.topk.indices(), truth.entries());
@@ -108,14 +108,21 @@ fn all_precisions_complete_with_sane_results() {
 fn performance_report_is_consistent() {
     let csr = uniform_matrix();
     let acc = Accelerator::builder().cores(32).k(8).build().unwrap();
-    let m = acc.load_matrix(&csr).unwrap();
-    let out = acc.query(&m, &query_vector(512, 1), 10).unwrap();
-    let perf = out.perf;
+    let out = acc
+        .query(&acc.prepare(&csr).unwrap(), &query_vector(512, 1), 10)
+        .unwrap();
+    let perf = out.stats.perf_report().unwrap();
     assert_eq!(perf.nnz, csr.nnz() as u64);
     assert!(perf.kernel_seconds > 0.0);
     assert!(perf.seconds > perf.kernel_seconds, "host overhead added");
+    assert_eq!(
+        (out.perf.seconds, out.perf.kernel_seconds),
+        (perf.seconds, perf.kernel_seconds)
+    );
     // Total packets match the loaded partitions.
-    let expect: u64 = m
+    let expect: u64 = acc
+        .load_matrix(&csr)
+        .unwrap()
         .partitions
         .iter()
         .map(|(_, p)| p.num_packets() as u64)
@@ -129,7 +136,7 @@ fn performance_report_is_consistent() {
 fn deterministic_across_runs() {
     let csr = gamma_matrix();
     let acc = Accelerator::builder().cores(8).k(16).build().unwrap();
-    let m = acc.load_matrix(&csr).unwrap();
+    let m = acc.prepare(&csr).unwrap();
     let x = query_vector(1024, 77);
     let a = acc.query(&m, &x, 100).unwrap();
     let b = acc.query(&m, &x, 100).unwrap();
@@ -138,24 +145,25 @@ fn deterministic_across_runs() {
 
 #[test]
 fn single_core_equals_exact_up_to_quantisation() {
-    // One partition, k >= K, 32-bit fixed point: the engine is a plain
-    // exact Top-K evaluator.
+    // One partition, k >= K, 32-bit fixed point or binary32: the engine
+    // is a plain exact Top-K evaluator.
     let csr = uniform_matrix();
-    let acc = Accelerator::builder()
-        .precision(Precision::Fixed32)
-        .cores(1)
-        .k(100)
-        .build()
-        .unwrap();
-    let m = acc.load_matrix(&csr).unwrap();
     let x = query_vector(512, 5);
-    let out = acc.query(&m, &x, 100).unwrap();
     let truth = exact_topk(&csr, x.as_slice(), 100);
-    let hits = out
-        .topk
-        .indices()
-        .iter()
-        .filter(|i| truth.indices().contains(i))
-        .count();
-    assert!(hits >= 99, "hits {hits}");
+    for precision in [Precision::Fixed32, Precision::Float32] {
+        let acc = Accelerator::builder()
+            .precision(precision)
+            .cores(1)
+            .k(100)
+            .build()
+            .unwrap();
+        let out = acc.query(&acc.prepare(&csr).unwrap(), &x, 100).unwrap();
+        let hits = out
+            .topk
+            .indices()
+            .iter()
+            .filter(|i| truth.indices().contains(i))
+            .count();
+        assert!(hits >= 99, "{precision:?}: hits {hits}");
+    }
 }

@@ -1,7 +1,7 @@
 //! Invariants of the performance model: linearity, channel scaling, and
 //! the paper's headline claims.
 
-use tkspmv::Accelerator;
+use tkspmv::{Accelerator, TopKBackend};
 use tkspmv_fixed::Precision;
 use tkspmv_hw::{DesignPoint, HbmConfig, ResourceModel, Roofline};
 use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
@@ -25,7 +25,7 @@ fn kernel_seconds(csr: &Csr, precision: Precision, cores: u32) -> f64 {
         .k(8)
         .build()
         .unwrap();
-    let m = acc.load_matrix(csr).unwrap();
+    let m = acc.prepare(csr).unwrap();
     let x = query_vector(csr.num_cols(), 1);
     acc.query(&m, &x, 8).unwrap().perf.kernel_seconds
 }
@@ -101,10 +101,10 @@ fn fpga_beats_idealised_gpu_by_about_2x() {
 fn achieved_bandwidth_tops_out_at_hbm_effective() {
     let csr = matrix(32_000);
     let acc = Accelerator::builder().cores(32).k(8).build().unwrap();
-    let m = acc.load_matrix(&csr).unwrap();
+    let m = acc.prepare(&csr).unwrap();
     let x = query_vector(1024, 3);
-    let perf = acc.query(&m, &x, 8).unwrap().perf;
-    let bw = perf.achieved_bandwidth();
+    let out = acc.query(&m, &x, 8).unwrap();
+    let bw = out.stats.perf_report().unwrap().achieved_bandwidth();
     let cap = HbmConfig::alveo_u280().effective_bandwidth(32);
     assert!(bw <= cap * 1.01, "achieved {bw} vs cap {cap}");
     assert!(bw > cap * 0.5, "achieved {bw} should be near cap {cap}");
