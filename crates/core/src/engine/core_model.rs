@@ -74,21 +74,33 @@ struct Segment {
 }
 
 /// Packets decoded per chunk before the lane sweep. Large enough to
-/// amortise the per-lane loop entry/exit over many packets (and to
+/// amortise the per-block loop entry/exit over many packets (and to
 /// merge most cross-packet row segments), small enough that the flat
 /// `dvals`/`cidx` chunk — `CHUNK_PACKETS · B` entries, 7.5 KiB at the
-/// paper's B = 15 — stays inside L1 alongside a query vector.
+/// paper's B = 15 — stays inside a 48-KiB L1 alongside one transposed
+/// query block (32 KiB at M = 1024 in Q1.19, see [`BLOCK_LANES`]).
 const CHUNK_PACKETS: usize = 64;
 
+/// Query lanes replayed together from one transposed block: per decoded
+/// non-zero, one `BLOCK_LANES`-wide row of the block feeds that many
+/// accumulators. One block of M = 1024 Q1.19 queries is 32 KiB and
+/// shares L1 with the chunk; 16 lanes (64 KiB) no longer fit and
+/// measured slower. A ragged batch is not padded up to a block: its
+/// last `B % BLOCK_LANES` lanes replay one at a time straight from
+/// their query slices, so B = 1 pays for neither a copy nor idle lanes.
+const BLOCK_LANES: usize = 8;
+
 /// Reusable working memory for [`run_core_batch_with_scratch`]: the
-/// current chunk's flat value/index arrays and segment program, and one
-/// resident lane (Top-K tracker + carry) per query in the batch.
+/// current chunk's flat value/index arrays and segment program, the
+/// batch's full lane blocks transposed, and one resident lane (Top-K
+/// tracker + carry) per query in the batch.
 ///
 /// Allocate one per participant (see [`crate::fanout::fork_join`]) and
 /// stream every partition and batch it walks through it.
 /// The chunk buffers are sized **once per call** to `CHUNK_PACKETS · B`
-/// (a no-op when the previous call used the same layout) and the packet
-/// loop writes into them by position, so a call allocates a number of
+/// (a no-op when the previous call used the same layout), the
+/// transposed block to the batch's full blocks, and the packet loop
+/// writes into them by position, so a call allocates a number of
 /// times that depends on neither the packet count nor — once lanes and
 /// outputs have grown to the largest batch seen — the batch size; on a
 /// warm scratch that number is zero (both asserted by the `zero_alloc`
@@ -111,6 +123,12 @@ pub struct BatchScratch<S: SpmvScalar> {
     /// every query lane. Rows spanning packets inside the chunk appear
     /// as one merged segment (the running-sum order is unchanged).
     segs: Vec<Segment>,
+    /// The batch's full [`BLOCK_LANES`]-lane blocks, transposed once per
+    /// call: `xt[block·M + col][lane]` is query `block·BLOCK_LANES +
+    /// lane` at column `col`, so one non-zero reads one contiguous row
+    /// for the whole block. The `B % BLOCK_LANES` remainder is not
+    /// copied here.
+    xt: Vec<[S; BLOCK_LANES]>,
     /// Per-query resident state; `lanes[..B]` are active, the rest keep
     /// their warm capacity for a later, larger batch.
     lanes: Vec<QueryLane<S>>,
@@ -132,6 +150,7 @@ impl<S: SpmvScalar> BatchScratch<S> {
             dvals: Vec::new(),
             cidx: Vec::new(),
             segs: Vec::new(),
+            xt: Vec::new(),
             lanes: Vec::new(),
             outputs: Vec::new(),
             stage_times: StageTimes::default(),
@@ -161,7 +180,14 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// instead of replaying the decode once per query. This is the engine's
 /// one entry point; a single query is a one-lane batch.
 ///
-/// Per lane it follows Algorithm 1 stage by stage:
+/// Lanes replay in blocks of eight: the batch's full blocks are
+/// transposed once per call, so each decoded non-zero is read once and
+/// multiplied into a whole block's accumulators from one contiguous row
+/// — the software picture of many multiply-accumulate units fed by one
+/// decoded stream from a banked on-chip vector. The lanes left over
+/// (batch size mod 8) run the same replay body one lane wide, reading
+/// their own query slices. Within each lane, whatever its block, the
+/// engine follows Algorithm 1 stage by stage:
 ///
 /// 1. **Scatter**: for each of the packet's `B` entries, read `x[idx]`
 ///    from (emulated) URAM and form the point-wise product;
@@ -198,7 +224,8 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// the sequence of multiply/accumulate operations and Top-K offers is
 /// exactly the packet-arrival order the single-query loop produces —
 /// the segment structure, carry stitching, and `r`-limit gating depend
-/// only on the matrix, not on the other queries in the batch.
+/// only on the matrix, not on the other queries in the batch, and lane
+/// blocking only interleaves lanes, never reorders one lane's steps.
 ///
 /// The returned slice borrows the scratch and holds one
 /// [`CoreOutput`] per query, in input order. [`CoreStats`] are
@@ -284,6 +311,24 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     // phase is the start of the next chunk's decode phase.
     let mut mark = Instant::now();
 
+    // The full lane blocks' queries, transposed once per call (stage 1b's
+    // operand layout, so it is score time). The `b % BLOCK_LANES`
+    // remainder lanes read their own query slices and are not copied.
+    let m = matrix.num_cols();
+    let blocks = b / BLOCK_LANES;
+    // alloc-ok: sized once per call to the full blocks, then written by
+    // position; a warm scratch that saw as many blocks does not grow.
+    scratch.xt.resize(blocks * m, [S::decode(0); BLOCK_LANES]);
+    for (i, block) in queries.chunks_exact(BLOCK_LANES).enumerate() {
+        let qs: [&[S]; BLOCK_LANES] = std::array::from_fn(|l| &block[l].as_ref()[..m]);
+        for (col, row) in scratch.xt[i * m..][..m].iter_mut().enumerate() {
+            *row = std::array::from_fn(|l| qs[l][col]);
+        }
+    }
+    let transposed = Instant::now();
+    scratch.stage_times.score += transposed - mark;
+    mark = transposed;
+
     // alloc-ok: the chunk buffers are sized here, once per call (a no-op
     // when the scratch last saw the same layout); the packet loop
     // writes into them by position and `segs` cannot outgrow one row
@@ -305,7 +350,7 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
         // Stages 1a+2+3 structure, once per chunk: slice the chunk's
         // packets into the flat `dvals`/`cidx` arrays and build its
         // segment program (entry ranges, destination rows, carry
-        // stitching, `r` gate). The per-lane loop below only pays the
+        // stitching, `r` gate). The per-block loop below only pays the
         // query-dependent gather-multiply-accumulate. A row spanning
         // packets *inside* the chunk becomes one merged segment: the
         // sequential path's carry is just the running sum at the packet
@@ -363,34 +408,31 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
         carry_active = tail.is_some();
         let decoded = Instant::now();
 
-        let dvals = &scratch.dvals[..base as usize];
-        let idx = &scratch.cidx[..base as usize];
-        let segs = &scratch.segs;
+        let chunk = Chunk {
+            dvals: &scratch.dvals[..base as usize],
+            idx: &scratch.cidx[..base as usize],
+            segs: &scratch.segs,
+            tail,
+        };
 
-        // Stages 1b+2+3+4 per lane: fused gather-multiply-accumulate
-        // replaying the shared segment program, then the Top-K offer.
-        // Per query the multiply/accumulate order is exactly the
-        // sequential path's packet-arrival order, so sums (including
-        // fixed-point saturation) are bit-identical.
+        // Stages 1b+2+3+4, block by block: fused gather-multiply-
+        // accumulate replaying the shared segment program, then the
+        // Top-K offers. Per query the multiply/accumulate order is
+        // exactly the sequential path's packet-arrival order, so sums
+        // (including fixed-point saturation) are bit-identical.
         //
         // When the column count is a power of two — the paper's M = 1024
         // operating point, and the only case where every encodable `idx`
-        // is automatically in range — the gather masks the index instead
-        // of bounds-checking it: identical reads for every valid stream,
-        // no panic path in the inner loop. Other widths keep the checked
-        // gather.
-        if let Some(col_mask) = pow2_col_mask(matrix.num_cols()) {
-            for (lane, q) in scratch.lanes[..b].iter_mut().zip(queries) {
-                let x = &q.as_ref()[..matrix.num_cols()];
-                lane_pass::<S>(lane, x, dvals, idx, segs, tail, |x, i| {
-                    x[i as usize & col_mask]
-                });
-            }
+        // is automatically in range — the gather masks the index: the
+        // identity for every valid stream, and never out of range. Other
+        // widths keep the plain, bounds-checked index.
+        let lanes = &mut scratch.lanes[..b];
+        if let Some(col_mask) = pow2_col_mask(m) {
+            replay(lanes, &scratch.xt, queries, m, chunk, move |i| {
+                i as usize & col_mask
+            });
         } else {
-            for (lane, q) in scratch.lanes[..b].iter_mut().zip(queries) {
-                let x = q.as_ref();
-                lane_pass::<S>(lane, x, dvals, idx, segs, tail, |x, i| x[i as usize]);
-            }
+            replay(lanes, &scratch.xt, queries, m, chunk, |i| i as usize);
         }
         let scored = Instant::now();
         scratch.stage_times.decode += decoded - mark;
@@ -437,49 +479,105 @@ fn pow2_col_mask(num_cols: usize) -> Option<usize> {
     (num_cols.is_power_of_two()).then(|| num_cols - 1)
 }
 
-/// Replays the shared segment program of one packet for one query lane:
-/// fused gather-multiply-accumulate per segment, Top-K offer for rows
-/// the `r` gate admits, carry update from the tail.
-///
-/// `gather` is the `x[idx]` read, parameterised so the power-of-two
-/// column case monomorphises to a masked (panic-free) load while the
-/// general case keeps the bounds check.
-#[inline(always)]
-fn lane_pass<S: SpmvScalar>(
-    lane: &mut QueryLane<S>,
-    x: &[S],
-    dvals: &[S],
-    idx: &[u32],
-    segs: &[Segment],
+/// One decoded chunk as replay sees it: the entries cut at the chunk's
+/// real count, its segment program, and the open tail (start, and
+/// whether it continues the previous chunk's carry), if any.
+#[derive(Clone, Copy)]
+struct Chunk<'a, S> {
+    dvals: &'a [S],
+    idx: &'a [u32],
+    segs: &'a [Segment],
     tail: Option<(usize, bool)>,
-    gather: impl Fn(&[S], u32) -> S,
+}
+
+/// Replays one chunk into every active lane: the full blocks
+/// [`BLOCK_LANES`] wide from their rows of the transposed `xt`, the
+/// remainder one lane wide from each lane's own query slice — one body
+/// either way, fed by the `col` gather.
+#[inline(always)]
+fn replay<S: SpmvScalar, Q: AsRef<[S]>>(
+    lanes: &mut [QueryLane<S>],
+    xt: &[[S; BLOCK_LANES]],
+    queries: &[Q],
+    m: usize,
+    chunk: Chunk<'_, S>,
+    col: impl Fn(u32) -> usize,
 ) {
-    for seg in segs {
-        let mut acc = if seg.use_carry {
-            lane.carry
+    let blocked = lanes.len() - lanes.len() % BLOCK_LANES;
+    let (full, rest) = lanes.split_at_mut(blocked);
+    for (i, block) in full.chunks_exact_mut(BLOCK_LANES).enumerate() {
+        let x = &xt[i * m..][..m];
+        block_pass(block, chunk, |idx| x[col(idx)]);
+    }
+    for (lane, q) in rest.iter_mut().zip(&queries[blocked..]) {
+        let x = &q.as_ref()[..m];
+        block_pass(std::slice::from_mut(lane), chunk, |idx| [x[col(idx)]]);
+    }
+}
+
+/// Replays one chunk's segment program for `L` lanes, where `row(idx)`
+/// is the `L` lanes' query entries at column `idx`: per lane a fused
+/// gather-multiply-accumulate per segment, a Top-K offer for rows the
+/// `r` gate admits, and the carry update from the tail. Each non-zero's
+/// value and index are read once and one `L`-wide row feeds all `L`
+/// accumulators.
+#[inline(always)]
+fn block_pass<S: SpmvScalar, const L: usize>(
+    lanes: &mut [QueryLane<S>],
+    chunk: Chunk<'_, S>,
+    row: impl Fn(u32) -> [S; L],
+) {
+    debug_assert_eq!(lanes.len(), L);
+    let start_from = |lanes: &[QueryLane<S>], use_carry: bool| -> [S::Acc; L] {
+        if use_carry {
+            std::array::from_fn(|l| lanes[l].carry)
         } else {
-            S::acc_zero()
-        };
-        for (&d, &i) in dvals[seg.start as usize..seg.end as usize]
-            .iter()
-            .zip(&idx[seg.start as usize..seg.end as usize])
-        {
-            acc = S::acc_add(acc, S::mul(d, gather(x, i)));
+            [S::acc_zero(); L]
         }
+    };
+    for seg in chunk.segs {
+        let (start, end) = (seg.start as usize, seg.end as usize);
+        let acc = accumulate(
+            start_from(lanes, seg.use_carry),
+            &chunk.dvals[start..end],
+            &chunk.idx[start..end],
+            &row,
+        );
         if seg.offer {
-            lane.tracker.insert(seg.row, acc);
+            for (lane, &a) in lanes.iter_mut().zip(&acc) {
+                lane.tracker.insert(seg.row, a);
+            }
         }
     }
-    lane.carry = match tail {
-        Some((start, use_carry)) => {
-            let mut acc = if use_carry { lane.carry } else { S::acc_zero() };
-            for (&d, &i) in dvals[start..].iter().zip(&idx[start..]) {
-                acc = S::acc_add(acc, S::mul(d, gather(x, i)));
-            }
-            acc
-        }
-        None => S::acc_zero(),
+    let carry = match chunk.tail {
+        Some((start, use_carry)) => accumulate(
+            start_from(lanes, use_carry),
+            &chunk.dvals[start..],
+            &chunk.idx[start..],
+            &row,
+        ),
+        None => [S::acc_zero(); L],
     };
+    for (lane, a) in lanes.iter_mut().zip(carry) {
+        lane.carry = a;
+    }
+}
+
+/// `acc[l] += d · row(idx)[l]` for every lane, entry by entry in stream
+/// order: the multiply-accumulate array of [`block_pass`].
+#[inline(always)]
+fn accumulate<S: SpmvScalar, const L: usize>(
+    mut acc: [S::Acc; L],
+    dvals: &[S],
+    idx: &[u32],
+    row: &impl Fn(u32) -> [S; L],
+) -> [S::Acc; L] {
+    for (&d, &i) in dvals.iter().zip(idx) {
+        for (a, v) in acc.iter_mut().zip(row(i)) {
+            *a = S::acc_add(*a, S::mul(d, v));
+        }
+    }
+    acc
 }
 
 /// Quantises a dense query vector into the scalar domain `S` — the URAM
@@ -699,7 +797,17 @@ mod tests {
 
     /// What one run reports per lane: the Top-K list and every
     /// [`CoreStats`] field (`topk_accepted` is the lane's accept count).
-    type Lanes<S> = Vec<(Vec<(u32, <S as SpmvScalar>::Acc)>, CoreStats)>;
+    /// A NaN accumulator — a float query holding NaN or ±inf — reads as
+    /// `None`, so two runs compare with `==` however they reached it.
+    type Lanes<S> = Vec<(Vec<(u32, Option<<S as SpmvScalar>::Acc>)>, CoreStats)>;
+
+    fn lanes<S: SpmvScalar>(outputs: &[CoreOutput<S::Acc>]) -> Lanes<S> {
+        let nan_as_none = |&(r, a): &(u32, S::Acc)| (r, a.partial_cmp(&a).map(|_| a));
+        outputs
+            .iter()
+            .map(|out| (out.topk.iter().map(nan_as_none).collect(), out.stats))
+            .collect()
+    }
 
     /// One batch through the private body with an explicit layout.
     fn run_layout<S: SpmvScalar>(
@@ -708,56 +816,84 @@ mod tests {
         queries: &[Vec<S>],
         fidelity: Fidelity,
     ) -> Lanes<S> {
-        run_with_layout(
+        lanes::<S>(run_with_layout(
             matrix,
             layout,
             queries,
             8,
             fidelity,
             &mut BatchScratch::new(),
-        )
-        .iter()
-        .map(|out| (out.topk.clone(), out.stats))
-        .collect()
+        ))
     }
 
     /// Both instantiations of the body — the design layout as a
     /// constant, and the same layout handed over opaquely — and the
-    /// public dispatch, over both fidelities and B in {1, 5}.
+    /// public dispatch, over both fidelities and B in {1, 5, 8, 9, 17}:
+    /// a remainder alone, one full 8-lane block, a block plus one, two
+    /// blocks plus one. Every lane must equal its own one-lane run.
+    /// Lane 3 holds NaN and ±inf in places (the float designs carry
+    /// them into their sums; the fixed-point ones clamp them), which
+    /// must not reach the finite lanes beside it.
     fn both_instantiations<S: SpmvScalar>(matrix: &BsCsr) -> Vec<Lanes<S>> {
         // Pins the dispatch constant to the M = 1024 solution the
         // streams were encoded with.
         let design = const { PacketLayout::paper(S::VALUE_BITS) };
         assert_eq!(matrix.layout(), design, "stream is on the design layout");
-        let queries: Vec<Vec<S>> = (0..5)
-            .map(|seed| quantize_vector::<S>(query_vector(matrix.num_cols(), seed).as_slice()))
+        let queries: Vec<Vec<S>> = (0..17)
+            .map(|seed| {
+                let mut x = query_vector(matrix.num_cols(), seed).as_slice().to_vec();
+                if seed == 3 {
+                    for (c, v) in x.iter_mut().enumerate() {
+                        match (c % 7, c % 11) {
+                            (0, _) => *v = f32::INFINITY,
+                            (3, _) => *v = f32::NEG_INFINITY,
+                            (_, 5) => *v = f32::NAN,
+                            _ => {}
+                        }
+                    }
+                }
+                quantize_vector::<S>(&x)
+            })
             .collect();
         let mut runs = Vec::new();
         for fidelity in [
             Fidelity::Faithful { rows_per_packet: 2 },
             Fidelity::Reference,
         ] {
-            for b in [1, 5] {
+            let singles: Lanes<S> = queries
+                .iter()
+                .flat_map(|x| run_layout(matrix, design, std::slice::from_ref(x), fidelity))
+                .collect();
+            for b in [1, 5, 8, 9, 17] {
                 let constant = run_layout(matrix, design, &queries[..b], fidelity);
+                assert_eq!(
+                    constant,
+                    singles[..b],
+                    "{fidelity:?} B={b} vs one-lane runs"
+                );
                 let runtime =
                     run_layout(matrix, black_box(matrix.layout()), &queries[..b], fidelity);
                 assert_eq!(constant, runtime, "{fidelity:?} B={b}");
                 let mut scratch = BatchScratch::new();
-                let dispatched =
-                    run_core_batch_with_scratch(matrix, &queries[..b], 8, fidelity, &mut scratch);
-                for (lane, out) in constant.iter().zip(dispatched) {
-                    assert_eq!((&lane.0, lane.1), (&out.topk, out.stats));
-                }
+                let dispatched = lanes::<S>(run_core_batch_with_scratch(
+                    matrix,
+                    &queries[..b],
+                    8,
+                    fidelity,
+                    &mut scratch,
+                ));
+                assert_eq!(constant, dispatched, "{fidelity:?} B={b} dispatched");
                 runs.push(constant);
             }
         }
         runs
     }
 
-    /// A gamma-distributed stream whose last packet is ragged, and one
-    /// with a 70-entry row (five or more packets at every design `B`)
-    /// between short ones.
-    fn design_streams<S: SpmvScalar>() -> [BsCsr; 2] {
+    /// A gamma-distributed stream whose last packet is ragged, one with
+    /// a 70-entry row (five or more packets at every design `B`) between
+    /// short ones, and one 1,000 columns wide — still the design layout,
+    /// but not a power of two, so it replays through the checked gather.
+    fn design_streams<S: SpmvScalar>() -> [BsCsr; 3] {
         let layout = PacketLayout::solve(1024, S::VALUE_BITS).unwrap();
         let gamma = SyntheticConfig {
             num_rows: 300,
@@ -771,10 +907,19 @@ mod tests {
         triplets.extend([(0, 5, 0.5), (2, 1023, 0.25), (3, 0, 0.75)]);
         triplets.sort_by_key(|&(r, c, _)| (r, c));
         let long_row = Csr::from_triplets(4, 1024, &triplets).unwrap();
-        let streams = [gamma, long_row].map(|csr| BsCsr::encode::<S>(&csr, layout));
+        let narrow = SyntheticConfig {
+            num_rows: 200,
+            num_cols: 1000,
+            avg_nnz_per_row: 18,
+            distribution: NnzDistribution::table3_gamma(),
+            seed: 12,
+        }
+        .generate();
+        let streams = [gamma, long_row, narrow].map(|csr| BsCsr::encode::<S>(&csr, layout));
         let b = layout.entries_per_packet() as u64;
         assert_ne!(streams[0].stored_entries() % b, 0, "ragged last packet");
         assert!(streams[1].num_packets() >= 5);
+        assert_eq!(pow2_col_mask(streams[2].num_cols()), None);
         streams
     }
 
@@ -814,7 +959,7 @@ mod tests {
 
     #[test]
     fn padding_of_a_ragged_last_packet_never_reaches_a_sum() {
-        let [clean, _] = design_streams::<Q1_19>();
+        let [clean, ..] = design_streams::<Q1_19>();
         let last = clean.num_packets() - 1;
         let real = clean.entries_in_packet(last);
         let mut doctored = clean.clone();

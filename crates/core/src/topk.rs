@@ -166,6 +166,9 @@ impl<A: PartialOrd + Copy> TopKTracker<A> {
     /// An incomparable value (a float NaN) ranks below every comparable
     /// one: offered to a full slab it is rejected, and those that entered
     /// during the fill phase are the first to be replaced.
+    // Inlined into the engine's lane-block offer loop, where a call per
+    // (mostly rejected) offer cost more than the comparison itself.
+    #[inline]
     pub fn insert(&mut self, index: u32, value: A) -> bool {
         self.offered += 1;
         // Fill phase: push until all k registers hold a candidate.

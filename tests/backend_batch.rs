@@ -34,7 +34,8 @@ fn all_backends() -> Vec<Box<dyn TopKBackend>> {
 /// A random matrix, a random batch of queries of matching dimension,
 /// and a K every backend can serve. Narrow widths reach the engine as
 /// run-time layouts; 513..=1024 columns solve to the M = 1024 layouts
-/// the engine holds as constants.
+/// the engine holds as constants. Batches of 1..20 reach the engine's
+/// 8-lane blocks with and without a one-lane remainder, and two blocks.
 fn arb_case() -> impl Strategy<Value = (Csr, Vec<DenseVector>, usize)> {
     (2usize..40, 4usize..96, 513usize..=1024, 0u8..2, 1usize..9).prop_flat_map(
         |(rows, narrow, wide, arm, k)| {
@@ -51,7 +52,7 @@ fn arb_case() -> impl Strategy<Value = (Csr, Vec<DenseVector>, usize)> {
             let batch = proptest::collection::vec(
                 proptest::collection::vec(0.0f32..1.0, cols..=cols)
                     .prop_map(DenseVector::from_values),
-                1..6,
+                1..20,
             );
             (matrix, batch, Just(k))
         },

@@ -58,11 +58,13 @@ fn batched_32_beats_32_sequential_calls() {
     let batched = started.elapsed();
     assert_eq!(results.len(), B);
 
-    // The bench shows ~6x at B = 32; asserting a bare win (with a small
-    // noise margin) keeps this robust on slow shared CI runners while
-    // still catching any fallback to per-query decoding.
+    // Decode is paid once per batch and replay runs eight lanes per
+    // decoded non-zero, so the batch takes 0.28-0.31x the sequential
+    // time on a 2-vCPU x86-64 host (0.34-0.55x with one lane per
+    // non-zero). Asserting 0.6x leaves room for slow shared CI runners
+    // while still catching a fallback to per-query decoding.
     assert!(
-        batched.as_secs_f64() < sequential.as_secs_f64() * 0.8,
+        batched.as_secs_f64() < sequential.as_secs_f64() * 0.6,
         "B={B} batch ({batched:?}) not faster than {B} sequential calls ({sequential:?})"
     );
 }

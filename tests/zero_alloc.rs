@@ -261,20 +261,23 @@ fn warm_batch_scratch_is_allocation_free_across_packet_count_and_batch_size() {
     let faithful = Fidelity::Faithful { rows_per_packet: 2 };
 
     // Cold: a first call through a fresh scratch sizes each buffer once
-    // up front, so its allocation count must not depend on the packet
-    // count (`run_multicore` builds a fresh scratch per participant per
-    // query: growth-by-push here would be a per-query cost).
-    let cold = |matrix: &BsCsr| {
+    // up front — the transposed lane blocks at B = 32 included — so its
+    // allocation count must not depend on the packet count
+    // (`run_multicore` builds a fresh scratch per participant per
+    // batch: growth-by-push here would be a per-batch cost).
+    let cold = |matrix: &BsCsr, b: usize| {
         allocations_during(|| {
             let mut fresh = BatchScratch::<Q1_19>::new();
-            run_core_batch_with_scratch(matrix, &queries[..1], k, faithful, &mut fresh).len()
+            run_core_batch_with_scratch(matrix, &queries[..b], k, faithful, &mut fresh).len()
         })
     };
-    assert_eq!(
-        cold(&small),
-        cold(&large),
-        "a cold call's allocation count depends on the packet count"
-    );
+    for b in [1, 32] {
+        assert_eq!(
+            cold(&small, b),
+            cold(&large, b),
+            "a cold B={b} call's allocation count depends on the packet count"
+        );
+    }
 
     // Warm on the large stream at the largest batch size, so lanes,
     // outputs and every chunk buffer are at final capacity.
@@ -284,13 +287,13 @@ fn warm_batch_scratch_is_allocation_free_across_packet_count_and_batch_size() {
     assert_eq!(warm[0].stats.packets, large.num_packets() as u64);
 
     // Every (stream, B, fidelity) combination — the single-query call
-    // is B = 1 — must cost the same number of allocation calls on the
-    // warm scratch: zero per packet AND zero per lane, with the stage
-    // clock running. Batching amortises decode without touching the
-    // heap.
+    // is B = 1, B = 9 is a full 8-lane block plus a one-lane remainder —
+    // must cost the same number of allocation calls on the warm
+    // scratch: zero per packet AND zero per lane, with the stage clock
+    // running. Batching amortises decode without touching the heap.
     let mut counts = Vec::new();
     for matrix in [&small, &large] {
-        for b in [1usize, 4, 32] {
+        for b in [1usize, 4, 9, 32] {
             for fidelity in [faithful, Fidelity::Reference] {
                 let allocs = allocations_during(|| {
                     run_core_batch_with_scratch(matrix, &queries[..b], k, fidelity, &mut scratch)
