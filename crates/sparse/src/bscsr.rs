@@ -18,7 +18,6 @@
 
 use tkspmv_fixed::SpmvScalar;
 
-use crate::bitio::BitWriter;
 use crate::csr::Csr;
 use crate::error::SparseError;
 use crate::layout::PacketLayout;
@@ -71,49 +70,45 @@ impl BsCsr {
             1usize << layout.idx_bits()
         );
 
-        // Flatten the matrix into an entry stream; empty rows become one
-        // placeholder entry each.
-        let mut stream: Vec<(u32, u64)> = Vec::new();
-        let mut row_last_entry: Vec<u64> = Vec::with_capacity(csr.num_rows());
-        for r in 0..csr.num_rows() {
-            if csr.row_nnz(r) == 0 {
-                stream.push((0, 0));
-            } else {
-                for (c, v) in csr.row(r) {
-                    stream.push((c, S::encode(v as f64)));
-                }
-            }
-            row_last_entry.push(stream.len() as u64 - 1);
-        }
-
+        // Every row stores at least one entry: an empty row stores one
+        // placeholder `(0, 0)`.
+        let stored_entries: u64 = (0..csr.num_rows())
+            .map(|r| csr.row_nnz(r).max(1) as u64)
+            .sum();
         let b = layout.entries_per_packet() as usize;
-        let mut packets = Vec::with_capacity(stream.len().div_ceil(b.max(1)));
-        let mut row_cursor = 0usize; // next row whose end we have not passed
-        let mut prev_packet_completed_row = true;
-        for chunk_start in (0..stream.len()).step_by(b) {
-            let chunk = &stream[chunk_start..(chunk_start + b).min(stream.len())];
-            let mut w = BitWriter::new();
-            w.write(u64::from(prev_packet_completed_row), 1);
-            // ptr fields: cumulative in-packet entry count per finished row.
-            let mut ends = Vec::new();
-            for (j, _) in chunk.iter().enumerate() {
-                let global = (chunk_start + j) as u64;
-                while row_cursor < csr.num_rows() && row_last_entry[row_cursor] == global {
-                    ends.push((j + 1) as u64);
-                    row_cursor += 1;
+        let mut packets = Vec::with_capacity(layout.packets_for(stored_entries) as usize);
+        // The packet being filled: `fill` entries, `ends` row ends so far
+        // (each the 1-based in-packet count at which a row ends).
+        let (mut ptr, mut idx, mut val) = (vec![0u32; b], vec![0u32; b], vec![0u64; b]);
+        let (mut fill, mut ends) = (0usize, 0usize);
+        let mut new_row = true;
+        for r in 0..csr.num_rows() {
+            let nnz = csr.row_nnz(r);
+            let last = nnz.max(1);
+            let entries = csr.row(r).map(|(c, v)| (c, S::encode(v as f64)));
+            let placeholder = (nnz == 0).then_some((0, 0));
+            for (j, (c, raw)) in entries.chain(placeholder).enumerate() {
+                idx[fill] = c;
+                val[fill] = raw;
+                fill += 1;
+                if j + 1 == last {
+                    ptr[ends] = fill as u32;
+                    ends += 1;
+                }
+                if fill == b {
+                    packets.push(Packet512::encode_fields(layout, new_row, &ptr, &idx, &val));
+                    // The next packet continues a row unless this entry
+                    // ended one.
+                    new_row = j + 1 == last;
+                    ptr.fill(0);
+                    (fill, ends) = (0, 0);
                 }
             }
-            prev_packet_completed_row = ends.last() == Some(&(chunk.len() as u64));
-            for j in 0..b {
-                w.write(ends.get(j).copied().unwrap_or(0), layout.ptr_bits());
-            }
-            for j in 0..b {
-                w.write(chunk.get(j).map_or(0, |e| e.0 as u64), layout.idx_bits());
-            }
-            for j in 0..b {
-                w.write(chunk.get(j).map_or(0, |e| e.1), layout.value_bits());
-            }
-            packets.push(w.finish());
+        }
+        if fill > 0 {
+            idx[fill..].fill(0);
+            val[fill..].fill(0);
+            packets.push(Packet512::encode_fields(layout, new_row, &ptr, &idx, &val));
         }
 
         Self {
@@ -121,7 +116,7 @@ impl BsCsr {
             packets,
             num_rows: csr.num_rows(),
             num_cols: csr.num_cols(),
-            stored_entries: stream.len() as u64,
+            stored_entries,
             logical_nnz: csr.nnz() as u64,
         }
     }
@@ -243,36 +238,6 @@ impl BsCsr {
         self.stored_entries.saturating_sub(consumed).min(b) as usize
     }
 
-    /// Parses packet `i` into caller-owned scratch buffers, allocating
-    /// nothing once the scratch capacity has warmed up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn view_into(&self, i: usize, scratch: &mut PacketScratch) {
-        scratch.parse_into(&self.packets[i], self.layout, self.entries_in_packet(i));
-    }
-
-    /// Iterates over `(row, col, raw_value)` for every stored entry,
-    /// including placeholders, reconstructing row indices from the packet
-    /// metadata alone (this is exactly what the hardware does).
-    pub fn entries(&self) -> PacketEntries<'_> {
-        let mut scratch = PacketScratch::new();
-        let exhausted = self.packets.is_empty();
-        if !exhausted {
-            self.view_into(0, &mut scratch);
-        }
-        PacketEntries {
-            matrix: self,
-            packet: 0,
-            entry: 0,
-            scratch,
-            exhausted,
-            row: 0,
-            seg: 0,
-        }
-    }
-
     /// Checks the structural invariants of the packet stream, as a host
     /// would before trusting data read back from device memory:
     ///
@@ -373,163 +338,44 @@ impl BsCsr {
         Ok(())
     }
 
-    /// Decodes back to CSR. Placeholder entries for empty rows are
-    /// removed; quantised values are reconstructed through `S`.
+    /// Decodes back to CSR, rebuilding rows from the packet metadata
+    /// alone as the hardware does: each packet is sliced with
+    /// [`Packet512::decode_fields`] and a row closes at each of its
+    /// non-zero `ptr` slots. Placeholder entries for empty rows are
+    /// removed (a row whose one entry is column 0 with value 0 decodes
+    /// empty); quantised values are reconstructed through `S`.
     ///
     /// # Panics
     ///
     /// Panics if `S::VALUE_BITS` does not match the layout.
     pub fn decode<S: SpmvScalar>(&self) -> Csr {
         assert_eq!(self.layout.value_bits(), S::VALUE_BITS);
-        let mut triplets: Vec<(u32, u32, f32)> = Vec::with_capacity(self.logical_nnz as usize);
-        let mut per_row_count = vec![0u64; self.num_rows];
-        for (row, col, raw) in self.entries() {
-            per_row_count[row as usize] += 1;
-            let v = S::decode(raw).value_to_f64() as f32;
-            triplets.push((row, col, v));
-        }
-        // Remove placeholders: a row whose only entry is (0, raw 0) and
-        // that the encoder marked as empty decodes to an empty row.
-        let filtered: Vec<(u32, u32, f32)> = triplets
-            .into_iter()
-            .filter(|&(r, c, v)| !(per_row_count[r as usize] == 1 && c == 0 && v == 0.0))
-            .collect();
-        Csr::from_triplets(self.num_rows, self.num_cols, &filtered)
-            // invariant: filtered entries come from a packet stream encoded from a valid Csr
-            .expect("decoded entries are valid by construction")
-    }
-}
-
-/// The decoded fields of one BS-CSR packet, in caller-owned buffers
-/// reused across packets ([`BsCsr::view_into`]) — the cold-path view
-/// behind [`BsCsr::entries`], [`BsCsr::decode`] and tests. The engine
-/// does not go through it: it slices packets straight into its chunk
-/// arrays with the same [`Packet512::decode_fields`] this calls.
-///
-/// # Example
-///
-/// ```
-/// use tkspmv_sparse::{BsCsr, Csr, PacketLayout, PacketScratch};
-///
-/// let csr = Csr::from_triplets(2, 8, &[(0, 3, 0.5), (1, 7, 0.75)])?;
-/// let bs = BsCsr::encode::<tkspmv_fixed::Q1_19>(&csr, PacketLayout::solve(8, 20)?);
-/// let mut scratch = PacketScratch::new();
-/// for p in 0..bs.num_packets() {
-///     bs.view_into(p, &mut scratch);
-///     assert_eq!(scratch.len(), bs.entries_in_packet(p));
-/// }
-/// # Ok::<(), tkspmv_sparse::SparseError>(())
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PacketScratch {
-    /// Whether the first entry starts a new row.
-    pub new_row: bool,
-    /// Cumulative in-packet entry counts at which rows end (strictly
-    /// increasing, 1-based).
-    pub row_ends: Vec<u32>,
-    /// Column indices of the real entries.
-    pub idx: Vec<u32>,
-    /// Raw value bits of the real entries.
-    pub val: Vec<u64>,
-}
-
-impl PacketScratch {
-    /// Creates an empty scratch; the first parse sizes its buffers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Parses a packet into this scratch, overwriting whatever it held
-    /// before (no state survives from a previous packet): all `B` slots
-    /// are sliced, then the unused `ptr` slots and the padding entries
-    /// past `real_entries` are dropped.
-    fn parse_into(&mut self, packet: &Packet512, layout: PacketLayout, real_entries: usize) {
-        let b = layout.entries_per_packet() as usize;
-        debug_assert!(real_entries <= b, "more real entries than layout B");
-        self.row_ends.resize(b, 0);
-        self.idx.resize(b, 0);
-        self.val.resize(b, 0);
-        self.new_row = packet.decode_fields(
-            layout,
-            &mut self.row_ends,
-            &mut self.idx,
-            &mut self.val,
-            |raw| raw,
-        );
-        self.row_ends.retain(|&end| end != 0);
-        debug_assert!(
-            self.row_ends.windows(2).all(|w| w[0] < w[1]),
-            "ptr entries must be strictly increasing"
-        );
-        self.idx.truncate(real_entries);
-        self.val.truncate(real_entries);
-    }
-
-    /// Number of real entries in the last parsed packet.
-    pub fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Whether the last parsed packet held no real entries.
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
-    /// Number of entries after the last row end — the unfinished tail
-    /// carried into the next packet.
-    pub fn tail_len(&self) -> usize {
-        self.len() - self.row_ends.last().copied().unwrap_or(0) as usize
-    }
-}
-
-/// Iterator over `(row, col, raw_value)` produced by [`BsCsr::entries`].
-#[derive(Debug)]
-pub struct PacketEntries<'a> {
-    matrix: &'a BsCsr,
-    packet: usize,
-    entry: usize,
-    /// Decode buffers reused across packets.
-    scratch: PacketScratch,
-    /// Whether the stream has run out of packets.
-    exhausted: bool,
-    /// Row index of the current entry.
-    row: u32,
-    /// Index into the current packet's `row_ends`.
-    seg: usize,
-}
-
-impl Iterator for PacketEntries<'_> {
-    type Item = (u32, u32, u64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.exhausted {
-                return None;
-            }
-            if self.entry >= self.scratch.len() {
-                // Advance to the next packet.
-                self.packet += 1;
-                if self.packet >= self.matrix.num_packets() {
-                    self.exhausted = true;
-                    return None;
+        let b = self.layout.entries_per_packet() as usize;
+        let (mut ptr, mut idx, mut raw) = (vec![0u32; b], vec![0u32; b], vec![0u64; b]);
+        let mut row_ptr = Vec::with_capacity(self.num_rows + 1);
+        row_ptr.push(0u64);
+        let mut col_idx = Vec::with_capacity(self.logical_nnz as usize);
+        let mut values = Vec::with_capacity(self.logical_nnz as usize);
+        for (p, packet) in self.packets.iter().enumerate() {
+            packet.decode_fields(self.layout, &mut ptr, &mut idx, &mut raw, |r| r);
+            let mut row_ends = ptr.iter().filter(|&&end| end != 0).peekable();
+            for j in 0..self.entries_in_packet(p) {
+                col_idx.push(idx[j]);
+                values.push(S::decode(raw[j]).value_to_f64() as f32);
+                if row_ends.next_if_eq(&&(j as u32 + 1)).is_some() {
+                    // invariant: row_ptr starts with one entry
+                    let start = *row_ptr.last().unwrap() as usize;
+                    if col_idx.len() == start + 1 && col_idx[start] == 0 && values[start] == 0.0 {
+                        col_idx.pop();
+                        values.pop();
+                    }
+                    row_ptr.push(col_idx.len() as u64);
                 }
-                self.matrix.view_into(self.packet, &mut self.scratch);
-                self.entry = 0;
-                self.seg = 0;
-                continue;
             }
-            let col = self.scratch.idx[self.entry];
-            let raw = self.scratch.val[self.entry];
-            let row = self.row;
-            // If this entry closes a row segment, the next entry belongs
-            // to the following row.
-            if self.scratch.row_ends.get(self.seg) == Some(&((self.entry + 1) as u32)) {
-                self.seg += 1;
-                self.row += 1;
-            }
-            self.entry += 1;
-            return Some((row, col, raw));
         }
+        Csr::from_parts(self.num_rows, self.num_cols, row_ptr, col_idx, values)
+            // invariant: a validated stream encoded from a valid Csr decodes to one
+            .expect("decoded rows are valid by construction")
     }
 }
 
@@ -542,10 +388,40 @@ mod tests {
         PacketLayout::solve(cols, 20).unwrap()
     }
 
-    fn view(bs: &BsCsr, i: usize) -> PacketScratch {
-        let mut scratch = PacketScratch::new();
-        bs.view_into(i, &mut scratch);
-        scratch
+    /// Packet `i` sliced by `decode_fields` and cut to its real entries.
+    struct View {
+        new_row: bool,
+        /// The non-zero `ptr` slots.
+        row_ends: Vec<u32>,
+        idx: Vec<u32>,
+        val: Vec<u64>,
+    }
+
+    impl View {
+        fn len(&self) -> usize {
+            self.idx.len()
+        }
+
+        /// Entries after the last row end, carried into the next packet.
+        fn tail_len(&self) -> usize {
+            self.len() - self.row_ends.last().copied().unwrap_or(0) as usize
+        }
+    }
+
+    fn view(bs: &BsCsr, i: usize) -> View {
+        let b = bs.layout().entries_per_packet() as usize;
+        let (mut ptr, mut idx, mut val) = (vec![0; b], vec![0; b], vec![0; b]);
+        let new_row =
+            bs.packets()[i].decode_fields(bs.layout(), &mut ptr, &mut idx, &mut val, |r| r);
+        ptr.retain(|&end| end != 0);
+        idx.truncate(bs.entries_in_packet(i));
+        val.truncate(bs.entries_in_packet(i));
+        View {
+            new_row,
+            row_ends: ptr,
+            idx,
+            val,
+        }
     }
 
     /// Asserts two matrices have identical structure and values equal up
@@ -617,18 +493,16 @@ mod tests {
         // 2 real + 2 placeholders.
         assert_eq!(bs.stored_entries(), 4);
         assert_eq!(bs.logical_nnz(), 2);
-        let entries: Vec<_> = bs.entries().collect();
-        assert_eq!(entries.len(), 4);
-        // Row reconstruction walks through the placeholders.
-        assert_eq!(entries[0].0, 0);
-        assert_eq!(entries[1], (1, 0, 0));
-        assert_eq!(entries[2], (2, 0, 0));
-        assert_eq!(entries[3].0, 3);
+        // Each placeholder is a one-entry row at column 0, raw value 0.
+        let v = view(&bs, 0);
+        assert_eq!(v.row_ends, vec![1, 2, 3, 4]);
+        assert_eq!(v.idx, vec![5, 0, 0, 2]);
+        assert_eq!((v.val[1], v.val[2]), (0, 0));
         assert_eq!(bs.decode::<Q1_19>(), csr);
     }
 
     #[test]
-    fn entries_iterator_reconstructs_rows_across_packets() {
+    fn rows_reconstruct_across_packets() {
         // 40 rows x 3 entries = 120 entries = 8 packets of B = 15.
         let mut triplets = Vec::new();
         for r in 0..40u32 {
@@ -639,9 +513,12 @@ mod tests {
         let csr = Csr::from_triplets(40, 1024, &triplets).unwrap();
         let bs = BsCsr::encode::<Q1_19>(&csr, layout20(1024));
         assert_eq!(bs.num_packets(), 8);
-        let rows: Vec<u32> = bs.entries().map(|(r, _, _)| r).collect();
-        let expected: Vec<u32> = (0..40).flat_map(|r| [r, r, r]).collect();
-        assert_eq!(rows, expected);
+        for p in 0..bs.num_packets() {
+            let v = view(&bs, p);
+            assert!(v.new_row, "packet {p}");
+            assert_eq!(v.row_ends, vec![3, 6, 9, 12, 15], "packet {p}");
+        }
+        assert_csr_close(&bs.decode::<Q1_19>(), &csr);
     }
 
     #[test]

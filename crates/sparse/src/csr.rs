@@ -1,6 +1,5 @@
 //! Compressed Sparse Row (CSR) matrix.
 
-use crate::coo::Coo;
 use crate::error::SparseError;
 use crate::exact_dot;
 
@@ -45,27 +44,59 @@ pub struct RowStats {
 }
 
 impl Csr {
-    /// Builds a CSR matrix from unsorted triplets (convenience wrapper
-    /// over [`Coo::from_triplets`]).
+    /// Builds a CSR matrix from `(row, col, value)` triplets in any
+    /// order: they are sorted by coordinate and handed to
+    /// [`Csr::from_parts`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Coo::from_triplets`].
+    /// [`SparseError::DimensionTooLarge`] if the shape exceeds `u32`
+    /// coordinates, [`SparseError::IndexOutOfBounds`] for a row or column
+    /// outside the shape, [`SparseError::DuplicateEntry`] for a repeated
+    /// coordinate.
     pub fn from_triplets(
         num_rows: usize,
         num_cols: usize,
         triplets: &[(u32, u32, f32)],
     ) -> Result<Self, SparseError> {
-        Ok(Coo::from_triplets(num_rows, num_cols, triplets)?.to_csr())
+        // Checked before `row_ptr` is sized by `num_rows`.
+        check_shape(num_rows, num_cols)?;
+        let mut sorted = triplets.to_vec();
+        sorted.sort_unstable_by_key(|&(r, c, _)| (r, c));
+        // Sorted by row, so every out-of-range row sits at the end.
+        let in_range = sorted.partition_point(|&(r, _, _)| (r as usize) < num_rows);
+        if let Some(&(r, c, _)) = sorted.get(in_range) {
+            return Err(SparseError::IndexOutOfBounds {
+                row: r as usize,
+                col: c as usize,
+                num_rows,
+                num_cols,
+            });
+        }
+        let mut row_ptr = vec![0u64; num_rows + 1];
+        for &(r, _, _) in &sorted {
+            row_ptr[r as usize + 1] += 1;
+        }
+        for i in 0..num_rows {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let (col_idx, values) = sorted.into_iter().map(|(_, c, v)| (c, v)).unzip();
+        Self::from_parts(num_rows, num_cols, row_ptr, col_idx, values)
     }
 
-    /// Builds a CSR matrix from raw parts, validating the invariants.
+    /// Builds a CSR matrix from raw parts — the one validator every
+    /// untrusted matrix (triplets, MatrixMarket files, snapshot payloads)
+    /// passes through.
     ///
     /// # Errors
     ///
-    /// Returns an error if `row_ptr` is not a monotone array of length
-    /// `num_rows + 1` ending at `col_idx.len()`, if `col_idx` and
-    /// `values` lengths differ, or if any column index is out of bounds.
+    /// [`SparseError::DimensionTooLarge`] if the shape exceeds `u32`
+    /// coordinates; [`SparseError::MalformedRowPtr`] if `row_ptr` is not a
+    /// monotone array of length `num_rows + 1` from 0 to `col_idx.len()`,
+    /// or if `col_idx` and `values` lengths differ;
+    /// [`SparseError::IndexOutOfBounds`] for an out-of-range column and
+    /// [`SparseError::DuplicateEntry`] for a repeated or unsorted column,
+    /// both naming the row.
     pub fn from_parts(
         num_rows: usize,
         num_cols: usize,
@@ -73,6 +104,7 @@ impl Csr {
         col_idx: Vec<u32>,
         values: Vec<f32>,
     ) -> Result<Self, SparseError> {
+        check_shape(num_rows, num_cols)?;
         if row_ptr.len() != num_rows + 1 {
             return Err(SparseError::MalformedRowPtr {
                 detail: format!(
@@ -102,13 +134,13 @@ impl Csr {
                 ),
             });
         }
-        if let Some(&c) = col_idx.iter().find(|&&c| c as usize >= num_cols) {
-            return Err(SparseError::IndexOutOfBounds {
-                row: 0,
-                col: c as usize,
+        for (row, w) in row_ptr.windows(2).enumerate() {
+            check_row(
+                row,
+                &col_idx[w[0] as usize..w[1] as usize],
                 num_rows,
                 num_cols,
-            });
+            )?;
         }
         Ok(Self {
             num_rows,
@@ -306,22 +338,7 @@ impl Csr {
                     ),
                 });
             }
-            for (i, &c) in cols.iter().enumerate() {
-                if c as usize >= self.num_cols {
-                    return Err(SparseError::IndexOutOfBounds {
-                        row,
-                        col: c as usize,
-                        num_rows: new_rows,
-                        num_cols: self.num_cols,
-                    });
-                }
-                if i > 0 && cols[i - 1] >= c {
-                    return Err(SparseError::DuplicateEntry {
-                        row,
-                        col: c as usize,
-                    });
-                }
-            }
+            check_row(row, cols, new_rows, self.num_cols)?;
             col_idx.extend_from_slice(cols);
             values.extend_from_slice(vals);
             row_ptr.push(col_idx.len() as u64);
@@ -333,16 +350,6 @@ impl Csr {
             col_idx,
             values,
         ))
-    }
-
-    /// Converts to COO (entries already sorted by construction).
-    pub fn to_coo(&self) -> Coo {
-        let triplets: Vec<(u32, u32, f32)> = (0..self.num_rows)
-            .flat_map(|r| self.row(r).map(move |(c, v)| (r as u32, c, v)))
-            .collect();
-        Coo::from_triplets(self.num_rows, self.num_cols, &triplets)
-            // invariant: CSR construction enforces the bounds COO validates
-            .expect("CSR invariants guarantee valid COO")
     }
 
     /// Per-row non-zero statistics.
@@ -366,6 +373,43 @@ impl Csr {
             empty_rows: empty,
         }
     }
+}
+
+/// Rejects a shape that `u32` row and column coordinates cannot index.
+fn check_shape(num_rows: usize, num_cols: usize) -> Result<(), SparseError> {
+    if num_rows > u32::MAX as usize || num_cols > u32::MAX as usize {
+        return Err(SparseError::DimensionTooLarge {
+            detail: format!("shape {num_rows}x{num_cols} exceeds u32 coordinates"),
+        });
+    }
+    Ok(())
+}
+
+/// Checks the columns of row `row`: each inside `num_cols`, strictly
+/// increasing (CSR row order, no duplicates).
+fn check_row(
+    row: usize,
+    cols: &[u32],
+    num_rows: usize,
+    num_cols: usize,
+) -> Result<(), SparseError> {
+    for (i, &c) in cols.iter().enumerate() {
+        if c as usize >= num_cols {
+            return Err(SparseError::IndexOutOfBounds {
+                row,
+                col: c as usize,
+                num_rows,
+                num_cols,
+            });
+        }
+        if i > 0 && cols[i - 1] >= c {
+            return Err(SparseError::DuplicateEntry {
+                row,
+                col: c as usize,
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -403,12 +447,58 @@ mod tests {
         assert!(Csr::from_parts(2, 2, vec![0, 2, 1], vec![0], vec![1.0]).is_err());
         // Bad terminator.
         assert!(Csr::from_parts(1, 2, vec![0, 5], vec![0], vec![1.0]).is_err());
-        // Column out of range.
-        assert!(Csr::from_parts(1, 2, vec![0, 1], vec![7], vec![1.0]).is_err());
+        // Column out of range, reported at its own row.
+        assert!(matches!(
+            Csr::from_parts(3, 2, vec![0, 1, 1, 2], vec![0, 7], vec![1.0, 1.0]),
+            Err(SparseError::IndexOutOfBounds { row: 2, col: 7, .. })
+        ));
+        // Unsorted and duplicate columns inside a row.
+        assert!(matches!(
+            Csr::from_parts(2, 4, vec![0, 1, 3], vec![0, 3, 1], vec![1.0; 3]),
+            Err(SparseError::DuplicateEntry { row: 1, col: 1 })
+        ));
+        assert!(matches!(
+            Csr::from_parts(1, 4, vec![0, 2], vec![2, 2], vec![1.0; 2]),
+            Err(SparseError::DuplicateEntry { row: 0, col: 2 })
+        ));
         // Mismatched arrays.
         assert!(Csr::from_parts(1, 2, vec![0, 1], vec![0], vec![]).is_err());
-        // Valid.
+        // A shape beyond u32 coordinates.
+        assert!(matches!(
+            Csr::from_parts(1, u32::MAX as usize + 1, vec![0, 0], vec![], vec![]),
+            Err(SparseError::DimensionTooLarge { .. })
+        ));
+        // Valid; the same column may repeat across rows.
         assert!(Csr::from_parts(1, 2, vec![0, 1], vec![1], vec![2.0]).is_ok());
+        assert!(Csr::from_parts(2, 2, vec![0, 1, 2], vec![1, 1], vec![2.0; 2]).is_ok());
+    }
+
+    #[test]
+    fn from_triplets_sorts_by_coordinate() {
+        let m = Csr::from_triplets(3, 3, &[(2, 0, 3.0), (0, 1, 1.0), (0, 0, 2.0)]).unwrap();
+        assert_eq!(m.row_ptr(), &[0, 2, 2, 3]);
+        assert_eq!(m.col_idx(), &[0, 1, 0]);
+        assert_eq!(m.values(), &[2.0, 1.0, 3.0]);
+        assert_eq!(Csr::from_triplets(5, 5, &[]).unwrap().nnz(), 0);
+    }
+
+    #[test]
+    fn from_triplets_rejects_out_of_bounds_and_duplicates() {
+        let e = Csr::from_triplets(2, 2, &[(2, 0, 1.0)]).unwrap_err();
+        assert!(
+            matches!(e, SparseError::IndexOutOfBounds { row: 2, .. }),
+            "{e:?}"
+        );
+        let e = Csr::from_triplets(2, 2, &[(0, 5, 1.0)]).unwrap_err();
+        assert!(
+            matches!(e, SparseError::IndexOutOfBounds { col: 5, .. }),
+            "{e:?}"
+        );
+        let e = Csr::from_triplets(2, 2, &[(1, 1, 1.0), (1, 1, 2.0)]).unwrap_err();
+        assert!(
+            matches!(e, SparseError::DuplicateEntry { row: 1, col: 1 }),
+            "{e:?}"
+        );
     }
 
     #[test]

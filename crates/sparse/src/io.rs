@@ -8,7 +8,6 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 
-use crate::coo::Coo;
 use crate::csr::Csr;
 use crate::error::SparseError;
 
@@ -250,7 +249,7 @@ pub fn read_mtx<R: Read>(reader: R) -> Result<Csr, ReadMtxError> {
             detail: format!("size line promised {nnz} entries, found {}", triplets.len()),
         });
     }
-    Ok(Coo::from_triplets(rows, cols, &triplets)?.to_csr())
+    Ok(Csr::from_triplets(rows, cols, &triplets)?)
 }
 
 /// Writes a CSR matrix as `matrix coordinate real general`.

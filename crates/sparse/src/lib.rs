@@ -3,15 +3,12 @@
 //!
 //! This crate implements the storage side of the DAC'21 paper:
 //!
-//! - classic [`Coo`] and [`Csr`] formats (the CPU baseline operates on
-//!   CSR, the GPU model on CSR as cuSPARSE does);
+//! - the classic [`Csr`] format (the CPU baseline operates on CSR, the
+//!   GPU model on CSR as cuSPARSE does);
 //! - **Block-Streaming CSR** ([`BsCsr`]), the paper's novel format: every
 //!   512-bit HBM packet is a self-contained CSR micro-partition holding
 //!   `B` non-zeros with reduced-precision `idx`/`val` fields and
 //!   packet-local cumulative `ptr` entries (§III-B, Figure 3);
-//! - packed COO variants ([`CooPacketKind`]) used by the paper's Figure 3
-//!   and roofline comparison (naive COO fits 5 non-zeros per packet,
-//!   optimised COO 8, BS-CSR 15);
 //! - deterministic synthetic generators matching Table III: uniform and
 //!   left-skewed `Γ(3, 4/3)` non-zero distributions and a sparsified
 //!   GloVe-like embedding corpus (module [`gen`]);
@@ -43,11 +40,8 @@
 //! # Ok::<(), tkspmv_sparse::SparseError>(())
 //! ```
 
-mod bitio;
 mod bscsr;
 pub mod codec;
-mod coo;
-mod coo_packet;
 mod csr;
 mod dense;
 mod error;
@@ -58,10 +52,7 @@ mod packet;
 mod prune;
 pub mod snapshot;
 
-pub use bitio::{BitReader, BitWriter};
-pub use bscsr::{BsCsr, PacketEntries, PacketScratch};
-pub use coo::Coo;
-pub use coo_packet::CooPacketKind;
+pub use bscsr::BsCsr;
 pub use csr::{Csr, RowStats};
 pub use dense::DenseVector;
 pub use error::SparseError;

@@ -16,10 +16,11 @@ pub const PACKET_BYTES: usize = PACKET_BITS / 8;
 
 /// A raw 512-bit packet, stored as eight little-endian 64-bit words.
 ///
-/// Bit `i` of the packet is bit `i % 64` of word `i / 64`; field codecs
-/// ([`crate::BitWriter`] / [`crate::BitReader`]) lay fields out LSB-first
-/// in increasing bit order, mirroring an HLS `ap_uint<512>` slice
-/// assignment.
+/// Bit `i` of the packet is bit `i % 64` of word `i / 64`; a field is
+/// laid out LSB-first in increasing bit order, mirroring an HLS
+/// `ap_uint<512>` slice assignment. The BS-CSR fields are written by
+/// `Packet512::encode_fields` (the encoder's one packet writer) and read
+/// by [`Packet512::decode_fields`], at one set of positions.
 ///
 /// # Example
 ///
@@ -54,33 +55,12 @@ impl Packet512 {
         &mut self.words
     }
 
-    /// Number of bits set across the packet (useful for tests).
-    pub fn count_ones(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// Extracts the `bits`-wide field starting at bit `pos` — the
-    /// random-access counterpart of the sequential [`crate::BitReader`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is 0 or greater than 64, or if the field would
-    /// run past bit 512.
-    #[inline]
-    pub fn bits(&self, pos: usize, bits: u32) -> u64 {
-        assert!((1..=64).contains(&bits), "field width must be in 1..=64");
-        assert!(
-            pos + bits as usize <= PACKET_BITS,
-            "field of {bits} bits at position {pos} overflows the packet"
-        );
-        self.field(pos, bits)
-    }
-
     /// The one field-extraction primitive: a branch-free two-word
-    /// extract. Everything that reads a packet — [`Packet512::bits`],
-    /// [`Packet512::decode_fields`] and through it the engine's chunk
-    /// decode and [`crate::PacketScratch`], [`crate::BsCsr::validate`]
-    /// — goes through here.
+    /// extract. Its users are [`Packet512::decode_fields`] (and through
+    /// it the engine's chunk decode and [`crate::BsCsr::decode`]) and
+    /// the `ptr`/`idx` scans of [`crate::BsCsr::validate`];
+    /// [`Packet512::set_field`] is its write twin, used only by
+    /// `Packet512::encode_fields`.
     ///
     /// A field spans at most two backing words. The high word is always
     /// read and shifted in two steps (`<< 1 << (63 - off)`), so an
@@ -105,6 +85,76 @@ impl Packet512 {
         let lo = self.words[word & 7] >> off;
         let hi = (self.words[(word + 1) & 7] << 1) << (63 - off);
         (lo | hi) & (u64::MAX >> (64 - bits))
+    }
+
+    /// The write twin of [`Packet512::field`]: ORs `value` into the
+    /// (still zero) `bits`-wide field at bit `pos`, with the same word /
+    /// offset arithmetic. The bits above the low word's `64 - off` go to
+    /// the next word through the same two-step shift, so an aligned field
+    /// writes nothing there; a field ending in word 7 ORs zero into
+    /// word 0 through the `& 7`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is not in 1..=64, if the field would run past
+    /// bit 512, or if `value` does not fit in `bits` bits.
+    #[inline(always)]
+    fn set_field(&mut self, pos: usize, bits: u32, value: u64) {
+        assert!((1..=64).contains(&bits), "field width must be in 1..=64");
+        assert!(
+            pos + bits as usize <= PACKET_BITS,
+            "field of {bits} bits at position {pos} overflows the packet"
+        );
+        assert!(
+            bits == 64 || value >> bits == 0,
+            "value {value:#x} does not fit in {bits} bits"
+        );
+        let word = pos >> 6;
+        let off = (pos & 63) as u32;
+        self.words[word] |= value << off;
+        self.words[(word + 1) & 7] |= (value >> 1) >> (63 - off);
+    }
+
+    /// Builds one BS-CSR packet — the write twin of
+    /// [`Packet512::decode_fields`], at the same positions: `new_row` at
+    /// bit 0, then the `B` slots of `ptr`, `idx` and `val` from bit 1,
+    /// `idx_base()` and `val_base()`. Every slot is written, padding
+    /// included, so unused slots must hold 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice is shorter than `layout.entries_per_packet()`
+    /// or a value does not fit its field.
+    pub(crate) fn encode_fields(
+        layout: PacketLayout,
+        new_row: bool,
+        ptr: &[u32],
+        idx: &[u32],
+        val: &[u64],
+    ) -> Self {
+        let b = layout.entries_per_packet() as usize;
+        let mut packet = Self::ZERO;
+        packet.set_field(0, 1, u64::from(new_row));
+        packet.fields_from(1, layout.ptr_bits(), ptr[..b].iter().map(|&v| v.into()));
+        packet.fields_from(
+            layout.idx_base(),
+            layout.idx_bits(),
+            idx[..b].iter().map(|&v| v.into()),
+        );
+        packet.fields_from(
+            layout.val_base(),
+            layout.value_bits(),
+            val[..b].iter().copied(),
+        );
+        packet
+    }
+
+    /// Writes consecutive `bits`-wide fields from bit `base` on.
+    #[inline(always)]
+    fn fields_from(&mut self, base: usize, bits: u32, values: impl Iterator<Item = u64>) {
+        for (j, value) in values.enumerate() {
+            self.set_field(base + j * bits as usize, bits, value);
+        }
     }
 
     /// Slices the packet into its three field arrays, as the hardware's
@@ -189,9 +239,30 @@ mod tests {
         0x1357_9BDF_0246_8ACE,
     ];
 
+    /// Bit-by-bit reference read of the `bits`-wide field at `pos`; it
+    /// shares no code with `field` / `set_field`.
+    fn oracle(p: &Packet512, pos: usize, bits: u32) -> u64 {
+        (0..bits as usize).fold(0, |acc, i| {
+            acc | ((p.words[(pos + i) / 64] >> ((pos + i) % 64)) & 1) << i
+        })
+    }
+
+    /// The layouts the slot tests walk: the design layouts, a
+    /// submaximal `B`, and `ptr` regions far wider than one word.
+    fn layouts() -> [PacketLayout; 5] {
+        [
+            PacketLayout::paper(20),
+            PacketLayout::paper(32),
+            PacketLayout::with_entries(1024, 20, 5).unwrap(),
+            // B = 56, 6-bit ptr.
+            PacketLayout::solve(2, 2).unwrap(),
+            PacketLayout::solve(1 << 40, 64).unwrap(),
+        ]
+    }
+
     #[test]
     fn zero_packet_has_no_bits() {
-        assert_eq!(Packet512::ZERO.count_ones(), 0);
+        assert_eq!(*Packet512::ZERO.words(), [0; 8]);
         assert_eq!(PACKET_BITS, 512);
         assert_eq!(PACKET_BYTES, 64);
     }
@@ -215,9 +286,11 @@ mod tests {
         let p = Packet512::from_words(PATTERN);
         for bits in [1u32, 4, 10, 20, 33, 64] {
             for pos in 0..(PACKET_BITS - bits as usize + 1) {
-                let mut r = crate::BitReader::new(&p);
-                r.skip(pos as u32);
-                assert_eq!(p.bits(pos, bits), r.read(bits), "pos={pos} bits={bits}");
+                assert_eq!(
+                    p.field(pos, bits),
+                    oracle(&p, pos, bits),
+                    "pos={pos} bits={bits}"
+                );
             }
         }
     }
@@ -226,14 +299,38 @@ mod tests {
     fn bits_reads_last_field_of_packet() {
         let mut p = Packet512::ZERO;
         p.words_mut()[7] = 0xF000_0000_0000_0000;
-        assert_eq!(p.bits(508, 4), 0xF);
-        assert_eq!(p.bits(448, 64), 0xF000_0000_0000_0000);
+        assert_eq!(p.field(508, 4), 0xF);
+        assert_eq!(p.field(448, 64), 0xF000_0000_0000_0000);
+    }
+
+    #[test]
+    fn set_field_writes_exactly_its_bits_on_every_alignment() {
+        for bits in [1u32, 4, 10, 20, 33, 63, 64] {
+            let value = PATTERN[bits as usize % 8] & (u64::MAX >> (64 - bits));
+            for pos in 0..(PACKET_BITS - bits as usize + 1) {
+                let mut p = Packet512::ZERO;
+                p.set_field(pos, bits, value);
+                assert_eq!(oracle(&p, pos, bits), value, "pos={pos} bits={bits}");
+                assert_eq!(p.field(pos, bits), value, "pos={pos} bits={bits}");
+                // Nothing outside the field is touched.
+                let ones: u32 = p.words.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(ones, value.count_ones(), "pos={pos} bits={bits}");
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "overflows the packet")]
-    fn bits_rejects_out_of_range_field() {
-        let _ = Packet512::ZERO.bits(509, 4);
+    fn set_field_rejects_out_of_range_field() {
+        let mut p = Packet512::ZERO;
+        p.set_field(509, 4, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn set_field_rejects_oversized_value() {
+        let mut p = Packet512::ZERO;
+        p.set_field(0, 4, 0x10);
     }
 
     /// `count` consecutive fields, sliced as the decode loops slice them.
@@ -250,16 +347,13 @@ mod tests {
             for base in 0..64.min(PACKET_BITS - width as usize) {
                 let count = (PACKET_BITS - base) / width as usize;
                 let out = fields(&p, base, width, count);
-                // The sequential reader shares no code with `field`.
-                let mut oracle = crate::BitReader::new(&p);
-                oracle.skip(base as u32);
                 for (i, &got) in out.iter().enumerate() {
+                    let pos = base + i * width as usize;
                     assert_eq!(
                         got,
-                        oracle.read(width),
+                        oracle(&p, pos, width),
                         "base={base} width={width} field={i}"
                     );
-                    assert_eq!(got, p.bits(base + i * width as usize, width));
                 }
             }
         }
@@ -279,38 +373,74 @@ mod tests {
         fields(&Packet512::ZERO, 500, 10, 2);
     }
 
+    /// Field `j` of a region of `width`-bit fields that starts at `base`,
+    /// read by the oracle.
+    fn slot(p: &Packet512, base: usize, width: u32, j: usize) -> u64 {
+        oracle(p, base + j * width as usize, width)
+    }
+
     #[test]
     fn decode_fields_slices_every_slot_of_design_submaximal_and_wide_ptr_layouts() {
         let p = Packet512::from_words(PATTERN);
-        for layout in [
-            PacketLayout::paper(20),
-            PacketLayout::paper(32),
-            PacketLayout::with_entries(1024, 20, 5).unwrap(),
-            // B = 56, 6-bit ptr: a ptr region far wider than one word.
-            PacketLayout::solve(2, 2).unwrap(),
-            PacketLayout::solve(1 << 40, 64).unwrap(),
-        ] {
+        for layout in layouts() {
             let b = layout.entries_per_packet() as usize;
+            let (pb, ib, vb) = (layout.ptr_bits(), layout.idx_bits(), layout.value_bits());
+            let (idx_base, val_base) = (1 + b * pb as usize, 1 + b * (pb + ib) as usize);
             let (mut ptr, mut idx, mut val) = (vec![9; b + 1], vec![9; b + 1], vec![9u64; b + 1]);
             let new_row = p.decode_fields(layout, &mut ptr, &mut idx, &mut val, |raw| !raw);
             assert!(new_row, "bit 0 of the pattern is set");
-            let mut oracle = crate::BitReader::new(&p);
-            oracle.skip(1);
-            for (what, got) in [("ptr", &ptr), ("idx", &idx)] {
-                let bits = if what == "ptr" {
-                    layout.ptr_bits()
-                } else {
-                    layout.idx_bits()
-                };
-                for (j, &g) in got[..b].iter().enumerate() {
-                    assert_eq!(g, oracle.read(bits) as u32, "{layout:?} {what}[{j}]");
+            for j in 0..b {
+                // Slots are narrowed to u32 as the decode narrows them.
+                assert_eq!(ptr[j], slot(&p, 1, pb, j) as u32, "{layout:?} ptr[{j}]");
+                assert_eq!(
+                    idx[j],
+                    slot(&p, idx_base, ib, j) as u32,
+                    "{layout:?} idx[{j}]"
+                );
+                assert_eq!(val[j], !slot(&p, val_base, vb, j), "{layout:?} val[{j}]");
+            }
+            assert_eq!(
+                (ptr[b], idx[b], val[b]),
+                (9, 9, 9),
+                "nothing written past B"
+            );
+        }
+    }
+
+    #[test]
+    fn encode_fields_writes_every_slot_where_decode_fields_reads_it() {
+        for layout in layouts() {
+            let b = layout.entries_per_packet() as usize;
+            let (pb, ib, vb) = (layout.ptr_bits(), layout.idx_bits(), layout.value_bits());
+            let mask = |bits: u32, word: u64| word & (u64::MAX >> (64 - bits));
+            let ptr: Vec<u32> = (0..b).map(|j| mask(pb, PATTERN[j % 8]) as u32).collect();
+            let idx: Vec<u32> = (0..b)
+                .map(|j| mask(ib, PATTERN[(j + 3) % 8]) as u32)
+                .collect();
+            let val: Vec<u64> = (0..b).map(|j| mask(vb, PATTERN[(j + 5) % 8])).collect();
+            for new_row in [false, true] {
+                let p = Packet512::encode_fields(layout, new_row, &ptr, &idx, &val);
+                let (idx_base, val_base) = (1 + b * pb as usize, 1 + b * (pb + ib) as usize);
+                assert_eq!(oracle(&p, 0, 1), u64::from(new_row));
+                for j in 0..b {
+                    assert_eq!(slot(&p, 1, pb, j), ptr[j] as u64, "{layout:?} ptr[{j}]");
+                    assert_eq!(
+                        slot(&p, idx_base, ib, j),
+                        idx[j] as u64,
+                        "{layout:?} idx[{j}]"
+                    );
+                    assert_eq!(slot(&p, val_base, vb, j), val[j], "{layout:?} val[{j}]");
                 }
-                assert_eq!(got[b], 9, "nothing written past B");
+                // The padding past `bits_used()` stays zero.
+                let used = layout.bits_used() as usize;
+                assert!((used..PACKET_BITS).all(|pos| oracle(&p, pos, 1) == 0));
+                let (mut dp, mut di, mut dv) = (vec![0; b], vec![0; b], vec![0u64; b]);
+                assert_eq!(
+                    p.decode_fields(layout, &mut dp, &mut di, &mut dv, |raw| raw),
+                    new_row
+                );
+                assert_eq!((dp, di, dv), (ptr.clone(), idx.clone(), val.clone()));
             }
-            for (j, &g) in val[..b].iter().enumerate() {
-                assert_eq!(g, !oracle.read(layout.value_bits()), "{layout:?} val[{j}]");
-            }
-            assert_eq!(val[b], 9);
         }
     }
 }

@@ -52,10 +52,10 @@ use crate::error::SparseError;
 /// matrix quantisation.
 pub type PruneQuery = UFixed<8>;
 
-/// Most entries a single row may hold (`num_cols` can never exceed it,
-/// but [`Csr::from_parts`] does not forbid duplicate columns). The bound
-/// is what keeps per-row scores inside 32 bits:
-/// `65536 * 255 * 255 < 2^32`.
+/// Most entries a single row may hold. A [`Csr`] row's columns are
+/// distinct, so its length never exceeds `num_cols <= 65536`; raw arrays
+/// ([`PruneIndex::from_parts`]) are checked against it. The bound is
+/// what keeps per-row scores inside 32 bits: `65536 * 255 * 255 < 2^32`.
 const MAX_ROW_ENTRIES: u64 = 1 << 16;
 
 /// Entries scored per block of the prefix pass: the `u32` prefix buffer
@@ -101,17 +101,6 @@ impl PruneIndex {
                 detail: format!(
                     "prune index row pointers are 32-bit; matrix has {} non-zeros",
                     csr.nnz()
-                ),
-            });
-        }
-        if let Some(r) = csr
-            .row_ptr()
-            .windows(2)
-            .position(|w| w[1] - w[0] > MAX_ROW_ENTRIES)
-        {
-            return Err(SparseError::DimensionTooLarge {
-                detail: format!(
-                    "prune scores are 32-bit; row {r} holds more than {MAX_ROW_ENTRIES} entries"
                 ),
             });
         }

@@ -1,13 +1,15 @@
-//! Property tests for the allocation-free packet decode path:
-//! `BsCsr::view_into` must parse any valid packet stream exactly as the
-//! reference parse does — a sequential `BitReader` walk — and a reused
-//! scratch must never leak state from a previously parsed packet.
+//! Property tests for the packet codec and the allocation-free decode
+//! path: every packet `BsCsr::encode` writes holds, at the positions a
+//! bit-by-bit oracle reads, exactly the `new_row` / `ptr` / `idx` / `val`
+//! fields the source CSR implies; `Packet512::decode_fields` slices the
+//! same fields into dirty buffers; and a reused engine scratch never
+//! leaks state from a previous batch.
 
 use proptest::prelude::*;
 use tkspmv::{quantize_vector, run_core_batch_with_scratch, BatchScratch, Fidelity};
-use tkspmv_fixed::{Q1_19, Q1_31};
+use tkspmv_fixed::{SpmvScalar, Q1_19, Q1_31};
 use tkspmv_sparse::gen::query_vector;
-use tkspmv_sparse::{BitReader, BsCsr, Csr, PacketLayout, PacketScratch};
+use tkspmv_sparse::{BsCsr, Csr, Packet512, PacketLayout};
 
 /// Strategy: a random sparse matrix as sorted unique triplets with
 /// values in the unsigned datapath domain (0, 1]. Two width arms: below
@@ -30,117 +32,141 @@ fn arb_matrix() -> impl Strategy<Value = Csr> {
     })
 }
 
-/// The fields `view_into` fills, lifted out of the scratch for
-/// comparison against the oracle.
-fn scratch_fields(s: &PacketScratch) -> (bool, Vec<u32>, Vec<u32>, Vec<u64>) {
-    (s.new_row, s.row_ends.clone(), s.idx.clone(), s.val.clone())
+/// The layouts in use: the largest `B` at both widths, and Fig. 6a's
+/// `B = 5`.
+fn layouts(num_cols: usize) -> [PacketLayout; 3] {
+    [
+        PacketLayout::solve(num_cols, 20).unwrap(),
+        PacketLayout::solve(num_cols, 32).unwrap(),
+        PacketLayout::with_entries(num_cols, 20, 5).unwrap(),
+    ]
 }
 
-/// Independent reference decoder: a sequential `BitReader` walk over
-/// every field, including the padding fields the production decoder
-/// drops. It shares no code with the two-word extract under `view_into`.
-fn bitreader_oracle(bs: &BsCsr, p: usize) -> (bool, Vec<u32>, Vec<u32>, Vec<u64>) {
-    let layout = bs.layout();
+/// One packet's fields, every slot of each region (padding included):
+/// `(new_row, ptr, idx, val)`.
+type Fields = (bool, Vec<u32>, Vec<u32>, Vec<u64>);
+
+/// Bit-by-bit reference read of the `bits`-wide field at bit `pos`. It
+/// shares no code with the codec's two-word field access.
+fn read_bits(p: &Packet512, pos: usize, bits: u32) -> u64 {
+    (0..bits as usize).fold(0, |acc, i| {
+        acc | ((p.words()[(pos + i) / 64] >> ((pos + i) % 64)) & 1) << i
+    })
+}
+
+/// The oracle: all fields of a packet, at positions derived from the
+/// layout widths alone — `new_row` at bit 0, then `B` ptr slots, `B`
+/// idx slots and `B` val slots back to back.
+fn oracle(p: &Packet512, layout: PacketLayout) -> Fields {
     let b = layout.entries_per_packet() as usize;
-    let real = bs.entries_in_packet(p);
-    let mut r = BitReader::new(&bs.packets()[p]);
-    let new_row = r.read(1) == 1;
-    let mut row_ends = Vec::new();
-    for _ in 0..b {
-        let v = r.read(layout.ptr_bits()) as u32;
-        if v != 0 {
-            row_ends.push(v);
-        }
-    }
-    let mut idx = Vec::new();
-    for j in 0..b {
-        let v = r.read(layout.idx_bits()) as u32;
-        if j < real {
-            idx.push(v);
-        }
-    }
-    let mut val = Vec::new();
-    for j in 0..b {
-        let v = r.read(layout.value_bits());
-        if j < real {
-            val.push(v);
-        }
-    }
-    (new_row, row_ends, idx, val)
+    let (pb, ib, vb) = (layout.ptr_bits(), layout.idx_bits(), layout.value_bits());
+    let (idx_base, val_base) = (1 + b * pb as usize, 1 + b * (pb + ib) as usize);
+    let slot = |base: usize, bits: u32, j: usize| read_bits(p, base + j * bits as usize, bits);
+    (
+        read_bits(p, 0, 1) == 1,
+        (0..b).map(|j| slot(1, pb, j) as u32).collect(),
+        (0..b).map(|j| slot(idx_base, ib, j) as u32).collect(),
+        (0..b).map(|j| slot(val_base, vb, j)).collect(),
+    )
 }
 
-/// Pollutes a scratch so any field `view_into` fails to overwrite shows
-/// up as a mismatch (stale lengths, stale values, stale `new_row`).
-fn pollute(s: &mut PacketScratch) {
-    s.new_row = !s.new_row;
-    s.row_ends.extend([u32::MAX, 7, 7, 0]);
-    s.idx.extend([u32::MAX; 40]);
-    s.val.extend([u64::MAX; 40]);
+/// What every packet must hold, derived from the source CSR: the row
+/// stream (an empty row stores one `(0, 0)` placeholder) cut into
+/// packets of `B`; `ptr` lists the 1-based in-packet counts at which
+/// rows end; a packet starts a new row unless the previous packet's
+/// last entry left one open; unused slots are 0.
+fn expected<S: SpmvScalar>(csr: &Csr, layout: PacketLayout) -> Vec<Fields> {
+    let b = layout.entries_per_packet() as usize;
+    // (col, raw value, ends its row)
+    let mut stream: Vec<(u32, u64, bool)> = Vec::new();
+    for r in 0..csr.num_rows() {
+        let row: Vec<(u32, u64)> = csr.row(r).map(|(c, v)| (c, S::encode(v as f64))).collect();
+        let row = if row.is_empty() { vec![(0, 0)] } else { row };
+        let last = row.len() - 1;
+        stream.extend(
+            row.into_iter()
+                .enumerate()
+                .map(|(j, (c, v))| (c, v, j == last)),
+        );
+    }
+    stream
+        .chunks(b)
+        .enumerate()
+        .map(|(p, chunk)| {
+            let new_row = p == 0 || stream[p * b - 1].2;
+            let ends = (0..chunk.len())
+                .filter(|&j| chunk[j].2)
+                .map(|j| j as u32 + 1);
+            (
+                new_row,
+                padded(ends, b),
+                padded(chunk.iter().map(|e| e.0), b),
+                padded(chunk.iter().map(|e| e.1), b),
+            )
+        })
+        .collect()
+}
+
+/// `items`, zero-filled to `b` slots.
+fn padded<T: Default>(items: impl Iterator<Item = T>, b: usize) -> Vec<T> {
+    let mut v: Vec<T> = items.collect();
+    v.resize_with(b, T::default);
+    v
+}
+
+fn encode(csr: &Csr, layout: PacketLayout) -> (BsCsr, Vec<Fields>) {
+    if layout.value_bits() == 20 {
+        (
+            BsCsr::encode::<Q1_19>(csr, layout),
+            expected::<Q1_19>(csr, layout),
+        )
+    } else {
+        (
+            BsCsr::encode::<Q1_31>(csr, layout),
+            expected::<Q1_31>(csr, layout),
+        )
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// "parse" is the reference parse: the `BitReader` oracle above.
     #[test]
-    fn parse_into_matches_parse_for_any_packet_stream(csr in arb_matrix()) {
-        // The largest-B layout at both widths, and Fig. 6a's B = 5.
-        let layouts = [
-            PacketLayout::solve(csr.num_cols(), 20).unwrap(),
-            PacketLayout::solve(csr.num_cols(), 32).unwrap(),
-            PacketLayout::with_entries(csr.num_cols(), 20, 5).unwrap(),
-        ];
-        for layout in layouts {
-            let value_bits = layout.value_bits();
-            let bs = if value_bits == 20 {
-                BsCsr::encode::<Q1_19>(&csr, layout)
-            } else {
-                BsCsr::encode::<Q1_31>(&csr, layout)
-            };
-            // One scratch reused across the whole stream, in order.
-            let mut scratch = PacketScratch::new();
-            for p in 0..bs.num_packets() {
-                let oracle = bitreader_oracle(&bs, p);
-                bs.view_into(p, &mut scratch);
+    fn encoded_packets_hold_the_source_fields_under_a_bit_oracle(csr in arb_matrix()) {
+        for layout in layouts(csr.num_cols()) {
+            let (bs, want) = encode(&csr, layout);
+            prop_assert_eq!(bs.num_packets(), want.len());
+            for (p, want) in want.into_iter().enumerate() {
                 prop_assert_eq!(
-                    scratch_fields(&scratch),
-                    oracle.clone(),
-                    "scratch decode vs BitReader oracle, packet {} of {} ({:?})",
-                    p, bs.num_packets(), layout
-                );
-                let (_, row_ends, idx, _) = oracle;
-                prop_assert_eq!(scratch.len(), idx.len());
-                prop_assert_eq!(scratch.is_empty(), idx.is_empty());
-                prop_assert_eq!(
-                    scratch.tail_len(),
-                    idx.len() - row_ends.last().copied().unwrap_or(0) as usize
+                    oracle(&bs.packets()[p], layout),
+                    want,
+                    "packet {} of {} ({:?})", p, bs.num_packets(), layout
                 );
             }
         }
     }
 
+    /// `decode_fields` into buffers polluted before every packet (walked
+    /// backwards) overwrites exactly the `B` slots of each region, and
+    /// nothing past them.
     #[test]
-    fn scratch_reuse_never_leaks_previous_packet_state(csr in arb_matrix()) {
-        let layout = PacketLayout::solve(csr.num_cols(), 20).unwrap();
-        let bs = BsCsr::encode::<Q1_19>(&csr, layout);
-        // Parse the stream backwards with a scratch polluted before every
-        // packet: each parse must fully overwrite whatever was there.
-        let mut scratch = PacketScratch::new();
-        for p in (0..bs.num_packets()).rev() {
-            pollute(&mut scratch);
-            bs.view_into(p, &mut scratch);
-            prop_assert_eq!(
-                scratch_fields(&scratch),
-                bitreader_oracle(&bs, p),
-                "packet {} parsed into a dirty scratch", p
-            );
-        }
-        // And parsing the same packet twice is idempotent.
-        if bs.num_packets() > 0 {
-            bs.view_into(0, &mut scratch);
-            let first = scratch_fields(&scratch);
-            bs.view_into(0, &mut scratch);
-            prop_assert_eq!(scratch_fields(&scratch), first);
+    fn decode_fields_into_polluted_buffers_equals_the_oracle(csr in arb_matrix()) {
+        for layout in layouts(csr.num_cols()) {
+            let (bs, _) = encode(&csr, layout);
+            let b = layout.entries_per_packet() as usize;
+            for p in (0..bs.num_packets()).rev() {
+                let (mut ptr, mut idx) = (vec![u32::MAX; b + 3], vec![u32::MAX; b + 3]);
+                let mut val = vec![u64::MAX; b + 3];
+                let packet = bs.packets()[p];
+                let new_row = packet.decode_fields(layout, &mut ptr, &mut idx, &mut val, |raw| raw);
+                prop_assert_eq!(
+                    (new_row, ptr[..b].to_vec(), idx[..b].to_vec(), val[..b].to_vec()),
+                    oracle(&packet, layout),
+                    "packet {} decoded into dirty buffers ({:?})", p, layout
+                );
+                prop_assert!(ptr[b..].iter().chain(&idx[b..]).all(|&v| v == u32::MAX));
+                prop_assert!(val[b..].iter().all(|&v| v == u64::MAX));
+            }
         }
     }
 

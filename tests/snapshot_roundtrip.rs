@@ -259,6 +259,28 @@ fn companion_section_version_skew_fails_typed() {
     }
 }
 
+/// A CSR payload whose first row lists its columns out of order passes
+/// the checksum once resealed, but not the CSR validator.
+#[test]
+fn csr_payload_with_swapped_columns_fails_typed() {
+    let (cpu, _, csr) = cpu_pair();
+    let mut bytes = save_to_vec(cpu.as_ref(), &cpu.prepare(&csr).expect("prepare"));
+    // The payload ends with col_idx and values (nnz u32 each), then the
+    // companion tag byte and the CRC.
+    let col0 = bytes.len() - 5 - 8 * csr.nnz();
+    assert!(csr.row_nnz(0) >= 2, "row 0 needs two columns to swap");
+    assert_eq!(bytes[col0..col0 + 4], csr.col_idx()[0].to_le_bytes());
+    bytes[col0..col0 + 8].rotate_left(4);
+    reseal(&mut bytes);
+    match PreparedMatrix::load(cpu.as_ref(), bytes.as_slice()) {
+        Err(SnapshotError::Invalid { detail }) => {
+            let dup = format!("duplicate entry at (0, {})", csr.col_idx()[0]);
+            assert!(detail.contains(&dup), "{detail}");
+        }
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+}
+
 #[test]
 fn not_a_snapshot_fails_typed() {
     let (backend, _) = accelerator_snapshot_bytes();
