@@ -479,11 +479,17 @@ mod tests {
         assert_eq!(m.row_ptr(), &[0, 2, 2, 3]);
         assert_eq!(m.col_idx(), &[0, 1, 0]);
         assert_eq!(m.values(), &[2.0, 1.0, 3.0]);
-        assert_eq!(Csr::from_triplets(5, 5, &[]).unwrap().nnz(), 0);
     }
 
     #[test]
-    fn from_triplets_rejects_out_of_bounds_and_duplicates() {
+    fn from_triplets_accepts_empty() {
+        let m = Csr::from_triplets(5, 5, &[]).unwrap();
+        assert_eq!(m.nnz(), 0);
+        assert_eq!(m.row_ptr(), &[0; 6]);
+    }
+
+    #[test]
+    fn from_triplets_rejects_out_of_bounds() {
         let e = Csr::from_triplets(2, 2, &[(2, 0, 1.0)]).unwrap_err();
         assert!(
             matches!(e, SparseError::IndexOutOfBounds { row: 2, .. }),
@@ -494,6 +500,10 @@ mod tests {
             matches!(e, SparseError::IndexOutOfBounds { col: 5, .. }),
             "{e:?}"
         );
+    }
+
+    #[test]
+    fn from_triplets_rejects_duplicates() {
         let e = Csr::from_triplets(2, 2, &[(1, 1, 1.0), (1, 1, 2.0)]).unwrap_err();
         assert!(
             matches!(e, SparseError::DuplicateEntry { row: 1, col: 1 }),
