@@ -58,28 +58,14 @@ struct QueryLane<S: SpmvScalar> {
     carry: S::Acc,
 }
 
-/// One row segment of the current chunk, precomputed **once** per
-/// chunk of packets and replayed by every query lane: entry range,
-/// destination row, whether the segment starts from the previous
-/// chunk's carry, and whether the finished row is offered to the Top-K
-/// stage (the `r`-limit gate). All of it is a property of the matrix
-/// and the fidelity, never of the query.
-#[derive(Debug, Clone, Copy)]
-struct Segment {
-    start: u32,
-    end: u32,
-    row: u32,
-    use_carry: bool,
-    offer: bool,
-}
-
-/// Packets decoded per chunk before the lane sweep. Large enough to
-/// amortise the per-block loop entry/exit over many packets (and to
-/// merge most cross-packet row segments), small enough that the flat
-/// `dvals`/`cidx` chunk — `CHUNK_PACKETS · B` entries, 7.5 KiB at the
-/// paper's B = 15 — stays inside a 48-KiB L1 alongside one transposed
-/// query block (32 KiB at M = 1024 in Q1.19, see [`BLOCK_LANES`]).
-const CHUNK_PACKETS: usize = 64;
+/// Packets sliced per chunk before the lane sweep — the stream's own
+/// chunk ([`BsCsr::CHUNK_PACKETS`]), in which its row ends are recorded.
+/// Large enough to amortise the per-block loop entry/exit over many
+/// packets, small enough that the flat `dvals`/`cidx` chunk —
+/// `CHUNK_PACKETS · B` entries, 7.5 KiB at the paper's B = 15 — stays
+/// inside a 48-KiB L1 alongside one transposed query block (32 KiB at
+/// M = 1024 in Q1.19, see [`BLOCK_LANES`]).
+const CHUNK_PACKETS: usize = BsCsr::CHUNK_PACKETS;
 
 /// Query lanes replayed together from one transposed block: per decoded
 /// non-zero, one `BLOCK_LANES`-wide row of the block feeds that many
@@ -91,9 +77,10 @@ const CHUNK_PACKETS: usize = 64;
 const BLOCK_LANES: usize = 8;
 
 /// Reusable working memory for [`run_core_batch_with_scratch`]: the
-/// current chunk's flat value/index arrays and segment program, the
-/// batch's full lane blocks transposed, and one resident lane (Top-K
-/// tracker + carry) per query in the batch.
+/// current chunk's flat value/index arrays, the batch's full lane blocks
+/// transposed, and one resident lane (Top-K tracker + carry) per query
+/// in the batch. The row structure replay follows is not here: it is
+/// the stream's own, recorded once ([`BsCsr::row_ends`]).
 ///
 /// Allocate one per participant (see [`crate::fanout::fork_join`]) and
 /// stream every partition and batch it walks through it.
@@ -108,9 +95,6 @@ const BLOCK_LANES: usize = 8;
 /// bandwidth- rather than allocator-bound.
 #[derive(Debug, Clone)]
 pub struct BatchScratch<S: SpmvScalar> {
-    /// One packet's `B` raw `ptr` slots (0 = unused), rewritten per
-    /// packet.
-    ends: Vec<u32>,
     /// The current chunk's values decoded into the scalar domain —
     /// sliced straight out of the packet words, once per chunk, shared
     /// by every query lane. `CHUNK_PACKETS · B` long; a ragged last
@@ -119,10 +103,6 @@ pub struct BatchScratch<S: SpmvScalar> {
     dvals: Vec<S>,
     /// The current chunk's column indices, laid out like `dvals`.
     cidx: Vec<u32>,
-    /// The current chunk's segment program — computed once, replayed by
-    /// every query lane. Rows spanning packets inside the chunk appear
-    /// as one merged segment (the running-sum order is unchanged).
-    segs: Vec<Segment>,
     /// The batch's full [`BLOCK_LANES`]-lane blocks, transposed once per
     /// call: `xt[block·M + col][lane]` is query `block·BLOCK_LANES +
     /// lane` at column `col`, so one non-zero reads one contiguous row
@@ -146,10 +126,8 @@ impl<S: SpmvScalar> BatchScratch<S> {
     // buffers whose reuse makes the batch loop allocation-free.
     pub fn new() -> Self {
         Self {
-            ends: Vec::new(),
             dvals: Vec::new(),
             cidx: Vec::new(),
-            segs: Vec::new(),
             xt: Vec::new(),
             lanes: Vec::new(),
             outputs: Vec::new(),
@@ -191,12 +169,21 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 ///
 /// 1. **Scatter**: for each of the packet's `B` entries, read `x[idx]`
 ///    from (emulated) URAM and form the point-wise product;
-/// 2. **Aggregation**: sum products belonging to the same row, using the
-///    packet-local `ptr` row ends;
-/// 3. **Summary**: stitch rows that span packet boundaries via the
-///    `new_row` bit and the carried partial sum;
+/// 2. **Aggregation**: sum products belonging to the same row;
+/// 3. **Summary**: stitch rows that span packet (and chunk) boundaries
+///    through the carried partial sum;
 /// 4. **Top-K update**: offer every row finished in this packet (at most
 ///    `r` in faithful mode) to the argmin scratchpad.
+///
+/// Where rows end is a property of the matrix, not of the query, so the
+/// engine does not read it from the packets: the stream records its row
+/// ends once, at encode or load ([`BsCsr::row_ends`]), and a chunk is
+/// replayed row by row from its recorded ends. Per chunk the engine
+/// slices only the entries' `idx`/`val` fields. The `r` gate is applied
+/// as the rows are replayed: a row's ordinal in its packet comes from
+/// its end (its packet is `(end − 1) / B`), so the same recorded ends
+/// serve every fidelity. [`CoreStats`] come from the recorded ends and
+/// `r` without touching a packet.
 ///
 /// Queries must already be quantised to `S` (the URAM upload step); use
 /// [`quantize_vector`].
@@ -216,16 +203,16 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// and the per-packet extract loops unroll completely. Any other layout
 /// enters the same body with the run-time value. Nothing else differs
 /// between the two instantiations — the packet words, the query, the
-/// segment program, the arithmetic and its order are the same — so
-/// results are bit-identical whichever runs (pinned by a unit test over
-/// all five Table-II scalars).
+/// row ends, the arithmetic and its order are the same — so results are
+/// bit-identical whichever runs (pinned by a unit test over all five
+/// Table-II scalars).
 ///
 /// Results are **bit-identical** to running each query alone: per lane,
 /// the sequence of multiply/accumulate operations and Top-K offers is
 /// exactly the packet-arrival order the single-query loop produces —
-/// the segment structure, carry stitching, and `r`-limit gating depend
-/// only on the matrix, not on the other queries in the batch, and lane
-/// blocking only interleaves lanes, never reorders one lane's steps.
+/// the row ends, carry stitching, and `r`-limit gating depend only on
+/// the matrix, not on the other queries in the batch, and lane blocking
+/// only interleaves lanes, never reorders one lane's steps.
 ///
 /// The returned slice borrows the scratch and holds one
 /// [`CoreOutput`] per query, in input order. [`CoreStats`] are
@@ -235,10 +222,7 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// # Panics
 ///
 /// Panics if any query is shorter than the matrix's column count or if
-/// `k == 0` (for a non-empty batch). A stream that was never
-/// [validated](BsCsr::validate) and whose `ptr` slots point past a
-/// packet's real entries panics on a slice bound rather than read
-/// padding.
+/// `k == 0` (for a non-empty batch).
 pub fn run_core_batch_with_scratch<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     matrix: &BsCsr,
     queries: &[Q],
@@ -296,15 +280,20 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
         });
     }
 
-    // Query-independent stream state: stats, the row cursor, and whether
-    // the previous packet left a row open (each lane holds its own carry
-    // *value*, but the carry *structure* is a property of the matrix).
-    let mut shared = CoreStats::default();
-    let mut carry_active = false;
-    let mut current_row: u32 = 0;
     let r_limit = match fidelity {
         Fidelity::Faithful { rows_per_packet } => rows_per_packet,
         Fidelity::Reference => u32::MAX,
+    };
+    // Every statistic but the accept count is a fact of the recorded
+    // row ends and `r`.
+    let (chunk_rows, ends, by_ordinal) = matrix.row_ends();
+    let rows_finished: u64 = by_ordinal.iter().take(r_limit as usize).sum();
+    let shared = CoreStats {
+        packets: matrix.num_packets() as u64,
+        entries: matrix.stored_entries(),
+        rows_finished,
+        rows_dropped: matrix.num_rows() as u64 - rows_finished,
+        topk_accepted: 0,
     };
 
     // Stage clock: two reads per chunk — the end of one chunk's score
@@ -331,95 +320,46 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
 
     // alloc-ok: the chunk buffers are sized here, once per call (a no-op
     // when the scratch last saw the same layout); the packet loop
-    // writes into them by position and `segs` cannot outgrow one row
-    // end per entry, so nothing below grows with the packet count.
+    // writes into them by position, so nothing below grows with the
+    // packet count.
     let per_packet = layout.entries_per_packet() as usize;
-    scratch.ends.resize(per_packet, 0);
-    scratch.cidx.resize(CHUNK_PACKETS * per_packet, 0);
-    scratch
-        .dvals
-        .resize(CHUNK_PACKETS * per_packet, S::decode(0));
-    scratch.segs.clear();
-    scratch.segs.reserve(CHUNK_PACKETS * per_packet);
+    let chunk_entries = CHUNK_PACKETS * per_packet;
+    scratch.cidx.resize(chunk_entries, 0);
+    scratch.dvals.resize(chunk_entries, S::decode(0));
 
-    let packets = matrix.packets();
-    let mut p = 0usize;
-    while p < packets.len() {
-        let chunk_end = (p + CHUNK_PACKETS).min(packets.len());
-
-        // Stages 1a+2+3 structure, once per chunk: slice the chunk's
-        // packets into the flat `dvals`/`cidx` arrays and build its
-        // segment program (entry ranges, destination rows, carry
-        // stitching, `r` gate). The per-block loop below only pays the
-        // query-dependent gather-multiply-accumulate. A row spanning
-        // packets *inside* the chunk becomes one merged segment: the
-        // sequential path's carry is just the running sum at the packet
-        // boundary, so the merged accumulation performs the identical
-        // operation sequence.
-        scratch.segs.clear();
-        let mut base = 0u32; // chunk-relative entry offset of the packet
-        let mut seg_open_start = 0u32; // where the next segment begins
-        let mut seg_open_carry = carry_active; // continues pre-chunk row?
+    let mut remaining = matrix.stored_entries();
+    for (c, packets) in matrix.packets().chunks(CHUNK_PACKETS).enumerate() {
+        // Stage 1a, once per chunk: slice the chunk's entries into the
+        // flat `dvals`/`cidx` arrays. All `B` slots of every packet are
+        // sliced; only the stream's last packet can hold fewer real
+        // entries, and its padding lands past `len`, beyond what replay
+        // is shown.
         let slots = scratch
             .cidx
             .chunks_exact_mut(per_packet)
             .zip(scratch.dvals.chunks_exact_mut(per_packet));
-        for (pk, (idx_out, val_out)) in (p..chunk_end).zip(slots) {
-            // All `B` slots are sliced; only the stream's last packet
-            // can hold fewer real entries, and its padding lands past
-            // `base`, beyond what replay is shown.
-            let new_row =
-                packets[pk].decode_fields(layout, &mut scratch.ends, idx_out, val_out, S::decode);
-            let len = matrix.entries_in_packet(pk) as u32;
-            shared.packets += 1;
-            shared.entries += len as u64;
-            debug_assert_eq!(
-                new_row,
-                !(seg_open_start < base || seg_open_carry),
-                "encoder new_row bit consistent with carry state"
-            );
-            // Non-zero `ptr` slots are the rows ending in this packet.
-            let mut ends_in_packet = 0u32;
-            for &end in scratch.ends.iter().filter(|&&end| end != 0) {
-                scratch.segs.push(Segment {
-                    start: seg_open_start,
-                    end: base + end,
-                    row: current_row + ends_in_packet,
-                    use_carry: seg_open_carry,
-                    offer: ends_in_packet < r_limit,
-                });
-                seg_open_start = base + end;
-                seg_open_carry = false;
-                ends_in_packet += 1;
-            }
-            let finished = ends_in_packet.min(r_limit);
-            shared.rows_finished += finished as u64;
-            shared.rows_dropped += (ends_in_packet - finished) as u64;
-            current_row += ends_in_packet;
-            base += len;
+        for (packet, (idx_out, val_out)) in packets.iter().zip(slots) {
+            packet.decode_fields(layout, idx_out, val_out, S::decode);
         }
-        // Entries after the chunk's last row end carry into the next
-        // chunk via each lane's carry register.
-        let tail = if seg_open_start < base || seg_open_carry {
-            Some((seg_open_start as usize, seg_open_carry))
-        } else {
-            None
-        };
-        carry_active = tail.is_some();
+        let len = remaining.min(chunk_entries as u64) as usize;
+        remaining -= len as u64;
         let decoded = Instant::now();
 
+        let rows = chunk_rows[c] as usize..chunk_rows[c + 1] as usize;
         let chunk = Chunk {
-            dvals: &scratch.dvals[..base as usize],
-            idx: &scratch.cidx[..base as usize],
-            segs: &scratch.segs,
-            tail,
+            dvals: &scratch.dvals[..len],
+            idx: &scratch.cidx[..len],
+            first_row: rows.start as u32,
+            ends: &ends[rows],
+            per_packet,
+            r_limit,
         };
 
         // Stages 1b+2+3+4, block by block: fused gather-multiply-
-        // accumulate replaying the shared segment program, then the
-        // Top-K offers. Per query the multiply/accumulate order is
-        // exactly the sequential path's packet-arrival order, so sums
-        // (including fixed-point saturation) are bit-identical.
+        // accumulate replaying the chunk's recorded rows, then the Top-K
+        // offers. Per query the multiply/accumulate order is exactly the
+        // sequential path's packet-arrival order, so sums (including
+        // fixed-point saturation) are bit-identical.
         //
         // When the column count is a power of two — the paper's M = 1024
         // operating point, and the only case where every encodable `idx`
@@ -438,18 +378,7 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
         scratch.stage_times.decode += decoded - mark;
         scratch.stage_times.score += scored - decoded;
         mark = scored;
-
-        p = chunk_end;
     }
-    debug_assert!(!carry_active, "no row may remain open at end of stream");
-
-    // The encoder terminates every row inside some packet, so no carry
-    // can survive the stream.
-    debug_assert_eq!(
-        current_row as usize,
-        matrix.num_rows(),
-        "all rows must finish by end of stream"
-    );
 
     while scratch.outputs.len() < b {
         scratch.outputs.push(CoreOutput {
@@ -480,14 +409,17 @@ fn pow2_col_mask(num_cols: usize) -> Option<usize> {
 }
 
 /// One decoded chunk as replay sees it: the entries cut at the chunk's
-/// real count, its segment program, and the open tail (start, and
-/// whether it continues the previous chunk's carry), if any.
+/// real count, and the rows that end in it — the first one's index and
+/// every one's recorded end, counted from the chunk's first entry —
+/// plus what the `r` gate needs: `B` and `r`.
 #[derive(Clone, Copy)]
 struct Chunk<'a, S> {
     dvals: &'a [S],
     idx: &'a [u32],
-    segs: &'a [Segment],
-    tail: Option<(usize, bool)>,
+    first_row: u32,
+    ends: &'a [u16],
+    per_packet: usize,
+    r_limit: u32,
 }
 
 /// Replays one chunk into every active lane: the full blocks
@@ -515,12 +447,14 @@ fn replay<S: SpmvScalar, Q: AsRef<[S]>>(
     }
 }
 
-/// Replays one chunk's segment program for `L` lanes, where `row(idx)`
-/// is the `L` lanes' query entries at column `idx`: per lane a fused
-/// gather-multiply-accumulate per segment, a Top-K offer for rows the
-/// `r` gate admits, and the carry update from the tail. Each non-zero's
-/// value and index are read once and one `L`-wide row feeds all `L`
-/// accumulators.
+/// Replays one chunk's rows for `L` lanes, where `row(idx)` is the `L`
+/// lanes' query entries at column `idx`: per row a fused
+/// gather-multiply-accumulate from the previous row's end to its own,
+/// a Top-K offer if the `r` gate admits it, and the carry update from
+/// the entries after the chunk's last row end. The chunk's first row
+/// starts from the carry, which is zero unless the previous chunk left
+/// a row open. Each non-zero's value and index are read once and one
+/// `L`-wide row feeds all `L` accumulators.
 #[inline(always)]
 fn block_pass<S: SpmvScalar, const L: usize>(
     lanes: &mut [QueryLane<S>],
@@ -528,36 +462,25 @@ fn block_pass<S: SpmvScalar, const L: usize>(
     row: impl Fn(u32) -> [S; L],
 ) {
     debug_assert_eq!(lanes.len(), L);
-    let start_from = |lanes: &[QueryLane<S>], use_carry: bool| -> [S::Acc; L] {
-        if use_carry {
-            std::array::from_fn(|l| lanes[l].carry)
-        } else {
-            [S::acc_zero(); L]
-        }
-    };
-    for seg in chunk.segs {
-        let (start, end) = (seg.start as usize, seg.end as usize);
-        let acc = accumulate(
-            start_from(lanes, seg.use_carry),
-            &chunk.dvals[start..end],
-            &chunk.idx[start..end],
-            &row,
-        );
-        if seg.offer {
+    let mut from: [S::Acc; L] = std::array::from_fn(|l| lanes[l].carry);
+    let mut start = 0usize;
+    // The packet of the previous row end and that row's ordinal in it.
+    let (mut packet, mut ordinal) = (usize::MAX, 0u32);
+    for (i, &end) in chunk.ends.iter().enumerate() {
+        let end = end as usize;
+        let acc = accumulate(from, &chunk.dvals[start..end], &chunk.idx[start..end], &row);
+        from = [S::acc_zero(); L];
+        start = end;
+        let p = (end - 1) / chunk.per_packet;
+        ordinal = if p == packet { ordinal + 1 } else { 0 };
+        packet = p;
+        if ordinal < chunk.r_limit {
             for (lane, &a) in lanes.iter_mut().zip(&acc) {
-                lane.tracker.insert(seg.row, a);
+                lane.tracker.insert(chunk.first_row + i as u32, a);
             }
         }
     }
-    let carry = match chunk.tail {
-        Some((start, use_carry)) => accumulate(
-            start_from(lanes, use_carry),
-            &chunk.dvals[start..],
-            &chunk.idx[start..],
-            &row,
-        ),
-        None => [S::acc_zero(); L],
-    };
+    let carry = accumulate(from, &chunk.dvals[start..], &chunk.idx[start..], &row);
     for (lane, a) in lanes.iter_mut().zip(carry) {
         lane.carry = a;
     }
@@ -594,7 +517,7 @@ mod tests {
     use std::hint::black_box;
     use tkspmv_fixed::{Half, F32, Q1_19, Q1_24, Q1_31};
     use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
-    use tkspmv_sparse::Csr;
+    use tkspmv_sparse::{Csr, Packet512, SparseError};
 
     fn encode20(csr: &Csr) -> BsCsr {
         BsCsr::encode::<Q1_19>(csr, PacketLayout::solve(csr.num_cols(), 20).unwrap())
@@ -940,16 +863,18 @@ mod tests {
 
     /// Overwrites entry `j`'s field (`idx` region if `val` is false) in
     /// `packet` with `bits`-wide `raw`.
-    fn poke(matrix: &mut BsCsr, packet: usize, val: bool, j: usize, raw: u64) {
-        let l = matrix.layout();
-        let b = l.entries_per_packet() as usize;
-        let idx_base = 1 + b * l.ptr_bits() as usize;
+    fn poke(layout: PacketLayout, packet: &mut Packet512, val: bool, j: usize, raw: u64) {
+        let b = layout.entries_per_packet() as usize;
+        let idx_base = 1 + b * layout.ptr_bits() as usize;
         let (base, bits) = if val {
-            (idx_base + b * l.idx_bits() as usize, l.value_bits())
+            (
+                idx_base + b * layout.idx_bits() as usize,
+                layout.value_bits(),
+            )
         } else {
-            (idx_base, l.idx_bits())
+            (idx_base, layout.idx_bits())
         };
-        let words = matrix.packets_mut()[packet].words_mut();
+        let words = packet.words_mut();
         for i in 0..bits as usize {
             let pos = base + j * bits as usize + i;
             words[pos / 64] &= !(1 << (pos % 64));
@@ -957,55 +882,55 @@ mod tests {
         }
     }
 
+    /// `clean` rebuilt from doctored copies of its packets, the way a
+    /// loaded snapshot is.
+    fn rebuilt(clean: &BsCsr, packets: Vec<Packet512>) -> Result<BsCsr, SparseError> {
+        BsCsr::from_parts(
+            clean.layout(),
+            packets,
+            clean.num_rows(),
+            clean.num_cols(),
+            clean.stored_entries(),
+            clean.logical_nnz(),
+        )
+    }
+
     #[test]
     fn padding_of_a_ragged_last_packet_never_reaches_a_sum() {
         let [clean, ..] = design_streams::<Q1_19>();
-        let last = clean.num_packets() - 1;
-        let real = clean.entries_in_packet(last);
-        let mut doctored = clean.clone();
-        for j in real..clean.layout().entries_per_packet() as usize {
-            poke(&mut doctored, last, false, j, 0x3ff);
-            poke(&mut doctored, last, true, j, 0xf_ffff);
+        let layout = clean.layout();
+        let b = layout.entries_per_packet() as usize;
+        let real = clean.stored_entries() as usize % b;
+        let mut packets = clean.packets().to_vec();
+        let last = packets.last_mut().unwrap();
+        for j in real..b {
+            poke(layout, last, false, j, 0x3ff);
+            poke(layout, last, true, j, 0xf_ffff);
         }
+        let doctored = rebuilt(&clean, packets).expect("structure untouched");
         assert_ne!(doctored, clean);
-        assert_eq!(doctored.validate(), Ok(()), "structure untouched");
         assert_eq!(
             both_instantiations::<Q1_19>(&doctored),
             both_instantiations::<Q1_19>(&clean)
         );
     }
 
-    /// A stream `validate` rejects: row 1 ends at entry 3 of 3 in the
-    /// only packet, and its `ptr` slot is moved to 5 — into the padding.
-    /// Replay must hit its slice bound, never read the padding.
-    fn stream_with_row_end_in_padding() -> BsCsr {
+    /// Replay trusts the recorded row ends, so a stream whose `ptr` slot
+    /// points into the padding must never be built: row 1 ends at entry
+    /// 3 of 3 in the only packet, and moving its `ptr` slot to 5 makes
+    /// the stream one `from_parts` rejects.
+    #[test]
+    fn a_row_end_in_padding_is_rejected_before_replay() {
         let csr = Csr::from_triplets(2, 1024, &[(0, 1, 0.5), (1, 2, 0.25), (1, 3, 0.125)]).unwrap();
-        let mut bs = BsCsr::encode::<Q1_19>(&csr, PacketLayout::solve(1024, 20).unwrap());
-        let second_ptr = 1 + bs.layout().ptr_bits();
-        let words = bs.packets_mut()[0].words_mut();
+        let clean = BsCsr::encode::<Q1_19>(&csr, PacketLayout::solve(1024, 20).unwrap());
+        let second_ptr = 1 + clean.layout().ptr_bits();
+        let mut packets = clean.packets().to_vec();
+        let words = packets[0].words_mut();
         words[0] = (words[0] & !(0xf << second_ptr)) | (5 << second_ptr);
-        assert!(bs.validate().is_err());
-        bs
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range for slice of length 3")]
-    fn row_end_in_padding_panics_with_the_constant_layout() {
-        // The public entry dispatches a design-layout stream to the
-        // constant instantiation.
-        let bs = stream_with_row_end_in_padding();
-        run_one::<Q1_19>(&bs, &ones(1024), 8, Fidelity::Reference);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range for slice of length 3")]
-    fn row_end_in_padding_panics_with_the_runtime_layout() {
-        let bs = stream_with_row_end_in_padding();
-        run_layout::<Q1_19>(
-            &bs,
-            black_box(bs.layout()),
-            &[ones(1024)],
-            Fidelity::Reference,
+        let err = rebuilt(&clean, packets).unwrap_err();
+        assert!(
+            err.to_string().contains("row end 5 beyond 3 real entries"),
+            "{err}"
         );
     }
 }

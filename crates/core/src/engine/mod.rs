@@ -5,9 +5,12 @@
 //! BS-CSR packet stream, for a batch of resident queries (a single
 //! query is a one-lane batch). The accelerator's
 //! [`crate::TopKBackend`] impl runs it on `c` cores over a partitioned matrix and merges their
-//! per-partition Top-k lists (§III-A). Packets are sliced straight into
-//! the engine's chunk arrays by [`tkspmv_sparse::Packet512::decode_fields`];
-//! a stream on the paper's M = 1024 layout
+//! per-partition Top-k lists (§III-A). Per chunk of packets, only the
+//! entries' `idx`/`val` fields are sliced, straight into the engine's
+//! chunk arrays, by [`tkspmv_sparse::Packet512::decode_fields`]; the
+//! rows are replayed from the row ends the stream recorded once, at
+//! encode or load ([`tkspmv_sparse::BsCsr::row_ends`]), so no query
+//! reads a `ptr` slot. A stream on the paper's M = 1024 layout
 //! ([`tkspmv_sparse::PacketLayout::paper`]) is decoded with that layout
 //! as a compile-time constant, any other with the same code and the
 //! run-time value. Arithmetic is bit-exact with

@@ -20,7 +20,7 @@ use std::time::Duration;
 /// spans the call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimes {
-    /// Packet decode: chunk → flat arrays + segment program.
+    /// Packet decode: a chunk's `idx`/`val` fields → flat arrays.
     pub decode: Duration,
     /// Exact scoring: gather-multiply-accumulate and Top-K offers.
     pub score: Duration,

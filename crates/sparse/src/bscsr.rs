@@ -15,6 +15,22 @@
 //! Empty rows are materialised as placeholder `(idx = 0, val = 0)`
 //! entries so that positional row counting stays correct (the paper does
 //! the same; its application domain never produces empty rows).
+//!
+//! # Row ends
+//!
+//! The hardware slices a packet's `ptr` slots for free on every clock;
+//! software would pay for them on every query. So every [`BsCsr`] also
+//! carries its **row ends** ([`BsCsr::row_ends`]): per row, where it
+//! ends in the stored-entry stream, grouped by replay chunk of
+//! [`BsCsr::CHUNK_PACKETS`] packets, plus how many rows end as the
+//! first, second, … row of their packet. They are derived data: the
+//! encoder records each end as it writes that `ptr` slot, and
+//! [`BsCsr::from_parts`] collects them inside the `ptr` walk that
+//! validates the stream, so neither walks the packets a second time.
+//! They are never persisted (snapshots hold the packets alone) and cost
+//! two bytes per row plus four per chunk. Once a stream is built its
+//! packets cannot change, so the ends never go stale; after that, `ptr`
+//! is read only by [`BsCsr::validate`].
 
 use tkspmv_fixed::SpmvScalar;
 
@@ -47,9 +63,72 @@ pub struct BsCsr {
     stored_entries: u64,
     /// Non-zeros in the source matrix (excludes placeholders).
     logical_nnz: u64,
+    /// Where each row ends; derived from `packets`, never persisted.
+    row_ends: RowEnds,
+}
+
+/// The row ends of a stream (see the module docs), in the form replay
+/// reads them.
+#[derive(Debug, Clone, PartialEq)]
+struct RowEnds {
+    /// `chunk_rows[c]` is the first row that ends in chunk `c` or later:
+    /// rows `chunk_rows[c]..chunk_rows[c + 1]` end in chunk `c`. One
+    /// entry per chunk plus a last one holding the row count.
+    chunk_rows: Vec<u32>,
+    /// Per row, its end counted in entries from its chunk's first entry:
+    /// the row's last entry is `ends[row] - 1`. A packet holds at most
+    /// 255 entries (each spends at least one `ptr` and one value bit of
+    /// 512), so an end is at most `64 · 255` and fits 16 bits.
+    ends: Vec<u16>,
+    /// `by_ordinal[j]` counts the rows that are the `j`-th (from 0) to
+    /// end in their packet; `B` entries.
+    by_ordinal: Vec<u64>,
+}
+
+impl RowEnds {
+    fn with_capacity(entries_per_packet: usize, rows: usize, packets: usize) -> Self {
+        let mut chunk_rows = Vec::with_capacity(packets.div_ceil(BsCsr::CHUNK_PACKETS) + 1);
+        chunk_rows.push(0);
+        Self {
+            chunk_rows,
+            ends: Vec::with_capacity(rows),
+            by_ordinal: vec![0; entries_per_packet],
+        }
+    }
+
+    /// Records the next row: it ends at the 1-based in-packet count
+    /// `end` of packet `packet` (of `b` entries), as the `ordinal`-th row
+    /// to end there.
+    fn push(&mut self, b: usize, packet: usize, end: u32, ordinal: usize) {
+        let chunk = packet / BsCsr::CHUNK_PACKETS;
+        while self.chunk_rows.len() <= chunk {
+            self.chunk_rows.push(self.ends.len() as u32);
+        }
+        let in_chunk = (packet % BsCsr::CHUNK_PACKETS) * b + end as usize;
+        debug_assert!(
+            in_chunk <= u16::MAX as usize,
+            "B <= 255 keeps ends in 16 bits"
+        );
+        self.ends.push(in_chunk as u16);
+        self.by_ordinal[ordinal] += 1;
+    }
+
+    /// Closes the chunk list of a stream of `packets` packets.
+    fn finish(mut self, packets: usize) -> Self {
+        while self.chunk_rows.len() <= packets.div_ceil(BsCsr::CHUNK_PACKETS) {
+            self.chunk_rows.push(self.ends.len() as u32);
+        }
+        self
+    }
 }
 
 impl BsCsr {
+    /// Packets per replay chunk, the unit in which [`BsCsr::row_ends`]
+    /// groups the row ends: the engine slices this many packets at a
+    /// time and replays the rows ending in them. Chunk-relative ends
+    /// keep the recorded ends at 16 bits.
+    pub const CHUNK_PACKETS: usize = 64;
+
     /// Encodes a CSR matrix into BS-CSR packets, quantising values with
     /// the scalar type `S`.
     ///
@@ -76,7 +155,9 @@ impl BsCsr {
             .map(|r| csr.row_nnz(r).max(1) as u64)
             .sum();
         let b = layout.entries_per_packet() as usize;
-        let mut packets = Vec::with_capacity(layout.packets_for(stored_entries) as usize);
+        let num_packets = layout.packets_for(stored_entries) as usize;
+        let mut packets = Vec::with_capacity(num_packets);
+        let mut row_ends = RowEnds::with_capacity(b, csr.num_rows(), num_packets);
         // The packet being filled: `fill` entries, `ends` row ends so far
         // (each the 1-based in-packet count at which a row ends).
         let (mut ptr, mut idx, mut val) = (vec![0u32; b], vec![0u32; b], vec![0u64; b]);
@@ -93,6 +174,7 @@ impl BsCsr {
                 fill += 1;
                 if j + 1 == last {
                     ptr[ends] = fill as u32;
+                    row_ends.push(b, packets.len(), fill as u32, ends);
                     ends += 1;
                 }
                 if fill == b {
@@ -113,6 +195,7 @@ impl BsCsr {
 
         Self {
             layout,
+            row_ends: row_ends.finish(packets.len()),
             packets,
             num_rows: csr.num_rows(),
             num_cols: csr.num_cols(),
@@ -126,8 +209,9 @@ impl BsCsr {
     ///
     /// The counts are cross-checked against the packet stream and the
     /// stream's structural invariants are fully revalidated with
-    /// [`BsCsr::validate`]: bytes from disk (or device readback) are
-    /// untrusted until proven consistent.
+    /// [`BsCsr::validate`]'s checks: bytes from disk (or device readback)
+    /// are untrusted until proven consistent. The row ends are collected
+    /// inside that same `ptr` walk.
     ///
     /// # Errors
     ///
@@ -169,15 +253,16 @@ impl BsCsr {
                  (every row stores at least a placeholder)"
             )));
         }
-        let matrix = Self {
+        let mut matrix = Self {
             layout,
             packets,
             num_rows,
             num_cols,
             stored_entries,
             logical_nnz,
+            row_ends: RowEnds::with_capacity(0, 0, 0),
         };
-        matrix.validate().map_err(corrupt)?;
+        matrix.row_ends = matrix.walk().map_err(corrupt)?;
         Ok(matrix)
     }
 
@@ -189,13 +274,6 @@ impl BsCsr {
     /// The raw packet stream.
     pub fn packets(&self) -> &[Packet512] {
         &self.packets
-    }
-
-    /// Mutable access to the raw packets — for fault-injection testing
-    /// of [`BsCsr::validate`] (a corrupted stream must be detected, not
-    /// silently mis-decoded).
-    pub fn packets_mut(&mut self) -> &mut [Packet512] {
-        &mut self.packets
     }
 
     /// Number of packets.
@@ -223,16 +301,39 @@ impl BsCsr {
         self.logical_nnz
     }
 
-    /// Total memory footprint in bytes (whole 64-byte packets) — the
-    /// quantity reported in Table III.
+    /// The packet footprint in bytes (whole 64-byte packets) — the
+    /// quantity reported in Table III. The row ends are not counted: they
+    /// are a host-side replay aid, not part of the format.
     pub fn size_bytes(&self) -> u64 {
         self.packets.len() as u64 * PACKET_BYTES as u64
+    }
+
+    /// The stream's row ends (see the module docs), recorded once at
+    /// encode or load: `(chunk_rows, ends, rows_by_ordinal)`.
+    ///
+    /// - Rows `chunk_rows[c]..chunk_rows[c + 1]` are the rows that end in
+    ///   chunk `c`, the packets from `c ·`[`BsCsr::CHUNK_PACKETS`] on;
+    ///   `chunk_rows` has one entry per chunk plus one.
+    /// - `ends[row]` is where that row ends, counted in entries from its
+    ///   chunk's first entry (its last entry is `ends[row] - 1`), so the
+    ///   row is packet `(ends[row] - 1) / B` of its chunk. A row starts
+    ///   where the previous row of its chunk ends, or — for a chunk's
+    ///   first row — at the chunk's first entry, continuing whatever the
+    ///   previous chunk left open.
+    /// - `rows_by_ordinal[j]` counts the rows that are the `j`-th (from
+    ///   0) to end in their packet, so an `r` gate admits the sum of the
+    ///   first `r` counts.
+    ///
+    /// Their footprint is `size_of_val` of the three slices.
+    pub fn row_ends(&self) -> (&[u32], &[u16], &[u64]) {
+        let ends = &self.row_ends;
+        (&ends.chunk_rows, &ends.ends, &ends.by_ordinal)
     }
 
     /// Number of *real* entries in packet `i` (the last packet may be
     /// partially filled); 0 for any `i` past the end of the stream.
     #[inline]
-    pub fn entries_in_packet(&self, i: usize) -> usize {
+    pub(crate) fn entries_in_packet(&self, i: usize) -> usize {
         let b = self.layout.entries_per_packet() as u64;
         let consumed = (i as u64).saturating_mul(b);
         self.stored_entries.saturating_sub(consumed).min(b) as usize
@@ -245,7 +346,9 @@ impl BsCsr {
     ///   the packet's real entry count;
     /// - `new_row` bits are consistent with the previous packet's tail
     ///   (a packet may only continue a row that was left unfinished);
-    /// - the total number of terminated rows equals `num_rows`.
+    /// - the total number of terminated rows equals `num_rows`;
+    /// - the recorded row ends ([`BsCsr::row_ends`]) are the ones the
+    ///   `ptr` slots spell.
     ///
     /// # Errors
     ///
@@ -255,13 +358,24 @@ impl BsCsr {
     ///
     /// Only the `new_row` bit and the `ptr` region of each packet are
     /// decoded — the `idx`/`val` fields play no part in the structural
-    /// invariants — so validating is several times cheaper than a full
-    /// decode pass. This matters on the snapshot-load path, whose whole
-    /// point is to be much cheaper than re-encoding while still
-    /// distrusting every byte it reads.
+    /// invariants, except for the column-range scan described below — so
+    /// validating is several times cheaper than a full decode pass. This
+    /// matters on the snapshot-load path, whose whole point is to be
+    /// much cheaper than re-encoding while still distrusting every byte
+    /// it reads.
     pub fn validate(&self) -> Result<(), String> {
+        if self.walk()? != self.row_ends {
+            return Err("recorded row ends disagree with the ptr slots".to_string());
+        }
+        Ok(())
+    }
+
+    /// [`BsCsr::validate`]'s checks, collecting the row ends as its `ptr`
+    /// walk passes them.
+    fn walk(&self) -> Result<RowEnds, String> {
         let b = self.layout.entries_per_packet() as usize;
         let ptr_bits = self.layout.ptr_bits();
+        let mut row_ends = RowEnds::with_capacity(b, self.num_rows, self.num_packets());
         let mut rows_terminated = 0u64;
         let mut prev_tail_open = false;
         for p in 0..self.num_packets() {
@@ -297,6 +411,7 @@ impl BsCsr {
                         "packet {p}: row end {end} beyond {real} real entries"
                     ));
                 }
+                row_ends.push(b, p, end, ends_in_packet as usize);
                 prev_end = end;
                 ends_in_packet += 1;
             }
@@ -335,13 +450,30 @@ impl BsCsr {
                 self.num_rows
             ));
         }
-        Ok(())
+        Ok(row_ends.finish(self.num_packets()))
     }
 
-    /// Decodes back to CSR, rebuilding rows from the packet metadata
-    /// alone as the hardware does: each packet is sliced with
-    /// [`Packet512::decode_fields`] and a row closes at each of its
-    /// non-zero `ptr` slots. Placeholder entries for empty rows are
+    /// Every row's end as a 1-based position in the whole stored-entry
+    /// stream, in row order.
+    fn row_end_positions(&self) -> impl Iterator<Item = u64> + '_ {
+        let chunk_entries =
+            (Self::CHUNK_PACKETS * self.layout.entries_per_packet() as usize) as u64;
+        let RowEnds {
+            chunk_rows, ends, ..
+        } = &self.row_ends;
+        chunk_rows
+            .windows(2)
+            .enumerate()
+            .flat_map(move |(c, rows)| {
+                ends[rows[0] as usize..rows[1] as usize]
+                    .iter()
+                    .map(move |&end| c as u64 * chunk_entries + u64::from(end))
+            })
+    }
+
+    /// Decodes back to CSR: each packet's entries are sliced with
+    /// [`Packet512::decode_fields`] and a row closes at each recorded row
+    /// end ([`BsCsr::row_ends`]). Placeholder entries for empty rows are
     /// removed (a row whose one entry is column 0 with value 0 decodes
     /// empty); quantised values are reconstructed through `S`.
     ///
@@ -351,18 +483,18 @@ impl BsCsr {
     pub fn decode<S: SpmvScalar>(&self) -> Csr {
         assert_eq!(self.layout.value_bits(), S::VALUE_BITS);
         let b = self.layout.entries_per_packet() as usize;
-        let (mut ptr, mut idx, mut raw) = (vec![0u32; b], vec![0u32; b], vec![0u64; b]);
+        let (mut idx, mut raw) = (vec![0u32; b], vec![0u64; b]);
         let mut row_ptr = Vec::with_capacity(self.num_rows + 1);
         row_ptr.push(0u64);
         let mut col_idx = Vec::with_capacity(self.logical_nnz as usize);
         let mut values = Vec::with_capacity(self.logical_nnz as usize);
+        let mut row_ends = self.row_end_positions().peekable();
         for (p, packet) in self.packets.iter().enumerate() {
-            packet.decode_fields(self.layout, &mut ptr, &mut idx, &mut raw, |r| r);
-            let mut row_ends = ptr.iter().filter(|&&end| end != 0).peekable();
+            packet.decode_fields(self.layout, &mut idx, &mut raw, |r| r);
             for j in 0..self.entries_in_packet(p) {
                 col_idx.push(idx[j]);
                 values.push(S::decode(raw[j]).value_to_f64() as f32);
-                if row_ends.next_if_eq(&&(j as u32 + 1)).is_some() {
+                if row_ends.next_if_eq(&((p * b + j + 1) as u64)).is_some() {
                     // invariant: row_ptr starts with one entry
                     let start = *row_ptr.last().unwrap() as usize;
                     if col_idx.len() == start + 1 && col_idx[start] == 0 && values[start] == 0.0 {
@@ -391,7 +523,8 @@ mod tests {
     /// Packet `i` sliced by `decode_fields` and cut to its real entries.
     struct View {
         new_row: bool,
-        /// The non-zero `ptr` slots.
+        /// The non-zero `ptr` slots, which must equal the recorded row
+        /// ends that fall in this packet.
         row_ends: Vec<u32>,
         idx: Vec<u32>,
         val: Vec<u64>,
@@ -409,16 +542,28 @@ mod tests {
     }
 
     fn view(bs: &BsCsr, i: usize) -> View {
-        let b = bs.layout().entries_per_packet() as usize;
-        let (mut ptr, mut idx, mut val) = (vec![0; b], vec![0; b], vec![0; b]);
-        let new_row =
-            bs.packets()[i].decode_fields(bs.layout(), &mut ptr, &mut idx, &mut val, |r| r);
-        ptr.retain(|&end| end != 0);
+        let layout = bs.layout();
+        let b = layout.entries_per_packet() as usize;
+        let packet = &bs.packets()[i];
+        let (mut idx, mut val) = (vec![0; b], vec![0; b]);
+        packet.decode_fields(layout, &mut idx, &mut val, |r| r);
         idx.truncate(bs.entries_in_packet(i));
         val.truncate(bs.entries_in_packet(i));
+        let pb = layout.ptr_bits();
+        let row_ends: Vec<u32> = (0..b)
+            .map(|j| packet.field(1 + j * pb as usize, pb) as u32)
+            .filter(|&end| end != 0)
+            .collect();
+        let first = (i * b) as u64;
+        let recorded: Vec<u32> = bs
+            .row_end_positions()
+            .filter(|&end| end > first && end <= first + b as u64)
+            .map(|end| (end - first) as u32)
+            .collect();
+        assert_eq!(row_ends, recorded, "packet {i}: ptr slots vs recorded ends");
         View {
-            new_row,
-            row_ends: ptr,
+            new_row: packet.words()[0] & 1 == 1,
+            row_ends,
             idx,
             val,
         }
@@ -605,15 +750,34 @@ mod tests {
         .generate()
     }
 
+    /// `bs` rebuilt through [`BsCsr::from_parts`] with `doctor` applied
+    /// to a copy of its packets: the only way a changed packet gets into
+    /// a `BsCsr`, and it runs every [`BsCsr::validate`] check.
+    fn doctored(bs: &BsCsr, doctor: impl FnOnce(&mut [Packet512])) -> Result<BsCsr, SparseError> {
+        let mut packets = bs.packets().to_vec();
+        doctor(&mut packets);
+        BsCsr::from_parts(
+            bs.layout(),
+            packets,
+            bs.num_rows(),
+            bs.num_cols(),
+            bs.stored_entries(),
+            bs.logical_nnz(),
+        )
+    }
+
     #[test]
     fn validate_detects_corrupted_ptr_field() {
         let csr = tkspmv_sparse_gen_matrix(9);
-        let mut bs = BsCsr::encode::<Q1_19>(&csr, layout20(csr.num_cols()));
+        let bs = BsCsr::encode::<Q1_19>(&csr, layout20(csr.num_cols()));
         // Smash a ptr field in the middle of the stream: bit 1..5 of a
         // packet hold its first 4-bit ptr entry.
         let packet = bs.num_packets() / 2;
-        bs.packets_mut()[packet].words_mut()[0] ^= 0b11110;
-        assert!(bs.validate().is_err(), "corruption must be detected");
+        let smashed = doctored(&bs, |p| p[packet].words_mut()[0] ^= 0b11110);
+        assert!(
+            matches!(smashed, Err(SparseError::CorruptPacketStream { .. })),
+            "corruption must be detected"
+        );
     }
 
     #[test]
@@ -621,10 +785,10 @@ mod tests {
         // Build a stream with a continuing row, then flip its new_row.
         let triplets: Vec<(u32, u32, f32)> = (0..20).map(|c| (0, c, 0.01)).collect();
         let csr = Csr::from_triplets(1, 1024, &triplets).unwrap();
-        let mut bs = BsCsr::encode::<Q1_19>(&csr, layout20(1024));
+        let bs = BsCsr::encode::<Q1_19>(&csr, layout20(1024));
         assert_eq!(bs.validate(), Ok(()));
-        bs.packets_mut()[1].words_mut()[0] ^= 1; // new_row bit is bit 0
-        assert!(bs.validate().is_err());
+        // The new_row bit is bit 0.
+        assert!(doctored(&bs, |p| p[1].words_mut()[0] ^= 1).is_err());
     }
 
     #[test]
@@ -716,23 +880,14 @@ mod tests {
             shift + layout.idx_bits() as usize <= 64,
             "field fits one word"
         );
-        let mut doctored = bs.clone();
-        let words = doctored.packets_mut()[0].words_mut();
         let keep_mask = !(((1u64 << layout.idx_bits()) - 1) << shift);
-        words[word] = (words[word] & keep_mask) | (1020u64 << shift);
-        let err = doctored.validate().unwrap_err();
-        assert!(err.contains("column index 1020"), "{err}");
-        assert!(matches!(
-            BsCsr::from_parts(
-                layout,
-                doctored.packets().to_vec(),
-                doctored.num_rows(),
-                doctored.num_cols(),
-                doctored.stored_entries(),
-                doctored.logical_nnz(),
-            ),
-            Err(SparseError::CorruptPacketStream { .. })
-        ));
+        let err = doctored(&bs, |p| {
+            let words = p[0].words_mut();
+            words[word] = (words[word] & keep_mask) | (1020u64 << shift);
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("column index 1020"), "{err}");
+        assert!(matches!(err, SparseError::CorruptPacketStream { .. }));
         // At an exactly-filled width every encodable index is in range,
         // so the scan is skipped and valid streams still validate.
         let pow2 = Csr::from_triplets(2, 1024, &[(0, 1023, 0.5), (1, 0, 0.25)]).unwrap();
@@ -744,11 +899,9 @@ mod tests {
     fn validate_detects_truncated_stream() {
         let csr = tkspmv_sparse_gen_matrix(5);
         let bs = BsCsr::encode::<Q1_19>(&csr, layout20(csr.num_cols()));
-        // Rebuild with one packet chopped off: row count no longer adds
-        // up (and the stream likely ends mid-row).
-        let mut chopped = bs.clone();
-        let last = chopped.packets().len() - 1;
-        chopped.packets_mut()[last] = crate::Packet512::ZERO;
-        assert!(chopped.validate().is_err());
+        // Zero the last packet: row count no longer adds up (and the
+        // stream likely ends mid-row).
+        let last = bs.num_packets() - 1;
+        assert!(doctored(&bs, |p| p[last] = Packet512::ZERO).is_err());
     }
 }

@@ -19,8 +19,9 @@ pub const PACKET_BYTES: usize = PACKET_BITS / 8;
 /// Bit `i` of the packet is bit `i % 64` of word `i / 64`; a field is
 /// laid out LSB-first in increasing bit order, mirroring an HLS
 /// `ap_uint<512>` slice assignment. The BS-CSR fields are written by
-/// `Packet512::encode_fields` (the encoder's one packet writer) and read
-/// by [`Packet512::decode_fields`], at one set of positions.
+/// `Packet512::encode_fields` (the encoder's one packet writer) at the
+/// positions [`Packet512::decode_fields`] reads the entries from and
+/// [`crate::BsCsr::validate`] walks the `new_row` bit and `ptr` slots at.
 ///
 /// # Example
 ///
@@ -58,7 +59,8 @@ impl Packet512 {
     /// The one field-extraction primitive: a branch-free two-word
     /// extract. Its users are [`Packet512::decode_fields`] (and through
     /// it the engine's chunk decode and [`crate::BsCsr::decode`]) and
-    /// the `ptr`/`idx` scans of [`crate::BsCsr::validate`];
+    /// the `ptr`/`idx` scans of [`crate::BsCsr::validate`] — the only
+    /// reader of `ptr`;
     /// [`Packet512::set_field`] is its write twin, used only by
     /// `Packet512::encode_fields`.
     ///
@@ -115,8 +117,8 @@ impl Packet512 {
         self.words[(word + 1) & 7] |= (value >> 1) >> (63 - off);
     }
 
-    /// Builds one BS-CSR packet — the write twin of
-    /// [`Packet512::decode_fields`], at the same positions: `new_row` at
+    /// Builds one BS-CSR packet, with `idx`/`val` where
+    /// [`Packet512::decode_fields`] reads them: `new_row` at
     /// bit 0, then the `B` slots of `ptr`, `idx` and `val` from bit 1,
     /// `idx_base()` and `val_base()`. Every slot is written, padding
     /// included, so unused slots must hold 0.
@@ -157,17 +159,19 @@ impl Packet512 {
         }
     }
 
-    /// Slices the packet into its three field arrays, as the hardware's
-    /// wiring does (§IV-B): all `B` `ptr` slots into `ptr` (unused slots
-    /// read 0), all `B` column indices into `idx`, and all `B` values,
-    /// passed through `decode`, into `val`. Returns the `new_row` bit.
+    /// Slices the packet's entries, as the hardware's wiring does
+    /// (§IV-B): all `B` column indices into `idx`, and all `B` values,
+    /// passed through `decode`, into `val`. The `new_row` bit and the
+    /// `ptr` slots are not read: a [`crate::BsCsr`] records its row ends
+    /// once ([`crate::BsCsr::row_ends`]), so replay needs only the
+    /// entries.
     ///
     /// Every slot is sliced, padding included: the loops have the fixed
     /// trip count `B` and nothing else, so with a constant `layout` they
     /// unroll into straight-line extracts with immediate offsets. A
     /// ragged last packet therefore leaves `B - real` padding entries at
-    /// the end of `idx`/`val`; the caller cuts them off
-    /// ([`crate::BsCsr::entries_in_packet`]).
+    /// the end of `idx`/`val`; the caller cuts them off at the stream's
+    /// entry count ([`crate::BsCsr::stored_entries`]).
     ///
     /// This is the engine's chunk-decode step and is generic over
     /// `decode` so that it is compiled — and inlined — in the calling
@@ -181,13 +185,11 @@ impl Packet512 {
     pub fn decode_fields<T>(
         &self,
         layout: PacketLayout,
-        ptr: &mut [u32],
         idx: &mut [u32],
         val: &mut [T],
         decode: impl Fn(u64) -> T,
-    ) -> bool {
+    ) {
         let b = layout.entries_per_packet() as usize;
-        self.fields_into(1, layout.ptr_bits(), &mut ptr[..b], |v| v as u32);
         self.fields_into(layout.idx_base(), layout.idx_bits(), &mut idx[..b], |v| {
             v as u32
         });
@@ -197,7 +199,6 @@ impl Packet512 {
             &mut val[..b],
             decode,
         );
-        self.words[0] & 1 == 1
     }
 
     /// `out.len()` consecutive `bits`-wide fields from bit `base` on.
@@ -386,12 +387,10 @@ mod tests {
             let b = layout.entries_per_packet() as usize;
             let (pb, ib, vb) = (layout.ptr_bits(), layout.idx_bits(), layout.value_bits());
             let (idx_base, val_base) = (1 + b * pb as usize, 1 + b * (pb + ib) as usize);
-            let (mut ptr, mut idx, mut val) = (vec![9; b + 1], vec![9; b + 1], vec![9u64; b + 1]);
-            let new_row = p.decode_fields(layout, &mut ptr, &mut idx, &mut val, |raw| !raw);
-            assert!(new_row, "bit 0 of the pattern is set");
+            let (mut idx, mut val) = (vec![9; b + 1], vec![9u64; b + 1]);
+            p.decode_fields(layout, &mut idx, &mut val, |raw| !raw);
             for j in 0..b {
                 // Slots are narrowed to u32 as the decode narrows them.
-                assert_eq!(ptr[j], slot(&p, 1, pb, j) as u32, "{layout:?} ptr[{j}]");
                 assert_eq!(
                     idx[j],
                     slot(&p, idx_base, ib, j) as u32,
@@ -399,11 +398,7 @@ mod tests {
                 );
                 assert_eq!(val[j], !slot(&p, val_base, vb, j), "{layout:?} val[{j}]");
             }
-            assert_eq!(
-                (ptr[b], idx[b], val[b]),
-                (9, 9, 9),
-                "nothing written past B"
-            );
+            assert_eq!((idx[b], val[b]), (9, 9), "nothing written past B");
         }
     }
 
@@ -434,12 +429,9 @@ mod tests {
                 // The padding past `bits_used()` stays zero.
                 let used = layout.bits_used() as usize;
                 assert!((used..PACKET_BITS).all(|pos| oracle(&p, pos, 1) == 0));
-                let (mut dp, mut di, mut dv) = (vec![0; b], vec![0; b], vec![0u64; b]);
-                assert_eq!(
-                    p.decode_fields(layout, &mut dp, &mut di, &mut dv, |raw| raw),
-                    new_row
-                );
-                assert_eq!((dp, di, dv), (ptr.clone(), idx.clone(), val.clone()));
+                let (mut di, mut dv) = (vec![0; b], vec![0u64; b]);
+                p.decode_fields(layout, &mut di, &mut dv, |raw| raw);
+                assert_eq!((di, dv), (idx.clone(), val.clone()));
             }
         }
     }

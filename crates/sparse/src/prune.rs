@@ -182,9 +182,16 @@ impl PruneIndex {
                 ),
             });
         }
-        if let Some(&c) = col_idx.iter().find(|&&c| c as usize >= num_cols) {
+        if let Some((e, &c)) = col_idx
+            .iter()
+            .enumerate()
+            .find(|&(_, &c)| c as usize >= num_cols)
+        {
+            // The row holding entry `e`: the last one starting at or
+            // before it (`row_ptr[0] = 0 <= e`, so there is one).
+            let row = row_ptr.partition_point(|&start| start as usize <= e) - 1;
             return Err(SparseError::IndexOutOfBounds {
-                row: 0,
+                row,
                 col: c as usize,
                 num_rows,
                 num_cols,
@@ -505,6 +512,48 @@ mod tests {
             ok.packed().to_vec(),
         )
         .is_err());
+    }
+
+    #[test]
+    fn from_parts_names_the_row_of_an_out_of_range_column() {
+        // Rows 1 and 2 are empty, so row 3's entries start where row 1's
+        // (empty) range does.
+        let csr = Csr::from_triplets(
+            4,
+            8,
+            &[
+                (0, 1, 0.5),
+                (0, 2, 0.5),
+                (3, 0, 0.5),
+                (3, 4, 0.5),
+                (3, 6, 0.5),
+            ],
+        )
+        .unwrap();
+        let ok = PruneIndex::build(&csr, PruneBits::Eight).unwrap();
+        for (entry, row) in [(0, 0), (1, 0), (2, 3), (4, 3)] {
+            let mut cols = ok.col_idx().to_vec();
+            cols[entry] = 9;
+            let err = PruneIndex::from_parts(
+                ok.bits(),
+                ok.num_rows(),
+                ok.num_cols(),
+                ok.row_ptr().to_vec(),
+                cols,
+                ok.packed().to_vec(),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                SparseError::IndexOutOfBounds {
+                    row,
+                    col: 9,
+                    num_rows: 4,
+                    num_cols: 8,
+                },
+                "entry {entry}"
+            );
+        }
     }
 
     #[test]

@@ -59,12 +59,13 @@ fn batched_32_beats_32_sequential_calls() {
     assert_eq!(results.len(), B);
 
     // Decode is paid once per batch and replay runs eight lanes per
-    // decoded non-zero, so the batch takes 0.28-0.31x the sequential
-    // time on a 2-vCPU x86-64 host (0.34-0.55x with one lane per
-    // non-zero). Asserting 0.6x leaves room for slow shared CI runners
-    // while still catching a fallback to per-query decoding.
+    // decoded non-zero, so the batch takes 0.39-0.45x the sequential
+    // time on a 2-vCPU x86-64 host (B = 1 replays from recorded row
+    // ends, so the sequential side is cheap too). Asserting 0.7x keeps 1.5x
+    // headroom over the slowest reading while still catching a fallback
+    // to per-query decoding, which brings the two sides level.
     assert!(
-        batched.as_secs_f64() < sequential.as_secs_f64() * 0.6,
+        batched.as_secs_f64() < sequential.as_secs_f64() * 0.7,
         "B={B} batch ({batched:?}) not faster than {B} sequential calls ({sequential:?})"
     );
 }

@@ -1,12 +1,16 @@
 //! Property-based tests of the engine's core invariants on arbitrary
 //! matrices: the emulated datapath must agree with a plain-Rust oracle
-//! for any input, not just the evaluation workloads.
+//! for any input, not just the evaluation workloads — including an
+//! oracle for the faithful engine built from the `Csr` alone, over
+//! streams long enough to cross the engine's 64-packet chunks.
 
 use proptest::prelude::*;
 use tkspmv::{
-    quantize_vector, run_core_batch_with_scratch, BatchScratch, CoreOutput, Fidelity, TopKTracker,
+    quantize_vector, run_core_batch_with_scratch, BatchScratch, CoreOutput, CoreStats, Fidelity,
+    TopKTracker,
 };
-use tkspmv_fixed::{SpmvScalar, F32, Q1_31};
+use tkspmv_fixed::{SpmvScalar, F32, Q1_19, Q1_31};
+use tkspmv_sparse::gen::query_vector;
 use tkspmv_sparse::{BsCsr, Csr, PacketLayout};
 
 /// One query through the engine: a one-lane batch.
@@ -145,4 +149,171 @@ proptest! {
         let n = ndcg(&retrieved, &truth);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&n), "ndcg {}", n);
     }
+}
+
+/// What the faithful engine must report for one query, computed from the
+/// `Csr` alone and sharing no engine code: each row's stored entries (an
+/// empty row stores one `(0, 0)` placeholder) laid end to end in packets
+/// of `b`; a row ends in packet `(end - 1) / b`, its ordinal there is
+/// the number of earlier rows ending in that packet, and it reaches the
+/// Top-K stage when that ordinal is below `r`. Each row's sum is one
+/// sequential `S` accumulation, offered to a fresh tracker in row order.
+fn chunk_oracle<S: SpmvScalar>(
+    csr: &Csr,
+    b: u64,
+    x: &[S],
+    k: usize,
+    r: u32,
+) -> (Vec<(u32, S::Acc)>, CoreStats) {
+    let mut tracker = TopKTracker::new(k);
+    let (mut end, mut packet, mut ordinal) = (0u64, u64::MAX, 0u32);
+    let (mut finished, mut dropped) = (0u64, 0u64);
+    for row in 0..csr.num_rows() {
+        let mut entries: Vec<(u32, u64)> = csr
+            .row(row)
+            .map(|(c, v)| (c, S::encode(v as f64)))
+            .collect();
+        if entries.is_empty() {
+            entries.push((0, 0));
+        }
+        let mut acc = S::acc_zero();
+        for &(c, raw) in &entries {
+            acc = S::acc_add(acc, S::mul(S::decode(raw), x[c as usize]));
+        }
+        end += entries.len() as u64;
+        let p = (end - 1) / b;
+        ordinal = if p == packet { ordinal + 1 } else { 0 };
+        packet = p;
+        if ordinal < r {
+            tracker.insert(row as u32, acc);
+            finished += 1;
+        } else {
+            dropped += 1;
+        }
+    }
+    let stats = CoreStats {
+        packets: end.div_ceil(b),
+        entries: end,
+        rows_finished: finished,
+        rows_dropped: dropped,
+        topk_accepted: tracker.accepted(),
+    };
+    (tracker.into_sorted(), stats)
+}
+
+/// A seeded matrix of exactly `stored` stored entries at `b` per packet:
+/// rows of 0..=2b+3 entries (row 1 and about one in eight others
+/// empty), and — when the stream is long enough — one row straddling
+/// the boundary between packets 63 and 64 (0-based), the last packet of
+/// the first chunk and the first of the second.
+fn chunked_matrix(stored: usize, b: usize, num_cols: usize, seed: u64) -> Csr {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let boundary = 64 * b;
+    let mut triplets = Vec::new();
+    let (mut row, mut cum) = (0u32, 0usize);
+    while cum < stored {
+        let draw = next() as usize;
+        let mut len = if row == 1 || draw % 8 == 0 {
+            0
+        } else {
+            draw / 8 % (2 * b + 4)
+        };
+        if stored >= boundary + 3 && cum < boundary && cum + len.max(1) >= boundary {
+            len = boundary - cum + 3;
+        }
+        len = len.min(stored - cum);
+        let start = next() as usize % num_cols;
+        let mut cols: Vec<u32> = (0..len)
+            .map(|j| ((start + 37 * j) % num_cols) as u32)
+            .collect();
+        cols.sort_unstable();
+        for c in cols {
+            triplets.push((row, c, (next() % 1000 + 1) as f32 / 1000.0));
+        }
+        cum += len.max(1);
+        row += 1;
+    }
+    Csr::from_triplets(row as usize, num_cols, &triplets).expect("valid by construction")
+}
+
+/// The faithful engine against [`chunk_oracle`], bit for bit in the
+/// Top-K list and in every [`CoreStats`] field, on streams of 63, 64,
+/// 65 and 128 packets whose last packet is full or ragged, at batch
+/// sizes 1 and 9 (a remainder lane alone; a full 8-lane block plus
+/// one), for r ∈ {1, 2, design r} and `Reference`, on the design layout
+/// and on a narrower run-time layout.
+fn engine_matches_the_chunk_oracle<S: SpmvScalar>() {
+    let design = PacketLayout::paper(S::VALUE_BITS);
+    let narrow_b = design.entries_per_packet() - 4;
+    let narrow = PacketLayout::with_entries(1024, S::VALUE_BITS, narrow_b).unwrap();
+    let queries: Vec<Vec<S>> = (0..9)
+        .map(|seed| quantize_vector::<S>(query_vector(1024, seed).as_slice()))
+        .collect();
+    let k = 10;
+    for layout in [design, narrow] {
+        let b = layout.entries_per_packet() as usize;
+        let design_r = (b as u32 / 2).max(1);
+        for packets in [63, 64, 65, 128] {
+            for ragged in [false, true] {
+                let stored = if ragged {
+                    packets * b - b / 2
+                } else {
+                    packets * b
+                };
+                let csr = chunked_matrix(stored, b, 1024, (packets * 2 + ragged as usize) as u64);
+                let bs = BsCsr::encode::<S>(&csr, layout);
+                assert_eq!(bs.num_packets(), packets, "{layout:?}");
+                assert!((0..csr.num_rows()).any(|r| csr.row_nnz(r) == 0));
+                let mut end = 0;
+                let straddles = (0..csr.num_rows()).any(|r| {
+                    end += csr.row_nnz(r).max(1);
+                    end - csr.row_nnz(r).max(1) < 64 * b && end > 64 * b
+                });
+                assert_eq!(straddles, packets > 64, "{packets} packets");
+                for (fidelity, r) in [
+                    (Fidelity::Faithful { rows_per_packet: 1 }, 1),
+                    (Fidelity::Faithful { rows_per_packet: 2 }, 2),
+                    (
+                        Fidelity::Faithful {
+                            rows_per_packet: design_r,
+                        },
+                        design_r,
+                    ),
+                    (Fidelity::Reference, u32::MAX),
+                ] {
+                    for lanes in [1, 9] {
+                        let mut scratch = BatchScratch::new();
+                        let got = run_core_batch_with_scratch(
+                            &bs,
+                            &queries[..lanes],
+                            k,
+                            fidelity,
+                            &mut scratch,
+                        );
+                        for (lane, out) in got.iter().enumerate() {
+                            let want = chunk_oracle(&csr, b as u64, &queries[lane], k, r);
+                            assert_eq!(
+                                (&out.topk, out.stats),
+                                (&want.0, want.1),
+                                "{layout:?} {packets} packets (ragged {ragged}) {fidelity:?} \
+                                 B={lanes} lane {lane}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn faithful_engine_matches_an_independent_oracle_across_chunks() {
+    engine_matches_the_chunk_oracle::<Q1_19>();
+    engine_matches_the_chunk_oracle::<F32>();
 }

@@ -2,8 +2,8 @@
 //! path: every packet `BsCsr::encode` writes holds, at the positions a
 //! bit-by-bit oracle reads, exactly the `new_row` / `ptr` / `idx` / `val`
 //! fields the source CSR implies; `Packet512::decode_fields` slices the
-//! same fields into dirty buffers; and a reused engine scratch never
-//! leaks state from a previous batch.
+//! `idx` / `val` fields into dirty buffers; and a reused engine scratch
+//! never leaks state from a previous batch.
 
 use proptest::prelude::*;
 use tkspmv::{quantize_vector, run_core_batch_with_scratch, BatchScratch, Fidelity};
@@ -147,24 +147,24 @@ proptest! {
     }
 
     /// `decode_fields` into buffers polluted before every packet (walked
-    /// backwards) overwrites exactly the `B` slots of each region, and
-    /// nothing past them.
+    /// backwards) overwrites exactly the `B` slots of the `idx` and `val`
+    /// regions, and nothing past them.
     #[test]
     fn decode_fields_into_polluted_buffers_equals_the_oracle(csr in arb_matrix()) {
         for layout in layouts(csr.num_cols()) {
             let (bs, _) = encode(&csr, layout);
             let b = layout.entries_per_packet() as usize;
             for p in (0..bs.num_packets()).rev() {
-                let (mut ptr, mut idx) = (vec![u32::MAX; b + 3], vec![u32::MAX; b + 3]);
-                let mut val = vec![u64::MAX; b + 3];
+                let (mut idx, mut val) = (vec![u32::MAX; b + 3], vec![u64::MAX; b + 3]);
                 let packet = bs.packets()[p];
-                let new_row = packet.decode_fields(layout, &mut ptr, &mut idx, &mut val, |raw| raw);
+                packet.decode_fields(layout, &mut idx, &mut val, |raw| raw);
+                let (_, _, want_idx, want_val) = oracle(&packet, layout);
                 prop_assert_eq!(
-                    (new_row, ptr[..b].to_vec(), idx[..b].to_vec(), val[..b].to_vec()),
-                    oracle(&packet, layout),
+                    (idx[..b].to_vec(), val[..b].to_vec()),
+                    (want_idx, want_val),
                     "packet {} decoded into dirty buffers ({:?})", p, layout
                 );
-                prop_assert!(ptr[b..].iter().chain(&idx[b..]).all(|&v| v == u32::MAX));
+                prop_assert!(idx[b..].iter().all(|&v| v == u32::MAX));
                 prop_assert!(val[b..].iter().all(|&v| v == u64::MAX));
             }
         }
@@ -173,8 +173,8 @@ proptest! {
     /// A long-lived [`BatchScratch`] streamed through batches of
     /// wildly varying size (growing, shrinking, B = 1) and different
     /// matrices must behave exactly like a fresh scratch every time:
-    /// stale lanes from a larger previous batch, stale segment programs
-    /// and stale decoded values must never reach a later result.
+    /// stale lanes from a larger previous batch, a stale carry and stale
+    /// decoded values must never reach a later result.
     #[test]
     fn batch_scratch_reuse_never_leaks_across_batch_sizes(
         csr_a in arb_matrix(),
@@ -191,8 +191,8 @@ proptest! {
 
         let mut reused = BatchScratch::<Q1_19>::new();
         for (round, &b) in sizes.iter().enumerate() {
-            // Alternate matrices so a stale carry/segment program from
-            // one stream would corrupt the next.
+            // Alternate matrices so a stale carry or chunk from one
+            // stream would corrupt the next.
             let m = round % 2;
             let queries: Vec<Vec<Q1_19>> = (0..b)
                 .map(|q| {
