@@ -915,14 +915,18 @@ mod tests {
         );
     }
 
+    /// Two rows in one packet; row 1 ends at entry 3 of 3.
+    fn two_row_stream() -> BsCsr {
+        let csr = Csr::from_triplets(2, 1024, &[(0, 1, 0.5), (1, 2, 0.25), (1, 3, 0.125)]).unwrap();
+        BsCsr::encode::<Q1_19>(&csr, PacketLayout::solve(1024, 20).unwrap())
+    }
+
     /// Replay trusts the recorded row ends, so a stream whose `ptr` slot
-    /// points into the padding must never be built: row 1 ends at entry
-    /// 3 of 3 in the only packet, and moving its `ptr` slot to 5 makes
-    /// the stream one `from_parts` rejects.
+    /// points into the padding must never be built: moving row 1's `ptr`
+    /// slot to 5 makes the stream one `from_parts` rejects.
     #[test]
     fn a_row_end_in_padding_is_rejected_before_replay() {
-        let csr = Csr::from_triplets(2, 1024, &[(0, 1, 0.5), (1, 2, 0.25), (1, 3, 0.125)]).unwrap();
-        let clean = BsCsr::encode::<Q1_19>(&csr, PacketLayout::solve(1024, 20).unwrap());
+        let clean = two_row_stream();
         let second_ptr = 1 + clean.layout().ptr_bits();
         let mut packets = clean.packets().to_vec();
         let words = packets[0].words_mut();
@@ -932,5 +936,52 @@ mod tests {
             err.to_string().contains("row end 5 beyond 3 real entries"),
             "{err}"
         );
+    }
+
+    /// The engine's chunk step on [`two_row_stream`]: its one packet
+    /// decoded through `layout` and cut at its real entries, then
+    /// replayed with row 1's recorded end moved to 5 — into the padding.
+    /// Should such an end ever reach replay, replay must hit its slice
+    /// bound, never read the padding.
+    fn replay_with_row_end_in_padding(layout: PacketLayout) {
+        let bs = two_row_stream();
+        assert_eq!(bs.row_ends().1, [1, 3]);
+        let b = layout.entries_per_packet() as usize;
+        let (mut idx, mut dvals) = (vec![0; b], vec![Q1_19::decode(0); b]);
+        bs.packets()[0].decode_fields(layout, &mut idx, &mut dvals, Q1_19::decode);
+        let len = bs.stored_entries() as usize;
+        let chunk = Chunk {
+            dvals: &dvals[..len],
+            idx: &idx[..len],
+            first_row: 0,
+            ends: &[1, 5],
+            per_packet: b,
+            r_limit: u32::MAX,
+        };
+        let x = ones(1024);
+        let mut lane = QueryLane {
+            tracker: TopKTracker::new(8),
+            carry: Q1_19::acc_zero(),
+        };
+        replay(
+            std::slice::from_mut(&mut lane),
+            &[],
+            &[&x],
+            1024,
+            chunk,
+            |i| i as usize & 1023,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for slice of length 3")]
+    fn row_end_in_padding_panics_with_the_constant_layout() {
+        replay_with_row_end_in_padding(const { PacketLayout::paper(20) });
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for slice of length 3")]
+    fn row_end_in_padding_panics_with_the_runtime_layout() {
+        replay_with_row_end_in_padding(black_box(two_row_stream().layout()));
     }
 }
