@@ -69,11 +69,18 @@ const CHUNK_PACKETS: usize = BsCsr::CHUNK_PACKETS;
 
 /// Query lanes replayed together from one transposed block: per decoded
 /// non-zero, one `BLOCK_LANES`-wide row of the block feeds that many
-/// accumulators. One block of M = 1024 Q1.19 queries is 32 KiB and
-/// shares L1 with the chunk; 16 lanes (64 KiB) no longer fit and
-/// measured slower. A ragged batch is not padded up to a block: its
-/// last `B % BLOCK_LANES` lanes replay one at a time straight from
-/// their query slices, so B = 1 pays for neither a copy nor idle lanes.
+/// accumulators — at x86-64-v3, two 256-bit multiplies and two adds.
+/// One block of M = 1024 Q1.19 queries is 32 KiB and shares L1 with the
+/// chunk. A ragged batch is not padded up to a block: its last
+/// `B % BLOCK_LANES` lanes replay one at a time straight from their
+/// query slices, so B = 1 pays for neither a copy nor idle lanes.
+///
+/// Measured at x86-64-v3 with the unsaturated accumulator (one thread,
+/// the 32 partitions of the 100k × 1024 Q1.19 ledger collection, 2-vCPU
+/// host): 16 lanes replay a B = 32 batch at 0.53–0.60 ns/nnz/lane
+/// against 0.62–0.83 for 8, but then a batch of 8 to 15 queries has no
+/// full block and replays one lane wide, 2.4 ns/nnz/lane at B = 8
+/// against 0.9. Eight keeps every B ≥ 8 on the wide path.
 const BLOCK_LANES: usize = 8;
 
 /// Reusable working memory for [`run_core_batch_with_scratch`]: the
@@ -207,6 +214,17 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// bit-identical whichever runs (pinned by a unit test over all five
 /// Table-II scalars).
 ///
+/// The accumulator is chosen the same way, per call and from the
+/// input. A row never sums more products than the stream's
+/// `stored_entries` (whatever its columns: `BsCsr::from_parts` does not
+/// require them distinct), so when that count is within
+/// [`SpmvScalar::UNSATURATED_TERMS`] — every Q1.19 stream below 16.7 M
+/// entries, every Q1.24 one below 16,384 — no sum can saturate, and
+/// replay adds with [`SpmvScalar::acc_add_unsaturated`]; otherwise, and
+/// always for Q1.31 and the float designs, with [`SpmvScalar::acc_add`].
+/// The two give the same bits on every sum the first is used for
+/// (pinned by a unit test that drives a Q1.31 row into saturation).
+///
 /// Results are **bit-identical** to running each query alone: per lane,
 /// the sequence of multiply/accumulate operations and Top-K offers is
 /// exactly the packet-arrival order the single-query loop produces —
@@ -327,6 +345,7 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     scratch.cidx.resize(chunk_entries, 0);
     scratch.dvals.resize(chunk_entries, S::decode(0));
 
+    let unsaturated = unsaturated_sums::<S>(matrix);
     let mut remaining = matrix.stored_entries();
     for (c, packets) in matrix.packets().chunks(CHUNK_PACKETS).enumerate() {
         // Stage 1a, once per chunk: slice the chunk's entries into the
@@ -360,19 +379,18 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
         // offers. Per query the multiply/accumulate order is exactly the
         // sequential path's packet-arrival order, so sums (including
         // fixed-point saturation) are bit-identical.
-        //
-        // When the column count is a power of two — the paper's M = 1024
-        // operating point, and the only case where every encodable `idx`
-        // is automatically in range — the gather masks the index: the
-        // identity for every valid stream, and never out of range. Other
-        // widths keep the plain, bounds-checked index.
         let lanes = &mut scratch.lanes[..b];
-        if let Some(col_mask) = pow2_col_mask(m) {
-            replay(lanes, &scratch.xt, queries, m, chunk, move |i| {
-                i as usize & col_mask
-            });
+        if unsaturated {
+            replay(
+                lanes,
+                &scratch.xt,
+                queries,
+                m,
+                chunk,
+                S::acc_add_unsaturated,
+            );
         } else {
-            replay(lanes, &scratch.xt, queries, m, chunk, |i| i as usize);
+            replay(lanes, &scratch.xt, queries, m, chunk, S::acc_add);
         }
         let scored = Instant::now();
         scratch.stage_times.decode += decoded - mark;
@@ -401,11 +419,11 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     &scratch.outputs[..b]
 }
 
-/// `num_cols - 1` when the column count is a power of two (so masking an
-/// in-range index is the identity), else `None`.
+/// Whether no row sum of `matrix` can saturate: a row never holds more
+/// terms than the stream's stored entries, whatever its columns.
 #[inline(always)]
-fn pow2_col_mask(num_cols: usize) -> Option<usize> {
-    (num_cols.is_power_of_two()).then(|| num_cols - 1)
+fn unsaturated_sums<S: SpmvScalar>(matrix: &BsCsr) -> bool {
+    matrix.stored_entries() <= S::UNSATURATED_TERMS
 }
 
 /// One decoded chunk as replay sees it: the entries cut at the chunk's
@@ -425,7 +443,7 @@ struct Chunk<'a, S> {
 /// Replays one chunk into every active lane: the full blocks
 /// [`BLOCK_LANES`] wide from their rows of the transposed `xt`, the
 /// remainder one lane wide from each lane's own query slice — one body
-/// either way, fed by the `col` gather.
+/// either way, summing with `add` (see [`accumulate`]).
 #[inline(always)]
 fn replay<S: SpmvScalar, Q: AsRef<[S]>>(
     lanes: &mut [QueryLane<S>],
@@ -433,17 +451,22 @@ fn replay<S: SpmvScalar, Q: AsRef<[S]>>(
     queries: &[Q],
     m: usize,
     chunk: Chunk<'_, S>,
-    col: impl Fn(u32) -> usize,
+    add: impl Fn(S::Acc, S::Acc) -> S::Acc + Copy,
 ) {
     let blocked = lanes.len() - lanes.len() % BLOCK_LANES;
     let (full, rest) = lanes.split_at_mut(blocked);
     for (i, block) in full.chunks_exact_mut(BLOCK_LANES).enumerate() {
         let x = &xt[i * m..][..m];
-        block_pass(block, chunk, |idx| x[col(idx)]);
+        block_pass(block, chunk, |idx| x[idx as usize], add);
     }
     for (lane, q) in rest.iter_mut().zip(&queries[blocked..]) {
         let x = &q.as_ref()[..m];
-        block_pass(std::slice::from_mut(lane), chunk, |idx| [x[col(idx)]]);
+        block_pass(
+            std::slice::from_mut(lane),
+            chunk,
+            |idx| [x[idx as usize]],
+            add,
+        );
     }
 }
 
@@ -460,6 +483,7 @@ fn block_pass<S: SpmvScalar, const L: usize>(
     lanes: &mut [QueryLane<S>],
     chunk: Chunk<'_, S>,
     row: impl Fn(u32) -> [S; L],
+    add: impl Fn(S::Acc, S::Acc) -> S::Acc + Copy,
 ) {
     debug_assert_eq!(lanes.len(), L);
     let mut from: [S::Acc; L] = std::array::from_fn(|l| lanes[l].carry);
@@ -468,7 +492,13 @@ fn block_pass<S: SpmvScalar, const L: usize>(
     let (mut packet, mut ordinal) = (usize::MAX, 0u32);
     for (i, &end) in chunk.ends.iter().enumerate() {
         let end = end as usize;
-        let acc = accumulate(from, &chunk.dvals[start..end], &chunk.idx[start..end], &row);
+        let acc = accumulate(
+            from,
+            &chunk.dvals[start..end],
+            &chunk.idx[start..end],
+            &row,
+            add,
+        );
         from = [S::acc_zero(); L];
         start = end;
         let p = (end - 1) / chunk.per_packet;
@@ -480,24 +510,40 @@ fn block_pass<S: SpmvScalar, const L: usize>(
             }
         }
     }
-    let carry = accumulate(from, &chunk.dvals[start..], &chunk.idx[start..], &row);
+    let carry = accumulate(from, &chunk.dvals[start..], &chunk.idx[start..], &row, add);
     for (lane, a) in lanes.iter_mut().zip(carry) {
         lane.carry = a;
     }
 }
 
-/// `acc[l] += d · row(idx)[l]` for every lane, entry by entry in stream
-/// order: the multiply-accumulate array of [`block_pass`].
+/// `acc[l] = add(acc[l], d · row(idx)[l])` for every lane, entry by
+/// entry in stream order: the multiply-accumulate array of
+/// [`block_pass`].
+///
+/// `add` is [`SpmvScalar::acc_add`] — saturating for fixed point — or,
+/// when [`unsaturated_sums`] holds for the stream,
+/// [`SpmvScalar::acc_add_unsaturated`], which drops the saturation
+/// check. The second is taken only where no row sum can reach the
+/// saturation point, so both give the same bits; without the check the
+/// `L` lanes of an entry are two 256-bit multiplies and two adds.
+///
+/// The gather `row(idx)` is bounds-checked. Besides rejecting a column
+/// past the query's end, that check is a side exit which keeps the
+/// optimiser from vectorising the (now associative) unsaturated sum
+/// along the entry axis — an inserting gather of four entries per
+/// lane, measured slower than the plain one-entry-at-a-time sweep
+/// across lanes.
 #[inline(always)]
 fn accumulate<S: SpmvScalar, const L: usize>(
     mut acc: [S::Acc; L],
     dvals: &[S],
     idx: &[u32],
     row: &impl Fn(u32) -> [S; L],
+    add: impl Fn(S::Acc, S::Acc) -> S::Acc,
 ) -> [S::Acc; L] {
     for (&d, &i) in dvals.iter().zip(idx) {
         for (a, v) in acc.iter_mut().zip(row(i)) {
-            *a = S::acc_add(*a, S::mul(d, v));
+            *a = add(*a, S::mul(d, v));
         }
     }
     acc
@@ -815,7 +861,7 @@ mod tests {
     /// A gamma-distributed stream whose last packet is ragged, one with
     /// a 70-entry row (five or more packets at every design `B`) between
     /// short ones, and one 1,000 columns wide — still the design layout,
-    /// but not a power of two, so it replays through the checked gather.
+    /// whose 10-bit `idx` could name columns past the queries' end.
     fn design_streams<S: SpmvScalar>() -> [BsCsr; 3] {
         let layout = PacketLayout::solve(1024, S::VALUE_BITS).unwrap();
         let gamma = SyntheticConfig {
@@ -842,7 +888,7 @@ mod tests {
         let b = layout.entries_per_packet() as u64;
         assert_ne!(streams[0].stored_entries() % b, 0, "ragged last packet");
         assert!(streams[1].num_packets() >= 5);
-        assert_eq!(pow2_col_mask(streams[2].num_cols()), None);
+        assert!(!streams[2].num_cols().is_power_of_two());
         streams
     }
 
@@ -859,6 +905,59 @@ mod tests {
         constant_and_runtime_layouts_agree::<Q1_31>();
         constant_and_runtime_layouts_agree::<F32>();
         constant_and_runtime_layouts_agree::<Half>();
+    }
+
+    /// A Q1.31 row of three entries near 2.0 against queries near 2.0:
+    /// each product is close to the accumulator's 4.0 ceiling, so the
+    /// row's sum saturates. Q1.31 never qualifies for the unsaturated
+    /// add, so every lane of every shape — one lane, a block plus one,
+    /// the design layout as a constant and handed over at run time —
+    /// must read `u64::MAX` for that row.
+    #[test]
+    fn a_saturating_q1_31_row_reads_u64_max_in_every_shape() {
+        let triplets = [(0, 3, 1.99), (0, 500, 1.99), (0, 1023, 1.99), (1, 7, 0.5)];
+        let csr = Csr::from_triplets(2, 1024, &triplets).unwrap();
+        let design = const { PacketLayout::paper(32) };
+        let bs = BsCsr::encode::<Q1_31>(&csr, design);
+        assert!(!unsaturated_sums::<Q1_31>(&bs));
+        let queries: Vec<Vec<Q1_31>> = (0..9)
+            .map(|l| quantize_vector::<Q1_31>(&vec![1.99 - 0.01 * l as f32; 1024]))
+            .collect();
+        let singles: Lanes<Q1_31> = queries
+            .iter()
+            .flat_map(|x| run_layout(&bs, design, std::slice::from_ref(x), Fidelity::Reference))
+            .collect();
+        for (topk, _) in &singles {
+            assert_eq!(topk[0], (0, Some(u64::MAX)));
+            assert!(topk[1].1 < Some(u64::MAX));
+        }
+        for b in [1, 9] {
+            for layout in [design, black_box(bs.layout())] {
+                let batched = run_layout(&bs, layout, &queries[..b], Fidelity::Reference);
+                assert_eq!(batched, singles[..b], "B={b}");
+            }
+        }
+    }
+
+    /// One partition of the ledger's collection (100k × 1024 rows over
+    /// 32 cores, 12 entries a row): ≈ 37.5k entries, far inside Q1.19's
+    /// bound, so it replays with the unsaturated add; at Q1.24 it is past
+    /// 16,384 entries and keeps the saturating one.
+    #[test]
+    fn a_ledger_shaped_q1_19_partition_replays_unsaturated() {
+        let csr = SyntheticConfig {
+            num_rows: 100_000 / 32,
+            num_cols: 1024,
+            avg_nnz_per_row: 12,
+            distribution: NnzDistribution::table3_gamma(),
+            seed: 7,
+        }
+        .generate();
+        let q1_19 = encode20(&csr);
+        assert!((30_000..45_000).contains(&q1_19.stored_entries()));
+        assert!(unsaturated_sums::<Q1_19>(&q1_19));
+        let q1_24 = BsCsr::encode::<Q1_24>(&csr, PacketLayout::solve(1024, 25).unwrap());
+        assert!(!unsaturated_sums::<Q1_24>(&q1_24));
     }
 
     /// Overwrites entry `j`'s field (`idx` region if `val` is false) in
@@ -969,7 +1068,7 @@ mod tests {
             &[&x],
             1024,
             chunk,
-            |i| i as usize & 1023,
+            Q1_19::acc_add,
         );
     }
 

@@ -50,6 +50,22 @@ pub trait SpmvScalar: Copy + core::fmt::Debug + Send + Sync + 'static {
     /// Adds two accumulator values (saturating for fixed point).
     fn acc_add(a: Self::Acc, b: Self::Acc) -> Self::Acc;
 
+    /// The most products a sum may hold and still be proven never to
+    /// reach the accumulator's saturation point: for every sum of at
+    /// most this many [`mul`](Self::mul) results,
+    /// [`acc_add_unsaturated`](Self::acc_add_unsaturated) equals
+    /// [`acc_add`](Self::acc_add) bit for bit. 0 (the default) claims
+    /// nothing, so the float designs always accumulate through
+    /// `acc_add`.
+    const UNSATURATED_TERMS: u64 = 0;
+
+    /// [`acc_add`](Self::acc_add) without the saturation check, for sums
+    /// of at most [`UNSATURATED_TERMS`](Self::UNSATURATED_TERMS)
+    /// products, where the check can never fire. Defaults to `acc_add`.
+    fn acc_add_unsaturated(a: Self::Acc, b: Self::Acc) -> Self::Acc {
+        Self::acc_add(a, b)
+    }
+
     /// The accumulator additive identity.
     fn acc_zero() -> Self::Acc;
 
@@ -91,6 +107,16 @@ impl<const BITS: u32> SpmvScalar for UFixed<BITS> {
 
     fn acc_add(a: u64, b: u64) -> u64 {
         a.saturating_add(b)
+    }
+
+    /// A product is at most `RAW_MAX²`, so `n` of them sum to at most
+    /// `n · RAW_MAX²`: no sum of up to `u64::MAX / RAW_MAX²` products
+    /// reaches `u64::MAX`. That is 16,777,248 terms for Q1.19, 16,384
+    /// for Q1.24 and 1 for Q1.31.
+    const UNSATURATED_TERMS: u64 = u64::MAX / (Self::RAW_MAX as u64 * Self::RAW_MAX as u64);
+
+    fn acc_add_unsaturated(a: u64, b: u64) -> u64 {
+        a.wrapping_add(b)
     }
 
     fn acc_zero() -> u64 {
@@ -190,7 +216,7 @@ impl PartialOrd for Half {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Q1_19, Q1_31};
+    use crate::{Q1_19, Q1_24, Q1_31};
 
     #[test]
     fn fixed_encode_decode_round_trip() {
@@ -222,6 +248,47 @@ mod tests {
         let max_acc = u64::MAX;
         let one = Q1_31::mul(Q1_31::ONE, Q1_31::ONE);
         assert_eq!(Q1_31::acc_add(max_acc, one), u64::MAX);
+    }
+
+    /// `UNSATURATED_TERMS` products of the largest raw value fit in the
+    /// accumulator; one more overflows it. Returns the bound.
+    fn tight_unsaturated_bound<const BITS: u32>() -> u64 {
+        let max = UFixed::<BITS>::from_raw(UFixed::<BITS>::RAW_MAX);
+        let max_product = UFixed::<BITS>::mul(max, max);
+        let bound = UFixed::<BITS>::UNSATURATED_TERMS;
+        assert!(bound.checked_mul(max_product).is_some(), "{BITS} bits");
+        assert!(
+            (bound + 1).checked_mul(max_product).is_none(),
+            "{BITS} bits"
+        );
+        bound
+    }
+
+    #[test]
+    fn unsaturated_terms_is_the_largest_sum_that_cannot_overflow() {
+        tight_unsaturated_bound::<4>();
+        tight_unsaturated_bound::<8>();
+        assert_eq!(tight_unsaturated_bound::<20>(), 16_777_248);
+        assert_eq!(tight_unsaturated_bound::<25>(), 16_384);
+        assert_eq!(tight_unsaturated_bound::<32>(), 1);
+        assert_eq!(F32::UNSATURATED_TERMS, 0);
+        assert_eq!(Half::UNSATURATED_TERMS, 0);
+    }
+
+    #[test]
+    fn unsaturated_add_equals_acc_add_up_to_the_bound_only() {
+        let max = Q1_24::from_raw(Q1_24::RAW_MAX);
+        let product = Q1_24::mul(max, max);
+        let (mut saturating, mut unsaturated) = (0, 0);
+        for _ in 0..Q1_24::UNSATURATED_TERMS {
+            saturating = Q1_24::acc_add(saturating, product);
+            unsaturated = Q1_24::acc_add_unsaturated(unsaturated, product);
+        }
+        assert_eq!(saturating, unsaturated);
+        assert_ne!(saturating, u64::MAX);
+        // One term past the bound, only `acc_add` is right.
+        assert_eq!(Q1_24::acc_add(saturating, product), u64::MAX);
+        assert_ne!(Q1_24::acc_add_unsaturated(unsaturated, product), u64::MAX);
     }
 
     #[test]
