@@ -19,7 +19,6 @@ pub const WORKSPACE_MANAGED: &[&str] = &[
     "tkspmv",
     "tkspmv_fixed",
     "tkspmv_sparse",
-    "tkspmv_hw",
     "tkspmv_obs",
     "tkspmv_baselines",
     "tkspmv_serve",
@@ -34,9 +33,7 @@ pub const WORKSPACE_MANAGED: &[&str] = &[
 /// upper.
 pub const LAYERING: &[(&str, &str)] = &[
     ("tkspmv_fixed", "tkspmv_sparse"),
-    ("tkspmv_fixed", "tkspmv_hw"),
     ("tkspmv_sparse", "tkspmv"),
-    ("tkspmv_hw", "tkspmv"),
     ("tkspmv", "tkspmv_baselines"),
     ("tkspmv", "tkspmv_serve"),
     ("tkspmv_baselines", "tkspmv_eval"),

@@ -9,13 +9,13 @@
 //! with a performance model report.
 
 use tkspmv_fixed::{Half, Precision, F32, Q1_19, Q1_24, Q1_31};
-use tkspmv_hw::{ChannelModel, DesignPoint, HbmConfig, ResourceModel, UramBudget};
 use tkspmv_sparse::{BsCsr, Csr, DenseVector, PacketLayout};
 
 use crate::backend::{BackendPerf, BackendStats, QueryResult};
 use crate::engine::{quantize_vector, run_multicore, Fidelity, MulticoreOutput};
 use crate::error::EngineError;
 use crate::fanout::host_parallelism;
+use crate::hw::{DesignPoint, HbmConfig, ResourceModel, UramBudget};
 use crate::perf::PerfReport;
 
 /// Validated accelerator configuration (see [`Accelerator::builder`]).
@@ -27,14 +27,13 @@ pub struct AcceleratorConfig {
     pub cores: u32,
     /// Per-core Top-k depth (8 in the paper).
     pub k: usize,
-    /// `r` row slots per packet, or `None` for the reference (no-limit)
-    /// datapath.
+    /// `r` row slots per packet, or `None` for the hardware default
+    /// `r = B/2`.
     pub rows_per_packet: Option<u32>,
-    /// HBM stack parameters.
-    pub hbm: HbmConfig,
 }
 
-/// Builder for [`Accelerator`].
+/// Builder for [`Accelerator`]. The card is fixed: one Alveo U280
+/// ([`HbmConfig::alveo_u280`]), whose 32 HBM channels cap `cores`.
 ///
 /// # Example
 ///
@@ -56,7 +55,6 @@ pub struct AcceleratorBuilder {
     cores: u32,
     k: usize,
     rows_per_packet: Option<u32>,
-    hbm: HbmConfig,
 }
 
 impl Default for AcceleratorBuilder {
@@ -66,7 +64,6 @@ impl Default for AcceleratorBuilder {
             cores: 32,
             k: 8,
             rows_per_packet: None,
-            hbm: HbmConfig::alveo_u280(),
         }
     }
 }
@@ -101,25 +98,16 @@ impl AcceleratorBuilder {
         self
     }
 
-    /// Substitutes a different HBM configuration (e.g. a smaller card).
-    #[must_use]
-    pub fn hbm(mut self, hbm: HbmConfig) -> Self {
-        self.hbm = hbm;
-        self
-    }
-
     /// Validates and builds the accelerator.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidConfig`] if `cores` is zero or
-    /// exceeds the HBM channel count, or if `k` is zero.
+    /// exceeds the U280's 32 HBM channels, or if `k` or `r` is zero.
     pub fn build(self) -> Result<Accelerator, EngineError> {
-        if self.cores == 0 || self.cores > self.hbm.num_channels {
-            return Err(EngineError::cores_out_of_range(
-                self.cores,
-                self.hbm.num_channels,
-            ));
+        let channels = HbmConfig::alveo_u280().num_channels;
+        if self.cores == 0 || self.cores > channels {
+            return Err(EngineError::cores_out_of_range(self.cores, channels));
         }
         if self.k == 0 {
             return Err(EngineError::zero_k());
@@ -133,9 +121,7 @@ impl AcceleratorBuilder {
                 cores: self.cores,
                 k: self.k,
                 rows_per_packet: self.rows_per_packet,
-                hbm: self.hbm,
             },
-            resources: ResourceModel::alveo_u280(),
         })
     }
 }
@@ -146,7 +132,6 @@ impl AcceleratorBuilder {
 #[derive(Debug, Clone)]
 pub struct Accelerator {
     config: AcceleratorConfig,
-    resources: ResourceModel,
 }
 
 impl Accelerator {
@@ -162,11 +147,6 @@ impl Accelerator {
         &self.config
     }
 
-    /// The resource model used for feasibility checks and Table II.
-    pub fn resources(&self) -> &ResourceModel {
-        &self.resources
-    }
-
     /// Resolves the design point for a matrix with `num_cols` columns
     /// (B depends on `M` through the §IV-C capacity equation).
     ///
@@ -174,17 +154,16 @@ impl Accelerator {
     ///
     /// Returns an error if no packet layout fits.
     pub fn design_for(&self, num_cols: usize) -> Result<(PacketLayout, DesignPoint), EngineError> {
-        let layout = PacketLayout::solve(num_cols, self.config.precision.value_bits())?;
-        let b = layout.entries_per_packet();
-        let design = DesignPoint {
-            cores: self.config.cores,
-            b,
-            value_bits: self.config.precision.value_bits(),
-            is_float: !self.config.precision.is_fixed_point(),
-            k: self.config.k as u32,
-            r: self.config.rows_per_packet.unwrap_or((b / 2).max(1)),
-            m: num_cols,
-        };
+        let c = &self.config;
+        let layout = PacketLayout::solve(num_cols, c.precision.value_bits())?;
+        let design = DesignPoint::new(
+            c.precision,
+            layout,
+            num_cols,
+            c.cores,
+            c.k as u32,
+            c.rows_per_packet,
+        );
         Ok((layout, design))
     }
 
@@ -225,7 +204,7 @@ impl Accelerator {
     /// vector budget. One gate, so what loads and what restores can
     /// never silently diverge.
     fn check_feasibility(&self, design: &DesignPoint, num_cols: usize) -> Result<(), EngineError> {
-        if !self.resources.is_feasible(design) {
+        if !ResourceModel::alveo_u280().is_feasible(design) {
             return Err(EngineError::infeasible(format!(
                 "{design:?} exceeds device resources"
             )));
@@ -391,13 +370,14 @@ impl Accelerator {
 
     fn fidelity_for(&self, matrix: &LoadedMatrix) -> Fidelity {
         Fidelity::Faithful {
-            rows_per_packet: self.config.rows_per_packet.unwrap_or(matrix.design.r),
+            rows_per_packet: matrix.design.r,
         }
     }
 
     /// Wraps an engine output with the modelled performance report.
     fn attach_perf(&self, matrix: &LoadedMatrix, out: MulticoreOutput) -> QueryResult {
-        let channel = self.channel_model(&matrix.design);
+        let clock_hz = ResourceModel::alveo_u280().clock_hz(&matrix.design);
+        let channel = HbmConfig::alveo_u280().channel_model(clock_hz);
         let total_packets: u64 = matrix
             .partitions
             .iter()
@@ -419,22 +399,6 @@ impl Accelerator {
                 stages: out.stages,
             },
         }
-    }
-
-    /// The modelled kernel clock for a design point.
-    pub fn clock_hz(&self, design: &DesignPoint) -> f64 {
-        self.resources.clock_hz(design)
-    }
-
-    /// The modelled board power for a design point.
-    pub fn power_w(&self, design: &DesignPoint) -> f64 {
-        self.resources.power_w(design)
-    }
-
-    fn channel_model(&self, design: &DesignPoint) -> ChannelModel {
-        self.config
-            .hbm
-            .channel_model(self.resources.clock_hz(design))
     }
 }
 
@@ -566,6 +530,26 @@ mod tests {
             let m = acc.prepare(&small_matrix()).unwrap();
             let out = acc.query(&m, &query_vector(512, 3), 10).unwrap();
             assert_eq!(out.topk.len(), 10, "{p:?}");
+        }
+    }
+
+    /// `DesignPoint::paper_design` and the default builder derive one
+    /// design: `B` from the capacity equation at `M = 1024`, 32 cores,
+    /// `k = 8`, `r = B/2`.
+    #[test]
+    fn paper_design_is_the_default_builders_design_at_1024_columns() {
+        let paper_bs = [
+            (Precision::Fixed20, 15),
+            (Precision::Fixed25, 13),
+            (Precision::Fixed32, 11),
+            (Precision::Float32, 11),
+            (Precision::Half16, 16),
+        ];
+        for (p, b) in paper_bs {
+            let acc = Accelerator::builder().precision(p).build().unwrap();
+            let (_, design) = acc.design_for(1024).unwrap();
+            assert_eq!(DesignPoint::paper_design(p), design, "{p:?}");
+            assert_eq!(design.b, b, "{p:?}");
         }
     }
 

@@ -12,18 +12,18 @@
 /// (Wang et al., FCCM'20, the paper's ref. 24): ~55 memory-clock cycles of
 /// read latency per burst, amortised over 256-beat bursts.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AxiBurstModel {
+pub(crate) struct AxiBurstModel {
     /// Beats (data transfers) per burst; AXI4 caps this at 256.
-    pub beats_per_burst: u32,
+    beats_per_burst: u32,
     /// Pipeline/protocol overhead cycles charged per burst (address
     /// handshake + first-word latency not hidden by outstanding bursts).
-    pub overhead_cycles_per_burst: u32,
+    overhead_cycles_per_burst: u32,
 }
 
 impl AxiBurstModel {
     /// Maximum-length bursts with overhead mostly hidden by outstanding
     /// transactions — the configuration the paper's design uses.
-    pub fn max_length() -> Self {
+    pub(crate) fn max_length() -> Self {
         Self {
             beats_per_burst: 256,
             overhead_cycles_per_burst: 8,
@@ -35,7 +35,8 @@ impl AxiBurstModel {
     /// # Panics
     ///
     /// Panics if `beats_per_burst` is 0 or exceeds 256.
-    pub fn new(beats_per_burst: u32, overhead_cycles_per_burst: u32) -> Self {
+    #[cfg(test)]
+    fn new(beats_per_burst: u32, overhead_cycles_per_burst: u32) -> Self {
         assert!(
             (1..=256).contains(&beats_per_burst),
             "AXI4 bursts are 1..=256 beats"
@@ -47,10 +48,10 @@ impl AxiBurstModel {
     }
 
     /// Cycle cost of streaming `packets` 512-bit beats.
-    pub fn timing(&self, packets: u64) -> BurstTiming {
+    pub(crate) fn timing(&self, packets: u64) -> BurstTiming {
         let bursts = packets.div_ceil(self.beats_per_burst as u64);
         BurstTiming {
-            packets,
+            #[cfg(test)]
             bursts,
             data_cycles: packets,
             overhead_cycles: bursts * self.overhead_cycles_per_burst as u64,
@@ -59,7 +60,8 @@ impl AxiBurstModel {
 
     /// Fraction of cycles spent moving data (bus efficiency) for a
     /// stream of `packets` beats.
-    pub fn efficiency(&self, packets: u64) -> f64 {
+    #[cfg(test)]
+    fn efficiency(&self, packets: u64) -> f64 {
         let t = self.timing(packets);
         if t.total_cycles() == 0 {
             return 1.0;
@@ -68,28 +70,21 @@ impl AxiBurstModel {
     }
 }
 
-impl Default for AxiBurstModel {
-    fn default() -> Self {
-        Self::max_length()
-    }
-}
-
 /// Cycle breakdown of a burst stream, produced by [`AxiBurstModel::timing`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BurstTiming {
-    /// Beats (packets) transferred.
-    pub packets: u64,
-    /// Number of bursts issued.
-    pub bursts: u64,
-    /// Cycles carrying data.
-    pub data_cycles: u64,
+pub(crate) struct BurstTiming {
+    /// Number of bursts issued (only the tests read it back).
+    #[cfg(test)]
+    bursts: u64,
+    /// Cycles carrying data (one per packet).
+    data_cycles: u64,
     /// Protocol overhead cycles.
-    pub overhead_cycles: u64,
+    overhead_cycles: u64,
 }
 
 impl BurstTiming {
     /// Total cycles for the stream.
-    pub fn total_cycles(&self) -> u64 {
+    pub(crate) fn total_cycles(&self) -> u64 {
         self.data_cycles + self.overhead_cycles
     }
 }

@@ -15,7 +15,7 @@
 //! as a compile-time constant, any other with the same code and the
 //! run-time value. Arithmetic is bit-exact with
 //! respect to the selected [`tkspmv_fixed::SpmvScalar`]; cycle counts
-//! come from the packet/burst model in [`tkspmv_hw`].
+//! come from the packet/burst model in [`crate::hw`].
 
 mod core_model;
 mod multicore;

@@ -1,10 +1,12 @@
 //! HBM2 stack and per-channel bandwidth model.
 
+use tkspmv_sparse::PACKET_BYTES;
+
 use crate::axi::AxiBurstModel;
 
-/// Configuration of an HBM-equipped accelerator card.
+/// The HBM stack of the one card this reproduction models.
 ///
-/// The reference card is the Xilinx Alveo U280: 8 GB of HBM2 behind 32
+/// The card is the Xilinx Alveo U280: 8 GB of HBM2 behind 32
 /// pseudo-channels, 460 GB/s aggregate peak. The paper's roofline uses
 /// 13.2 GB/s of *effective* per-channel bandwidth (32 × 13.2 =
 /// 422.4 GB/s), the figure a 512-bit @ 225 MHz AXI master sustains after
@@ -14,7 +16,7 @@ use crate::axi::AxiBurstModel;
 /// # Example
 ///
 /// ```
-/// use tkspmv_hw::HbmConfig;
+/// use tkspmv::hw::HbmConfig;
 ///
 /// let hbm = HbmConfig::alveo_u280();
 /// let bw = hbm.effective_bandwidth(32);
@@ -29,8 +31,6 @@ pub struct HbmConfig {
     /// Fraction of peak a streaming AXI master sustains (controller +
     /// refresh overheads).
     pub channel_efficiency: f64,
-    /// Total capacity in bytes.
-    pub capacity_bytes: u64,
 }
 
 impl HbmConfig {
@@ -41,12 +41,12 @@ impl HbmConfig {
             peak_channel_bandwidth: 460.0e9 / 32.0,
             // 13.2 GB/s effective / 14.375 GB/s peak ≈ 0.918.
             channel_efficiency: 13.2e9 / (460.0e9 / 32.0),
-            capacity_bytes: 8 * (1 << 30),
         }
     }
 
     /// Peak aggregate bandwidth in bytes/second.
-    pub fn peak_bandwidth(&self) -> f64 {
+    #[cfg(test)]
+    fn peak_bandwidth(&self) -> f64 {
         self.num_channels as f64 * self.peak_channel_bandwidth
     }
 
@@ -84,11 +84,11 @@ impl HbmConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelModel {
     /// Core/kernel clock in Hz.
-    pub clock_hz: f64,
+    pub(crate) clock_hz: f64,
     /// Burst timing model.
-    pub burst: AxiBurstModel,
+    burst: AxiBurstModel,
     /// Effective channel bandwidth in bytes/second (peak x efficiency).
-    pub channel_bandwidth: f64,
+    channel_bandwidth: f64,
 }
 
 impl ChannelModel {
@@ -98,17 +98,18 @@ impl ChannelModel {
     pub fn stream_seconds(&self, packets: u64) -> f64 {
         let cycles = self.burst.timing(packets).total_cycles();
         let kernel_time = cycles as f64 / self.clock_hz;
-        let bytes = packets as f64 * 64.0;
+        let bytes = packets as f64 * PACKET_BYTES as f64;
         let channel_time = bytes / self.channel_bandwidth;
         kernel_time.max(channel_time)
     }
 
     /// Achieved bandwidth in bytes/second for a stream of `packets`.
-    pub fn achieved_bandwidth(&self, packets: u64) -> f64 {
+    #[cfg(test)]
+    fn achieved_bandwidth(&self, packets: u64) -> f64 {
         if packets == 0 {
             return 0.0;
         }
-        packets as f64 * 64.0 / self.stream_seconds(packets)
+        packets as f64 * PACKET_BYTES as f64 / self.stream_seconds(packets)
     }
 }
 

@@ -1,4 +1,5 @@
-//! FPGA platform models for the Top-K SpMV accelerator.
+//! FPGA platform models for the Top-K SpMV accelerator: one fixed card,
+//! the Alveo U280.
 //!
 //! There is no FPGA in the loop of this reproduction, so everything the
 //! paper obtains from the physical Alveo U280 — HBM bandwidth, AXI burst
@@ -19,22 +20,17 @@
 //! # Example
 //!
 //! ```
-//! use tkspmv_hw::{HbmConfig, Roofline};
+//! use tkspmv::hw::{HbmConfig, Roofline};
+//! use tkspmv_sparse::PacketLayout;
 //!
 //! let hbm = HbmConfig::alveo_u280();
 //! assert_eq!(hbm.num_channels, 32);
-//! let roofline = Roofline::new(hbm.effective_bandwidth(32), 15.0 / 64.0);
+//! let bs_csr = PacketLayout::paper(20); // B = 15
+//! let roofline = Roofline::new(hbm.effective_bandwidth(32), bs_csr.operational_intensity());
 //! assert!(roofline.attainable_nnz_per_sec() > 5e10); // paper: 57 GNNZ/s
 //! ```
 
-mod axi;
-mod hbm;
-mod resources;
-mod roofline;
-mod uram;
-
-pub use axi::{AxiBurstModel, BurstTiming};
-pub use hbm::{ChannelModel, HbmConfig};
-pub use resources::{DesignPoint, ResourceModel, ResourceUsage, U280_RESOURCES};
-pub use roofline::{Roofline, RooflinePoint};
-pub use uram::UramBudget;
+pub use crate::hbm::{ChannelModel, HbmConfig};
+pub use crate::resources::{DesignPoint, ResourceModel, ResourceUsage, U280_RESOURCES};
+pub use crate::roofline::{Roofline, RooflinePoint};
+pub use crate::uram::UramBudget;

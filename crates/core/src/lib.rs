@@ -18,6 +18,10 @@
 //!    aggregate → cross-packet stitch → argmin Top-K update, emulated
 //!    bit-exactly in [`engine`].
 //!
+//! The card is fixed — one Alveo U280 — and [`hw`] models it: the HBM
+//! channels, resources, clock and power that every modelled time and
+//! Table II come from.
+//!
 //! # Quickstart
 //!
 //! Every engine in this workspace — the emulated accelerator built here,
@@ -72,15 +76,21 @@
 
 mod accelerator;
 pub mod approx;
+mod axi;
 pub mod backend;
 pub mod engine;
 mod error;
 pub mod fanout;
+mod hbm;
+pub mod hw;
 mod math;
 mod perf;
 mod pruned;
+mod resources;
+mod roofline;
 mod stages;
 mod topk;
+mod uram;
 
 pub use accelerator::{Accelerator, AcceleratorBuilder, AcceleratorConfig, LoadedMatrix};
 pub use backend::{

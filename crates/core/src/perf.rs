@@ -1,6 +1,8 @@
 //! Performance accounting for emulated accelerator runs.
 
-use tkspmv_hw::ChannelModel;
+use tkspmv_sparse::PACKET_BYTES;
+
+use crate::hbm::ChannelModel;
 
 /// Modelled execution report of one accelerator query.
 ///
@@ -9,20 +11,6 @@ use tkspmv_hw::ChannelModel;
 /// because the design is simple: every core streams its packets at one
 /// per cycle behind max-length bursts, so the busiest core's channel
 /// time bounds the kernel, plus a fixed host launch overhead.
-///
-/// # Example
-///
-/// ```
-/// use tkspmv::PerfReport;
-/// use tkspmv_hw::HbmConfig;
-///
-/// let hbm = HbmConfig::alveo_u280();
-/// let ch = hbm.channel_model(253.0e6);
-/// // 32 cores, ~417k packets each (the paper's 2*10^8 nnz matrix).
-/// let perf = PerfReport::from_stream(&ch, 32, 416_667, 13_333_334, 200_000_000);
-/// assert!(perf.seconds < 0.004, "paper: < 4 ms");
-/// assert!(perf.gnnz_per_sec() > 50.0, "paper: 57 GNNZ/s");
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfReport {
     /// Modelled end-to-end seconds (kernel + host overhead).
@@ -47,7 +35,7 @@ pub const HOST_OVERHEAD_SECONDS: f64 = 60.0e-6;
 
 impl PerfReport {
     /// Builds a report from stream statistics and a channel model.
-    pub fn from_stream(
+    pub(crate) fn from_stream(
         channel: &ChannelModel,
         cores: u32,
         max_packets_per_core: u64,
@@ -78,7 +66,7 @@ impl PerfReport {
 
     /// Bytes streamed from HBM across all channels.
     pub fn bytes_streamed(&self) -> u64 {
-        self.total_packets * 64
+        self.total_packets * PACKET_BYTES as u64
     }
 
     /// Aggregate achieved bandwidth in bytes/second (kernel time).
@@ -98,7 +86,7 @@ impl PerfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tkspmv_hw::HbmConfig;
+    use crate::hw::HbmConfig;
 
     fn channel() -> ChannelModel {
         HbmConfig::alveo_u280().channel_model(253.0e6)
@@ -131,7 +119,7 @@ mod tests {
         let ch = channel();
         // Exactly 15 nnz per packet.
         let perf = PerfReport::from_stream(&ch, 1, 1000, 1000, 15_000);
-        assert!((perf.operational_intensity() - 15.0 / 64.0).abs() < 1e-9);
+        assert!((perf.operational_intensity() - 15.0 / PACKET_BYTES as f64).abs() < 1e-9);
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! larger `r`) with the right monotonic trends.
 
 use tkspmv_fixed::Precision;
+use tkspmv_sparse::PacketLayout;
+
+use crate::uram::UramBudget;
 
 /// Resource totals of the `xcu280-fsvh2892-2L-e` device (last row of
 /// Table II).
@@ -40,12 +43,8 @@ pub struct ResourceUsage {
 
 impl ResourceUsage {
     /// Element-wise sum.
-    ///
-    /// An inherent method rather than `std::ops::Add`: resource vectors
-    /// are not a numeric type and gain nothing from operator syntax.
-    #[allow(clippy::should_implement_trait)]
     #[must_use]
-    pub fn add(self, other: ResourceUsage) -> ResourceUsage {
+    pub(crate) fn add(self, other: ResourceUsage) -> ResourceUsage {
         ResourceUsage {
             lut: self.lut + other.lut,
             ff: self.ff + other.ff,
@@ -57,7 +56,7 @@ impl ResourceUsage {
 
     /// Element-wise scaling.
     #[must_use]
-    pub fn scale(self, factor: u64) -> ResourceUsage {
+    pub(crate) fn scale(self, factor: u64) -> ResourceUsage {
         ResourceUsage {
             lut: self.lut * factor,
             ff: self.ff * factor,
@@ -69,7 +68,7 @@ impl ResourceUsage {
 
     /// Utilisation fractions against a device budget, as
     /// `(lut, ff, bram, uram, dsp)` in `[0, ..)`.
-    pub fn utilization(self, device: ResourceUsage) -> [f64; 5] {
+    pub(crate) fn utilization(self, device: ResourceUsage) -> [f64; 5] {
         [
             self.lut as f64 / device.lut as f64,
             self.ff as f64 / device.ff as f64,
@@ -80,7 +79,7 @@ impl ResourceUsage {
     }
 
     /// Whether this usage fits within `device`.
-    pub fn fits(self, device: ResourceUsage) -> bool {
+    pub(crate) fn fits(self, device: ResourceUsage) -> bool {
         self.lut <= device.lut
             && self.ff <= device.ff
             && self.bram <= device.bram
@@ -110,22 +109,33 @@ pub struct DesignPoint {
 
 impl DesignPoint {
     /// The paper's design for a given precision: 32 cores, `k = 8`,
-    /// `r = B/2`, `M = 1024`, `B` from the §IV-C capacity equation.
+    /// `r = B/2`, `M = 1024`, `B` from the §IV-C capacity equation
+    /// ([`PacketLayout::paper`]).
     pub fn paper_design(precision: Precision) -> Self {
-        let b = match precision {
-            Precision::Fixed20 => 15,
-            Precision::Fixed25 => 13,
-            Precision::Fixed32 | Precision::Float32 => 11,
-            Precision::Half16 => 16,
-        };
+        let layout = PacketLayout::paper(precision.value_bits());
+        Self::new(precision, layout, 1024, 32, 8, None)
+    }
+
+    /// The design `cores` cores with `k`-deep trackers run for an
+    /// `m`-column collection packed as `layout`; `r` defaults to the
+    /// hardware's `B/2` (at least 1).
+    pub(crate) fn new(
+        precision: Precision,
+        layout: PacketLayout,
+        m: usize,
+        cores: u32,
+        k: u32,
+        r: Option<u32>,
+    ) -> Self {
+        let b = layout.entries_per_packet();
         Self {
-            cores: 32,
+            cores,
             b,
             value_bits: precision.value_bits(),
             is_float: !precision.is_fixed_point(),
-            k: 8,
-            r: (b / 2).max(1),
-            m: 1024,
+            k,
+            r: r.unwrap_or((b / 2).max(1)),
+            m,
         }
     }
 }
@@ -134,9 +144,9 @@ impl DesignPoint {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceModel {
     /// Device budget.
-    pub device: ResourceUsage,
+    device: ResourceUsage,
     /// Static platform shell + HBM controller cost.
-    pub shell: ResourceUsage,
+    shell: ResourceUsage,
 }
 
 impl ResourceModel {
@@ -182,7 +192,7 @@ impl ResourceModel {
         // BRAM: stream FIFOs between the four dataflow stages.
         let bram = 5;
         // URAM: ceil(B/2) replicas of x (2 read ports per URAM).
-        let uram_budget = crate::uram::UramBudget::alveo_u280();
+        let uram_budget = UramBudget::alveo_u280();
         let uram = uram_budget.blocks_per_core(d.b, d.value_bits.max(16), d.m);
         // DSP per multiplier, calibrated to Table II (the RTL maps narrow
         // multiplies partially to fabric, so these are fractional).
@@ -206,7 +216,7 @@ impl ResourceModel {
     }
 
     /// Total usage: shell + `cores` replicas of the core.
-    pub fn total_usage(&self, d: &DesignPoint) -> ResourceUsage {
+    pub(crate) fn total_usage(&self, d: &DesignPoint) -> ResourceUsage {
         self.shell.add(self.core_usage(d).scale(d.cores as u64))
     }
 
@@ -216,7 +226,7 @@ impl ResourceModel {
     }
 
     /// Whether the design places on the device.
-    pub fn is_feasible(&self, d: &DesignPoint) -> bool {
+    pub(crate) fn is_feasible(&self, d: &DesignPoint) -> bool {
         self.total_usage(d).fits(self.device)
     }
 

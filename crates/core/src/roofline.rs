@@ -3,32 +3,33 @@
 //! The paper follows the CAD-assisted roofline methodology of its [4]:
 //! performance in non-zeros/second is bounded by
 //! `bandwidth × operational_intensity`, where operational intensity is
-//! non-zeros per byte of HBM traffic — exactly `B / 64` for a format
-//! that packs `B` non-zeros in a 64-byte packet. BS-CSR's only job is to
-//! raise that intensity (B = 15 vs naive COO's B = 5), which under a
-//! fixed bandwidth roof translates 1:1 into performance.
+//! non-zeros per byte of HBM traffic — exactly `B / PACKET_BYTES` for
+//! a format that packs `B` non-zeros in one 512-bit packet. BS-CSR's
+//! only job is to raise that intensity (B = 15 vs naive COO's B = 5),
+//! which under a fixed bandwidth roof translates 1:1 into performance.
 
 /// A bandwidth roofline for streaming Top-K SpMV.
 ///
 /// # Example
 ///
 /// ```
-/// use tkspmv_hw::Roofline;
+/// use tkspmv::hw::Roofline;
+/// use tkspmv_sparse::PACKET_BYTES;
 ///
 /// // 32 channels x 13.2 GB/s, BS-CSR B = 15.
-/// let r = Roofline::new(422.4e9, 15.0 / 64.0);
+/// let r = Roofline::new(422.4e9, 15.0 / PACKET_BYTES as f64);
 /// // Attainable: 99 GNNZ/s (the paper measures 57 GNNZ/s end to end).
 /// assert!(r.attainable_nnz_per_sec() > 9.0e10);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Memory bandwidth roof in bytes/second.
-    pub bandwidth: f64,
+    bandwidth: f64,
     /// Operational intensity in non-zeros per byte.
-    pub operational_intensity: f64,
+    operational_intensity: f64,
     /// Optional compute ceiling in non-zeros/second (`cores × B × clock`
     /// for the FPGA; effectively never binding for this workload).
-    pub compute_ceiling: Option<f64>,
+    compute_ceiling: Option<f64>,
 }
 
 impl Roofline {
@@ -66,7 +67,8 @@ impl Roofline {
 
     /// Whether the design is memory-bound (bandwidth roof below compute
     /// ceiling). Streaming SpMV always is.
-    pub fn is_memory_bound(&self) -> bool {
+    #[cfg(test)]
+    fn is_memory_bound(&self) -> bool {
         match self.compute_ceiling {
             Some(c) => self.bandwidth * self.operational_intensity <= c,
             None => true,
@@ -108,11 +110,14 @@ impl RooflinePoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tkspmv_sparse::PACKET_BYTES;
+
+    const PACKET: f64 = PACKET_BYTES as f64;
 
     #[test]
     fn figure6a_scaling_is_linear_in_channels() {
         // 1 / 8 / 16 / 32 cores at 13.2 GB/s each, B = 15.
-        let oi = 15.0 / 64.0;
+        let oi = 15.0 / PACKET;
         let perf: Vec<f64> = [1u32, 8, 16, 32]
             .iter()
             .map(|&c| Roofline::new(13.2e9 * c as f64, oi).attainable_nnz_per_sec())
@@ -127,14 +132,14 @@ mod tests {
     fn bscsr_intensity_gain_translates_to_performance() {
         // B = 15 vs B = 5: 3x intensity -> 3x attainable (Figure 6a).
         let bw = 422.4e9;
-        let bscsr = Roofline::new(bw, 15.0 / 64.0).attainable_nnz_per_sec();
-        let coo = Roofline::new(bw, 5.0 / 64.0).attainable_nnz_per_sec();
+        let bscsr = Roofline::new(bw, 15.0 / PACKET).attainable_nnz_per_sec();
+        let coo = Roofline::new(bw, 5.0 / PACKET).attainable_nnz_per_sec();
         assert!((bscsr / coo - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn compute_ceiling_binds_when_low() {
-        let r = Roofline::new(422.4e9, 15.0 / 64.0).with_compute_ceiling(1.0e9);
+        let r = Roofline::new(422.4e9, 15.0 / PACKET).with_compute_ceiling(1.0e9);
         assert_eq!(r.attainable_nnz_per_sec(), 1.0e9);
         assert!(!r.is_memory_bound());
     }
@@ -143,7 +148,7 @@ mod tests {
     fn fpga_design_is_memory_bound() {
         // Compute ceiling: 32 cores x 15 nnz x 253 MHz = 121 GNNZ/s,
         // above the 99 GNNZ/s bandwidth bound.
-        let r = Roofline::new(422.4e9, 15.0 / 64.0).with_compute_ceiling(32.0 * 15.0 * 253.0e6);
+        let r = Roofline::new(422.4e9, 15.0 / PACKET).with_compute_ceiling(32.0 * 15.0 * 253.0e6);
         assert!(r.is_memory_bound());
     }
 

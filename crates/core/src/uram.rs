@@ -12,23 +12,22 @@
 /// # Example
 ///
 /// ```
-/// use tkspmv_hw::UramBudget;
+/// use tkspmv::hw::UramBudget;
 ///
 /// let budget = UramBudget::alveo_u280();
-/// // Paper's headline config: 32 cores, B = 15, 32-bit x entries,
-/// // M = 1024 -> easily feasible.
-/// assert!(budget.supports(32, 15, 32, 1024));
+/// // Paper's headline config: 32 cores, B = 15, 32-bit x entries ->
+/// // room for vectors far beyond M = 1024.
 /// let max = budget.max_vector_len(32, 15, 32);
 /// assert!(max > 10_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UramBudget {
     /// Number of URAM blocks on the device.
-    pub total_blocks: u32,
+    total_blocks: u32,
     /// Capacity of one block in bits (72 Kb × 4K words = 288 Kb).
-    pub bits_per_block: u64,
+    bits_per_block: u64,
     /// Read ports per block.
-    pub read_ports_per_block: u32,
+    read_ports_per_block: u32,
 }
 
 impl UramBudget {
@@ -42,7 +41,7 @@ impl UramBudget {
     }
 
     /// Replicas of `x` needed per core for `b` random reads per cycle.
-    pub fn replicas_for(&self, b: u32) -> u32 {
+    fn replicas_for(&self, b: u32) -> u32 {
         b.div_ceil(self.read_ports_per_block)
     }
 
@@ -51,7 +50,7 @@ impl UramBudget {
     ///
     /// Each replica occupies a whole number of blocks (a URAM cannot be
     /// shared across replicas without losing its ports).
-    pub fn blocks_per_core(&self, b: u32, value_bits: u32, m: usize) -> u64 {
+    pub(crate) fn blocks_per_core(&self, b: u32, value_bits: u32, m: usize) -> u64 {
         let bits_per_replica = m as u64 * value_bits as u64;
         let blocks_per_replica = bits_per_replica.div_ceil(self.bits_per_block).max(1);
         blocks_per_replica * self.replicas_for(b) as u64
@@ -59,7 +58,7 @@ impl UramBudget {
 
     /// Whether `cores` cores with packet capacity `b` and an
     /// `m`-entry × `value_bits` query vector fit the device.
-    pub fn supports(&self, cores: u32, b: u32, value_bits: u32, m: usize) -> bool {
+    pub(crate) fn supports(&self, cores: u32, b: u32, value_bits: u32, m: usize) -> bool {
         self.blocks_per_core(b, value_bits, m) * cores as u64 <= self.total_blocks as u64
     }
 
@@ -72,7 +71,8 @@ impl UramBudget {
 
     /// Fraction of URAM used by a configuration (the Table II URAM
     /// column).
-    pub fn utilization(&self, cores: u32, b: u32, value_bits: u32, m: usize) -> f64 {
+    #[cfg(test)]
+    fn utilization(&self, cores: u32, b: u32, value_bits: u32, m: usize) -> f64 {
         self.blocks_per_core(b, value_bits, m) as f64 * cores as f64 / self.total_blocks as f64
     }
 }

@@ -9,9 +9,9 @@
 //!   through the §IV-C capacity equation. [`run_layout_sweep`] tabulates
 //!   the frontier.
 
+use tkspmv::hw::{DesignPoint, ResourceModel};
 use tkspmv_baselines::cpu::exact_topk;
 use tkspmv_fixed::Precision;
-use tkspmv_hw::{DesignPoint, ResourceModel};
 use tkspmv_sparse::gen::query_vector;
 use tkspmv_sparse::PacketLayout;
 

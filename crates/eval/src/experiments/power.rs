@@ -9,8 +9,8 @@
 //! software) combined with the measured/modelled throughputs of the
 //! Figure 5 experiment.
 
+use tkspmv::hw::{DesignPoint, ResourceModel};
 use tkspmv_fixed::Precision;
-use tkspmv_hw::{DesignPoint, ResourceModel};
 
 use crate::experiments::speedup::{self, SpeedupRow};
 use crate::report::{fnum, Table};

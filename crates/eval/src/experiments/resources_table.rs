@@ -1,7 +1,7 @@
 //! Table II: resource usage, clock and power of the four designs.
 
+use tkspmv::hw::{DesignPoint, ResourceModel, U280_RESOURCES};
 use tkspmv_fixed::Precision;
-use tkspmv_hw::{DesignPoint, ResourceModel, U280_RESOURCES};
 
 use crate::report::{fnum, Table};
 

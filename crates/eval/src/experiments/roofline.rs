@@ -1,12 +1,12 @@
 //! Figure 6: roofline analysis of the FPGA design vs CPU and GPU.
 
+use tkspmv::hw::{HbmConfig, Roofline, RooflinePoint};
 use tkspmv::{Accelerator, TopKBackend};
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_baselines::gpu::{GpuModel, GpuPrecision};
 use tkspmv_fixed::Precision;
-use tkspmv_hw::{HbmConfig, Roofline, RooflinePoint};
 use tkspmv_sparse::gen::query_vector;
-use tkspmv_sparse::PacketLayout;
+use tkspmv_sparse::{PacketLayout, PACKET_BYTES};
 
 use crate::datasets::group_representatives;
 use crate::report::{fnum, Table};
@@ -21,7 +21,8 @@ pub fn bandwidth_series() -> Vec<(u32, Vec<(u32, f64)>)> {
         .map(|&cores| {
             let series = (5u32..=15)
                 .map(|b| {
-                    let roof = Roofline::new(hbm.effective_bandwidth(cores), b as f64 / 64.0);
+                    let oi = b as f64 / PACKET_BYTES as f64;
+                    let roof = Roofline::new(hbm.effective_bandwidth(cores), oi);
                     (b, roof.attainable_nnz_per_sec())
                 })
                 .collect();
@@ -51,13 +52,9 @@ pub fn architecture_points(config: &ExpConfig) -> Vec<RooflinePoint> {
         .and_then(|m| cpu.query(&m, &x, 100))
         .expect("CPU query runs");
     let cpu_oi = nnz as f64 / (nnz * 8 + rows * 8) as f64;
-    let cpu_roof = Roofline::new(200.0e9, cpu_oi);
-    points.push(RooflinePoint {
-        label: "CPU Top-K SpMV".to_string(),
-        operational_intensity: cpu_oi,
-        performance_nnz_per_sec: nnz as f64 / cpu_run.perf.seconds,
-        attainable_nnz_per_sec: cpu_roof.attainable_nnz_per_sec(),
-    });
+    points.push(
+        Roofline::new(200.0e9, cpu_oi).point("CPU Top-K SpMV", nnz as f64 / cpu_run.perf.seconds),
+    );
 
     // GPU F32 / F16: modelled.
     let gpu = GpuModel::tesla_p100();
@@ -65,12 +62,7 @@ pub fn architecture_points(config: &ExpConfig) -> Vec<RooflinePoint> {
         let t = gpu.spmv_seconds(nnz, rows, precision);
         let oi = nnz as f64 / gpu.spmv_traffic_bytes(nnz, rows, precision) as f64;
         let roof = Roofline::new(gpu.peak_bandwidth, oi);
-        points.push(RooflinePoint {
-            label: format!("GPU SpMV, {}", precision.label()),
-            operational_intensity: oi,
-            performance_nnz_per_sec: nnz as f64 / t,
-            attainable_nnz_per_sec: roof.attainable_nnz_per_sec(),
-        });
+        points.push(roof.point(format!("GPU SpMV, {}", precision.label()), nnz as f64 / t));
     }
 
     // FPGA 32 cores at 32b and 20b: modelled kernel time on the real

@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release --bin design_space`
 
+use tkspmv::hw::{DesignPoint, HbmConfig, ResourceModel, Roofline, UramBudget};
 use tkspmv_fixed::Precision;
-use tkspmv_hw::{DesignPoint, HbmConfig, ResourceModel, Roofline, UramBudget};
 use tkspmv_sparse::PacketLayout;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

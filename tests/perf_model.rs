@@ -1,9 +1,9 @@
 //! Invariants of the performance model: linearity, channel scaling, and
 //! the paper's headline claims.
 
+use tkspmv::hw::{DesignPoint, HbmConfig, ResourceModel, Roofline};
 use tkspmv::{Accelerator, TopKBackend};
 use tkspmv_fixed::Precision;
-use tkspmv_hw::{DesignPoint, HbmConfig, ResourceModel, Roofline};
 use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
 use tkspmv_sparse::{Csr, PacketLayout};
 
