@@ -11,6 +11,35 @@ use crate::hbm::ChannelModel;
 /// because the design is simple: every core streams its packets at one
 /// per cycle behind max-length bursts, so the busiest core's channel
 /// time bounds the kernel, plus a fixed host launch overhead.
+///
+/// # Example
+///
+/// ```
+/// use tkspmv::backend::TopKBackend;
+/// use tkspmv::hw::HbmConfig;
+/// use tkspmv::{Accelerator, HOST_OVERHEAD_SECONDS};
+/// use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
+///
+/// let collection = SyntheticConfig {
+///     num_rows: 2_000,
+///     num_cols: 512,
+///     avg_nnz_per_row: 20,
+///     distribution: NnzDistribution::Uniform,
+///     seed: 42,
+/// }
+/// .generate();
+/// let backend = Accelerator::builder().cores(32).build()?;
+/// let matrix = backend.prepare(&collection)?;
+/// let result = backend.query(&matrix, &query_vector(512, 7), 100)?;
+///
+/// // The accelerator's full report rides on every query result.
+/// let perf = result.stats.perf_report().expect("accelerator report");
+/// assert_eq!(perf.cores, 32);
+/// assert_eq!(perf.nnz, collection.nnz() as u64);
+/// assert!((perf.seconds - perf.kernel_seconds - HOST_OVERHEAD_SECONDS).abs() < 1e-12);
+/// assert!(perf.achieved_bandwidth() <= HbmConfig::alveo_u280().effective_bandwidth(32));
+/// # Ok::<(), tkspmv::EngineError>(())
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfReport {
     /// Modelled end-to-end seconds (kernel + host overhead).
