@@ -1,12 +1,13 @@
 //! Manifest drift / dependency-DAG guard (`--manifests`).
 //!
-//! The checks that used to live in the integration crate's
-//! `workspace_guard.rs` test, folded into the tool: the crate dependency
-//! DAG must stay acyclic and honour the intended layering, every shared
-//! dependency must be pinned once in `[workspace.dependencies]` and
-//! referenced with `workspace = true`, the member list must match the
-//! directories on disk in both directions, and no member may declare a
-//! cargo feature.
+//! The crate dependency DAG must stay acyclic and honour the intended
+//! layering, every shared dependency must be pinned once in
+//! `[workspace.dependencies]` and referenced with `workspace = true`,
+//! the member list must match the directories on disk in both
+//! directions, no member may declare a cargo feature, and every crate
+//! the two tables below name must be a member (so a deleted crate
+//! cannot linger in them). `eval`'s `workspace_guard` test runs the
+//! same code under `cargo test`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -24,7 +25,6 @@ pub const WORKSPACE_MANAGED: &[&str] = &[
     "tkspmv_serve",
     "tkspmv_fabric",
     "tkspmv_eval",
-    "tkspmv_bench",
     "tkspmv_check",
     "proptest",
 ];
@@ -37,10 +37,9 @@ pub const LAYERING: &[(&str, &str)] = &[
     ("tkspmv", "tkspmv_baselines"),
     ("tkspmv", "tkspmv_serve"),
     ("tkspmv_baselines", "tkspmv_eval"),
-    ("tkspmv_eval", "tkspmv_bench"),
-    ("tkspmv_serve", "tkspmv_bench"),
+    ("tkspmv_serve", "tkspmv_eval"),
     ("tkspmv_serve", "tkspmv_fabric"),
-    ("tkspmv_fabric", "tkspmv_bench"),
+    ("tkspmv_fabric", "tkspmv_eval"),
     ("tkspmv_obs", "tkspmv_serve"),
     ("tkspmv_obs", "tkspmv_fabric"),
     ("tkspmv_obs", "tkspmv"),
@@ -154,6 +153,19 @@ pub fn check(root: &Path, report: &mut Report) {
             .cloned()
             .collect();
         graph.insert(name, internal);
+    }
+    let named: BTreeSet<&str> = WORKSPACE_MANAGED
+        .iter()
+        .copied()
+        .chain(LAYERING.iter().flat_map(|&(lower, upper)| [lower, upper]))
+        .collect();
+    for name in named.into_iter().filter(|n| !graph.contains_key(*n)) {
+        report.push(
+            Lint::Manifests,
+            Path::new("crates/check/src/manifests.rs"),
+            0,
+            format!("{name} is named in WORKSPACE_MANAGED or LAYERING but matches no member's [package] name"),
+        );
     }
     let mut remaining = graph.clone();
     let mut order = Vec::new();
@@ -307,5 +319,55 @@ mod tests {
         assert_eq!(features_table_line(clean), None);
         let knob = "[package]\nname = \"x\"\n\n  [features]\ntimers = []\n";
         assert_eq!(features_table_line(knob), Some(4));
+    }
+
+    /// A workspace on disk with one package per name in `members`, each
+    /// depending on the names `LAYERING` puts below it, and every
+    /// `WORKSPACE_MANAGED` name pinned in its root table.
+    fn scratch_workspace(members: &[&str]) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("tkspmv_check_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("vendor")).unwrap();
+        let mut manifest = "[workspace]\nmembers = [\n".to_string();
+        for name in members {
+            let dir = root.join("crates").join(name);
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut package = format!("[package]\nname = \"{name}\"\n\n[dependencies]\n");
+            for (lower, _) in LAYERING
+                .iter()
+                .filter(|(l, u)| u == name && members.contains(l))
+            {
+                package.push_str(&format!("{lower} = {{ workspace = true }}\n"));
+            }
+            std::fs::write(dir.join("Cargo.toml"), package).unwrap();
+            manifest.push_str(&format!("    \"crates/{name}\",\n"));
+        }
+        manifest.push_str("]\n\n[workspace.dependencies]\n");
+        for name in WORKSPACE_MANAGED {
+            manifest.push_str(&format!("{name} = {{ path = \"crates/{name}\" }}\n"));
+        }
+        std::fs::write(root.join("Cargo.toml"), manifest).unwrap();
+        root
+    }
+
+    #[test]
+    fn table_names_that_match_no_member_are_reported() {
+        let messages = |members: &[&str]| -> Vec<String> {
+            let root = scratch_workspace(members);
+            let mut report = Report::default();
+            check(&root, &mut report);
+            std::fs::remove_dir_all(&root).unwrap();
+            report.diagnostics.into_iter().map(|d| d.message).collect()
+        };
+        assert_eq!(messages(WORKSPACE_MANAGED), Vec::<String>::new());
+
+        let without_eval: Vec<&str> = WORKSPACE_MANAGED
+            .iter()
+            .copied()
+            .filter(|n| *n != "tkspmv_eval")
+            .collect();
+        let found = messages(&without_eval);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].starts_with("tkspmv_eval is named"), "{found:?}");
     }
 }

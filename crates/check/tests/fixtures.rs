@@ -111,7 +111,7 @@ fn spawn_sites_fixture_fires_exactly_once() {
     assert!(report.diagnostics[0].message.contains("starts no thread"));
 
     let mut report = Report::default();
-    spawns::check_listed(&files("bench"), "", &mut report);
+    spawns::check_listed(&files("eval"), "", &mut report);
     assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
 }
 

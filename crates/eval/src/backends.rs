@@ -29,7 +29,7 @@ pub fn fpga(precision: Precision) -> Box<dyn TopKBackend> {
 /// # Panics
 ///
 /// Panics if the design does not build (zero `r`, for example).
-pub fn fpga_with_rows_per_packet(
+pub(crate) fn fpga_with_rows_per_packet(
     precision: Precision,
     rows_per_packet: Option<u32>,
 ) -> Box<dyn TopKBackend> {
@@ -51,11 +51,6 @@ pub fn gpu(precision: GpuPrecision) -> Box<dyn TopKBackend> {
     Box::new(GpuTopK::new(GpuModel::tesla_p100(), precision))
 }
 
-/// The idealised GPU variant that is granted a zero-cost sort.
-pub fn gpu_spmv_only(precision: GpuPrecision) -> Box<dyn TopKBackend> {
-    Box::new(GpuTopK::new(GpuModel::tesla_p100(), precision).with_zero_cost_sort())
-}
-
 /// The modelled architectures of Figure 5 (the measured CPU baseline is
 /// the denominator, not a member).
 ///
@@ -64,7 +59,7 @@ pub fn gpu_spmv_only(precision: GpuPrecision) -> Box<dyn TopKBackend> {
 /// differently, and `BackendStats::Gpu` already reports both component
 /// times, so the speedup experiment derives the idealised `-spmv`
 /// columns from the full runs.
-pub fn figure5_roster() -> Vec<Box<dyn TopKBackend>> {
+pub(crate) fn figure5_roster() -> Vec<Box<dyn TopKBackend>> {
     vec![
         gpu(GpuPrecision::F32),
         gpu(GpuPrecision::F16),
@@ -76,7 +71,7 @@ pub fn figure5_roster() -> Vec<Box<dyn TopKBackend>> {
 }
 
 /// The four architectures whose ranking quality Figure 7 scores.
-pub fn figure7_roster() -> Vec<Box<dyn TopKBackend>> {
+pub(crate) fn figure7_roster() -> Vec<Box<dyn TopKBackend>> {
     vec![
         fpga(Precision::Fixed20),
         fpga(Precision::Fixed32),
@@ -97,8 +92,15 @@ mod tests {
             names,
             ["gpu-f32", "gpu-f16", "fpga-20b", "fpga-25b", "fpga-32b", "fpga-f32",]
         );
-        assert_eq!(gpu_spmv_only(GpuPrecision::F32).name(), "gpu-f32-spmv");
-        assert_eq!(gpu_spmv_only(GpuPrecision::F16).name(), "gpu-f16-spmv");
+        // The speedup experiment names its zero-cost-sort columns
+        // `<gpu name>-spmv`, as the idealised backend names itself.
+        for (precision, name) in [
+            (GpuPrecision::F32, "gpu-f32"),
+            (GpuPrecision::F16, "gpu-f16"),
+        ] {
+            let ideal = GpuTopK::new(GpuModel::tesla_p100(), precision).with_zero_cost_sort();
+            assert_eq!(ideal.name(), format!("{name}-spmv"));
+        }
     }
 
     #[test]

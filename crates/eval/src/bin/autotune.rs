@@ -1,8 +1,10 @@
 //! Adaptive precision selection (the paper's SVI future work):
 //! pick the fastest numeric design that meets an accuracy target.
 
-use tkspmv_bench::{banner, Cli};
+#![forbid(unsafe_code)]
+
 use tkspmv_eval::autotune::{choose_precision, AccuracyTarget};
+use tkspmv_eval::cli::{banner, Cli};
 use tkspmv_eval::datasets::group_representatives;
 
 fn main() {

@@ -24,6 +24,8 @@
 //!
 //! The final JSON block is written to `BENCH_fabric.json`.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -11,9 +11,11 @@
 //! down silently: the failure is reported, the remaining sections still
 //! run, and the process exits nonzero if anything failed.
 
+#![forbid(unsafe_code)]
+
 use std::panic::catch_unwind;
 
-use tkspmv_bench::{banner, Cli};
+use tkspmv_eval::cli::{banner, Cli};
 use tkspmv_eval::experiments::{
     ablation, accuracy, datasets_table, packing, power, precision_table, resources_table, roofline,
     speedup,

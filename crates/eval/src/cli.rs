@@ -1,15 +1,15 @@
-//! Shared plumbing for the reproduction binaries.
+//! The flags the reproduction binaries share.
 //!
-//! `run_all` (after its section names) and `autotune` accept the same
-//! flags:
+//! `run_all` (after its section names) and `autotune` accept:
 //!
 //! ```text
 //! --scale <N>    divide Table III matrix sizes by N (default 100)
 //! --queries <N>  queries averaged per measurement (default 5)
 //! --trials <N>   Monte Carlo trials for Table I (default 1000)
+//! --seed <N>     base RNG seed (default 0xDAC2021)
 //! ```
 
-use tkspmv_eval::ExpConfig;
+use crate::ExpConfig;
 
 /// Parsed command-line options common to all reproduction binaries.
 #[derive(Debug, Clone, Copy, PartialEq)]

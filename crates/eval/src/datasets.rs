@@ -19,7 +19,7 @@ pub enum DatasetGroup {
 
 impl DatasetGroup {
     /// All groups in the order of Figure 5's panels.
-    pub const ALL: [DatasetGroup; 4] = [
+    const ALL: [DatasetGroup; 4] = [
         DatasetGroup::Synthetic05e7,
         DatasetGroup::Synthetic1e7,
         DatasetGroup::Synthetic15e7,
@@ -35,22 +35,12 @@ impl DatasetGroup {
             DatasetGroup::Glove => "Sparse GloVe",
         }
     }
-
-    /// Full-scale row count.
-    pub fn full_rows(self) -> usize {
-        match self {
-            DatasetGroup::Synthetic05e7 => 5_000_000,
-            DatasetGroup::Synthetic1e7 => 10_000_000,
-            DatasetGroup::Synthetic15e7 => 15_000_000,
-            DatasetGroup::Glove => 2_000_000,
-        }
-    }
 }
 
 /// How a dataset's non-zeros are distributed (Table III's
 /// "Distribution" column).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DatasetKind {
+pub(crate) enum DatasetKind {
     /// Uniform nnz/row.
     Uniform,
     /// Left-skewed `Γ(3, 4/3)` nnz/row.
@@ -61,7 +51,7 @@ pub enum DatasetKind {
 
 impl DatasetKind {
     /// Table III label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DatasetKind::Uniform => "Uniform",
             DatasetKind::Gamma => "Gamma(3, 4/3)",
@@ -74,19 +64,19 @@ impl DatasetKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetSpec {
     /// Short unique name, e.g. `"uniform-0.5e7-20nnz-m512"`.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Figure panel this matrix belongs to.
     pub group: DatasetGroup,
     /// Non-zero distribution.
-    pub kind: DatasetKind,
+    pub(crate) kind: DatasetKind,
     /// Full-scale rows (Table III).
-    pub full_rows: usize,
+    pub(crate) full_rows: usize,
     /// Embedding dimensionality `M`.
-    pub num_cols: usize,
+    pub(crate) num_cols: usize,
     /// Average non-zeros per row.
-    pub avg_nnz: usize,
+    avg_nnz: usize,
     /// Generator seed.
-    pub seed: u64,
+    seed: u64,
 }
 
 impl DatasetSpec {
@@ -120,16 +110,11 @@ impl DatasetSpec {
             DatasetKind::Glove => glove_like(rows, self.seed),
         }
     }
-
-    /// Full-scale nnz estimate (rows × average density).
-    pub fn full_nnz_estimate(&self) -> u64 {
-        self.full_rows as u64 * self.avg_nnz as u64
-    }
 }
 
 /// All 19 Table III matrices: 12 uniform (3 sizes × {20, 40} nnz ×
 /// {512, 1024} M), 6 Γ (3 sizes × {20, 40} nnz, M = 1024), 1 GloVe-like.
-pub fn table3_specs() -> Vec<DatasetSpec> {
+pub(crate) fn table3_specs() -> Vec<DatasetSpec> {
     use DatasetGroup::*;
     use DatasetKind::*;
     let mut specs = Vec::with_capacity(19);
@@ -274,7 +259,7 @@ mod tests {
             .iter()
             .filter(|s| s.group == DatasetGroup::Synthetic1e7 && s.kind == DatasetKind::Uniform)
         {
-            let nnz = s.full_nnz_estimate();
+            let nnz = s.full_rows as u64 * s.avg_nnz as u64;
             assert!(
                 (200_000_000..=400_000_000).contains(&nnz),
                 "{}: {nnz}",

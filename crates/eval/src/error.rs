@@ -29,7 +29,7 @@ pub enum EvalError {
 impl EvalError {
     /// A [`EvalError::MissingBackend`] naming what was asked for and
     /// what the roster holds.
-    pub fn missing_backend(backend: impl Into<String>, roster: Vec<String>) -> Self {
+    pub(crate) fn missing_backend(backend: impl Into<String>, roster: Vec<String>) -> Self {
         EvalError::MissingBackend {
             backend: backend.into(),
             roster,

@@ -25,15 +25,15 @@ use crate::ExpConfig;
 #[derive(Debug, Clone, PartialEq)]
 pub struct RSweepRow {
     /// Rows tracked per packet.
-    pub r: u32,
+    r: u32,
     /// Packet capacity `B` for context.
-    pub b: u32,
+    b: u32,
     /// Modelled per-core LUTs.
-    pub core_luts: u64,
+    core_luts: u64,
     /// Ranking quality at K = 100 (mean over queries).
-    pub quality: RankingQuality,
+    quality: RankingQuality,
     /// Fraction of finished rows dropped by the limit.
-    pub dropped_fraction: f64,
+    dropped_fraction: f64,
 }
 
 /// Sweeps `r` from 1 to `B` on the paper's 20-bit design.
@@ -117,15 +117,15 @@ pub fn r_sweep_table(rows: &[RSweepRow]) -> Table {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayoutRow {
     /// Value width `V`.
-    pub value_bits: u32,
+    value_bits: u32,
     /// Embedding size `M`.
-    pub m: usize,
+    m: usize,
     /// Resulting packet capacity `B`.
-    pub b: u32,
+    b: u32,
     /// Resulting operational intensity (nnz/byte).
-    pub oi: f64,
+    oi: f64,
     /// Bits wasted per packet.
-    pub padding_bits: u32,
+    padding_bits: u32,
 }
 
 /// Tabulates `B(V, M)` across the §IV-C design space.

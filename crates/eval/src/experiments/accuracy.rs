@@ -2,7 +2,7 @@
 //! designs and the GPU F16 baseline against the exact CPU result.
 //!
 //! The scored architectures are whatever
-//! [`crate::backends::figure7_roster`] returns; each is prepared once
+//! `backends::figure7_roster` returns; each is prepared once
 //! per dataset and queried through the [`tkspmv::TopKBackend`] trait
 //! across the whole K sweep.
 
@@ -16,19 +16,19 @@ use crate::report::{fnum, Table};
 use crate::ExpConfig;
 
 /// The K sweep of Figure 7.
-pub const FIGURE7_KS: [usize; 6] = [8, 16, 32, 50, 75, 100];
+const FIGURE7_KS: [usize; 6] = [8, 16, 32, 50, 75, 100];
 
 /// Mean ranking quality of one architecture at one K on one dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyRow {
     /// Dataset group (figure panel).
-    pub group: DatasetGroup,
+    group: DatasetGroup,
     /// Requested Top-K.
-    pub k: usize,
+    k: usize,
     /// Backend name (the figure legend's series).
-    pub backend: String,
+    backend: String,
     /// Mean metrics over the configured number of queries.
-    pub quality: RankingQuality,
+    quality: RankingQuality,
 }
 
 /// Runs the Figure 7 sweep: 4 groups × 6 K values × the roster.

@@ -11,17 +11,17 @@ use crate::ExpConfig;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetRow {
     /// The spec that produced it.
-    pub spec: DatasetSpec,
+    spec: DatasetSpec,
     /// Rows actually generated (scaled).
-    pub rows: usize,
+    rows: usize,
     /// Non-zeros actually generated (scaled).
-    pub nnz: u64,
+    nnz: u64,
     /// BS-CSR bytes at the generated scale (V = 20).
-    pub bscsr_bytes: u64,
+    bscsr_bytes: u64,
     /// Extrapolated full-scale non-zeros.
-    pub full_nnz: u64,
+    full_nnz: u64,
     /// Extrapolated full-scale BS-CSR bytes.
-    pub full_bytes: u64,
+    full_bytes: u64,
 }
 
 /// Generates all 19 matrices at the configured scale and measures their

@@ -8,15 +8,15 @@ use crate::report::{fnum, Table};
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackingRow {
     /// Format name.
-    pub format: &'static str,
+    format: &'static str,
     /// Non-zeros per packet.
-    pub entries_per_packet: u32,
+    entries_per_packet: u32,
     /// Bits used of the 512.
-    pub bits_used: u32,
+    bits_used: u32,
     /// Operational intensity, nnz/byte.
-    pub operational_intensity: f64,
+    operational_intensity: f64,
     /// Gain over naive COO.
-    pub gain_vs_naive: f64,
+    gain_vs_naive: f64,
 }
 
 /// A COO packing whose entries are `entry_bits` wide: the row is always

@@ -16,41 +16,24 @@ use crate::experiments::speedup::{self, SpeedupRow};
 use crate::report::{fnum, Table};
 use crate::{EvalError, ExpConfig};
 
-/// Device power assumptions, in watts (paper §V-B).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerAssumptions {
-    /// CPU package power under load.
-    pub cpu_w: f64,
-    /// GPU board power under load.
-    pub gpu_w: f64,
-    /// Host server overhead (added to FPGA and GPU when comparing
-    /// system-level efficiency).
-    pub host_w: f64,
-}
-
-impl Default for PowerAssumptions {
-    fn default() -> Self {
-        Self {
-            cpu_w: 300.0,
-            gpu_w: 250.0,
-            host_w: 40.0,
-        }
-    }
-}
+/// CPU package power under load, W (paper §V-B).
+const CPU_W: f64 = 300.0;
+/// GPU board power under load, W (paper §V-B).
+const GPU_W: f64 = 250.0;
 
 /// Performance/W of one architecture on one dataset group.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerRow {
     /// Architecture label.
-    pub arch: String,
+    arch: String,
     /// Throughput in GNNZ/s.
-    pub gnnz_per_sec: f64,
+    gnnz_per_sec: f64,
     /// Device power, W.
-    pub device_w: f64,
+    device_w: f64,
     /// Device-level performance per watt, MNNZ/s/W.
-    pub mnnz_per_watt: f64,
+    mnnz_per_watt: f64,
     /// Ratio vs the idealised GPU (device-level).
-    pub vs_gpu: f64,
+    vs_gpu: f64,
 }
 
 /// Derives the §V-B comparison from a Figure 5 speedup row.
@@ -60,29 +43,22 @@ pub struct PowerRow {
 /// [`EvalError::MissingBackend`] if the row's roster lacks a backend
 /// this table derives from (the GPU F32 variants and every FPGA
 /// design).
-pub fn run_from_speedup(
-    row: &SpeedupRow,
-    assumptions: PowerAssumptions,
-) -> Result<Vec<PowerRow>, EvalError> {
+fn run_from_speedup(row: &SpeedupRow) -> Result<Vec<PowerRow>, EvalError> {
     let model = ResourceModel::alveo_u280();
     let nnz = row.nnz as f64;
     // Throughputs implied by the shared CPU baseline time.
     let thr = |speedup: f64| nnz / (row.cpu_seconds / speedup) / 1e9;
     let mut rows = vec![
-        (
-            "CPU (2x Xeon 6248)".to_string(),
-            thr(1.0),
-            assumptions.cpu_w,
-        ),
+        ("CPU (2x Xeon 6248)".to_string(), thr(1.0), CPU_W),
         (
             "GPU F32, zero-cost sort".to_string(),
             thr(row.speedup_of("gpu-f32-spmv")?),
-            assumptions.gpu_w,
+            GPU_W,
         ),
         (
             "GPU F32, with sort".to_string(),
             thr(row.speedup_of("gpu-f32")?),
-            assumptions.gpu_w,
+            GPU_W,
         ),
     ];
     for precision in Precision::FPGA_DESIGNS {
@@ -114,11 +90,12 @@ pub fn run_from_speedup(
 ///
 /// # Errors
 ///
-/// As [`run_from_speedup`], plus [`EvalError::Engine`] if the
-/// underlying Figure 5 experiment fails.
+/// [`EvalError::MissingBackend`] if the Figure 5 roster lacks a backend
+/// this table derives from (the GPU F32 variants and every FPGA
+/// design), [`EvalError::Engine`] if the Figure 5 experiment fails.
 pub fn run(config: &ExpConfig) -> Result<Vec<PowerRow>, EvalError> {
     let speedups = speedup::run(config)?;
-    run_from_speedup(&speedups[1], PowerAssumptions::default())
+    run_from_speedup(&speedups[1])
 }
 
 /// Renders the power-efficiency table.
@@ -182,7 +159,7 @@ mod tests {
     #[test]
     fn fpga_beats_gpu_by_order_of_magnitude_per_watt() -> Result<(), crate::EvalError> {
         // Paper: 14.2x higher performance/W than the idealised GPU.
-        let rows = run_from_speedup(&synthetic_row(), PowerAssumptions::default())?;
+        let rows = run_from_speedup(&synthetic_row())?;
         let fpga20 = rows.iter().find(|r| r.arch == "FPGA 20b").unwrap();
         assert!(
             (10.0..20.0).contains(&fpga20.vs_gpu),
@@ -195,7 +172,7 @@ mod tests {
     #[test]
     fn fpga_beats_cpu_by_hundreds_per_watt() -> Result<(), crate::EvalError> {
         // Paper: 400x higher performance/W than the CPU.
-        let rows = run_from_speedup(&synthetic_row(), PowerAssumptions::default())?;
+        let rows = run_from_speedup(&synthetic_row())?;
         let cpu = rows.iter().find(|r| r.arch.starts_with("CPU")).unwrap();
         let fpga20 = rows.iter().find(|r| r.arch == "FPGA 20b").unwrap();
         let ratio = fpga20.mnnz_per_watt / cpu.mnnz_per_watt;
@@ -208,7 +185,7 @@ mod tests {
 
     #[test]
     fn fixed_point_designs_are_most_efficient() -> Result<(), crate::EvalError> {
-        let rows = run_from_speedup(&synthetic_row(), PowerAssumptions::default())?;
+        let rows = run_from_speedup(&synthetic_row())?;
         let get = |name: &str| rows.iter().find(|r| r.arch == name).unwrap().mnnz_per_watt;
         assert!(get("FPGA 20b") > get("FPGA F32"));
         assert!(get("FPGA 20b") > get("GPU F32, zero-cost sort"));
@@ -219,7 +196,7 @@ mod tests {
     fn incomplete_roster_is_a_typed_error_not_a_panic() {
         let mut row = synthetic_row();
         row.arch.retain(|a| a.backend != "fpga-25b");
-        let err = run_from_speedup(&row, PowerAssumptions::default()).unwrap_err();
+        let err = run_from_speedup(&row).unwrap_err();
         assert!(
             matches!(&err, crate::EvalError::MissingBackend { backend, .. } if backend == "fpga-25b"),
             "{err:?}"

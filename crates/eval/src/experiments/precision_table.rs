@@ -11,23 +11,23 @@ use tkspmv::approx::{expected_precision, monte_carlo_precision};
 use crate::report::{fnum, Table};
 
 /// The K values of Table I's columns.
-pub const TABLE1_KS: [u64; 6] = [8, 16, 32, 50, 75, 100];
+const TABLE1_KS: [u64; 6] = [8, 16, 32, 50, 75, 100];
 /// The partition counts of Table I's rows.
-pub const TABLE1_CS: [u64; 3] = [16, 28, 32];
+const TABLE1_CS: [u64; 3] = [16, 28, 32];
 /// The matrix sizes of Table I's row groups.
-pub const TABLE1_NS: [u64; 2] = [1_000_000, 10_000_000];
+const TABLE1_NS: [u64; 2] = [1_000_000, 10_000_000];
 
 /// One Table I row: precision per K for a given `(N, c)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrecisionRow {
     /// Matrix rows `N`.
-    pub n: u64,
+    n: u64,
     /// Partitions `c`.
-    pub c: u64,
+    c: u64,
     /// Monte Carlo estimates per K (the paper's methodology).
-    pub monte_carlo: Vec<f64>,
+    monte_carlo: Vec<f64>,
     /// Closed-form expectations per K (Equation 1's exact counterpart).
-    pub closed_form: Vec<f64>,
+    closed_form: Vec<f64>,
 }
 
 /// Reproduces Table I: `k = 8`, 1000 trials per cell (plus the closed
@@ -79,18 +79,18 @@ pub fn to_table(rows: &[PrecisionRow]) -> Table {
     t
 }
 
-/// Table I's published values for `N = 10^6` (for regression checks).
-pub fn paper_reference_n1e6() -> [(u64, [f64; 6]); 3] {
-    [
-        (16, [1.0, 1.0, 0.999, 0.998, 0.983, 0.942]),
-        (28, [1.0, 1.0, 1.0, 0.999, 0.999, 0.996]),
-        (32, [1.0, 1.0, 1.0, 0.999, 0.999, 0.997]),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Table I's published values for `N = 10^6`.
+    fn paper_reference_n1e6() -> [(u64, [f64; 6]); 3] {
+        [
+            (16, [1.0, 1.0, 0.999, 0.998, 0.983, 0.942]),
+            (28, [1.0, 1.0, 1.0, 0.999, 0.999, 0.996]),
+            (32, [1.0, 1.0, 1.0, 0.999, 0.999, 0.997]),
+        ]
+    }
 
     #[test]
     fn reproduces_table1_within_tolerance() {

@@ -9,15 +9,15 @@ use crate::report::{fnum, Table};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceRow {
     /// The design's precision.
-    pub precision: Precision,
+    precision: Precision,
     /// Cores placed.
-    pub cores: u32,
+    cores: u32,
     /// Utilisation fractions: LUT, FF, BRAM, URAM, DSP.
-    pub utilization: [f64; 5],
+    utilization: [f64; 5],
     /// Modelled clock, MHz.
-    pub clock_mhz: f64,
+    clock_mhz: f64,
     /// Modelled power, W.
-    pub power_w: f64,
+    power_w: f64,
 }
 
 /// Regenerates Table II from the calibrated resource model.

@@ -6,7 +6,7 @@
 //! FPGA times come from their calibrated models, evaluated on the same
 //! matrix. All engines run through the [`tkspmv::TopKBackend`] trait —
 //! the experiment never names a concrete architecture; it races whatever
-//! [`crate::backends::figure5_roster`] returns against the measured CPU
+//! `backends::figure5_roster` returns against the measured CPU
 //! denominator, so the speedup ratios are directly comparable and
 //! scale-stable.
 //!
@@ -27,17 +27,17 @@ use crate::report::{fnum, fspeedup, Table};
 use crate::{EvalError, ExpConfig};
 
 /// The K used by Figure 5.
-pub const FIGURE5_K: usize = 100;
+const FIGURE5_K: usize = 100;
 
 /// One modelled architecture's result on one dataset group.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ArchSpeedup {
+pub(crate) struct ArchSpeedup {
     /// Backend name (see [`crate::backends`] for the roster).
-    pub backend: String,
+    pub(crate) backend: String,
     /// Kernel seconds billed to this architecture.
-    pub seconds: f64,
+    pub(crate) seconds: f64,
     /// Speedup over the measured CPU baseline.
-    pub speedup: f64,
+    pub(crate) speedup: f64,
 }
 
 /// Speedups of every architecture for one dataset group.
@@ -46,15 +46,15 @@ pub struct SpeedupRow {
     /// Dataset group (figure panel).
     pub group: DatasetGroup,
     /// Matrix rows actually processed.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Non-zeros processed.
-    pub nnz: u64,
+    pub(crate) nnz: u64,
     /// Measured CPU baseline seconds (best of `queries` runs).
-    pub cpu_seconds: f64,
+    pub(crate) cpu_seconds: f64,
     /// One entry per roster backend in roster order, plus a derived
     /// `…-spmv` entry (zero-cost-sort billing) immediately before each
     /// full GPU entry.
-    pub arch: Vec<ArchSpeedup>,
+    pub(crate) arch: Vec<ArchSpeedup>,
 }
 
 impl SpeedupRow {
@@ -130,7 +130,7 @@ pub fn run(config: &ExpConfig) -> Result<Vec<SpeedupRow>, EvalError> {
             let out = backend.query(prepared, &x, FIGURE5_K)?;
             // GPU runs also yield the paper's idealised zero-cost-sort
             // column for free: same functional result, SpMV-only billing
-            // (re-running a `gpu_spmv_only` backend would recompute the
+            // (re-running a zero-cost-sort backend would recompute the
             // identical ranking just to report a different time).
             if let Some((spmv_seconds, _, false)) = out.stats.gpu_timings() {
                 arch.push(ArchSpeedup {

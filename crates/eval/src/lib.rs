@@ -1,8 +1,8 @@
 //! Evaluation harness: metrics, datasets and experiment drivers that
 //! regenerate every table and figure of the paper.
 //!
-//! | Artifact | Driver | `run_all` section (`tkspmv_bench`) |
-//! |----------|--------|-------------------------------------|
+//! | Artifact | Driver | `run_all` section |
+//! |----------|--------|-------------------|
 //! | Table I (partition precision) | [`experiments::precision_table`] | `table1` |
 //! | Table II (resources/clock/power) | [`experiments::resources_table`] | `table2` |
 //! | Table III (evaluation matrices) | [`experiments::datasets_table`] | `table3` |
@@ -24,9 +24,16 @@
 //! paths: they enumerate `Box<dyn TopKBackend>` rosters from
 //! [`backends`], so a new engine joins every figure by implementing one
 //! trait.
+//!
+//! The binaries in `src/bin` print the tables: `run_all` (one section
+//! per artifact above), `autotune` and `fabric_bench`; [`cli`] holds
+//! the flags they share.
+
+#![forbid(unsafe_code)]
 
 pub mod autotune;
 pub mod backends;
+pub mod cli;
 pub mod datasets;
 mod error;
 pub mod experiments;

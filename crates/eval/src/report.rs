@@ -1,9 +1,9 @@
-//! Plain-text table rendering for experiment output (markdown +
-//! CSV, no external dependencies).
+//! Plain-text table rendering for experiment output (markdown, no
+//! external dependencies).
 
 use std::fmt::Write as _;
 
-/// A simple column-aligned table that renders to markdown or CSV.
+/// A simple column-aligned table that renders to markdown.
 ///
 /// # Example
 ///
@@ -86,29 +86,15 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (no quoting beyond commas-to-semicolons; cells are
-    /// numeric or simple labels by construction).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &String| s.replace(',', ";");
-        out.push_str(&self.header.iter().map(esc).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(esc).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with `digits` significant decimal places.
-pub fn fnum(v: f64, digits: usize) -> String {
+pub(crate) fn fnum(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
 }
 
 /// Formats a speedup factor like the paper's figures (`104x`).
-pub fn fspeedup(v: f64) -> String {
+pub(crate) fn fspeedup(v: f64) -> String {
     if v >= 10.0 {
         format!("{v:.0}x")
     } else {
@@ -117,7 +103,7 @@ pub fn fspeedup(v: f64) -> String {
 }
 
 /// Formats a byte count in GB with one decimal.
-pub fn fgb(bytes: u64) -> String {
+pub(crate) fn fgb(bytes: u64) -> String {
     format!("{:.2} GB", bytes as f64 / 1e9)
 }
 
@@ -134,16 +120,6 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0].len(), lines[1].len());
         assert_eq!(lines[0].len(), lines[2].len());
-    }
-
-    #[test]
-    fn csv_round_trip_structure() {
-        let mut t = Table::new(vec!["k", "v"]);
-        t.row(vec!["a,b".into(), "2".into()]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "k,v\na;b,2\n");
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use tkspmv_check::diag::Report;
 #[test]
 fn manifests_have_no_drift() {
     let root = tkspmv_check::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("workspace root above the integration crate");
+        .expect("workspace root above the eval crate");
     let mut report = Report::default();
     tkspmv_check::manifests::check(&root, &mut report);
     assert!(

@@ -14,7 +14,7 @@
 //! `/traces` JSON dump of its slowest assembled trace trees, and the
 //! example scrapes all of them the way a collector would.
 //!
-//! Run with: `cargo run --release --example cluster`
+//! Run with: `cargo run --release -p tkspmv_eval --example cluster`
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -6,7 +6,7 @@
 //! widths, core counts and embedding sizes, including cards smaller
 //! than the U280 (the paper's future-work direction).
 //!
-//! Run with: `cargo run --release --bin design_space`
+//! Run with: `cargo run --release -p tkspmv_eval --example design_space`
 
 use tkspmv::hw::{DesignPoint, HbmConfig, ResourceModel, Roofline, UramBudget};
 use tkspmv_fixed::Precision;

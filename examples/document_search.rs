@@ -11,7 +11,7 @@
 //! shortlists `c·k` candidate documents and only those are rescored at
 //! full precision.
 //!
-//! Run with: `cargo run --release --bin document_search`
+//! Run with: `cargo run --release -p tkspmv_eval --example document_search`
 
 use std::sync::Arc;
 use std::time::Instant;

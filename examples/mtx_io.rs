@@ -6,7 +6,7 @@
 //! dense embeddings → sparsify → write `.mtx` → read back → validate →
 //! query.
 //!
-//! Run with: `cargo run --release --bin mtx_io`
+//! Run with: `cargo run --release -p tkspmv_eval --example mtx_io`
 
 use tkspmv::backend::{QueryBatch, TopKBackend};
 use tkspmv::Accelerator;

@@ -2,7 +2,7 @@
 //! roll a grown collection under live traffic.
 //!
 //! ```sh
-//! cargo run --release -p tkspmv_integration --example persistence
+//! cargo run --release -p tkspmv_eval --example persistence
 //! ```
 //!
 //! The walkthrough:

@@ -3,7 +3,7 @@
 //! and the modelled GPU — through the one `TopKBackend` interface, then
 //! batch 16 queries on the accelerator.
 //!
-//! Run with: `cargo run --release --example quickstart`
+//! Run with: `cargo run --release -p tkspmv_eval --example quickstart`
 
 use tkspmv::backend::{QueryBatch, TopKBackend};
 use tkspmv::Accelerator;

@@ -7,7 +7,7 @@
 //! Precision/τ/NDCG cost of each speed-up lever — the practical
 //! decision a deployment has to make (§V-D).
 //!
-//! Run with: `cargo run --release --bin recommender`
+//! Run with: `cargo run --release -p tkspmv_eval --example recommender`
 
 use tkspmv::approx::expected_precision;
 use tkspmv::backend::TopKBackend;

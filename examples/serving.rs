@@ -7,7 +7,7 @@
 //! prepared partition, and per-shard Top-K lists are merged into global
 //! answers. The final metrics snapshot shows the coalescing at work.
 //!
-//! Run with: `cargo run --release --example serving`
+//! Run with: `cargo run --release -p tkspmv_eval --example serving`
 
 use std::sync::Arc;
 use std::time::Duration;
