@@ -73,33 +73,38 @@ const CHUNK_PACKETS: usize = BsCsr::CHUNK_PACKETS;
 /// One block of M = 1024 Q1.19 queries is 32 KiB and shares L1 with the
 /// chunk. A ragged batch is not padded up to a block: its last
 /// `B % BLOCK_LANES` lanes replay one at a time straight from their
-/// query slices, so B = 1 pays for neither a copy nor idle lanes.
+/// query slices, so B = 1 pays for neither a copy nor idle lanes. Where
+/// no sum can saturate, a remainder lane replays from running-sum
+/// differences ([`running_sum_pass`]) rather than row by row.
 ///
 /// Measured at x86-64-v3 with the unsaturated accumulator (one thread,
 /// the 32 partitions of the 100k × 1024 Q1.19 ledger collection, 2-vCPU
 /// host): 16 lanes replay a B = 32 batch at 0.53–0.60 ns/nnz/lane
 /// against 0.62–0.83 for 8, but then a batch of 8 to 15 queries has no
 /// full block and replays one lane wide, 2.4 ns/nnz/lane at B = 8
-/// against 0.9. Eight keeps every B ≥ 8 on the wide path.
+/// against 0.9 (measured before the one-lane body summed by running-sum
+/// differences, which cut its score ≈ 0.4×). Eight keeps every B ≥ 8
+/// on the wide path.
 const BLOCK_LANES: usize = 8;
 
 /// Reusable working memory for [`run_core_batch_with_scratch`]: the
-/// current chunk's flat value/index arrays, the batch's full lane blocks
-/// transposed, and one resident lane (Top-K tracker + carry) per query
-/// in the batch. The row structure replay follows is not here: it is
-/// the stream's own, recorded once ([`BsCsr::row_ends`]).
+/// current chunk's flat value/index arrays, one remainder lane's running
+/// sums over it, the batch's full lane blocks transposed, and one
+/// resident lane (Top-K tracker + carry) per query in the batch. The
+/// row structure replay follows is not here: it is the stream's own,
+/// recorded once ([`BsCsr::row_ends`]).
 ///
 /// Allocate one per participant (see [`crate::fanout::fork_join`]) and
 /// stream every partition and batch it walks through it.
 /// The chunk buffers are sized **once per call** to `CHUNK_PACKETS · B`
-/// (a no-op when the previous call used the same layout), the
-/// transposed block to the batch's full blocks, and the packet loop
-/// writes into them by position, so a call allocates a number of
-/// times that depends on neither the packet count nor — once lanes and
-/// outputs have grown to the largest batch seen — the batch size; on a
-/// warm scratch that number is zero (both asserted by the `zero_alloc`
-/// integration test). That is what lets the software model be
-/// bandwidth- rather than allocator-bound.
+/// (`+ 1` for the running sums; a no-op when the previous call used the
+/// same layout), the transposed block to the batch's full blocks, and
+/// the packet loop writes into them by position, so a call allocates a
+/// number of times that depends on neither the packet count nor — once
+/// lanes and outputs have grown to the largest batch seen — the batch
+/// size; on a warm scratch that number is zero (both asserted by the
+/// `zero_alloc` integration test). That is what lets the software model
+/// be bandwidth- rather than allocator-bound.
 #[derive(Debug, Clone)]
 pub struct BatchScratch<S: SpmvScalar> {
     /// The current chunk's values decoded into the scalar domain —
@@ -110,6 +115,13 @@ pub struct BatchScratch<S: SpmvScalar> {
     dvals: Vec<S>,
     /// The current chunk's column indices, laid out like `dvals`.
     cidx: Vec<u32>,
+    /// One remainder lane's running sums over the current chunk when the
+    /// stream's sums cannot saturate: `sums[0]` is the lane's carry and
+    /// `sums[i + 1]` adds entry `i`'s product, so a row's sum is the
+    /// difference of the running sums at its two ends (see
+    /// [`running_sum_pass`]). `CHUNK_PACKETS · B + 1` long, sized with
+    /// `dvals`.
+    sums: Vec<S::Acc>,
     /// The batch's full [`BLOCK_LANES`]-lane blocks, transposed once per
     /// call: `xt[block·M + col][lane]` is query `block·BLOCK_LANES +
     /// lane` at column `col`, so one non-zero reads one contiguous row
@@ -135,6 +147,7 @@ impl<S: SpmvScalar> BatchScratch<S> {
         Self {
             dvals: Vec::new(),
             cidx: Vec::new(),
+            sums: Vec::new(),
             xt: Vec::new(),
             lanes: Vec::new(),
             outputs: Vec::new(),
@@ -170,13 +183,19 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// multiplied into a whole block's accumulators from one contiguous row
 /// — the software picture of many multiply-accumulate units fed by one
 /// decoded stream from a banked on-chip vector. The lanes left over
-/// (batch size mod 8) run the same replay body one lane wide, reading
-/// their own query slices. Within each lane, whatever its block, the
-/// engine follows Algorithm 1 stage by stage:
+/// (batch size mod 8) run one lane wide, reading their own query
+/// slices. Within each lane, whatever its block, the engine follows
+/// Algorithm 1 stage by stage:
 ///
 /// 1. **Scatter**: for each of the packet's `B` entries, read `x[idx]`
 ///    from (emulated) URAM and form the point-wise product;
-/// 2. **Aggregation**: sum products belonging to the same row;
+/// 2. **Aggregation**: sum products belonging to the same row. A block
+///    sums each row from its first entry to its last. A one-lane
+///    remainder whose sums cannot saturate (below) takes one branch-free
+///    pass over the chunk's products instead, keeping their running
+///    sums, and reads each row's sum as the difference of the running
+///    sums at its two ends — exact modulo 2⁶⁴, and no row sum reaches
+///    2⁶⁴, so the bits are the sequential sum's;
 /// 3. **Summary**: stitch rows that span packet (and chunk) boundaries
 ///    through the carried partial sum;
 /// 4. **Top-K update**: offer every row finished in this packet (at most
@@ -220,17 +239,21 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// require them distinct), so when that count is within
 /// [`SpmvScalar::UNSATURATED_TERMS`] — every Q1.19 stream below 16.7 M
 /// entries, every Q1.24 one below 16,384 — no sum can saturate, and
-/// replay adds with [`SpmvScalar::acc_add_unsaturated`]; otherwise, and
-/// always for Q1.31 and the float designs, with [`SpmvScalar::acc_add`].
-/// The two give the same bits on every sum the first is used for
-/// (pinned by a unit test that drives a Q1.31 row into saturation).
+/// replay adds with [`SpmvScalar::acc_add_unsaturated`] (and the
+/// remainder lanes sum by running-sum differences, stage 2 above);
+/// otherwise, and always for the float designs
+/// and for Q1.31 past one entry, with [`SpmvScalar::acc_add`] row by
+/// row. The paths give the same bits on every sum the fast one is used
+/// for (pinned by unit tests that drive a Q1.31 row into saturation and
+/// hold the two one-lane bodies to each other).
 ///
 /// Results are **bit-identical** to running each query alone: per lane,
-/// the sequence of multiply/accumulate operations and Top-K offers is
-/// exactly the packet-arrival order the single-query loop produces —
-/// the row ends, carry stitching, and `r`-limit gating depend only on
-/// the matrix, not on the other queries in the batch, and lane blocking
-/// only interleaves lanes, never reorders one lane's steps.
+/// the Top-K offers come in the packet-arrival order the single-query
+/// loop produces, with the same sums — the row ends, carry stitching,
+/// and `r`-limit gating depend only on the matrix, not on the other
+/// queries in the batch; lane blocking only interleaves lanes, never
+/// reorders one lane's steps; and a lane summed by running-sum
+/// differences reads the bits a row-by-row sum gives (stage 2 above).
 ///
 /// The returned slice borrows the scratch and holds one
 /// [`CoreOutput`] per query, in input order. [`CoreStats`] are
@@ -344,6 +367,7 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     let chunk_entries = CHUNK_PACKETS * per_packet;
     scratch.cidx.resize(chunk_entries, 0);
     scratch.dvals.resize(chunk_entries, S::decode(0));
+    scratch.sums.resize(chunk_entries + 1, S::acc_zero());
 
     let unsaturated = unsaturated_sums::<S>(matrix);
     let mut remaining = matrix.stored_entries();
@@ -375,10 +399,10 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
         };
 
         // Stages 1b+2+3+4, block by block: fused gather-multiply-
-        // accumulate replaying the chunk's recorded rows, then the Top-K
-        // offers. Per query the multiply/accumulate order is exactly the
-        // sequential path's packet-arrival order, so sums (including
-        // fixed-point saturation) are bit-identical.
+        // accumulate replaying the chunk's recorded rows (or, for a
+        // one-lane remainder that cannot saturate, their running sums),
+        // then the Top-K offers. Every sum, saturation included, has the
+        // bits of the sequential path's packet-arrival-order sum.
         let lanes = &mut scratch.lanes[..b];
         if unsaturated {
             replay(
@@ -387,10 +411,11 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
                 queries,
                 m,
                 chunk,
+                Some(&mut scratch.sums[..]),
                 S::acc_add_unsaturated,
             );
         } else {
-            replay(lanes, &scratch.xt, queries, m, chunk, S::acc_add);
+            replay(lanes, &scratch.xt, queries, m, chunk, None, S::acc_add);
         }
         let scored = Instant::now();
         scratch.stage_times.decode += decoded - mark;
@@ -440,10 +465,53 @@ struct Chunk<'a, S> {
     r_limit: u32,
 }
 
+/// The `r` gate over one chunk's row ends, in order: the packet of the
+/// previous row end and that row's ordinal in it.
+struct RowGate {
+    /// `⌈2³² / B⌉`: `(n · recip) >> 32` is `n / B` exactly whenever
+    /// `n, B < 2¹⁶`, as every chunk-relative row end and every `B` is,
+    /// so a row's packet costs a multiply even when `B` is not a
+    /// compile-time constant.
+    recip: u64,
+    packet: u64,
+    ordinal: u32,
+}
+
+impl RowGate {
+    /// Before the first row end of a chunk with `per_packet` entries a
+    /// packet.
+    #[inline(always)]
+    fn new(per_packet: usize) -> Self {
+        debug_assert!(per_packet < 1 << 16);
+        Self {
+            recip: (1u64 << 32).div_ceil(per_packet as u64),
+            packet: u64::MAX,
+            ordinal: 0,
+        }
+    }
+
+    /// Whether the row ending at `end` (its packet is `(end − 1) / B`)
+    /// is among the first `r_limit` to end in its packet.
+    #[inline(always)]
+    fn admits(&mut self, end: u16, r_limit: u32) -> bool {
+        let p = ((u64::from(end) - 1) * self.recip) >> 32;
+        self.ordinal = if p == self.packet {
+            self.ordinal + 1
+        } else {
+            0
+        };
+        self.packet = p;
+        self.ordinal < r_limit
+    }
+}
+
 /// Replays one chunk into every active lane: the full blocks
-/// [`BLOCK_LANES`] wide from their rows of the transposed `xt`, the
-/// remainder one lane wide from each lane's own query slice — one body
-/// either way, summing with `add` (see [`accumulate`]).
+/// [`BLOCK_LANES`] wide from their rows of the transposed `xt`, summing
+/// with `add` (see [`accumulate`]), and the remainder one lane at a
+/// time from each lane's own query slice. A remainder lane runs the
+/// same body one lane wide, unless `sums` is given — only when
+/// [`unsaturated_sums`] holds, with `add` the unsaturated add — in which
+/// case it replays from running-sum differences ([`running_sum_pass`]).
 #[inline(always)]
 fn replay<S: SpmvScalar, Q: AsRef<[S]>>(
     lanes: &mut [QueryLane<S>],
@@ -451,6 +519,7 @@ fn replay<S: SpmvScalar, Q: AsRef<[S]>>(
     queries: &[Q],
     m: usize,
     chunk: Chunk<'_, S>,
+    mut sums: Option<&mut [S::Acc]>,
     add: impl Fn(S::Acc, S::Acc) -> S::Acc + Copy,
 ) {
     let blocked = lanes.len() - lanes.len() % BLOCK_LANES;
@@ -461,12 +530,15 @@ fn replay<S: SpmvScalar, Q: AsRef<[S]>>(
     }
     for (lane, q) in rest.iter_mut().zip(&queries[blocked..]) {
         let x = &q.as_ref()[..m];
-        block_pass(
-            std::slice::from_mut(lane),
-            chunk,
-            |idx| [x[idx as usize]],
-            add,
-        );
+        match sums.as_deref_mut() {
+            Some(sums) => running_sum_pass(lane, chunk, x, sums),
+            None => block_pass(
+                std::slice::from_mut(lane),
+                chunk,
+                |idx| [x[idx as usize]],
+                add,
+            ),
+        }
     }
 }
 
@@ -488,10 +560,9 @@ fn block_pass<S: SpmvScalar, const L: usize>(
     debug_assert_eq!(lanes.len(), L);
     let mut from: [S::Acc; L] = std::array::from_fn(|l| lanes[l].carry);
     let mut start = 0usize;
-    // The packet of the previous row end and that row's ordinal in it.
-    let (mut packet, mut ordinal) = (usize::MAX, 0u32);
-    for (i, &end) in chunk.ends.iter().enumerate() {
-        let end = end as usize;
+    let mut gate = RowGate::new(chunk.per_packet);
+    for (i, &row_end) in chunk.ends.iter().enumerate() {
+        let end = row_end as usize;
         let acc = accumulate(
             from,
             &chunk.dvals[start..end],
@@ -501,10 +572,7 @@ fn block_pass<S: SpmvScalar, const L: usize>(
         );
         from = [S::acc_zero(); L];
         start = end;
-        let p = (end - 1) / chunk.per_packet;
-        ordinal = if p == packet { ordinal + 1 } else { 0 };
-        packet = p;
-        if ordinal < chunk.r_limit {
+        if gate.admits(row_end, chunk.r_limit) {
             for (lane, &a) in lanes.iter_mut().zip(&acc) {
                 lane.tracker.insert(chunk.first_row + i as u32, a);
             }
@@ -516,6 +584,76 @@ fn block_pass<S: SpmvScalar, const L: usize>(
     }
 }
 
+/// One lane's chunk replayed from running-sum differences, the
+/// one-lane body for a stream whose sums cannot saturate: one flat pass
+/// over the chunk's entries writes `sums[0] = carry` and `sums[i + 1] =
+/// sums[i] ⊕ d_i · x[idx_i]` with no per-row control flow, then every
+/// row's sum is read off its recorded ends as `sums[end] ⊖ sums[prev]`
+/// — the chunk's first row from `sums[end]` alone, so it includes the
+/// carry — and the new carry is `sums[len] ⊖ sums[last end]`. The Top-K
+/// offers and the `r` gate are [`block_pass`]'s.
+///
+/// `⊕`/`⊖` are [`SpmvScalar::acc_add_unsaturated`] and
+/// [`SpmvScalar::acc_sub_unsaturated`], exact modulo 2⁶⁴ for fixed
+/// point. The running sums may wrap, but [`unsaturated_sums`] proves no
+/// row sum reaches 2⁶⁴, so every difference equals the sequential
+/// (saturating) sum of that row bit for bit.
+///
+/// Kept out of line so the engine body around the 8-lane block path
+/// does not change shape with it: inlined, it bought nothing on the
+/// stage clock, and one ledger reading put the B = 32 workload, which
+/// never runs it, 3 % slower. The call costs once per chunk per
+/// remainder lane.
+#[inline(never)]
+fn running_sum_pass<S: SpmvScalar>(
+    lane: &mut QueryLane<S>,
+    chunk: Chunk<'_, S>,
+    x: &[S],
+    sums: &mut [S::Acc],
+) {
+    // Only a scalar with a non-zero bound defines the subtraction.
+    debug_assert!(S::UNSATURATED_TERMS > 0);
+    let len = chunk.dvals.len();
+    let sums = &mut sums[..=len];
+    sums[0] = lane.carry;
+    let mut acc = lane.carry;
+    // Four entries at a time, their products formed before any of them
+    // is added: the gathers and multiplies of a group do not wait on
+    // the running sum, so they overlap the previous group's adds
+    // (≈ 1.35× faster on the stage clock than one entry at a time; eight
+    // at a time measured the same as four).
+    let grouped = len - len % 4;
+    let groups = sums[1..=grouped]
+        .chunks_exact_mut(4)
+        .zip(chunk.dvals.chunks_exact(4))
+        .zip(chunk.idx.chunks_exact(4));
+    for ((p, d), i) in groups {
+        let products: [S::Acc; 4] = std::array::from_fn(|j| S::mul(d[j], x[i[j] as usize]));
+        for (p, product) in p.iter_mut().zip(products) {
+            acc = S::acc_add_unsaturated(acc, product);
+            *p = acc;
+        }
+    }
+    let rest = sums[grouped + 1..]
+        .iter_mut()
+        .zip(&chunk.dvals[grouped..])
+        .zip(&chunk.idx[grouped..]);
+    for ((p, &d), &i) in rest {
+        acc = S::acc_add_unsaturated(acc, S::mul(d, x[i as usize]));
+        *p = acc;
+    }
+    let mut before = S::acc_zero();
+    let mut gate = RowGate::new(chunk.per_packet);
+    for (i, &end) in chunk.ends.iter().enumerate() {
+        let sum = S::acc_sub_unsaturated(sums[end as usize], before);
+        before = sums[end as usize];
+        if gate.admits(end, chunk.r_limit) {
+            lane.tracker.insert(chunk.first_row + i as u32, sum);
+        }
+    }
+    lane.carry = S::acc_sub_unsaturated(acc, before);
+}
+
 /// `acc[l] = add(acc[l], d · row(idx)[l])` for every lane, entry by
 /// entry in stream order: the multiply-accumulate array of
 /// [`block_pass`].
@@ -525,7 +663,10 @@ fn block_pass<S: SpmvScalar, const L: usize>(
 /// [`SpmvScalar::acc_add_unsaturated`], which drops the saturation
 /// check. The second is taken only where no row sum can reach the
 /// saturation point, so both give the same bits; without the check the
-/// `L` lanes of an entry are two 256-bit multiplies and two adds.
+/// `L` lanes of an entry are two 256-bit multiplies and two adds. In
+/// that case only the full blocks come here: a one-lane remainder sums
+/// by running-sum differences ([`running_sum_pass`]), which has no
+/// per-row loop to enter and leave.
 ///
 /// The gather `row(idx)` is bounds-checked. Besides rejecting a column
 /// past the query's end, that check is a side exit which keeps the
@@ -960,6 +1101,159 @@ mod tests {
         assert!(!unsaturated_sums::<Q1_24>(&q1_24));
     }
 
+    /// A stream on `S`'s design layout holding every shape the two
+    /// one-lane bodies must agree on. Short rows (some empty) run up to
+    /// 60 entries before the first chunk's end. Then a 1,024-entry row
+    /// straddles packets 63 → 64 and covers the whole second chunk, so
+    /// that chunk records no row end. Short rows follow, up to a ragged
+    /// last packet.
+    fn one_lane_stream<S: SpmvScalar>() -> BsCsr {
+        let layout = const { PacketLayout::paper(S::VALUE_BITS) };
+        let b = layout.entries_per_packet() as usize;
+        let chunk = CHUNK_PACKETS * b;
+        let mut triplets = Vec::new();
+        let (mut row, mut cum) = (0u32, 0usize);
+        let mut push = |len: usize, row: &mut u32, cum: &mut usize| {
+            let start = *row as usize * 37;
+            let mut cols: Vec<u32> = (0..len).map(|j| ((start + j) % 1024) as u32).collect();
+            cols.sort_unstable();
+            for (j, c) in cols.into_iter().enumerate() {
+                let v = 0.05 + ((*row as usize * 31 + j * 17) % 90) as f32 / 100.0;
+                triplets.push((*row, c, v));
+            }
+            *cum += len.max(1);
+            *row += 1;
+        };
+        let short = |row: u32| {
+            if row % 9 == 4 {
+                0
+            } else {
+                row as usize * 7 % 23 + 1
+            }
+        };
+        while cum < chunk - 60 {
+            push(short(row).min(chunk - 60 - cum), &mut row, &mut cum);
+        }
+        push(1024, &mut row, &mut cum);
+        while cum < 2 * chunk + 100 || cum % b == 0 {
+            push(short(row), &mut row, &mut cum);
+        }
+        let csr = Csr::from_triplets(row as usize, 1024, &triplets).unwrap();
+        let bs = BsCsr::encode::<S>(&csr, layout);
+        let chunk_rows = bs.row_ends().0;
+        assert_eq!(chunk_rows.len(), 4, "three chunks");
+        assert_eq!(
+            chunk_rows[1], chunk_rows[2],
+            "the second chunk has no row end"
+        );
+        assert_ne!(bs.stored_entries() % b as u64, 0, "ragged last packet");
+        assert!(unsaturated_sums::<S>(&bs));
+        bs
+    }
+
+    /// What a lane holds after a chunk: its Top-K, accept count and carry.
+    fn lane_state(lane: &QueryLane<impl SpmvScalar<Acc = u64>>) -> (Vec<(u32, u64)>, u64, u64) {
+        let mut topk = Vec::new();
+        lane.tracker.write_sorted_into(&mut topk);
+        (topk, lane.tracker.accepted(), lane.carry)
+    }
+
+    /// Walks `matrix` chunk by chunk, decoded through `layout` as the
+    /// engine does, into two lanes that start from `carry`: one replayed
+    /// by the sequential one-lane [`block_pass`] with the saturating
+    /// `acc_add`, one by [`running_sum_pass`]. After every chunk the two
+    /// must hold the same Top-K, accept count and carry. Returns whether
+    /// the running sums wrapped past 2⁶⁴ in some chunk.
+    fn one_lane_bodies_agree<S: SpmvScalar<Acc = u64>>(
+        matrix: &BsCsr,
+        layout: PacketLayout,
+        x: &[S],
+        carry: u64,
+        r_limit: u32,
+    ) -> bool {
+        let per_packet = layout.entries_per_packet() as usize;
+        let chunk_entries = CHUNK_PACKETS * per_packet;
+        let mut idx = vec![0; chunk_entries];
+        let mut dvals = vec![S::decode(0); chunk_entries];
+        let mut sums = vec![0; chunk_entries + 1];
+        let lane = || QueryLane::<S> {
+            tracker: TopKTracker::new(8),
+            carry,
+        };
+        let (mut sequential, mut running) = (lane(), lane());
+        let (chunk_rows, ends, _) = matrix.row_ends();
+        let mut remaining = matrix.stored_entries() as usize;
+        let mut wrapped = false;
+        for (c, packets) in matrix.packets().chunks(CHUNK_PACKETS).enumerate() {
+            let slots = idx
+                .chunks_exact_mut(per_packet)
+                .zip(dvals.chunks_exact_mut(per_packet));
+            for (packet, (idx_out, val_out)) in packets.iter().zip(slots) {
+                packet.decode_fields(layout, idx_out, val_out, S::decode);
+            }
+            let len = remaining.min(chunk_entries);
+            remaining -= len;
+            let rows = chunk_rows[c] as usize..chunk_rows[c + 1] as usize;
+            let chunk = Chunk {
+                dvals: &dvals[..len],
+                idx: &idx[..len],
+                first_row: rows.start as u32,
+                ends: &ends[rows],
+                per_packet,
+                r_limit,
+            };
+            let one = std::slice::from_mut(&mut sequential);
+            block_pass(one, chunk, |i| [x[i as usize]], S::acc_add);
+            running_sum_pass(&mut running, chunk, x, &mut sums);
+            assert_eq!(
+                lane_state(&sequential),
+                lane_state(&running),
+                "chunk {c}, carry {carry:#x}, r {r_limit}"
+            );
+            wrapped |= sums[..=len].windows(2).any(|p| p[1] < p[0]);
+        }
+        wrapped
+    }
+
+    /// For a zero and a nearly full incoming carry, `r` ∈ {1, 2,
+    /// Reference}, and the design layout as a constant and handed over at
+    /// run time. The full carry leaves room for the first row's largest
+    /// sum only, so the running sums wrap past 2⁶⁴: the differences must
+    /// still be the sequential sums.
+    fn one_lane_bodies_agree_on<S: SpmvScalar<Acc = u64>>() {
+        let bs = one_lane_stream::<S>();
+        let x = quantize_vector::<S>(query_vector(1024, 5).as_slice());
+        let max = S::decode(u64::MAX);
+        let first_row_len = bs.row_ends().1[0] as u64;
+        let full = u64::MAX - first_row_len * S::mul(max, max);
+        let design = const { PacketLayout::paper(S::VALUE_BITS) };
+        for carry in [0, full] {
+            for r_limit in [1, 2, u32::MAX] {
+                let wrapped = one_lane_bodies_agree(&bs, design, &x, carry, r_limit);
+                assert_eq!(wrapped, carry == full);
+                one_lane_bodies_agree(&bs, black_box(bs.layout()), &x, carry, r_limit);
+            }
+        }
+    }
+
+    #[test]
+    fn running_sum_differences_equal_the_sequential_one_lane_body() {
+        one_lane_bodies_agree_on::<Q1_19>();
+        one_lane_bodies_agree_on::<Q1_24>();
+    }
+
+    /// The gate's multiply-shift is the division it replaces for every
+    /// chunk-relative row end and every packet width up to 128 entries.
+    #[test]
+    fn row_gate_packet_is_the_exact_quotient() {
+        for b in 1..=128usize {
+            let recip = RowGate::new(b).recip;
+            for n in 0..=u64::from(u16::MAX) {
+                assert_eq!((n * recip) >> 32, n / b as u64, "{n} / {b}");
+            }
+        }
+    }
+
     /// Overwrites entry `j`'s field (`idx` region if `val` is false) in
     /// `packet` with `bits`-wide `raw`.
     fn poke(layout: PacketLayout, packet: &mut Packet512, val: bool, j: usize, raw: u64) {
@@ -1068,6 +1362,7 @@ mod tests {
             &[&x],
             1024,
             chunk,
+            None,
             Q1_19::acc_add,
         );
     }

@@ -66,6 +66,22 @@ pub trait SpmvScalar: Copy + core::fmt::Debug + Send + Sync + 'static {
         Self::acc_add(a, b)
     }
 
+    /// The inverse of [`acc_add_unsaturated`](Self::acc_add_unsaturated):
+    /// `acc_sub_unsaturated(acc_add_unsaturated(a, b), b) == a`. With
+    /// both ops exact modulo the accumulator's width, the difference of
+    /// two running sums is the sum of the terms between them whenever
+    /// that sum holds at most
+    /// [`UNSATURATED_TERMS`](Self::UNSATURATED_TERMS) products.
+    ///
+    /// Only a scalar whose `UNSATURATED_TERMS` is above 0 defines it; the
+    /// engine never calls it for one whose bound is 0 (the float
+    /// designs), which is what the default's panic states.
+    fn acc_sub_unsaturated(_a: Self::Acc, _b: Self::Acc) -> Self::Acc {
+        // invariant: callers check `UNSATURATED_TERMS > 0` first, and
+        // every scalar with a non-zero bound overrides this.
+        unreachable!("acc_sub_unsaturated on a scalar with UNSATURATED_TERMS = 0")
+    }
+
     /// The accumulator additive identity.
     fn acc_zero() -> Self::Acc;
 
@@ -117,6 +133,10 @@ impl<const BITS: u32> SpmvScalar for UFixed<BITS> {
 
     fn acc_add_unsaturated(a: u64, b: u64) -> u64 {
         a.wrapping_add(b)
+    }
+
+    fn acc_sub_unsaturated(a: u64, b: u64) -> u64 {
+        a.wrapping_sub(b)
     }
 
     fn acc_zero() -> u64 {
@@ -289,6 +309,48 @@ mod tests {
         // One term past the bound, only `acc_add` is right.
         assert_eq!(Q1_24::acc_add(saturating, product), u64::MAX);
         assert_ne!(Q1_24::acc_add_unsaturated(unsaturated, product), u64::MAX);
+    }
+
+    /// `acc_sub_unsaturated` undoes `acc_add_unsaturated` for every pair
+    /// drawn at and around the largest unsaturated sum, `bound =
+    /// UNSATURATED_TERMS · RAW_MAX²`, including running sums that wrap
+    /// past `u64::MAX`: the difference of two running sums is what was
+    /// added between them.
+    fn sub_undoes_unsaturated_add<const BITS: u32>() {
+        let raw_max = UFixed::<BITS>::RAW_MAX as u64;
+        let product = raw_max * raw_max;
+        let bound = UFixed::<BITS>::UNSATURATED_TERMS * product;
+        let near = |v: u64| [v.saturating_sub(1), v, v.saturating_add(1)];
+        let mut values = vec![0, 1, u64::MAX - 1, u64::MAX];
+        values.extend(near(product));
+        values.extend(near(bound));
+        values.extend(near(bound - product));
+        values.extend(near(u64::MAX - bound));
+        for &a in &values {
+            for &b in &values {
+                let sum = UFixed::<BITS>::acc_add_unsaturated(a, b);
+                assert_eq!(
+                    UFixed::<BITS>::acc_sub_unsaturated(sum, b),
+                    a,
+                    "{BITS} bits"
+                );
+                // `a` as the running sum before `b` was added to it.
+                assert_eq!(
+                    UFixed::<BITS>::acc_sub_unsaturated(sum, a),
+                    b,
+                    "{BITS} bits"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unsaturated_sub_undoes_unsaturated_add_for_every_width() {
+        sub_undoes_unsaturated_add::<4>();
+        sub_undoes_unsaturated_add::<8>();
+        sub_undoes_unsaturated_add::<20>();
+        sub_undoes_unsaturated_add::<25>();
+        sub_undoes_unsaturated_add::<32>();
     }
 
     #[test]

@@ -59,10 +59,12 @@ fn batched_32_beats_32_sequential_calls() {
     assert_eq!(results.len(), B);
 
     // Decode is paid once per batch and replay runs eight lanes per
-    // decoded non-zero, so the batch takes 0.23-0.26x the sequential
-    // time on a 2-vCPU x86-64-v3 host (B = 1 replays from recorded row
-    // ends, so the sequential side is cheap too). Asserting 0.4x keeps
-    // 1.5x headroom over the slowest reading while still catching a
+    // decoded non-zero, so the batch takes 0.18-0.38x the sequential
+    // time, median 0.34 (12 runs on a 2-vCPU x86-64-v3 host; 0.21-0.29
+    // before B = 1 summed by running-sum differences). With ~3k entries
+    // a partition the fork-join dominates both sides, and a cheaper
+    // B = 1 makes the sequential side cheap too. Asserting 0.4x leaves
+    // little headroom over the slowest reading but still catches a
     // fallback to per-query decoding, which brings the two sides level.
     assert!(
         batched.as_secs_f64() < sequential.as_secs_f64() * 0.4,

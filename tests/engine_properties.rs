@@ -245,14 +245,14 @@ fn chunked_matrix(stored: usize, b: usize, num_cols: usize, seed: u64) -> Csr {
 /// The faithful engine against [`chunk_oracle`], bit for bit in the
 /// Top-K list and in every [`CoreStats`] field, on streams of 63, 64,
 /// 65 and 128 packets whose last packet is full or ragged, at batch
-/// sizes 1 and 9 (a remainder lane alone; a full 8-lane block plus
-/// one), for r ∈ {1, 2, design r} and `Reference`, on the design layout
-/// and on a narrower run-time layout.
+/// sizes 1, 9 and 15 (a remainder lane alone; a full 8-lane block plus
+/// one; a block plus seven), for r ∈ {1, 2, design r} and `Reference`,
+/// on the design layout and on a narrower run-time layout.
 fn engine_matches_the_chunk_oracle<S: SpmvScalar>() {
     let design = PacketLayout::paper(S::VALUE_BITS);
     let narrow_b = design.entries_per_packet() - 4;
     let narrow = PacketLayout::with_entries(1024, S::VALUE_BITS, narrow_b).unwrap();
-    let queries: Vec<Vec<S>> = (0..9)
+    let queries: Vec<Vec<S>> = (0..15)
         .map(|seed| quantize_vector::<S>(query_vector(1024, seed).as_slice()))
         .collect();
     let k = 10;
@@ -287,7 +287,7 @@ fn engine_matches_the_chunk_oracle<S: SpmvScalar>() {
                     ),
                     (Fidelity::Reference, u32::MAX),
                 ] {
-                    for lanes in [1, 9] {
+                    for lanes in [1, 9, 15] {
                         let mut scratch = BatchScratch::new();
                         let got = run_core_batch_with_scratch(
                             &bs,
