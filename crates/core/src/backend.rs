@@ -544,6 +544,34 @@ impl std::fmt::Display for QueryTier {
     }
 }
 
+/// What every query must satisfy before any engine or serving layer
+/// touches it: a vector of the collection's dimension `dim`, `k ≥ 1`,
+/// and, at the pruned tier, a shortlist factor of at least 1.
+///
+/// # Errors
+///
+/// [`EngineError::vector_length_mismatch`], [`EngineError::zero_big_k`]
+/// or an invalid-config error naming the shortlist factor, checked in
+/// that order.
+pub fn check_query(dim: usize, x_len: usize, k: usize, tier: QueryTier) -> Result<(), EngineError> {
+    if x_len != dim {
+        return Err(EngineError::vector_length_mismatch(x_len, dim));
+    }
+    if k == 0 {
+        return Err(EngineError::zero_big_k());
+    }
+    if tier
+        == (QueryTier::Pruned {
+            shortlist_factor: 0,
+        })
+    {
+        return Err(EngineError::invalid_config(
+            "shortlist factor must be at least 1",
+        ));
+    }
+    Ok(())
+}
+
 /// A non-empty set of equal-dimension query vectors answered as one
 /// [`TopKBackend::query_batch`] call.
 #[derive(Debug, Clone, PartialEq)]

@@ -42,8 +42,8 @@ use tkspmv_sparse::snapshot::{Snapshot, SnapshotError, SnapshotPayload};
 use tkspmv_sparse::{exact_dot, Csr, DenseVector, PruneIndex};
 
 use crate::backend::{
-    check_family, rejected, BackendPerf, BackendStats, PreparedMatrix, QueryBatch, QueryResult,
-    QueryTier, TopKBackend,
+    check_family, check_query, rejected, BackendPerf, BackendStats, PreparedMatrix, QueryBatch,
+    QueryResult, QueryTier, TopKBackend,
 };
 use crate::error::EngineError;
 use crate::fanout::{fork_join, host_parallelism};
@@ -208,20 +208,10 @@ impl PrunedBackend {
         k: usize,
         factor: usize,
     ) -> Result<QueryResult, EngineError> {
-        if k == 0 {
-            return Err(EngineError::zero_big_k());
-        }
-        if x.len() != st.csr.num_cols() {
-            return Err(EngineError::vector_length_mismatch(
-                x.len(),
-                st.csr.num_cols(),
-            ));
-        }
-        if factor == 0 {
-            return Err(EngineError::invalid_config(
-                "shortlist factor must be at least 1",
-            ));
-        }
+        let tier = QueryTier::Pruned {
+            shortlist_factor: factor,
+        };
+        check_query(st.csr.num_cols(), x.len(), k, tier)?;
         let rows = st.csr.num_rows();
         let shortlist = factor.saturating_mul(k);
         let Some(prune) = st.prune.as_ref().filter(|_| shortlist < rows) else {

@@ -148,6 +148,7 @@ impl DeltaCollection {
         // rows are scored by the exact engines' own scorer, so a row
         // scores bit-identically before and after compaction folds it
         // into an exact base.
+        let delta_started = std::time::Instant::now();
         let delta_pairs: Vec<(u32, f64)> = {
             let s = lock(&self.state);
             let delta_first = self.start_row + s.base.num_rows();
@@ -160,6 +161,7 @@ impl DeltaCollection {
                 })
                 .collect()
         };
+        let delta_scoring = delta_started.elapsed();
         let served = self.service.query_tiered(x, k, tier)?;
         let merge_started = std::time::Instant::now();
         let base_pairs = served
@@ -169,7 +171,7 @@ impl DeltaCollection {
             .map(|&(row, score)| (row + self.start_row as u32, score));
         let topk = TopKResult::merge_pairs_dedup(base_pairs.chain(delta_pairs), k);
         let mut stages = served.stages;
-        stages.merge += merge_started.elapsed();
+        stages.merge += delta_scoring + merge_started.elapsed();
         Ok((topk, stages, started.elapsed()))
     }
 
@@ -223,33 +225,21 @@ impl DeltaCollection {
     }
 }
 
-/// What a query must satisfy for any node to answer it, refused in the
-/// engine's own words: a node checks it before touching its delta, the
-/// router before sending a byte (only there can `k` outgrow the wire).
+/// What a query must satisfy for any node to answer it: the engine's
+/// own precondition ([`tkspmv::backend::check_query`]) plus the wire's
+/// 32-bit `k`. A node checks it before touching its delta, the router
+/// before sending a byte (only there can `k` outgrow the wire).
 pub(crate) fn check_query(
     dim: usize,
     x_len: usize,
     k: usize,
     tier: QueryTier,
 ) -> Result<(), EngineError> {
-    if x_len != dim {
-        return Err(EngineError::vector_length_mismatch(x_len, dim));
-    }
-    if k == 0 {
-        return Err(EngineError::zero_big_k());
-    }
+    tkspmv::backend::check_query(dim, x_len, k, tier)?;
     if u32::try_from(k).is_err() {
         return Err(EngineError::bad_query(format!(
             "K = {k} does not fit the wire's 32-bit count"
         )));
-    }
-    let zero_factor = QueryTier::Pruned {
-        shortlist_factor: 0,
-    };
-    if tier == zero_factor {
-        return Err(EngineError::invalid_config(
-            "shortlist factor must be at least 1",
-        ));
     }
     Ok(())
 }
@@ -385,6 +375,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tkspmv_baselines::cpu::CpuTopK;
+    use tkspmv_serve::BatchPolicy;
 
     fn tiny_csr(rows: usize, dim: usize) -> Csr {
         let mut row_ptr = vec![0u64];
@@ -434,6 +425,31 @@ mod tests {
         assert_eq!(c.base_rows(), 6);
         let (after, ..) = c.query(x, 3, QueryTier::Exact).expect("query");
         assert_eq!(before.entries(), after.entries());
+    }
+
+    /// Delta scoring is part of the merge stage: with a delta whose
+    /// scoring dominates the query, the returned stages still account
+    /// for most of the returned total.
+    #[test]
+    fn delta_scoring_is_covered_by_the_returned_stages() {
+        const DIM: usize = 1024;
+        let base = tiny_csr(4, DIM);
+        let service = TopKService::builder(Arc::new(CpuTopK::new(1)))
+            .shards(1)
+            .batch_policy(BatchPolicy::immediate())
+            .build(&base)
+            .expect("service");
+        let c = DeltaCollection::new(service, base, 0);
+        let row: SparseRow = ((0..DIM as u32).step_by(2).collect(), vec![0.5; DIM / 2]);
+        c.append(&vec![row; 2_000]).expect("append");
+        let x = DenseVector::from_values(vec![1.0; DIM]);
+        let (topk, stages, total) = c.query(x, 5, QueryTier::Exact).expect("query");
+        assert_eq!(topk.len(), 5);
+        let covered: Duration = stages.stages().iter().map(|&(_, d)| d).sum();
+        assert!(
+            covered * 2 >= total,
+            "stages cover {covered:?} of {total:?}: {stages:?}"
+        );
     }
 
     /// An empty row scores `+0.0` in the delta, exactly as the exact

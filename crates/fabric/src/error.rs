@@ -33,7 +33,7 @@ pub enum RpcError {
         /// The engine error, stringified for transport.
         detail: String,
     },
-    /// The node's internal serving machinery failed (a worker panic it
+    /// The node's internal serving machinery failed (a backend panic it
     /// recovered from, a compaction that could not complete).
     Internal {
         /// The node's explanation.

@@ -11,9 +11,12 @@ use crate::error::ServeError;
 /// keeps admitting compatible requests (same `k`; the service enforces
 /// one vector dimension at submission) until the batch holds
 /// `max_batch_size` queries or `max_wait` has elapsed since the seed was
-/// taken — whichever comes first. Under load the queue is never empty,
-/// so batches fill instantly and `max_wait` costs nothing; at low load
-/// `max_wait` bounds the extra latency batching can add.
+/// **admitted** — whichever comes first. `max_wait` counts from
+/// admission, so a request that waited out its window in the queue
+/// while an earlier batch ran is dispatched as soon as the batcher is
+/// free. Under load the queue is never empty, so batches fill instantly
+/// and `max_wait` costs nothing; at low load `max_wait` bounds the extra
+/// latency batching can add.
 ///
 /// # Example
 ///
@@ -30,8 +33,9 @@ use crate::error::ServeError;
 pub struct BatchPolicy {
     /// Largest number of queries dispatched as one backend batch.
     pub max_batch_size: usize,
-    /// Longest a seed request may wait for company before its batch is
-    /// dispatched anyway. Ignored when `max_batch_size` is 1.
+    /// Longest a seed request may wait for company, counted from its
+    /// admission, before its batch is dispatched anyway. Ignored when
+    /// `max_batch_size` is 1.
     pub max_wait: Duration,
 }
 

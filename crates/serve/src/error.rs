@@ -24,7 +24,7 @@ pub enum ServeError {
     /// Requests admitted before shutdown still drain to completion.
     ShuttingDown,
     /// The service was built with an unusable configuration (zero
-    /// workers, zero-sized batches, zero queue capacity, …).
+    /// shards, zero-sized batches, zero queue capacity, …).
     InvalidConfig {
         /// Explanation of the defect.
         detail: String,
@@ -35,9 +35,9 @@ pub enum ServeError {
     /// The backend reported a typed error while executing the request's
     /// batch on at least one shard.
     Engine(EngineError),
-    /// The backend panicked inside a shard worker. The worker caught the
-    /// panic and kept serving; only the requests sharing the poisoned
-    /// batch observe this error.
+    /// The backend panicked while running a batch on one shard. That
+    /// shard's task caught the panic and the service kept serving; only
+    /// the requests sharing the poisoned batch observe this error.
     WorkerPanicked {
         /// The panic payload, stringified.
         detail: String,
@@ -65,10 +65,7 @@ impl fmt::Display for ServeError {
             ServeError::BadRequest(e) => write!(f, "request rejected at submission: {e}"),
             ServeError::Engine(e) => write!(f, "backend failed while serving: {e}"),
             ServeError::WorkerPanicked { detail } => {
-                write!(
-                    f,
-                    "backend panicked in a shard worker (recovered): {detail}"
-                )
+                write!(f, "backend panicked in a shard task (recovered): {detail}")
             }
             ServeError::Disconnected => {
                 write!(f, "service dropped the request without a response")

@@ -13,30 +13,36 @@
 //! # Architecture
 //!
 //! ```text
-//!  callers ──submit──▶ bounded queue ──▶ batcher ──▶ shard 0 worker ──┐
-//!     ▲                 (backpressure:    (seed +     [PreparedMatrix │
-//!     │                  QueueFull shed)   coalesce    rows 0..n/S]   │ merge_pairs
-//!  Ticket◀──────────────────────────────  ≤ max_wait,      ...        ├────▶ responses
-//!     │                                   ≤ max_batch) shard S-1 ─────┘   + metrics
+//!  callers ──submit──▶ bounded queue ──▶ seed + coalesce ──▶ fork_join ─┬─ shard 0 task ──┐
+//!     ▲                 (backpressure:    (≤ max_wait from               │  [rows 0..n/S]  │ merge_pairs
+//!     │                  QueueFull shed)   admission,                    ├─      ...       ├────▶ responses
+//!  Ticket◀───────────────────────────────  ≤ max_batch)                  └─ shard S-1 task ┘   + metrics
+//!                                         └──── one batch at a time, driven by the batcher thread ────┘
 //! ```
 //!
 //! - **Sharding** — [`TopKService`] splits the collection into `S`
 //!   row-contiguous shards ([`tkspmv::PreparedMatrix::prepare_row_shards`]),
-//!   each prepared once and owned by one worker thread fed through
-//!   its own channel: the paper's per-HBM-channel partitioning (§III-A)
-//!   applied one level up, at serving granularity. The shard count is
-//!   the one concurrency knob — `S` backend calls can overlap.
-//! - **Micro-batching** — a batcher thread coalesces concurrent
-//!   same-`k` requests under a [`BatchPolicy`] (`max_batch_size` /
-//!   `max_wait`) into [`tkspmv::QueryBatch`]es, so the backend's batched
-//!   path can keep every shard partition resident across the whole
-//!   batch instead of paying per-request dispatch.
+//!   each prepared once and held resident for the life of its epoch:
+//!   the paper's per-HBM-channel partitioning (§III-A) applied one
+//!   level up, at serving granularity. A batch runs one
+//!   [`tkspmv::fanout::fork_join`] task per shard, so `S` backend calls
+//!   overlap; the shard count is the one concurrency knob.
+//! - **Micro-batching** — the batcher, the service's one thread,
+//!   coalesces concurrent same-`k` requests under a [`BatchPolicy`]
+//!   (`max_batch_size` / `max_wait`) into [`tkspmv::QueryBatch`]es, so
+//!   the backend's batched path can keep every shard partition resident
+//!   across the whole batch instead of paying per-request dispatch. It
+//!   runs each batch it forms, merges and replies, then forms the next:
+//!   as the paper's host issues one kernel launch at a time, batches
+//!   are serialised, and a request that arrives meanwhile waits in the
+//!   queue, where its wait is counted.
 //! - **Backpressure** — the submission queue is bounded; overload sheds
 //!   requests with the typed [`ServeError::QueueFull`] instead of
 //!   queueing unboundedly. Every other failure is equally typed:
 //!   rejected requests ([`ServeError::BadRequest`]), engine failures
-//!   ([`ServeError::Engine`]), and backend panics, which are caught in
-//!   the worker so it recovers ([`ServeError::WorkerPanicked`]).
+//!   ([`ServeError::Engine`]), and backend panics, which each shard
+//!   task catches so the service carries on
+//!   ([`ServeError::WorkerPanicked`]).
 //! - **Merge** — per-shard Top-K answers are re-based to global row
 //!   indices and reduced with [`tkspmv::TopKResult::merge_pairs`], the
 //!   same reduction the accelerator uses across cores.
@@ -45,8 +51,8 @@
 //!   replaces the served collection under live traffic by installing a
 //!   new *epoch*: requests admitted before the swap finish against the
 //!   collection they were admitted to, later admissions see the new
-//!   one, the batcher never mixes epochs in one backend batch, and no
-//!   worker restarts. [`ServiceMetrics::epoch`] /
+//!   one, the batcher never mixes epochs in one backend batch, and
+//!   nothing restarts. [`ServiceMetrics::epoch`] /
 //!   [`ServiceMetrics::swaps`] account for it.
 //! - **Cold start from snapshots** — `ServiceBuilder::build_from_shards`
 //!   assembles a service from shards loaded with
@@ -64,7 +70,7 @@
 //!   serving epoch, per-tier breakdowns, and batcher wake-ups.
 //! - **Shutdown** — [`TopKService::shutdown`] (and `Drop`) stops
 //!   admissions, drains every queued and in-flight request to a
-//!   response, and joins all threads.
+//!   response, and joins the batcher.
 //!
 //! For *exact* backends (the CPU and GPU baselines) a served answer is
 //! element-wise identical to a direct [`tkspmv::TopKBackend::query`]

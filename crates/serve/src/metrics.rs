@@ -56,11 +56,13 @@ pub struct TierMetrics {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct StageBreakdown {
-    /// Submission-queue wait: admission until the batcher took it.
+    /// Submission-queue wait: admission until the batcher took it,
+    /// including any time the batcher spent running earlier batches.
     pub queue: Duration,
     /// Batcher coalescing: taken until the batch dispatched.
     pub coalesce: Duration,
-    /// Engine wall time for the batch (max across shard workers).
+    /// Engine wall time for the batch: the slowest shard's backend
+    /// call, since a batch runs its shards concurrently.
     pub engine: Duration,
     /// Packet-decode share of `engine`.
     pub decode: Duration,
@@ -138,7 +140,7 @@ pub struct ServiceMetrics {
     /// Requests answered successfully.
     pub served: u64,
     /// Requests that entered the queue but came back with an error
-    /// (engine failure, worker panic).
+    /// (engine failure, backend panic).
     pub failed: u64,
     /// Requests shed at submission because the queue was full.
     pub shed: u64,

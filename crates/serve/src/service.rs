@@ -1,14 +1,18 @@
-//! The serving engine: bounded admission, dynamic micro-batching, one
-//! worker per shard, cross-shard merge, metrics and shutdown.
+//! The serving engine: bounded admission, dynamic micro-batching, a
+//! batcher that runs each batch over every shard at once, cross-shard
+//! merge, metrics and shutdown.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tkspmv::backend::{MatrixShard, PreparedMatrix, QueryBatch, QueryTier, TopKBackend};
+use tkspmv::backend::{
+    check_query, MatrixShard, PreparedMatrix, QueryBatch, QueryTier, TopKBackend,
+};
+use tkspmv::fanout::fork_join;
 use tkspmv::{EngineError, StageTimes, TopKResult};
 use tkspmv_sparse::{Csr, DenseVector};
 
@@ -118,126 +122,120 @@ struct Responder {
 /// candidates and the engine stage times its result carried.
 type ShardAnswer = (Vec<(u32, f64)>, StageTimes);
 
-/// What one shard contributes to a job.
-struct ShardDone {
-    /// Wall time of this shard's backend batch call.
-    engine: Duration,
-    /// One answer per query, or the shard's failure.
-    outcome: Result<Vec<ShardAnswer>, ServeError>,
-}
+/// What one shard contributes to a batch: the wall time of its backend
+/// call, and one answer per query or the shard's failure.
+type ShardOutcome = (Duration, Result<Vec<ShardAnswer>, ServeError>);
 
-/// One dispatched batch, shared by every shard's worker.
-struct Job {
-    batch: QueryBatch,
+/// Runs a batch against one shard's prepared partition and globalizes
+/// the row indices. A backend panic is caught here and reported as
+/// [`ServeError::WorkerPanicked`], so it costs this batch at most.
+fn run_shard(
+    backend: &dyn TopKBackend,
+    shard: &MatrixShard,
+    batch: &QueryBatch,
     k: usize,
-    /// The precision tier every member asked for (the batcher only
-    /// coalesces same-tier requests).
     tier: QueryTier,
-    /// The collection generation every member was admitted against
-    /// (the batcher only coalesces same-epoch requests).
-    epoch: Arc<Epoch>,
-    responders: Vec<Responder>,
-    /// `partials[s]` = what shard `s` contributed, filled exactly once.
-    partials: Mutex<Vec<Option<ShardDone>>>,
-    /// Shards still running; the worker that decrements this to zero
-    /// merges and responds.
-    remaining: AtomicUsize,
+) -> ShardOutcome {
+    let started = Instant::now();
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        let results = backend.query_batch_tiered(shard.matrix(), batch, k, tier)?;
+        Ok(results
+            .iter()
+            .map(|r| (shard.globalize(&r.topk), r.stats.stage_times()))
+            .collect())
+    }));
+    let outcome = match ran {
+        Ok(Ok(answers)) => Ok(answers),
+        Ok(Err(e)) => Err(ServeError::Engine(e)),
+        Err(payload) => Err(ServeError::WorkerPanicked {
+            detail: panic_detail(payload),
+        }),
+    };
+    (started.elapsed(), outcome)
 }
 
-impl Job {
-    /// Merges every shard's candidates per query and answers all
-    /// responders. Runs on the last-finishing shard's worker thread.
-    fn finalize(&self, inner: &Inner) {
-        let parts = std::mem::take(&mut *lock(&self.partials));
-        let batch_size = self.batch.len();
-        // Time inside the backend's batch call summed over shards (the
-        // engine's share of the batch), and the slowest shard's call:
-        // shards run in parallel, so the maximum — not the sum — is how
-        // long the batch actually sat in the engine. That shard's stage
-        // split is the one that fits inside the interval.
-        let mut engine_time = Duration::ZERO;
-        let mut engine_wall = Duration::ZERO;
-        let mut stages = vec![StageTimes::default(); batch_size];
-        let mut failure: Option<ServeError> = None;
-        let mut per_query: Vec<Vec<(u32, f64)>> = vec![Vec::new(); batch_size];
-        for done in parts {
-            let Some(ShardDone { engine, outcome }) = done else {
-                failure.get_or_insert(ServeError::WorkerPanicked {
-                    detail: "a shard never reported its outcome".to_string(),
-                });
-                continue;
-            };
-            engine_time += engine;
-            let slowest = engine >= engine_wall;
-            engine_wall = engine_wall.max(engine);
-            match outcome {
-                Ok(shard_results) => {
-                    for (q, (pairs, shard_stages)) in shard_results.into_iter().enumerate() {
-                        per_query[q].extend(pairs);
-                        if slowest {
-                            stages[q] = shard_stages;
-                        }
+/// Merges every shard's candidates per query and answers every
+/// responder; the first shard failure, if any, goes to all of them.
+fn finalize(
+    metrics: &MetricsShared,
+    tier: QueryTier,
+    k: usize,
+    responders: Vec<Responder>,
+    shards: Vec<ShardOutcome>,
+) {
+    let batch_size = responders.len();
+    // Time inside the backend's batch call summed over shards (the
+    // engine's share of the batch), and the slowest shard's call:
+    // shards run in parallel, so the maximum — not the sum — is how
+    // long the batch actually sat in the engine. That shard's stage
+    // split is the one that fits inside the interval.
+    let mut engine_time = Duration::ZERO;
+    let mut engine_wall = Duration::ZERO;
+    let mut stages = vec![StageTimes::default(); batch_size];
+    let mut failure: Option<ServeError> = None;
+    let mut per_query: Vec<Vec<(u32, f64)>> = vec![Vec::new(); batch_size];
+    for (engine, outcome) in shards {
+        engine_time += engine;
+        let slowest = engine >= engine_wall;
+        engine_wall = engine_wall.max(engine);
+        match outcome {
+            Ok(shard_results) => {
+                for (q, (pairs, shard_stages)) in shard_results.into_iter().enumerate() {
+                    per_query[q].extend(pairs);
+                    if slowest {
+                        stages[q] = shard_stages;
                     }
                 }
-                Err(e) => {
-                    failure.get_or_insert(e);
-                }
+            }
+            Err(e) => {
+                failure.get_or_insert(e);
             }
         }
-        // Merge first, record, then respond. Counters and histograms
-        // record lock-free, so nothing here can stall submitters or
-        // other finishing batches. Recording *before* the sends keeps a
-        // blocking caller's next metrics() snapshot consistent with the
-        // response it just received.
-        let tier_label = self.tier.label();
-        match failure {
-            Some(error) => {
-                inner.metrics.record_batch(batch_size, engine_time);
-                inner
-                    .metrics
-                    .record_failed(self.responders.len() as u64, &tier_label);
-                for responder in &self.responders {
-                    // A dropped ticket is fine; everyone else gets the
-                    // first shard failure.
-                    let _ = responder.tx.send(Err(error.clone()));
-                }
-            }
-            None => {
-                let mut outputs = Vec::with_capacity(batch_size);
-                for ((responder, pairs), split) in self.responders.iter().zip(per_query).zip(stages)
-                {
-                    let merge_started = Instant::now();
-                    let topk = TopKResult::merge_pairs(pairs, self.k);
-                    let stages = StageBreakdown {
-                        queue: responder.queue_wait,
-                        coalesce: responder.coalesce_wait,
-                        engine: engine_wall,
-                        decode: split.decode,
-                        score: split.score,
-                        prune: split.prune,
-                        rescore: split.rescore,
-                        merge: merge_started.elapsed(),
-                    };
-                    outputs.push((responder, topk, responder.enqueued.elapsed(), stages));
-                }
-                inner.metrics.record_batch(batch_size, engine_time);
-                for (_, _, latency, stages) in &outputs {
-                    inner.metrics.record_served(*latency, &tier_label);
-                    inner
-                        .metrics
-                        .record_stages(stages, *latency, tkspmv_obs::TraceId::ZERO);
-                }
-                for (responder, topk, latency, stages) in outputs {
-                    let _ = responder.tx.send(Ok(ServedResult {
-                        topk,
-                        latency,
-                        batch_size,
-                        tier: self.tier,
-                        stages,
-                    }));
-                }
-            }
+    }
+    // Merge first, record, then respond. Counters and histograms record
+    // lock-free, so nothing here can stall submitters. Recording
+    // *before* the sends keeps a blocking caller's next metrics()
+    // snapshot consistent with the response it just received.
+    let tier_label = tier.label();
+    metrics.record_batch(batch_size, engine_time);
+    if let Some(error) = failure {
+        metrics.record_failed(batch_size as u64, &tier_label);
+        for responder in &responders {
+            // A dropped ticket is fine; everyone else gets the first
+            // shard failure.
+            let _ = responder.tx.send(Err(error.clone()));
         }
+        return;
+    }
+    let mut outputs = Vec::with_capacity(batch_size);
+    for ((responder, pairs), split) in responders.into_iter().zip(per_query).zip(stages) {
+        let merge_started = Instant::now();
+        let topk = TopKResult::merge_pairs(pairs, k);
+        let stages = StageBreakdown {
+            queue: responder.queue_wait,
+            coalesce: responder.coalesce_wait,
+            engine: engine_wall,
+            decode: split.decode,
+            score: split.score,
+            prune: split.prune,
+            rescore: split.rescore,
+            merge: merge_started.elapsed(),
+        };
+        let latency = responder.enqueued.elapsed();
+        outputs.push((responder.tx, topk, latency, stages));
+    }
+    for (_, _, latency, stages) in &outputs {
+        metrics.record_served(*latency, &tier_label);
+        metrics.record_stages(stages, *latency, tkspmv_obs::TraceId::ZERO);
+    }
+    for (tx, topk, latency, stages) in outputs {
+        let _ = tx.send(Ok(ServedResult {
+            topk,
+            latency,
+            batch_size,
+            tier,
+            stages,
+        }));
     }
 }
 
@@ -249,13 +247,7 @@ struct SubmitQueue {
     open: bool,
 }
 
-/// The sending half of one shard slot's dispatch channel. The batcher
-/// owns every sender, so its exit closes the channels: each worker
-/// drains what was already dispatched and returns. The shard's *data*
-/// lives in the job's [`Epoch`]; channel and worker survive hot swaps.
-type ShardSender = mpsc::Sender<Arc<Job>>;
-
-/// State shared by the service handle, the batcher and every worker.
+/// State shared by the service handle and the batcher.
 struct Inner {
     backend: Arc<dyn TopKBackend>,
     /// Shard slots; `epoch.shards` always has this length (enforced at
@@ -280,9 +272,10 @@ impl Inner {
         Arc::clone(&lock(&self.epoch))
     }
 
-    /// Ships a coalesced set of same-`k`, same-tier, same-epoch requests
-    /// to every shard.
-    fn dispatch(&self, members: Vec<Pending>, shards: &[ShardSender]) {
+    /// Runs a coalesced set of same-`k`, same-tier, same-epoch requests
+    /// against every shard of their epoch at once — one participant per
+    /// shard, so `S` backend calls overlap — then merges and responds.
+    fn run_batch(&self, members: Vec<Pending>) {
         let k = members[0].k;
         let tier = members[0].tier;
         let epoch = Arc::clone(&members[0].epoch);
@@ -316,21 +309,17 @@ impl Inner {
                 return;
             }
         };
-        let job = Arc::new(Job {
-            batch,
-            k,
-            tier,
-            epoch,
-            responders,
-            partials: Mutex::new((0..shards.len()).map(|_| None).collect()),
-            remaining: AtomicUsize::new(shards.len()),
-        });
-        for shard in shards {
-            // A worker returns only once this sender is dropped, so the
-            // send cannot fail; and a job that never finalizes resolves
-            // its tickets to `Disconnected` when it drops, not a hang.
-            let _ = shard.send(Arc::clone(&job));
-        }
+        // The shard data comes from the batch's epoch, not from any
+        // global "current" state: a hot swap installed after these
+        // requests were admitted must not change what they run against.
+        let shards = &epoch.shards;
+        let (outcomes, _) = fork_join(
+            shards.len(),
+            shards.len(),
+            || (),
+            |(), s| run_shard(self.backend.as_ref(), &shards[s], &batch, k, tier),
+        );
+        finalize(&self.metrics, tier, k, responders, outcomes);
     }
 }
 
@@ -368,9 +357,14 @@ fn extract_compatible(queue: &mut VecDeque<Pending>, members: &mut Vec<Pending>,
     }
 }
 
-/// The batcher thread: seed, coalesce under the policy, dispatch.
-/// Returning drops `shards`, which is what stops the workers.
-fn batcher_loop(inner: &Inner, shards: Vec<ShardSender>) {
+/// The batcher thread: seed, coalesce under the policy, run the batch,
+/// repeat until shutdown has drained the queue.
+///
+/// The coalescing deadline counts from the seed's admission, so a
+/// request that arrived while the previous batch ran leaves as soon as
+/// the batcher is free if its window has already closed; its wait shows
+/// up as queue time. No lock is held while a batch runs.
+fn batcher_loop(inner: &Inner) {
     loop {
         let mut seed = {
             let mut q = lock(&inner.submit);
@@ -393,99 +387,42 @@ fn batcher_loop(inner: &Inner, shards: Vec<ShardSender>) {
         // ordering: diagnostic wakeup counter, reporting only.
         inner.batcher_wakeups.fetch_add(1, Ordering::Relaxed);
         seed.extracted = Instant::now();
+        let deadline = seed.enqueued + inner.policy.max_wait;
         let mut members = vec![seed];
         let max = inner.policy.max_batch_size;
         if max > 1 {
-            if inner.policy.max_wait.is_zero() {
-                // Zero wait means "dispatch immediately once a request is
-                // present": scoop up whatever compatible work is already
-                // queued, but never enter the deadline loop — an
-                // already-expired deadline there would skip every condvar
-                // wait and turn the batcher into a hot spin.
-                let mut q = lock(&inner.submit);
+            let mut q = lock(&inner.submit);
+            loop {
                 extract_compatible(&mut q.queue, &mut members, max);
-            } else {
-                let deadline = Instant::now() + inner.policy.max_wait;
-                let mut q = lock(&inner.submit);
-                loop {
-                    extract_compatible(&mut q.queue, &mut members, max);
-                    if members.len() >= max || !q.open {
-                        break;
-                    }
-                    // After extraction the queue holds only incompatible
-                    // requests; once a full batch of that work is
-                    // waiting, stop coalescing and dispatch, so mixed-k
-                    // traffic cannot head-of-line block the workers for
-                    // max_wait.
-                    if q.queue.len() >= max {
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, timeout) = inner
-                        .submit_cv
-                        .wait_timeout(q, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    q = guard;
-                    // ordering: diagnostic wakeup counter, reporting
-                    // only.
-                    inner.batcher_wakeups.fetch_add(1, Ordering::Relaxed);
-                    if timeout.timed_out() {
-                        extract_compatible(&mut q.queue, &mut members, max);
-                        break;
-                    }
+                if members.len() >= max || !q.open {
+                    break;
                 }
+                // After extraction the queue holds only incompatible
+                // requests; once a full batch of that work is waiting,
+                // stop coalescing and run, so mixed-k traffic cannot
+                // head-of-line block the engine for max_wait.
+                if q.queue.len() >= max {
+                    break;
+                }
+                // An expired deadline (always, for a zero max_wait)
+                // dispatches what was scooped up without waiting.
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
+                }
+                q = inner
+                    .submit_cv
+                    .wait_timeout(q, deadline - now)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+                // ordering: diagnostic wakeup counter, reporting only.
+                inner.batcher_wakeups.fetch_add(1, Ordering::Relaxed);
             }
         }
-        inner.dispatch(members, &shards);
-    }
-}
-
-/// A shard worker: receive a job, run the batch against this shard's
-/// prepared partition (catching backend panics), contribute the
-/// globalized candidates, merge-and-respond if last. Returns once the
-/// batcher has dropped its sender and every dispatched job is done.
-///
-/// The panic guard covers everything from the backend call through
-/// index globalization, and the remaining-counter decrement runs
-/// unconditionally afterwards — a panic anywhere in a job must cost
-/// that job at most, never the worker (a dead worker would strand every
-/// later request on its shard's channel).
-fn worker_loop(inner: &Inner, shard_index: usize, jobs: &mpsc::Receiver<Arc<Job>>) {
-    for job in jobs {
-        // The shard data comes from the job's epoch, not from any global
-        // "current" state: a hot swap installed after this job was
-        // admitted must not change what it runs against.
-        let shard = &job.epoch.shards[shard_index];
-        let engine_started = Instant::now();
-        let ran = catch_unwind(AssertUnwindSafe(|| {
-            let results =
-                inner
-                    .backend
-                    .query_batch_tiered(shard.matrix(), &job.batch, job.k, job.tier)?;
-            Ok(results
-                .iter()
-                .map(|r| (shard.globalize(&r.topk), r.stats.stage_times()))
-                .collect::<Vec<_>>())
-        }));
-        let engine = engine_started.elapsed();
-        let outcome = match ran {
-            Ok(Ok(results)) => Ok(results),
-            Ok(Err(e)) => Err(ServeError::Engine(e)),
-            Err(payload) => Err(ServeError::WorkerPanicked {
-                detail: panic_detail(payload),
-            }),
-        };
-        lock(&job.partials)[shard_index] = Some(ShardDone { engine, outcome });
-        if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // A finalize panic (it runs caller-adjacent merge code and
-            // responder sends) drops the job's senders, so unanswered
-            // tickets resolve to `Disconnected` instead of hanging, and
-            // the worker lives on.
-            let _ = catch_unwind(AssertUnwindSafe(|| job.finalize(inner)));
-        }
+        // A panic past the shard tasks' own guards (merge or response
+        // code) drops this batch's senders, so its tickets resolve to
+        // `Disconnected` instead of hanging, and the batcher lives on.
+        let _ = catch_unwind(AssertUnwindSafe(|| inner.run_batch(members)));
     }
 }
 
@@ -580,9 +517,10 @@ impl std::fmt::Debug for ServiceBuilder {
 
 impl ServiceBuilder {
     /// Row shards to split the collection into (default 2). Each shard
-    /// is prepared independently and owns one worker thread, mirroring
-    /// the paper's per-HBM-channel partitions one level up; the shard
-    /// count is therefore also how many backend calls can overlap.
+    /// is prepared independently, mirroring the paper's per-HBM-channel
+    /// partitions one level up, and a batch runs one task per shard at
+    /// once; the shard count is therefore also how many backend calls
+    /// overlap.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -605,7 +543,7 @@ impl ServiceBuilder {
     }
 
     /// Prepares every shard through the backend and starts the batcher
-    /// and worker threads.
+    /// thread.
     ///
     /// # Errors
     ///
@@ -616,7 +554,7 @@ impl ServiceBuilder {
     ///
     /// # Panics
     ///
-    /// Panics only if the OS refuses to spawn service threads.
+    /// Panics only if the OS refuses to spawn the batcher thread.
     pub fn build(self, csr: &Csr) -> Result<TopKService, ServeError> {
         let shards = prepare_epoch_shards(self.backend.as_ref(), csr, self.shards)?;
         self.build_from_shards(shards)
@@ -638,7 +576,7 @@ impl ServiceBuilder {
     ///
     /// # Panics
     ///
-    /// Panics only if the OS refuses to spawn service threads.
+    /// Panics only if the OS refuses to spawn the batcher thread.
     pub fn build_from_shards(self, shards: Vec<MatrixShard>) -> Result<TopKService, ServeError> {
         self.policy.validate()?;
         if self.queue_capacity == 0 {
@@ -668,32 +606,17 @@ impl ServiceBuilder {
             metrics: MetricsShared::new(),
         });
 
-        let (senders, receivers): (Vec<ShardSender>, Vec<_>) =
-            (0..num_shards).map(|_| mpsc::channel()).unzip();
         let batcher = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("tkspmv-serve-batcher".to_string())
-                .spawn(move || batcher_loop(&inner, senders))
+                .spawn(move || batcher_loop(&inner))
                 // invariant: spawn fails only on OS thread exhaustion; the service cannot run without its batcher
                 .expect("spawn batcher thread")
         };
-        let workers = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(shard_index, jobs)| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("tkspmv-serve-s{shard_index}"))
-                    .spawn(move || worker_loop(&inner, shard_index, &jobs))
-                    // invariant: spawn fails only on OS thread exhaustion; the service cannot run without its workers
-                    .expect("spawn shard worker thread")
-            })
-            .collect();
         Ok(TopKService {
             inner,
             batcher: Some(batcher),
-            workers,
         })
     }
 }
@@ -702,12 +625,14 @@ impl ServiceBuilder {
 /// [`TopKBackend`].
 ///
 /// The collection is split into row shards, each prepared once and held
-/// resident by a dedicated worker thread (the serving-layer picture of the
+/// resident for the life of its epoch (the serving-layer picture of the
 /// paper's matrix-resident HBM channels). Concurrent callers
-/// [`submit`](TopKService::submit) queries into a bounded queue; a
-/// batcher thread coalesces them under a [`BatchPolicy`] and dispatches
-/// each batch to every shard; per-shard Top-K answers are merged with
-/// [`TopKResult::merge_pairs`] and handed back through [`Ticket`]s.
+/// [`submit`](TopKService::submit) queries into a bounded queue; the one
+/// service thread, the batcher, coalesces them under a [`BatchPolicy`]
+/// and runs each batch against every shard at once (one
+/// [`tkspmv::fanout::fork_join`] task per shard); per-shard Top-K
+/// answers are merged with [`TopKResult::merge_pairs`] and handed back
+/// through [`Ticket`]s.
 ///
 /// # Example
 ///
@@ -741,7 +666,6 @@ impl ServiceBuilder {
 pub struct TopKService {
     inner: Arc<Inner>,
     batcher: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Inner {
@@ -794,8 +718,9 @@ impl TopKService {
     /// *their* callers can budget deadlines correctly: a lone request may
     /// legitimately sit the full `max_wait` in the batcher before it ever
     /// reaches a backend, so any deadline stacked on top of the service
-    /// must exceed `max_wait` plus expected execution time — otherwise
-    /// idle traffic times out spuriously.
+    /// must exceed `max_wait` plus expected execution time (and, under
+    /// load, the batch already running) — otherwise idle traffic times
+    /// out spuriously.
     pub fn batch_policy(&self) -> BatchPolicy {
         self.inner.policy
     }
@@ -814,8 +739,8 @@ impl TopKService {
     /// Zero downtime, zero lost requests: requests admitted before the
     /// swap finish against the collection they were admitted to (their
     /// epoch travels with them through batching and execution), requests
-    /// admitted after are answered from the new collection, and no
-    /// worker restarts — the workers only ever see per-job epochs.
+    /// admitted after are answered from the new collection, and nothing
+    /// restarts — each batch runs against the epoch its members carry.
     /// The batcher never mixes epochs inside one backend batch.
     ///
     /// The new collection must keep the service's dimension and support
@@ -915,23 +840,7 @@ impl TopKService {
         k: usize,
         tier: QueryTier,
     ) -> Result<Ticket, ServeError> {
-        if x.len() != self.inner.dim {
-            return Err(ServeError::BadRequest(EngineError::vector_length_mismatch(
-                x.len(),
-                self.inner.dim,
-            )));
-        }
-        if k == 0 {
-            return Err(ServeError::BadRequest(EngineError::zero_big_k()));
-        }
-        if let QueryTier::Pruned {
-            shortlist_factor: 0,
-        } = tier
-        {
-            return Err(ServeError::BadRequest(EngineError::invalid_config(
-                "shortlist factor must be at least 1",
-            )));
-        }
+        check_query(self.inner.dim, x.len(), k, tier).map_err(ServeError::BadRequest)?;
         let (tx, rx) = mpsc::channel();
         {
             let mut q = lock(&self.inner.submit);
@@ -1020,8 +929,8 @@ impl TopKService {
     }
 
     /// Gracefully shuts down: rejects new submissions, drains every
-    /// queued and in-flight request to a response, joins all service
-    /// threads, and returns the final metrics snapshot.
+    /// queued and in-flight request to a response, joins the batcher,
+    /// and returns the final metrics snapshot.
     pub fn shutdown(mut self) -> ServiceMetrics {
         self.shutdown_inner();
         self.metrics()
@@ -1032,14 +941,9 @@ impl TopKService {
             lock(&self.inner.submit).open = false;
         }
         self.inner.submit_cv.notify_all();
+        // The batcher answers every queued request before it returns.
         if let Some(batcher) = self.batcher.take() {
             let _ = batcher.join();
-        }
-        // The batcher has dispatched everything it will ever dispatch
-        // and dropped the shard senders with its stack; the workers
-        // drain their channels and return.
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
     }
 }
@@ -1061,9 +965,9 @@ mod tests {
     /// A brute-force exact backend for serving tests: `spmv_exact` plus
     /// a full sort, optionally slowed or booby-trapped.
     struct TestBackend {
-        /// Artificial per-batch latency, to hold workers busy.
+        /// Artificial per-query latency, to hold the batcher busy.
         delay: Duration,
-        /// Panic when a query's `k` equals this (poisoned-worker drill).
+        /// Panic when a query's `k` equals this (poisoned-shard drill).
         panic_on_k: Option<usize>,
     }
 
@@ -1308,7 +1212,7 @@ mod tests {
 
     #[test]
     fn full_backlog_of_another_k_cuts_the_coalescing_wait_short() {
-        // A k=3 seed with a 5-second window would idle the workers for
+        // A k=3 seed with a 5-second window would idle the engine for
         // 5 s while four dispatchable k=9 requests sit queued; the
         // batcher must dispatch early instead of head-of-line blocking.
         let csr = collection(60);
@@ -1378,7 +1282,7 @@ mod tests {
             }
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
-        // ...and the same workers keep serving afterwards.
+        // ...and the service keeps serving afterwards.
         let after = svc.query(x.clone(), 5).unwrap();
         assert_eq!(after.topk, direct_reference(&csr, &x, 5));
         let m = svc.shutdown();
@@ -1487,11 +1391,11 @@ mod tests {
     #[test]
     fn zero_max_wait_dispatches_immediately_without_spinning() {
         // max_batch_size > 1 with max_wait = 0 means "dispatch as soon
-        // as a request is present". A regressed batcher that enters the
-        // deadline loop with an already-expired deadline would spin hot;
-        // the wakeup counter pins the wakeups to O(requests), not
-        // O(cpu-cycles), even with a slow client leaving the batcher
-        // idle between submissions.
+        // as a request is present": its deadline has passed at
+        // admission. A regressed batcher that waits on an expired
+        // deadline would spin hot; the wakeup counter pins the wakeups
+        // to O(requests), not O(cpu-cycles), even with a slow client
+        // leaving the batcher idle between submissions.
         let csr = collection(60);
         let svc = TopKService::builder(Arc::new(TestBackend::exact()))
             .shards(2)
@@ -1522,8 +1426,8 @@ mod tests {
 
     #[test]
     fn zero_max_wait_still_coalesces_queued_work() {
-        // Zero wait never *waits*, but work already queued behind a busy
-        // worker must still ride one batch.
+        // Zero wait never *waits*, but work already queued behind a
+        // running batch must still ride one batch.
         let csr = collection(60);
         let svc = TopKService::builder(Arc::new(TestBackend {
             delay: Duration::from_millis(30),
@@ -1554,6 +1458,95 @@ mod tests {
         assert!(
             coalesced,
             "queued bursts never coalesced under zero max_wait"
+        );
+        svc.shutdown();
+    }
+
+    /// A [`TestBackend`] that announces each query as it starts, so a
+    /// test can act while a batch is known to be running.
+    struct Announcing {
+        inner: TestBackend,
+        entered: mpsc::Sender<()>,
+    }
+
+    impl TopKBackend for Announcing {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn prepare(&self, csr: &Csr) -> Result<PreparedMatrix, EngineError> {
+            self.inner.prepare(csr)
+        }
+
+        fn query(
+            &self,
+            matrix: &PreparedMatrix,
+            x: &DenseVector,
+            k: usize,
+        ) -> Result<QueryResult, EngineError> {
+            let _ = self.entered.send(());
+            self.inner.query(matrix, x, k)
+        }
+    }
+
+    #[test]
+    fn a_request_arriving_mid_batch_leaves_when_the_batch_returns() {
+        // The coalescing window counts from admission: a request that
+        // arrives while a batch runs has its window close during that
+        // batch, so it is dispatched as soon as the batcher is free —
+        // not held another max_wait.
+        let max_wait = Duration::from_millis(20);
+        let (entered, started) = mpsc::channel();
+        let csr = collection(60);
+        let svc = TopKService::builder(Arc::new(Announcing {
+            inner: TestBackend {
+                delay: Duration::from_millis(50),
+                panic_on_k: None,
+            },
+            entered,
+        }))
+        .shards(1)
+        .batch_policy(BatchPolicy::coalescing(8, max_wait))
+        .build(&csr)
+        .unwrap();
+        let first = svc.submit(query_vector(64, 1), 4).unwrap();
+        started.recv().unwrap();
+        let submitted = Instant::now();
+        let second = svc.submit(query_vector(64, 2), 4).unwrap();
+        first.wait().unwrap();
+        let first_returned = submitted.elapsed();
+        let second = second.wait().unwrap();
+        let bound = first_returned + second.stages.engine + max_wait / 2;
+        assert!(
+            second.latency < bound,
+            "held past the batch: {:?} >= {bound:?} ({:?})",
+            second.latency,
+            second.stages
+        );
+        svc.shutdown();
+    }
+
+    #[test]
+    fn stages_cover_the_latency_of_a_request_queued_behind_a_batch() {
+        let csr = collection(60);
+        let svc = TopKService::builder(Arc::new(TestBackend {
+            delay: Duration::from_millis(50),
+            panic_on_k: None,
+        }))
+        .shards(1)
+        .batch_policy(BatchPolicy::immediate())
+        .build(&csr)
+        .unwrap();
+        let first = svc.submit(query_vector(64, 1), 4).unwrap();
+        let second = svc.submit(query_vector(64, 2), 4).unwrap();
+        first.wait().unwrap();
+        let second = second.wait().unwrap();
+        let st = second.stages;
+        let covered = st.queue + st.coalesce + st.engine + st.merge;
+        assert!(
+            second.latency.saturating_sub(covered) <= Duration::from_millis(5),
+            "stages cover {covered:?} of {:?}: {st:?}",
+            second.latency
         );
         svc.shutdown();
     }

@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let grown = collection(30_000, 12);
     let epoch = service.swap_collection(&grown)?;
     println!(
-        "hot-swapped to {} rows (epoch {epoch}); workers never restarted",
+        "hot-swapped to {} rows (epoch {epoch}); the service never restarted",
         service.num_rows()
     );
     let answer = service.query(query_vector(DIM, 6), 10)?;

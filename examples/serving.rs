@@ -3,8 +3,8 @@
 //!
 //! Eight closed-loop clients fire similarity queries at a 2-shard
 //! service; the batcher coalesces their concurrent requests into
-//! backend batches, each shard's worker answers against its resident
-//! prepared partition, and per-shard Top-K lists are merged into global
+//! backend batches and runs each against both resident prepared
+//! partitions at once, and per-shard Top-K lists are merged into global
 //! answers. The final metrics snapshot shows the coalescing at work.
 //!
 //! Run with: `cargo run --release -p tkspmv_eval --example serving`

@@ -3,7 +3,8 @@
 //! The serving guarantee under test: `TopKService::swap_collection`
 //! loses no admitted request, answers every request from exactly one
 //! collection epoch (never a mix), and serves every post-swap admission
-//! from the new collection — all without restarting a worker pool.
+//! from the new collection — all without restarting the service: each
+//! batch runs against the epoch its requests were admitted to.
 //!
 //! The two collections are built with **disjoint live row spaces** so a
 //! response's row ids prove which epoch answered it: collection A only

@@ -4,7 +4,8 @@
 //! caller actually measured — across precision tiers, and with trace
 //! ids surviving a compaction epoch hot-swap happening mid-stream.
 //! Underneath that: the engine stage split inside each span is the one
-//! the request's own backend call measured, exact under concurrency.
+//! the request's own backend call measured, exact while a batch's shard
+//! tasks run beside each other.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -303,7 +304,8 @@ impl TopKBackend for StampBackend {
     }
 }
 
-/// Concurrent submitters into a four-shard (so four-worker) service:
+/// Concurrent submitters into a four-shard service (four overlapping
+/// backend calls per batch):
 /// every ticket's stage breakdown holds exactly the values its own
 /// backend call reported — nothing from the calls running beside it.
 #[test]
