@@ -62,44 +62,61 @@ struct QueryLane<S: SpmvScalar> {
 /// chunk ([`BsCsr::CHUNK_PACKETS`]), in which its row ends are recorded.
 /// Large enough to amortise the per-block loop entry/exit over many
 /// packets, small enough that the flat `dvals`/`cidx` chunk —
-/// `CHUNK_PACKETS · B` entries, 7.5 KiB at the paper's B = 15 — stays
-/// inside a 48-KiB L1 alongside one transposed query block (32 KiB at
-/// M = 1024 in Q1.19, see [`BLOCK_LANES`]).
+/// `CHUNK_PACKETS · B` entries, 7.5 KiB at the paper's B = 15 — and a
+/// block's row sums (a few KiB) stay in L1 beside the gathers from one
+/// transposed query block (64 KiB at M = 1024 in Q1.19, see
+/// [`BLOCK_LANES`]).
 const CHUNK_PACKETS: usize = BsCsr::CHUNK_PACKETS;
 
 /// Query lanes replayed together from one transposed block: per decoded
 /// non-zero, one `BLOCK_LANES`-wide row of the block feeds that many
-/// accumulators — at x86-64-v3, two 256-bit multiplies and two adds.
-/// One block of M = 1024 Q1.19 queries is 32 KiB and shares L1 with the
-/// chunk. A ragged batch is not padded up to a block: its last
-/// `B % BLOCK_LANES` lanes replay one at a time straight from their
-/// query slices, so B = 1 pays for neither a copy nor idle lanes. Where
-/// no sum can saturate, a remainder lane replays from running-sum
-/// differences ([`running_sum_pass`]) rather than row by row.
+/// accumulators — at x86-64-v3, four 256-bit multiplies and four adds.
+/// The batch's lanes fall through a cascade: as many full 16-lane
+/// blocks as fit, then one [`HALF_BLOCK_LANES`]-lane block if eight or
+/// more lanes are left, so a batch of 8 to 15 still replays eight wide.
+/// A ragged batch is not padded up to a block: its last `B % 8` lanes
+/// replay one at a time straight from their query slices, so B = 1 pays
+/// for neither a copy nor idle lanes. Where no sum can saturate, a
+/// remainder lane replays from running-sum differences
+/// ([`running_sum_pass`]) rather than row by row.
 ///
 /// Measured at x86-64-v3 with the unsaturated accumulator (one thread,
 /// the 32 partitions of the 100k × 1024 Q1.19 ledger collection, 2-vCPU
-/// host): 16 lanes replay a B = 32 batch at 0.53–0.60 ns/nnz/lane
-/// against 0.62–0.83 for 8, but then a batch of 8 to 15 queries has no
-/// full block and replays one lane wide, 2.4 ns/nnz/lane at B = 8
-/// against 0.9 (measured before the one-lane body summed by running-sum
-/// differences, which cut its score ≈ 0.4×). Eight keeps every B ≥ 8
-/// on the wide path.
-const BLOCK_LANES: usize = 8;
+/// host, against the 8-lane body that offered each row to the Top-K
+/// trackers inside replay, the two alternated in one process): with the
+/// offers moved to [`select`], the cascade replays a B = 32 batch in
+/// 0.64–0.68× the time (0.29–0.41 ns/nnz/lane), and B = 8 or 9 in
+/// 0.84–0.91×; with 8-lane blocks only, B = 32 took 0.76–0.79×. While
+/// the offers sat inside replay, 16 lanes replayed B = 32 only ≈ 15 %
+/// faster than 8, and 16 alone left B = 8 to 15 one lane wide.
+const BLOCK_LANES: usize = 16;
+
+/// The cascade's second block width (see [`BLOCK_LANES`]).
+const HALF_BLOCK_LANES: usize = BLOCK_LANES / 2;
+
+/// How a batch of `b` lanes splits over the block cascade: the first
+/// `wide` lanes replay in [`BLOCK_LANES`]-lane blocks, lanes
+/// `wide..blocked` in at most one [`HALF_BLOCK_LANES`]-lane block, and
+/// the rest one lane at a time.
+fn block_split(b: usize) -> (usize, usize) {
+    let wide = b - b % BLOCK_LANES;
+    (wide, b - b % HALF_BLOCK_LANES)
+}
 
 /// Reusable working memory for [`run_core_batch_with_scratch`]: the
-/// current chunk's flat value/index arrays, one remainder lane's running
-/// sums over it, the batch's full lane blocks transposed, and one
-/// resident lane (Top-K tracker + carry) per query in the batch. The
-/// row structure replay follows is not here: it is the stream's own,
-/// recorded once ([`BsCsr::row_ends`]).
+/// current chunk's flat value/index arrays, one remainder lane's sums
+/// over it, one lane block's row sums, the batch's full lane blocks
+/// transposed, and one resident lane (Top-K tracker + carry) per query
+/// in the batch. The row structure replay follows is not here: it is
+/// the stream's own, recorded once ([`BsCsr::row_ends`]).
 ///
 /// Allocate one per participant (see [`crate::fanout::fork_join`]) and
 /// stream every partition and batch it walks through it.
 /// The chunk buffers are sized **once per call** to `CHUNK_PACKETS · B`
 /// (`+ 1` for the running sums; a no-op when the previous call used the
-/// same layout), the transposed block to the batch's full blocks, and
-/// the packet loop writes into them by position, so a call allocates a
+/// same layout), the row-sum tile to the stream's largest per-chunk row
+/// count, the transposed block to the batch's full blocks, and the
+/// packet loop writes into them by position, so a call allocates a
 /// number of times that depends on neither the packet count nor — once
 /// lanes and outputs have grown to the largest batch seen — the batch
 /// size; on a warm scratch that number is zero (both asserted by the
@@ -115,19 +132,28 @@ pub struct BatchScratch<S: SpmvScalar> {
     dvals: Vec<S>,
     /// The current chunk's column indices, laid out like `dvals`.
     cidx: Vec<u32>,
-    /// One remainder lane's running sums over the current chunk when the
-    /// stream's sums cannot saturate: `sums[0]` is the lane's carry and
-    /// `sums[i + 1]` adds entry `i`'s product, so a row's sum is the
-    /// difference of the running sums at its two ends (see
-    /// [`running_sum_pass`]). `CHUNK_PACKETS · B + 1` long, sized with
-    /// `dvals`.
+    /// One remainder lane's sums over the current chunk. When the
+    /// stream's sums cannot saturate they are running sums: `sums[0]` is
+    /// the lane's carry and `sums[i + 1]` adds entry `i`'s product, so a
+    /// row's sum is the difference of the running sums at its two ends
+    /// (see [`running_sum_pass`]). Otherwise `sums[i]` is the sum of the
+    /// chunk's row `i`, as in `tile`. `CHUNK_PACKETS · B + 1` long, sized
+    /// with `dvals`: every row holds at least one entry, so a chunk never
+    /// ends more rows than it has entries.
     sums: Vec<S::Acc>,
-    /// The batch's full [`BLOCK_LANES`]-lane blocks, transposed once per
-    /// call: `xt[block·M + col][lane]` is query `block·BLOCK_LANES +
-    /// lane` at column `col`, so one non-zero reads one contiguous row
-    /// for the whole block. The `B % BLOCK_LANES` remainder is not
-    /// copied here.
-    xt: Vec<[S; BLOCK_LANES]>,
+    /// One lane block's row sums over the current chunk, written by
+    /// replay and read by the Top-K select step: for an `L`-lane block,
+    /// `tile[i·L + lane]` is that lane's sum of the chunk's row `i`.
+    /// Sized once per call to the stream's largest per-chunk row count
+    /// times [`BLOCK_LANES`], and only when the batch has a full block,
+    /// so a call of fewer than eight lanes never touches it.
+    tile: Vec<S::Acc>,
+    /// The batch's full lane blocks, transposed once per call, one after
+    /// another in lane order: an `L`-lane block takes `M · L` entries,
+    /// and its `[col·L + lane]` is that lane's query at column `col`, so
+    /// one non-zero reads one contiguous `L`-wide row for the whole
+    /// block. The `B % 8` remainder is not copied here.
+    xt: Vec<S>,
     /// Per-query resident state; `lanes[..B]` are active, the rest keep
     /// their warm capacity for a later, larger batch.
     lanes: Vec<QueryLane<S>>,
@@ -148,6 +174,7 @@ impl<S: SpmvScalar> BatchScratch<S> {
             dvals: Vec::new(),
             cidx: Vec::new(),
             sums: Vec::new(),
+            tile: Vec::new(),
             xt: Vec::new(),
             lanes: Vec::new(),
             outputs: Vec::new(),
@@ -178,14 +205,17 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// instead of replaying the decode once per query. This is the engine's
 /// one entry point; a single query is a one-lane batch.
 ///
-/// Lanes replay in blocks of eight: the batch's full blocks are
-/// transposed once per call, so each decoded non-zero is read once and
-/// multiplied into a whole block's accumulators from one contiguous row
-/// — the software picture of many multiply-accumulate units fed by one
-/// decoded stream from a banked on-chip vector. The lanes left over
-/// (batch size mod 8) run one lane wide, reading their own query
-/// slices. Within each lane, whatever its block, the engine follows
-/// Algorithm 1 stage by stage:
+/// Lanes replay in blocks of sixteen, then at most one block of eight
+/// (`BLOCK_LANES`): the batch's full blocks are transposed once per
+/// call, so each decoded non-zero is read once and multiplied into a
+/// whole block's accumulators from one contiguous row — the software
+/// picture of many multiply-accumulate units fed by one decoded stream
+/// from a banked on-chip vector. The lanes left over (batch size mod 8)
+/// run one lane wide, reading their own query slices. Within each lane,
+/// whatever its block, the engine follows Algorithm 1 stage by stage,
+/// chunk by chunk: replay runs stages 1–3 over the chunk and writes
+/// each finished row's sum, then one select step runs stage 4 over
+/// those sums.
 ///
 /// 1. **Scatter**: for each of the packet's `B` entries, read `x[idx]`
 ///    from (emulated) URAM and form the point-wise product;
@@ -198,18 +228,26 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 ///    2⁶⁴, so the bits are the sequential sum's;
 /// 3. **Summary**: stitch rows that span packet (and chunk) boundaries
 ///    through the carried partial sum;
-/// 4. **Top-K update**: offer every row finished in this packet (at most
-///    `r` in faithful mode) to the argmin scratchpad.
+/// 4. **Top-K update**: offer every row finished in the chunk (at most
+///    `r` per packet in faithful mode), in row order, to the argmin
+///    scratchpad. The select step first compares each row's sums with
+///    the lanes' current scratchpad minimums and skips the lanes whose
+///    sum falls below theirs, offers the scratchpad would reject
+///    anyway, so the answers and accept counts are those of offering
+///    every row.
 ///
 /// Where rows end is a property of the matrix, not of the query, so the
 /// engine does not read it from the packets: the stream records its row
 /// ends once, at encode or load ([`BsCsr::row_ends`]), and a chunk is
 /// replayed row by row from its recorded ends. Per chunk the engine
-/// slices only the entries' `idx`/`val` fields. The `r` gate is applied
-/// as the rows are replayed: a row's ordinal in its packet comes from
-/// its end (its packet is `(end − 1) / B`), so the same recorded ends
-/// serve every fidelity. [`CoreStats`] come from the recorded ends and
-/// `r` without touching a packet.
+/// slices only the entries' `idx`/`val` fields. Replay sums every row
+/// whatever the fidelity; the `r` gate is applied as the select step
+/// reads the rows: a row's ordinal in its packet comes from its end (its
+/// packet is `(end − 1) / B`), so the same recorded ends serve every
+/// fidelity. [`CoreStats`] come from the recorded ends and `r` without
+/// touching a packet. Select time is counted in the stage clock's
+/// `score` ([`BatchScratch::stage_times`]), beside replay:
+/// [`StageTimes`] has no select stage of its own.
 ///
 /// Queries must already be quantised to `S` (the URAM upload step); use
 /// [`quantize_vector`].
@@ -252,8 +290,10 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// loop produces, with the same sums — the row ends, carry stitching,
 /// and `r`-limit gating depend only on the matrix, not on the other
 /// queries in the batch; lane blocking only interleaves lanes, never
-/// reorders one lane's steps; and a lane summed by running-sum
-/// differences reads the bits a row-by-row sum gives (stage 2 above).
+/// reorders one lane's steps; a lane summed by running-sum differences
+/// reads the bits a row-by-row sum gives (stage 2 above); and the
+/// select step's filter drops only offers the lane's scratchpad would
+/// reject (stage 4 above).
 ///
 /// The returned slice borrows the scratch and holds one
 /// [`CoreOutput`] per query, in input order. [`CoreStats`] are
@@ -327,7 +367,7 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     };
     // Every statistic but the accept count is a fact of the recorded
     // row ends and `r`.
-    let (chunk_rows, ends, by_ordinal) = matrix.row_ends();
+    let by_ordinal = matrix.row_ends().2;
     let rows_finished: u64 = by_ordinal.iter().take(r_limit as usize).sum();
     let shared = CoreStats {
         packets: matrix.num_packets() as u64,
@@ -342,22 +382,29 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     let mut mark = Instant::now();
 
     // The full lane blocks' queries, transposed once per call (stage 1b's
-    // operand layout, so it is score time). The `b % BLOCK_LANES`
-    // remainder lanes read their own query slices and are not copied.
+    // operand layout, so it is score time). The `b % 8` remainder lanes
+    // read their own query slices and are not copied.
     let m = matrix.num_cols();
-    let blocks = b / BLOCK_LANES;
+    let (wide, blocked) = block_split(b);
     // alloc-ok: sized once per call to the full blocks, then written by
     // position; a warm scratch that saw as many blocks does not grow.
-    scratch.xt.resize(blocks * m, [S::decode(0); BLOCK_LANES]);
-    for (i, block) in queries.chunks_exact(BLOCK_LANES).enumerate() {
-        let qs: [&[S]; BLOCK_LANES] = std::array::from_fn(|l| &block[l].as_ref()[..m]);
-        for (col, row) in scratch.xt[i * m..][..m].iter_mut().enumerate() {
-            *row = std::array::from_fn(|l| qs[l][col]);
-        }
-    }
+    scratch.xt.resize(blocked * m, S::decode(0));
+    let (wide_xt, half_xt) = scratch.xt.split_at_mut(wide * m);
+    transpose::<_, _, BLOCK_LANES>(&queries[..wide], wide_xt, m);
+    transpose::<_, _, HALF_BLOCK_LANES>(&queries[wide..blocked], half_xt, m);
     let transposed = Instant::now();
     scratch.stage_times.score += transposed - mark;
     mark = transposed;
+
+    let (chunk_rows, ends, _) = matrix.row_ends();
+    if blocked > 0 {
+        let most_rows = chunk_rows.windows(2).map(|w| w[1] - w[0]).max();
+        // alloc-ok: sized once per call to the stream's largest per-chunk
+        // row count; a warm scratch that saw as many rows does not grow.
+        scratch
+            .tile
+            .resize(most_rows.unwrap_or(0) as usize * BLOCK_LANES, S::acc_zero());
+    }
 
     // alloc-ok: the chunk buffers are sized here, once per call (a no-op
     // when the scratch last saw the same layout); the packet loop
@@ -398,24 +445,29 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
             r_limit,
         };
 
-        // Stages 1b+2+3+4, block by block: fused gather-multiply-
+        // Stages 1b+2+3, block by block: fused gather-multiply-
         // accumulate replaying the chunk's recorded rows (or, for a
-        // one-lane remainder that cannot saturate, their running sums),
-        // then the Top-K offers. Every sum, saturation included, has the
-        // bits of the sequential path's packet-arrival-order sum.
+        // one-lane remainder that cannot saturate, their running sums)
+        // into row sums; then stage 4 selects the Top-K offers from them.
+        // Every sum, saturation included, has the bits of the sequential
+        // path's packet-arrival-order sum.
+        let sums = Sums {
+            tile: &mut scratch.tile,
+            lane: &mut scratch.sums,
+        };
         let lanes = &mut scratch.lanes[..b];
         if unsaturated {
-            replay(
+            replay::<_, _, true>(
                 lanes,
                 &scratch.xt,
                 queries,
                 m,
                 chunk,
-                Some(&mut scratch.sums[..]),
+                sums,
                 S::acc_add_unsaturated,
             );
         } else {
-            replay(lanes, &scratch.xt, queries, m, chunk, None, S::acc_add);
+            replay::<_, _, false>(lanes, &scratch.xt, queries, m, chunk, sums, S::acc_add);
         }
         let scored = Instant::now();
         scratch.stage_times.decode += decoded - mark;
@@ -505,63 +557,128 @@ impl RowGate {
     }
 }
 
-/// Replays one chunk into every active lane: the full blocks
-/// [`BLOCK_LANES`] wide from their rows of the transposed `xt`, summing
-/// with `add` (see [`accumulate`]), and the remainder one lane at a
-/// time from each lane's own query slice. A remainder lane runs the
-/// same body one lane wide, unless `sums` is given — only when
-/// [`unsaturated_sums`] holds, with `add` the unsaturated add — in which
-/// case it replays from running-sum differences ([`running_sum_pass`]).
+/// Where replay writes one chunk's row sums for the select step: the
+/// full blocks' tile and one remainder lane's sums (see
+/// [`BatchScratch`]).
+struct Sums<'a, A> {
+    tile: &'a mut [A],
+    lane: &'a mut [A],
+}
+
+/// Replays one chunk into every active lane, then selects its Top-K
+/// offers: the full blocks down the [`BLOCK_LANES`] cascade from their
+/// rows of the transposed `xt`, summing with `add` (see
+/// [`accumulate`]), and the remainder one lane at a time from each
+/// lane's own query slice. A remainder lane runs the same body one lane
+/// wide, unless `RUNNING` — only when [`unsaturated_sums`] holds, with
+/// `add` the unsaturated add — in which case it replays from
+/// running-sum differences ([`running_sum_pass`]). Each body writes the
+/// chunk's row sums into `sums` and hands them to [`select`].
 #[inline(always)]
-fn replay<S: SpmvScalar, Q: AsRef<[S]>>(
+fn replay<S: SpmvScalar, Q: AsRef<[S]>, const RUNNING: bool>(
     lanes: &mut [QueryLane<S>],
-    xt: &[[S; BLOCK_LANES]],
+    xt: &[S],
     queries: &[Q],
     m: usize,
     chunk: Chunk<'_, S>,
-    mut sums: Option<&mut [S::Acc]>,
+    sums: Sums<'_, S::Acc>,
     add: impl Fn(S::Acc, S::Acc) -> S::Acc + Copy,
 ) {
-    let blocked = lanes.len() - lanes.len() % BLOCK_LANES;
-    let (full, rest) = lanes.split_at_mut(blocked);
-    for (i, block) in full.chunks_exact_mut(BLOCK_LANES).enumerate() {
-        let x = &xt[i * m..][..m];
-        block_pass(block, chunk, |idx| x[idx as usize], add);
-    }
+    let (wide, blocked) = block_split(lanes.len());
+    let (blocks, rest) = lanes.split_at_mut(blocked);
+    let (wide_lanes, half_lanes) = blocks.split_at_mut(wide);
+    let (wide_xt, half_xt) = xt[..blocked * m].split_at(wide * m);
+    replay_blocks::<_, BLOCK_LANES>(wide_lanes, wide_xt, m, chunk, add, sums.tile);
+    replay_blocks::<_, HALF_BLOCK_LANES>(half_lanes, half_xt, m, chunk, add, sums.tile);
     for (lane, q) in rest.iter_mut().zip(&queries[blocked..]) {
         let x = &q.as_ref()[..m];
-        match sums.as_deref_mut() {
-            Some(sums) => running_sum_pass(lane, chunk, x, sums),
-            None => block_pass(
-                std::slice::from_mut(lane),
-                chunk,
-                |idx| [x[idx as usize]],
-                add,
-            ),
+        if RUNNING {
+            running_sum_pass(lane, chunk, x, sums.lane);
+        } else {
+            let one = std::slice::from_mut(lane);
+            block_pass(one, chunk, |idx| [x[idx as usize]], add, sums.lane);
+            select(one, chunk, sums.lane.iter().map(|&sum| [sum]));
         }
+    }
+}
+
+/// Copies `queries`, a whole number of `L`-lane blocks, into `xt`
+/// transposed (see [`BatchScratch`]'s `xt`).
+fn transpose<S: SpmvScalar, Q: AsRef<[S]>, const L: usize>(queries: &[Q], xt: &mut [S], m: usize) {
+    for (i, block) in queries.chunks_exact(L).enumerate() {
+        let qs: [&[S]; L] = std::array::from_fn(|l| &block[l].as_ref()[..m]);
+        let out = &mut xt[i * m * L..][..m * L];
+        for (col, row) in out.chunks_exact_mut(L).enumerate() {
+            for (v, q) in row.iter_mut().zip(qs) {
+                *v = q[col];
+            }
+        }
+    }
+}
+
+/// Row `i` of a flat buffer read as `L` consecutive entries: the
+/// `L`-lane view of `xt` and of the tile.
+#[inline(always)]
+fn lane_row<T: Copy, const L: usize>(flat: &[T], i: usize) -> [T; L] {
+    let row = &flat[i * L..][..L];
+    std::array::from_fn(|l| row[l])
+}
+
+/// Replays and selects one chunk for `lanes`, a whole number of
+/// `L`-lane blocks, each from its `m` rows of the transposed `xt`,
+/// through one `L`-lane view of the tile.
+#[inline(always)]
+fn replay_blocks<S: SpmvScalar, const L: usize>(
+    lanes: &mut [QueryLane<S>],
+    xt: &[S],
+    m: usize,
+    chunk: Chunk<'_, S>,
+    add: impl Fn(S::Acc, S::Acc) -> S::Acc + Copy,
+    tile: &mut [S::Acc],
+) {
+    for (i, block) in lanes.chunks_exact_mut(L).enumerate() {
+        let x = &xt[i * m * L..][..m * L];
+        block_pass(
+            block,
+            chunk,
+            |idx| lane_row::<_, L>(x, idx as usize),
+            add,
+            tile,
+        );
+        let rows = tile[..chunk.ends.len() * L].chunks_exact(L);
+        select(block, chunk, rows.map(|row| lane_row::<_, L>(row, 0)));
     }
 }
 
 /// Replays one chunk's rows for `L` lanes, where `row(idx)` is the `L`
 /// lanes' query entries at column `idx`: per row a fused
 /// gather-multiply-accumulate from the previous row's end to its own,
-/// a Top-K offer if the `r` gate admits it, and the carry update from
-/// the entries after the chunk's last row end. The chunk's first row
-/// starts from the carry, which is zero unless the previous chunk left
-/// a row open. Each non-zero's value and index are read once and one
-/// `L`-wide row feeds all `L` accumulators.
+/// written to `rows[i·L..][..L]` for the chunk's row `i`, and the carry
+/// update from the entries after the chunk's last row end. The chunk's
+/// first row starts from the carry, which is zero unless the previous
+/// chunk left a row open. Each non-zero's value and index are read once
+/// and one `L`-wide row feeds all `L` accumulators. No Top-K offer and
+/// no `r` gate sit in this loop: [`select`] reads `rows` afterwards.
+///
+/// The block body sums each row from its first entry to its last, not
+/// by running-sum differences as [`running_sum_pass`] does for one lane:
+/// eight lanes of running sums store eight sums per entry (61 KB per
+/// chunk at the paper's Q1.19 design), and a prototype of that body
+/// cut the ledger's `direct_b32` throughput from 2.84k to 0.89k
+/// queries/s on a 2-vCPU x86-64-v3 host.
 #[inline(always)]
 fn block_pass<S: SpmvScalar, const L: usize>(
     lanes: &mut [QueryLane<S>],
     chunk: Chunk<'_, S>,
     row: impl Fn(u32) -> [S; L],
     add: impl Fn(S::Acc, S::Acc) -> S::Acc + Copy,
+    rows: &mut [S::Acc],
 ) {
     debug_assert_eq!(lanes.len(), L);
     let mut from: [S::Acc; L] = std::array::from_fn(|l| lanes[l].carry);
     let mut start = 0usize;
-    let mut gate = RowGate::new(chunk.per_packet);
-    for (i, &row_end) in chunk.ends.iter().enumerate() {
+    let rows = rows[..chunk.ends.len() * L].chunks_exact_mut(L);
+    for (sums, &row_end) in rows.zip(chunk.ends) {
         let end = row_end as usize;
         let acc = accumulate(
             from,
@@ -570,13 +687,9 @@ fn block_pass<S: SpmvScalar, const L: usize>(
             &row,
             add,
         );
+        sums.copy_from_slice(&acc);
         from = [S::acc_zero(); L];
         start = end;
-        if gate.admits(row_end, chunk.r_limit) {
-            for (lane, &a) in lanes.iter_mut().zip(&acc) {
-                lane.tracker.insert(chunk.first_row + i as u32, a);
-            }
-        }
     }
     let carry = accumulate(from, &chunk.dvals[start..], &chunk.idx[start..], &row, add);
     for (lane, a) in lanes.iter_mut().zip(carry) {
@@ -587,11 +700,11 @@ fn block_pass<S: SpmvScalar, const L: usize>(
 /// One lane's chunk replayed from running-sum differences, the
 /// one-lane body for a stream whose sums cannot saturate: one flat pass
 /// over the chunk's entries writes `sums[0] = carry` and `sums[i + 1] =
-/// sums[i] ⊕ d_i · x[idx_i]` with no per-row control flow, then every
-/// row's sum is read off its recorded ends as `sums[end] ⊖ sums[prev]`
-/// — the chunk's first row from `sums[end]` alone, so it includes the
-/// carry — and the new carry is `sums[len] ⊖ sums[last end]`. The Top-K
-/// offers and the `r` gate are [`block_pass`]'s.
+/// sums[i] ⊕ d_i · x[idx_i]` with no per-row control flow. Every row's
+/// sum is then `sums[end] ⊖ sums[prev]` at its recorded ends — the
+/// chunk's first row from `sums[end]` alone, so it includes the carry —
+/// read off by [`select`], and the new carry is `sums[len] ⊖ sums[last
+/// end]`.
 ///
 /// `⊕`/`⊖` are [`SpmvScalar::acc_add_unsaturated`] and
 /// [`SpmvScalar::acc_sub_unsaturated`], exact modulo 2⁶⁴ for fixed
@@ -599,8 +712,8 @@ fn block_pass<S: SpmvScalar, const L: usize>(
 /// row sum reaches 2⁶⁴, so every difference equals the sequential
 /// (saturating) sum of that row bit for bit.
 ///
-/// Kept out of line so the engine body around the 8-lane block path
-/// does not change shape with it: inlined, it bought nothing on the
+/// Kept out of line so the engine body around the block paths does not
+/// change shape with it: inlined, it bought nothing on the
 /// stage clock, and one ledger reading put the B = 32 workload, which
 /// never runs it, 3 % slower. The call costs once per chunk per
 /// remainder lane.
@@ -642,16 +755,85 @@ fn running_sum_pass<S: SpmvScalar>(
         acc = S::acc_add_unsaturated(acc, S::mul(d, x[i as usize]));
         *p = acc;
     }
-    let mut before = S::acc_zero();
-    let mut gate = RowGate::new(chunk.per_packet);
-    for (i, &end) in chunk.ends.iter().enumerate() {
-        let sum = S::acc_sub_unsaturated(sums[end as usize], before);
-        before = sums[end as usize];
-        if gate.admits(end, chunk.r_limit) {
-            lane.tracker.insert(chunk.first_row + i as u32, sum);
+    let sums = &*sums;
+    let last = chunk
+        .ends
+        .last()
+        .map_or(S::acc_zero(), |&end| sums[end as usize]);
+    lane.carry = S::acc_sub_unsaturated(acc, last);
+    let row_sums = chunk.ends.iter().scan(S::acc_zero(), |before, &end| {
+        let sum = S::acc_sub_unsaturated(sums[end as usize], *before);
+        *before = sums[end as usize];
+        Some([sum])
+    });
+    select(std::slice::from_mut(lane), chunk, row_sums);
+}
+
+/// Stage 4 over one chunk for `L` lanes: offers each row that ends in
+/// it, in row order, to the lanes' Top-K trackers, where `row_sums`
+/// yields the `L` lanes' sums of the chunk's rows in order. A row the
+/// `r` gate drops ([`RowGate`]) is offered to no lane.
+///
+/// When every lane's tracker is full with a comparable minimum at chunk
+/// start — every chunk but a partition's first few — each row's `L`
+/// sums are compared with the `L` floors, the trackers' minimums
+/// ([`TopKTracker::current_min`]) refreshed after every accept, and only
+/// the lanes whose sum is `>=` their floor see an `insert`. That is
+/// `insert`'s own test against its own minimum, so every offer the
+/// filter drops is one `insert` would have rejected: answers, ties and
+/// accept counts are those of offering every gated row. A full tracker
+/// whose minimum is comparable holds no incomparable value and accepts
+/// none, so its floor stays comparable. For `u64` sums the per-row test
+/// vectorises: at `L` = 8 it is two 256-bit compares and one mask test,
+/// and a row no lane passes (most of them) costs nothing more.
+///
+/// A chunk that starts with a lane still filling, or with a float NaN
+/// at its floor, offers every gated row to every lane, so the filtered
+/// loop needs no per-lane "admit all" flag in its per-row test.
+#[inline(always)]
+fn select<S: SpmvScalar, const L: usize>(
+    lanes: &mut [QueryLane<S>],
+    chunk: Chunk<'_, S>,
+    row_sums: impl IntoIterator<Item = [S::Acc; L]>,
+) {
+    debug_assert_eq!(lanes.len(), L);
+    let mut floor = [S::acc_zero(); L];
+    let mut filtered = true;
+    for (f, lane) in floor.iter_mut().zip(&*lanes) {
+        match lane.tracker.current_min() {
+            Some(min) if min.partial_cmp(&min).is_some() => *f = min,
+            _ => filtered = false,
         }
     }
-    lane.carry = S::acc_sub_unsaturated(acc, before);
+    let mut gate = RowGate::new(chunk.per_packet);
+    let rows = (chunk.first_row..).zip(chunk.ends).zip(row_sums);
+    if !filtered {
+        for ((row, &end), sums) in rows {
+            if gate.admits(end, chunk.r_limit) {
+                for (lane, sum) in lanes.iter_mut().zip(sums) {
+                    lane.tracker.insert(row, sum);
+                }
+            }
+        }
+        return;
+    }
+    for ((row, &end), sums) in rows {
+        if !gate.admits(end, chunk.r_limit) {
+            continue;
+        }
+        let any = sums
+            .iter()
+            .zip(&floor)
+            .fold(false, |any, (s, f)| any | (s >= f));
+        if !any {
+            continue;
+        }
+        for ((lane, f), &sum) in lanes.iter_mut().zip(&mut floor).zip(&sums) {
+            if sum >= *f && lane.tracker.insert(row, sum) {
+                *f = lane.tracker.current_min().unwrap_or(*f);
+            }
+        }
+    }
 }
 
 /// `acc[l] = add(acc[l], d · row(idx)[l])` for every lane, entry by
@@ -1161,7 +1343,7 @@ mod tests {
     /// Walks `matrix` chunk by chunk, decoded through `layout` as the
     /// engine does, into two lanes that start from `carry`: one replayed
     /// by the sequential one-lane [`block_pass`] with the saturating
-    /// `acc_add`, one by [`running_sum_pass`]. After every chunk the two
+    /// `acc_add` and its rows selected, one by [`running_sum_pass`]. After every chunk the two
     /// must hold the same Top-K, accept count and carry. Returns whether
     /// the running sums wrapped past 2⁶⁴ in some chunk.
     fn one_lane_bodies_agree<S: SpmvScalar<Acc = u64>>(
@@ -1176,6 +1358,7 @@ mod tests {
         let mut idx = vec![0; chunk_entries];
         let mut dvals = vec![S::decode(0); chunk_entries];
         let mut sums = vec![0; chunk_entries + 1];
+        let mut row_sums = vec![0; chunk_entries];
         let lane = || QueryLane::<S> {
             tracker: TopKTracker::new(8),
             carry,
@@ -1203,7 +1386,8 @@ mod tests {
                 r_limit,
             };
             let one = std::slice::from_mut(&mut sequential);
-            block_pass(one, chunk, |i| [x[i as usize]], S::acc_add);
+            block_pass(one, chunk, |i| [x[i as usize]], S::acc_add, &mut row_sums);
+            select(one, chunk, row_sums.iter().map(|&sum| [sum]));
             running_sum_pass(&mut running, chunk, x, &mut sums);
             assert_eq!(
                 lane_state(&sequential),
@@ -1356,13 +1540,17 @@ mod tests {
             tracker: TopKTracker::new(8),
             carry: Q1_19::acc_zero(),
         };
-        replay(
+        let sums = Sums {
+            tile: &mut [],
+            lane: &mut [Q1_19::acc_zero(); 4],
+        };
+        replay::<_, _, false>(
             std::slice::from_mut(&mut lane),
             &[],
             &[&x],
             1024,
             chunk,
-            None,
+            sums,
             Q1_19::acc_add,
         );
     }

@@ -10,7 +10,9 @@
 //! chunk arrays, by [`tkspmv_sparse::Packet512::decode_fields`]; the
 //! rows are replayed from the row ends the stream recorded once, at
 //! encode or load ([`tkspmv_sparse::BsCsr::row_ends`]), so no query
-//! reads a `ptr` slot. A stream on the paper's M = 1024 layout
+//! reads a `ptr` slot. Replay only writes each chunk's row sums; one
+//! select step then makes that chunk's Top-K offers (stage 4). A stream
+//! on the paper's M = 1024 layout
 //! ([`tkspmv_sparse::PacketLayout::paper`]) is decoded with that layout
 //! as a compile-time constant, any other with the same code and the
 //! run-time value. Arithmetic is bit-exact with

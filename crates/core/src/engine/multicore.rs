@@ -49,8 +49,9 @@ pub(crate) struct MulticoreOutput {
 /// This is the **matrix-major** loop: each partition is walked once per
 /// batch in **one pass** over its packet stream, decoding every BS-CSR
 /// packet exactly once and accumulating the decoded entries into all B
-/// resident query lanes before advancing, eight lanes at a time from a
-/// transposed query block (see [`run_core_batch_with_scratch`]) — the
+/// resident query lanes before advancing, sixteen lanes (then eight) at
+/// a time from a transposed query block (see
+/// [`run_core_batch_with_scratch`]) — the
 /// software picture of a stream resident in its HBM channel while B
 /// query vectors sit in banked URAM. Each participant owns one
 /// [`BatchScratch`] and reuses it for every partition it walks, which

@@ -22,7 +22,8 @@ use std::time::Duration;
 pub struct StageTimes {
     /// Packet decode: a chunk's `idx`/`val` fields → flat arrays.
     pub decode: Duration,
-    /// Exact scoring: gather-multiply-accumulate and Top-K offers.
+    /// Exact scoring: lane replay's gather-multiply-accumulate and the
+    /// select step's Top-K offers.
     pub score: Duration,
     /// Low-bit prune pass and shortlist cut.
     pub prune: Duration,

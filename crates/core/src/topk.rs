@@ -78,8 +78,6 @@ pub struct TopKTracker<A> {
     /// a warm scratchpad into a single comparison; an O(k) re-scan runs
     /// only on eviction, mirroring the hardware's threshold register.
     min_slot: usize,
-    /// Number of candidates offered (for occupancy statistics).
-    offered: u64,
     /// Number of candidates accepted into the scratchpad.
     accepted: u64,
 }
@@ -98,7 +96,6 @@ impl<A: PartialOrd + Copy> TopKTracker<A> {
             // insert() replaces in place and never grows it.
             slots: Vec::with_capacity(k),
             min_slot: 0,
-            offered: 0,
             accepted: 0,
         }
     }
@@ -124,7 +121,6 @@ impl<A: PartialOrd + Copy> TopKTracker<A> {
         self.slots.clear();
         self.slots.reserve(new_k);
         self.min_slot = 0;
-        self.offered = 0;
         self.accepted = 0;
     }
 
@@ -166,11 +162,12 @@ impl<A: PartialOrd + Copy> TopKTracker<A> {
     /// An incomparable value (a float NaN) ranks below every comparable
     /// one: offered to a full slab it is rejected, and those that entered
     /// during the fill phase are the first to be replaced.
-    // Inlined into the engine's lane-block offer loop, where a call per
-    // (mostly rejected) offer cost more than the comparison itself.
+    // Inlined into the engine's select step (`engine::core_model`):
+    // a call per offer there cost more than the comparison. Its floor
+    // filter relies on this `>=` and NaN rule: it drops only offers that
+    // this would reject.
     #[inline]
     pub fn insert(&mut self, index: u32, value: A) -> bool {
-        self.offered += 1;
         // Fill phase: push until all k registers hold a candidate.
         if self.slots.len() < self.k {
             self.slots.push((index, value));
@@ -198,11 +195,6 @@ impl<A: PartialOrd + Copy> TopKTracker<A> {
             return None;
         }
         Some(self.slots[self.min_slot].1)
-    }
-
-    /// Candidates offered so far.
-    pub fn offered(&self) -> u64 {
-        self.offered
     }
 
     /// Candidates accepted so far.
@@ -427,7 +419,6 @@ mod tests {
         t.insert(1, 0.5);
         t.insert(2, 0.1);
         t.insert(3, 0.9);
-        assert_eq!(t.offered(), 3);
         assert_eq!(t.accepted(), 2);
     }
 
@@ -537,7 +528,6 @@ mod tests {
         t.reset(3);
         assert!(t.is_empty());
         assert_eq!(t.k(), 3);
-        assert_eq!(t.offered(), 0);
         assert_eq!(t.accepted(), 0);
         t.insert(4, 0.1);
         t.insert(5, 0.3);

@@ -34,8 +34,9 @@ fn all_backends() -> Vec<Box<dyn TopKBackend>> {
 /// A random matrix, a random batch of queries of matching dimension,
 /// and a K every backend can serve. Narrow widths reach the engine as
 /// run-time layouts; 513..=1024 columns solve to the M = 1024 layouts
-/// the engine holds as constants. Batches of 1..20 reach the engine's
-/// 8-lane blocks with and without a one-lane remainder, and two blocks.
+/// the engine holds as constants. Batches of 1..20 reach one-lane
+/// remainders alone, and the engine's 8- and 16-lane blocks each with
+/// and without them.
 fn arb_case() -> impl Strategy<Value = (Csr, Vec<DenseVector>, usize)> {
     (2usize..40, 4usize..96, 513usize..=1024, 0u8..2, 1usize..9).prop_flat_map(
         |(rows, narrow, wide, arm, k)| {

@@ -242,20 +242,73 @@ fn chunked_matrix(stored: usize, b: usize, num_cols: usize, seed: u64) -> Csr {
     Csr::from_triplets(row as usize, num_cols, &triplets).expect("valid by construction")
 }
 
-/// The faithful engine against [`chunk_oracle`], bit for bit in the
-/// Top-K list and in every [`CoreStats`] field, on streams of 63, 64,
-/// 65 and 128 packets whose last packet is full or ragged, at batch
-/// sizes 1, 9 and 15 (a remainder lane alone; a full 8-lane block plus
-/// one; a block plus seven), for r ∈ {1, 2, design r} and `Reference`,
-/// on the design layout and on a narrower run-time layout.
+/// Batch sizes that reach every replay body: a remainder lane alone
+/// (1); one 8-lane block (8), plus one (9) and plus seven (15); one
+/// 16-lane block (16), plus one (17), plus an 8-lane block (24) and
+/// plus both an 8-lane block and one lane (25); two 16-lane blocks (32).
+const BATCH_SIZES: [usize; 9] = [1, 8, 9, 15, 16, 17, 24, 25, 32];
+
+/// 32 seeded queries in `S`.
+fn queries<S: SpmvScalar>() -> Vec<Vec<S>> {
+    (0..32)
+        .map(|seed| quantize_vector::<S>(query_vector(1024, seed).as_slice()))
+        .collect()
+}
+
+/// Whether some row of `csr` crosses a chunk boundary when its stored
+/// entries (an empty row stores one) are laid end to end in packets of
+/// `b`.
+fn straddles_a_chunk(csr: &Csr, b: usize) -> bool {
+    let mut end = 0;
+    (0..csr.num_rows()).any(|r| {
+        let start = end;
+        end += csr.row_nnz(r).max(1);
+        start / (64 * b) != (end - 1) / (64 * b)
+    })
+}
+
+/// `bs`, encoded from `csr`, against [`chunk_oracle`] at every size in
+/// [`BATCH_SIZES`] and every `(fidelity, r)`: every lane bit for bit in
+/// the Top-K list and in every [`CoreStats`] field.
+fn batches_match_the_chunk_oracle<S: SpmvScalar>(
+    csr: &Csr,
+    bs: &BsCsr,
+    queries: &[Vec<S>],
+    fidelities: &[(Fidelity, u32)],
+) {
+    let b = bs.layout().entries_per_packet() as u64;
+    let k = 10;
+    for &(fidelity, r) in fidelities {
+        let wants: Vec<_> = queries
+            .iter()
+            .map(|x| chunk_oracle(csr, b, x, k, r))
+            .collect();
+        for lanes in BATCH_SIZES {
+            let mut scratch = BatchScratch::new();
+            let got = run_core_batch_with_scratch(bs, &queries[..lanes], k, fidelity, &mut scratch);
+            for (lane, (out, want)) in got.iter().zip(&wants).enumerate() {
+                assert_eq!(
+                    (&out.topk, out.stats),
+                    (&want.0, want.1),
+                    "{:?} {} packets, {} entries, {fidelity:?} B={lanes} lane {lane}",
+                    bs.layout(),
+                    bs.num_packets(),
+                    bs.stored_entries()
+                );
+            }
+        }
+    }
+}
+
+/// The faithful engine against [`chunk_oracle`] on streams of 63, 64,
+/// 65 and 128 packets whose last packet is full or ragged, for r ∈ {1,
+/// 2, design r} and `Reference`, on the design layout and on a narrower
+/// run-time layout.
 fn engine_matches_the_chunk_oracle<S: SpmvScalar>() {
     let design = PacketLayout::paper(S::VALUE_BITS);
     let narrow_b = design.entries_per_packet() - 4;
     let narrow = PacketLayout::with_entries(1024, S::VALUE_BITS, narrow_b).unwrap();
-    let queries: Vec<Vec<S>> = (0..15)
-        .map(|seed| quantize_vector::<S>(query_vector(1024, seed).as_slice()))
-        .collect();
-    let k = 10;
+    let queries = queries::<S>();
     for layout in [design, narrow] {
         let b = layout.entries_per_packet() as usize;
         let design_r = (b as u32 / 2).max(1);
@@ -270,13 +323,12 @@ fn engine_matches_the_chunk_oracle<S: SpmvScalar>() {
                 let bs = BsCsr::encode::<S>(&csr, layout);
                 assert_eq!(bs.num_packets(), packets, "{layout:?}");
                 assert!((0..csr.num_rows()).any(|r| csr.row_nnz(r) == 0));
-                let mut end = 0;
-                let straddles = (0..csr.num_rows()).any(|r| {
-                    end += csr.row_nnz(r).max(1);
-                    end - csr.row_nnz(r).max(1) < 64 * b && end > 64 * b
-                });
-                assert_eq!(straddles, packets > 64, "{packets} packets");
-                for (fidelity, r) in [
+                assert_eq!(
+                    straddles_a_chunk(&csr, b),
+                    packets > 64,
+                    "{packets} packets"
+                );
+                let fidelities = [
                     (Fidelity::Faithful { rows_per_packet: 1 }, 1),
                     (Fidelity::Faithful { rows_per_packet: 2 }, 2),
                     (
@@ -286,27 +338,8 @@ fn engine_matches_the_chunk_oracle<S: SpmvScalar>() {
                         design_r,
                     ),
                     (Fidelity::Reference, u32::MAX),
-                ] {
-                    for lanes in [1, 9, 15] {
-                        let mut scratch = BatchScratch::new();
-                        let got = run_core_batch_with_scratch(
-                            &bs,
-                            &queries[..lanes],
-                            k,
-                            fidelity,
-                            &mut scratch,
-                        );
-                        for (lane, out) in got.iter().enumerate() {
-                            let want = chunk_oracle(&csr, b as u64, &queries[lane], k, r);
-                            assert_eq!(
-                                (&out.topk, out.stats),
-                                (&want.0, want.1),
-                                "{layout:?} {packets} packets (ragged {ragged}) {fidelity:?} \
-                                 B={lanes} lane {lane}"
-                            );
-                        }
-                    }
-                }
+                ];
+                batches_match_the_chunk_oracle(&csr, &bs, &queries, &fidelities);
             }
         }
     }
@@ -316,4 +349,55 @@ fn engine_matches_the_chunk_oracle<S: SpmvScalar>() {
 fn faithful_engine_matches_an_independent_oracle_across_chunks() {
     engine_matches_the_chunk_oracle::<Q1_19>();
     engine_matches_the_chunk_oracle::<F32>();
+}
+
+/// `num_rows` rows of three shapes — the same two entries, the same
+/// five entries, or empty — in an 8-row cycle of 23 stored entries, so
+/// rows straddle packet and chunk boundaries at shifting offsets. For
+/// any query every row's sum is one of three values: once a tracker is
+/// full, each further row of the best shape ties its floor.
+fn tied_matrix(num_rows: u32) -> Csr {
+    let two: &[(u32, f32)] = &[(3, 0.5), (700, 0.25)];
+    let five: &[(u32, f32)] = &[
+        (1, 0.125),
+        (64, 0.125),
+        (65, 0.5),
+        (300, 0.25),
+        (1000, 0.0625),
+    ];
+    let cycle = [two, five, two, &[], five, two, five, &[]];
+    let triplets: Vec<(u32, u32, f32)> = (0..num_rows)
+        .flat_map(|row| {
+            cycle[row as usize % 8]
+                .iter()
+                .map(move |&(c, v)| (row, c, v))
+        })
+        .collect();
+    Csr::from_triplets(num_rows as usize, 1024, &triplets).expect("valid by construction")
+}
+
+/// The engine against [`chunk_oracle`] on [`tied_matrix`], four chunks
+/// long: ties at the trackers' floors within and across chunks, where
+/// the `>=` replace rule evicts the minimum on every tie, so a lane
+/// whose select step drops a tie ends with different rows.
+fn ties_at_the_floor_match_the_chunk_oracle<S: SpmvScalar>() {
+    let layout = PacketLayout::paper(S::VALUE_BITS);
+    let csr = tied_matrix(2_000);
+    let bs = BsCsr::encode::<S>(&csr, layout);
+    assert!(bs.num_packets() > 3 * 64, "spans four chunks");
+    assert!(straddles_a_chunk(
+        &csr,
+        layout.entries_per_packet() as usize
+    ));
+    let fidelities = [
+        (Fidelity::Faithful { rows_per_packet: 2 }, 2),
+        (Fidelity::Reference, u32::MAX),
+    ];
+    batches_match_the_chunk_oracle(&csr, &bs, &queries::<S>(), &fidelities);
+}
+
+#[test]
+fn ties_at_the_trackers_floors_match_the_chunk_oracle() {
+    ties_at_the_floor_match_the_chunk_oracle::<Q1_19>();
+    ties_at_the_floor_match_the_chunk_oracle::<F32>();
 }

@@ -286,14 +286,16 @@ fn warm_batch_scratch_is_allocation_free_across_packet_count_and_batch_size() {
     assert_eq!(warm.len(), 32);
     assert_eq!(warm[0].stats.packets, large.num_packets() as u64);
 
-    // Every (stream, B, fidelity) combination — the single-query call
-    // is B = 1, B = 9 is a full 8-lane block plus a one-lane remainder —
-    // must cost the same number of allocation calls on the warm
-    // scratch: zero per packet AND zero per lane, with the stage clock
-    // running. Batching amortises decode without touching the heap.
+    // Every (stream, B, fidelity) combination — B = 1 is the
+    // single-query call, 8 one 8-lane block, 9 that block plus a lane,
+    // 16 one 16-lane block, 17/24/25 that block plus a lane, an 8-lane
+    // block, or both — must cost the same number of allocation calls on
+    // the warm scratch: zero per packet AND zero per lane, with the
+    // stage clock running. Batching amortises decode without touching
+    // the heap.
     let mut counts = Vec::new();
     for matrix in [&small, &large] {
-        for b in [1usize, 4, 9, 32] {
+        for b in [1usize, 4, 8, 9, 16, 17, 24, 25, 32] {
             for fidelity in [faithful, Fidelity::Reference] {
                 let allocs = allocations_during(|| {
                     run_core_batch_with_scratch(matrix, &queries[..b], k, fidelity, &mut scratch)
