@@ -33,6 +33,7 @@ use std::any::Any;
 use std::io::{Read, Write};
 use std::path::Path;
 
+use tkspmv_obs::Stages;
 use tkspmv_sparse::gen::query_vector;
 use tkspmv_sparse::snapshot::{Snapshot, SnapshotError, SnapshotPayload};
 use tkspmv_sparse::{Csr, DenseVector, PruneIndex};
@@ -41,7 +42,6 @@ use crate::accelerator::{Accelerator, LoadedMatrix};
 use crate::engine::CoreStats;
 use crate::error::EngineError;
 use crate::perf::PerfReport;
-use crate::stages::StageTimes;
 use crate::topk::TopKResult;
 
 /// A Top-K SpMV engine: prepares a sparse embedding collection once,
@@ -710,7 +710,7 @@ pub enum BackendStats {
         cores: Vec<CoreStats>,
         /// Decode/score time of the batch this query rode in, on its
         /// busiest participant, summed over the partitions it walked.
-        stages: StageTimes,
+        stages: Stages,
     },
     /// The CPU baseline.
     Cpu {
@@ -738,7 +738,7 @@ pub enum BackendStats {
         pruned: bool,
         /// This query's prune and exact-rescore time — or, on the
         /// fall-through, the stages the wrapped backend reported.
-        stages: StageTimes,
+        stages: Stages,
     },
 }
 
@@ -754,10 +754,10 @@ impl BackendStats {
     /// Engine stage times measured by the call that produced this
     /// result; all zero for backends that do not split their work into
     /// stages.
-    pub fn stage_times(&self) -> StageTimes {
+    pub fn stage_times(&self) -> Stages {
         match self {
             BackendStats::Fpga { stages, .. } | BackendStats::Pruned { stages, .. } => *stages,
-            _ => StageTimes::default(),
+            _ => Stages::default(),
         }
     }
 

@@ -3,9 +3,9 @@
 use std::time::Instant;
 
 use tkspmv_fixed::SpmvScalar;
+use tkspmv_obs::{Stage, Stages};
 use tkspmv_sparse::{BsCsr, PacketLayout};
 
-use crate::stages::StageTimes;
 use crate::topk::TopKTracker;
 
 /// How faithfully the emulator mirrors the RTL's resource-saving
@@ -162,7 +162,7 @@ pub struct BatchScratch<S: SpmvScalar> {
     outputs: Vec<CoreOutput<S::Acc>>,
     /// Decode/score split of the latest batch (see
     /// [`BatchScratch::stage_times`]).
-    stage_times: StageTimes,
+    stage_times: Stages,
 }
 
 impl<S: SpmvScalar> BatchScratch<S> {
@@ -178,16 +178,16 @@ impl<S: SpmvScalar> BatchScratch<S> {
             xt: Vec::new(),
             lanes: Vec::new(),
             outputs: Vec::new(),
-            stage_times: StageTimes::default(),
+            stage_times: Stages::default(),
         }
     }
 
     /// Where the latest [`run_core_batch_with_scratch`] call through
-    /// this scratch spent its time: chunk decode vs. lane replay
-    /// (`prune`/`rescore` stay zero). Kept beside [`CoreStats`] rather
-    /// than in it because wall time is not a reproducible fact of the
-    /// stream.
-    pub fn stage_times(&self) -> StageTimes {
+    /// this scratch spent its time: [`Stage::Decode`] for chunk decode,
+    /// [`Stage::Score`] for lane replay and select (every other stage
+    /// stays zero). Kept beside [`CoreStats`] rather than in it because
+    /// wall time is not a reproducible fact of the stream.
+    pub fn stage_times(&self) -> Stages {
         self.stage_times
     }
 }
@@ -246,8 +246,8 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// packet is `(end − 1) / B`), so the same recorded ends serve every
 /// fidelity. [`CoreStats`] come from the recorded ends and `r` without
 /// touching a packet. Select time is counted in the stage clock's
-/// `score` ([`BatchScratch::stage_times`]), beside replay:
-/// [`StageTimes`] has no select stage of its own.
+/// [`Stage::Score`] ([`BatchScratch::stage_times`]), beside replay:
+/// [`Stage`] has no select stage of its own.
 ///
 /// Queries must already be quantised to `S` (the URAM upload step); use
 /// [`quantize_vector`].
@@ -334,7 +334,7 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
 ) -> &'s [CoreOutput<S::Acc>] {
     debug_assert_eq!(layout, matrix.layout());
     let b = queries.len();
-    scratch.stage_times = StageTimes::default();
+    scratch.stage_times = Stages::default();
     if b == 0 {
         return &[];
     }
@@ -393,7 +393,7 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     transpose::<_, _, BLOCK_LANES>(&queries[..wide], wide_xt, m);
     transpose::<_, _, HALF_BLOCK_LANES>(&queries[wide..blocked], half_xt, m);
     let transposed = Instant::now();
-    scratch.stage_times.score += transposed - mark;
+    scratch.stage_times.add(Stage::Score, transposed - mark);
     mark = transposed;
 
     let (chunk_rows, ends, _) = matrix.row_ends();
@@ -470,8 +470,8 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
             replay::<_, _, false>(lanes, &scratch.xt, queries, m, chunk, sums, S::acc_add);
         }
         let scored = Instant::now();
-        scratch.stage_times.decode += decoded - mark;
-        scratch.stage_times.score += scored - decoded;
+        scratch.stage_times.add(Stage::Decode, decoded - mark);
+        scratch.stage_times.add(Stage::Score, scored - decoded);
         mark = scored;
     }
 
@@ -492,7 +492,7 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
         };
     }
     // The Top-K drain above belongs to stage 4.
-    scratch.stage_times.score += mark.elapsed();
+    scratch.stage_times.add(Stage::Score, mark.elapsed());
     &scratch.outputs[..b]
 }
 
@@ -1067,24 +1067,24 @@ mod tests {
         .generate();
         let bs = encode20(&csr);
         let mut scratch = BatchScratch::<Q1_19>::new();
-        assert_eq!(scratch.stage_times(), StageTimes::default());
+        assert_eq!(scratch.stage_times(), Stages::default());
         let started = Instant::now();
         run_core_batch_with_scratch(&bs, &[ones(512)], 8, Fidelity::Reference, &mut scratch);
         let wall = started.elapsed();
         let stages = scratch.stage_times();
         assert!(
-            !stages.decode.is_zero() && !stages.score.is_zero(),
+            !stages.get(Stage::Decode).is_zero() && !stages.get(Stage::Score).is_zero(),
             "{stages:?}"
         );
         assert!(
-            stages.prune.is_zero() && stages.rescore.is_zero(),
+            stages.get(Stage::Prune).is_zero() && stages.get(Stage::Rescore).is_zero(),
             "{stages:?}"
         );
         assert!(stages.total() <= wall, "{stages:?} inside {wall:?}");
         // An empty batch streams nothing and reports nothing.
         let none: [Vec<Q1_19>; 0] = [];
         run_core_batch_with_scratch(&bs, &none, 8, Fidelity::Reference, &mut scratch);
-        assert_eq!(scratch.stage_times(), StageTimes::default());
+        assert_eq!(scratch.stage_times(), Stages::default());
     }
 
     /// What one run reports per lane: the Top-K list and every

@@ -1,11 +1,11 @@
 //! Multi-core execution: the §III-A partitioned approximation.
 
 use tkspmv_fixed::SpmvScalar;
+use tkspmv_obs::Stages;
 use tkspmv_sparse::BsCsr;
 
 use super::core_model::{run_core_batch_with_scratch, BatchScratch, CoreStats, Fidelity};
 use crate::fanout::fork_join;
-use crate::stages::StageTimes;
 use crate::topk::TopKResult;
 
 /// Output of a multi-core run: the merged approximate Top-K plus
@@ -25,7 +25,7 @@ pub(crate) struct MulticoreOutput {
     /// parallel and each walks its partitions back to back, so the
     /// busiest one — not the busiest partition, and not the sum over
     /// participants — is what fills the call's wall time.
-    pub stages: StageTimes,
+    pub stages: Stages,
 }
 
 /// Runs a batch of queries over `c` independent cores, one per
@@ -93,10 +93,10 @@ pub(crate) fn run_multicore<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
     // query. A participant's state is its BatchScratch plus the
     // decode/score time of every partition it has walked so far.
     type PerQuery = Vec<(Vec<(u32, f64)>, CoreStats)>;
-    let (per_partition, walked): (Vec<PerQuery>, Vec<(BatchScratch<S>, StageTimes)>) = fork_join(
+    let (per_partition, walked): (Vec<PerQuery>, Vec<(BatchScratch<S>, Stages)>) = fork_join(
         partitions.len(),
         participants,
-        || (BatchScratch::<S>::new(), StageTimes::default()),
+        || (BatchScratch::<S>::new(), Stages::default()),
         |(scratch, walked), p| {
             let (first_row, part) = &partitions[p];
             let outputs = run_core_batch_with_scratch(part, queries, k, fidelity, scratch);
@@ -111,16 +111,16 @@ pub(crate) fn run_multicore<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
                     (globalised, out.stats)
                 })
                 .collect();
-            let partition = scratch.stage_times();
-            walked.decode += partition.decode;
-            walked.score += partition.score;
+            for (stage, d) in scratch.stage_times().iter() {
+                walked.add(stage, d);
+            }
             per_query
         },
     );
     let stages = walked
         .iter()
         .map(|(_, walked)| *walked)
-        .max_by_key(StageTimes::total)
+        .max_by_key(Stages::total)
         .unwrap_or_default();
 
     // Transpose partition-major to query-major by moving each per-query
@@ -158,6 +158,7 @@ mod tests {
     use crate::fanout::host_parallelism;
     use crate::topk::rank_cmp;
     use tkspmv_fixed::Q1_31;
+    use tkspmv_obs::Stage;
     use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
     use tkspmv_sparse::{Csr, PacketLayout};
 
@@ -339,7 +340,7 @@ mod tests {
         let out = run_single_on(&parts, &xs, 8, 16, 1);
         let wall = started.elapsed();
         let stages = out.stages;
-        assert!(!stages.decode.is_zero() && !stages.score.is_zero());
+        assert!(!stages.get(Stage::Decode).is_zero() && !stages.get(Stage::Score).is_zero());
         assert!(stages.total() <= wall, "{stages:?} inside {wall:?}");
         assert!(2 * stages.total() >= wall, "{stages:?} fills {wall:?}");
     }

@@ -32,7 +32,8 @@
 //! batched, enters through [`TopKBackend::query`] or
 //! [`TopKBackend::query_batch`], which fan
 //! [`run_core_batch_with_scratch`] out over the cores, and every result
-//! carries the [`StageTimes`] its own call measured.
+//! carries the [`tkspmv_obs::Stages`] its own call measured
+//! ([`BackendStats::stage_times`]).
 //!
 //! ```
 //! use tkspmv::backend::{QueryBatch, TopKBackend};
@@ -88,7 +89,6 @@ mod perf;
 mod pruned;
 mod resources;
 mod roofline;
-mod stages;
 mod topk;
 mod uram;
 
@@ -104,5 +104,4 @@ pub use error::EngineError;
 pub use math::{hypergeometric_pmf, ln_choose, ln_gamma};
 pub use perf::{PerfReport, HOST_OVERHEAD_SECONDS};
 pub use pruned::PrunedBackend;
-pub use stages::StageTimes;
 pub use topk::{rank_cmp, TopKResult, TopKTracker};

@@ -38,6 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tkspmv_fixed::PruneBits;
+use tkspmv_obs::{Stage, Stages};
 use tkspmv_sparse::snapshot::{Snapshot, SnapshotError, SnapshotPayload};
 use tkspmv_sparse::{exact_dot, Csr, DenseVector, PruneIndex};
 
@@ -47,7 +48,6 @@ use crate::backend::{
 };
 use crate::error::EngineError;
 use crate::fanout::{fork_join, host_parallelism};
-use crate::stages::StageTimes;
 use crate::topk::{top_keys, TopKResult};
 
 /// A [`TopKBackend`] that answers queries in two phases — low-bit prune,
@@ -258,6 +258,9 @@ impl PrunedBackend {
         let topk = TopKResult::merge_pairs(rescored_pairs, k);
         let rescored = Instant::now();
         let rescored_nnz: usize = shortlisted.iter().map(|&r| st.csr.row_nnz(r)).sum();
+        let mut stages = Stages::default();
+        stages.add(Stage::Prune, pruned - started);
+        stages.add(Stage::Rescore, rescored - pruned);
         Ok(QueryResult {
             topk,
             perf: BackendPerf::measured(
@@ -268,11 +271,7 @@ impl PrunedBackend {
                 bits: self.bits.bits(),
                 shortlist,
                 pruned: true,
-                stages: StageTimes {
-                    prune: pruned - started,
-                    rescore: rescored - pruned,
-                    ..StageTimes::default()
-                },
+                stages,
             },
         })
     }
@@ -434,19 +433,15 @@ mod tests {
             let m = b.prepare(&collection()).unwrap();
             let out = b.query(&m, &query_vector(128, 3), 10).unwrap();
             let stages = out.stats.stage_times();
+            let [decode, score, prune, rescore] =
+                [Stage::Decode, Stage::Score, Stage::Prune, Stage::Rescore].map(|s| stages.get(s));
+            assert!(!prune.is_zero() && !rescore.is_zero(), "{stages:?}");
             assert!(
-                !stages.prune.is_zero() && !stages.rescore.is_zero(),
-                "{stages:?}"
-            );
-            assert!(
-                stages.decode.is_zero() && stages.score.is_zero(),
+                decode.is_zero() && score.is_zero(),
                 "{}: {stages:?}",
                 b.name()
             );
-            assert_eq!(
-                out.perf.seconds,
-                (stages.prune + stages.rescore).as_secs_f64()
-            );
+            assert_eq!(out.perf.seconds, (prune + rescore).as_secs_f64());
             assert_eq!(out.perf.timing, crate::backend::TimingSource::Measured);
         }
     }

@@ -445,7 +445,7 @@ mod tests {
         let x = DenseVector::from_values(vec![1.0; DIM]);
         let (topk, stages, total) = c.query(x, 5, QueryTier::Exact).expect("query");
         assert_eq!(topk.len(), 5);
-        let covered: Duration = stages.stages().iter().map(|&(_, d)| d).sum();
+        let covered = stages.stages().total();
         assert!(
             covered * 2 >= total,
             "stages cover {covered:?} of {total:?}: {stages:?}"

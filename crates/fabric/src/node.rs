@@ -79,7 +79,7 @@ impl NodeShared {
                 {
                     Ok((topk, stages, total)) => {
                         let trace = (!trace.is_zero()).then(|| {
-                            let rec = stages.to_span_record(trace, total);
+                            let rec = stages.stages().to_span_record(trace, total);
                             // Re-record under the wire-propagated id so
                             // the node's own span ring is searchable by
                             // trace id, not just the router's tree.

@@ -11,11 +11,13 @@
 //!   across shards, so recording never takes a lock and a snapshot is
 //!   O(buckets) — no 65k-sample reservoir to clone and sort, and no
 //!   samples silently aging out under sustained load.
-//! - [`Stage`] / [`StageSpan`] / [`SpanRing`] / [`QueryTrace`] —
-//!   per-query stage spans (queue wait, batch coalesce, packet decode,
-//!   prune pass, exact rescore, shard merge, wire RTT) recorded into a
-//!   preallocated ring, plus the tree type a router assembles from
-//!   spans propagated across nodes, rendered as JSON.
+//! - [`Stage`] / [`Stages`] / [`StageSpan`] / [`SpanRing`] /
+//!   [`QueryTrace`] — the one stage taxonomy (queue wait, batch
+//!   coalesce, packet decode, scoring, prune pass, exact rescore, shard
+//!   merge, wire RTT), the per-stage time vector every layer from the
+//!   engine up fills, per-query stage spans recorded into a
+//!   preallocated ring, and the tree type a router assembles from spans
+//!   propagated across nodes, rendered as JSON.
 //! - [`MetricsServer`] — a minimal std-TCP HTTP server answering
 //!   `GET /metrics` with Prometheus-style plaintext exposition, with
 //!   [`validate_exposition`] as the syntax checker tests and CI use.
@@ -34,5 +36,6 @@ pub use metrics::{
     validate_exposition, Counter, Gauge, Histogram, HistogramSnapshot, Registry, NUM_BUCKETS,
 };
 pub use trace::{
-    QueryTrace, SpanNode, SpanRecord, SpanRing, Stage, StageSpan, TraceId, MAX_SPANS_PER_RECORD,
+    QueryTrace, SpanNode, SpanRecord, SpanRing, Stage, StageSpan, Stages, TraceId,
+    MAX_SPANS_PER_RECORD,
 };

@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// The pipeline stages a query passes through, across all layers.
 ///
@@ -31,6 +31,8 @@ pub enum Stage {
     /// BS-CSR packet decode inside the engine (chunk → flat arrays).
     Decode = 2,
     /// Exact scoring: gather–multiply–accumulate plus top-k offers.
+    /// The engine's select step (the floor-filtered offers and the
+    /// Top-K drain) is timed here too; it has no stage of its own.
     Score = 3,
     /// Low-bit prune pass of the staged two-phase pipeline.
     Prune = 4,
@@ -40,7 +42,8 @@ pub enum Stage {
     Merge = 6,
     /// Wire time: encode + network round-trip as seen by the caller.
     Wire = 7,
-    /// Router fan-out: dispatching the query to every shard.
+    /// Router fan-out: dispatching the query to every shard. No layer
+    /// records it yet; the discriminant is reserved for it.
     Fanout = 8,
 }
 
@@ -80,6 +83,58 @@ impl Stage {
     /// peer may send stages this build does not know about).
     pub fn from_u8(b: u8) -> Option<Stage> {
         Stage::ALL.into_iter().find(|s| *s as u8 == b)
+    }
+}
+
+/// Time spent in each [`Stage`], carried by value.
+///
+/// The one stage-timing type of every layer: the engine fills
+/// decode/score, the pruned tier prune/rescore, and the serve layer
+/// adds queue/coalesce/merge around them. Each call measures its own
+/// stages into one of these and returns it beside its result, so the
+/// attribution is exact per call however many calls run concurrently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Stages([Duration; Stage::COUNT]);
+
+impl Stages {
+    /// Time recorded for `stage`.
+    #[inline]
+    pub fn get(&self, stage: Stage) -> Duration {
+        self.0[stage as usize]
+    }
+
+    /// Adds `d` to `stage`.
+    #[inline]
+    pub fn add(&mut self, stage: Stage, d: Duration) {
+        self.0[stage as usize] += d;
+    }
+
+    /// Sum over every stage.
+    pub fn total(&self) -> Duration {
+        self.0.iter().sum()
+    }
+
+    /// `(stage, duration)` for every stage, in [`Stage::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (Stage, Duration)> + '_ {
+        Stage::ALL.into_iter().zip(self.0)
+    }
+
+    /// Lays the stages out as sequential spans, in [`Stage::ALL`]
+    /// order, inside a query of `total` — truncated so the record never
+    /// escapes `[0, total]` and span durations always sum to at most
+    /// the total. Zero-length stages leave no span.
+    pub fn to_span_record(&self, trace_id: TraceId, total: Duration) -> SpanRecord {
+        let total_us = u32::try_from(total.as_micros()).unwrap_or(u32::MAX);
+        let mut rec = SpanRecord::new(trace_id, total_us);
+        let mut cursor: u64 = 0;
+        for (stage, d) in self.iter() {
+            let dur = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+            let start = cursor.min(u64::from(total_us));
+            let dur = dur.min(u64::from(total_us) - start);
+            rec.push(stage, start as u32, dur as u32);
+            cursor = start + dur;
+        }
+        rec
     }
 }
 
@@ -436,6 +491,54 @@ mod tests {
             assert_eq!(Stage::from_u8(s as u8), Some(s));
         }
         assert_eq!(Stage::from_u8(200), None);
+    }
+
+    #[test]
+    fn stage_breakdown_spans_stay_inside_the_query() {
+        let mut b = Stages::default();
+        b.add(Stage::Queue, Duration::from_micros(100));
+        b.add(Stage::Coalesce, Duration::from_micros(50));
+        b.add(Stage::Decode, Duration::from_micros(120));
+        b.add(Stage::Score, Duration::from_micros(280));
+        b.add(Stage::Merge, Duration::from_micros(30));
+        let span = |rec: &SpanRecord, stage: Stage| {
+            let s = rec.spans().iter().find(|s| s.stage == stage);
+            s.map(|s| (s.start_us, s.dur_us))
+        };
+        // Stages are laid end to end: merge starts where score ends.
+        let rec = b.to_span_record(TraceId::ZERO, Duration::from_micros(600));
+        assert_eq!(span(&rec, Stage::Decode), Some((150, 120)));
+        assert_eq!(span(&rec, Stage::Score), Some((270, 280)));
+        assert_eq!(span(&rec, Stage::Merge), Some((550, 30)));
+        // A total shorter than the stages truncates; it never escapes.
+        let rec = b.to_span_record(TraceId::ZERO, Duration::from_micros(300));
+        let sum: u64 = rec.spans().iter().map(|s| u64::from(s.dur_us)).sum();
+        assert_eq!(sum, 300);
+        for s in rec.spans() {
+            assert!(u64::from(s.start_us) + u64::from(s.dur_us) <= 300);
+        }
+        assert_eq!(span(&rec, Stage::Score), Some((270, 30)));
+        assert_eq!(span(&rec, Stage::Merge), None);
+    }
+
+    /// Every stage gets a span, contiguous and in [`Stage::ALL`] order:
+    /// the order wire frames carry and trace readers lay out.
+    #[test]
+    fn every_stage_is_laid_out_contiguously_in_pipeline_order() {
+        let mut b = Stages::default();
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            b.add(stage, Duration::from_micros(10 * i as u64 + 7));
+        }
+        assert_eq!(b.total(), Duration::from_micros(423));
+        let rec = b.to_span_record(TraceId::ZERO, b.total());
+        let laid: Vec<Stage> = rec.spans().iter().map(|s| s.stage).collect();
+        assert_eq!(laid, Stage::ALL);
+        let mut cursor = 0;
+        for (s, (_, d)) in rec.spans().iter().zip(b.iter()) {
+            assert_eq!((s.start_us, u128::from(s.dur_us)), (cursor, d.as_micros()));
+            cursor += s.dur_us;
+        }
+        assert_eq!(cursor, rec.total_us);
     }
 
     #[test]

@@ -15,7 +15,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use tkspmv_obs::{Counter, Gauge, Histogram, Registry, SpanRecord, SpanRing, Stage, TraceId};
+use tkspmv_obs::{
+    Counter, Gauge, Histogram, Registry, SpanRecord, SpanRing, Stage, Stages, TraceId,
+};
 
 /// Completed queries whose stage spans are kept for the slowest-N
 /// trace view (a preallocated ring; recording is a slot memcpy).
@@ -45,14 +47,15 @@ pub struct TierMetrics {
 /// Where one answered request spent its time, stage by stage.
 ///
 /// `queue`, `coalesce`, `engine` and `merge` are exact wall intervals
-/// measured on the serving path. `decode`/`score`/`prune`/`rescore`
-/// subdivide the engine interval: they are the stage times the backend
-/// call that answered this request measured and returned with its
-/// result (`tkspmv::StageTimes`, from the slowest shard), so they are
-/// exact per request however many batches run concurrently, and never
-/// exceed `engine`. For a batched request, `engine` is the whole
-/// batch's engine wall time (the request really was in the engine that
-/// long), and so are the accelerator's `decode`/`score`.
+/// measured on the serving path. `engine_stages` subdivides the engine
+/// interval: it is the [`Stages`] the backend call that answered this
+/// request measured and returned with its result (from the slowest
+/// shard), so it is exact per request however many batches run
+/// concurrently, and never exceeds `engine`. For a batched request,
+/// `engine` is the whole batch's engine wall time (the request really
+/// was in the engine that long), and so is the accelerator's
+/// decode/score split. [`StageBreakdown::stages`] puts all of it in one
+/// [`Stages`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct StageBreakdown {
@@ -64,52 +67,26 @@ pub struct StageBreakdown {
     /// Engine wall time for the batch: the slowest shard's backend
     /// call, since a batch runs its shards concurrently.
     pub engine: Duration,
-    /// Packet-decode share of `engine`.
-    pub decode: Duration,
-    /// Scoring share of `engine`, as the backend reported it.
-    pub score: Duration,
-    /// Prune-pass share of `engine` (pruned tier).
-    pub prune: Duration,
-    /// Exact-rescore share of `engine` (pruned tier).
-    pub rescore: Duration,
+    /// The backend's own split of `engine` (decode/score on the exact
+    /// path, prune/rescore on the staged one).
+    pub engine_stages: Stages,
     /// Cross-shard top-k merge for this request.
     pub merge: Duration,
 }
 
 impl StageBreakdown {
-    /// `(stage, duration)` for the seven serve stages, pipeline order,
-    /// covering the engine interval exactly: whatever part of `engine`
-    /// the backend attributed to no stage (all of it, for backends that
-    /// report none) counts as `score`.
-    pub fn stages(&self) -> [(Stage, Duration); 7] {
-        let attributed = self.decode + self.score + self.prune + self.rescore;
-        let remainder = self.engine.saturating_sub(attributed);
-        [
-            (Stage::Queue, self.queue),
-            (Stage::Coalesce, self.coalesce),
-            (Stage::Decode, self.decode),
-            (Stage::Score, self.score + remainder),
-            (Stage::Prune, self.prune),
-            (Stage::Rescore, self.rescore),
-            (Stage::Merge, self.merge),
-        ]
-    }
-
-    /// Lays [`StageBreakdown::stages`] out as sequential spans inside a
-    /// query of `total` — truncated so the record never escapes
-    /// `[0, total]` and span durations always sum to at most the total.
-    pub fn to_span_record(&self, trace_id: TraceId, total: Duration) -> SpanRecord {
-        let total_us = u32::try_from(total.as_micros()).unwrap_or(u32::MAX);
-        let mut rec = SpanRecord::new(trace_id, total_us);
-        let mut cursor: u64 = 0;
-        for (stage, d) in self.stages() {
-            let dur = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-            let start = cursor.min(u64::from(total_us));
-            let dur = dur.min(u64::from(total_us) - start);
-            rec.push(stage, start as u32, dur as u32);
-            cursor = start + dur;
-        }
-        rec
+    /// The request's time per stage, covering the engine interval
+    /// exactly: whatever part of `engine` the backend attributed to no
+    /// stage (all of it, for backends that report none) counts as
+    /// [`Stage::Score`].
+    pub fn stages(&self) -> Stages {
+        let mut stages = self.engine_stages;
+        let remainder = self.engine.saturating_sub(stages.total());
+        stages.add(Stage::Queue, self.queue);
+        stages.add(Stage::Coalesce, self.coalesce);
+        stages.add(Stage::Score, remainder);
+        stages.add(Stage::Merge, self.merge);
+        stages
     }
 }
 
@@ -117,8 +94,8 @@ impl StageBreakdown {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct StageStat {
-    /// Stable stage name (`queue`, `decode`, ...).
-    pub stage: &'static str,
+    /// The stage ([`Stage::name`] is its label).
+    pub stage: Stage,
     /// Requests that recorded a non-zero duration for this stage.
     pub count: u64,
     /// Sum of the stage's durations across those requests.
@@ -214,12 +191,6 @@ struct BatchShape {
     engine_us_by_size: Vec<u64>,
 }
 
-/// The serve-level stages, one per-stage histogram each, in
-/// [`StageBreakdown::stages`] order.
-fn serve_stages() -> [Stage; 7] {
-    StageBreakdown::default().stages().map(|(stage, _)| stage)
-}
-
 /// The service's metric state. Recording served/failed/shed and
 /// latencies is lock-free (atomics + striped histograms); only the
 /// batch-shape vectors and the tier-slot list take a short mutex.
@@ -235,7 +206,8 @@ pub(crate) struct MetricsShared {
     epoch: Arc<Gauge>,
     wakeups_gauge: Arc<Gauge>,
     latency: Arc<Histogram>,
-    stage_hists: Vec<Arc<Histogram>>,
+    /// One histogram per stage, in [`Stage::ALL`] order.
+    stage_hists: [Arc<Histogram>; Stage::COUNT],
     spans: SpanRing,
     batch_shape: Mutex<BatchShape>,
     tiers: Mutex<Vec<TierSlot>>,
@@ -280,16 +252,13 @@ impl MetricsShared {
             "tkspmv_serve_latency_seconds",
             "End-to-end request latency (admission to response).",
         );
-        let stage_hists = serve_stages()
-            .iter()
-            .map(|s| {
-                registry.histogram_with(
-                    "tkspmv_serve_stage_seconds",
-                    "Per-request stage durations.",
-                    &[("stage", s.name())],
-                )
-            })
-            .collect();
+        let stage_hists = Stage::ALL.map(|s| {
+            registry.histogram_with(
+                "tkspmv_serve_stage_seconds",
+                "Per-request stage durations.",
+                &[("stage", s.name())],
+            )
+        });
         Self {
             started: Instant::now(),
             registry,
@@ -387,15 +356,10 @@ impl MetricsShared {
         self.epoch.set(i64::try_from(new_epoch).unwrap_or(i64::MAX));
     }
 
-    /// Records one completed request's stage breakdown: per-stage
-    /// histograms plus a slot in the slowest-N span ring.
-    pub(crate) fn record_stages(
-        &self,
-        stages: &StageBreakdown,
-        total: Duration,
-        trace_id: TraceId,
-    ) {
-        for (hist, (_, d)) in self.stage_hists.iter().zip(stages.stages()) {
+    /// Records one completed request's stages: per-stage histograms
+    /// plus a slot in the slowest-N span ring.
+    pub(crate) fn record_stages(&self, stages: &Stages, total: Duration, trace_id: TraceId) {
+        for (hist, (_, d)) in self.stage_hists.iter().zip(stages.iter()) {
             if !d.is_zero() {
                 hist.record(d);
             }
@@ -470,13 +434,13 @@ impl MetricsShared {
             tiers.sort_by(|a, b| a.tier.cmp(&b.tier));
             tiers
         };
-        let stages = serve_stages()
-            .iter()
+        let stages = Stage::ALL
+            .into_iter()
             .zip(&self.stage_hists)
             .filter_map(|(stage, h)| {
                 let snap = h.snapshot();
                 (snap.count > 0).then(|| StageStat {
-                    stage: stage.name(),
+                    stage,
                     count: snap.count,
                     total: Duration::from_micros(snap.sum_us),
                     mean: snap.mean(),
@@ -691,38 +655,21 @@ mod tests {
         assert_close(s.latency_p99, 400, "p99 under snapshot storm");
     }
 
+    /// The engine interval is covered exactly: the 80 µs the backend
+    /// attributed to no stage ride on `score`.
     #[test]
-    fn stage_breakdown_spans_stay_inside_the_query() {
+    fn unattributed_engine_time_lands_on_score() {
+        let mut engine_stages = Stages::default();
+        engine_stages.add(Stage::Decode, Duration::from_micros(120));
+        engine_stages.add(Stage::Score, Duration::from_micros(200));
         let b = StageBreakdown {
             queue: Duration::from_micros(100),
             coalesce: Duration::from_micros(50),
             engine: Duration::from_micros(400),
-            decode: Duration::from_micros(120),
-            score: Duration::from_micros(200),
-            prune: Duration::ZERO,
-            rescore: Duration::ZERO,
+            engine_stages,
             merge: Duration::from_micros(30),
         };
-        let span = |rec: &SpanRecord, stage: Stage| {
-            let s = rec.spans().iter().find(|s| s.stage == stage);
-            s.map(|s| (s.start_us, s.dur_us))
-        };
-        // The engine interval is covered exactly: the 80 µs the backend
-        // attributed to no stage ride on `score`, and merge starts where
-        // the engine ends.
-        let rec = b.to_span_record(TraceId::ZERO, Duration::from_micros(600));
-        assert_eq!(span(&rec, Stage::Decode), Some((150, 120)));
-        assert_eq!(span(&rec, Stage::Score), Some((270, 280)));
-        assert_eq!(span(&rec, Stage::Merge), Some((550, 30)));
-        // A total shorter than the stages truncates; it never escapes.
-        let rec = b.to_span_record(TraceId::ZERO, Duration::from_micros(300));
-        let sum: u64 = rec.spans().iter().map(|s| u64::from(s.dur_us)).sum();
-        assert_eq!(sum, 300);
-        for s in rec.spans() {
-            assert!(u64::from(s.start_us) + u64::from(s.dur_us) <= 300);
-        }
-        assert_eq!(span(&rec, Stage::Score), Some((270, 30)));
-        assert_eq!(span(&rec, Stage::Merge), None);
+        assert_eq!(b.stages().get(Stage::Score), Duration::from_micros(280));
     }
 
     #[test]
@@ -734,13 +681,13 @@ mod tests {
             merge: Duration::from_micros(40),
             ..Default::default()
         };
-        m.record_stages(&b, Duration::from_micros(500), TraceId::generate());
+        m.record_stages(&b.stages(), Duration::from_micros(500), TraceId::generate());
         let s = m.snapshot(0);
-        let names: Vec<&str> = s.stages.iter().map(|st| st.stage).collect();
-        assert!(names.contains(&"queue"));
-        assert!(names.contains(&"merge"));
+        let stages: Vec<Stage> = s.stages.iter().map(|st| st.stage).collect();
+        assert!(stages.contains(&Stage::Queue));
+        assert!(stages.contains(&Stage::Merge));
         // Nothing attributed: the whole engine interval lands on score.
-        assert!(names.contains(&"score"));
+        assert!(stages.contains(&Stage::Score));
         assert_eq!(m.slowest_spans(5).len(), 1);
         assert_eq!(m.slowest_spans(5)[0].total_us, 500);
     }

@@ -13,7 +13,8 @@ use tkspmv::backend::{
     check_query, MatrixShard, PreparedMatrix, QueryBatch, QueryTier, TopKBackend,
 };
 use tkspmv::fanout::fork_join;
-use tkspmv::{EngineError, StageTimes, TopKResult};
+use tkspmv::{EngineError, TopKResult};
+use tkspmv_obs::Stages;
 use tkspmv_sparse::{Csr, DenseVector};
 
 use crate::batch::BatchPolicy;
@@ -50,8 +51,8 @@ pub struct ServedResult {
     /// The precision tier this request was answered at.
     pub tier: QueryTier,
     /// Where the request spent its time, stage by stage (queue wait,
-    /// batch coalesce, engine — with the decode/score/prune/rescore
-    /// split its own backend call measured — and cross-shard merge).
+    /// batch coalesce, engine — with the stage split its own backend
+    /// call measured — and cross-shard merge).
     pub stages: StageBreakdown,
 }
 
@@ -120,7 +121,7 @@ struct Responder {
 
 /// One query's answer from one shard: its globalized `(row, score)`
 /// candidates and the engine stage times its result carried.
-type ShardAnswer = (Vec<(u32, f64)>, StageTimes);
+type ShardAnswer = (Vec<(u32, f64)>, Stages);
 
 /// What one shard contributes to a batch: the wall time of its backend
 /// call, and one answer per query or the shard's failure.
@@ -171,7 +172,7 @@ fn finalize(
     // split is the one that fits inside the interval.
     let mut engine_time = Duration::ZERO;
     let mut engine_wall = Duration::ZERO;
-    let mut stages = vec![StageTimes::default(); batch_size];
+    let mut stages = vec![Stages::default(); batch_size];
     let mut failure: Option<ServeError> = None;
     let mut per_query: Vec<Vec<(u32, f64)>> = vec![Vec::new(); batch_size];
     for (engine, outcome) in shards {
@@ -208,17 +209,14 @@ fn finalize(
         return;
     }
     let mut outputs = Vec::with_capacity(batch_size);
-    for ((responder, pairs), split) in responders.into_iter().zip(per_query).zip(stages) {
+    for ((responder, pairs), engine_stages) in responders.into_iter().zip(per_query).zip(stages) {
         let merge_started = Instant::now();
         let topk = TopKResult::merge_pairs(pairs, k);
         let stages = StageBreakdown {
             queue: responder.queue_wait,
             coalesce: responder.coalesce_wait,
             engine: engine_wall,
-            decode: split.decode,
-            score: split.score,
-            prune: split.prune,
-            rescore: split.rescore,
+            engine_stages,
             merge: merge_started.elapsed(),
         };
         let latency = responder.enqueued.elapsed();
@@ -226,7 +224,7 @@ fn finalize(
     }
     for (_, _, latency, stages) in &outputs {
         metrics.record_served(*latency, &tier_label);
-        metrics.record_stages(stages, *latency, tkspmv_obs::TraceId::ZERO);
+        metrics.record_stages(&stages.stages(), *latency, tkspmv_obs::TraceId::ZERO);
     }
     for (tx, topk, latency, stages) in outputs {
         let _ = tx.send(Ok(ServedResult {

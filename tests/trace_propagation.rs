@@ -16,11 +16,11 @@ use proptest::prelude::*;
 use tkspmv::backend::{
     BackendPerf, BackendStats, PreparedMatrix, QueryResult, QueryTier, TopKBackend,
 };
-use tkspmv::{Accelerator, EngineError, PrunedBackend, StageTimes, TopKResult};
+use tkspmv::{Accelerator, EngineError, PrunedBackend, TopKResult};
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_fabric::{DeltaCollection, NodeClient, NodeServer, Router, RouterConfig, ShardSpec};
 use tkspmv_fixed::PruneBits;
-use tkspmv_obs::{QueryTrace, Stage, TraceId};
+use tkspmv_obs::{QueryTrace, Stage, Stages, TraceId};
 use tkspmv_serve::{BatchPolicy, TopKService};
 use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
 use tkspmv_sparse::{Csr, DenseVector};
@@ -255,14 +255,14 @@ struct StampBackend {
     overlap: Barrier,
 }
 
-fn stamp(x: &DenseVector) -> StageTimes {
+fn stamp(x: &DenseVector) -> Stages {
     let id = x.as_slice()[0] as u64;
-    StageTimes {
-        decode: Duration::from_nanos(10 * id + 1),
-        score: Duration::from_nanos(10 * id + 2),
-        prune: Duration::from_nanos(10 * id + 3),
-        rescore: Duration::from_nanos(10 * id + 4),
-    }
+    let mut stages = Stages::default();
+    stages.add(Stage::Decode, Duration::from_nanos(10 * id + 1));
+    stages.add(Stage::Score, Duration::from_nanos(10 * id + 2));
+    stages.add(Stage::Prune, Duration::from_nanos(10 * id + 3));
+    stages.add(Stage::Rescore, Duration::from_nanos(10 * id + 4));
+    stages
 }
 
 impl TopKBackend for StampBackend {
@@ -345,13 +345,7 @@ fn concurrent_requests_keep_their_own_stage_attribution() {
                     .collect();
                 for (x, ticket) in tickets {
                     let served = ticket.wait().expect("served");
-                    let st = served.stages;
-                    let got = StageTimes {
-                        decode: st.decode,
-                        score: st.score,
-                        prune: st.prune,
-                        rescore: st.rescore,
-                    };
+                    let got = served.stages.engine_stages;
                     assert_eq!(got, stamp(&x), "query {:?}", x.as_slice());
                 }
             });
@@ -396,9 +390,12 @@ fn served_accelerator_stages_fit_their_engine_interval() {
                     .collect();
                 for ticket in tickets {
                     let st = ticket.expect("admitted").wait().expect("served").stages;
-                    assert!(!st.decode.is_zero() && !st.score.is_zero(), "{st:?}");
-                    assert!(st.decode + st.score <= st.engine, "{st:?}");
-                    assert_eq!((st.prune, st.rescore), (Duration::ZERO, Duration::ZERO));
+                    let [decode, score, prune, rescore] =
+                        [Stage::Decode, Stage::Score, Stage::Prune, Stage::Rescore]
+                            .map(|s| st.engine_stages.get(s));
+                    assert!(!decode.is_zero() && !score.is_zero(), "{st:?}");
+                    assert!(decode + score <= st.engine, "{st:?}");
+                    assert_eq!((prune, rescore), (Duration::ZERO, Duration::ZERO));
                 }
             });
         }

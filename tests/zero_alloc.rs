@@ -121,34 +121,39 @@ fn merge_pairs_memory_is_bounded_by_k_not_by_the_input() {
 }
 
 /// The observability recording path a request completion touches —
-/// counter bump, latency histogram record, span-ring write — must be
-/// allocation-free, or the metrics refactor would smuggle allocations
-/// back onto the hot path it was built to clean up.
+/// counter bump, latency histogram record, span-record layout and
+/// span-ring write — must be allocation-free, or the metrics refactor
+/// would smuggle allocations back onto the hot path it was built to
+/// clean up.
 #[test]
 #[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
 fn obs_recording_path_is_allocation_free() {
     use std::time::Duration;
-    use tkspmv_obs::{Registry, SpanRecord, SpanRing, Stage, TraceId};
+    use tkspmv_obs::{Registry, SpanRing, Stage, Stages, TraceId};
 
     let registry = Registry::new();
     let counter = registry.counter("test_requests_total", "test");
     let hist = registry.histogram("test_latency_seconds", "test");
     let ring = SpanRing::new(64);
-    let mut rec = SpanRecord::new(TraceId::generate(), 1_000);
-    rec.push(Stage::Queue, 0, 100);
-    rec.push(Stage::Score, 100, 800);
-    rec.push(Stage::Merge, 900, 100);
+    let trace_id = TraceId::generate();
+    let mut stages = Stages::default();
+    stages.add(Stage::Queue, Duration::from_micros(100));
+    stages.add(Stage::Score, Duration::from_micros(800));
+    stages.add(Stage::Merge, Duration::from_micros(100));
+    let total = Duration::from_micros(1_000);
 
     // Warm: the first records pin each thread's histogram stripe.
     counter.inc();
     hist.record(Duration::from_micros(250));
-    ring.record(&rec);
+    ring.record(&stages.to_span_record(trace_id, total));
 
+    // Laying the stages out as a span record is part of the measured
+    // path: every served request and every traced node reply builds one.
     let allocs = allocations_during(|| {
         for i in 0..100u32 {
             counter.inc();
             hist.record(Duration::from_micros(u64::from(i) * 37 + 1));
-            ring.record(&rec);
+            ring.record(&stages.to_span_record(trace_id, total));
         }
     });
     assert_eq!(
@@ -245,6 +250,8 @@ fn exercised_modules_are_declared_hot() {
 #[test]
 #[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
 fn warm_batch_scratch_is_allocation_free_across_packet_count_and_batch_size() {
+    use tkspmv_obs::Stage;
+
     let layout = PacketLayout::solve(1024, 20).unwrap();
     let small = BsCsr::encode::<Q1_19>(&synthetic(1_500, 3), layout);
     let large = BsCsr::encode::<Q1_19>(&synthetic(20_000, 4), layout);
@@ -303,7 +310,7 @@ fn warm_batch_scratch_is_allocation_free_across_packet_count_and_batch_size() {
                 });
                 let stages = scratch.stage_times();
                 assert!(
-                    !stages.decode.is_zero() && !stages.score.is_zero(),
+                    !stages.get(Stage::Decode).is_zero() && !stages.get(Stage::Score).is_zero(),
                     "{stages:?}"
                 );
                 counts.push((matrix.num_packets(), b, allocs));
