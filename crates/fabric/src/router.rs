@@ -8,18 +8,20 @@
 //! [`TopKResult::merge_pairs_dedup`] — the process-level picture of the
 //! paper's per-HBM-channel Top-K units feeding one merge network.
 //!
-//! # Deadlines and the idle-traffic tax
+//! # Deadlines and the batcher's wait
 //!
-//! Every node runs a micro-batcher: a lone query waits up to the node's
-//! `max_wait` before executing (the idle-traffic tax the serving layer
-//! documents). A router deadline at or below that wait would time out
-//! *every* query on an idle cluster — a misconfiguration, not a runtime
-//! condition. [`Router::connect`] therefore fetches each node's
-//! [`NodeInfo`] and rejects, with a typed
-//! [`FabricError::InvalidConfig`], any deadline that does not clear
-//! `max_wait` plus a headroom budget for transport and execution (cover
-//! the node's p99 service time with [`RouterConfig::headroom`]). The
-//! budget split is: `deadline > max_wait + headroom ≥ max_wait + p99`.
+//! Every node runs a work-conserving micro-batcher: a query that finds
+//! it idle runs at once, and a batch seed waits for company only after a
+//! batch that had company. `max_wait` is therefore the most a query can
+//! wait in the batcher, and only after a batch that had company. A
+//! router deadline at or below that wait could time out a query that
+//! was never late — a misconfiguration, not a runtime condition.
+//! [`Router::connect`] therefore fetches each node's [`NodeInfo`] and
+//! rejects, with a typed [`FabricError::InvalidConfig`], any deadline
+//! that does not clear `max_wait` plus a headroom budget for transport
+//! and execution (cover the node's p99 service time with
+//! [`RouterConfig::headroom`]). The budget split is:
+//! `deadline > max_wait + headroom ≥ max_wait + p99`.
 //!
 //! # Retry, hedging, and partial answers
 //!
@@ -344,8 +346,9 @@ impl Router {
     /// Validation, all with typed [`FabricError::InvalidConfig`]:
     /// at least one shard; equal dimensions; strictly increasing,
     /// contiguous global row ranges; and the deadline-budget contract —
-    /// `deadline > max_wait + headroom` for the slowest node, so a lone
-    /// query on an idle cluster cannot be timed out by its own batcher.
+    /// `deadline > max_wait + headroom` for the slowest node, so a query
+    /// that waits the full `max_wait` for company (after a batch that
+    /// had some) cannot be timed out by its own batcher.
     pub fn connect(specs: Vec<ShardSpec>, config: RouterConfig) -> Result<Self, FabricError> {
         if specs.is_empty() {
             return Err(FabricError::invalid_config("no shard groups configured"));
@@ -413,9 +416,10 @@ impl Router {
         let floor = slowest_wait + config.headroom;
         if config.deadline <= floor {
             return Err(FabricError::invalid_config(format!(
-                "deadline {:?} does not clear the deadline budget: the slowest node batches up to \
-                 {slowest_wait:?} (its max_wait) before a lone query even executes, and {:?} of \
-                 headroom must remain for transport and execution; set deadline > {floor:?}",
+                "deadline {:?} does not clear the deadline budget: the slowest node's batcher may \
+                 hold a query up to {slowest_wait:?} (its max_wait, after a batch that had \
+                 company) before it executes, and {:?} of headroom must remain for transport \
+                 and execution; set deadline > {floor:?}",
                 config.deadline, config.headroom
             )));
         }

@@ -427,7 +427,7 @@ fn decode_f32s(
 
 /// What a node says about itself, fetched by routers at build time so
 /// deadline budgets can be validated against the node's real batching
-/// policy (the [`crate::router`] idle-traffic-tax contract).
+/// policy (the [`crate::router`] deadline-budget contract).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeInfo {
     /// First global row id this node serves.
@@ -440,9 +440,10 @@ pub struct NodeInfo {
     pub dim: u64,
     /// Current serving epoch of the node's base collection.
     pub epoch: u64,
-    /// The node batcher's `max_wait`, in microseconds. A router's
-    /// per-node deadline must exceed this or a lone query can never
-    /// answer in time.
+    /// The node batcher's `max_wait`, in microseconds: the most a query
+    /// can wait for company, and only after a batch that had company.
+    /// A router's per-node deadline must exceed this, or such a query
+    /// can time out before it executes.
     pub max_wait_micros: u64,
     /// The node batcher's `max_batch_size`.
     pub max_batch_size: u32,

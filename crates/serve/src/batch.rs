@@ -1,5 +1,6 @@
-//! The micro-batching policy: how long the batcher may hold a request
-//! to coalesce it with concurrent traffic.
+//! The micro-batching policy: how large a batch may grow, and how long
+//! the batcher may hold a request to coalesce it with concurrent
+//! traffic.
 
 use std::time::Duration;
 
@@ -7,16 +8,21 @@ use crate::error::ServeError;
 
 /// How the dynamic micro-batcher coalesces concurrent requests.
 ///
-/// The batcher takes the oldest queued request as a batch seed, then
-/// keeps admitting compatible requests (same `k`; the service enforces
-/// one vector dimension at submission) until the batch holds
-/// `max_batch_size` queries or `max_wait` has elapsed since the seed was
-/// **admitted** — whichever comes first. `max_wait` counts from
-/// admission, so a request that waited out its window in the queue
-/// while an earlier batch ran is dispatched as soon as the batcher is
-/// free. Under load the queue is never empty, so batches fill instantly
-/// and `max_wait` costs nothing; at low load `max_wait` bounds the extra
-/// latency batching can add.
+/// The batcher takes the oldest queued request as a batch seed, with
+/// every compatible request already queued (same `k`, tier and
+/// collection epoch; the service enforces one vector dimension at
+/// submission), up to `max_batch_size`. The batcher is work-conserving:
+/// it only picks a seed when it is idle, and a seed waits for company
+/// only when the previous batch had some. After a batch of one (and for
+/// the first request) the seed leaves at once, so sparse traffic pays no
+/// coalescing wait. After a batch with company the batcher keeps
+/// admitting compatible requests until the batch holds `max_batch_size`
+/// queries or `max_wait` has elapsed since the seed was **admitted**,
+/// whichever comes first. `max_wait` counts from admission, so a request
+/// that waited out its window in the queue while an earlier batch ran
+/// is dispatched as soon as the batcher is free. Requests that arrive
+/// while a batch runs pile up for the next one, so the batch size
+/// follows the load without a wait at low load.
 ///
 /// # Example
 ///
@@ -34,14 +40,16 @@ pub struct BatchPolicy {
     /// Largest number of queries dispatched as one backend batch.
     pub max_batch_size: usize,
     /// Longest a seed request may wait for company, counted from its
-    /// admission, before its batch is dispatched anyway. Ignored when
-    /// `max_batch_size` is 1.
+    /// admission, before its batch is dispatched anyway. A seed waits
+    /// only after a batch that had company; after a batch of one it
+    /// leaves at once. Ignored when `max_batch_size` is 1.
     pub max_wait: Duration,
 }
 
 impl BatchPolicy {
-    /// No batching: every request is dispatched alone, immediately.
-    /// The baseline the `serve` bench compares coalescing against.
+    /// No batching: every request is dispatched alone, as soon as the
+    /// batcher is free. Requests that arrive while a batch runs wait in
+    /// the queue and still run one at a time.
     pub fn immediate() -> Self {
         Self {
             max_batch_size: 1,
@@ -70,9 +78,11 @@ impl BatchPolicy {
 }
 
 impl Default for BatchPolicy {
-    /// Sixteen-query batches with a 1 ms coalescing window — large
-    /// enough to amortise per-dispatch work, small enough to be
-    /// invisible next to typical query latency.
+    /// Sixteen-query batches with a 1 ms coalescing window. Sixteen
+    /// queries fill one of the accelerator's 16-lane replay blocks. The
+    /// window is spent only after a batch with company, when more
+    /// requests are likely close behind, and is small next to a query's
+    /// own latency.
     fn default() -> Self {
         Self::coalescing(16, Duration::from_millis(1))
     }

@@ -14,9 +14,10 @@
 //!
 //! ```text
 //!  callers ──submit──▶ bounded queue ──▶ seed + coalesce ──▶ fork_join ─┬─ shard 0 task ──┐
-//!     ▲                 (backpressure:    (≤ max_wait from               │  [rows 0..n/S]  │ merge_pairs
-//!     │                  QueueFull shed)   admission,                    ├─      ...       ├────▶ responses
-//!  Ticket◀───────────────────────────────  ≤ max_batch)                  └─ shard S-1 task ┘   + metrics
+//!     ▲                 (backpressure:    (queued company,               │  [rows 0..n/S]  │ merge_pairs
+//!     │                  QueueFull shed)   ≤ max_batch; waits            ├─      ...       ├────▶ responses
+//!  Ticket◀───────────────────────────────  ≤ max_wait from admission     └─ shard S-1 task ┘   + metrics
+//!                                          only after a batch of ≥ 2)
 //!                                         └──── one batch at a time, driven by the batcher thread ────┘
 //! ```
 //!
@@ -35,7 +36,12 @@
 //!   runs each batch it forms, merges and replies, then forms the next:
 //!   as the paper's host issues one kernel launch at a time, batches
 //!   are serialised, and a request that arrives meanwhile waits in the
-//!   queue, where its wait is counted.
+//!   queue, where its wait is counted, and rides the next batch. The
+//!   batcher is work-conserving: it is idle whenever it picks a seed,
+//!   and a seed waits up to `max_wait` for company only when the
+//!   previous batch had company. After a batch of one, the seed leaves
+//!   at once with whatever compatible requests are already queued, as
+//!   the paper's engine answers a query as soon as it has it.
 //! - **Backpressure** — the submission queue is bounded; overload sheds
 //!   requests with the typed [`ServeError::QueueFull`] instead of
 //!   queueing unboundedly. Every other failure is equally typed:

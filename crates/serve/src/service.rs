@@ -358,11 +358,19 @@ fn extract_compatible(queue: &mut VecDeque<Pending>, members: &mut Vec<Pending>,
 /// The batcher thread: seed, coalesce under the policy, run the batch,
 /// repeat until shutdown has drained the queue.
 ///
-/// The coalescing deadline counts from the seed's admission, so a
-/// request that arrived while the previous batch ran leaves as soon as
-/// the batcher is free if its window has already closed; its wait shows
-/// up as queue time. No lock is held while a batch runs.
+/// Work-conserving: the batcher is idle whenever it picks a seed, so a
+/// seed waits for company only when the previous batch had some. After
+/// a batch of one (and at start) traffic is sparse, and a wait would
+/// buy latency without batch size; the seed leaves at once, with any
+/// compatible requests already queued. After a batch with company the
+/// seed waits as the policy says, which keeps a closed-loop client
+/// population's trickling refill in one batch. The coalescing deadline
+/// counts from the seed's admission, so a request that arrived while
+/// the previous batch ran leaves as soon as the batcher is free if its
+/// window has already closed; its wait shows up as queue time. No lock
+/// is held while a batch runs.
 fn batcher_loop(inner: &Inner) {
+    let mut last_batch_size = 0;
     loop {
         let mut seed = {
             let mut q = lock(&inner.submit);
@@ -392,7 +400,7 @@ fn batcher_loop(inner: &Inner) {
             let mut q = lock(&inner.submit);
             loop {
                 extract_compatible(&mut q.queue, &mut members, max);
-                if members.len() >= max || !q.open {
+                if last_batch_size <= 1 || members.len() >= max || !q.open {
                     break;
                 }
                 // After extraction the queue holds only incompatible
@@ -417,6 +425,7 @@ fn batcher_loop(inner: &Inner) {
                 inner.batcher_wakeups.fetch_add(1, Ordering::Relaxed);
             }
         }
+        last_batch_size = members.len();
         // A panic past the shard tasks' own guards (merge or response
         // code) drops this batch's senders, so its tickets resolve to
         // `Disconnected` instead of hanging, and the batcher lives on.
@@ -713,12 +722,13 @@ impl TopKService {
     /// The micro-batching policy the service was built with.
     ///
     /// Embedding layers (an RPC node wrapping this service) publish it so
-    /// *their* callers can budget deadlines correctly: a lone request may
-    /// legitimately sit the full `max_wait` in the batcher before it ever
-    /// reaches a backend, so any deadline stacked on top of the service
-    /// must exceed `max_wait` plus expected execution time (and, under
-    /// load, the batch already running) — otherwise idle traffic times
-    /// out spuriously.
+    /// *their* callers can budget deadlines correctly. A seed that
+    /// follows a batch with company may legitimately sit the full
+    /// `max_wait` in the batcher before it reaches a backend (a request
+    /// on an idle service after a batch of one leaves at once), so any
+    /// deadline stacked on top of the service must exceed `max_wait`
+    /// plus expected execution time (and, under load, the batch already
+    /// running), or such a request times out spuriously.
     pub fn batch_policy(&self) -> BatchPolicy {
         self.inner.policy
     }
@@ -1489,10 +1499,11 @@ mod tests {
 
     #[test]
     fn a_request_arriving_mid_batch_leaves_when_the_batch_returns() {
-        // The coalescing window counts from admission: a request that
-        // arrives while a batch runs has its window close during that
-        // batch, so it is dispatched as soon as the batcher is free —
-        // not held another max_wait.
+        // A request that arrives while a lone request's batch runs is
+        // dispatched as soon as the batcher is free — not held another
+        // max_wait. (After a batch of one the seed does not wait at
+        // all; the window counting from admission is pinned by
+        // `a_seed_after_a_batch_with_company_counts_max_wait_from_admission`.)
         let max_wait = Duration::from_millis(20);
         let (entered, started) = mpsc::channel();
         let csr = collection(60);
@@ -1520,6 +1531,118 @@ mod tests {
             "held past the batch: {:?} >= {bound:?} ({:?})",
             second.latency,
             second.stages
+        );
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_lone_request_on_an_idle_service_skips_max_wait() {
+        // An idle batcher after no batch, or after a batch of one, has
+        // no company to wait for: each request leaves at once instead of
+        // sitting out the 5 s window.
+        let csr = collection(60);
+        let svc = service(&csr, 2, BatchPolicy::coalescing(8, Duration::from_secs(5)));
+        let started = Instant::now();
+        for seed in 0..3 {
+            let served = svc.query(query_vector(64, seed), 4).unwrap();
+            assert_eq!(served.batch_size, 1);
+            assert!(
+                served.stages.coalesce < Duration::from_millis(50),
+                "an idle seed waited for company: {:?}",
+                served.stages
+            );
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "lone requests sat out max_wait: {:?}",
+            started.elapsed()
+        );
+        svc.shutdown();
+    }
+
+    #[test]
+    fn after_a_batch_with_company_the_seed_waits_for_trickling_requests() {
+        // Closed-loop clients refill one at a time as their answers
+        // arrive. Once a batch had company, the next seed waits (up to
+        // max_wait) so that refill rides one batch instead of trickling
+        // into batches of one.
+        let (entered, started) = mpsc::channel();
+        let csr = collection(60);
+        let svc = TopKService::builder(Arc::new(Announcing {
+            inner: TestBackend {
+                delay: Duration::from_millis(20),
+                panic_on_k: None,
+            },
+            entered,
+        }))
+        .shards(1)
+        .batch_policy(BatchPolicy::coalescing(4, Duration::from_secs(2)))
+        .build(&csr)
+        .unwrap();
+        // The idle seed leaves alone; two requests submitted while it
+        // runs share the next batch.
+        let first = svc.submit(query_vector(64, 0), 4).unwrap();
+        started.recv().unwrap();
+        let pair: Vec<Ticket> = (1..=2)
+            .map(|seed| svc.submit(query_vector(64, seed), 4).unwrap())
+            .collect();
+        assert_eq!(first.wait().unwrap().batch_size, 1);
+        for t in pair {
+            assert_eq!(t.wait().unwrap().batch_size, 2);
+        }
+        let trickle: Vec<Ticket> = (3..7)
+            .map(|seed| {
+                std::thread::sleep(Duration::from_millis(5));
+                svc.submit(query_vector(64, seed), 4).unwrap()
+            })
+            .collect();
+        for t in trickle {
+            assert_eq!(t.wait().unwrap().batch_size, 4);
+        }
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_seed_after_a_batch_with_company_counts_max_wait_from_admission() {
+        // After a batch with company the seed may wait for company, but
+        // its window counts from admission: a request that arrived while
+        // that batch ran has had its window close during it, so it is
+        // dispatched as soon as the batcher is free.
+        let max_wait = Duration::from_millis(20);
+        let (entered, started) = mpsc::channel();
+        let csr = collection(60);
+        let svc = TopKService::builder(Arc::new(Announcing {
+            inner: TestBackend {
+                delay: Duration::from_millis(50),
+                panic_on_k: None,
+            },
+            entered,
+        }))
+        .shards(1)
+        .batch_policy(BatchPolicy::coalescing(8, max_wait))
+        .build(&csr)
+        .unwrap();
+        let first = svc.submit(query_vector(64, 1), 4).unwrap();
+        started.recv().unwrap();
+        let pair: Vec<Ticket> = (2..=3)
+            .map(|seed| svc.submit(query_vector(64, seed), 4).unwrap())
+            .collect();
+        // The pair's batch of two has started.
+        started.recv().unwrap();
+        let submitted = Instant::now();
+        let late = svc.submit(query_vector(64, 4), 4).unwrap();
+        first.wait().unwrap();
+        for t in pair {
+            assert_eq!(t.wait().unwrap().batch_size, 2);
+        }
+        let pair_returned = submitted.elapsed();
+        let late = late.wait().unwrap();
+        let bound = pair_returned + late.stages.engine + max_wait / 2;
+        assert!(
+            late.latency < bound,
+            "held past the batch: {:?} >= {bound:?} ({:?})",
+            late.latency,
+            late.stages
         );
         svc.shutdown();
     }

@@ -72,8 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The router validates the fleet at connect: equal dims, contiguous
     // row ranges, and a deadline that clears every node's batcher
-    // max_wait (the idle-traffic tax stays inside the budget, it never
-    // stacks on top of it).
+    // max_wait (the most a query can wait for company, and only after a
+    // batch that had company) plus the headroom.
     let router = Router::connect(
         specs,
         RouterConfig {

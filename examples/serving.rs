@@ -6,6 +6,8 @@
 //! backend batches and runs each against both resident prepared
 //! partitions at once, and per-shard Top-K lists are merged into global
 //! answers. The final metrics snapshot shows the coalescing at work.
+//! The example exits non-zero unless every query was served and the
+//! concurrent clients shared batches (a mean batch size above one).
 //!
 //! Run with: `cargo run --release -p tkspmv_eval --example serving`
 
@@ -83,5 +85,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "throughput: {:.0} queries/s over {:.2?}",
         m.throughput_qps, m.uptime
     );
+    // The clients' queries plus the sample query, all answered.
+    let expected = (CLIENTS * QUERIES_PER_CLIENT + 1) as u64;
+    if m.failed != 0 || m.served != expected {
+        return Err(format!("served {} of {expected}, {} failed", m.served, m.failed).into());
+    }
+    // Eight concurrent closed-loop clients must share batches: requests
+    // that arrive while a batch runs ride the next one.
+    if m.mean_batch_size <= 1.0 {
+        return Err(format!(
+            "{CLIENTS} concurrent clients never shared a batch (mean size {:.2})",
+            m.mean_batch_size
+        )
+        .into());
+    }
     Ok(())
 }
