@@ -3,13 +3,15 @@
 //! `sparse_dot_topn` computes exact Top-K sparse-dense products on CPU
 //! with CSR traversal and per-thread bounded heaps. This module is the
 //! same algorithm in Rust: rows are split into one contiguous range per
-//! worker thread ([`tkspmv::fanout::fork_join`]), each range streams its
+//! worker thread (tasks of [`tkspmv::fanout::fork_join`]'s resident
+//! compute pool), each range streams its
 //! dot products through one bounded selection
 //! ([`TopKResult::merge_pairs`]), and [`TopKResult::merge`] keeps the
 //! best `k` of the ranges. Each row is scored by
 //! [`tkspmv_sparse::exact_dot`]: `f32` products accumulated in `f64` in
 //! column order — matching a careful C++ float implementation.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use tkspmv_sparse::{exact_dot, Csr, DenseVector};
@@ -41,6 +43,11 @@ pub struct CpuTopK {
 
 impl CpuTopK {
     /// Creates a runner with the given worker-thread count.
+    ///
+    /// The workers are the caller plus helpers of the resident compute
+    /// pool ([`fork_join`]); a count above
+    /// [`host_parallelism`] starts the missing helpers on the first
+    /// query, and they stay for the life of the process.
     ///
     /// # Panics
     ///
@@ -82,7 +89,7 @@ impl TopKBackend for CpuTopK {
         x: &DenseVector,
         k: usize,
     ) -> Result<QueryResult, EngineError> {
-        let csr: &Csr = matrix.downcast(&self.name())?;
+        let csr = matrix.downcast::<Csr>(&self.name())?;
         if x.len() != csr.num_cols() {
             return Err(EngineError::vector_length_mismatch(x.len(), csr.num_cols()));
         }
@@ -90,25 +97,28 @@ impl TopKBackend for CpuTopK {
             return Err(EngineError::zero_big_k());
         }
         let started = Instant::now();
-        let x = x.as_slice();
+        let nnz = csr.nnz() as u64;
         let threads = self.threads.min(csr.num_rows()).max(1);
         let rows_per_thread = csr.num_rows().div_ceil(threads);
+        // The range tasks run on the resident compute pool, so they own
+        // the query they score.
+        let x: Arc<[f32]> = Arc::from(x.as_slice());
 
         let (ranges, _) = fork_join(
             threads,
             threads,
             || (),
-            |(), t| {
+            move |(), t| {
                 let lo = t * rows_per_thread;
                 let hi = ((t + 1) * rows_per_thread).min(csr.num_rows());
-                let dots = (lo..hi).map(|r| (r as u32, exact_dot(csr.row(r), x)));
+                let dots = (lo..hi).map(|r| (r as u32, exact_dot(csr.row(r), &x)));
                 TopKResult::merge_pairs(dots, k)
             },
         );
         let topk = TopKResult::merge(ranges, k);
         Ok(QueryResult {
             topk,
-            perf: BackendPerf::measured(started.elapsed().as_secs_f64(), csr.nnz() as u64),
+            perf: BackendPerf::measured(started.elapsed().as_secs_f64(), nnz),
             stats: BackendStats::Cpu { threads },
         })
     }

@@ -217,7 +217,7 @@ impl TopKBackend for GpuTopK {
         x: &DenseVector,
         k: usize,
     ) -> Result<QueryResult, EngineError> {
-        let csr: &Csr = matrix.downcast(GPU_FAMILY)?;
+        let csr = matrix.downcast::<Csr>(GPU_FAMILY)?;
         if x.len() != csr.num_cols() {
             return Err(EngineError::vector_length_mismatch(x.len(), csr.num_cols()));
         }

@@ -13,10 +13,11 @@
 //!   cross-crate lock graph;
 //! - **panic** — `unwrap`/`expect`/`panic!` in library code needs an
 //!   `// invariant: <reason>` comment;
-//! - **spawns** — the compute crates spawn threads only inside
-//!   `tkspmv::fanout`; every other fan-out goes through its
-//!   `fork_join`. The service crates start threads only where
-//!   `spawn_sites.txt` says, request-path starts marked as such;
+//! - **spawns** — the compute crates' only threads are the resident
+//!   compute pool's, started in `tkspmv::fanout`; every fan-out goes
+//!   through its `fork_join`. The pool and the service crates start
+//!   threads only where `spawn_sites.txt` says, request-path starts
+//!   marked as such;
 //! - **manifests** — dependency-DAG acyclicity, layering, and
 //!   workspace-dependency pinning (folded in from the old
 //!   `workspace_guard` test);

@@ -1,17 +1,18 @@
 //! Spawn lint: where threads may start.
 //!
 //! **Compute crates** (`fixed`, `sparse`, `core`, `baselines`) get
-//! their parallelism from exactly one place:
-//! `tkspmv::fanout::fork_join`, which sizes the fan-out to the host and
-//! reuses per-participant scratch. A hand-written `thread::scope` /
-//! `thread::spawn` / `Builder::spawn` beside it is how a query path ends
-//! up paying one OS thread per partition again, so any spawn in
-//! non-test code of those crates outside `crates/core/src/fanout.rs` is
-//! a finding. There is no annotation escape hatch: route the work
-//! through `fork_join`.
+//! their parallelism from exactly one place: the resident compute pool
+//! behind `tkspmv::fanout::fork_join`, whose helpers start once per
+//! process and then serve every fan-out, nested ones included. A
+//! hand-written `thread::scope` / `thread::spawn` / `Builder::spawn`
+//! beside it is how a query path ends up paying one OS thread per
+//! partition again, so any spawn in non-test code of those crates
+//! outside `crates/core/src/fanout.rs` is a finding. There is no
+//! annotation escape hatch: route the work through `fork_join`.
 //!
-//! **Service crates** (`serve`, `fabric`, `obs`) own long-lived threads
-//! — a batcher, an accept loop — so the rule there is an allow-list,
+//! **Allow-listed files** — the service crates (`serve`, `fabric`,
+//! `obs`), which own long-lived threads such as a batcher or an accept
+//! loop, and the pool's own module — follow
 //! `crates/check/spawn_sites.txt`: one `path::function  # why` line per
 //! thread start, the request-path ones marked as such. A start the list
 //! does not name is a finding at the start; a line with no start behind
@@ -29,7 +30,8 @@ const COMPUTE_CRATES: &[&str] = &["fixed", "sparse", "core", "baselines"];
 /// Crates whose thread starts are allow-listed.
 const SERVICE_CRATES: &[&str] = &["serve", "fabric", "obs"];
 
-/// The one compute-path module allowed to spawn.
+/// The one compute-path module allowed to spawn: the compute pool,
+/// whose starts are allow-listed like the service crates'.
 const FANOUT: &str = "crates/core/src/fanout.rs";
 
 /// `thread::<name>` paths that start or configure a thread.
@@ -107,8 +109,9 @@ pub fn check_file(path: &Path, file: &LexedFile, report: &mut Report) {
 }
 
 /// Runs the allow-list rule: the thread starts of the service crates'
-/// files (workspace-relative paths) against `listing`, the text of
-/// `spawn_sites.txt` (`#` starts a comment; blank lines ignored).
+/// files and of the compute pool's module (workspace-relative paths)
+/// against `listing`, the text of `spawn_sites.txt` (`#` starts a
+/// comment; blank lines ignored).
 pub fn check_listed(files: &[(PathBuf, String, LexedFile)], listing: &str, report: &mut Report) {
     let sites_txt = Path::new("crates/check/spawn_sites.txt");
     let mut listed: Vec<(&str, usize)> = listing
@@ -118,7 +121,8 @@ pub fn check_listed(files: &[(PathBuf, String, LexedFile)], listing: &str, repor
         .filter(|(l, _)| !l.is_empty())
         .collect();
     for (path, krate, file) in files {
-        if !SERVICE_CRATES.contains(&krate.as_str()) {
+        let rel = path.to_string_lossy().replace('\\', "/");
+        if !SERVICE_CRATES.contains(&krate.as_str()) && rel != FANOUT {
             continue;
         }
         let toks = tokens(file);
@@ -129,7 +133,7 @@ pub fn check_listed(files: &[(PathBuf, String, LexedFile)], listing: &str, repor
                 .filter(|f| f.body_start < site.tok && site.tok < f.body_end)
                 .max_by_key(|f| f.body_start)
                 .map_or("", |f| f.name.as_str());
-            let name = format!("{}::{function}", path.to_string_lossy().replace('\\', "/"));
+            let name = format!("{rel}::{function}");
             match listed.iter().position(|(l, _)| *l == name) {
                 Some(entry) => {
                     listed.remove(entry);

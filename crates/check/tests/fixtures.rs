@@ -115,6 +115,26 @@ fn spawn_sites_fixture_fires_exactly_once() {
     assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
 }
 
+/// The compute pool's module follows the allow-list: its listed
+/// `start` is fine, any other start is a finding, and the same file
+/// under another compute-crate path is the compute-path rule's business.
+#[test]
+fn pool_fixture_fires_exactly_once() {
+    let (_, text) = fixture("pool_fires.rs");
+    let at = |rel: &str| vec![(PathBuf::from(rel), "core".to_string(), lex(&text))];
+    let listing = "crates/core/src/fanout.rs::start  # the pool's helpers\n";
+    let mut report = Report::default();
+    spawns::check_listed(&at("crates/core/src/fanout.rs"), listing, &mut report);
+    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
+    assert_eq!(report.diagnostics[0].lint, Lint::Spawns);
+    assert_eq!(report.diagnostics[0].line, marked_line(&text));
+    assert!(report.diagnostics[0].message.contains("does not list"));
+
+    let mut report = Report::default();
+    spawns::check_listed(&at("crates/core/src/pruned.rs"), "", &mut report);
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+}
+
 /// One public item is missing from the fixture's listing; a line the
 /// sources no longer back fires too, at its line in the listing.
 #[test]

@@ -8,6 +8,8 @@
 //! `query_batch` run the multi-core engine and return ranked results
 //! with a performance model report.
 
+use std::sync::Arc;
+
 use tkspmv_fixed::{Half, Precision, F32, Q1_19, Q1_24, Q1_31};
 use tkspmv_sparse::{BsCsr, Csr, DenseVector, PacketLayout};
 
@@ -334,7 +336,7 @@ impl Accelerator {
     /// cover the requested K).
     pub(crate) fn answer(
         &self,
-        matrix: &LoadedMatrix,
+        matrix: &Arc<LoadedMatrix>,
         queries: &[DenseVector],
         big_k: usize,
     ) -> Result<Vec<QueryResult>, EngineError> {
@@ -405,19 +407,19 @@ impl Accelerator {
 /// Monomorphised batch execution: quantise every query once for the
 /// batch, then stream all of them through the resident partitions.
 fn batch_typed<S: tkspmv_fixed::SpmvScalar>(
-    matrix: &LoadedMatrix,
+    matrix: &Arc<LoadedMatrix>,
     queries: &[DenseVector],
     k: usize,
     big_k: usize,
     fidelity: Fidelity,
 ) -> Vec<MulticoreOutput> {
-    let xs: Vec<Vec<S>> = queries
+    let xs: Arc<[Vec<S>]> = queries
         .iter()
         .map(|x| quantize_vector::<S>(x.as_slice()))
         .collect();
-    run_multicore::<S, _>(
-        &matrix.partitions,
-        &xs,
+    run_multicore(
+        Arc::clone(matrix),
+        xs,
         k,
         big_k,
         fidelity,
@@ -442,6 +444,14 @@ pub struct LoadedMatrix {
     pub num_cols: usize,
     /// Logical non-zeros.
     pub nnz: u64,
+}
+
+/// The `(first_row, packets)` partitions, for the engine, which takes
+/// whoever owns them behind an `Arc`.
+impl AsRef<[(usize, BsCsr)]> for LoadedMatrix {
+    fn as_ref(&self) -> &[(usize, BsCsr)] {
+        &self.partitions
+    }
 }
 
 impl LoadedMatrix {
@@ -670,12 +680,12 @@ mod tests {
         let bits = |r: &TopKResult| -> Vec<(u32, u64)> {
             r.entries().iter().map(|&(i, s)| (i, s.to_bits())).collect()
         };
-        let m = acc.load_matrix(&csr).unwrap();
-        let xs = [quantize_vector::<S>(x.as_slice())];
+        let m = Arc::new(acc.load_matrix(&csr).unwrap());
+        let xs: Arc<[Vec<S>]> = Arc::from([quantize_vector::<S>(x.as_slice())]);
         for participants in [1, m.partitions.len()] {
-            let run = run_multicore::<S, _>(
-                &m.partitions,
-                &xs,
+            let run = run_multicore(
+                Arc::clone(&m),
+                Arc::clone(&xs),
                 8,
                 16,
                 acc.fidelity_for(&m),

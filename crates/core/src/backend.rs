@@ -32,6 +32,7 @@
 use std::any::Any;
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use tkspmv_obs::Stages;
 use tkspmv_sparse::gen::query_vector;
@@ -162,8 +163,8 @@ pub trait TopKBackend: Send + Sync {
     ///
     /// [`family`]: TopKBackend::family
     fn to_snapshot(&self, matrix: &PreparedMatrix) -> Result<Snapshot, EngineError> {
-        let csr: &Csr = matrix.downcast(&self.family())?;
-        Ok(matrix.snapshot_of(self.family(), SnapshotPayload::Csr(csr.clone()), None))
+        let csr = matrix.downcast::<Csr>(&self.family())?;
+        Ok(matrix.snapshot_of(self.family(), SnapshotPayload::Csr(Csr::clone(&csr)), None))
     }
 
     /// Adopts a decoded snapshot — the load half: which families this
@@ -229,7 +230,8 @@ pub struct PreparedMatrix {
     num_rows: usize,
     num_cols: usize,
     nnz: u64,
-    state: Box<dyn Any + Send + Sync>,
+    /// Shared, so a query can hand it to the resident compute pool.
+    state: Arc<dyn Any + Send + Sync>,
 }
 
 impl std::fmt::Debug for PreparedMatrix {
@@ -264,7 +266,7 @@ impl PreparedMatrix {
             num_rows,
             num_cols,
             nnz,
-            state: Box::new(state),
+            state: Arc::new(state),
         }
     }
 
@@ -288,7 +290,8 @@ impl PreparedMatrix {
         self.nnz
     }
 
-    /// Recovers the private state for a backend of `family`.
+    /// Recovers the private state for a backend of `family` — shared,
+    /// so a query can hand it to the resident compute pool.
     ///
     /// # Errors
     ///
@@ -297,13 +300,13 @@ impl PreparedMatrix {
     /// the state type, so two backends that coincidentally store the
     /// same type (the CPU and GPU baselines both keep a CSR) still
     /// cannot consume each other's matrices.
-    pub fn downcast<T: Any>(&self, family: &str) -> Result<&T, EngineError> {
+    pub fn downcast<T: Any + Send + Sync>(&self, family: &str) -> Result<Arc<T>, EngineError> {
         if self.family != family {
             return Err(EngineError::backend_mismatch(family, &self.family));
         }
-        self.state
-            .downcast_ref::<T>()
-            .ok_or_else(|| EngineError::corrupt_prepared_state(family))
+        Arc::clone(&self.state)
+            .downcast::<T>()
+            .map_err(|_| EngineError::corrupt_prepared_state(family))
     }
 
     /// The snapshot header for this matrix around a backend's payload:
@@ -801,11 +804,11 @@ pub struct QueryResult {
 /// any other family or (defence in depth, should the family string ever
 /// be spoofed through [`PreparedMatrix::new`]) a different encoding
 /// precision.
-fn checked_loaded<'m>(
+fn checked_loaded(
     acc: &Accelerator,
-    matrix: &'m PreparedMatrix,
-) -> Result<&'m LoadedMatrix, EngineError> {
-    let loaded: &LoadedMatrix = matrix.downcast(&acc.family())?;
+    matrix: &PreparedMatrix,
+) -> Result<Arc<LoadedMatrix>, EngineError> {
+    let loaded = matrix.downcast::<LoadedMatrix>(&acc.family())?;
     if loaded.precision != acc.config().precision {
         return Err(EngineError::bad_query(format!(
             "prepared matrix is encoded as {}, backend expects {}",
@@ -855,7 +858,7 @@ impl TopKBackend for Accelerator {
         k: usize,
     ) -> Result<QueryResult, EngineError> {
         let loaded = checked_loaded(self, matrix)?;
-        let mut results = self.answer(loaded, std::slice::from_ref(x), k)?;
+        let mut results = self.answer(&loaded, std::slice::from_ref(x), k)?;
         // invariant: a validated one-query batch yields exactly one result
         Ok(results.pop().expect("one result per query"))
     }
@@ -869,8 +872,9 @@ impl TopKBackend for Accelerator {
     /// queries are swapped through URAM). The configured cores are the
     /// design: they fix the partitioning, the approximation and the
     /// modelled time. The host walks those partitions on
-    /// `min(host parallelism, cores)` participants
-    /// ([`crate::fanout::fork_join`]), which changes no answer. Results
+    /// `min(host parallelism, cores)` participants of the resident
+    /// compute pool ([`crate::fanout::fork_join`]), each with its engine
+    /// scratch kept warm across calls, which changes no answer. Results
     /// are in input order and element-wise identical to one-query
     /// batches. (On the real device queries are serialised through the
     /// kernel; the per-query [`PerfReport`]s model that serial latency,
@@ -886,7 +890,7 @@ impl TopKBackend for Accelerator {
         batch: &QueryBatch,
         k: usize,
     ) -> Result<Vec<QueryResult>, EngineError> {
-        self.answer(checked_loaded(self, matrix)?, batch.queries(), k)
+        self.answer(&checked_loaded(self, matrix)?, batch.queries(), k)
     }
 
     /// The accelerator persists its *encoded* form — per-core BS-CSR

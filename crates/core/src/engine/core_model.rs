@@ -110,8 +110,10 @@ fn block_split(b: usize) -> (usize, usize) {
 /// in the batch. The row structure replay follows is not here: it is
 /// the stream's own, recorded once ([`BsCsr::row_ends`]).
 ///
-/// Allocate one per participant (see [`crate::fanout::fork_join`]) and
-/// stream every partition and batch it walks through it.
+/// Keep one per thread that walks partitions and stream every partition
+/// and batch it walks through it; the accelerator keeps one per compute
+/// pool participant for the life of the thread (see
+/// [`crate::fanout::fork_join`]).
 /// The chunk buffers are sized **once per call** to `CHUNK_PACKETS · B`
 /// (`+ 1` for the running sums; a no-op when the previous call used the
 /// same layout), the row-sum tile to the stream's largest per-chunk row

@@ -1,5 +1,9 @@
 //! Multi-core execution: the §III-A partitioned approximation.
 
+use std::any::Any;
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use tkspmv_fixed::SpmvScalar;
 use tkspmv_obs::Stages;
 use tkspmv_sparse::BsCsr;
@@ -28,10 +32,40 @@ pub(crate) struct MulticoreOutput {
     pub stages: Stages,
 }
 
+thread_local! {
+    /// This thread's warm engine scratch, one [`BatchScratch`] per
+    /// scalar type it has walked partitions of. A participant borrows it
+    /// for one partition at a time, so it lives as long as the thread —
+    /// a resident pool helper or a caller — and a warm query sizes
+    /// nothing.
+    // alloc-ok: an empty shelf allocates nothing until its first scratch.
+    static SHELF: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's [`BatchScratch<S>`] from [`SHELF`].
+///
+/// `f` must not re-enter the engine on this thread (it walks one
+/// partition), or the shelf would be borrowed twice.
+fn with_scratch<S: SpmvScalar, R>(f: impl FnOnce(&mut BatchScratch<S>) -> R) -> R {
+    SHELF.with_borrow_mut(|shelf| {
+        let slot = match shelf.iter().position(|s| s.is::<BatchScratch<S>>()) {
+            Some(slot) => slot,
+            None => {
+                // alloc-ok: first partition this thread walks at this scalar type.
+                shelf.push(Box::new(BatchScratch::<S>::new()));
+                shelf.len() - 1
+            }
+        };
+        let scratch = shelf[slot].downcast_mut::<BatchScratch<S>>();
+        // invariant: `slot` was found (or pushed) as a `BatchScratch<S>`
+        f(scratch.expect("the shelf slot holds this scalar's scratch"))
+    })
+}
+
 /// Runs a batch of queries over `c` independent cores, one per
-/// `(first_row, partition)` pair, and merges each query's local top-`k`
-/// lists into a global top-`big_k`: one [`MulticoreOutput`] per query,
-/// in input order.
+/// `(first_row, partition)` pair of `partitions`, and merges each
+/// query's local top-`k` lists into a global top-`big_k`: one
+/// [`MulticoreOutput`] per query, in input order.
 ///
 /// Each core computes the exact top-`k` of its own partition; the merge
 /// keeps the best `big_k` of the `k·c` candidates. This is the paper's
@@ -42,9 +76,10 @@ pub(crate) struct MulticoreOutput {
 /// it the approximation and the modelled device time. `participants`
 /// is the *host*: that many threads (the caller included, clamped to
 /// `c`) claim partitions from a shared counter through
-/// [`fork_join`], so a 2-CPU machine walks a 32-core design on two
-/// threads instead of spawning thirty-two. Callers pass
-/// [`crate::fanout::host_parallelism`].
+/// [`fork_join`]'s resident pool, so a 2-CPU machine walks a 32-core
+/// design on two threads. Callers pass
+/// [`crate::fanout::host_parallelism`]. The partitions and the queries
+/// come in `Arc`s because the pool's helpers outlive the call.
 ///
 /// This is the **matrix-major** loop: each partition is walked once per
 /// batch in **one pass** over its packet stream, decoding every BS-CSR
@@ -53,10 +88,11 @@ pub(crate) struct MulticoreOutput {
 /// a time from a transposed query block (see
 /// [`run_core_batch_with_scratch`]) — the
 /// software picture of a stream resident in its HBM channel while B
-/// query vectors sit in banked URAM. Each participant owns one
-/// [`BatchScratch`] and reuses it for every partition it walks, which
-/// amortises packet field extraction, value decode and buffer warm-up
-/// across both the batch and the partitions.
+/// query vectors sit in banked URAM. Each participating thread keeps one
+/// [`BatchScratch`] per scalar type across partitions *and* calls
+/// ([`SHELF`]), which amortises packet field extraction, value decode
+/// and buffer warm-up across the batch, the partitions and the queries
+/// that follow.
 ///
 /// Results are **bit-identical** to running each query alone, and do
 /// not depend on `participants`: per query, multiplies, accumulations,
@@ -70,65 +106,67 @@ pub(crate) struct MulticoreOutput {
 /// big_k` (the configuration could not possibly fill the requested K).
 // alloc-ok(fn): per-batch fan-out and owned result assembly; the
 // per-packet loop lives in run_core_batch_with_scratch, which reuses
-// each participant's BatchScratch across the partitions it walks.
-pub(crate) fn run_multicore<S: SpmvScalar, Q: AsRef<[S]> + Sync>(
-    partitions: &[(usize, BsCsr)],
-    queries: &[Q],
+// each thread's BatchScratch across partitions and calls.
+pub(crate) fn run_multicore<S, P, Q>(
+    partitions: Arc<P>,
+    queries: Arc<[Q]>,
     k: usize,
     big_k: usize,
     fidelity: Fidelity,
     participants: usize,
-) -> Vec<MulticoreOutput> {
-    assert!(!partitions.is_empty(), "need at least one partition");
+) -> Vec<MulticoreOutput>
+where
+    S: SpmvScalar,
+    P: AsRef<[(usize, BsCsr)]> + Send + Sync + 'static,
+    Q: AsRef<[S]> + Send + Sync + 'static,
+{
+    let cores = (*partitions).as_ref().len();
+    assert!(cores > 0, "need at least one partition");
     assert!(
-        k * partitions.len() >= big_k,
+        k * cores >= big_k,
         "k*c = {} cannot cover K = {big_k}",
-        k * partitions.len()
+        k * cores
     );
     if queries.is_empty() {
         return Vec::new();
     }
+    let batch = queries.len();
 
     // `per_partition[p]` = partition p's globalised top-k and stats per
-    // query. A participant's state is its BatchScratch plus the
-    // decode/score time of every partition it has walked so far.
+    // query. A participant's state is the decode/score time of every
+    // partition it has walked so far.
     type PerQuery = Vec<(Vec<(u32, f64)>, CoreStats)>;
-    let (per_partition, walked): (Vec<PerQuery>, Vec<(BatchScratch<S>, Stages)>) = fork_join(
-        partitions.len(),
-        participants,
-        || (BatchScratch::<S>::new(), Stages::default()),
-        |(scratch, walked), p| {
-            let (first_row, part) = &partitions[p];
-            let outputs = run_core_batch_with_scratch(part, queries, k, fidelity, scratch);
-            let per_query = outputs
-                .iter()
-                .map(|out| {
-                    let globalised: Vec<(u32, f64)> = out
-                        .topk
-                        .iter()
-                        .map(|&(local, acc)| (local + *first_row as u32, S::acc_to_f64(acc)))
-                        .collect();
-                    (globalised, out.stats)
-                })
-                .collect();
-            for (stage, d) in scratch.stage_times().iter() {
-                walked.add(stage, d);
-            }
-            per_query
-        },
-    );
+    let (per_partition, walked): (Vec<PerQuery>, Vec<Stages>) =
+        fork_join(cores, participants, Stages::default, move |walked, p| {
+            let (first_row, part) = &(*partitions).as_ref()[p];
+            with_scratch::<S, _>(|scratch| {
+                let outputs = run_core_batch_with_scratch(part, &queries, k, fidelity, scratch);
+                let per_query = outputs
+                    .iter()
+                    .map(|out| {
+                        let globalised: Vec<(u32, f64)> = out
+                            .topk
+                            .iter()
+                            .map(|&(local, acc)| (local + *first_row as u32, S::acc_to_f64(acc)))
+                            .collect();
+                        (globalised, out.stats)
+                    })
+                    .collect();
+                for (stage, d) in scratch.stage_times().iter() {
+                    walked.add(stage, d);
+                }
+                per_query
+            })
+        });
     let stages = walked
-        .iter()
-        .map(|(_, walked)| *walked)
+        .into_iter()
         .max_by_key(Stages::total)
         .unwrap_or_default();
 
     // Transpose partition-major to query-major by moving each per-query
     // pair vector exactly once — the merge consumes owned pairs, so no
     // per-core top-k list is ever cloned.
-    let mut per_query: Vec<PerQuery> = (0..queries.len())
-        .map(|_| Vec::with_capacity(partitions.len()))
-        .collect();
+    let mut per_query: Vec<PerQuery> = (0..batch).map(|_| Vec::with_capacity(cores)).collect();
     for partition_outputs in per_partition {
         for (q, output) in partition_outputs.into_iter().enumerate() {
             per_query[q].push(output);
@@ -162,34 +200,41 @@ mod tests {
     use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
     use tkspmv_sparse::{Csr, PacketLayout};
 
-    fn encode_partitions(csr: &Csr, c: usize) -> Vec<(usize, BsCsr)> {
+    type Parts = Arc<Vec<(usize, BsCsr)>>;
+
+    fn encode_partitions(csr: &Csr, c: usize) -> Parts {
         let layout = PacketLayout::solve(csr.num_cols(), 32).unwrap();
-        csr.partition_rows(c)
-            .into_iter()
-            .map(|(first, part)| (first, BsCsr::encode::<Q1_31>(&part, layout)))
-            .collect()
+        Arc::new(
+            csr.partition_rows(c)
+                .into_iter()
+                .map(|(first, part)| (first, BsCsr::encode::<Q1_31>(&part, layout)))
+                .collect(),
+        )
     }
 
     /// One query: a one-lane batch, on the host's participant count.
-    fn run_single(
-        parts: &[(usize, BsCsr)],
-        x: &[Q1_31],
-        k: usize,
-        big_k: usize,
-    ) -> MulticoreOutput {
+    fn run_single(parts: &Parts, x: &[Q1_31], k: usize, big_k: usize) -> MulticoreOutput {
         run_single_on(parts, x, k, big_k, host_parallelism())
     }
 
     fn run_single_on(
-        parts: &[(usize, BsCsr)],
+        parts: &Parts,
         x: &[Q1_31],
         k: usize,
         big_k: usize,
         participants: usize,
     ) -> MulticoreOutput {
-        run_multicore::<Q1_31, _>(parts, &[x], k, big_k, Fidelity::Reference, participants)
-            .pop()
-            .expect("a one-lane batch yields one output")
+        let queries: Arc<[Vec<Q1_31>]> = Arc::from([x.to_vec()]);
+        run_multicore(
+            Arc::clone(parts),
+            queries,
+            k,
+            big_k,
+            Fidelity::Reference,
+            participants,
+        )
+        .pop()
+        .expect("a one-lane batch yields one output")
     }
 
     fn exact_topk(csr: &Csr, x: &[f32], k: usize) -> Vec<u32> {
@@ -291,7 +336,7 @@ mod tests {
         }
         .generate();
         let parts = encode_partitions(&csr, 6);
-        let queries: Vec<Vec<_>> = (0..5u64)
+        let queries: Arc<[Vec<Q1_31>]> = (0..5u64)
             .map(|q| quantize_vector::<Q1_31>(query_vector(128, q).as_slice()))
             .collect();
         // The reference: each query alone, on one participant.
@@ -300,9 +345,9 @@ mod tests {
             .map(|x| run_single_on(&parts, x, 8, 16, 1))
             .collect();
         for participants in [1, 2, 3, parts.len()] {
-            let batch = run_multicore::<Q1_31, _>(
-                &parts,
-                &queries,
+            let batch = run_multicore(
+                Arc::clone(&parts),
+                Arc::clone(&queries),
                 8,
                 16,
                 Fidelity::Reference,
@@ -349,7 +394,8 @@ mod tests {
     fn empty_batch_returns_no_outputs() {
         let csr = Csr::from_triplets(4, 2, &[(0, 0, 0.5), (3, 1, 0.25)]).unwrap();
         let parts = encode_partitions(&csr, 2);
-        let batch = run_multicore::<Q1_31, Vec<Q1_31>>(&parts, &[], 2, 4, Fidelity::Reference, 2);
+        let none: Arc<[Vec<Q1_31>]> = Arc::from([]);
+        let batch = run_multicore(parts, none, 2, 4, Fidelity::Reference, 2);
         assert!(batch.is_empty());
     }
 

@@ -96,7 +96,8 @@ pub struct PrunedBackend {
 struct PrunedState {
     csr: Csr,
     inner_prepared: PreparedMatrix,
-    prune: Option<PruneIndex>,
+    /// Shared with the compute pool's prune-pass jobs.
+    prune: Option<Arc<PruneIndex>>,
 }
 
 impl PrunedBackend {
@@ -128,6 +129,11 @@ impl PrunedBackend {
 
     /// Sets the worker-thread count for the prune scoring pass.
     ///
+    /// The workers are the caller plus helpers of the resident compute
+    /// pool ([`fork_join`]); a count above [`host_parallelism`] starts
+    /// the missing helpers on the first query, and they stay for the
+    /// life of the process.
+    ///
     /// # Errors
     ///
     /// [`EngineError::InvalidConfig`] if `threads` is zero.
@@ -157,7 +163,7 @@ impl PrunedBackend {
         &self.inner
     }
 
-    fn state<'m>(&self, matrix: &'m PreparedMatrix) -> Result<&'m PrunedState, EngineError> {
+    fn state(&self, matrix: &PreparedMatrix) -> Result<Arc<PrunedState>, EngineError> {
         matrix.downcast(&self.family())
     }
 
@@ -176,24 +182,25 @@ impl PrunedBackend {
             PrunedState {
                 csr,
                 inner_prepared,
-                prune,
+                prune: prune.map(Arc::new),
             },
         )
     }
 
     /// Scores every row with the low-bit index: one contiguous row
     /// range per thread, returned in row order.
-    fn prune_scores(&self, prune: &PruneIndex, q: &[u16]) -> Vec<Vec<u64>> {
+    fn prune_scores(&self, prune: &Arc<PruneIndex>, q: Arc<[u16]>) -> Vec<Vec<u64>> {
         let rows = prune.num_rows();
         let chunk = rows.div_ceil(self.threads).max(1);
+        let prune = Arc::clone(prune);
         let (ranges, _) = fork_join(
             rows.div_ceil(chunk),
             self.threads,
             || (),
-            |(), i| {
+            move |(), i| {
                 let first = i * chunk;
                 let mut scores = vec![0u64; chunk.min(rows - first)];
-                prune.score_rows(first, q, &mut scores);
+                prune.score_rows(first, &q, &mut scores);
                 scores
             },
         );
@@ -232,7 +239,7 @@ impl PrunedBackend {
         // stage attribution are both derived from these three instants.
         let started = Instant::now();
         let q = prune.quantize_query(x.as_slice());
-        let scores = self.prune_scores(prune, &q);
+        let scores = self.prune_scores(prune, q.into());
 
         // Cut the shortlist with the exact selector under the
         // engine-wide total order (score descending, row ascending) on
@@ -303,7 +310,7 @@ impl TopKBackend for PrunedBackend {
         k: usize,
     ) -> Result<QueryResult, EngineError> {
         let st = self.state(matrix)?;
-        self.staged_query(st, x, k, self.shortlist_factor)
+        self.staged_query(&st, x, k, self.shortlist_factor)
     }
 
     fn query_batch_tiered(
@@ -318,7 +325,7 @@ impl TopKBackend for PrunedBackend {
             QueryTier::Exact => self.inner.query_batch(&st.inner_prepared, batch, k),
             QueryTier::Pruned { shortlist_factor } => batch
                 .iter()
-                .map(|x| self.staged_query(st, x, k, shortlist_factor))
+                .map(|x| self.staged_query(&st, x, k, shortlist_factor))
                 .collect(),
         }
     }
@@ -332,7 +339,7 @@ impl TopKBackend for PrunedBackend {
         Ok(matrix.snapshot_of(
             self.inner.family(),
             SnapshotPayload::Csr(st.csr.clone()),
-            st.prune.clone(),
+            st.prune.as_deref().cloned(),
         ))
     }
 
@@ -566,7 +573,7 @@ mod tests {
             if k == 0 {
                 return Err(EngineError::zero_big_k());
             }
-            let csr: &Csr = matrix.downcast(&self.family())?;
+            let csr = matrix.downcast::<Csr>(&self.family())?;
             if x.len() != csr.num_cols() {
                 return Err(EngineError::vector_length_mismatch(x.len(), csr.num_cols()));
             }

@@ -19,6 +19,8 @@
 //!  Ticket◀───────────────────────────────  ≤ max_wait from admission     └─ shard S-1 task ┘   + metrics
 //!                                          only after a batch of ≥ 2)
 //!                                         └──── one batch at a time, driven by the batcher thread ────┘
+//!                  shard tasks and each shard's partition tasks share one resident compute pool:
+//!                  the batcher plus host_parallelism() − 1 helpers
 //! ```
 //!
 //! - **Sharding** — [`TopKService`] splits the collection into `S`
@@ -26,8 +28,13 @@
 //!   each prepared once and held resident for the life of its epoch:
 //!   the paper's per-HBM-channel partitioning (§III-A) applied one
 //!   level up, at serving granularity. A batch runs one
-//!   [`tkspmv::fanout::fork_join`] task per shard, so `S` backend calls
-//!   overlap; the shard count is the one concurrency knob.
+//!   [`tkspmv::fanout::fork_join`] task per shard on the resident
+//!   compute pool, with the batcher as its first participant; each
+//!   shard's backend fans out again onto the same pool. Shard tasks
+//!   and partition tasks therefore share `host_parallelism()` threads:
+//!   the shard count sets the serving-level partitioning, not how many
+//!   threads run, and a thread that runs out of its own shard's work
+//!   takes another shard's.
 //! - **Micro-batching** — the batcher, the service's one thread,
 //!   coalesces concurrent same-`k` requests under a [`BatchPolicy`]
 //!   (`max_batch_size` / `max_wait`) into [`tkspmv::QueryBatch`]es, so

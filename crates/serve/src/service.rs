@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use tkspmv::backend::{
     check_query, MatrixShard, PreparedMatrix, QueryBatch, QueryTier, TopKBackend,
 };
-use tkspmv::fanout::fork_join;
+use tkspmv::fanout::{fork_join, host_parallelism};
 use tkspmv::{EngineError, TopKResult};
 use tkspmv_obs::Stages;
 use tkspmv_sparse::{Csr, DenseVector};
@@ -157,28 +157,34 @@ fn run_shard(
 
 /// Merges every shard's candidates per query and answers every
 /// responder; the first shard failure, if any, goes to all of them.
+/// `engine_wall` is how long the batch's shard fan-out took. Only this
+/// batch's work is in it: while the pool's participants wait on the
+/// batch they run its tasks and no other call's.
 fn finalize(
     metrics: &MetricsShared,
     tier: QueryTier,
     k: usize,
     responders: Vec<Responder>,
     shards: Vec<ShardOutcome>,
+    engine_wall: Duration,
 ) {
     let batch_size = responders.len();
     // Time inside the backend's batch call summed over shards (the
-    // engine's share of the batch), and the slowest shard's call:
-    // shards run in parallel, so the maximum — not the sum — is how
-    // long the batch actually sat in the engine. That shard's stage
-    // split is the one that fits inside the interval.
+    // engine's share of the batch), and the stage split of the slowest
+    // shard's call. The shard calls share the compute pool's threads
+    // with each other's partition tasks, so a call may start late or
+    // lend its threads to another shard: no single call's span, only
+    // the fan-out's own, is how long the batch sat in the engine. The
+    // slowest call's split fits inside that span.
     let mut engine_time = Duration::ZERO;
-    let mut engine_wall = Duration::ZERO;
+    let mut slowest_call = Duration::ZERO;
     let mut stages = vec![Stages::default(); batch_size];
     let mut failure: Option<ServeError> = None;
     let mut per_query: Vec<Vec<(u32, f64)>> = vec![Vec::new(); batch_size];
     for (engine, outcome) in shards {
         engine_time += engine;
-        let slowest = engine >= engine_wall;
-        engine_wall = engine_wall.max(engine);
+        let slowest = engine >= slowest_call;
+        slowest_call = slowest_call.max(engine);
         match outcome {
             Ok(shard_results) => {
                 for (q, (pairs, shard_stages)) in shard_results.into_iter().enumerate() {
@@ -271,8 +277,9 @@ impl Inner {
     }
 
     /// Runs a coalesced set of same-`k`, same-tier, same-epoch requests
-    /// against every shard of their epoch at once — one participant per
-    /// shard, so `S` backend calls overlap — then merges and responds.
+    /// against every shard of their epoch — one compute-pool task per
+    /// shard, beside the shard engines' own partition tasks on the same
+    /// `host_parallelism()` threads — then merges and responds.
     fn run_batch(&self, members: Vec<Pending>) {
         let k = members[0].k;
         let tier = members[0].tier;
@@ -310,14 +317,20 @@ impl Inner {
         // The shard data comes from the batch's epoch, not from any
         // global "current" state: a hot swap installed after these
         // requests were admitted must not change what they run against.
-        let shards = &epoch.shards;
+        // The shard tasks run on the resident compute pool, so they own
+        // their inputs.
+        let backend = Arc::clone(&self.backend);
+        let batch = Arc::new(batch);
+        let shards = Arc::clone(&epoch);
+        let started = Instant::now();
         let (outcomes, _) = fork_join(
-            shards.len(),
-            shards.len(),
+            epoch.shards.len(),
+            host_parallelism(),
             || (),
-            |(), s| run_shard(self.backend.as_ref(), &shards[s], &batch, k, tier),
+            move |(), s| run_shard(backend.as_ref(), &shards.shards[s], &batch, k, tier),
         );
-        finalize(&self.metrics, tier, k, responders, outcomes);
+        let engine_wall = started.elapsed();
+        finalize(&self.metrics, tier, k, responders, outcomes, engine_wall);
     }
 }
 
@@ -525,9 +538,9 @@ impl std::fmt::Debug for ServiceBuilder {
 impl ServiceBuilder {
     /// Row shards to split the collection into (default 2). Each shard
     /// is prepared independently, mirroring the paper's per-HBM-channel
-    /// partitions one level up, and a batch runs one task per shard at
-    /// once; the shard count is therefore also how many backend calls
-    /// overlap.
+    /// partitions one level up, and a batch runs one compute-pool task
+    /// per shard; the pool's `host_parallelism()` threads, not the shard
+    /// count, bound how many run at once.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -636,8 +649,9 @@ impl ServiceBuilder {
 /// paper's matrix-resident HBM channels). Concurrent callers
 /// [`submit`](TopKService::submit) queries into a bounded queue; the one
 /// service thread, the batcher, coalesces them under a [`BatchPolicy`]
-/// and runs each batch against every shard at once (one
-/// [`tkspmv::fanout::fork_join`] task per shard); per-shard Top-K
+/// and runs each batch against every shard (one
+/// [`tkspmv::fanout::fork_join`] task per shard, on the resident
+/// compute pool the shards' engines share); per-shard Top-K
 /// answers are merged with [`TopKResult::merge_pairs`] and handed back
 /// through [`Ticket`]s.
 ///
@@ -1020,7 +1034,7 @@ mod tests {
             if !self.delay.is_zero() {
                 std::thread::sleep(self.delay);
             }
-            let csr: &Csr = matrix.downcast(FAMILY)?;
+            let csr = matrix.downcast::<Csr>(FAMILY)?;
             if x.len() != csr.num_cols() {
                 return Err(EngineError::vector_length_mismatch(x.len(), csr.num_cols()));
             }
@@ -1780,8 +1794,8 @@ mod tests {
         let mut gap = PreparedMatrix::prepare_row_shards(&backend, &b, 2).unwrap();
         let second = gap.pop().unwrap();
         let second = MatrixShard::new(second.start_row() + 7, {
-            let csr: &Csr = second.matrix().downcast(FAMILY).unwrap();
-            backend.prepare(csr).unwrap()
+            let csr = second.matrix().downcast::<Csr>(FAMILY).unwrap();
+            backend.prepare(&csr).unwrap()
         });
         gap.push(second);
         assert!(matches!(

@@ -32,10 +32,13 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// The largest single request since the last reset.
+static LARGEST: AtomicU64 = AtomicU64::new(0);
 
 fn count(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    LARGEST.fetch_max(bytes as u64, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -91,6 +94,13 @@ fn allocations_and_bytes_during<R>(mut f: impl FnMut() -> R) -> (u64, u64) {
         min = min.min((after.0 - before.0, after.1 - before.1));
     }
     min
+}
+
+/// The largest single allocation request made while running `f` once.
+fn largest_allocation_during<R>(f: impl FnOnce() -> R) -> u64 {
+    LARGEST.store(0, Ordering::Relaxed);
+    std::hint::black_box(f());
+    LARGEST.load(Ordering::Relaxed)
 }
 
 /// Allocation calls made while running `f` (see
@@ -269,9 +279,10 @@ fn warm_batch_scratch_is_allocation_free_across_packet_count_and_batch_size() {
 
     // Cold: a first call through a fresh scratch sizes each buffer once
     // up front — the transposed lane blocks at B = 32 included — so its
-    // allocation count must not depend on the packet count
-    // (`run_multicore` builds a fresh scratch per participant per
-    // batch: growth-by-push here would be a per-batch cost).
+    // allocation count must not depend on the packet count (a
+    // thread's first partition walk sizes its shelved scratch this
+    // way: growth-by-push here would make that first call's cost
+    // depend on the stream).
     let cold = |matrix: &BsCsr, b: usize| {
         allocations_during(|| {
             let mut fresh = BatchScratch::<Q1_19>::new();
@@ -329,4 +340,71 @@ fn warm_batch_scratch_is_allocation_free_across_packet_count_and_batch_size() {
         baseline <= 2,
         "warm batch pass unexpectedly allocates: {baseline} calls"
     );
+}
+
+/// The resident compute pool keeps each participant's `BatchScratch`
+/// across calls, so a warm accelerator `TopKBackend::query` (B = 1) and
+/// `query_batch` (B = 32) allocate only per-call results: the same
+/// calls and bytes on a stream with 10x the packets, and no single
+/// request as large as a scratch buffer. At B = 1 the smallest
+/// stream-sized buffers are one chunk's decoded values and column
+/// indices; at B = 32 (whose results alone outgrow a chunk) it is the
+/// transposed copy of the batch's lane blocks.
+#[test]
+#[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
+fn warm_accelerator_query_allocates_no_scratch() {
+    use tkspmv::backend::{PreparedMatrix, QueryBatch, TopKBackend};
+    use tkspmv::Accelerator;
+
+    let dim = 256;
+    let collection = |rows: usize, seed: u64| {
+        SyntheticConfig {
+            num_rows: rows,
+            num_cols: dim,
+            avg_nnz_per_row: 20,
+            distribution: NnzDistribution::table3_gamma(),
+            seed,
+        }
+        .generate()
+    };
+    let acc = Accelerator::builder().cores(8).k(8).build().unwrap();
+    let (layout, _) = acc.design_for(dim).unwrap();
+    let value = std::mem::size_of::<Q1_19>();
+    let chunk_values = BsCsr::CHUNK_PACKETS * layout.entries_per_packet() as usize * value;
+    let small = acc.prepare(&collection(1_500, 3)).unwrap();
+    let large = acc.prepare(&collection(20_000, 4)).unwrap();
+    let batch = QueryBatch::random(32, dim, 11);
+    let x = query_vector(dim, 5);
+    let k = 50;
+
+    // Warm every participant's shelf at the largest batch on the large
+    // stream, a few times over so each participant walks partitions.
+    for _ in 0..20 {
+        acc.query_batch(&large, &batch, k).unwrap();
+        acc.query(&large, &x, k).unwrap();
+    }
+
+    let b1 = |m: &PreparedMatrix| acc.query(m, &x, k).unwrap().topk.len();
+    let b32 = |m: &PreparedMatrix| acc.query_batch(m, &batch, k).unwrap().len();
+    let check = |b: usize, run: &dyn Fn(&PreparedMatrix) -> usize, scratch_sized: usize| {
+        let (small_calls, large_calls) = (
+            allocations_and_bytes_during(|| run(&small)),
+            allocations_and_bytes_during(|| run(&large)),
+        );
+        assert_eq!(
+            small_calls, large_calls,
+            "a warm B={b} query's allocation (calls, bytes) depends on the packet count"
+        );
+        let largest = (0..3)
+            .map(|_| largest_allocation_during(|| run(&large)))
+            .min()
+            .unwrap();
+        assert!(
+            largest < scratch_sized as u64,
+            "a warm B={b} query requests {largest} B at once, as much as a \
+             {scratch_sized} B scratch buffer"
+        );
+    };
+    check(1, &b1, chunk_values);
+    check(32, &b32, dim * 32 * value);
 }
