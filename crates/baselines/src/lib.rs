@@ -34,5 +34,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+// A compute crate: no thread starts but the pool's (`tkspmv::fanout`).
+#![cfg_attr(not(test), forbid(clippy::disallowed_methods))]
+
 pub mod cpu;
 pub mod gpu;

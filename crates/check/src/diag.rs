@@ -12,10 +12,6 @@ pub enum Lint {
     Atomics,
     /// Lock-hierarchy deadlock detector.
     Locks,
-    /// Panic-freedom lint.
-    Panic,
-    /// Spawn lint (compute path and service allow-list).
-    Spawns,
     /// Manifest drift / dependency-DAG guard.
     Manifests,
     /// Public-surface ratchet.
@@ -29,8 +25,6 @@ impl Lint {
             Lint::Alloc => "alloc",
             Lint::Atomics => "atomics",
             Lint::Locks => "locks",
-            Lint::Panic => "panic",
-            Lint::Spawns => "spawns",
             Lint::Manifests => "manifests",
             Lint::Api => "api",
         }
@@ -167,7 +161,7 @@ mod tests {
     #[test]
     fn json_escapes() {
         let d = vec![Diagnostic {
-            lint: Lint::Panic,
+            lint: Lint::Api,
             path: "a\"b.rs".into(),
             line: 1,
             message: "say \"hi\"\n".into(),

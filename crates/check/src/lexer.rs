@@ -4,7 +4,7 @@
 //! comments included) or `#[cfg(test)]` / `#[test]` regions. This module
 //! splits a source file into per-line *code* text (strings and chars
 //! blanked, comments stripped) and per-line *comment* text (where the
-//! `alloc-ok:` / `ordering:` / `invariant:` annotations live), then
+//! `alloc-ok:` / `ordering:` annotations live), then
 //! marks the line ranges belonging to test-only items.
 //!
 //! It is a lexer, not a parser: it understands exactly as much Rust
@@ -335,7 +335,9 @@ fn mark_test_regions(file: &mut LexedFile) {
         }
         let is_test_attr = match attr_words.first().copied() {
             Some("test") | Some("bench") => true,
-            Some("cfg") | Some("cfg_attr") => attr_words[1..].contains(&"test"),
+            // `cfg_attr` only sets attributes: its item is compiled
+            // either way. A `cfg` that names `not` may hold outside tests.
+            Some("cfg") => attr_words.contains(&"test") && !attr_words.contains(&"not"),
             _ => false,
         };
         if !is_test_attr {
@@ -407,6 +409,14 @@ mod tests {
         assert!(f.lines[1].in_test && f.lines[2].in_test && f.lines[3].in_test);
         assert!(f.lines[4].in_test);
         assert!(!f.lines[5].in_test);
+    }
+
+    #[test]
+    fn cfg_attr_and_cfg_not_test_are_live() {
+        let src =
+            "#[cfg_attr(not(test), forbid(x))]\npub mod m;\n#[cfg(not(test))]\nfn live() {}\n";
+        let f = lex(src);
+        assert!(f.lines.iter().all(|l| !l.in_test));
     }
 
     #[test]

@@ -11,13 +11,6 @@
 //! - **locks** — the declared lock hierarchy in `locks.toml` is
 //!   enforced by a per-function acquisition-nesting scan over the
 //!   cross-crate lock graph;
-//! - **panic** — `unwrap`/`expect`/`panic!` in library code needs an
-//!   `// invariant: <reason>` comment;
-//! - **spawns** — the compute crates' only threads are the resident
-//!   compute pool's, started in `tkspmv::fanout`; every fan-out goes
-//!   through its `fork_join`. The pool and the service crates start
-//!   threads only where `spawn_sites.txt` says, request-path starts
-//!   marked as such;
 //! - **manifests** — dependency-DAG acyclicity, layering, and
 //!   workspace-dependency pinning (folded in from the old
 //!   `workspace_guard` test);
@@ -26,6 +19,16 @@
 //!
 //! Run as `cargo run -p tkspmv_check -- --all` (CI gates on it); add
 //! `--json` for machine output.
+//!
+//! Two rules live in the compiler instead, as clippy lints over library
+//! code (CI's lib-only clippy step): a panicking call
+//! (`unwrap`/`expect`/`panic!`/…) carries an
+//! `#[expect(clippy::…, reason = "invariant: …")]`, and a thread start
+//! (a `disallowed-methods` entry of the root `clippy.toml`) carries an
+//! `#[expect(clippy::disallowed_methods, reason = "…")]`. The compute
+//! crates forbid that lint everywhere but the compute pool
+//! (`tkspmv::fanout`), so no `#[expect]` admits a thread start there.
+//! An `#[expect]` whose lint no longer fires fails the step too.
 
 pub mod alloc;
 pub mod api;
@@ -34,9 +37,7 @@ pub mod diag;
 pub mod lexer;
 pub mod locks;
 pub mod manifests;
-pub mod panics;
 pub mod scan;
-pub mod spawns;
 
 use std::path::{Path, PathBuf};
 
@@ -51,10 +52,6 @@ pub struct Options {
     pub atomics: bool,
     /// Lock-hierarchy detector.
     pub locks: bool,
-    /// Panic-freedom lint.
-    pub panics: bool,
-    /// Spawn lint (compute path and service allow-list).
-    pub spawns: bool,
     /// Manifest drift guard.
     pub manifests: bool,
     /// Public-surface ratchet.
@@ -68,8 +65,6 @@ impl Options {
             alloc: true,
             atomics: true,
             locks: true,
-            panics: true,
-            spawns: true,
             manifests: true,
             api: true,
         }
@@ -118,7 +113,7 @@ pub fn run(root: &Path, opts: Options) -> Result<Report, String> {
     if opts.manifests {
         manifests::check(root, &mut report);
     }
-    if !(opts.alloc || opts.atomics || opts.locks || opts.panics || opts.spawns || opts.api) {
+    if !(opts.alloc || opts.atomics || opts.locks || opts.api) {
         return Ok(report);
     }
     let sources =
@@ -143,23 +138,6 @@ pub fn run(root: &Path, opts: Options) -> Result<Report, String> {
         for (rel, _, file) in &lexed {
             atomics::check_file(rel, file, &mut report);
         }
-    }
-    if opts.panics {
-        for (rel, _, file) in &lexed {
-            if !scan::is_bin(rel) {
-                panics::check_file(rel, file, &mut report);
-            }
-        }
-    }
-    if opts.spawns {
-        for (rel, krate, file) in &lexed {
-            if spawns::in_scope(krate, &rel.to_string_lossy().replace('\\', "/")) {
-                spawns::check_file(rel, file, &mut report);
-            }
-        }
-        let listing = std::fs::read_to_string(root.join("crates/check/spawn_sites.txt"))
-            .map_err(|e| format!("reading spawn_sites.txt: {e}"))?;
-        spawns::check_listed(&lexed, &listing, &mut report);
     }
     if opts.locks {
         let text = std::fs::read_to_string(root.join("crates/check/locks.toml"))

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p tkspmv_check -- --all            # every pass, human output
 //! cargo run -p tkspmv_check -- --all --json     # JSON findings on stdout
-//! cargo run -p tkspmv_check -- --locks --spawns # selected passes
+//! cargo run -p tkspmv_check -- --locks --api    # selected passes
 //! cargo run -p tkspmv_check -- --manifests      # drift guard only
 //! cargo run -p tkspmv_check -- --api            # public surface vs api.txt
 //! ```
@@ -18,8 +18,8 @@ use std::process::ExitCode;
 
 use tkspmv_check::{baseline, diag, find_root, run, Options};
 
-const USAGE: &str = "usage: tkspmv_check [--all] [--alloc] [--atomics] [--locks] [--panics] \
-                     [--spawns] [--manifests] [--api] [--json] [--root <dir>]";
+const USAGE: &str = "usage: tkspmv_check [--all] [--alloc] [--atomics] [--locks] [--manifests] \
+                     [--api] [--json] [--root <dir>]";
 
 fn main() -> ExitCode {
     let mut opts = Options::default();
@@ -32,8 +32,6 @@ fn main() -> ExitCode {
             "--alloc" => opts.alloc = true,
             "--atomics" => opts.atomics = true,
             "--locks" => opts.locks = true,
-            "--panics" => opts.panics = true,
-            "--spawns" => opts.spawns = true,
             "--manifests" => opts.manifests = true,
             "--api" => opts.api = true,
             "--json" => json = true,
@@ -54,14 +52,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if !(opts.alloc
-        || opts.atomics
-        || opts.locks
-        || opts.panics
-        || opts.spawns
-        || opts.manifests
-        || opts.api)
-    {
+    if !(opts.alloc || opts.atomics || opts.locks || opts.manifests || opts.api) {
         eprintln!("no passes selected\n{USAGE}");
         return ExitCode::from(2);
     }

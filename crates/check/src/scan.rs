@@ -15,7 +15,7 @@ pub const NON_CALL_WORDS: &[&str] = &[
 /// `Cargo.toml` members' bins), workspace-relative, sorted. Skips
 /// `target/`, `testdata/`, `vendor/`, and anything under `tests/`,
 /// `benches/` or `examples/` directories — the lints guard *library and
-/// binary* code; test code is free to allocate and unwrap.
+/// binary* code; test code is free to allocate.
 pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     walk(&root.join("crates"), root, &mut out)?;
@@ -47,12 +47,6 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> 
         }
     }
     Ok(())
-}
-
-/// True when `path` is a binary target (`src/bin/` or `src/main.rs`).
-pub fn is_bin(path: &Path) -> bool {
-    let s = path.to_string_lossy().replace('\\', "/");
-    s.contains("/src/bin/") || s.ends_with("/src/main.rs")
 }
 
 /// Looks for `marker` in the comments attached to the statement

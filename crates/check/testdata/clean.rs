@@ -9,8 +9,6 @@ fn annotated_paths(c: &AtomicU64) -> Vec<u32> {
     // ordering: fixture — a monotone counter nobody reads transactionally.
     c.fetch_add(1, Ordering::Relaxed);
     out.push(1);
-    // invariant: fixture — the vector was just pushed to.
-    let _ = out.first().unwrap();
     out
 }
 

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use tkspmv_check::diag::{Lint, Report};
 use tkspmv_check::lexer::lex;
-use tkspmv_check::{alloc, api, atomics, locks, panics, spawns};
+use tkspmv_check::{alloc, api, atomics, locks};
 
 fn fixture(name: &str) -> (PathBuf, String) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -52,87 +52,6 @@ fn atomics_fixture_fires_exactly_once() {
     assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
     assert_eq!(report.diagnostics[0].lint, Lint::Atomics);
     assert_eq!(report.diagnostics[0].line, marked_line(&text));
-}
-
-#[test]
-fn panics_fixture_fires_exactly_once() {
-    let (_, text) = fixture("panics_fires.rs");
-    let report = run_single_file("panics_fires.rs", panics::check_file);
-    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
-    assert_eq!(report.diagnostics[0].lint, Lint::Panic);
-    assert_eq!(report.diagnostics[0].line, marked_line(&text));
-}
-
-#[test]
-fn spawns_fixture_fires_exactly_once() {
-    let (_, text) = fixture("spawns_fires.rs");
-    let report = run_single_file("spawns_fires.rs", spawns::check_file);
-    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
-    assert_eq!(report.diagnostics[0].lint, Lint::Spawns);
-    assert_eq!(report.diagnostics[0].line, marked_line(&text));
-}
-
-/// The lint covers the compute crates and exempts only the fork-join
-/// module itself.
-#[test]
-fn spawns_lint_scope_is_the_compute_crates_minus_fanout() {
-    assert!(spawns::in_scope("core", "crates/core/src/pruned.rs"));
-    assert!(spawns::in_scope("baselines", "crates/baselines/src/cpu.rs"));
-    assert!(!spawns::in_scope("core", "crates/core/src/fanout.rs"));
-    assert!(!spawns::in_scope("serve", "crates/serve/src/service.rs"));
-}
-
-/// One thread start is missing from the fixture's allow-list; a line
-/// no start backs fires too, at its line in the list. Crates outside
-/// the service set are not the list's business.
-#[test]
-fn spawn_sites_fixture_fires_exactly_once() {
-    let (_, text) = fixture("spawn_sites_fires.rs");
-    let (_, listing) = fixture("spawn_sites_fires.txt");
-    let files = |krate: &str| {
-        let rel = PathBuf::from("testdata/spawn_sites_fires.rs");
-        vec![(rel, krate.to_string(), lex(&text))]
-    };
-    let mut report = Report::default();
-    spawns::check_listed(&files("fabric"), &listing, &mut report);
-    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
-    assert_eq!(report.diagnostics[0].lint, Lint::Spawns);
-    assert_eq!(report.diagnostics[0].line, marked_line(&text));
-    assert!(report.diagnostics[0].message.contains("::answer"));
-
-    let stale = format!(
-        "{listing}testdata/spawn_sites_fires.rs::answer # now listed\n\
-         testdata/spawn_sites_fires.rs::spawn # a second start that is not there\n"
-    );
-    let mut report = Report::default();
-    spawns::check_listed(&files("fabric"), &stale, &mut report);
-    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
-    assert_eq!(report.diagnostics[0].line, stale.lines().count());
-    assert!(report.diagnostics[0].message.contains("starts no thread"));
-
-    let mut report = Report::default();
-    spawns::check_listed(&files("eval"), "", &mut report);
-    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
-}
-
-/// The compute pool's module follows the allow-list: its listed
-/// `start` is fine, any other start is a finding, and the same file
-/// under another compute-crate path is the compute-path rule's business.
-#[test]
-fn pool_fixture_fires_exactly_once() {
-    let (_, text) = fixture("pool_fires.rs");
-    let at = |rel: &str| vec![(PathBuf::from(rel), "core".to_string(), lex(&text))];
-    let listing = "crates/core/src/fanout.rs::start  # the pool's helpers\n";
-    let mut report = Report::default();
-    spawns::check_listed(&at("crates/core/src/fanout.rs"), listing, &mut report);
-    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
-    assert_eq!(report.diagnostics[0].lint, Lint::Spawns);
-    assert_eq!(report.diagnostics[0].line, marked_line(&text));
-    assert!(report.diagnostics[0].message.contains("does not list"));
-
-    let mut report = Report::default();
-    spawns::check_listed(&at("crates/core/src/pruned.rs"), "", &mut report);
-    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
 }
 
 /// One public item is missing from the fixture's listing; a line the
@@ -221,8 +140,6 @@ fn clean_fixture_passes_every_lint() {
     let mut report = Report::default();
     alloc::check_file(&path, &file, &mut report);
     atomics::check_file(&path, &file, &mut report);
-    panics::check_file(&path, &file, &mut report);
-    spawns::check_file(&path, &file, &mut report);
     assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
     assert_eq!(api::items("fixture", &file), Vec::new());
 }

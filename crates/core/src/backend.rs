@@ -185,8 +185,10 @@ pub trait TopKBackend: Send + Sync {
     /// validation reports.
     ///
     /// [`family`]: TopKBackend::family
-    // The backend is the factory here: `&self` decides what is adopted.
-    #[allow(clippy::wrong_self_convention)]
+    #[expect(
+        clippy::wrong_self_convention,
+        reason = "the backend is the factory here: `&self` decides what is adopted"
+    )]
     fn from_snapshot(&self, snapshot: Snapshot) -> Result<PreparedMatrix, SnapshotError> {
         check_family(&snapshot.family, &[&self.family()])?;
         match snapshot.payload {
@@ -616,7 +618,7 @@ impl QueryBatch {
     }
 
     /// Number of queries in the batch (always at least 1).
-    #[allow(clippy::len_without_is_empty)] // non-empty by construction
+    #[expect(clippy::len_without_is_empty, reason = "non-empty by construction")]
     pub fn len(&self) -> usize {
         self.queries.len()
     }
@@ -851,6 +853,10 @@ impl TopKBackend for Accelerator {
     /// [`EngineError::BadQuery`] if the vector length does not match,
     /// `k` is zero, or the per-core depth times the partition count
     /// cannot cover `k`.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: a validated one-query batch yields exactly one result"
+    )]
     fn query(
         &self,
         matrix: &PreparedMatrix,
@@ -859,7 +865,6 @@ impl TopKBackend for Accelerator {
     ) -> Result<QueryResult, EngineError> {
         let loaded = checked_loaded(self, matrix)?;
         let mut results = self.answer(&loaded, std::slice::from_ref(x), k)?;
-        // invariant: a validated one-query batch yields exactly one result
         Ok(results.pop().expect("one result per query"))
     }
 

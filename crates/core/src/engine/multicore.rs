@@ -46,6 +46,10 @@ thread_local! {
 ///
 /// `f` must not re-enter the engine on this thread (it walks one
 /// partition), or the shelf would be borrowed twice.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: `slot` was found (or pushed) as a `BatchScratch<S>`"
+)]
 fn with_scratch<S: SpmvScalar, R>(f: impl FnOnce(&mut BatchScratch<S>) -> R) -> R {
     SHELF.with_borrow_mut(|shelf| {
         let slot = match shelf.iter().position(|s| s.is::<BatchScratch<S>>()) {
@@ -57,7 +61,6 @@ fn with_scratch<S: SpmvScalar, R>(f: impl FnOnce(&mut BatchScratch<S>) -> R) -> 
             }
         };
         let scratch = shelf[slot].downcast_mut::<BatchScratch<S>>();
-        // invariant: `slot` was found (or pushed) as a `BatchScratch<S>`
         f(scratch.expect("the shelf slot holds this scalar's scratch"))
     })
 }

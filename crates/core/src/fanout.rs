@@ -35,9 +35,12 @@
 //!
 //! The accelerator engine (tasks = partitions), the pruned tier's
 //! low-bit scoring pass, the CPU baseline (tasks = row ranges) and the
-//! serving batcher (tasks = shards) all fan out through here;
-//! `tkspmv_check --spawns` rejects a thread start anywhere else in the
-//! compute crates, and anywhere in this file but the pool's `start`.
+//! serving batcher (tasks = shards) all fan out through here. Every
+//! other module of the compute crates forbids `clippy::disallowed_methods`
+//! (the thread starts the root `clippy.toml` names), so a thread start
+//! there fails clippy even with an `#[expect]`; in this file only the
+//! pool's `start` carries one, and CI's lib-only clippy step rejects
+//! any other.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -446,11 +449,16 @@ impl Pool {
 /// catches it for the caller).
 // alloc-ok(fn): once per helper per process.
 fn start(pool: &'static Pool, index: usize) {
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::expect_used,
+        reason = "long-lived: the compute pool's resident helpers, host_parallelism() − 1 per \
+                  process; invariant: spawn fails only on OS thread exhaustion, and a fan-out that \
+                  asked for this participant cannot run without it"
+    )]
     std::thread::Builder::new()
         .name(format!("tkspmv-compute-{index}"))
         .spawn(move || pool.helper_loop())
-        // invariant: spawn fails only on OS thread exhaustion; a fan-out
-        // that asked for this participant cannot run without it
         .expect("start a compute pool helper");
 }
 

@@ -75,21 +75,37 @@
 //! # Ok::<(), tkspmv::EngineError>(())
 //! ```
 
+// No thread starts but the compute pool's: every module except `fanout`.
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod accelerator;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 pub mod approx;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod axi;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 pub mod backend;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 pub mod engine;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod error;
 pub mod fanout;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod hbm;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 pub mod hw;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod math;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod perf;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod pruned;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod resources;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod roofline;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod topk;
+#[cfg_attr(not(test), forbid(clippy::disallowed_methods))]
 mod uram;
 
 pub use accelerator::{Accelerator, AcceleratorBuilder, AcceleratorConfig, LoadedMatrix};

@@ -17,7 +17,7 @@ pub fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     // Coefficients for g = 7.
     const G: f64 = 7.0;
-    #[allow(clippy::excessive_precision)] // published Lanczos constants
+    #[expect(clippy::excessive_precision, reason = "published Lanczos constants")]
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_93,
         676.520_368_121_885_1,

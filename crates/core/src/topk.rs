@@ -477,7 +477,7 @@ mod tests {
             let merged = TopKResult::merge_pairs(reversed.clone(), 3);
             assert_eq!(merged.indices(), expected, "order {reversed:?}");
         }
-        // And it is grouping-invariant: merging pre-merged halves (the
+        // And grouping does not matter: merging pre-merged halves (the
         // cross-shard picture) equals the flat merge.
         let left = TopKResult::merge_pairs(pairs[..2].to_vec(), 3);
         let right = TopKResult::merge_pairs(pairs[2..].to_vec(), 3);

@@ -115,6 +115,10 @@ pub fn choose_precision(
 
 /// Deterministically samples `rows` rows of `csr` (without replacement)
 /// into a smaller collection with the same column space.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: triplets are re-rowed entries of a valid Csr with the same column count"
+)]
 fn sample_matrix(csr: &Csr, rows: usize, seed: u64) -> Csr {
     if rows >= csr.num_rows() {
         return csr.clone();
@@ -129,7 +133,6 @@ fn sample_matrix(csr: &Csr, rows: usize, seed: u64) -> Csr {
                 .map(move |(c, v)| (new_r as u32, c, v))
         })
         .collect();
-    // invariant: triplets are re-rowed entries of a valid Csr with the same column count
     Csr::from_triplets(rows, csr.num_cols(), &triplets).expect("sampled rows stay valid")
 }
 

@@ -29,6 +29,10 @@ pub fn fpga(precision: Precision) -> Box<dyn TopKBackend> {
 /// # Panics
 ///
 /// Panics if the design does not build (zero `r`, for example).
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: the fixed paper-point configuration always validates"
+)]
 pub(crate) fn fpga_with_rows_per_packet(
     precision: Precision,
     rows_per_packet: Option<u32>,
@@ -37,7 +41,6 @@ pub(crate) fn fpga_with_rows_per_packet(
     if let Some(r) = rows_per_packet {
         builder = builder.rows_per_packet(r);
     }
-    // invariant: the fixed paper-point configuration always validates
     Box::new(builder.build().expect("paper design builds"))
 }
 

@@ -170,6 +170,10 @@ pub(crate) fn table3_specs() -> Vec<DatasetSpec> {
 /// speedup experiments, which the paper reports per group). Synthetic
 /// groups are represented by their left-skewed Γ matrix (the harder
 /// case for row tracking); the GloVe group by its only member.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: the group list is derived from the spec table, so a spec exists"
+)]
 pub fn group_representatives() -> Vec<DatasetSpec> {
     let specs = table3_specs();
     DatasetGroup::ALL
@@ -180,7 +184,6 @@ pub fn group_representatives() -> Vec<DatasetSpec> {
                 .find(|s| s.group == *g && s.kind == DatasetKind::Gamma)
                 .or_else(|| specs.iter().find(|s| s.group == *g))
                 .copied()
-                // invariant: the group list is derived from the spec table, so a spec exists
                 .expect("every group has at least one spec")
         })
         .collect()
@@ -201,7 +204,10 @@ fn uniform_name(rows: usize, avg: usize, m: usize) -> &'static str {
         (15_000_000, 20, 1024) => "uniform-1.5e7-20nnz-m1024",
         (15_000_000, 40, 512) => "uniform-1.5e7-40nnz-m512",
         (15_000_000, 40, 1024) => "uniform-1.5e7-40nnz-m1024",
-        // invariant: callers pass only combinations present in the spec table
+        #[expect(
+            clippy::unreachable,
+            reason = "invariant: callers pass only combinations present in the spec table"
+        )]
         _ => unreachable!("unknown uniform combination"),
     }
 }
@@ -214,7 +220,10 @@ fn gamma_name(rows: usize, avg: usize) -> &'static str {
         (10_000_000, 40) => "gamma-1e7-40nnz",
         (15_000_000, 20) => "gamma-1.5e7-20nnz",
         (15_000_000, 40) => "gamma-1.5e7-40nnz",
-        // invariant: callers pass only combinations present in the spec table
+        #[expect(
+            clippy::unreachable,
+            reason = "invariant: callers pass only combinations present in the spec table"
+        )]
         _ => unreachable!("unknown gamma combination"),
     }
 }

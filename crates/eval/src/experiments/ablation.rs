@@ -37,10 +37,14 @@ pub struct RSweepRow {
 }
 
 /// Sweeps `r` from 1 to `B` on the paper's 20-bit design.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: experiment driver; the paper's grid solves and the accelerator reports \
+              per-core stats; a failed prepare or query invalidates the run, so it fails loudly"
+)]
 pub fn run_r_sweep(config: &ExpConfig) -> Vec<RSweepRow> {
     let spec = group_representatives()[0];
     let csr = spec.generate(config.scale_divisor);
-    // invariant: the paper grid (m <= 65536, 20-bit values) always admits a layout
     let layout = PacketLayout::solve(csr.num_cols(), 20).expect("layout fits");
     let b = layout.entries_per_packet();
     let model = ResourceModel::alveo_u280();
@@ -51,7 +55,6 @@ pub fn run_r_sweep(config: &ExpConfig) -> Vec<RSweepRow> {
             continue;
         }
         let backend = backends::fpga_with_rows_per_packet(Precision::Fixed20, Some(r));
-        // invariant: experiment driver; a failed prepare invalidates the run, so fail loudly
         let prepared = backend.prepare(&csr).expect("matrix loads");
         let mut samples = Vec::new();
         let mut dropped = 0u64;
@@ -59,13 +62,11 @@ pub fn run_r_sweep(config: &ExpConfig) -> Vec<RSweepRow> {
         for q in 0..config.queries.max(1) {
             let x = query_vector(csr.num_cols(), config.seed + 17 * q as u64);
             let truth = exact_topk(&csr, x.as_slice(), 100);
-            // invariant: experiment driver; a failed query invalidates the run, so fail loudly
             let out = backend.query(&prepared, &x, 100).expect("query runs");
             samples.push(RankingQuality::score(&out.topk.indices(), truth.entries()));
             let cores = out
                 .stats
                 .core_stats()
-                // invariant: the accelerator backend always reports per-core stats
                 .expect("accelerator reports per-core stats");
             dropped += cores.iter().map(|s| s.rows_dropped).sum::<u64>();
             finished += cores
@@ -129,11 +130,14 @@ pub struct LayoutRow {
 }
 
 /// Tabulates `B(V, M)` across the §IV-C design space.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: the swept grid stays within the layout solver's field widths"
+)]
 pub fn run_layout_sweep() -> Vec<LayoutRow> {
     let mut rows = Vec::new();
     for &v in &[16u32, 20, 25, 32] {
         for &m in &[512usize, 1024, 4096, 65536] {
-            // invariant: the swept grid stays within the layout solver's field widths
             let layout = PacketLayout::solve(m, v).expect("layout fits");
             rows.push(LayoutRow {
                 value_bits: v,

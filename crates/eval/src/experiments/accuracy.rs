@@ -32,6 +32,11 @@ pub struct AccuracyRow {
 }
 
 /// Runs the Figure 7 sweep: 4 groups × 6 K values × the roster.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: experiment driver; FIGURE7_KS is a non-empty constant; a failed prepare \
+              or query invalidates the run, so it fails loudly"
+)]
 pub fn run(config: &ExpConfig) -> Vec<AccuracyRow> {
     let roster = backends::figure7_roster();
     let queries = config.queries.max(1);
@@ -43,7 +48,6 @@ pub fn run(config: &ExpConfig) -> Vec<AccuracyRow> {
         // per query serves every K by truncation. Computing it here
         // (instead of per backend per K) removes the slowest single step
         // of the sweep from both inner loops.
-        // invariant: FIGURE7_KS is a non-empty constant
         let max_k = *FIGURE7_KS.iter().max().expect("non-empty K sweep");
         let xs: Vec<_> = (0..queries)
             .map(|q| query_vector(csr.num_cols(), config.seed + 31 * q as u64))
@@ -59,12 +63,10 @@ pub fn run(config: &ExpConfig) -> Vec<AccuracyRow> {
         for backend in &roster {
             // One prepare per (dataset, backend); the whole K sweep and
             // every query reuse it.
-            // invariant: experiment driver; a failed prepare invalidates the run, so fail loudly
             let prepared = backend.prepare(&csr).expect("backend prepares");
             for (truth_per_query, &k) in truths.iter().zip(&FIGURE7_KS) {
                 let mut samples = Vec::with_capacity(queries);
                 for (x, truth) in xs.iter().zip(truth_per_query) {
-                    // invariant: experiment driver; a failed query invalidates the run, so fail loudly
                     let out = backend.query(&prepared, x, k).expect("backend query runs");
                     samples.push(RankingQuality::score(&out.topk.indices(), truth.entries()));
                 }

@@ -31,7 +31,11 @@ pub fn run(config: &ExpConfig) -> Vec<DatasetRow> {
         .iter()
         .map(|spec| {
             let csr = spec.generate(config.scale_divisor);
-            // invariant: the paper grid (m <= 65536, 20-bit values) always admits a layout
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: the paper grid (m <= 65536, 20-bit values) always admits a \
+                          layout"
+            )]
             let layout = PacketLayout::solve(csr.num_cols(), 20).expect("layout fits");
             let bs = BsCsr::encode::<Q1_19>(&csr, layout);
             let factor = (spec.full_rows / csr.num_rows().max(1)) as u64;

@@ -37,7 +37,10 @@ fn coo_row(format: &'static str, entry_bits: u32, naive_entries: u32) -> Packing
 /// naive COO (32-bit row, column and value: 96 bits per entry),
 /// optimised COO (32-bit row, 10-bit column, 20-bit value) and BS-CSR.
 pub fn run() -> Vec<PackingRow> {
-    // invariant: the paper layout (m = 1024, 20-bit values) always solves
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the paper layout (m = 1024, 20-bit values) always solves"
+    )]
     let bscsr = PacketLayout::solve(1024, 20).expect("paper layout fits");
     let naive = PACKET_BITS as u32 / 96;
     vec![

@@ -33,6 +33,12 @@ pub fn bandwidth_series() -> Vec<(u32, Vec<(u32, f64)>)> {
 
 /// Figure 6b: architecture points (measured/modelled performance at
 /// their operational intensity).
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: experiment driver; the paper's designs build, its grid solves and an \
+              accelerator result carries its perf model; a failed prepare or query invalidates the \
+              run, so it fails loudly"
+)]
 pub fn architecture_points(config: &ExpConfig) -> Vec<RooflinePoint> {
     let spec = group_representatives()[1]; // N = 10^7 panel
     let csr = spec.generate(config.scale_divisor);
@@ -46,7 +52,6 @@ pub fn architecture_points(config: &ExpConfig) -> Vec<RooflinePoint> {
     // pointers, OI ~ 1/8.5 nnz/byte; bandwidth roof from a typical
     // 2-socket server (~200 GB/s).
     let cpu = CpuTopK::with_all_cores();
-    // invariant: experiment driver; a failed query invalidates the run, so fail loudly
     let cpu_run = cpu
         .prepare(&csr)
         .and_then(|m| cpu.query(&m, &x, 100))
@@ -73,16 +78,11 @@ pub fn architecture_points(config: &ExpConfig) -> Vec<RooflinePoint> {
             .cores(32)
             .k(8)
             .build()
-            // invariant: the fixed paper configuration always builds
             .expect("paper design builds");
-        // invariant: experiment driver; a failed load invalidates the run, so fail loudly
         let m = acc.prepare(&csr).expect("matrix loads");
-        // invariant: experiment driver; a failed query invalidates the run, so fail loudly
         let out = acc.query(&m, &x, 100).expect("query runs");
-        // invariant: an accelerator result always carries its perf model
         let report = out.stats.perf_report().expect("FPGA perf report");
         let layout =
-            // invariant: the paper grid stays within the layout solver's field widths
             PacketLayout::solve(csr.num_cols(), precision.value_bits()).expect("layout fits");
         let roof = Roofline::new(hbm.effective_bandwidth(32), layout.operational_intensity());
         points.push(RooflinePoint {

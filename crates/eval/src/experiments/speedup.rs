@@ -125,7 +125,10 @@ pub fn run(config: &ExpConfig) -> Result<Vec<SpeedupRow>, EvalError> {
             if current.as_ref().is_none_or(|(f, _)| *f != family) {
                 current = Some((family.clone(), backend.prepare(&csr)?));
             }
-            // invariant: filled by the branch directly above
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: filled by the branch directly above"
+            )]
             let prepared = &current.as_ref().expect("just prepared").1;
             let out = backend.query(prepared, &x, FIGURE5_K)?;
             // GPU runs also yield the paper's idealised zero-cost-sort

@@ -11,12 +11,10 @@ use std::time::{Duration, Instant};
 
 use tkspmv::backend::QueryTier;
 
-use tkspmv_obs::TraceId;
+use tkspmv_obs::{SpanRecord, TraceId};
 
 use crate::error::RpcError;
-use crate::wire::{
-    read_response, write_request, NodeInfo, Request, Response, WireError, WireTrace,
-};
+use crate::wire::{read_response, write_request, NodeInfo, Request, Response, WireError};
 use crate::SparseRow;
 
 /// A blocking connection to one fabric node.
@@ -25,9 +23,9 @@ pub struct NodeClient {
     peer: SocketAddr,
 }
 
-/// A traced ranking: the entries plus the node's per-stage span report
-/// when the query carried a non-zero trace id.
-pub type TracedRanking = (Vec<(u32, f64)>, Option<WireTrace>);
+/// A traced ranking: the entries plus the node's span record, filed
+/// under the query's trace id, when that id was non-zero.
+pub type TracedRanking = (Vec<(u32, f64)>, Option<SpanRecord>);
 
 /// What a typed call can report: a transport/protocol failure or a
 /// node-side [`RpcError`].
@@ -159,8 +157,9 @@ impl NodeClient {
     }
 
     /// [`NodeClient::query`] with a distributed trace id. A non-zero id
-    /// asks the node to report its per-stage spans alongside the
-    /// ranking; `None` comes back for untraced queries.
+    /// asks the node to report its span record alongside the ranking;
+    /// the record comes back under that id. `None` comes back for
+    /// untraced queries.
     pub fn query_traced(
         &mut self,
         x: &[f32],
@@ -176,7 +175,15 @@ impl NodeClient {
             trace,
         };
         match self.call(&req, deadline)? {
-            Response::TopK { entries, trace } => Ok((entries, trace)),
+            Response::TopK {
+                entries,
+                trace: mut rec,
+            } => {
+                if let Some(rec) = &mut rec {
+                    rec.trace_id = trace;
+                }
+                Ok((entries, rec))
+            }
             Response::Error(e) => Err(CallError::Rpc(e)),
             other => Err(unexpected(&other, "TopK")),
         }

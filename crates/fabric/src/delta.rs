@@ -29,6 +29,7 @@ use std::time::Duration;
 
 use tkspmv::backend::QueryTier;
 use tkspmv::{EngineError, TopKResult};
+use tkspmv_obs::TraceId;
 use tkspmv_serve::{ServeError, StageBreakdown, TopKService};
 use tkspmv_sparse::{exact_dot, Csr, DenseVector};
 
@@ -123,7 +124,9 @@ impl DeltaCollection {
     /// where the time went: the served request's [`StageBreakdown`]
     /// (delta scoring and the final merge folded into its merge stage)
     /// and the collection-level end-to-end latency. A fabric node sends
-    /// the ranking and, for a traced query, the other two.
+    /// the ranking and, for a traced query, the other two. The served
+    /// request files its span record under `trace` in the service's
+    /// ring ([`TraceId::ZERO`] when untraced).
     ///
     /// Delta rows bypass the prune pass regardless of tier: they are
     /// few, unprepared, and scored exactly — a pruned-tier answer can
@@ -139,6 +142,7 @@ impl DeltaCollection {
         x: DenseVector,
         k: usize,
         tier: QueryTier,
+        trace: TraceId,
     ) -> Result<(TopKResult, StageBreakdown, Duration), ServeError> {
         let started = std::time::Instant::now();
         check_query(self.service.dim(), x.len(), k, tier).map_err(ServeError::BadRequest)?;
@@ -162,7 +166,7 @@ impl DeltaCollection {
                 .collect()
         };
         let delta_scoring = delta_started.elapsed();
-        let served = self.service.query_tiered(x, k, tier)?;
+        let served = self.service.query_tiered(x, k, tier, trace)?;
         let merge_started = std::time::Instant::now();
         let base_pairs = served
             .topk
@@ -310,6 +314,12 @@ impl Compactor {
             cv: Condvar::new(),
         });
         let thread_stop = Arc::clone(&stop);
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::expect_used,
+            reason = "long-lived: the compactor, one per collection; invariant: spawn fails only \
+                      on OS thread exhaustion, and the fabric cannot run without its compactor"
+        )]
         let handle = std::thread::Builder::new()
             .name("tkspmv-fabric-compactor".to_string())
             .spawn(move || {
@@ -341,7 +351,6 @@ impl Compactor {
                     }
                 }
             })
-            // invariant: spawn fails only on OS thread exhaustion; the fabric cannot run without its compactor
             .expect("spawn compactor thread");
         Self {
             stop,
@@ -405,7 +414,9 @@ mod tests {
         assert_eq!(ids, vec![104]);
         let mut x = DenseVector::zeros(8);
         x.as_mut_slice()[7] = 1.0;
-        let (topk, ..) = c.query(x, 2, QueryTier::Exact).expect("query");
+        let (topk, ..) = c
+            .query(x, 2, QueryTier::Exact, TraceId::ZERO)
+            .expect("query");
         assert_eq!(topk.entries()[0], (104, 5.0));
     }
 
@@ -416,14 +427,18 @@ mod tests {
             .expect("append");
         let mut x = DenseVector::zeros(8);
         x.as_mut_slice()[7] = 1.0;
-        let (before, ..) = c.query(x.clone(), 3, QueryTier::Exact).expect("query");
+        let (before, ..) = c
+            .query(x.clone(), 3, QueryTier::Exact, TraceId::ZERO)
+            .expect("query");
         let epoch0 = c.service().epoch();
         let (epoch, folded) = c.compact_once().expect("compact");
         assert_eq!(folded, 2);
         assert!(epoch > epoch0);
         assert_eq!(c.delta_rows(), 0);
         assert_eq!(c.base_rows(), 6);
-        let (after, ..) = c.query(x, 3, QueryTier::Exact).expect("query");
+        let (after, ..) = c
+            .query(x, 3, QueryTier::Exact, TraceId::ZERO)
+            .expect("query");
         assert_eq!(before.entries(), after.entries());
     }
 
@@ -443,7 +458,9 @@ mod tests {
         let row: SparseRow = ((0..DIM as u32).step_by(2).collect(), vec![0.5; DIM / 2]);
         c.append(&vec![row; 2_000]).expect("append");
         let x = DenseVector::from_values(vec![1.0; DIM]);
-        let (topk, stages, total) = c.query(x, 5, QueryTier::Exact).expect("query");
+        let (topk, stages, total) = c
+            .query(x, 5, QueryTier::Exact, TraceId::ZERO)
+            .expect("query");
         assert_eq!(topk.len(), 5);
         let covered = stages.stages().total();
         assert!(
@@ -460,7 +477,7 @@ mod tests {
         let ids = c.append(&[(vec![], vec![])]).expect("append");
         let score_bits = || {
             let (topk, ..) = c
-                .query(DenseVector::zeros(8), 5, QueryTier::Exact)
+                .query(DenseVector::zeros(8), 5, QueryTier::Exact, TraceId::ZERO)
                 .expect("query");
             let entry = topk.entries().iter().find(|e| e.0 == ids[0]);
             entry.expect("empty row ranked").1.to_bits()
@@ -490,7 +507,9 @@ mod tests {
         assert_eq!(c.base_rows(), 3);
         let mut x = DenseVector::zeros(4);
         x.as_mut_slice()[1] = 1.0;
-        let (topk, ..) = c.query(x, 1, QueryTier::Exact).expect("query");
+        let (topk, ..) = c
+            .query(x, 1, QueryTier::Exact, TraceId::ZERO)
+            .expect("query");
         assert_eq!(topk.entries()[0], (3, 8.0));
     }
 
@@ -509,12 +528,16 @@ mod tests {
         assert_eq!(c.delta_rows(), 1);
         let mut x = DenseVector::zeros(4);
         x.as_mut_slice()[2] = 1.0;
-        let (topk, ..) = c.query(x.clone(), 1, QueryTier::Exact).expect("query");
+        let (topk, ..) = c
+            .query(x.clone(), 1, QueryTier::Exact, TraceId::ZERO)
+            .expect("query");
         assert_eq!(topk.entries()[0], (2, 7.0));
         // The next run completes the fold.
         let (_, folded) = c.compact_once().expect("recovery compact");
         assert_eq!(folded, 1);
-        let (topk, ..) = c.query(x, 1, QueryTier::Exact).expect("query");
+        let (topk, ..) = c
+            .query(x, 1, QueryTier::Exact, TraceId::ZERO)
+            .expect("query");
         assert_eq!(topk.entries()[0], (2, 7.0));
     }
 

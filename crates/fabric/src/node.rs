@@ -22,12 +22,10 @@ use tkspmv_sparse::DenseVector;
 
 use crate::delta::DeltaCollection;
 use crate::error::RpcError;
-use crate::wire::{
-    read_request, write_response, NodeInfo, Request, Response, WireError, WireTrace,
-};
+use crate::wire::{read_request, write_response, NodeInfo, Request, Response, WireError};
 
 /// Maps a serving-layer failure to its wire-typed form.
-pub fn rpc_error_from_serve(e: &ServeError) -> RpcError {
+fn rpc_error_from_serve(e: &ServeError) -> RpcError {
     match e {
         ServeError::QueueFull { .. } => RpcError::Overloaded,
         ServeError::ShuttingDown => RpcError::ShuttingDown,
@@ -73,22 +71,11 @@ impl NodeShared {
             Request::Ping => Response::Pong,
             Request::Info => Response::Info(self.info()),
             Request::Query { x, k, tier, trace } => {
-                match self
-                    .collection
-                    .query(DenseVector::from_values(x), k as usize, tier)
-                {
+                let x = DenseVector::from_values(x);
+                match self.collection.query(x, k as usize, tier, trace) {
                     Ok((topk, stages, total)) => {
-                        let trace = (!trace.is_zero()).then(|| {
-                            let rec = stages.stages().to_span_record(trace, total);
-                            // Re-record under the wire-propagated id so
-                            // the node's own span ring is searchable by
-                            // trace id, not just the router's tree.
-                            self.collection.service().record_span(&rec);
-                            WireTrace {
-                                total_us: rec.total_us,
-                                stages: rec.spans().to_vec(),
-                            }
-                        });
+                        let trace = (!trace.is_zero())
+                            .then(|| stages.stages().to_span_record(trace, total));
                         Response::TopK {
                             entries: topk.entries().to_vec(),
                             trace,
@@ -160,6 +147,10 @@ impl NodeServer {
         let handler_handles = Arc::new(Mutex::new(Vec::new()));
         let accept_shared = Arc::clone(&shared);
         let accept_handlers = Arc::clone(&handler_handles);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "long-lived: the accept loop, one per node server"
+        )]
         let accept_handle = std::thread::Builder::new()
             .name(format!("tkspmv-node-accept-{}", local_addr.port()))
             .spawn(move || accept_loop(&listener, &accept_shared, &accept_handlers))?;
@@ -232,6 +223,10 @@ fn accept_loop(
                     lock(&shared.conns).push(clone);
                 }
                 let conn_shared = Arc::clone(shared);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "long-lived: the connection handler, one per client connection"
+                )]
                 let handle = std::thread::Builder::new()
                     .name("tkspmv-node-conn".to_string())
                     .spawn(move || connection_loop(stream, &conn_shared));

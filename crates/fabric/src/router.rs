@@ -55,12 +55,12 @@ use std::time::{Duration, Instant};
 
 use tkspmv::backend::QueryTier;
 use tkspmv::TopKResult;
-use tkspmv_obs::{Counter, QueryTrace, Registry, SpanNode, Stage, StageSpan, TraceId};
+use tkspmv_obs::{Counter, QueryTrace, Registry, SpanNode, SpanRecord, Stage, StageSpan, TraceId};
 
 use crate::client::{CallError, NodeClient};
 use crate::delta::check_query;
 use crate::error::{FabricError, RpcError, ShardFailure};
-use crate::wire::{NodeInfo, WireTrace};
+use crate::wire::NodeInfo;
 use crate::SparseRow;
 
 /// Assembled traces the router keeps for the dump tool (`/traces`).
@@ -304,7 +304,10 @@ impl ReplicaPool {
             if guard.is_none() {
                 *guard = Some(NodeClient::connect(self.addr.as_str(), connect_timeout)?);
             }
-            // invariant: the slot is filled two lines above when it was empty
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: the slot is filled two lines above when it was empty"
+            )]
             let result = f(guard.as_mut().expect("slot filled above"));
             if matches!(result, Err(CallError::Wire(_))) {
                 *guard = None;
@@ -526,6 +529,13 @@ impl Router {
             let remaining = deadline
                 .saturating_sub(start.elapsed())
                 .max(Duration::from_millis(1));
+            #[expect(
+                clippy::disallowed_methods,
+                clippy::expect_used,
+                reason = "request path: one thread per replica attempt, the fan-out's only thread \
+                          start; invariant: spawn fails only on OS thread exhaustion, and the \
+                          attempt is lost without its thread"
+            )]
             std::thread::Builder::new()
                 .name("tkspmv-router-attempt".to_string())
                 .spawn(move || {
@@ -546,7 +556,6 @@ impl Router {
                         }),
                     ));
                 })
-                // invariant: spawn fails only on OS thread exhaustion; the attempt is lost without its thread
                 .expect("spawn attempt thread");
         };
 
@@ -666,8 +675,12 @@ impl Router {
     /// highest row range — the only place appends keep global ids
     /// contiguous). Every replica of the group must admit the rows with
     /// the same ids; the ids are returned.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: RouterConfig validation rejects an empty shard list and a group \
+                  without replicas, so `tail` exists and the loop assigns `agreed`"
+    )]
     pub fn append(&self, rows: &[SparseRow]) -> Result<Vec<u32>, FabricError> {
-        // invariant: RouterConfig validation rejects an empty shard list
         let tail = self.shards.last().expect("validated non-empty");
         let mut agreed: Option<Vec<u32>> = None;
         for pool in &tail.pools {
@@ -688,7 +701,6 @@ impl Router {
                 }
             }
         }
-        // invariant: validation guarantees at least one replica per group, so the loop assigned it
         Ok(agreed.expect("validated non-empty replica set"))
     }
 
@@ -706,7 +718,11 @@ impl Router {
                     first = Some(r);
                 }
             }
-            // invariant: validation guarantees at least one replica per group, so the loop assigned it
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: validation guarantees at least one replica per group, so the \
+                          loop assigned it"
+            )]
             results.push(first.expect("validated non-empty replica set"));
         }
         Ok(results)
@@ -722,7 +738,7 @@ struct ShardAnswer {
     entries: Vec<(u32, f64)>,
     sent_us: u32,
     rtt_us: u32,
-    node_trace: Option<WireTrace>,
+    node_trace: Option<SpanRecord>,
 }
 
 /// One shard group's progress through a fan-out.
@@ -804,12 +820,12 @@ fn assemble_trace(
                 dur_us: rtt_us - node_total,
             });
         }
-        if let Some(wire_trace) = &a.node_trace {
+        if let Some(node_trace) = &a.node_trace {
             let mut node = SpanNode::new("node", rtt_us - node_total, node_total);
             // A budget caps the stage sum at the node interval even if a
             // peer reports overlapping spans.
             let mut budget = node_total;
-            for s in &wire_trace.stages {
+            for s in node_trace.spans() {
                 let start_us = s.start_us.min(node_total);
                 let dur_us = s.dur_us.min(node_total - start_us).min(budget);
                 budget -= dur_us;

@@ -36,7 +36,7 @@
 use std::io::{Read, Write};
 
 use tkspmv::backend::QueryTier;
-use tkspmv_obs::{Stage, StageSpan, TraceId, MAX_SPANS_PER_RECORD};
+use tkspmv_obs::{SpanRecord, Stage, StageSpan, TraceId, MAX_SPANS_PER_RECORD};
 use tkspmv_sparse::codec::{crc32, CodecError, CrcIo, Reader};
 
 use crate::error::RpcError;
@@ -579,18 +579,6 @@ impl Request {
     }
 }
 
-/// A node's stage-span report for one traced query, as carried on a
-/// `TopK` frame. Span offsets are relative to the node's own query
-/// start; the router re-bases them into its wire round-trip interval
-/// when assembling the cross-node tree.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireTrace {
-    /// The node's end-to-end latency for the query, microseconds.
-    pub total_us: u32,
-    /// The node's stage spans, pipeline order.
-    pub stages: Vec<StageSpan>,
-}
-
 /// A node → client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -604,9 +592,13 @@ pub enum Response {
     TopK {
         /// `(global row id, score)` pairs, best first.
         entries: Vec<(u32, f64)>,
-        /// The node's stage spans for a traced query; `None` when the
-        /// query was untraced.
-        trace: Option<WireTrace>,
+        /// The node's span record for a traced query; `None` when the
+        /// query was untraced. Span offsets are relative to the node's
+        /// own query start; the router re-bases them into its wire
+        /// round-trip interval when assembling the cross-node tree. The
+        /// frame does not carry the trace id: a decoded record holds
+        /// [`TraceId::ZERO`] until the caller fills in the id it sent.
+        trace: Option<SpanRecord>,
     },
     /// Rows admitted to the delta shard, with their assigned global ids.
     AppendOk {
@@ -656,9 +648,8 @@ impl Response {
                     Some(t) => {
                         body.push(1);
                         body.extend_from_slice(&t.total_us.to_le_bytes());
-                        let n = t.stages.len().min(MAX_SPANS_PER_RECORD);
-                        body.push(n as u8);
-                        for s in t.stages.iter().take(n) {
+                        body.push(t.spans().len() as u8);
+                        for s in t.spans() {
                             body.push(s.stage as u8);
                             body.extend_from_slice(&s.start_us.to_le_bytes());
                             body.extend_from_slice(&s.dur_us.to_le_bytes());
@@ -738,23 +729,25 @@ impl Response {
                         )));
                     }
                     r.expect_elems(count, 9, "trace spans")?;
-                    let mut stages = Vec::with_capacity(count);
+                    let mut rec = SpanRecord::new(TraceId::ZERO, total_us);
                     for _ in 0..count {
                         let tag = r.u8("span stage")?;
                         let start_us = r.u32("span start")?;
                         let dur_us = r.u32("span duration")?;
                         // A newer peer may report stages this build does
                         // not know; skip them rather than failing the
-                        // whole answer.
+                        // whole answer. Not `push`: a zero-duration span
+                        // the peer sent is kept.
                         if let Some(stage) = Stage::from_u8(tag) {
-                            stages.push(StageSpan {
+                            rec.spans[usize::from(rec.len)] = StageSpan {
                                 stage,
                                 start_us,
                                 dur_us,
-                            });
+                            };
+                            rec.len += 1;
                         }
                     }
-                    Some(WireTrace { total_us, stages })
+                    Some(rec)
                 } else {
                     None
                 };
@@ -885,21 +878,7 @@ mod tests {
         });
         roundtrip_response(Response::TopK {
             entries: vec![(1, 2.5)],
-            trace: Some(WireTrace {
-                total_us: 950,
-                stages: vec![
-                    StageSpan {
-                        stage: Stage::Queue,
-                        start_us: 0,
-                        dur_us: 120,
-                    },
-                    StageSpan {
-                        stage: Stage::Score,
-                        start_us: 120,
-                        dur_us: 700,
-                    },
-                ],
-            }),
+            trace: Some(two_span_record()),
         });
         roundtrip_response(Response::AppendOk {
             ids: vec![100, 101],
@@ -998,6 +977,14 @@ mod tests {
             .collect()
     }
 
+    /// A decoded node trace: 950 µs total, queue then score.
+    fn two_span_record() -> SpanRecord {
+        let mut rec = SpanRecord::new(TraceId::ZERO, 950);
+        rec.push(Stage::Queue, 0, 120);
+        rec.push(Stage::Score, 120, 700);
+        rec
+    }
+
     /// One `Query` and one `TopK` frame against the bytes the commit
     /// before the codec extraction produced for them.
     #[test]
@@ -1024,21 +1011,7 @@ mod tests {
 
         let topk = Response::TopK {
             entries: vec![(42, 0.987654321), (7, 0.5)],
-            trace: Some(WireTrace {
-                total_us: 950,
-                stages: vec![
-                    StageSpan {
-                        stage: Stage::Queue,
-                        start_us: 0,
-                        dur_us: 120,
-                    },
-                    StageSpan {
-                        stage: Stage::Score,
-                        start_us: 120,
-                        dur_us: 700,
-                    },
-                ],
-            }),
+            trace: Some(two_span_record()),
         };
         let golden = unhex(concat!(
             "544b46420200060034000000020000002a000000b8560e3cdd9aef3f07000000",

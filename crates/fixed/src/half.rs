@@ -130,7 +130,10 @@ impl Half {
     ///
     /// Kept as an inherent method (not `std::ops::Mul`) to make the
     /// per-operation rounding explicit at every call site.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "an inherent method keeps the per-operation rounding explicit"
+    )]
     #[must_use]
     pub fn mul(self, other: Self) -> Self {
         Self::from_f32(self.to_f32() * other.to_f32())
@@ -141,7 +144,10 @@ impl Half {
     ///
     /// Kept as an inherent method (not `std::ops::Add`) to make the
     /// per-operation rounding explicit at every call site.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "an inherent method keeps the per-operation rounding explicit"
+    )]
     #[must_use]
     pub fn add(self, other: Self) -> Self {
         Self::from_f32(self.to_f32() + other.to_f32())

@@ -30,6 +30,9 @@
 //! assert!((Q1_19::acc_to_f64(acc) - 0.125).abs() < 1e-5);
 //! ```
 
+// A compute crate: no thread starts but the pool's (`tkspmv::fanout`).
+#![cfg_attr(not(test), forbid(clippy::disallowed_methods))]
+
 mod half;
 mod precision;
 mod scalar;

@@ -76,9 +76,12 @@ pub trait SpmvScalar: Copy + core::fmt::Debug + Send + Sync + 'static {
     /// Only a scalar whose `UNSATURATED_TERMS` is above 0 defines it; the
     /// engine never calls it for one whose bound is 0 (the float
     /// designs), which is what the default's panic states.
+    #[expect(
+        clippy::unreachable,
+        reason = "invariant: callers check `UNSATURATED_TERMS > 0` first, and every scalar with a \
+                  non-zero bound overrides this"
+    )]
     fn acc_sub_unsaturated(_a: Self::Acc, _b: Self::Acc) -> Self::Acc {
-        // invariant: callers check `UNSATURATED_TERMS > 0` first, and
-        // every scalar with a non-zero bound overrides this.
         unreachable!("acc_sub_unsaturated on a scalar with UNSATURATED_TERMS = 0")
     }
 

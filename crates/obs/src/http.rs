@@ -52,10 +52,16 @@ impl MetricsServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::expect_used,
+            reason = "long-lived: the metrics endpoint acceptor, one per server; invariant: spawn \
+                      fails only on OS thread exhaustion, and the server is useless without its \
+                      acceptor"
+        )]
         let handle = std::thread::Builder::new()
             .name("obs-metrics-http".into())
             .spawn(move || accept_loop(listener, &stop_flag, &render))
-            // invariant: spawn fails only on OS thread exhaustion; the server is useless without its acceptor
             .expect("spawn metrics server thread");
         Ok(MetricsServer {
             addr,

@@ -32,9 +32,7 @@ mod metrics;
 mod trace;
 
 pub use http::{http_get, MetricsServer};
-pub use metrics::{
-    validate_exposition, Counter, Gauge, Histogram, HistogramSnapshot, Registry, NUM_BUCKETS,
-};
+pub use metrics::{validate_exposition, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use trace::{
     QueryTrace, SpanNode, SpanRecord, SpanRing, Stage, StageSpan, Stages, TraceId,
     MAX_SPANS_PER_RECORD,

@@ -6,7 +6,7 @@
 //! power of two, so the relative quantisation error is at most 1/16)
 //! striped across a few shards to keep concurrent recorders off each
 //! other's cache lines. Recording is a couple of atomic adds — no lock,
-//! no allocation — and a snapshot reads O([`NUM_BUCKETS`]) atomics
+//! no allocation — and a snapshot reads a fixed number of atomics
 //! instead of cloning and sorting a sample reservoir.
 
 use std::cell::Cell;
@@ -96,7 +96,7 @@ const MAX_OCTAVE: usize = 35;
 /// Number of histogram buckets. Fixed at compile time so a snapshot is
 /// provably O(buckets) work, independent of how many samples were ever
 /// recorded.
-pub const NUM_BUCKETS: usize = (MAX_OCTAVE - 3) * SUBS_PER_OCTAVE + SUBS_PER_OCTAVE;
+const NUM_BUCKETS: usize = (MAX_OCTAVE - 3) * SUBS_PER_OCTAVE + SUBS_PER_OCTAVE;
 
 /// Stripes a histogram's buckets are split across; concurrent recorders
 /// on different threads usually land on different stripes.
@@ -244,7 +244,8 @@ impl Histogram {
 /// number of concurrently recording threads, never by history.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket sample counts (see [`NUM_BUCKETS`]).
+    /// Per-bucket sample counts, one per log-linear bucket (a count
+    /// fixed at compile time).
     pub buckets: Vec<u64>,
     /// Total samples recorded.
     pub count: u64,
@@ -390,7 +391,10 @@ impl Registry {
             MetricHandle::Counter(Arc::new(Counter::new()))
         }) {
             MetricHandle::Counter(c) => c,
-            // invariant: get_or_insert returns the kind it was given
+            #[expect(
+                clippy::unreachable,
+                reason = "invariant: get_or_insert returns the kind it was given"
+            )]
             _ => unreachable!("kind checked by get_or_insert"),
         }
     }
@@ -402,7 +406,10 @@ impl Registry {
             MetricHandle::Gauge(Arc::new(Gauge::new()))
         }) {
             MetricHandle::Gauge(g) => g,
-            // invariant: get_or_insert returns the kind it was given
+            #[expect(
+                clippy::unreachable,
+                reason = "invariant: get_or_insert returns the kind it was given"
+            )]
             _ => unreachable!("kind checked by get_or_insert"),
         }
     }
@@ -424,7 +431,10 @@ impl Registry {
             MetricHandle::Histogram(Arc::new(Histogram::new()))
         }) {
             MetricHandle::Histogram(h) => h,
-            // invariant: get_or_insert returns the kind it was given
+            #[expect(
+                clippy::unreachable,
+                reason = "invariant: get_or_insert returns the kind it was given"
+            )]
             _ => unreachable!("kind checked by get_or_insert"),
         }
     }

@@ -252,6 +252,17 @@ impl SpanRecord {
     }
 }
 
+/// Equal ids, totals and valid spans; the unused slots do not count.
+impl PartialEq for SpanRecord {
+    fn eq(&self, other: &Self) -> bool {
+        self.trace_id == other.trace_id
+            && self.total_us == other.total_us
+            && self.spans() == other.spans()
+    }
+}
+
+impl Eq for SpanRecord {}
+
 struct RingInner {
     slots: Vec<SpanRecord>,
     /// Next slot to overwrite.

@@ -75,7 +75,8 @@
 //!   (`Exact`, or `Pruned { shortlist_factor }` for the staged low-bit
 //!   prune + exact rescore fast lane of a `tkspmv::PrunedBackend`).
 //!   [`TopKService::submit_tiered`] / [`TopKService::query_tiered`] set
-//!   it; plain `submit` / `query` are the exact tier. The batcher never
+//!   it, with the trace id the request's span record is filed under;
+//!   plain `submit` / `query` are the exact tier, untraced. The batcher never
 //!   mixes tiers in one backend batch — the same discipline as epochs —
 //!   and [`ServiceMetrics::tiers`] reports per-tier counts and latency.
 //! - **Observability** — [`ServiceMetrics`] snapshots p50/p95/p99

@@ -367,13 +367,6 @@ impl MetricsShared {
         self.spans.record(&stages.to_span_record(trace_id, total));
     }
 
-    /// Records a caller-assembled span record into the slowest-N ring
-    /// (the fabric node re-records traced queries under their real
-    /// trace id; the in-service record carries [`TraceId::ZERO`]).
-    pub(crate) fn record_span(&self, rec: &SpanRecord) {
-        self.spans.record(rec);
-    }
-
     /// The slowest-`n` recorded queries' span records, descending by
     /// end-to-end latency.
     pub(crate) fn slowest_spans(&self, n: usize) -> Vec<SpanRecord> {

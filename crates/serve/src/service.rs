@@ -14,7 +14,7 @@ use tkspmv::backend::{
 };
 use tkspmv::fanout::{fork_join, host_parallelism};
 use tkspmv::{EngineError, TopKResult};
-use tkspmv_obs::Stages;
+use tkspmv_obs::{SpanRecord, Stages, TraceId};
 use tkspmv_sparse::{Csr, DenseVector};
 
 use crate::batch::BatchPolicy;
@@ -106,6 +106,9 @@ struct Pending {
     extracted: Instant,
     /// The collection generation this request was admitted against.
     epoch: Arc<Epoch>,
+    /// The id its span record is filed under ([`TraceId::ZERO`] when
+    /// untraced).
+    trace: TraceId,
     tx: mpsc::Sender<Result<ServedResult, ServeError>>,
 }
 
@@ -116,6 +119,7 @@ struct Responder {
     queue_wait: Duration,
     /// Time spent in the forming batch before dispatch.
     coalesce_wait: Duration,
+    trace: TraceId,
     tx: mpsc::Sender<Result<ServedResult, ServeError>>,
 }
 
@@ -226,13 +230,13 @@ fn finalize(
             merge: merge_started.elapsed(),
         };
         let latency = responder.enqueued.elapsed();
-        outputs.push((responder.tx, topk, latency, stages));
+        outputs.push((responder.tx, topk, latency, stages, responder.trace));
     }
-    for (_, _, latency, stages) in &outputs {
+    for (_, _, latency, stages, trace) in &outputs {
         metrics.record_served(*latency, &tier_label);
-        metrics.record_stages(&stages.stages(), *latency, tkspmv_obs::TraceId::ZERO);
+        metrics.record_stages(&stages.stages(), *latency, *trace);
     }
-    for (tx, topk, latency, stages) in outputs {
+    for (tx, topk, latency, stages, _) in outputs {
         let _ = tx.send(Ok(ServedResult {
             topk,
             latency,
@@ -297,6 +301,7 @@ impl Inner {
                     .extracted
                     .saturating_duration_since(pending.enqueued),
                 coalesce_wait: dispatched.saturating_duration_since(pending.extracted),
+                trace: pending.trace,
                 tx: pending.tx,
             });
         }
@@ -353,7 +358,10 @@ fn extract_compatible(queue: &mut VecDeque<Pending>, members: &mut Vec<Pending>,
     let epoch = Arc::clone(&members[0].epoch);
     let now = Instant::now();
     for _ in 0..queue.len() {
-        // invariant: the loop bound caps iterations at the queue length
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: the loop bound caps iterations at the queue length"
+        )]
         let mut pending = queue.pop_front().expect("len checked by the loop bound");
         if members.len() < max
             && pending.k == k
@@ -626,12 +634,17 @@ impl ServiceBuilder {
             metrics: MetricsShared::new(),
         });
 
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::expect_used,
+            reason = "long-lived: the batcher, one per service; invariant: spawn fails only on OS \
+                      thread exhaustion, and the service cannot run without its batcher"
+        )]
         let batcher = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("tkspmv-serve-batcher".to_string())
                 .spawn(move || batcher_loop(&inner))
-                // invariant: spawn fails only on OS thread exhaustion; the service cannot run without its batcher
                 .expect("spawn batcher thread")
         };
         Ok(TopKService {
@@ -841,7 +854,7 @@ impl TopKService {
     /// the bounded queue sheds the request, [`ServeError::ShuttingDown`]
     /// after [`shutdown`](TopKService::shutdown) has begun.
     pub fn submit(&self, x: DenseVector, k: usize) -> Result<Ticket, ServeError> {
-        self.submit_tiered(x, k, QueryTier::Exact)
+        self.submit_tiered(x, k, QueryTier::Exact, TraceId::ZERO)
     }
 
     /// [`TopKService::submit`] at an explicit precision tier — the fast
@@ -849,6 +862,8 @@ impl TopKService {
     /// prune + exact rescore pipeline when the service backend supports
     /// it (a `PrunedBackend`). Batches never mix tiers, so an exact
     /// request never pays for — or benefits from — a pruned neighbour.
+    /// The request's span record (see [`TopKService::slowest_spans`]) is
+    /// filed under `trace`; [`TraceId::ZERO`] marks it untraced.
     ///
     /// # Errors
     ///
@@ -861,6 +876,7 @@ impl TopKService {
         x: DenseVector,
         k: usize,
         tier: QueryTier,
+        trace: TraceId,
     ) -> Result<Ticket, ServeError> {
         check_query(self.inner.dim, x.len(), k, tier).map_err(ServeError::BadRequest)?;
         let (tx, rx) = mpsc::channel();
@@ -888,6 +904,7 @@ impl TopKService {
                 // a request never reports uninitialised queue wait.
                 extracted: now,
                 epoch: self.inner.current_epoch(),
+                trace,
                 tx,
             });
         }
@@ -904,7 +921,8 @@ impl TopKService {
         self.submit(x, k)?.wait()
     }
 
-    /// Submits at an explicit precision tier and blocks for the answer.
+    /// Submits at an explicit precision tier, filed under `trace`, and
+    /// blocks for the answer.
     ///
     /// # Errors
     ///
@@ -915,8 +933,9 @@ impl TopKService {
         x: DenseVector,
         k: usize,
         tier: QueryTier,
+        trace: TraceId,
     ) -> Result<ServedResult, ServeError> {
-        self.submit_tiered(x, k, tier)?.wait()
+        self.submit_tiered(x, k, tier, trace)?.wait()
     }
 
     /// Snapshots the service's metrics.
@@ -938,16 +957,8 @@ impl TopKService {
 
     /// Returns the slowest `n` recently served requests' stage spans,
     /// slowest first, from the service's bounded span ring.
-    pub fn slowest_spans(&self, n: usize) -> Vec<tkspmv_obs::SpanRecord> {
+    pub fn slowest_spans(&self, n: usize) -> Vec<SpanRecord> {
         self.inner.metrics.slowest_spans(n)
-    }
-
-    /// Records a caller-assembled span record into the service's span
-    /// ring. The fabric node uses this to re-record a traced query
-    /// under its wire-propagated trace id (in-service records carry
-    /// the zero id — the service never sees the wire).
-    pub fn record_span(&self, rec: &tkspmv_obs::SpanRecord) {
-        self.inner.metrics.record_span(rec);
     }
 
     /// Gracefully shuts down: rejects new submissions, drains every
@@ -1846,7 +1857,9 @@ mod tests {
         let direct = backend.prepare(&csr).unwrap();
         for seed in 0..4 {
             let x = query_vector(64, seed);
-            let exact = svc.query_tiered(x.clone(), 10, QueryTier::Exact).unwrap();
+            let exact = svc
+                .query_tiered(x.clone(), 10, QueryTier::Exact, TraceId::ZERO)
+                .unwrap();
             assert_eq!(exact.tier, QueryTier::Exact);
             assert_eq!(exact.topk, direct_reference(&csr, &x, 10));
             let pruned = svc
@@ -1856,6 +1869,7 @@ mod tests {
                     QueryTier::Pruned {
                         shortlist_factor: 4,
                     },
+                    TraceId::ZERO,
                 )
                 .unwrap();
             assert_eq!(
@@ -1891,6 +1905,7 @@ mod tests {
                 QueryTier::Pruned {
                     shortlist_factor: 2,
                 },
+                TraceId::ZERO,
             )
             .unwrap_err();
         assert!(matches!(err, ServeError::Engine(_)), "{err}");
@@ -1901,7 +1916,8 @@ mod tests {
                 5,
                 QueryTier::Pruned {
                     shortlist_factor: 0
-                }
+                },
+                TraceId::ZERO,
             ),
             Err(ServeError::BadRequest(_))
         ));

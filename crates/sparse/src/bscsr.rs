@@ -480,6 +480,12 @@ impl BsCsr {
     /// # Panics
     ///
     /// Panics if `S::VALUE_BITS` does not match the layout.
+    #[expect(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        reason = "invariant: row_ptr starts with one entry, and a validated stream encoded from a \
+                  valid Csr decodes to one"
+    )]
     pub fn decode<S: SpmvScalar>(&self) -> Csr {
         assert_eq!(self.layout.value_bits(), S::VALUE_BITS);
         let b = self.layout.entries_per_packet() as usize;
@@ -495,7 +501,6 @@ impl BsCsr {
                 col_idx.push(idx[j]);
                 values.push(S::decode(raw[j]).value_to_f64() as f32);
                 if row_ends.next_if_eq(&((p * b + j + 1) as u64)).is_some() {
-                    // invariant: row_ptr starts with one entry
                     let start = *row_ptr.last().unwrap() as usize;
                     if col_idx.len() == start + 1 && col_idx[start] == 0 && values[start] == 0.0 {
                         col_idx.pop();
@@ -506,7 +511,6 @@ impl BsCsr {
             }
         }
         Csr::from_parts(self.num_rows, self.num_cols, row_ptr, col_idx, values)
-            // invariant: a validated stream encoded from a valid Csr decodes to one
             .expect("decoded rows are valid by construction")
     }
 }

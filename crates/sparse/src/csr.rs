@@ -114,7 +114,10 @@ impl Csr {
                 ),
             });
         }
-        // invariant: length checked against num_rows + 1 above, so last() exists
+        #[expect(
+            clippy::unwrap_used,
+            reason = "invariant: length checked against num_rows + 1 above, so last() exists"
+        )]
         if row_ptr.first() != Some(&0) || *row_ptr.last().unwrap() != col_idx.len() as u64 {
             return Err(SparseError::MalformedRowPtr {
                 detail: "row_ptr must start at 0 and end at nnz".to_string(),

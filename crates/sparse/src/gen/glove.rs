@@ -64,6 +64,11 @@ impl GloveConfig {
     /// # Panics
     ///
     /// Panics if any dimension is zero or `avg_nnz_per_row > num_cols`.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the generator emits monotone row_ptr and in-range columns by \
+                  construction"
+    )]
     pub fn generate(&self) -> Csr {
         assert!(self.num_rows > 0 && self.num_cols > 0 && self.num_clusters > 0);
         assert!(
@@ -125,7 +130,6 @@ impl GloveConfig {
             row_ptr.push(col_idx.len() as u64);
         }
         Csr::from_parts(self.num_rows, self.num_cols, row_ptr, col_idx, values)
-            // invariant: the generator emits monotone row_ptr and in-range columns by construction
             .expect("generator produces valid CSR")
     }
 }

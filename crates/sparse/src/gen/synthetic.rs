@@ -74,6 +74,11 @@ impl SyntheticConfig {
     ///
     /// Panics if any dimension or the average is zero, or if
     /// `avg_nnz_per_row > num_cols`.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the generator emits monotone row_ptr and in-range columns by \
+                  construction"
+    )]
     pub fn generate(&self) -> Csr {
         assert!(self.num_rows > 0, "num_rows must be positive");
         assert!(self.num_cols > 0, "num_cols must be positive");
@@ -108,7 +113,6 @@ impl SyntheticConfig {
             row_ptr.push(col_idx.len() as u64);
         }
         Csr::from_parts(self.num_rows, self.num_cols, row_ptr, col_idx, values)
-            // invariant: the generator emits monotone row_ptr and in-range columns by construction
             .expect("generator produces valid CSR")
     }
 

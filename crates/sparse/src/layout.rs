@@ -80,7 +80,10 @@ impl PacketLayout {
         assert!(value_bits >= 1 && value_bits <= 64, "value_bits in 1..=64");
         match Self::largest(10, value_bits) {
             Some(layout) => layout,
-            // invariant: B = 1 needs 1 + (1 + 10 + 64) = 76 <= 512 bits.
+            #[expect(
+                clippy::panic,
+                reason = "invariant: B = 1 needs 1 + (1 + 10 + 64) = 76 <= 512 bits"
+            )]
             None => panic!("a 10-bit index always leaves room for one entry"),
         }
     }

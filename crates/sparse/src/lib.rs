@@ -40,6 +40,9 @@
 //! # Ok::<(), tkspmv_sparse::SparseError>(())
 //! ```
 
+// A compute crate: no thread starts but the pool's (`tkspmv::fanout`).
+#![cfg_attr(not(test), forbid(clippy::disallowed_methods))]
+
 mod bscsr;
 pub mod codec;
 mod csr;
@@ -76,7 +79,7 @@ pub use prune::{PruneIndex, PruneQuery};
 #[inline]
 pub fn exact_dot(entries: impl IntoIterator<Item = (u32, f32)>, x: &[f32]) -> f64 {
     entries.into_iter().fold(0.0, |acc, (c, v)| {
-        // invariant: callers pass rows validated against `x.len()` columns
+        // Callers pass rows validated against `x.len()` columns.
         acc + v as f64 * x[c as usize] as f64
     })
 }

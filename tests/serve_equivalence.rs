@@ -27,6 +27,7 @@ use tkspmv::{Accelerator, PrunedBackend, TopKResult};
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_baselines::gpu::{GpuModel, GpuPrecision, GpuTopK};
 use tkspmv_fixed::PruneBits;
+use tkspmv_obs::TraceId;
 use tkspmv_serve::{BatchPolicy, TopKService};
 use tkspmv_sparse::{Csr, DenseVector};
 
@@ -183,7 +184,9 @@ fn serve_tiered_concurrently(
             .iter()
             .map(|(x, tier)| {
                 scope.spawn(move || {
-                    let served = service.query_tiered(x.clone(), k, *tier).expect("served");
+                    let served = service
+                        .query_tiered(x.clone(), k, *tier, TraceId::ZERO)
+                        .expect("served");
                     assert_eq!(served.tier, *tier, "response must echo its tier");
                     served.topk
                 })

@@ -450,17 +450,19 @@ fn trace_ids_survive_compaction_epoch_swap_mid_stream() {
         assert!(!entries.is_empty());
         let wire_trace = wire_trace.expect("traced query reports spans");
         assert!(wire_trace.total_us > 0);
+        assert_eq!(
+            wire_trace.trace_id, id,
+            "the client files the record under its id"
+        );
         sent.push(id.to_hex());
     }
     assert!(collection.service().metrics().epoch >= 1);
 
-    // Every id — from before and after the swap — landed in the ring.
-    let recorded: BTreeSet<String> = collection
-        .service()
-        .slowest_spans(usize::MAX)
-        .iter()
-        .map(|r| r.trace_id.to_hex())
-        .collect();
+    // Every id — from before and after the swap — landed in the ring,
+    // once: a traced query takes one slot.
+    let ring = collection.service().slowest_spans(usize::MAX);
+    assert_eq!(ring.len(), sent.len(), "one ring record per traced query");
+    let recorded: BTreeSet<String> = ring.iter().map(|r| r.trace_id.to_hex()).collect();
     for id in &sent {
         assert!(recorded.contains(id), "trace id {id} lost mid-stream");
     }
