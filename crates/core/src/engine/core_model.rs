@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use tkspmv_fixed::SpmvScalar;
 use tkspmv_obs::{Stage, Stages};
-use tkspmv_sparse::{BsCsr, PacketLayout};
+use tkspmv_sparse::{BsCsr, Packet512, PacketLayout, PACKET_BITS};
 
 use crate::topk::TopKTracker;
 
@@ -130,7 +130,8 @@ pub struct BatchScratch<S: SpmvScalar> {
     /// sliced straight out of the packet words, once per chunk, shared
     /// by every query lane. `CHUNK_PACKETS · B` long; a ragged last
     /// packet leaves padding past the real entry count, which replay
-    /// never sees (its slices are cut at that count).
+    /// never sees (its slices are cut at that count). Unused by a lone
+    /// unsaturated lane ([`packet_running_sums`]).
     dvals: Vec<S>,
     /// The current chunk's column indices, laid out like `dvals`.
     cidx: Vec<u32>,
@@ -138,7 +139,7 @@ pub struct BatchScratch<S: SpmvScalar> {
     /// stream's sums cannot saturate they are running sums: `sums[0]` is
     /// the lane's carry and `sums[i + 1]` adds entry `i`'s product, so a
     /// row's sum is the difference of the running sums at its two ends
-    /// (see [`running_sum_pass`]). Otherwise `sums[i]` is the sum of the
+    /// (see [`select_running`]). Otherwise `sums[i]` is the sum of the
     /// chunk's row `i`, as in `tile`. `CHUNK_PACKETS · B + 1` long, sized
     /// with `dvals`: every row holds at least one entry, so a chunk never
     /// ends more rows than it has entries.
@@ -227,7 +228,9 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 ///    pass over the chunk's products instead, keeping their running
 ///    sums, and reads each row's sum as the difference of the running
 ///    sums at its two ends — exact modulo 2⁶⁴, and no row sum reaches
-///    2⁶⁴, so the bits are the sequential sum's;
+///    2⁶⁴, so the bits are the sequential sum's. A batch of one such
+///    lane has no one to share a decode with: each packet's fields go
+///    straight to products and running sums, in one pass with stage 1;
 /// 3. **Summary**: stitch rows that span packet (and chunk) boundaries
 ///    through the carried partial sum;
 /// 4. **Top-K update**: offer every row finished in the chunk (at most
@@ -249,7 +252,8 @@ impl<S: SpmvScalar> Default for BatchScratch<S> {
 /// fidelity. [`CoreStats`] come from the recorded ends and `r` without
 /// touching a packet. Select time is counted in the stage clock's
 /// [`Stage::Score`] ([`BatchScratch::stage_times`]), beside replay:
-/// [`Stage`] has no select stage of its own.
+/// [`Stage`] has no select stage of its own. That one pass of a lone
+/// lane (stage 2) is [`Stage::Decode`], products and running sums too.
 ///
 /// Queries must already be quantised to `S` (the URAM upload step); use
 /// [`quantize_vector`].
@@ -419,57 +423,74 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     scratch.sums.resize(chunk_entries + 1, S::acc_zero());
 
     let unsaturated = unsaturated_sums::<S>(matrix);
+    // A lone lane has no one to share a decode with (stage 2 above); it
+    // gathers from the layout's whole index space if its query covers it.
+    let from_packets = b == 1 && unsaturated;
+    let q = queries[0].as_ref();
+    let whole = q.len().checked_shr(layout.idx_bits()) > Some(0);
     let mut remaining = matrix.stored_entries();
     for (c, packets) in matrix.packets().chunks(CHUNK_PACKETS).enumerate() {
-        // Stage 1a, once per chunk: slice the chunk's entries into the
-        // flat `dvals`/`cidx` arrays. All `B` slots of every packet are
-        // sliced; only the stream's last packet can hold fewer real
-        // entries, and its padding lands past `len`, beyond what replay
-        // is shown.
-        let slots = scratch
-            .cidx
-            .chunks_exact_mut(per_packet)
-            .zip(scratch.dvals.chunks_exact_mut(per_packet));
-        for (packet, (idx_out, val_out)) in packets.iter().zip(slots) {
-            packet.decode_fields(layout, idx_out, val_out, S::decode);
-        }
         let len = remaining.min(chunk_entries as u64) as usize;
         remaining -= len as u64;
-        let decoded = Instant::now();
-
         let rows = chunk_rows[c] as usize..chunk_rows[c + 1] as usize;
-        let chunk = Chunk {
-            dvals: &scratch.dvals[..len],
-            idx: &scratch.cidx[..len],
-            first_row: rows.start as u32,
+        let rows = Rows {
+            first: rows.start as u32,
             ends: &ends[rows],
             per_packet,
             r_limit,
         };
-
-        // Stages 1b+2+3, block by block: fused gather-multiply-
-        // accumulate replaying the chunk's recorded rows (or, for a
-        // one-lane remainder that cannot saturate, their running sums)
-        // into row sums; then stage 4 selects the Top-K offers from them.
-        // Every sum, saturation included, has the bits of the sequential
-        // path's packet-arrival-order sum.
-        let sums = Sums {
-            tile: &mut scratch.tile,
-            lane: &mut scratch.sums,
-        };
-        let lanes = &mut scratch.lanes[..b];
-        if unsaturated {
-            replay::<_, _, true>(
-                lanes,
-                &scratch.xt,
-                queries,
-                m,
-                chunk,
-                sums,
-                S::acc_add_unsaturated,
-            );
+        let decoded;
+        if from_packets {
+            // Stages 1+2 (decode on the clock), then 3+4 (score).
+            let lane = &mut scratch.lanes[0];
+            let sums = &mut scratch.sums[..=len];
+            if whole {
+                let x = &q[..1 << layout.idx_bits()];
+                packet_running_sums(packets, layout, x, lane.carry, sums);
+            } else {
+                packet_running_sums(packets, layout, &q[..m], lane.carry, sums);
+            }
+            decoded = Instant::now();
+            select_running(lane, rows, sums);
         } else {
-            replay::<_, _, false>(lanes, &scratch.xt, queries, m, chunk, sums, S::acc_add);
+            // Stage 1a, once per chunk: slice all `B` slots of every
+            // packet into `dvals`/`cidx`; a ragged last packet's padding
+            // lands past `len`, beyond what replay is shown.
+            let slots = scratch
+                .cidx
+                .chunks_exact_mut(per_packet)
+                .zip(scratch.dvals.chunks_exact_mut(per_packet));
+            for (packet, (idx_out, val_out)) in packets.iter().zip(slots) {
+                packet.decode_fields(layout, idx_out, val_out, S::decode);
+            }
+            decoded = Instant::now();
+            let chunk = Chunk {
+                dvals: &scratch.dvals[..len],
+                idx: &scratch.cidx[..len],
+                rows,
+            };
+
+            // Stages 1b+2+3, block by block, into row sums (or running
+            // sums), then stage 4 selects from them. Every sum has the
+            // bits of the sequential packet-arrival-order sum.
+            let sums = Sums {
+                tile: &mut scratch.tile,
+                lane: &mut scratch.sums,
+            };
+            let lanes = &mut scratch.lanes[..b];
+            if unsaturated {
+                replay::<_, _, true>(
+                    lanes,
+                    &scratch.xt,
+                    queries,
+                    m,
+                    chunk,
+                    sums,
+                    S::acc_add_unsaturated,
+                );
+            } else {
+                replay::<_, _, false>(lanes, &scratch.xt, queries, m, chunk, sums, S::acc_add);
+            }
         }
         let scored = Instant::now();
         scratch.stage_times.add(Stage::Decode, decoded - mark);
@@ -505,58 +526,35 @@ fn unsaturated_sums<S: SpmvScalar>(matrix: &BsCsr) -> bool {
     matrix.stored_entries() <= S::UNSATURATED_TERMS
 }
 
-/// One decoded chunk as replay sees it: the entries cut at the chunk's
-/// real count, and the rows that end in it — the first one's index and
-/// every one's recorded end, counted from the chunk's first entry —
-/// plus what the `r` gate needs: `B` and `r`.
+/// The rows that end in one chunk — the first one's index and every
+/// one's recorded end, counted from the chunk's first entry — and `B`.
 #[derive(Clone, Copy)]
-struct Chunk<'a, S> {
-    dvals: &'a [S],
-    idx: &'a [u32],
-    first_row: u32,
+struct Rows<'a> {
+    first: u32,
     ends: &'a [u16],
     per_packet: usize,
     r_limit: u32,
 }
 
-/// The `r` gate over one chunk's row ends, in order: the packet of the
-/// previous row end and that row's ordinal in it.
-struct RowGate {
-    /// `⌈2³² / B⌉`: `(n · recip) >> 32` is `n / B` exactly whenever
-    /// `n, B < 2¹⁶`, as every chunk-relative row end and every `B` is,
-    /// so a row's packet costs a multiply even when `B` is not a
-    /// compile-time constant.
-    recip: u64,
-    packet: u64,
-    ordinal: u32,
+impl Rows<'_> {
+    /// Whether row `i` is among the first `r` to end in its packet: row
+    /// ends increase strictly and a chunk starts on a packet boundary, so
+    /// it is iff `i < r` or row `i − r` ends in an earlier packet.
+    #[inline(always)]
+    fn admits(&self, i: usize) -> bool {
+        let r = self.r_limit as usize;
+        let packet = |end: u16| (usize::from(end) - 1) / self.per_packet;
+        i < r || packet(self.ends[i - r]) != packet(self.ends[i])
+    }
 }
 
-impl RowGate {
-    /// Before the first row end of a chunk with `per_packet` entries a
-    /// packet.
-    #[inline(always)]
-    fn new(per_packet: usize) -> Self {
-        debug_assert!(per_packet < 1 << 16);
-        Self {
-            recip: (1u64 << 32).div_ceil(per_packet as u64),
-            packet: u64::MAX,
-            ordinal: 0,
-        }
-    }
-
-    /// Whether the row ending at `end` (its packet is `(end − 1) / B`)
-    /// is among the first `r_limit` to end in its packet.
-    #[inline(always)]
-    fn admits(&mut self, end: u16, r_limit: u32) -> bool {
-        let p = ((u64::from(end) - 1) * self.recip) >> 32;
-        self.ordinal = if p == self.packet {
-            self.ordinal + 1
-        } else {
-            0
-        };
-        self.packet = p;
-        self.ordinal < r_limit
-    }
+/// One decoded chunk as replay sees it: the entries cut at the chunk's
+/// real count, and the rows that end in it.
+#[derive(Clone, Copy)]
+struct Chunk<'a, S> {
+    dvals: &'a [S],
+    idx: &'a [u32],
+    rows: Rows<'a>,
 }
 
 /// Where replay writes one chunk's row sums for the select step: the
@@ -599,7 +597,7 @@ fn replay<S: SpmvScalar, Q: AsRef<[S]>, const RUNNING: bool>(
         } else {
             let one = std::slice::from_mut(lane);
             block_pass(one, chunk, |idx| [x[idx as usize]], add, sums.lane);
-            select(one, chunk, sums.lane.iter().map(|&sum| [sum]));
+            select(one, chunk.rows, sums.lane.iter().map(|&sum| [sum]));
         }
     }
 }
@@ -647,8 +645,8 @@ fn replay_blocks<S: SpmvScalar, const L: usize>(
             add,
             tile,
         );
-        let rows = tile[..chunk.ends.len() * L].chunks_exact(L);
-        select(block, chunk, rows.map(|row| lane_row::<_, L>(row, 0)));
+        let rows = tile[..chunk.rows.ends.len() * L].chunks_exact(L);
+        select(block, chunk.rows, rows.map(|row| lane_row::<_, L>(row, 0)));
     }
 }
 
@@ -679,8 +677,9 @@ fn block_pass<S: SpmvScalar, const L: usize>(
     debug_assert_eq!(lanes.len(), L);
     let mut from: [S::Acc; L] = std::array::from_fn(|l| lanes[l].carry);
     let mut start = 0usize;
-    let rows = rows[..chunk.ends.len() * L].chunks_exact_mut(L);
-    for (sums, &row_end) in rows.zip(chunk.ends) {
+    let ends = chunk.rows.ends;
+    let rows = rows[..ends.len() * L].chunks_exact_mut(L);
+    for (sums, &row_end) in rows.zip(ends) {
         let end = row_end as usize;
         let acc = accumulate(
             from,
@@ -699,20 +698,12 @@ fn block_pass<S: SpmvScalar, const L: usize>(
     }
 }
 
-/// One lane's chunk replayed from running-sum differences, the
-/// one-lane body for a stream whose sums cannot saturate: one flat pass
-/// over the chunk's entries writes `sums[0] = carry` and `sums[i + 1] =
-/// sums[i] ⊕ d_i · x[idx_i]` with no per-row control flow. Every row's
-/// sum is then `sums[end] ⊖ sums[prev]` at its recorded ends — the
-/// chunk's first row from `sums[end]` alone, so it includes the carry —
-/// read off by [`select`], and the new carry is `sums[len] ⊖ sums[last
-/// end]`.
-///
-/// `⊕`/`⊖` are [`SpmvScalar::acc_add_unsaturated`] and
-/// [`SpmvScalar::acc_sub_unsaturated`], exact modulo 2⁶⁴ for fixed
-/// point. The running sums may wrap, but [`unsaturated_sums`] proves no
-/// row sum reaches 2⁶⁴, so every difference equals the sequential
-/// (saturating) sum of that row bit for bit.
+/// One remainder lane's chunk replayed from running-sum differences,
+/// the one-lane body for a stream whose sums cannot saturate: one flat
+/// pass over the decoded chunk's entries writes `sums[0] = carry` and
+/// `sums[i + 1] = sums[i] ⊕ d_i · x[idx_i]` with no per-row control
+/// flow, and [`select_running`] reads the rows off them. A batch of one
+/// takes its products from the packets instead ([`packet_running_sums`]).
 ///
 /// Kept out of line so the engine body around the block paths does not
 /// change shape with it: inlined, it bought nothing on the
@@ -726,8 +717,6 @@ fn running_sum_pass<S: SpmvScalar>(
     x: &[S],
     sums: &mut [S::Acc],
 ) {
-    // Only a scalar with a non-zero bound defines the subtraction.
-    debug_assert!(S::UNSATURATED_TERMS > 0);
     let len = chunk.dvals.len();
     let sums = &mut sums[..=len];
     sums[0] = lane.carry;
@@ -737,57 +726,132 @@ fn running_sum_pass<S: SpmvScalar>(
     // the running sum, so they overlap the previous group's adds
     // (≈ 1.35× faster on the stage clock than one entry at a time; eight
     // at a time measured the same as four).
-    let grouped = len - len % 4;
-    let groups = sums[1..=grouped]
-        .chunks_exact_mut(4)
+    let mut out = sums[1..].chunks_exact_mut(4);
+    let groups = (&mut out)
         .zip(chunk.dvals.chunks_exact(4))
         .zip(chunk.idx.chunks_exact(4));
-    for ((p, d), i) in groups {
+    for ((out, d), i) in groups {
         let products: [S::Acc; 4] = std::array::from_fn(|j| S::mul(d[j], x[i[j] as usize]));
-        for (p, product) in p.iter_mut().zip(products) {
-            acc = S::acc_add_unsaturated(acc, product);
-            *p = acc;
-        }
+        acc = add_running::<S>(acc, products, out);
     }
-    let rest = sums[grouped + 1..]
-        .iter_mut()
-        .zip(&chunk.dvals[grouped..])
-        .zip(&chunk.idx[grouped..]);
-    for ((p, &d), &i) in rest {
-        acc = S::acc_add_unsaturated(acc, S::mul(d, x[i as usize]));
-        *p = acc;
+    let grouped = len - len % 4;
+    let rest = chunk.dvals[grouped..].iter().zip(&chunk.idx[grouped..]);
+    let rest = rest.map(|(&d, &i)| S::mul(d, x[i as usize]));
+    add_running::<S>(acc, rest, out.into_remainder());
+    select_running(lane, chunk.rows, sums);
+}
+
+/// One lane's running sums over a chunk (`sums[0] = carry`), their
+/// products sliced straight from `packets`; a ragged last packet's
+/// padding is never gathered. Cut at the layout's index space, `x`
+/// covers every `idx` a field holds: with the design layout a constant,
+/// that instantiation gathers with no bounds check, and a packet's
+/// fields and products stay in registers.
+#[inline(always)]
+fn packet_running_sums<S: SpmvScalar>(
+    packets: &[Packet512],
+    layout: PacketLayout,
+    x: &[S],
+    carry: S::Acc,
+    sums: &mut [S::Acc],
+) {
+    sums[0] = carry;
+    let mut full = sums[1..].chunks_exact_mut(layout.entries_per_packet() as usize);
+    let mut acc = carry;
+    let (mut idx, mut val) = ([0; PACKET_FIELDS], [S::decode(0); PACKET_FIELDS]);
+    for (packet, out) in packets.iter().zip(&mut full) {
+        acc = packet_sums(packet, layout, x, acc, out, (&mut idx, &mut val));
     }
-    let sums = &*sums;
-    let last = chunk
+    // Own arrays for a ragged packet: only constants index the others.
+    let ragged = full.into_remainder();
+    if let Some(last) = packets.last().filter(|_| !ragged.is_empty()) {
+        let fields = (&mut [0; PACKET_FIELDS], &mut [S::decode(0); PACKET_FIELDS]);
+        packet_sums(last, layout, x, acc, ragged, fields);
+    }
+}
+
+/// The most entries a packet holds: each takes a bit or more of each field.
+const PACKET_FIELDS: usize = (PACKET_BITS - 1) / 3;
+
+/// Slices `packet`'s fields into `idx`/`val` and their products into
+/// the `out.len()` running sums after `acc`; returns the last.
+#[inline(always)]
+fn packet_sums<S: SpmvScalar>(
+    packet: &Packet512,
+    layout: PacketLayout,
+    x: &[S],
+    acc: S::Acc,
+    out: &mut [S::Acc],
+    (idx, val): (&mut [u32; PACKET_FIELDS], &mut [S; PACKET_FIELDS]),
+) -> S::Acc {
+    packet.decode_fields(layout, idx, val, S::decode);
+    let products = idx
+        .iter()
+        .zip(&*val)
+        .map(|(&i, &v)| S::mul(v, x[i as usize]));
+    add_running::<S>(acc, products, out)
+}
+
+/// The running-sum step both product sources share: `out[j] = acc ⊕
+/// products[0] ⊕ … ⊕ products[j]`, returning the last sum. `⊕` is
+/// [`SpmvScalar::acc_add_unsaturated`], exact modulo 2⁶⁴ for fixed
+/// point: the running sums may wrap, but [`unsaturated_sums`] proves no
+/// row sum reaches 2⁶⁴, so their differences are the sequential
+/// (saturating) row sums bit for bit.
+#[inline(always)]
+fn add_running<S: SpmvScalar>(
+    mut acc: S::Acc,
+    products: impl IntoIterator<Item = S::Acc>,
+    out: &mut [S::Acc],
+) -> S::Acc {
+    for (o, p) in out.iter_mut().zip(products) {
+        acc = S::acc_add_unsaturated(acc, p);
+        *o = acc;
+    }
+    acc
+}
+
+/// Stages 3 and 4 for one lane from its running sums over a chunk of
+/// `sums.len() − 1` entries: [`select`] gets each row's `sums[end] ⊖
+/// sums[prev end]` (the first row's `sums[end]`, carry included), and
+/// the new carry is `sums[len] ⊖ sums[last end]`, `⊖` being
+/// [`SpmvScalar::acc_sub_unsaturated`].
+#[inline(always)]
+fn select_running<S: SpmvScalar>(lane: &mut QueryLane<S>, rows: Rows<'_>, sums: &[S::Acc]) {
+    debug_assert!(S::UNSATURATED_TERMS > 0, "no subtraction without a bound");
+    let total = sums[sums.len() - 1];
+    let last = rows
         .ends
         .last()
         .map_or(S::acc_zero(), |&end| sums[end as usize]);
-    lane.carry = S::acc_sub_unsaturated(acc, last);
-    let row_sums = chunk.ends.iter().scan(S::acc_zero(), |before, &end| {
+    lane.carry = S::acc_sub_unsaturated(total, last);
+    let row_sums = rows.ends.iter().scan(S::acc_zero(), |before, &end| {
         let sum = S::acc_sub_unsaturated(sums[end as usize], *before);
         *before = sums[end as usize];
         Some([sum])
     });
-    select(std::slice::from_mut(lane), chunk, row_sums);
+    select(std::slice::from_mut(lane), rows, row_sums);
 }
 
 /// Stage 4 over one chunk for `L` lanes: offers each row that ends in
 /// it, in row order, to the lanes' Top-K trackers, where `row_sums`
 /// yields the `L` lanes' sums of the chunk's rows in order. A row the
-/// `r` gate drops ([`RowGate`]) is offered to no lane.
+/// `r` gate drops ([`Rows::admits`]) is offered to no lane.
 ///
 /// When every lane's tracker is full with a comparable minimum at chunk
-/// start — every chunk but a partition's first few — each row's `L`
-/// sums are compared with the `L` floors, the trackers' minimums
-/// ([`TopKTracker::current_min`]) refreshed after every accept, and only
-/// the lanes whose sum is `>=` their floor see an `insert`. That is
+/// start — every chunk but a partition's first few — the filter comes
+/// first: each row's `L` sums are compared with the `L` floors, the
+/// trackers' minimums ([`TopKTracker::current_min`]) refreshed after
+/// every accept, and only a row some lane's sum passes is gated, and
+/// then offered to the lanes whose sum is `>=` their floor. That is
 /// `insert`'s own test against its own minimum, so every offer the
 /// filter drops is one `insert` would have rejected: answers, ties and
 /// accept counts are those of offering every gated row. A full tracker
 /// whose minimum is comparable holds no incomparable value and accepts
 /// none, so its floor stays comparable. For `u64` sums the per-row test
 /// vectorises: at `L` = 8 it is two 256-bit compares and one mask test,
-/// and a row no lane passes (most of them) costs nothing more.
+/// and a row no lane passes (most of them) costs nothing more — not
+/// even the gate.
 ///
 /// A chunk that starts with a lane still filling, or with a float NaN
 /// at its floor, offers every gated row to every lane, so the filtered
@@ -795,7 +859,7 @@ fn running_sum_pass<S: SpmvScalar>(
 #[inline(always)]
 fn select<S: SpmvScalar, const L: usize>(
     lanes: &mut [QueryLane<S>],
-    chunk: Chunk<'_, S>,
+    rows: Rows<'_>,
     row_sums: impl IntoIterator<Item = [S::Acc; L]>,
 ) {
     debug_assert_eq!(lanes.len(), L);
@@ -807,11 +871,10 @@ fn select<S: SpmvScalar, const L: usize>(
             _ => filtered = false,
         }
     }
-    let mut gate = RowGate::new(chunk.per_packet);
-    let rows = (chunk.first_row..).zip(chunk.ends).zip(row_sums);
+    let sums = (rows.first..).zip(rows.ends).zip(row_sums).enumerate();
     if !filtered {
-        for ((row, &end), sums) in rows {
-            if gate.admits(end, chunk.r_limit) {
+        for (i, ((row, _), sums)) in sums {
+            if rows.admits(i) {
                 for (lane, sum) in lanes.iter_mut().zip(sums) {
                     lane.tracker.insert(row, sum);
                 }
@@ -819,15 +882,12 @@ fn select<S: SpmvScalar, const L: usize>(
         }
         return;
     }
-    for ((row, &end), sums) in rows {
-        if !gate.admits(end, chunk.r_limit) {
-            continue;
-        }
+    for (i, ((row, _), sums)) in sums {
         let any = sums
             .iter()
             .zip(&floor)
             .fold(false, |any, (s, f)| any | (s >= f));
-        if !any {
+        if !any || !rows.admits(i) {
             continue;
         }
         for ((lane, f), &sum) in lanes.iter_mut().zip(&mut floor).zip(&sums) {
@@ -1343,11 +1403,14 @@ mod tests {
     }
 
     /// Walks `matrix` chunk by chunk, decoded through `layout` as the
-    /// engine does, into two lanes that start from `carry`: one replayed
-    /// by the sequential one-lane [`block_pass`] with the saturating
-    /// `acc_add` and its rows selected, one by [`running_sum_pass`]. After every chunk the two
-    /// must hold the same Top-K, accept count and carry. Returns whether
-    /// the running sums wrapped past 2⁶⁴ in some chunk.
+    /// engine does, into three lanes that start from `carry`: one
+    /// replayed by the sequential one-lane [`block_pass`] with the
+    /// saturating `acc_add` and its rows selected, one by
+    /// [`running_sum_pass`] from the decoded chunk, and one from running
+    /// sums taken straight from the packets ([`packet_running_sums`]).
+    /// After every chunk the three must hold the same Top-K, accept count
+    /// and carry, and the two running-sum sources the same sums. Returns
+    /// whether the running sums wrapped past 2⁶⁴ in some chunk.
     fn one_lane_bodies_agree<S: SpmvScalar<Acc = u64>>(
         matrix: &BsCsr,
         layout: PacketLayout,
@@ -1360,12 +1423,13 @@ mod tests {
         let mut idx = vec![0; chunk_entries];
         let mut dvals = vec![S::decode(0); chunk_entries];
         let mut sums = vec![0; chunk_entries + 1];
+        let mut packet_sums = vec![0; chunk_entries + 1];
         let mut row_sums = vec![0; chunk_entries];
         let lane = || QueryLane::<S> {
             tracker: TopKTracker::new(8),
             carry,
         };
-        let (mut sequential, mut running) = (lane(), lane());
+        let (mut sequential, mut running, mut from_packets) = (lane(), lane(), lane());
         let (chunk_rows, ends, _) = matrix.row_ends();
         let mut remaining = matrix.stored_entries() as usize;
         let mut wrapped = false;
@@ -1382,20 +1446,25 @@ mod tests {
             let chunk = Chunk {
                 dvals: &dvals[..len],
                 idx: &idx[..len],
-                first_row: rows.start as u32,
-                ends: &ends[rows],
-                per_packet,
-                r_limit,
+                rows: Rows {
+                    first: rows.start as u32,
+                    ends: &ends[rows],
+                    per_packet,
+                    r_limit,
+                },
             };
             let one = std::slice::from_mut(&mut sequential);
             block_pass(one, chunk, |i| [x[i as usize]], S::acc_add, &mut row_sums);
-            select(one, chunk, row_sums.iter().map(|&sum| [sum]));
+            select(one, chunk.rows, row_sums.iter().map(|&sum| [sum]));
             running_sum_pass(&mut running, chunk, x, &mut sums);
-            assert_eq!(
-                lane_state(&sequential),
-                lane_state(&running),
-                "chunk {c}, carry {carry:#x}, r {r_limit}"
-            );
+            let packet_sums = &mut packet_sums[..=len];
+            packet_running_sums(packets, layout, x, from_packets.carry, packet_sums);
+            select_running(&mut from_packets, chunk.rows, packet_sums);
+            let state = lane_state(&sequential);
+            let at = format!("chunk {c}, carry {carry:#x}, r {r_limit}");
+            assert_eq!(state, lane_state(&running), "{at}");
+            assert_eq!(state, lane_state(&from_packets), "{at}");
+            assert_eq!(sums[..=len], *packet_sums, "{at}");
             wrapped |= sums[..=len].windows(2).any(|p| p[1] < p[0]);
         }
         wrapped
@@ -1428,14 +1497,35 @@ mod tests {
         one_lane_bodies_agree_on::<Q1_24>();
     }
 
-    /// The gate's multiply-shift is the division it replaces for every
-    /// chunk-relative row end and every packet width up to 128 entries.
+    /// The O(1) gate against each row's ordinal counted packet by
+    /// packet, on row ends that crowd up to `B` rows into a packet and
+    /// leave packets without one, for every `r` from 0 to past `B`.
     #[test]
-    fn row_gate_packet_is_the_exact_quotient() {
-        for b in 1..=128usize {
-            let recip = RowGate::new(b).recip;
-            for n in 0..=u64::from(u16::MAX) {
-                assert_eq!((n * recip) >> 32, n / b as u64, "{n} / {b}");
+    fn rows_admit_the_first_r_to_end_in_each_packet() {
+        for b in [1usize, 2, 3, 15, 16] {
+            let mut ends = Vec::new();
+            let mut end = 0u16;
+            for step in [1, 1, 1, 2, 1, 7, 1, 1, 1, 1, 3, 40, 1, 2, 1, 1, 1, 5, 1] {
+                end += step;
+                ends.push(end);
+            }
+            for r_limit in 0..=b as u32 + 2 {
+                let rows = Rows {
+                    first: 0,
+                    ends: &ends,
+                    per_packet: b,
+                    r_limit,
+                };
+                let mut ordinal = 0;
+                for (i, &end) in ends.iter().enumerate() {
+                    let same = i > 0 && (ends[i - 1] - 1) as usize / b == (end - 1) as usize / b;
+                    ordinal = if same { ordinal + 1 } else { 0 };
+                    assert_eq!(
+                        rows.admits(i),
+                        ordinal < r_limit,
+                        "B={b} r={r_limit} row {i}"
+                    );
+                }
             }
         }
     }
@@ -1474,24 +1564,31 @@ mod tests {
         )
     }
 
+    /// Padding slots set to the largest `idx` and `val`: on the
+    /// 1,000-column stream, `idx` 1,023 lies past every query's end, so
+    /// a one-lane run that gathered the padding (its gather is checked
+    /// there) would panic.
     #[test]
     fn padding_of_a_ragged_last_packet_never_reaches_a_sum() {
-        let [clean, ..] = design_streams::<Q1_19>();
-        let layout = clean.layout();
-        let b = layout.entries_per_packet() as usize;
-        let real = clean.stored_entries() as usize % b;
-        let mut packets = clean.packets().to_vec();
-        let last = packets.last_mut().unwrap();
-        for j in real..b {
-            poke(layout, last, false, j, 0x3ff);
-            poke(layout, last, true, j, 0xf_ffff);
+        let [gamma, _, narrow] = design_streams::<Q1_19>();
+        for clean in [gamma, narrow] {
+            let layout = clean.layout();
+            let b = layout.entries_per_packet() as usize;
+            let real = clean.stored_entries() as usize % b;
+            assert_ne!(real, 0, "ragged last packet");
+            let mut packets = clean.packets().to_vec();
+            let last = packets.last_mut().unwrap();
+            for j in real..b {
+                poke(layout, last, false, j, 0x3ff);
+                poke(layout, last, true, j, 0xf_ffff);
+            }
+            let doctored = rebuilt(&clean, packets).expect("structure untouched");
+            assert_ne!(doctored, clean);
+            assert_eq!(
+                both_instantiations::<Q1_19>(&doctored),
+                both_instantiations::<Q1_19>(&clean)
+            );
         }
-        let doctored = rebuilt(&clean, packets).expect("structure untouched");
-        assert_ne!(doctored, clean);
-        assert_eq!(
-            both_instantiations::<Q1_19>(&doctored),
-            both_instantiations::<Q1_19>(&clean)
-        );
     }
 
     /// Two rows in one packet; row 1 ends at entry 3 of 3.
@@ -1532,10 +1629,12 @@ mod tests {
         let chunk = Chunk {
             dvals: &dvals[..len],
             idx: &idx[..len],
-            first_row: 0,
-            ends: &[1, 5],
-            per_packet: b,
-            r_limit: u32::MAX,
+            rows: Rows {
+                first: 0,
+                ends: &[1, 5],
+                per_packet: b,
+                r_limit: u32::MAX,
+            },
         };
         let x = ones(1024);
         let mut lane = QueryLane {

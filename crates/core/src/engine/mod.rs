@@ -7,7 +7,9 @@
 //! [`crate::TopKBackend`] impl runs it on `c` cores over a partitioned matrix and merges their
 //! per-partition Top-k lists (§III-A). Per chunk of packets, only the
 //! entries' `idx`/`val` fields are sliced, straight into the engine's
-//! chunk arrays, by [`tkspmv_sparse::Packet512::decode_fields`]; the
+//! chunk arrays, by [`tkspmv_sparse::Packet512::decode_fields`] (a
+//! one-lane batch whose sums cannot saturate slices them packet by
+//! packet straight into its products and running sums instead); the
 //! rows are replayed from the row ends the stream recorded once, at
 //! encode or load ([`tkspmv_sparse::BsCsr::row_ends`]), so no query
 //! reads a `ptr` slot. Replay only writes each chunk's row sums; one

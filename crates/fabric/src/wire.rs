@@ -739,12 +739,11 @@ impl Response {
                         // whole answer. Not `push`: a zero-duration span
                         // the peer sent is kept.
                         if let Some(stage) = Stage::from_u8(tag) {
-                            rec.spans[usize::from(rec.len)] = StageSpan {
+                            rec.push_span(StageSpan {
                                 stage,
                                 start_us,
                                 dur_us,
-                            };
-                            rec.len += 1;
+                            });
                         }
                     }
                     Some(rec)

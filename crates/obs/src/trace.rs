@@ -28,7 +28,10 @@ pub enum Stage {
     Queue = 0,
     /// Held by the batcher while it coalesces company for the batch.
     Coalesce = 1,
-    /// BS-CSR packet decode inside the engine (chunk → flat arrays).
+    /// BS-CSR packet decode inside the engine (chunk → flat arrays). A
+    /// one-lane batch whose sums cannot saturate has no flat arrays: it
+    /// slices each packet straight into products and running sums, and
+    /// that whole pass is timed here.
     Decode = 2,
     /// Exact scoring: gather–multiply–accumulate plus top-k offers.
     /// The engine's select step (the floor-filtered offers and the
@@ -215,10 +218,12 @@ pub struct SpanRecord {
     pub trace_id: TraceId,
     /// End-to-end latency in microseconds.
     pub total_us: u32,
-    /// Number of valid entries in `spans`.
-    pub len: u8,
+    /// Number of valid entries in `spans`, at most
+    /// [`MAX_SPANS_PER_RECORD`]: private, so [`SpanRecord::spans`] never
+    /// slices past the array.
+    len: u8,
     /// The stage spans (only `spans[..len]` are meaningful).
-    pub spans: [StageSpan; MAX_SPANS_PER_RECORD],
+    spans: [StageSpan; MAX_SPANS_PER_RECORD],
 }
 
 impl SpanRecord {
@@ -235,15 +240,22 @@ impl SpanRecord {
     /// Appends a span; silently drops once full (bounded by design) and
     /// skips zero-duration spans to keep records readable.
     pub fn push(&mut self, stage: Stage, start_us: u32, dur_us: u32) {
-        if dur_us == 0 || (self.len as usize) >= MAX_SPANS_PER_RECORD {
-            return;
+        if dur_us != 0 {
+            self.push_span(StageSpan {
+                stage,
+                start_us,
+                dur_us,
+            });
         }
-        self.spans[self.len as usize] = StageSpan {
-            stage,
-            start_us,
-            dur_us,
-        };
-        self.len += 1;
+    }
+
+    /// Appends `span` as it is, a zero-duration one included (the wire
+    /// decoder keeps what a peer sent); silently drops once full.
+    pub fn push_span(&mut self, span: StageSpan) {
+        if let Some(slot) = self.spans.get_mut(usize::from(self.len)) {
+            *slot = span;
+            self.len += 1;
+        }
     }
 
     /// The valid spans.
@@ -560,6 +572,21 @@ mod tests {
             r.push(Stage::Decode, i, 1);
         }
         assert_eq!(r.spans().len(), MAX_SPANS_PER_RECORD);
+    }
+
+    #[test]
+    fn push_span_keeps_zero_durations_up_to_the_cap() {
+        let mut r = SpanRecord::new(TraceId::ZERO, 1000);
+        let span = |start_us| StageSpan {
+            stage: Stage::Wire,
+            start_us,
+            dur_us: 0,
+        };
+        for i in 0..(MAX_SPANS_PER_RECORD as u32 + 4) {
+            r.push_span(span(i));
+        }
+        let kept: Vec<StageSpan> = (0..MAX_SPANS_PER_RECORD as u32).map(span).collect();
+        assert_eq!(r.spans(), kept);
     }
 
     #[test]

@@ -59,15 +59,16 @@ fn batched_32_beats_32_sequential_calls() {
     assert_eq!(results.len(), B);
 
     // Decode is paid once per batch and replay runs eight lanes per
-    // decoded non-zero, so the batch takes 0.18-0.38x the sequential
-    // time, median 0.34 (12 runs on a 2-vCPU x86-64-v3 host; 0.21-0.29
-    // before B = 1 summed by running-sum differences). With ~3k entries
-    // a partition the fork-join dominates both sides, and a cheaper
-    // B = 1 makes the sequential side cheap too. Asserting 0.4x leaves
-    // little headroom over the slowest reading but still catches a
-    // fallback to per-query decoding, which brings the two sides level.
+    // decoded non-zero, so the batch takes 0.28-0.49x the sequential
+    // time, median 0.40 (12 runs on a 2-vCPU x86-64-v3 host). With ~3k
+    // entries a partition the fork-join dominates both sides, and a
+    // lone query slicing its packets straight into running sums makes
+    // the sequential side cheap too. A fallback to per-query decoding
+    // read 0.47-1.11x, median 0.89, on the same host (12 runs): 0.6x
+    // stays above every reading of the batched engine and below all but
+    // the fallback's fastest.
     assert!(
-        batched.as_secs_f64() < sequential.as_secs_f64() * 0.4,
+        batched.as_secs_f64() < sequential.as_secs_f64() * 0.6,
         "B={B} batch ({batched:?}) not faster than {B} sequential calls ({sequential:?})"
     );
 }

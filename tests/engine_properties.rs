@@ -401,3 +401,94 @@ fn ties_at_the_trackers_floors_match_the_chunk_oracle() {
     ties_at_the_floor_match_the_chunk_oracle::<Q1_19>();
     ties_at_the_floor_match_the_chunk_oracle::<F32>();
 }
+
+/// A seeded matrix of `stored` stored entries, crowded with row ends at
+/// `b` per packet: runs of one-entry and empty rows (an empty row stores
+/// one placeholder), so a packet ends up to `b` rows, broken by a
+/// two-to-`b`-entry row about one row in 32, so some packets end few
+/// rows, and by a row of more than `2b` entries about one in 128, so
+/// some end none.
+fn crowded_matrix(stored: usize, b: usize, seed: u64) -> Csr {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut triplets = Vec::new();
+    let (mut row, mut cum) = (0u32, 0usize);
+    while cum < stored {
+        let draw = next() as usize;
+        let len = match draw % 128 {
+            0 => 2 * b + 1 + draw / 128 % b,
+            1..=4 => 2 + draw / 128 % (b - 1),
+            5..=16 => 0,
+            _ => 1,
+        }
+        .min(stored - cum);
+        let start = next() as usize % 1024;
+        let mut cols: Vec<u32> = (0..len).map(|j| ((start + 53 * j) % 1024) as u32).collect();
+        cols.sort_unstable();
+        for c in cols {
+            triplets.push((row, c, (next() % 1000 + 1) as f32 / 1000.0));
+        }
+        cum += len.max(1);
+        row += 1;
+    }
+    Csr::from_triplets(row as usize, 1024, &triplets).expect("valid by construction")
+}
+
+/// The `r` gate at batch sizes 1 (a lane alone: for Q1.19 its sums come
+/// straight from the packets), 2 (two remainder lanes), 9 and 17 (a
+/// block plus one), for r ∈ {1, 2, B/4, B − 1, B} and `Reference`,
+/// against [`chunk_oracle`]'s explicit per-packet ordinal count: every
+/// lane's Top-K list, `rows_finished`, `rows_dropped` and
+/// `topk_accepted`. The stream crosses two chunk boundaries, most of its
+/// packets end more than B/2 rows, and its last packet is ragged.
+fn r_gate_matches_the_ordinal_count<S: SpmvScalar>() {
+    let layout = PacketLayout::paper(S::VALUE_BITS);
+    let b = layout.entries_per_packet() as usize;
+    let csr = crowded_matrix(150 * b - b / 3, b, 41);
+    let bs = BsCsr::encode::<S>(&csr, layout);
+    assert_eq!(bs.num_packets(), 150);
+    assert_ne!(bs.stored_entries() % b as u64, 0, "ragged last packet");
+    let mut ends_per_packet = vec![0usize; bs.num_packets()];
+    let mut end = 0;
+    for row in 0..csr.num_rows() {
+        end += csr.row_nnz(row).max(1);
+        ends_per_packet[(end - 1) / b] += 1;
+    }
+    let crowded = ends_per_packet.iter().filter(|&&n| n > b / 2).count();
+    assert!(2 * crowded > bs.num_packets(), "{crowded} crowded packets");
+    assert!(ends_per_packet.contains(&0), "some packet ends no row");
+    let queries = queries::<S>();
+    let k = 10;
+    let b = b as u32;
+    for r in [1, 2, b / 4, b - 1, b, u32::MAX] {
+        let fidelity = if r == u32::MAX {
+            Fidelity::Reference
+        } else {
+            Fidelity::Faithful { rows_per_packet: r }
+        };
+        for lanes in [1, 2, 9, 17] {
+            let mut scratch = BatchScratch::new();
+            let got =
+                run_core_batch_with_scratch(&bs, &queries[..lanes], k, fidelity, &mut scratch);
+            for (lane, (out, x)) in got.iter().zip(&queries).enumerate() {
+                let want = chunk_oracle(&csr, u64::from(b), x, k, r);
+                assert_eq!(
+                    (&out.topk, out.stats),
+                    (&want.0, want.1),
+                    "{fidelity:?} B={lanes} lane {lane}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn r_gate_matches_an_explicit_per_packet_ordinal_count() {
+    r_gate_matches_the_ordinal_count::<Q1_19>();
+    r_gate_matches_the_ordinal_count::<F32>();
+}
