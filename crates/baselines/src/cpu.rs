@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use tkspmv_sparse::{exact_dot, Csr, DenseVector};
 
-use tkspmv::backend::{BackendPerf, BackendStats, PreparedMatrix, QueryResult, TopKBackend};
+use tkspmv::backend::{BackendPerf, BackendStats, PreparedMatrix, Query, QueryResult, TopKBackend};
 use tkspmv::fanout::{fork_join, host_parallelism};
 use tkspmv::{EngineError, TopKResult};
 
@@ -81,21 +81,22 @@ impl TopKBackend for CpuTopK {
         ))
     }
 
-    /// Computes the exact Top-K of `csr * x`, timing it on the wall
-    /// clock (the Figure 5 baseline measurement).
-    fn query(
+    fn answer(
         &self,
         matrix: &PreparedMatrix,
-        x: &DenseVector,
-        k: usize,
-    ) -> Result<QueryResult, EngineError> {
+        queries: &[DenseVector],
+        query: &Query,
+    ) -> Result<Vec<QueryResult>, EngineError> {
         let csr = matrix.downcast::<Csr>(&self.name())?;
-        if x.len() != csr.num_cols() {
-            return Err(EngineError::vector_length_mismatch(x.len(), csr.num_cols()));
-        }
-        if k == 0 {
-            return Err(EngineError::zero_big_k());
-        }
+        let k = query.check_exact(self, csr.num_cols(), queries)?;
+        Ok(queries.iter().map(|x| self.run(&csr, x, k)).collect())
+    }
+}
+
+impl CpuTopK {
+    /// Computes the exact Top-K of `csr * x`, timing it on the wall
+    /// clock (the Figure 5 baseline measurement).
+    fn run(&self, csr: &Arc<Csr>, x: &DenseVector, k: usize) -> QueryResult {
         let started = Instant::now();
         let nnz = csr.nnz() as u64;
         let threads = self.threads.min(csr.num_rows()).max(1);
@@ -103,6 +104,7 @@ impl TopKBackend for CpuTopK {
         // The range tasks run on the resident compute pool, so they own
         // the query they score.
         let x: Arc<[f32]> = Arc::from(x.as_slice());
+        let csr = Arc::clone(csr);
 
         let (ranges, _) = fork_join(
             threads,
@@ -116,11 +118,11 @@ impl TopKBackend for CpuTopK {
             },
         );
         let topk = TopKResult::merge(ranges, k);
-        Ok(QueryResult {
+        QueryResult {
             topk,
             perf: BackendPerf::measured(started.elapsed().as_secs_f64(), nnz),
             stats: BackendStats::Cpu { threads },
-        })
+        }
     }
 }
 

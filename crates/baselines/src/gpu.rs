@@ -22,7 +22,7 @@
 use tkspmv_fixed::Half;
 use tkspmv_sparse::{Csr, DenseVector};
 
-use tkspmv::backend::{BackendPerf, BackendStats, PreparedMatrix, QueryResult, TopKBackend};
+use tkspmv::backend::{BackendPerf, BackendStats, PreparedMatrix, Query, QueryResult, TopKBackend};
 use tkspmv::{EngineError, TopKResult};
 
 /// GPU arithmetic mode.
@@ -211,19 +211,22 @@ impl TopKBackend for GpuTopK {
         ))
     }
 
-    fn query(
+    fn answer(
         &self,
         matrix: &PreparedMatrix,
-        x: &DenseVector,
-        k: usize,
-    ) -> Result<QueryResult, EngineError> {
+        queries: &[DenseVector],
+        query: &Query,
+    ) -> Result<Vec<QueryResult>, EngineError> {
         let csr = matrix.downcast::<Csr>(GPU_FAMILY)?;
-        if x.len() != csr.num_cols() {
-            return Err(EngineError::vector_length_mismatch(x.len(), csr.num_cols()));
-        }
-        if k == 0 {
-            return Err(EngineError::zero_big_k());
-        }
+        let k = query.check_exact(self, csr.num_cols(), queries)?;
+        Ok(queries.iter().map(|x| self.run(&csr, x, k)).collect())
+    }
+}
+
+impl GpuTopK {
+    /// Scores `csr * x` in the backend's arithmetic and bills the
+    /// modelled two-kernel pipeline.
+    fn run(&self, csr: &Csr, x: &DenseVector, k: usize) -> QueryResult {
         let x = x.as_slice();
         let y: Vec<f32> = match self.precision {
             GpuPrecision::F32 => (0..csr.num_rows())
@@ -260,7 +263,7 @@ impl TopKBackend for GpuTopK {
         } else {
             spmv_seconds + sort_seconds
         };
-        Ok(QueryResult {
+        QueryResult {
             topk,
             perf: BackendPerf::modelled(billed, billed, nnz),
             stats: BackendStats::Gpu {
@@ -268,7 +271,7 @@ impl TopKBackend for GpuTopK {
                 sort_seconds,
                 zero_cost_sort: self.zero_cost_sort,
             },
-        })
+        }
     }
 }
 

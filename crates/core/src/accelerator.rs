@@ -4,16 +4,16 @@
 //! validates a design configuration against the device model, encodes
 //! the embedding collection into per-channel BS-CSR partitions
 //! ([`Accelerator::load_matrix`]). Queries enter only through the
-//! [`TopKBackend`](crate::TopKBackend) trait, whose `query` and
-//! `query_batch` run the multi-core engine and return ranked results
-//! with a performance model report.
+//! [`TopKBackend`](crate::TopKBackend) trait, whose `answer` runs the
+//! multi-core engine and returns ranked results with a performance
+//! model report.
 
 use std::sync::Arc;
 
 use tkspmv_fixed::{Half, Precision, F32, Q1_19, Q1_24, Q1_31};
 use tkspmv_sparse::{BsCsr, Csr, DenseVector, PacketLayout};
 
-use crate::backend::{BackendPerf, BackendStats, QueryResult};
+use crate::backend::{BackendPerf, BackendStats, Query, QueryResult};
 use crate::engine::{quantize_vector, run_multicore, Fidelity, MulticoreOutput};
 use crate::error::EngineError;
 use crate::fanout::host_parallelism;
@@ -323,37 +323,26 @@ impl Accelerator {
         }
     }
 
-    /// Answers `queries` against a loaded matrix — the one body behind
-    /// both `TopKBackend` query methods (a single query is a one-element
-    /// slice): the whole batch is validated before any of it runs, the
-    /// precision dispatch happens once, and every answer carries the
-    /// modelled performance report.
+    /// Answers `queries` against a loaded matrix — the body of
+    /// [`TopKBackend::answer`](crate::backend::TopKBackend::answer) (a
+    /// single query is a one-element slice): the whole batch is
+    /// validated before any of it runs, the precision dispatch happens
+    /// once, and every answer carries the modelled performance report.
     ///
     /// # Errors
     ///
-    /// [`EngineError::BadQuery`] if a vector length does not match,
-    /// `big_k` is zero, or `k·c < big_k` (the per-core depth cannot
-    /// cover the requested K).
-    pub(crate) fn answer(
+    /// [`EngineError::BadQuery`] if a query fails [`Query::check_exact`]
+    /// or `k·c < K` (the per-core depth cannot cover the requested K).
+    pub(crate) fn answer_loaded(
         &self,
         matrix: &Arc<LoadedMatrix>,
         queries: &[DenseVector],
-        big_k: usize,
+        query: &Query,
     ) -> Result<Vec<QueryResult>, EngineError> {
-        if big_k == 0 {
-            return Err(EngineError::zero_big_k());
-        }
+        let big_k = query.check_exact(self, matrix.num_cols, queries)?;
         let covered = self.config.k * matrix.partitions.len();
         if covered < big_k {
             return Err(EngineError::coverage_too_small(covered, big_k));
-        }
-        for x in queries {
-            if x.len() != matrix.num_cols {
-                return Err(EngineError::vector_length_mismatch(
-                    x.len(),
-                    matrix.num_cols,
-                ));
-            }
         }
         let fidelity = self.fidelity_for(matrix);
         let k = self.config.k;
@@ -618,7 +607,7 @@ mod tests {
         let queries = QueryBatch::random(4, 512, 10);
         let batch = acc.query_batch(&m, &queries, 20).unwrap();
         assert_eq!(batch.len(), 4);
-        for (x, out) in queries.iter().zip(&batch) {
+        for (x, out) in queries.queries().iter().zip(&batch) {
             let single = acc.query(&m, x, 20).unwrap();
             assert_eq!(single.topk, out.topk);
         }
@@ -630,7 +619,7 @@ mod tests {
         let m = acc.prepare(&small_matrix()).unwrap();
         let queries = QueryBatch::random(3, 512, 0);
         let batch = acc.query_batch(&m, &queries, 10).unwrap();
-        for (x, out) in queries.iter().zip(&batch) {
+        for (x, out) in queries.queries().iter().zip(&batch) {
             let single = acc.query(&m, x, 10).unwrap();
             assert_eq!(single.perf, out.perf);
             assert_eq!(single.stats.perf_report(), out.stats.perf_report());

@@ -10,14 +10,18 @@
 //!
 //! 1. [`TopKBackend::prepare`] pays the one-time encode/upload cost and
 //!    returns an opaque [`PreparedMatrix`];
-//! 2. [`TopKBackend::query`] answers a single query with a uniform
-//!    [`QueryResult`] (ranked rows + performance + backend statistics);
-//! 3. [`TopKBackend::query_batch`] answers a [`QueryBatch`], letting
-//!    backends amortise per-call overhead — the accelerator keeps each
-//!    HBM channel's BS-CSR partition resident across the whole batch
-//!    (its `query` is the one-lane case of the same call).
+//! 2. a [`Query`] names what to answer: `k`, the precision tier and the
+//!    trace id, checked by one precondition, [`Query::check`];
+//! 3. [`TopKBackend::answer`], the one required answering method, takes
+//!    a slice of vectors and one `Query` and returns a uniform
+//!    [`QueryResult`] per vector (ranked rows + performance + backend
+//!    statistics) — the accelerator keeps each HBM channel's BS-CSR
+//!    partition resident across the whole slice, and a single query is
+//!    a one-element slice. [`TopKBackend::query`] and
+//!    [`TopKBackend::query_batch`] are provided exact-tier `(x, k)`
+//!    conveniences over it.
 //!
-//! Results of `query_batch` are guaranteed element-wise identical to
+//! Results of a batch are guaranteed element-wise identical to
 //! issuing the same queries one at a time (property-tested in
 //! `tests/backend_batch.rs`); batching only changes *how fast* the
 //! answers arrive.
@@ -34,7 +38,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use tkspmv_obs::Stages;
+use tkspmv_obs::{Stages, TraceId};
 use tkspmv_sparse::gen::query_vector;
 use tkspmv_sparse::snapshot::{Snapshot, SnapshotError, SnapshotPayload};
 use tkspmv_sparse::{Csr, DenseVector, PruneIndex};
@@ -79,71 +83,65 @@ pub trait TopKBackend: Send + Sync {
     /// place on the device, for example.
     fn prepare(&self, csr: &Csr) -> Result<PreparedMatrix, EngineError>;
 
-    /// Answers one Top-`k` query against a prepared collection.
+    /// Answers `queries` against a prepared collection, in input order,
+    /// under one [`Query`]'s options: the one method every engine
+    /// implements. A single query is a one-element slice, so B = 1
+    /// copies nothing.
+    ///
+    /// Results must be element-wise identical to answering each query
+    /// alone; batching only changes how fast they arrive. Every backend
+    /// answers [`QueryTier::Exact`]: its full-precision path. Only a
+    /// backend with a staged prune + rescore pipeline (the
+    /// `PrunedBackend` wrapper) answers [`QueryTier::Pruned`]; a plain
+    /// one refuses it through [`Query::check_exact`] rather than silently
+    /// returning an exact answer the caller did not ask for.
     ///
     /// # Errors
     ///
-    /// [`EngineError::BadQuery`] if the vector length or `k` is
-    /// inconsistent with the prepared matrix, or if `matrix` was
+    /// [`EngineError::BadQuery`] if a query fails [`Query::check`] (the
+    /// whole batch is checked before any of it runs), if the backend
+    /// does not implement the requested tier, or if `matrix` was
     /// prepared by an incompatible backend.
+    fn answer(
+        &self,
+        matrix: &PreparedMatrix,
+        queries: &[DenseVector],
+        query: &Query,
+    ) -> Result<Vec<QueryResult>, EngineError>;
+
+    /// Answers one exact-tier Top-`k` query: [`TopKBackend::answer`]
+    /// over a one-element slice.
+    ///
+    /// # Errors
+    ///
+    /// As [`TopKBackend::answer`].
+    #[expect(
+        clippy::expect_used,
+        reason = "contract: `answer` returns one result per query"
+    )]
     fn query(
         &self,
         matrix: &PreparedMatrix,
         x: &DenseVector,
         k: usize,
-    ) -> Result<QueryResult, EngineError>;
+    ) -> Result<QueryResult, EngineError> {
+        let mut results = self.answer(matrix, std::slice::from_ref(x), &Query::new(k))?;
+        Ok(results.pop().expect("one result per query"))
+    }
 
-    /// Answers a batch of queries, in input order.
-    ///
-    /// The default implementation loops over [`TopKBackend::query`];
-    /// backends override it to amortise per-call work. Either way the
-    /// results must be element-wise identical to sequential calls.
+    /// Answers a batch of exact-tier Top-`k` queries, in input order:
+    /// [`TopKBackend::answer`] over the batch's queries.
     ///
     /// # Errors
     ///
-    /// As [`TopKBackend::query`]; the first failing query's error is
-    /// returned and implementations validate the whole batch before
-    /// running any of it where practical.
+    /// As [`TopKBackend::answer`].
     fn query_batch(
         &self,
         matrix: &PreparedMatrix,
         batch: &QueryBatch,
         k: usize,
     ) -> Result<Vec<QueryResult>, EngineError> {
-        batch.iter().map(|x| self.query(matrix, x, k)).collect()
-    }
-
-    /// Answers a batch at an explicit precision tier.
-    ///
-    /// Every backend supports [`QueryTier::Exact`]: the full-precision
-    /// answer. For a plain backend that is [`TopKBackend::query_batch`]
-    /// by another name; for the `PrunedBackend` wrapper it is the
-    /// *wrapped* backend's `query_batch`, while the wrapper's own
-    /// `query`/`query_batch` are the staged path at its constructor's
-    /// shortlist factor. [`QueryTier::Pruned`] asks for the staged
-    /// low-bit prune + exact rescore pipeline at an explicit factor;
-    /// only backends that implement it (the wrapper) accept the tier —
-    /// everything else fails typed rather than silently degrading to an
-    /// exact answer the caller did not pay for.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::BadQuery`] for an unsupported tier; otherwise as
-    /// [`TopKBackend::query_batch`].
-    fn query_batch_tiered(
-        &self,
-        matrix: &PreparedMatrix,
-        batch: &QueryBatch,
-        k: usize,
-        tier: QueryTier,
-    ) -> Result<Vec<QueryResult>, EngineError> {
-        match tier {
-            QueryTier::Exact => self.query_batch(matrix, batch, k),
-            QueryTier::Pruned { .. } => Err(EngineError::bad_query(format!(
-                "backend `{}` does not implement the pruned query tier",
-                self.name()
-            ))),
-        }
+        self.answer(matrix, batch.queries(), &Query::new(k))
     }
 
     /// What this backend persists for `matrix` — the save half of the
@@ -533,48 +531,100 @@ pub enum QueryTier {
     },
 }
 
-impl QueryTier {
-    /// Compact label for metrics and tables: `exact` or `pruned-c{c}`.
-    pub fn label(self) -> String {
+/// Compact label for metrics and tables: `exact` or `pruned-c{c}`.
+impl std::fmt::Display for QueryTier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            QueryTier::Exact => "exact".to_string(),
-            QueryTier::Pruned { shortlist_factor } => format!("pruned-c{shortlist_factor}"),
+            QueryTier::Exact => f.write_str("exact"),
+            QueryTier::Pruned { shortlist_factor } => write!(f, "pruned-c{shortlist_factor}"),
         }
     }
 }
 
-impl std::fmt::Display for QueryTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.label())
+/// One query's options, the one value that carries them from a client
+/// through the router, the wire, a node and the batcher to an engine:
+/// how many rows to return, at which precision tier, and the trace id
+/// its span record is filed under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Query {
+    /// Rows to return (the paper's global `K`).
+    pub k: usize,
+    /// The precision tier to answer at.
+    pub tier: QueryTier,
+    /// Distributed trace id; [`TraceId::ZERO`] marks the query untraced.
+    pub trace: TraceId,
+}
+
+impl Query {
+    /// An exact-tier, untraced Top-`k` query.
+    pub fn new(k: usize) -> Self {
+        Self {
+            k,
+            tier: QueryTier::Exact,
+            trace: TraceId::ZERO,
+        }
+    }
+
+    /// What every query must satisfy before any engine or serving layer
+    /// touches it: a vector of the collection's dimension `dim`, `k ≥ 1`,
+    /// and, at the pruned tier, a shortlist factor of at least 1.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::vector_length_mismatch`], [`EngineError::zero_big_k`]
+    /// or an invalid-config error naming the shortlist factor, checked in
+    /// that order.
+    pub fn check(&self, dim: usize, x_len: usize) -> Result<(), EngineError> {
+        if x_len != dim {
+            return Err(EngineError::vector_length_mismatch(x_len, dim));
+        }
+        if self.k == 0 {
+            return Err(EngineError::zero_big_k());
+        }
+        if self.tier
+            == (QueryTier::Pruned {
+                shortlist_factor: 0,
+            })
+        {
+            return Err(EngineError::invalid_config(
+                "shortlist factor must be at least 1",
+            ));
+        }
+        Ok(())
+    }
+
+    /// The precondition of a backend that answers only the exact tier:
+    /// every vector of the batch passes [`Query::check`] against `dim`,
+    /// then a pruned tier is refused in `backend`'s name (read only on
+    /// that error, so a warm query allocates nothing here). Returns `k`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Query::check`], then [`EngineError::BadQuery`] for
+    /// [`QueryTier::Pruned`].
+    pub fn check_exact(
+        &self,
+        backend: &dyn TopKBackend,
+        dim: usize,
+        queries: &[DenseVector],
+    ) -> Result<usize, EngineError> {
+        for x in queries {
+            self.check(dim, x.len())?;
+        }
+        match self.tier {
+            QueryTier::Exact => Ok(self.k),
+            QueryTier::Pruned { .. } => Err(EngineError::bad_query(format!(
+                "backend `{}` does not implement the pruned query tier",
+                backend.name()
+            ))),
+        }
     }
 }
 
-/// What every query must satisfy before any engine or serving layer
-/// touches it: a vector of the collection's dimension `dim`, `k ≥ 1`,
-/// and, at the pruned tier, a shortlist factor of at least 1.
-///
-/// # Errors
-///
-/// [`EngineError::vector_length_mismatch`], [`EngineError::zero_big_k`]
-/// or an invalid-config error naming the shortlist factor, checked in
-/// that order.
-pub fn check_query(dim: usize, x_len: usize, k: usize, tier: QueryTier) -> Result<(), EngineError> {
-    if x_len != dim {
-        return Err(EngineError::vector_length_mismatch(x_len, dim));
+impl From<usize> for Query {
+    fn from(k: usize) -> Self {
+        Self::new(k)
     }
-    if k == 0 {
-        return Err(EngineError::zero_big_k());
-    }
-    if tier
-        == (QueryTier::Pruned {
-            shortlist_factor: 0,
-        })
-    {
-        return Err(EngineError::invalid_config(
-            "shortlist factor must be at least 1",
-        ));
-    }
-    Ok(())
 }
 
 /// A non-empty set of equal-dimension query vectors answered as one
@@ -631,20 +681,6 @@ impl QueryBatch {
     /// The queries, in batch order.
     pub fn queries(&self) -> &[DenseVector] {
         &self.queries
-    }
-
-    /// Iterates the queries in batch order.
-    pub fn iter(&self) -> std::slice::Iter<'_, DenseVector> {
-        self.queries.iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a QueryBatch {
-    type Item = &'a DenseVector;
-    type IntoIter = std::slice::Iter<'a, DenseVector>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
     }
 }
 
@@ -846,28 +882,6 @@ impl TopKBackend for Accelerator {
         Ok(self.prepared(self.load_matrix(csr)?))
     }
 
-    /// The B = 1 case of [`TopKBackend::query_batch`].
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::BadQuery`] if the vector length does not match,
-    /// `k` is zero, or the per-core depth times the partition count
-    /// cannot cover `k`.
-    #[expect(
-        clippy::expect_used,
-        reason = "invariant: a validated one-query batch yields exactly one result"
-    )]
-    fn query(
-        &self,
-        matrix: &PreparedMatrix,
-        x: &DenseVector,
-        k: usize,
-    ) -> Result<QueryResult, EngineError> {
-        let loaded = checked_loaded(self, matrix)?;
-        let mut results = self.answer(&loaded, std::slice::from_ref(x), k)?;
-        Ok(results.pop().expect("one result per query"))
-    }
-
     /// A deployment answers many queries against the same collection;
     /// the expensive load/encode step is paid once and the batch reuses
     /// it. Beyond that, batching amortises per-call work: the precision
@@ -887,15 +901,16 @@ impl TopKBackend for Accelerator {
     ///
     /// # Errors
     ///
-    /// As [`TopKBackend::query`]; the whole batch is validated before
-    /// any query runs.
-    fn query_batch(
+    /// As [`TopKBackend::answer`], plus [`EngineError::BadQuery`] if the
+    /// per-core depth times the partition count cannot cover `k`; the
+    /// whole batch is validated before any query runs.
+    fn answer(
         &self,
         matrix: &PreparedMatrix,
-        batch: &QueryBatch,
-        k: usize,
+        queries: &[DenseVector],
+        query: &Query,
     ) -> Result<Vec<QueryResult>, EngineError> {
-        self.answer(&checked_loaded(self, matrix)?, batch.queries(), k)
+        self.answer_loaded(&checked_loaded(self, matrix)?, queries, query)
     }
 
     /// The accelerator persists its *encoded* form — per-core BS-CSR
@@ -982,7 +997,7 @@ mod tests {
         let batch = QueryBatch::random(6, 256, 11);
         let got = backend.query_batch(&prepared, &batch, 30).unwrap();
         assert_eq!(got.len(), 6);
-        for (x, g) in batch.iter().zip(&got) {
+        for (x, g) in batch.queries().iter().zip(&got) {
             let single = backend.query(&prepared, x, 30).unwrap();
             assert_eq!(single.topk, g.topk);
             assert_eq!(single.perf, g.perf);
@@ -1022,7 +1037,6 @@ mod tests {
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.dim(), 8);
         assert_eq!(batch.queries().len(), 2);
-        assert_eq!((&batch).into_iter().count(), 2);
     }
 
     #[test]

@@ -27,13 +27,14 @@
 //! Every engine in this workspace — the emulated accelerator built here,
 //! plus the CPU and GPU baselines in `tkspmv_baselines` — speaks the
 //! [`backend::TopKBackend`] trait: `prepare` a collection once, then
-//! `query` it, one vector at a time or as a [`backend::QueryBatch`].
+//! query it, one vector at a time or as a [`backend::QueryBatch`].
 //! The trait is the only way in: every accelerator query, single or
-//! batched, enters through [`TopKBackend::query`] or
-//! [`TopKBackend::query_batch`], which fan
+//! batched, enters through [`TopKBackend::answer`] — a slice of vectors
+//! and one [`backend::Query`] (`k`, tier, trace id) — which fans
 //! [`run_core_batch_with_scratch`] out over the cores, and every result
 //! carries the [`tkspmv_obs::Stages`] its own call measured
-//! ([`BackendStats::stage_times`]).
+//! ([`BackendStats::stage_times`]). [`TopKBackend::query`] and
+//! [`TopKBackend::query_batch`] are its exact-tier `(x, k)` shorthands.
 //!
 //! ```
 //! use tkspmv::backend::{QueryBatch, TopKBackend};

@@ -43,7 +43,7 @@ use tkspmv_sparse::snapshot::{Snapshot, SnapshotError, SnapshotPayload};
 use tkspmv_sparse::{exact_dot, Csr, DenseVector, PruneIndex};
 
 use crate::backend::{
-    check_family, check_query, rejected, BackendPerf, BackendStats, PreparedMatrix, QueryBatch,
+    check_family, rejected, BackendPerf, BackendStats, PreparedMatrix, Query, QueryBatch,
     QueryResult, QueryTier, TopKBackend,
 };
 use crate::error::EngineError;
@@ -53,10 +53,11 @@ use crate::topk::{top_keys, TopKResult};
 /// A [`TopKBackend`] that answers queries in two phases — low-bit prune,
 /// then exact `f64` rescore of the shortlist.
 ///
+/// [`TopKBackend::answer`] at [`QueryTier::Pruned`] is the staged path
+/// at the query's factor, and at [`QueryTier::Exact`] the wrapped
+/// backend's own `answer`. The `(x, k)` shorthands
 /// [`TopKBackend::query`] and [`TopKBackend::query_batch`] are the
-/// staged path at [`PrunedBackend::shortlist_factor`];
-/// [`QueryTier::Exact`] through [`TopKBackend::query_batch_tiered`] is
-/// the wrapped backend's own `query_batch`.
+/// staged path at [`PrunedBackend::shortlist_factor`].
 ///
 /// # Example
 ///
@@ -163,6 +164,16 @@ impl PrunedBackend {
         &self.inner
     }
 
+    /// An untraced Top-`k` query at the constructor's shortlist factor.
+    fn own_factor(&self, k: usize) -> Query {
+        Query {
+            tier: QueryTier::Pruned {
+                shortlist_factor: self.shortlist_factor,
+            },
+            ..Query::new(k)
+        }
+    }
+
     fn state(&self, matrix: &PreparedMatrix) -> Result<Arc<PrunedState>, EngineError> {
         matrix.downcast(&self.family())
     }
@@ -207,7 +218,8 @@ impl PrunedBackend {
         ranges
     }
 
-    /// The staged query at an explicit shortlist factor.
+    /// The staged query at an explicit shortlist factor, for a query
+    /// that passed [`Query::check`].
     fn staged_query(
         &self,
         st: &PrunedState,
@@ -215,10 +227,6 @@ impl PrunedBackend {
         k: usize,
         factor: usize,
     ) -> Result<QueryResult, EngineError> {
-        let tier = QueryTier::Pruned {
-            shortlist_factor: factor,
-        };
-        check_query(st.csr.num_cols(), x.len(), k, tier)?;
         let rows = st.csr.num_rows();
         let shortlist = factor.saturating_mul(k);
         let Some(prune) = st.prune.as_ref().filter(|_| shortlist < rows) else {
@@ -303,31 +311,48 @@ impl TopKBackend for PrunedBackend {
         Ok(self.prepared(csr.clone(), inner_prepared, prune))
     }
 
+    fn answer(
+        &self,
+        matrix: &PreparedMatrix,
+        queries: &[DenseVector],
+        query: &Query,
+    ) -> Result<Vec<QueryResult>, EngineError> {
+        let st = self.state(matrix)?;
+        let QueryTier::Pruned { shortlist_factor } = query.tier else {
+            return self.inner.answer(&st.inner_prepared, queries, query);
+        };
+        for x in queries {
+            query.check(st.csr.num_cols(), x.len())?;
+        }
+        queries
+            .iter()
+            .map(|x| self.staged_query(&st, x, query.k, shortlist_factor))
+            .collect()
+    }
+
+    /// The staged path at the constructor's shortlist factor.
+    #[expect(
+        clippy::expect_used,
+        reason = "contract: `answer` returns one result per query"
+    )]
     fn query(
         &self,
         matrix: &PreparedMatrix,
         x: &DenseVector,
         k: usize,
     ) -> Result<QueryResult, EngineError> {
-        let st = self.state(matrix)?;
-        self.staged_query(&st, x, k, self.shortlist_factor)
+        let mut results = self.answer(matrix, std::slice::from_ref(x), &self.own_factor(k))?;
+        Ok(results.pop().expect("one result per query"))
     }
 
-    fn query_batch_tiered(
+    /// The staged path at the constructor's shortlist factor.
+    fn query_batch(
         &self,
         matrix: &PreparedMatrix,
         batch: &QueryBatch,
         k: usize,
-        tier: QueryTier,
     ) -> Result<Vec<QueryResult>, EngineError> {
-        let st = self.state(matrix)?;
-        match tier {
-            QueryTier::Exact => self.inner.query_batch(&st.inner_prepared, batch, k),
-            QueryTier::Pruned { shortlist_factor } => batch
-                .iter()
-                .map(|x| self.staged_query(&st, x, k, shortlist_factor))
-                .collect(),
-        }
+        self.answer(matrix, batch.queries(), &self.own_factor(k))
     }
 
     /// Writes the source CSR this wrapper keeps for rescoring — never
@@ -485,7 +510,7 @@ mod tests {
 
     /// The tier rule, both halves: the wrapper's own `query_batch` is
     /// the staged path at the constructor's `c`, and `Exact` is the
-    /// wrapped backend's `query_batch` — not the wrapper's.
+    /// wrapped backend's `answer` — not the wrapper's.
     #[test]
     fn tiered_batches_match_their_direct_counterparts() {
         let b = PrunedBackend::new(accel(), PruneBits::Eight, 4).unwrap();
@@ -495,9 +520,7 @@ mod tests {
             results.iter().map(|r| r.topk.clone()).collect()
         };
 
-        let exact = b
-            .query_batch_tiered(&m, &batch, 12, QueryTier::Exact)
-            .unwrap();
+        let exact = b.answer(&m, batch.queries(), &Query::new(12)).unwrap();
         let inner = accel();
         let im = inner.prepare(&collection()).unwrap();
         assert_eq!(
@@ -508,13 +531,16 @@ mod tests {
             .iter()
             .all(|r| matches!(r.stats, BackendStats::Fpga { .. })));
 
-        let tier = QueryTier::Pruned {
-            shortlist_factor: b.shortlist_factor(),
+        let query = Query {
+            tier: QueryTier::Pruned {
+                shortlist_factor: b.shortlist_factor(),
+            },
+            ..Query::new(12)
         };
-        let pruned = b.query_batch_tiered(&m, &batch, 12, tier).unwrap();
+        let pruned = b.answer(&m, batch.queries(), &query).unwrap();
         let own = b.query_batch(&m, &batch, 12).unwrap();
         assert_eq!(topks(&pruned), topks(&own));
-        for (x, got) in batch.iter().zip(&pruned) {
+        for (x, got) in batch.queries().iter().zip(&pruned) {
             assert_eq!(got.topk, b.query(&m, x, 12).unwrap().topk);
         }
         assert!(pruned
@@ -528,16 +554,13 @@ mod tests {
         let inner = accel();
         let m = inner.prepare(&collection()).unwrap();
         let batch = QueryBatch::random(2, 128, 9);
-        let err = inner
-            .query_batch_tiered(
-                &m,
-                &batch,
-                5,
-                QueryTier::Pruned {
-                    shortlist_factor: 2,
-                },
-            )
-            .unwrap_err();
+        let query = Query {
+            tier: QueryTier::Pruned {
+                shortlist_factor: 2,
+            },
+            ..Query::new(5)
+        };
+        let err = inner.answer(&m, batch.queries(), &query).unwrap_err();
         assert!(err.to_string().contains("pruned"), "{err}");
     }
 
@@ -564,29 +587,27 @@ mod tests {
             ))
         }
 
-        fn query(
+        fn answer(
             &self,
             matrix: &PreparedMatrix,
-            x: &DenseVector,
-            k: usize,
-        ) -> Result<QueryResult, EngineError> {
-            if k == 0 {
-                return Err(EngineError::zero_big_k());
-            }
+            queries: &[DenseVector],
+            query: &Query,
+        ) -> Result<Vec<QueryResult>, EngineError> {
             let csr = matrix.downcast::<Csr>(&self.family())?;
-            if x.len() != csr.num_cols() {
-                return Err(EngineError::vector_length_mismatch(x.len(), csr.num_cols()));
-            }
-            let y = csr.spmv_exact(x.as_slice());
-            let topk = TopKResult::merge_pairs(
-                y.iter().enumerate().map(|(r, &s)| (r as u32, s)),
-                k.min(csr.num_rows()),
-            );
-            Ok(QueryResult {
-                topk,
-                perf: BackendPerf::measured(1e-9, csr.nnz() as u64),
-                stats: BackendStats::Cpu { threads: 1 },
-            })
+            let k = query.check_exact(self, csr.num_cols(), queries)?;
+            let answer = |x: &DenseVector| {
+                let y = csr.spmv_exact(x.as_slice());
+                let topk = TopKResult::merge_pairs(
+                    y.iter().enumerate().map(|(r, &s)| (r as u32, s)),
+                    k.min(csr.num_rows()),
+                );
+                QueryResult {
+                    topk,
+                    perf: BackendPerf::measured(1e-9, csr.nnz() as u64),
+                    stats: BackendStats::Cpu { threads: 1 },
+                }
+            };
+            Ok(queries.iter().map(answer).collect())
         }
     }
 
@@ -647,7 +668,7 @@ mod tests {
 
     #[test]
     fn tier_labels_read_well() {
-        assert_eq!(QueryTier::Exact.label(), "exact");
+        assert_eq!(QueryTier::Exact.to_string(), "exact");
         assert_eq!(
             QueryTier::Pruned {
                 shortlist_factor: 4

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use tkspmv_obs::SpanNode;
 
-use tkspmv::backend::{PreparedMatrix, QueryBatch, QueryResult, QueryTier, TopKBackend};
+use tkspmv::backend::{PreparedMatrix, Query, QueryResult, QueryTier, TopKBackend};
 use tkspmv::EngineError;
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_fabric::{DeltaCollection, NodeServer, Router, RouterConfig, ShardSpec};
@@ -84,27 +84,15 @@ impl TopKBackend for PacedBackend {
         self.inner.prepare(csr)
     }
 
-    fn query(
+    fn answer(
         &self,
         matrix: &PreparedMatrix,
-        x: &DenseVector,
-        k: usize,
-    ) -> Result<QueryResult, EngineError> {
-        let start = Instant::now();
-        let out = self.inner.query(matrix, x, k)?;
-        self.pad(start, 1, matrix.nnz());
-        Ok(out)
-    }
-
-    fn query_batch(
-        &self,
-        matrix: &PreparedMatrix,
-        batch: &QueryBatch,
-        k: usize,
+        queries: &[DenseVector],
+        query: &Query,
     ) -> Result<Vec<QueryResult>, EngineError> {
         let start = Instant::now();
-        let out = self.inner.query_batch(matrix, batch, k)?;
-        self.pad(start, batch.len(), matrix.nnz());
+        let out = self.inner.answer(matrix, queries, query)?;
+        self.pad(start, queries.len(), matrix.nnz());
         Ok(out)
     }
 }

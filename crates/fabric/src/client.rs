@@ -9,10 +9,11 @@
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use tkspmv::backend::QueryTier;
+use tkspmv::backend::{Query, QueryTier};
 
-use tkspmv_obs::{SpanRecord, TraceId};
+use tkspmv_obs::SpanRecord;
 
+use crate::delta::check_query;
 use crate::error::RpcError;
 use crate::wire::{read_response, write_request, NodeInfo, Request, Response, WireError};
 use crate::SparseRow;
@@ -95,13 +96,9 @@ impl NodeClient {
     }
 
     /// Sends one request and reads one response, both bounded by what
-    /// remains of `deadline` (measured from `start`).
-    fn call_within(
-        &mut self,
-        req: &Request,
-        start: Instant,
-        deadline: Duration,
-    ) -> Result<Response, WireError> {
+    /// remains of `deadline`.
+    fn call(&mut self, req: &Request, deadline: Duration) -> Result<Response, WireError> {
+        let start = Instant::now();
         let remaining = |start: Instant| -> Duration {
             deadline
                 .checked_sub(start.elapsed())
@@ -118,11 +115,6 @@ impl NodeClient {
             .set_read_timeout(Some(remaining(start)))
             .map_err(WireError::Io)?;
         read_response(&mut self.stream)
-    }
-
-    /// Sends one request and reads one response within `deadline`.
-    pub fn call(&mut self, req: &Request, deadline: Duration) -> Result<Response, WireError> {
-        self.call_within(req, Instant::now(), deadline)
     }
 
     /// Liveness probe.
@@ -143,8 +135,8 @@ impl NodeClient {
         }
     }
 
-    /// Ranks the top `k` rows for `x` at `tier`. Entries carry global
-    /// row ids and bit-exact scores.
+    /// Ranks the top `k` rows for `x` at `tier`, untraced. Entries
+    /// carry global row ids and bit-exact scores.
     pub fn query(
         &mut self,
         x: &[f32],
@@ -152,22 +144,34 @@ impl NodeClient {
         tier: QueryTier,
         deadline: Duration,
     ) -> Result<Vec<(u32, f64)>, CallError> {
-        self.query_traced(x, k, tier, TraceId::ZERO, deadline)
+        let query = Query {
+            tier,
+            ..Query::new(k)
+        };
+        self.query_traced(x, &query, deadline)
             .map(|(entries, _)| entries)
     }
 
-    /// [`NodeClient::query`] with a distributed trace id. A non-zero id
-    /// asks the node to report its span record alongside the ranking;
-    /// the record comes back under that id. `None` comes back for
-    /// untraced queries.
+    /// Ranks the top `query.k` rows for `x` at `query.tier`. A non-zero
+    /// `query.trace` asks the node to report its span record alongside
+    /// the ranking; the record comes back under that id. `None` comes
+    /// back for untraced queries.
+    ///
+    /// A query no node could answer — `k = 0`, a zero shortlist factor,
+    /// a `k` past the wire's 32-bit count — is refused here, before any
+    /// byte is sent, as [`RpcError::BadRequest`] in the router's words.
+    /// The dimension is the node's to judge.
     pub fn query_traced(
         &mut self,
         x: &[f32],
-        k: usize,
-        tier: QueryTier,
-        trace: TraceId,
+        query: &Query,
         deadline: Duration,
     ) -> Result<TracedRanking, CallError> {
+        if let Err(e) = check_query(x.len(), x.len(), query) {
+            let detail = e.to_string();
+            return Err(CallError::Rpc(RpcError::BadRequest { detail }));
+        }
+        let &Query { k, tier, trace } = query;
         let req = Request::Query {
             x: x.to_vec(),
             k: k as u32,

@@ -27,9 +27,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use tkspmv::backend::QueryTier;
+use tkspmv::backend::Query;
 use tkspmv::{EngineError, TopKResult};
-use tkspmv_obs::TraceId;
 use tkspmv_serve::{ServeError, StageBreakdown, TopKService};
 use tkspmv_sparse::{exact_dot, Csr, DenseVector};
 
@@ -119,14 +118,14 @@ impl DeltaCollection {
         Ok((first..last).map(|id| id as u32).collect())
     }
 
-    /// Ranks the top `k` rows for `x` at `tier`, over base *and* delta,
-    /// with global row ids, under the engine total order — and says
-    /// where the time went: the served request's [`StageBreakdown`]
-    /// (delta scoring and the final merge folded into its merge stage)
-    /// and the collection-level end-to-end latency. A fabric node sends
-    /// the ranking and, for a traced query, the other two. The served
-    /// request files its span record under `trace` in the service's
-    /// ring ([`TraceId::ZERO`] when untraced).
+    /// Ranks the top `query.k` rows for `x` at `query.tier`, over base
+    /// *and* delta, with global row ids, under the engine total order —
+    /// and says where the time went: the served request's
+    /// [`StageBreakdown`] (delta scoring and the final merge folded into
+    /// its merge stage) and the collection-level end-to-end latency. A
+    /// fabric node sends the ranking and, for a traced query, the other
+    /// two. The served request files its span record under `query.trace`
+    /// in the service's ring.
     ///
     /// Delta rows bypass the prune pass regardless of tier: they are
     /// few, unprepared, and scored exactly — a pruned-tier answer can
@@ -136,16 +135,14 @@ impl DeltaCollection {
     ///
     /// [`ServeError::BadRequest`] for a malformed query, before the delta
     /// is touched (its scoring indexes `x` by column); otherwise whatever
-    /// [`TopKService::query_tiered`] reports.
+    /// [`TopKService::query`] reports.
     pub fn query(
         &self,
         x: DenseVector,
-        k: usize,
-        tier: QueryTier,
-        trace: TraceId,
+        query: &Query,
     ) -> Result<(TopKResult, StageBreakdown, Duration), ServeError> {
         let started = std::time::Instant::now();
-        check_query(self.service.dim(), x.len(), k, tier).map_err(ServeError::BadRequest)?;
+        check_query(self.service.dim(), x.len(), query).map_err(ServeError::BadRequest)?;
         // Score the delta (and note where it starts) before querying the
         // base, so a compaction landing in between can only duplicate
         // rows — never drop them. Duplicates are deduped below. Delta
@@ -166,14 +163,14 @@ impl DeltaCollection {
                 .collect()
         };
         let delta_scoring = delta_started.elapsed();
-        let served = self.service.query_tiered(x, k, tier, trace)?;
+        let served = self.service.query(x, *query)?;
         let merge_started = std::time::Instant::now();
         let base_pairs = served
             .topk
             .entries()
             .iter()
             .map(|&(row, score)| (row + self.start_row as u32, score));
-        let topk = TopKResult::merge_pairs_dedup(base_pairs.chain(delta_pairs), k);
+        let topk = TopKResult::merge_pairs_dedup(base_pairs.chain(delta_pairs), query.k);
         let mut stages = served.stages;
         stages.merge += delta_scoring + merge_started.elapsed();
         Ok((topk, stages, started.elapsed()))
@@ -230,19 +227,15 @@ impl DeltaCollection {
 }
 
 /// What a query must satisfy for any node to answer it: the engine's
-/// own precondition ([`tkspmv::backend::check_query`]) plus the wire's
-/// 32-bit `k`. A node checks it before touching its delta, the router
+/// own precondition ([`Query::check`]) plus the wire's 32-bit `k`. A
+/// node checks it before touching its delta, the router and the client
 /// before sending a byte (only there can `k` outgrow the wire).
-pub(crate) fn check_query(
-    dim: usize,
-    x_len: usize,
-    k: usize,
-    tier: QueryTier,
-) -> Result<(), EngineError> {
-    tkspmv::backend::check_query(dim, x_len, k, tier)?;
-    if u32::try_from(k).is_err() {
+pub(crate) fn check_query(dim: usize, x_len: usize, query: &Query) -> Result<(), EngineError> {
+    query.check(dim, x_len)?;
+    if u32::try_from(query.k).is_err() {
         return Err(EngineError::bad_query(format!(
-            "K = {k} does not fit the wire's 32-bit count"
+            "K = {} does not fit the wire's 32-bit count",
+            query.k
         )));
     }
     Ok(())
@@ -414,9 +407,7 @@ mod tests {
         assert_eq!(ids, vec![104]);
         let mut x = DenseVector::zeros(8);
         x.as_mut_slice()[7] = 1.0;
-        let (topk, ..) = c
-            .query(x, 2, QueryTier::Exact, TraceId::ZERO)
-            .expect("query");
+        let (topk, ..) = c.query(x, &Query::new(2)).expect("query");
         assert_eq!(topk.entries()[0], (104, 5.0));
     }
 
@@ -427,18 +418,14 @@ mod tests {
             .expect("append");
         let mut x = DenseVector::zeros(8);
         x.as_mut_slice()[7] = 1.0;
-        let (before, ..) = c
-            .query(x.clone(), 3, QueryTier::Exact, TraceId::ZERO)
-            .expect("query");
+        let (before, ..) = c.query(x.clone(), &Query::new(3)).expect("query");
         let epoch0 = c.service().epoch();
         let (epoch, folded) = c.compact_once().expect("compact");
         assert_eq!(folded, 2);
         assert!(epoch > epoch0);
         assert_eq!(c.delta_rows(), 0);
         assert_eq!(c.base_rows(), 6);
-        let (after, ..) = c
-            .query(x, 3, QueryTier::Exact, TraceId::ZERO)
-            .expect("query");
+        let (after, ..) = c.query(x, &Query::new(3)).expect("query");
         assert_eq!(before.entries(), after.entries());
     }
 
@@ -458,9 +445,7 @@ mod tests {
         let row: SparseRow = ((0..DIM as u32).step_by(2).collect(), vec![0.5; DIM / 2]);
         c.append(&vec![row; 2_000]).expect("append");
         let x = DenseVector::from_values(vec![1.0; DIM]);
-        let (topk, stages, total) = c
-            .query(x, 5, QueryTier::Exact, TraceId::ZERO)
-            .expect("query");
+        let (topk, stages, total) = c.query(x, &Query::new(5)).expect("query");
         assert_eq!(topk.len(), 5);
         let covered = stages.stages().total();
         assert!(
@@ -477,7 +462,7 @@ mod tests {
         let ids = c.append(&[(vec![], vec![])]).expect("append");
         let score_bits = || {
             let (topk, ..) = c
-                .query(DenseVector::zeros(8), 5, QueryTier::Exact, TraceId::ZERO)
+                .query(DenseVector::zeros(8), &Query::new(5))
                 .expect("query");
             let entry = topk.entries().iter().find(|e| e.0 == ids[0]);
             entry.expect("empty row ranked").1.to_bits()
@@ -507,9 +492,7 @@ mod tests {
         assert_eq!(c.base_rows(), 3);
         let mut x = DenseVector::zeros(4);
         x.as_mut_slice()[1] = 1.0;
-        let (topk, ..) = c
-            .query(x, 1, QueryTier::Exact, TraceId::ZERO)
-            .expect("query");
+        let (topk, ..) = c.query(x, &Query::new(1)).expect("query");
         assert_eq!(topk.entries()[0], (3, 8.0));
     }
 
@@ -528,16 +511,12 @@ mod tests {
         assert_eq!(c.delta_rows(), 1);
         let mut x = DenseVector::zeros(4);
         x.as_mut_slice()[2] = 1.0;
-        let (topk, ..) = c
-            .query(x.clone(), 1, QueryTier::Exact, TraceId::ZERO)
-            .expect("query");
+        let (topk, ..) = c.query(x.clone(), &Query::new(1)).expect("query");
         assert_eq!(topk.entries()[0], (2, 7.0));
         // The next run completes the fold.
         let (_, folded) = c.compact_once().expect("recovery compact");
         assert_eq!(folded, 1);
-        let (topk, ..) = c
-            .query(x, 1, QueryTier::Exact, TraceId::ZERO)
-            .expect("query");
+        let (topk, ..) = c.query(x, &Query::new(1)).expect("query");
         assert_eq!(topk.entries()[0], (2, 7.0));
     }
 

@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use tkspmv::backend::Query;
 use tkspmv_serve::ServeError;
 use tkspmv_sparse::DenseVector;
 
@@ -72,7 +73,12 @@ impl NodeShared {
             Request::Info => Response::Info(self.info()),
             Request::Query { x, k, tier, trace } => {
                 let x = DenseVector::from_values(x);
-                match self.collection.query(x, k as usize, tier, trace) {
+                let query = Query {
+                    k: k as usize,
+                    tier,
+                    trace,
+                };
+                match self.collection.query(x, &query) {
                     Ok((topk, stages, total)) => {
                         let trace = (!trace.is_zero())
                             .then(|| stages.stages().to_span_record(trace, total));

@@ -53,7 +53,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tkspmv::backend::QueryTier;
+use tkspmv::backend::{Query, QueryTier};
 use tkspmv::TopKResult;
 use tkspmv_obs::{Counter, QueryTrace, Registry, SpanNode, SpanRecord, Stage, StageSpan, TraceId};
 
@@ -504,7 +504,11 @@ impl Router {
     /// [`PartialPolicy::Fail`]. Under [`PartialPolicy::Allow`] a partial
     /// answer is `Ok` and its [`CoverageReport`] names the gaps.
     pub fn query(&self, x: &[f32], k: usize, tier: QueryTier) -> Result<RoutedResult, FabricError> {
-        if let Err(e) = check_query(self.dim, x.len(), k, tier) {
+        let mut query = Query {
+            tier,
+            ..Query::new(k)
+        };
+        if let Err(e) = check_query(self.dim, x.len(), &query) {
             return Err(FabricError::Rpc(RpcError::BadRequest {
                 detail: e.to_string(),
             }));
@@ -512,11 +516,9 @@ impl Router {
 
         let start = Instant::now();
         self.metrics.requests.inc();
-        let trace_id = if self.config.trace {
-            TraceId::generate()
-        } else {
-            TraceId::ZERO
-        };
+        if self.config.trace {
+            query.trace = TraceId::generate();
+        }
         let deadline = self.config.deadline;
         let connect_timeout = self.config.connect_timeout;
         let x: Arc<[f32]> = Arc::from(x);
@@ -541,9 +543,8 @@ impl Router {
                 .spawn(move || {
                     let sent_us = us(start.elapsed());
                     let attempt = Instant::now();
-                    let result = pool.call(connect_timeout, |c| {
-                        c.query_traced(&x, k, tier, trace_id, remaining)
-                    });
+                    let result =
+                        pool.call(connect_timeout, |c| c.query_traced(&x, &query, remaining));
                     let rtt_us = us(attempt.elapsed());
                     let _ = tx.send((
                         shard,
@@ -653,7 +654,7 @@ impl Router {
         }
 
         let trace = self.config.trace.then(|| {
-            let trace = assemble_trace(trace_id, start.elapsed(), &answers);
+            let trace = assemble_trace(query.trace, start.elapsed(), &answers);
             self.metrics.record_trace(trace.clone());
             trace
         });

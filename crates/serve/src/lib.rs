@@ -71,14 +71,15 @@
 //!   assembles a service from shards loaded with
 //!   `tkspmv::PreparedMatrix::load`, so a restart pays disk I/O instead
 //!   of re-encoding the collection.
-//! - **Precision tiers** — requests carry a [`tkspmv::QueryTier`]
-//!   (`Exact`, or `Pruned { shortlist_factor }` for the staged low-bit
-//!   prune + exact rescore fast lane of a `tkspmv::PrunedBackend`).
-//!   [`TopKService::submit_tiered`] / [`TopKService::query_tiered`] set
-//!   it, with the trace id the request's span record is filed under;
-//!   plain `submit` / `query` are the exact tier, untraced. The batcher never
-//!   mixes tiers in one backend batch — the same discipline as epochs —
-//!   and [`ServiceMetrics::tiers`] reports per-tier counts and latency.
+//! - **Precision tiers** — every request is one
+//!   [`tkspmv::backend::Query`]: `k`, a [`tkspmv::QueryTier`] (`Exact`,
+//!   or `Pruned { shortlist_factor }` for the staged low-bit prune +
+//!   exact rescore fast lane of a `tkspmv::PrunedBackend`) and the trace
+//!   id the request's span record is filed under. [`TopKService::submit`]
+//!   and [`TopKService::query`] take it, or a bare `k` for the exact
+//!   tier, untraced. The batcher never mixes `k`s or tiers in one
+//!   backend batch — the same discipline as epochs — and
+//!   [`ServiceMetrics::tiers`] reports per-tier counts and latency.
 //! - **Observability** — [`ServiceMetrics`] snapshots p50/p95/p99
 //!   latency, the batch-size histogram, throughput, shed counts, the
 //!   serving epoch, per-tier breakdowns, and batcher wake-ups.
@@ -142,6 +143,3 @@ pub use batch::BatchPolicy;
 pub use error::ServeError;
 pub use metrics::{ServiceMetrics, StageBreakdown, StageStat, TierMetrics};
 pub use service::{ServedResult, ServiceBuilder, Ticket, TopKService};
-// The tier type requests carry; re-exported so servers need not depend
-// on the core crate for it.
-pub use tkspmv::backend::QueryTier;

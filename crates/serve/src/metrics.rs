@@ -30,7 +30,7 @@ const SPAN_RING_CAPACITY: usize = 512;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct TierMetrics {
-    /// The tier label (`QueryTier::label`).
+    /// The tier label (`QueryTier`'s `Display`: `exact`, `pruned-c4`).
     pub tier: String,
     /// Requests answered successfully at this tier.
     pub served: u64,

@@ -9,9 +9,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tkspmv::backend::{
-    check_query, MatrixShard, PreparedMatrix, QueryBatch, QueryTier, TopKBackend,
-};
+use tkspmv::backend::{MatrixShard, PreparedMatrix, Query, QueryTier, TopKBackend};
 use tkspmv::fanout::{fork_join, host_parallelism};
 use tkspmv::{EngineError, TopKResult};
 use tkspmv_obs::{SpanRecord, Stages, TraceId};
@@ -94,10 +92,10 @@ struct Epoch {
 /// A request admitted to the submission queue.
 struct Pending {
     x: DenseVector,
-    k: usize,
-    /// The precision tier the caller asked for; the batcher never mixes
-    /// tiers inside one backend batch.
-    tier: QueryTier,
+    /// What the caller asked for. The batcher never mixes `k`s or tiers
+    /// inside one backend batch; the trace id files its span record
+    /// ([`TraceId::ZERO`] when untraced).
+    query: Query,
     enqueued: Instant,
     /// When the batcher moved this request out of the submission queue
     /// and into a forming batch (= `enqueued` until that happens).
@@ -106,9 +104,6 @@ struct Pending {
     extracted: Instant,
     /// The collection generation this request was admitted against.
     epoch: Arc<Epoch>,
-    /// The id its span record is filed under ([`TraceId::ZERO`] when
-    /// untraced).
-    trace: TraceId,
     tx: mpsc::Sender<Result<ServedResult, ServeError>>,
 }
 
@@ -137,13 +132,12 @@ type ShardOutcome = (Duration, Result<Vec<ShardAnswer>, ServeError>);
 fn run_shard(
     backend: &dyn TopKBackend,
     shard: &MatrixShard,
-    batch: &QueryBatch,
-    k: usize,
-    tier: QueryTier,
+    batch: &[DenseVector],
+    query: &Query,
 ) -> ShardOutcome {
     let started = Instant::now();
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        let results = backend.query_batch_tiered(shard.matrix(), batch, k, tier)?;
+        let results = backend.answer(shard.matrix(), batch, query)?;
         Ok(results
             .iter()
             .map(|r| (shard.globalize(&r.topk), r.stats.stage_times()))
@@ -166,8 +160,7 @@ fn run_shard(
 /// batch they run its tasks and no other call's.
 fn finalize(
     metrics: &MetricsShared,
-    tier: QueryTier,
-    k: usize,
+    query: &Query,
     responders: Vec<Responder>,
     shards: Vec<ShardOutcome>,
     engine_wall: Duration,
@@ -207,7 +200,7 @@ fn finalize(
     // lock-free, so nothing here can stall submitters. Recording
     // *before* the sends keeps a blocking caller's next metrics()
     // snapshot consistent with the response it just received.
-    let tier_label = tier.label();
+    let tier_label = query.tier.to_string();
     metrics.record_batch(batch_size, engine_time);
     if let Some(error) = failure {
         metrics.record_failed(batch_size as u64, &tier_label);
@@ -221,7 +214,7 @@ fn finalize(
     let mut outputs = Vec::with_capacity(batch_size);
     for ((responder, pairs), engine_stages) in responders.into_iter().zip(per_query).zip(stages) {
         let merge_started = Instant::now();
-        let topk = TopKResult::merge_pairs(pairs, k);
+        let topk = TopKResult::merge_pairs(pairs, query.k);
         let stages = StageBreakdown {
             queue: responder.queue_wait,
             coalesce: responder.coalesce_wait,
@@ -241,7 +234,7 @@ fn finalize(
             topk,
             latency,
             batch_size,
-            tier,
+            tier: query.tier,
             stages,
         }));
     }
@@ -285,15 +278,19 @@ impl Inner {
     /// shard, beside the shard engines' own partition tasks on the same
     /// `host_parallelism()` threads — then merges and responds.
     fn run_batch(&self, members: Vec<Pending>) {
-        let k = members[0].k;
-        let tier = members[0].tier;
+        // The batch's shared options; its members' trace ids stay with
+        // their responders.
+        let query = Query {
+            trace: TraceId::ZERO,
+            ..members[0].query
+        };
         let epoch = Arc::clone(&members[0].epoch);
         let dispatched = Instant::now();
         let mut queries = Vec::with_capacity(members.len());
         let mut responders = Vec::with_capacity(members.len());
         for pending in members {
             debug_assert!(Arc::ptr_eq(&epoch, &pending.epoch));
-            debug_assert_eq!(tier, pending.tier);
+            debug_assert_eq!(query.tier, pending.query.tier);
             queries.push(pending.x);
             responders.push(Responder {
                 enqueued: pending.enqueued,
@@ -301,41 +298,27 @@ impl Inner {
                     .extracted
                     .saturating_duration_since(pending.enqueued),
                 coalesce_wait: dispatched.saturating_duration_since(pending.extracted),
-                trace: pending.trace,
+                trace: pending.query.trace,
                 tx: pending.tx,
             });
         }
-        let batch = match QueryBatch::new(queries) {
-            Ok(batch) => batch,
-            // Unreachable (dimensions are validated at submission), but
-            // a response is owed either way.
-            Err(e) => {
-                let error = ServeError::Engine(e);
-                self.metrics
-                    .record_failed(responders.len() as u64, &tier.label());
-                for responder in &responders {
-                    let _ = responder.tx.send(Err(error.clone()));
-                }
-                return;
-            }
-        };
         // The shard data comes from the batch's epoch, not from any
         // global "current" state: a hot swap installed after these
         // requests were admitted must not change what they run against.
         // The shard tasks run on the resident compute pool, so they own
         // their inputs.
         let backend = Arc::clone(&self.backend);
-        let batch = Arc::new(batch);
+        let batch = Arc::new(queries);
         let shards = Arc::clone(&epoch);
         let started = Instant::now();
         let (outcomes, _) = fork_join(
             epoch.shards.len(),
             host_parallelism(),
             || (),
-            move |(), s| run_shard(backend.as_ref(), &shards.shards[s], &batch, k, tier),
+            move |(), s| run_shard(backend.as_ref(), &shards.shards[s], &batch, &query),
         );
         let engine_wall = started.elapsed();
-        finalize(&self.metrics, tier, k, responders, outcomes, engine_wall);
+        finalize(&self.metrics, &query, responders, outcomes, engine_wall);
     }
 }
 
@@ -353,8 +336,7 @@ impl Inner {
 /// pruned batch (or vice versa), so every response honours the
 /// precision contract its caller asked for.
 fn extract_compatible(queue: &mut VecDeque<Pending>, members: &mut Vec<Pending>, max: usize) {
-    let k = members[0].k;
-    let tier = members[0].tier;
+    let Query { k, tier, .. } = members[0].query;
     let epoch = Arc::clone(&members[0].epoch);
     let now = Instant::now();
     for _ in 0..queue.len() {
@@ -364,8 +346,8 @@ fn extract_compatible(queue: &mut VecDeque<Pending>, members: &mut Vec<Pending>,
         )]
         let mut pending = queue.pop_front().expect("len checked by the loop bound");
         if members.len() < max
-            && pending.k == k
-            && pending.tier == tier
+            && pending.query.k == k
+            && pending.query.tier == tier
             && Arc::ptr_eq(&pending.epoch, &epoch)
         {
             pending.extracted = now;
@@ -844,41 +826,31 @@ impl TopKService {
         Ok(id)
     }
 
-    /// Admits an exact-tier query into the submission queue, returning a
-    /// [`Ticket`] for the response. Never blocks on backend work.
+    /// Admits a query into the submission queue, returning a [`Ticket`]
+    /// for the response. Never blocks on backend work.
     ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] for a wrong-dimension vector or
-    /// `k = 0` (checked before queueing), [`ServeError::QueueFull`] when
-    /// the bounded queue sheds the request, [`ServeError::ShuttingDown`]
-    /// after [`shutdown`](TopKService::shutdown) has begun.
-    pub fn submit(&self, x: DenseVector, k: usize) -> Result<Ticket, ServeError> {
-        self.submit_tiered(x, k, QueryTier::Exact, TraceId::ZERO)
-    }
-
-    /// [`TopKService::submit`] at an explicit precision tier — the fast
-    /// lane: a [`QueryTier::Pruned`] request rides the staged low-bit
+    /// `query` is a [`Query`], or a bare `k` for an exact-tier, untraced
+    /// one. A [`QueryTier::Pruned`] request rides the staged low-bit
     /// prune + exact rescore pipeline when the service backend supports
     /// it (a `PrunedBackend`). Batches never mix tiers, so an exact
     /// request never pays for — or benefits from — a pruned neighbour.
     /// The request's span record (see [`TopKService::slowest_spans`]) is
-    /// filed under `trace`; [`TraceId::ZERO`] marks it untraced.
+    /// filed under the query's trace id.
     ///
     /// # Errors
     ///
-    /// As [`TopKService::submit`], plus [`ServeError::BadRequest`] for a
-    /// zero shortlist factor. A pruned-tier request against a backend
-    /// without a staged pipeline fails at execution with
-    /// [`ServeError::Engine`], not silently downgraded.
-    pub fn submit_tiered(
-        &self,
-        x: DenseVector,
-        k: usize,
-        tier: QueryTier,
-        trace: TraceId,
-    ) -> Result<Ticket, ServeError> {
-        check_query(self.inner.dim, x.len(), k, tier).map_err(ServeError::BadRequest)?;
+    /// [`ServeError::BadRequest`] for a query that fails
+    /// [`Query::check`] (checked before queueing),
+    /// [`ServeError::QueueFull`] when the bounded queue sheds the
+    /// request, [`ServeError::ShuttingDown`] after
+    /// [`shutdown`](TopKService::shutdown) has begun. A pruned-tier
+    /// request against a backend without a staged pipeline fails at
+    /// execution with [`ServeError::Engine`], not silently downgraded.
+    pub fn submit(&self, x: DenseVector, query: impl Into<Query>) -> Result<Ticket, ServeError> {
+        let query = query.into();
+        query
+            .check(self.inner.dim, x.len())
+            .map_err(ServeError::BadRequest)?;
         let (tx, rx) = mpsc::channel();
         {
             let mut q = lock(&self.inner.submit);
@@ -897,14 +869,12 @@ impl TopKService {
             let now = Instant::now();
             q.queue.push_back(Pending {
                 x,
-                k,
-                tier,
+                query,
                 enqueued: now,
                 // Re-stamped by the batcher at extraction; seeded here so
                 // a request never reports uninitialised queue wait.
                 extracted: now,
                 epoch: self.inner.current_epoch(),
-                trace,
                 tx,
             });
         }
@@ -917,25 +887,12 @@ impl TopKService {
     /// # Errors
     ///
     /// As [`TopKService::submit`], plus whatever the execution reports.
-    pub fn query(&self, x: DenseVector, k: usize) -> Result<ServedResult, ServeError> {
-        self.submit(x, k)?.wait()
-    }
-
-    /// Submits at an explicit precision tier, filed under `trace`, and
-    /// blocks for the answer.
-    ///
-    /// # Errors
-    ///
-    /// As [`TopKService::submit_tiered`], plus whatever the execution
-    /// reports.
-    pub fn query_tiered(
+    pub fn query(
         &self,
         x: DenseVector,
-        k: usize,
-        tier: QueryTier,
-        trace: TraceId,
+        query: impl Into<Query>,
     ) -> Result<ServedResult, ServeError> {
-        self.submit_tiered(x, k, tier, trace)?.wait()
+        self.submit(x, query)?.wait()
     }
 
     /// Snapshots the service's metrics.
@@ -1033,36 +990,42 @@ mod tests {
             ))
         }
 
-        fn query(
+        fn answer(
             &self,
             matrix: &PreparedMatrix,
-            x: &DenseVector,
-            k: usize,
-        ) -> Result<QueryResult, EngineError> {
-            if Some(k) == self.panic_on_k {
-                panic!("backend tripped on k = {k}");
-            }
-            if !self.delay.is_zero() {
-                std::thread::sleep(self.delay);
+            queries: &[DenseVector],
+            query: &Query,
+        ) -> Result<Vec<QueryResult>, EngineError> {
+            if Some(query.k) == self.panic_on_k {
+                panic!("backend tripped on k = {}", query.k);
             }
             let csr = matrix.downcast::<Csr>(FAMILY)?;
-            if x.len() != csr.num_cols() {
-                return Err(EngineError::vector_length_mismatch(x.len(), csr.num_cols()));
-            }
-            if k == 0 {
-                return Err(EngineError::zero_big_k());
-            }
-            let pairs: Vec<(u32, f64)> = csr
-                .spmv_exact(x.as_slice())
-                .into_iter()
-                .enumerate()
-                .map(|(i, v)| (i as u32, v))
-                .collect();
-            Ok(QueryResult {
-                topk: TopKResult::from_pairs(pairs).truncated(k),
-                perf: BackendPerf::measured(1e-9, csr.nnz() as u64),
-                stats: BackendStats::Cpu { threads: 1 },
-            })
+            let k = query.check_exact(self, csr.num_cols(), queries)?;
+            let answer = |x: &DenseVector| {
+                if !self.delay.is_zero() {
+                    std::thread::sleep(self.delay);
+                }
+                let pairs: Vec<(u32, f64)> = csr
+                    .spmv_exact(x.as_slice())
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, v)| (i as u32, v))
+                    .collect();
+                QueryResult {
+                    topk: TopKResult::from_pairs(pairs).truncated(k),
+                    perf: BackendPerf::measured(1e-9, csr.nnz() as u64),
+                    stats: BackendStats::Cpu { threads: 1 },
+                }
+            };
+            Ok(queries.iter().map(answer).collect())
+        }
+    }
+
+    /// A Top-`k` query at the pruned tier's `shortlist_factor`.
+    fn pruned(k: usize, shortlist_factor: usize) -> Query {
+        Query {
+            tier: QueryTier::Pruned { shortlist_factor },
+            ..Query::new(k)
         }
     }
 
@@ -1495,8 +1458,8 @@ mod tests {
         svc.shutdown();
     }
 
-    /// A [`TestBackend`] that announces each query as it starts, so a
-    /// test can act while a batch is known to be running.
+    /// A [`TestBackend`] that announces each backend call as it starts,
+    /// so a test can act while a batch is known to be running.
     struct Announcing {
         inner: TestBackend,
         entered: mpsc::Sender<()>,
@@ -1511,14 +1474,14 @@ mod tests {
             self.inner.prepare(csr)
         }
 
-        fn query(
+        fn answer(
             &self,
             matrix: &PreparedMatrix,
-            x: &DenseVector,
-            k: usize,
-        ) -> Result<QueryResult, EngineError> {
+            queries: &[DenseVector],
+            query: &Query,
+        ) -> Result<Vec<QueryResult>, EngineError> {
             let _ = self.entered.send(());
-            self.inner.query(matrix, x, k)
+            self.inner.answer(matrix, queries, query)
         }
     }
 
@@ -1857,21 +1820,10 @@ mod tests {
         let direct = backend.prepare(&csr).unwrap();
         for seed in 0..4 {
             let x = query_vector(64, seed);
-            let exact = svc
-                .query_tiered(x.clone(), 10, QueryTier::Exact, TraceId::ZERO)
-                .unwrap();
+            let exact = svc.query(x.clone(), Query::new(10)).unwrap();
             assert_eq!(exact.tier, QueryTier::Exact);
             assert_eq!(exact.topk, direct_reference(&csr, &x, 10));
-            let pruned = svc
-                .query_tiered(
-                    x.clone(),
-                    10,
-                    QueryTier::Pruned {
-                        shortlist_factor: 4,
-                    },
-                    TraceId::ZERO,
-                )
-                .unwrap();
+            let pruned = svc.query(x.clone(), pruned(10, 4)).unwrap();
             assert_eq!(
                 pruned.tier,
                 QueryTier::Pruned {
@@ -1898,27 +1850,11 @@ mod tests {
     fn pruned_tier_against_a_plain_backend_fails_typed() {
         let csr = collection(50);
         let svc = service(&csr, 2, BatchPolicy::immediate());
-        let err = svc
-            .query_tiered(
-                query_vector(64, 1),
-                5,
-                QueryTier::Pruned {
-                    shortlist_factor: 2,
-                },
-                TraceId::ZERO,
-            )
-            .unwrap_err();
+        let err = svc.query(query_vector(64, 1), pruned(5, 2)).unwrap_err();
         assert!(matches!(err, ServeError::Engine(_)), "{err}");
         // Zero shortlist factors never reach the queue.
         assert!(matches!(
-            svc.submit_tiered(
-                query_vector(64, 1),
-                5,
-                QueryTier::Pruned {
-                    shortlist_factor: 0
-                },
-                TraceId::ZERO,
-            ),
+            svc.submit(query_vector(64, 1), pruned(5, 0)),
             Err(ServeError::BadRequest(_))
         ));
         let m = svc.shutdown();

@@ -9,7 +9,7 @@
 //! debug builds and on loaded machines; CI runs it explicitly with
 //! `cargo test --release --test batch_speedup -- --ignored`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tkspmv::backend::{QueryBatch, TopKBackend};
 use tkspmv::Accelerator;
@@ -18,6 +18,8 @@ use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
 const B: usize = 32;
 const DIM: usize = 1024;
 const K: usize = 100;
+/// Alternating timed rounds a side; each side keeps its best.
+const ROUNDS: usize = 5;
 
 #[test]
 #[ignore = "wall-clock smoke check; run explicitly (CI does) in release mode"]
@@ -47,28 +49,31 @@ fn batched_32_beats_32_sequential_calls() {
     backend.query(&prepared, &queries[0], K).expect("warm");
     backend.query_batch(&prepared, &batch, K).expect("warm");
 
-    let started = Instant::now();
-    for x in &queries {
-        backend.query(&prepared, x, K).expect("sequential query");
-    }
-    let sequential = started.elapsed();
+    // One timing a side lets host noise carry a working engine and a
+    // per-query fallback into each other's range; the best of several
+    // alternating rounds does not.
+    let (mut sequential, mut batched) = (Duration::MAX, Duration::MAX);
+    for _ in 0..ROUNDS {
+        let started = Instant::now();
+        for x in &queries {
+            backend.query(&prepared, x, K).expect("sequential query");
+        }
+        sequential = sequential.min(started.elapsed());
 
-    let started = Instant::now();
-    let results = backend.query_batch(&prepared, &batch, K).expect("batched");
-    let batched = started.elapsed();
-    assert_eq!(results.len(), B);
+        let started = Instant::now();
+        let results = backend.query_batch(&prepared, &batch, K).expect("batched");
+        batched = batched.min(started.elapsed());
+        assert_eq!(results.len(), B);
+    }
 
     // Decode is paid once per batch and replay runs eight lanes per
-    // decoded non-zero, so the batch takes 0.28-0.49x the sequential
-    // time, median 0.40 (12 runs on a 2-vCPU x86-64-v3 host). With ~3k
-    // entries a partition the fork-join dominates both sides, and a
-    // lone query slicing its packets straight into running sums makes
-    // the sequential side cheap too. A fallback to per-query decoding
-    // read 0.47-1.11x, median 0.89, on the same host (12 runs): 0.6x
-    // stays above every reading of the batched engine and below all but
-    // the fallback's fastest.
+    // decoded non-zero, so on a 2-vCPU x86-64-v3 host the best batch
+    // took 0.33-0.43x the best sequential sweep, median 0.38 (14 runs).
+    // A build whose `answer` decodes once per query read 0.72-1.06x,
+    // median 0.98, on the same host (14 runs, alternating with the
+    // engine's). 0.55 sits between the two ranges.
     assert!(
-        batched.as_secs_f64() < sequential.as_secs_f64() * 0.6,
+        batched.as_secs_f64() < sequential.as_secs_f64() * 0.55,
         "B={B} batch ({batched:?}) not faster than {B} sequential calls ({sequential:?})"
     );
 }

@@ -7,17 +7,21 @@
 //!   [`EngineError::InvalidConfig`] at prepare time;
 //! - a query vector of the wrong length is a typed
 //!   [`EngineError::BadQuery`];
+//! - a malformed [`Query`] fails with the very text [`Query::check`]
+//!   produces, whether it enters through [`TopKBackend::answer`] or
+//!   [`TopKService::submit`];
 //!
 //! never a panic, and never a backend-specific error shape a caller
 //! would have to special-case.
 
 use std::sync::Arc;
 
-use tkspmv::backend::{QueryBatch, QueryTier, TopKBackend};
+use tkspmv::backend::{Query, QueryBatch, QueryTier, TopKBackend};
 use tkspmv::{Accelerator, EngineError, PrunedBackend};
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_baselines::gpu::{GpuModel, GpuPrecision, GpuTopK};
 use tkspmv_fixed::PruneBits;
+use tkspmv_serve::{ServeError, TopKService};
 use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
 use tkspmv_sparse::Csr;
 
@@ -69,7 +73,8 @@ fn zero_k_is_a_typed_bad_query_everywhere() {
             "{}: K = 0 must be BadQuery",
             backend.name()
         );
-        // The tiered batch entry points agree with the single-query one.
+        // The batch entry point agrees with the single-query one at
+        // either tier.
         let batch = QueryBatch::random(2, 64, 5);
         for tier in [
             QueryTier::Exact,
@@ -77,7 +82,11 @@ fn zero_k_is_a_typed_bad_query_everywhere() {
                 shortlist_factor: 2,
             },
         ] {
-            let got = backend.query_batch_tiered(&prepared, &batch, 0, tier);
+            let query = Query {
+                tier,
+                ..Query::new(0)
+            };
+            let got = backend.answer(&prepared, batch.queries(), &query);
             assert!(
                 matches!(got, Err(EngineError::BadQuery { .. })),
                 "{}: K = 0 at tier {tier} must be BadQuery",
@@ -115,6 +124,92 @@ fn wrong_query_length_is_a_typed_bad_query_everywhere() {
             ),
             "{}: a 63-entry query against 64 columns must be BadQuery",
             backend.name()
+        );
+    }
+}
+
+/// Wrong dimension, `k = 0` and a zero shortlist factor: the three ways
+/// a query can fail the one precondition, each with its exact text.
+fn malformed_queries() -> [(&'static str, usize, Query, &'static str); 3] {
+    let zero_factor = Query {
+        tier: QueryTier::Pruned {
+            shortlist_factor: 0,
+        },
+        ..Query::new(5)
+    };
+    [
+        (
+            "wrong dimension",
+            63,
+            Query::new(5),
+            "bad query: query vector has 63 entries, matrix has 64 columns",
+        ),
+        (
+            "k = 0",
+            64,
+            Query::new(0),
+            "bad query: K must be at least 1",
+        ),
+        (
+            "zero shortlist factor",
+            64,
+            zero_factor,
+            "invalid accelerator configuration: shortlist factor must be at least 1",
+        ),
+    ]
+}
+
+#[test]
+fn every_layer_rejects_a_malformed_query_with_the_precondition_text() {
+    let csr = collection();
+    for backend in all_backends() {
+        let prepared = backend.prepare(&csr).expect("prepare");
+        let service = TopKService::builder(Arc::clone(&backend))
+            .build(&csr)
+            .expect("service builds");
+        for (name, len, query, text) in malformed_queries() {
+            let checked = query.check(64, len).expect_err(name);
+            assert_eq!(checked.to_string(), text, "{name}: Query::check");
+            let x = query_vector(len, 1);
+            let direct = backend
+                .answer(&prepared, std::slice::from_ref(&x), &query)
+                .expect_err(name);
+            assert_eq!(direct, checked, "{}: {name} through answer", backend.name());
+            match service.submit(x, query) {
+                Err(ServeError::BadRequest(e)) => {
+                    assert_eq!(e, checked, "{}: {name} through submit", backend.name())
+                }
+                other => panic!(
+                    "{}: {name}: expected BadRequest, got {other:?}",
+                    backend.name()
+                ),
+            }
+        }
+        assert_eq!(service.shutdown().served, 0);
+    }
+}
+
+#[test]
+fn plain_backends_refuse_the_pruned_tier_by_name() {
+    let csr = collection();
+    let query = Query {
+        tier: QueryTier::Pruned {
+            shortlist_factor: 2,
+        },
+        ..Query::new(5)
+    };
+    // `all_backends` lists the three plain backends first.
+    for backend in all_backends().into_iter().take(3) {
+        let prepared = backend.prepare(&csr).expect("prepare");
+        let err = backend
+            .answer(&prepared, &[query_vector(64, 1)], &query)
+            .expect_err("a plain backend has no pruned tier");
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "bad query: backend `{}` does not implement the pruned query tier",
+                backend.name()
+            )
         );
     }
 }

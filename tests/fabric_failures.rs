@@ -30,8 +30,8 @@ use tkspmv::backend::QueryTier;
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_fabric::wire::{read_request, write_response, NodeInfo, Request, Response};
 use tkspmv_fabric::{
-    DeltaCollection, FabricError, NodeClient, NodeServer, PartialPolicy, Router, RouterConfig,
-    RpcError, ShardFailure, ShardOutcome, ShardSpec,
+    CallError, DeltaCollection, FabricError, NodeClient, NodeServer, PartialPolicy, Router,
+    RouterConfig, RpcError, ShardFailure, ShardOutcome, ShardSpec,
 };
 use tkspmv_serve::{BatchPolicy, TopKService};
 use tkspmv_sparse::Csr;
@@ -361,6 +361,46 @@ fn malformed_queries_never_leave_the_router() {
     }
     a.shutdown();
     b.shutdown();
+}
+
+/// A `k` past the wire's 32-bit count is refused by the client itself,
+/// before a byte is sent, in the router's words: cut to 32 bits it
+/// would ask the node for another `K` altogether (`2^32 + 5` reads as
+/// 5, `2^32` as 0).
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn a_client_refuses_a_k_past_the_wire_before_sending() {
+    let dim = 6;
+    let node = spawn_node(6, dim, 0, BatchPolicy::immediate());
+    let router = Router::connect(
+        vec![ShardSpec::single(node.local_addr().to_string())],
+        router_config(Duration::from_secs(5)),
+    )
+    .expect("connect");
+    let mut client = NodeClient::connect(node.local_addr(), DEADLINE).expect("connect");
+    let x = vec![1.0f32; dim];
+    for k in [(1usize << 32) + 5, 1 << 32] {
+        let detail = match client.query(&x, k, QueryTier::Exact, DEADLINE) {
+            Err(CallError::Rpc(RpcError::BadRequest { detail })) => detail,
+            other => panic!("k = {k}: expected a typed BadRequest, got {other:?}"),
+        };
+        assert!(detail.contains("32-bit"), "{detail}");
+        match router.query(&x, k, QueryTier::Exact) {
+            Err(FabricError::Rpc(RpcError::BadRequest { detail: routed })) => {
+                assert_eq!(
+                    detail, routed,
+                    "k = {k}: the client speaks the router's words"
+                )
+            }
+            other => panic!("k = {k}: router: got {other:?}"),
+        }
+    }
+    // Nothing was sent, so the connection still answers in step.
+    let entries = client
+        .query(&x, 5, QueryTier::Exact, DEADLINE)
+        .expect("a well-formed query after the refusals");
+    assert_eq!(entries.len(), 5);
+    node.shutdown();
 }
 
 #[test]

@@ -22,12 +22,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use tkspmv::backend::{PreparedMatrix, QueryBatch, QueryTier, TopKBackend};
+use tkspmv::backend::{PreparedMatrix, Query, QueryTier, TopKBackend};
 use tkspmv::{Accelerator, PrunedBackend, TopKResult};
 use tkspmv_baselines::cpu::CpuTopK;
 use tkspmv_baselines::gpu::{GpuModel, GpuPrecision, GpuTopK};
 use tkspmv_fixed::PruneBits;
-use tkspmv_obs::TraceId;
 use tkspmv_serve::{BatchPolicy, TopKService};
 use tkspmv_sparse::{Csr, DenseVector};
 
@@ -142,7 +141,7 @@ fn policy_from(selector: usize) -> BatchPolicy {
 }
 
 /// Direct per-shard reference at an explicit tier: same layout, no
-/// serving machinery, answered through `query_batch_tiered`.
+/// serving machinery, answered through `answer`.
 fn sharded_tiered_reference(
     backend: &dyn TopKBackend,
     csr: &Csr,
@@ -152,11 +151,14 @@ fn sharded_tiered_reference(
     tier: QueryTier,
 ) -> TopKResult {
     let layout = PreparedMatrix::prepare_row_shards(backend, csr, shards).expect("shards prepare");
-    let batch = QueryBatch::new(vec![x.clone()]).expect("one-query batch");
+    let query = Query {
+        tier,
+        ..Query::new(k)
+    };
     let mut pairs = Vec::new();
     for shard in &layout {
         let out = backend
-            .query_batch_tiered(shard.matrix(), &batch, k, tier)
+            .answer(shard.matrix(), std::slice::from_ref(x), &query)
             .expect("shard query");
         pairs.extend(shard.globalize(&out[0].topk));
     }
@@ -184,9 +186,11 @@ fn serve_tiered_concurrently(
             .iter()
             .map(|(x, tier)| {
                 scope.spawn(move || {
-                    let served = service
-                        .query_tiered(x.clone(), k, *tier, TraceId::ZERO)
-                        .expect("served");
+                    let query = Query {
+                        tier: *tier,
+                        ..Query::new(k)
+                    };
+                    let served = service.query(x.clone(), query).expect("served");
                     assert_eq!(served.tier, *tier, "response must echo its tier");
                     served.topk
                 })
@@ -319,9 +323,12 @@ proptest! {
                     );
                     if shards == 1 {
                         let prepared = staged.prepare(&csr).expect("prepare");
-                        let batch = QueryBatch::new(vec![x.clone()]).expect("one-query batch");
+                        let query = Query {
+                            tier: *tier,
+                            ..Query::new(k)
+                        };
                         let direct = staged
-                            .query_batch_tiered(&prepared, &batch, k, *tier)
+                            .answer(&prepared, std::slice::from_ref(x), &query)
                             .expect("direct staged query");
                         prop_assert_eq!(
                             got, &direct[0].topk,

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use tkspmv::backend::{
-    BackendPerf, BackendStats, PreparedMatrix, QueryResult, QueryTier, TopKBackend,
+    BackendPerf, BackendStats, PreparedMatrix, Query, QueryResult, QueryTier, TopKBackend,
 };
 use tkspmv::{Accelerator, EngineError, PrunedBackend, TopKResult};
 use tkspmv_baselines::cpu::CpuTopK;
@@ -280,27 +280,30 @@ impl TopKBackend for StampBackend {
         ))
     }
 
-    fn query(
+    fn answer(
         &self,
         _matrix: &PreparedMatrix,
-        x: &DenseVector,
-        _k: usize,
-    ) -> Result<QueryResult, EngineError> {
-        // ordering: test-only call counter; the barrier orders the two
-        // calls it admits.
-        if self.calls.fetch_add(1, Ordering::Relaxed) < 2 {
-            self.overlap.wait();
-        }
-        Ok(QueryResult {
-            topk: TopKResult::from_pairs(vec![(0, 1.0)]),
-            perf: BackendPerf::measured(1e-9, 1),
-            stats: BackendStats::Pruned {
-                bits: 8,
-                shortlist: 1,
-                pruned: true,
-                stages: stamp(x),
-            },
-        })
+        queries: &[DenseVector],
+        _query: &Query,
+    ) -> Result<Vec<QueryResult>, EngineError> {
+        let answer = |x: &DenseVector| {
+            // ordering: test-only call counter; the barrier orders the
+            // two calls it admits.
+            if self.calls.fetch_add(1, Ordering::Relaxed) < 2 {
+                self.overlap.wait();
+            }
+            QueryResult {
+                topk: TopKResult::from_pairs(vec![(0, 1.0)]),
+                perf: BackendPerf::measured(1e-9, 1),
+                stats: BackendStats::Pruned {
+                    bits: 8,
+                    shortlist: 1,
+                    pruned: true,
+                    stages: stamp(x),
+                },
+            }
+        };
+        Ok(queries.iter().map(answer).collect())
     }
 }
 
@@ -445,7 +448,14 @@ fn trace_ids_survive_compaction_epoch_swap_mid_stream() {
         let id = TraceId::generate();
         let x = query_vector(dim, 50 + i);
         let (entries, wire_trace) = client
-            .query_traced(x.as_slice(), 5, QueryTier::Exact, id, DEADLINE)
+            .query_traced(
+                x.as_slice(),
+                &Query {
+                    trace: id,
+                    ..Query::new(5)
+                },
+                DEADLINE,
+            )
             .expect("traced query");
         assert!(!entries.is_empty());
         let wire_trace = wire_trace.expect("traced query reports spans");
