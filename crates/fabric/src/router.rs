@@ -48,14 +48,15 @@
 //! however nodes die — attempts still in flight are left to their
 //! socket timeouts and report to nobody.
 
-use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tkspmv::backend::{Query, QueryTier};
 use tkspmv::TopKResult;
-use tkspmv_obs::{Counter, QueryTrace, Registry, SpanNode, SpanRecord, Stage, StageSpan, TraceId};
+use tkspmv_obs::{
+    Counter, QueryTrace, Registry, SpanNode, SpanRecord, SpanRing, Stage, StageSpan, TraceId,
+};
 
 use crate::client::{CallError, NodeClient};
 use crate::delta::check_query;
@@ -216,7 +217,7 @@ struct RouterMetrics {
     failovers: Arc<Counter>,
     deadline_expiries: Arc<Counter>,
     incomplete_coverage: Arc<Counter>,
-    traces: Mutex<VecDeque<QueryTrace>>,
+    traces: SpanRing<QueryTrace>,
 }
 
 impl RouterMetrics {
@@ -249,24 +250,8 @@ impl RouterMetrics {
             failovers,
             deadline_expiries,
             incomplete_coverage,
-            traces: Mutex::new(VecDeque::with_capacity(TRACE_RING_CAPACITY)),
+            traces: SpanRing::new(TRACE_RING_CAPACITY),
         }
-    }
-
-    fn record_trace(&self, trace: QueryTrace) {
-        let mut ring = self.traces.lock().unwrap_or_else(|p| p.into_inner());
-        if ring.len() == TRACE_RING_CAPACITY {
-            ring.pop_front();
-        }
-        ring.push_back(trace);
-    }
-
-    fn slowest_traces(&self, n: usize) -> Vec<QueryTrace> {
-        let ring = self.traces.lock().unwrap_or_else(|p| p.into_inner());
-        let mut all: Vec<QueryTrace> = ring.iter().cloned().collect();
-        all.sort_by_key(|t| std::cmp::Reverse(t.total_us));
-        all.truncate(n);
-        all
     }
 }
 
@@ -444,7 +429,7 @@ impl Router {
     /// The slowest `n` assembled query traces, descending by end-to-end
     /// latency. Empty unless [`RouterConfig::trace`] is on.
     pub fn slowest_traces(&self, n: usize) -> Vec<QueryTrace> {
-        self.metrics.slowest_traces(n)
+        self.metrics.traces.slowest(n)
     }
 
     /// Serves the router's observability over HTTP on `bind` (port 0
@@ -457,7 +442,7 @@ impl Router {
             if path == "/metrics" {
                 Some(metrics.registry.render())
             } else if path == "/traces" || path.starts_with("/traces?") {
-                let traces = metrics.slowest_traces(16);
+                let traces = metrics.traces.slowest(16);
                 let mut out = String::from("[");
                 for (i, t) in traces.iter().enumerate() {
                     if i > 0 {
@@ -655,7 +640,7 @@ impl Router {
 
         let trace = self.config.trace.then(|| {
             let trace = assemble_trace(query.trace, start.elapsed(), &answers);
-            self.metrics.record_trace(trace.clone());
+            self.metrics.traces.record(&trace);
             trace
         });
 

@@ -794,7 +794,7 @@ impl Response {
 }
 
 /// Writes a request as one frame.
-pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<(), WireError> {
+pub(crate) fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<(), WireError> {
     let (kind, body) = req.encode();
     write_frame(w, kind, &body)
 }

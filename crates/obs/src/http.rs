@@ -3,21 +3,24 @@
 //!
 //! This is deliberately not a web server: it answers `GET` requests
 //! with whatever the render callback produces for the path, one
-//! connection at a time, with short socket timeouts so a stuck scraper
-//! cannot wedge the thread. That is all a Prometheus-style scrape
-//! target needs.
+//! connection at a time, with a short deadline per connection so a
+//! stuck or trickling scraper cannot wedge the thread. That is all a
+//! Prometheus-style scrape target needs.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long the accept loop sleeps between polls while idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
-/// Per-connection socket timeout: a scraper that stalls longer is cut.
+/// Deadline for one whole connection, from accept to the last byte
+/// written: the acceptor serves connections one at a time, so a peer
+/// that trickles its request is cut once this much time has passed,
+/// however it paces its bytes.
 const CONN_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A background thread serving `GET <path>` over plain HTTP/1.1.
@@ -107,7 +110,7 @@ where
         match listener.accept() {
             Ok((stream, _)) => {
                 // Answer inline: scrape requests are tiny and rare, and
-                // the socket timeout bounds a stalled peer.
+                // the connection deadline bounds a stalled peer.
                 let _ = serve_one(stream, render);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -122,10 +125,9 @@ fn serve_one<F>(mut stream: TcpStream, render: &F) -> io::Result<()>
 where
     F: Fn(&str) -> Option<String>,
 {
-    stream.set_read_timeout(Some(CONN_TIMEOUT))?;
-    stream.set_write_timeout(Some(CONN_TIMEOUT))?;
+    let deadline = Instant::now() + CONN_TIMEOUT;
     stream.set_nonblocking(false)?;
-    let request_line = read_request_line(&mut stream)?;
+    let request_line = read_request_line(&mut stream, deadline)?;
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or("/"));
     let response = if method != "GET" {
@@ -136,18 +138,33 @@ where
             None => http_response("404 Not Found", "unknown path\n"),
         }
     };
+    stream.set_write_timeout(Some(time_left(deadline)?))?;
     stream.write_all(response.as_bytes())?;
     stream.flush()
+}
+
+/// The time left before `deadline`, or a `TimedOut` error once none is.
+fn time_left(deadline: Instant) -> io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "connection deadline passed",
+        ));
+    }
+    Ok(left)
 }
 
 /// Reads the whole request header block (through the blank line) and
 /// returns the request line. Draining the headers before responding
 /// matters: closing with unread bytes pending resets the connection
-/// and can discard the response on the peer's side.
-fn read_request_line(stream: &mut TcpStream) -> io::Result<String> {
+/// and can discard the response on the peer's side. Each read waits
+/// only for the time left before `deadline`.
+fn read_request_line(stream: &mut TcpStream, deadline: Instant) -> io::Result<String> {
     let mut buf = Vec::with_capacity(256);
     let mut byte = [0u8; 1];
     while buf.len() < 8192 && !buf.ends_with(b"\r\n\r\n") {
+        stream.set_read_timeout(Some(time_left(deadline)?))?;
         let n = stream.read(&mut byte)?;
         if n == 0 {
             break;
@@ -207,6 +224,48 @@ mod tests {
         assert_eq!(body, "tk_up 1\n");
         let err = http_get(addr, "/nope", Duration::from_secs(2)).unwrap_err();
         assert!(err.to_string().contains("404"), "{err}");
+        server.shutdown();
+    }
+
+    /// A client that sends one header byte at a time, each well inside
+    /// the old per-read timeout, must not hold the one acceptor past the
+    /// connection deadline: a concurrent scrape still answers within
+    /// `CONN_TIMEOUT` plus a margin.
+    #[test]
+    fn a_trickling_client_does_not_block_other_scrapes() {
+        let server = MetricsServer::spawn("127.0.0.1:0", |path| {
+            (path == "/metrics").then(|| "tk_up 1\n".to_string())
+        })
+        .expect("bind");
+        let addr = server.addr();
+        let done = Arc::new(AtomicBool::new(false));
+        let mut slow = TcpStream::connect(addr).expect("connect trickler");
+        slow.write_all(b"G").expect("first byte");
+        // Let the acceptor take the trickler first.
+        std::thread::sleep(Duration::from_millis(100));
+        let trickler = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                // Far longer than the deadline, one byte every 200 ms;
+                // stops once the server hangs up or the scrape is done.
+                for _ in 0..40 {
+                    // ordering: test stop flag; nothing is published under it.
+                    if done.load(Ordering::Relaxed) || slow.write_all(b"E").is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(200));
+                }
+            })
+        };
+        let margin = Duration::from_secs(1);
+        let started = Instant::now();
+        let body = http_get(addr, "/metrics", CONN_TIMEOUT + margin);
+        let waited = started.elapsed();
+        // ordering: test stop flag; nothing is published under it.
+        done.store(true, Ordering::Relaxed);
+        trickler.join().expect("trickler thread");
+        assert_eq!(body.expect("scrape behind a trickling client"), "tk_up 1\n");
+        assert!(waited < CONN_TIMEOUT + margin, "scrape took {waited:?}");
         server.shutdown();
     }
 

@@ -15,9 +15,9 @@
 //!   [`QueryTrace`] — the one stage taxonomy (queue wait, batch
 //!   coalesce, packet decode, scoring, prune pass, exact rescore, shard
 //!   merge, wire RTT), the per-stage time vector every layer from the
-//!   engine up fills, per-query stage spans recorded into a
-//!   preallocated ring, and the tree type a router assembles from spans
-//!   propagated across nodes, rendered as JSON.
+//!   engine up fills, per-query stage spans recorded into a bounded
+//!   ring, and the tree type a router assembles from spans propagated
+//!   across nodes (kept in the same ring type), rendered as JSON.
 //! - [`MetricsServer`] — a minimal std-TCP HTTP server answering
 //!   `GET /metrics` with Prometheus-style plaintext exposition, with
 //!   [`validate_exposition`] as the syntax checker tests and CI use.
@@ -34,6 +34,6 @@ mod trace;
 pub use http::{http_get, MetricsServer};
 pub use metrics::{validate_exposition, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use trace::{
-    QueryTrace, SpanNode, SpanRecord, SpanRing, Stage, StageSpan, Stages, TraceId,
+    QueryTrace, RingRecord, SpanNode, SpanRecord, SpanRing, Stage, StageSpan, Stages, TraceId,
     MAX_SPANS_PER_RECORD,
 };

@@ -3,12 +3,12 @@
 //!
 //! A *stage span* says "this query spent `dur_us` in stage S starting
 //! `start_us` after the query began". The serve layer records a flat,
-//! bounded set of spans per query into a [`SpanRing`] — a preallocated
-//! ring of fixed-size slots, so recording is a short memcpy under a
+//! bounded set of spans per query into a [`SpanRing`] — a ring whose
+//! slots are reserved up front, so recording is a short memcpy under a
 //! mutex with no allocation. The fabric layer propagates a 16-byte
 //! [`TraceId`] over the wire and the router reassembles the per-node
-//! spans into one [`QueryTrace`] tree, rendered as JSON by the
-//! `tkspmv_trace` dump tool.
+//! spans into one [`QueryTrace`] tree, kept in a ring of its own and
+//! rendered as JSON by the `tkspmv_trace` dump tool.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -275,76 +275,93 @@ impl PartialEq for SpanRecord {
 
 impl Eq for SpanRecord {}
 
-struct RingInner {
-    slots: Vec<SpanRecord>,
-    /// Next slot to overwrite.
+/// A record a [`SpanRing`] keeps: it knows its query's end-to-end
+/// latency, the order [`SpanRing::slowest`] ranks by.
+pub trait RingRecord: Clone {
+    /// End-to-end latency in microseconds.
+    fn total_us(&self) -> u64;
+}
+
+impl RingRecord for SpanRecord {
+    fn total_us(&self) -> u64 {
+        u64::from(self.total_us)
+    }
+}
+
+impl RingRecord for QueryTrace {
+    fn total_us(&self) -> u64 {
+        self.total_us
+    }
+}
+
+struct RingInner<T> {
+    /// Reserved at full capacity up front; filled by push, then
+    /// overwritten in place.
+    slots: Vec<T>,
+    capacity: usize,
+    /// Next slot to overwrite once the ring is full.
     next: usize,
-    /// Slots written so far, saturating at `slots.len()`.
-    filled: usize,
 }
 
-/// A preallocated ring of the most recent queries' span records.
+/// A bounded ring of the most recent queries' records: serve keeps
+/// [`SpanRecord`]s, the router assembled [`QueryTrace`]s.
 ///
-/// `record` copies one fixed-size slot under a mutex — no allocation,
-/// a few hundred bytes of memcpy — so it is safe on the request
-/// completion path. `slowest` scans the ring (O(capacity)) off the hot
-/// path.
-pub struct SpanRing {
-    inner: Mutex<RingInner>,
+/// The slots are reserved at construction, so recording a
+/// [`SpanRecord`] is one fixed-size copy under a mutex with no
+/// allocation, safe on the request completion path. `slowest` scans the
+/// ring (O(capacity)) off the hot path.
+pub struct SpanRing<T> {
+    inner: Mutex<RingInner<T>>,
 }
 
-impl std::fmt::Debug for SpanRing {
+impl<T> std::fmt::Debug for SpanRing<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         f.debug_struct("SpanRing")
-            .field("capacity", &inner.slots.len())
-            .field("filled", &inner.filled)
+            .field("capacity", &inner.capacity)
+            .field("filled", &inner.slots.len())
             .finish()
     }
 }
 
-impl SpanRing {
-    /// A ring with `capacity` preallocated slots (min 1).
-    // alloc-ok(fn): one-time slot preallocation at construction —
-    // record() then overwrites slots in place, allocation-free.
+impl<T: RingRecord> SpanRing<T> {
+    /// A ring with `capacity` reserved slots (min 1).
+    // alloc-ok(fn): one-time slot reservation at construction —
+    // record() then fills and overwrites slots in place.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             inner: Mutex::new(RingInner {
-                slots: vec![SpanRecord::new(TraceId::ZERO, 0); capacity],
+                slots: Vec::with_capacity(capacity),
+                capacity,
                 next: 0,
-                filled: 0,
             }),
         }
     }
 
-    /// Records a completed query's spans (overwrites the oldest slot).
-    pub fn record(&self, rec: &SpanRecord) {
+    /// Records a completed query (overwrites the oldest slot once full).
+    pub fn record(&self, rec: &T) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let at = inner.next;
-        inner.slots[at] = *rec;
-        inner.next = (at + 1) % inner.slots.len();
-        inner.filled = (inner.filled + 1).min(inner.slots.len());
-    }
-
-    /// Queries recorded so far (saturating at the ring capacity).
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).filled
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        if inner.slots.len() < inner.capacity {
+            inner.slots.push(rec.clone());
+        } else {
+            let at = inner.next;
+            inner.slots[at] = rec.clone();
+            inner.next = (at + 1) % inner.capacity;
+        }
     }
 
     /// The `n` slowest recorded queries, descending by total latency.
     // alloc-ok(fn): scrape/debug-time copy out of the ring; the copy
     // also keeps the sort outside the ring mutex.
-    pub fn slowest(&self, n: usize) -> Vec<SpanRecord> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut filled: Vec<SpanRecord> = inner.slots[..inner.filled].to_vec();
-        drop(inner);
-        filled.sort_by_key(|r| std::cmp::Reverse(r.total_us));
+    pub fn slowest(&self, n: usize) -> Vec<T> {
+        let mut filled = self
+            .inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .slots
+            .clone();
+        filled.sort_by_key(|r| std::cmp::Reverse(r.total_us()));
         filled.truncate(n);
         filled
     }
@@ -591,16 +608,24 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_finds_slowest() {
-        let ring = SpanRing::new(4);
-        assert!(ring.is_empty());
-        for total in [10u32, 50, 30, 20, 40] {
-            ring.record(&SpanRecord::new(TraceId::generate(), total));
+        fn check<T: RingRecord>(record: impl Fn(u32) -> T) {
+            let ring = SpanRing::new(4);
+            assert!(ring.slowest(1).is_empty());
+            for total in [10u32, 50, 30, 20, 40] {
+                ring.record(&record(total));
+            }
+            // Capacity 4: the first record (10) was overwritten.
+            let slowest: Vec<u64> = ring.slowest(2).iter().map(T::total_us).collect();
+            assert_eq!(slowest, vec![50, 40]);
+            let all: Vec<u64> = ring.slowest(100).iter().map(T::total_us).collect();
+            assert_eq!(all, vec![50, 40, 30, 20]);
         }
-        // Capacity 4: the first record (10) was overwritten.
-        assert_eq!(ring.len(), 4);
-        let slowest: Vec<u32> = ring.slowest(2).iter().map(|r| r.total_us).collect();
-        assert_eq!(slowest, vec![50, 40]);
-        assert_eq!(ring.slowest(100).len(), 4);
+        check(|total| SpanRecord::new(TraceId::generate(), total));
+        check(|total| QueryTrace {
+            trace_id: TraceId::generate(),
+            total_us: u64::from(total),
+            root: SpanNode::new("router", 0, total),
+        });
     }
 
     #[test]

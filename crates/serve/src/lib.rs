@@ -78,11 +78,13 @@
 //!   id the request's span record is filed under. [`TopKService::submit`]
 //!   and [`TopKService::query`] take it, or a bare `k` for the exact
 //!   tier, untraced. The batcher never mixes `k`s or tiers in one
-//!   backend batch — the same discipline as epochs — and
-//!   [`ServiceMetrics::tiers`] reports per-tier counts and latency.
-//! - **Observability** — [`ServiceMetrics`] snapshots p50/p95/p99
-//!   latency, the batch-size histogram, throughput, shed counts, the
-//!   serving epoch, per-tier breakdowns, and batcher wake-ups.
+//!   backend batch — the same discipline as epochs — and `/metrics`
+//!   counts and times each tier apart (`tkspmv_serve_tier_*`).
+//! - **Observability** — one `tkspmv_obs` registry holds every series.
+//!   [`ServiceMetrics`] snapshots p50/p95/p99 latency, the batch-size
+//!   histogram, throughput, shed counts, the serving epoch and batcher
+//!   wake-ups; [`TopKService::render_metrics`] renders the whole
+//!   registry, per-tier, per-stage and engine-time series included.
 //! - **Shutdown** — [`TopKService::shutdown`] (and `Drop`) stops
 //!   admissions, drains every queued and in-flight request to a
 //!   response, and joins the batcher.
@@ -141,5 +143,5 @@ mod service;
 
 pub use batch::BatchPolicy;
 pub use error::ServeError;
-pub use metrics::{ServiceMetrics, StageBreakdown, StageStat, TierMetrics};
+pub use metrics::{ServiceMetrics, StageBreakdown};
 pub use service::{ServedResult, ServiceBuilder, Ticket, TopKService};

@@ -1,18 +1,15 @@
-//! Service observability: latency percentiles, per-stage time
-//! attribution, batch-size shape, throughput and shedding counters.
+//! Service observability: one `tkspmv_obs` registry holds every count,
+//! latency histogram and stage histogram the service keeps, beside a
+//! span ring of recent requests.
 //!
-//! Built on `tkspmv_obs` primitives: counters are atomics and latency
-//! percentiles come from fixed log-bucket histograms, so the request
-//! completion path records without taking the metrics lock and
-//! [`MetricsShared::snapshot`] does O(buckets) work — the old design
-//! cloned and sorted a 65 536-sample reservoir *under the metrics
-//! mutex* on every snapshot, stalling request completions, and its
-//! percentiles silently aged out under sustained load. The only mutex
-//! left guards the small batch-size vectors and the tier-slot list,
-//! both O(1)-ish per touch.
+//! Counters are atomics and latency percentiles come from fixed
+//! log-bucket histograms, so the request completion path records
+//! without a lock of its own and [`MetricsShared::snapshot`] does
+//! O(buckets) work. [`ServiceMetrics`] is the typed view of the
+//! service-wide figures; the per-tier, per-stage and engine-time series
+//! are read from the rendered `/metrics` page.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tkspmv_obs::{
@@ -22,27 +19,6 @@ use tkspmv_obs::{
 /// Completed queries whose stage spans are kept for the slowest-N
 /// trace view (a preallocated ring; recording is a slot memcpy).
 const SPAN_RING_CAPACITY: usize = 512;
-
-/// Per-precision-tier serving statistics, one entry per tier observed.
-///
-/// Tiers are identified by their label (`exact`, `pruned-c4`, ...), so a
-/// service that mixes shortlist factors reports each separately.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct TierMetrics {
-    /// The tier label (`QueryTier`'s `Display`: `exact`, `pruned-c4`).
-    pub tier: String,
-    /// Requests answered successfully at this tier.
-    pub served: u64,
-    /// Requests that failed at this tier.
-    pub failed: u64,
-    /// Median end-to-end latency at this tier.
-    pub latency_p50: Duration,
-    /// 95th-percentile end-to-end latency at this tier.
-    pub latency_p95: Duration,
-    /// 99th-percentile end-to-end latency at this tier.
-    pub latency_p99: Duration,
-}
 
 /// Where one answered request spent its time, stage by stage.
 ///
@@ -90,27 +66,15 @@ impl StageBreakdown {
     }
 }
 
-/// Aggregate view of one pipeline stage across all completed requests.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct StageStat {
-    /// The stage ([`Stage::name`] is its label).
-    pub stage: Stage,
-    /// Requests that recorded a non-zero duration for this stage.
-    pub count: u64,
-    /// Sum of the stage's durations across those requests.
-    pub total: Duration,
-    /// Mean stage duration.
-    pub mean: Duration,
-    /// 95th-percentile stage duration.
-    pub p95: Duration,
-}
-
 /// A point-in-time snapshot of a service's behaviour since start-up.
 ///
 /// Taken with `TopKService::metrics` (cheap: O(histogram buckets), no
-/// sample sort, no long-held lock) and returned by
-/// `TopKService::shutdown` as the final account.
+/// sample sort, no lock) and returned by `TopKService::shutdown` as the
+/// final account. Per-tier counts and latency
+/// (`tkspmv_serve_tier_*`), per-stage durations
+/// (`tkspmv_serve_stage_seconds`) and the engine's time
+/// (`tkspmv_serve_engine_microseconds_total`) are on the page
+/// `TopKService::render_metrics` returns.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct ServiceMetrics {
@@ -123,17 +87,6 @@ pub struct ServiceMetrics {
     pub shed: u64,
     /// Backend batches dispatched.
     pub batches: u64,
-    /// Total time spent inside the backend's batch call, summed across
-    /// shards and batches. End-to-end latency hides this behind queue
-    /// wait; this field isolates the engine's share.
-    pub engine_time_total: Duration,
-    /// Mean backend time per dispatched batch.
-    pub mean_engine_time_per_batch: Duration,
-    /// `(batch_size, mean_engine_time)` for every batch size observed,
-    /// ascending — aligned with `batch_size_histogram`. This is the
-    /// batch-amortisation curve: with a matrix-major engine the mean
-    /// grows far slower than linearly in the batch size.
-    pub engine_time_by_size: Vec<(usize, Duration)>,
     /// Median end-to-end latency (submission to response). Histogram
     /// percentiles: quantised to the containing log-bucket's upper
     /// bound (relative error ≤ 1/16), never aged out.
@@ -161,39 +114,15 @@ pub struct ServiceMetrics {
     /// count — the regression guard against the batcher busy-spinning
     /// (e.g. under a zero `max_wait` policy).
     pub batcher_wakeups: u64,
-    /// Per-precision-tier counts and latency percentiles, sorted by tier
-    /// label. Empty until the first request completes.
-    pub tiers: Vec<TierMetrics>,
-    /// Per-stage time attribution across completed requests, pipeline
-    /// order, non-zero stages only. The per-stage breakdown table the
-    /// serve/fabric benches print comes from here.
-    pub stages: Vec<StageStat>,
 }
 
-/// One tier's cached metric handles (so recording a request touches
-/// the tier mutex only for a short label scan, not the registry).
-struct TierSlot {
-    label: String,
-    served: Arc<Counter>,
-    failed: Arc<Counter>,
-    latency: Arc<Histogram>,
-}
+const TIER_REQUESTS: &str = "tkspmv_serve_tier_requests_total";
+const TIER_REQUESTS_HELP: &str = "Requests by tier and outcome.";
 
-/// Batch-shape vectors: tiny, O(1) per record, still mutex-guarded —
-/// but never sorted and never scanned while holding any lock a
-/// completion path waits on for long.
-#[derive(Default)]
-struct BatchShape {
-    /// `batch_hist[s]` = batches dispatched holding exactly `s` queries.
-    batch_hist: Vec<u64>,
-    /// `engine_us_by_size[s]` = total backend µs spent on batches of
-    /// exactly `s` queries (parallel to `batch_hist`).
-    engine_us_by_size: Vec<u64>,
-}
-
-/// The service's metric state. Recording served/failed/shed and
-/// latencies is lock-free (atomics + striped histograms); only the
-/// batch-shape vectors and the tier-slot list take a short mutex.
+/// The service's metric state: handles into one registry, the
+/// batch-size table and the span ring. Every record is lock-free
+/// (atomics and striped histograms) except the span-ring slot copy and
+/// the per-batch lookup of the batch's tier series in the registry.
 pub(crate) struct MetricsShared {
     started: Instant,
     registry: Registry,
@@ -203,51 +132,41 @@ pub(crate) struct MetricsShared {
     batches: Arc<Counter>,
     engine_us_total: Arc<Counter>,
     swaps: Arc<Counter>,
+    wakeups: Arc<Counter>,
     epoch: Arc<Gauge>,
-    wakeups_gauge: Arc<Gauge>,
     latency: Arc<Histogram>,
     /// One histogram per stage, in [`Stage::ALL`] order.
     stage_hists: [Arc<Histogram>; Stage::COUNT],
-    spans: SpanRing,
-    batch_shape: Mutex<BatchShape>,
-    tiers: Mutex<Vec<TierSlot>>,
-    /// Current epoch id mirrored for the snapshot (gauge is i64).
-    epoch_raw: AtomicU64,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+    /// `batch_sizes[s - 1]` counts the batches dispatched holding `s`
+    /// queries, for every `s` up to the policy's `max_batch_size`.
+    batch_sizes: Box<[Counter]>,
+    spans: SpanRing<SpanRecord>,
 }
 
 impl MetricsShared {
-    pub(crate) fn new() -> Self {
+    /// Metrics for a service whose batches hold at most
+    /// `max_batch_size` queries.
+    pub(crate) fn new(max_batch_size: usize) -> Self {
         let registry = Registry::new();
-        let served = registry.counter_with(
-            "tkspmv_serve_requests_total",
-            "Requests by outcome.",
-            &[("outcome", "served")],
-        );
-        let failed = registry.counter_with(
-            "tkspmv_serve_requests_total",
-            "Requests by outcome.",
-            &[("outcome", "failed")],
-        );
-        let shed = registry.counter_with(
-            "tkspmv_serve_requests_total",
-            "Requests by outcome.",
-            &[("outcome", "shed")],
-        );
+        let requests = |outcome| {
+            registry.counter_with(
+                "tkspmv_serve_requests_total",
+                "Requests by outcome.",
+                &[("outcome", outcome)],
+            )
+        };
+        let (served, failed, shed) = (requests("served"), requests("failed"), requests("shed"));
         let batches = registry.counter("tkspmv_serve_batches_total", "Backend batches dispatched.");
         let engine_us_total = registry.counter(
             "tkspmv_serve_engine_microseconds_total",
             "Backend batch-call time summed across shards and batches.",
         );
         let swaps = registry.counter("tkspmv_serve_swaps_total", "Collection hot swaps.");
-        let epoch = registry.gauge("tkspmv_serve_epoch", "Collection epoch being served.");
-        let wakeups_gauge = registry.gauge(
-            "tkspmv_serve_batcher_wakeups",
+        let wakeups = registry.counter(
+            "tkspmv_serve_batcher_wakeups_total",
             "Batcher thread wake-ups since start-up.",
         );
+        let epoch = registry.gauge("tkspmv_serve_epoch", "Collection epoch being served.");
         let latency = registry.histogram(
             "tkspmv_serve_latency_seconds",
             "End-to-end request latency (admission to response).",
@@ -268,103 +187,80 @@ impl MetricsShared {
             batches,
             engine_us_total,
             swaps,
+            wakeups,
             epoch,
-            wakeups_gauge,
             latency,
             stage_hists,
+            batch_sizes: (0..max_batch_size.max(1)).map(|_| Counter::new()).collect(),
             spans: SpanRing::new(SPAN_RING_CAPACITY),
-            batch_shape: Mutex::new(BatchShape::default()),
-            tiers: Mutex::new(Vec::new()),
-            epoch_raw: AtomicU64::new(0),
         }
     }
 
-    /// Cached per-tier handles (get-or-create; a handful of tiers at
-    /// most, so a linear label scan beats map overhead).
-    fn tier_slot(&self, label: &str) -> (Arc<Counter>, Arc<Counter>, Arc<Histogram>) {
-        let mut tiers = lock(&self.tiers);
-        if let Some(t) = tiers.iter().find(|t| t.label == label) {
-            return (
-                Arc::clone(&t.served),
-                Arc::clone(&t.failed),
-                Arc::clone(&t.latency),
-            );
-        }
-        let slot = TierSlot {
-            label: label.to_string(),
-            served: self.registry.counter_with(
-                "tkspmv_serve_tier_requests_total",
-                "Requests by tier and outcome.",
-                &[("tier", label), ("outcome", "served")],
-            ),
-            failed: self.registry.counter_with(
-                "tkspmv_serve_tier_requests_total",
-                "Requests by tier and outcome.",
-                &[("tier", label), ("outcome", "failed")],
-            ),
-            latency: self.registry.histogram_with(
-                "tkspmv_serve_tier_latency_seconds",
-                "End-to-end latency by tier.",
-                &[("tier", label)],
-            ),
-        };
-        let out = (
-            Arc::clone(&slot.served),
-            Arc::clone(&slot.failed),
-            Arc::clone(&slot.latency),
+    /// Records one batch's answered requests, all at `tier` (a batch
+    /// never mixes tiers, so the tier's series are looked up once):
+    /// each request's latency, stage histograms and span-ring slot.
+    pub(crate) fn record_served(
+        &self,
+        tier: &str,
+        requests: impl IntoIterator<Item = (Duration, Stages, TraceId)>,
+    ) {
+        let tier_served = self.registry.counter_with(
+            TIER_REQUESTS,
+            TIER_REQUESTS_HELP,
+            &[("tier", tier), ("outcome", "served")],
         );
-        tiers.push(slot);
-        out
+        let tier_latency = self.registry.histogram_with(
+            "tkspmv_serve_tier_latency_seconds",
+            "End-to-end latency by tier.",
+            &[("tier", tier)],
+        );
+        for (latency, stages, trace_id) in requests {
+            self.served.inc();
+            self.latency.record(latency);
+            tier_served.inc();
+            tier_latency.record(latency);
+            for (hist, (_, d)) in self.stage_hists.iter().zip(stages.iter()) {
+                if !d.is_zero() {
+                    hist.record(d);
+                }
+            }
+            self.spans.record(&stages.to_span_record(trace_id, latency));
+        }
     }
 
-    pub(crate) fn record_served(&self, latency: Duration, tier: &str) {
-        self.served.inc();
-        self.latency.record(latency);
-        let (served, _, tier_latency) = self.tier_slot(tier);
-        served.inc();
-        tier_latency.record(latency);
-    }
-
-    pub(crate) fn record_failed(&self, requests: u64, tier: &str) {
+    /// Records a failed batch of `requests` requests at `tier`.
+    pub(crate) fn record_failed(&self, tier: &str, requests: u64) {
         self.failed.add(requests);
-        let (_, failed, _) = self.tier_slot(tier);
-        failed.add(requests);
+        self.registry
+            .counter_with(
+                TIER_REQUESTS,
+                TIER_REQUESTS_HELP,
+                &[("tier", tier), ("outcome", "failed")],
+            )
+            .add(requests);
     }
 
     pub(crate) fn record_shed(&self) {
         self.shed.inc();
     }
 
+    /// Records one dispatched batch of `size` queries (at most the
+    /// policy's `max_batch_size`; a larger one counts in the last slot).
     pub(crate) fn record_batch(&self, size: usize, engine_time: Duration) {
         self.batches.inc();
-        let us = u64::try_from(engine_time.as_micros()).unwrap_or(u64::MAX);
-        self.engine_us_total.add(us);
-        let mut shape = lock(&self.batch_shape);
-        if shape.batch_hist.len() <= size {
-            shape.batch_hist.resize(size + 1, 0);
-            shape.engine_us_by_size.resize(size + 1, 0);
-        }
-        shape.batch_hist[size] += 1;
-        shape.engine_us_by_size[size] = shape.engine_us_by_size[size].saturating_add(us);
+        self.engine_us_total
+            .add(u64::try_from(engine_time.as_micros()).unwrap_or(u64::MAX));
+        let last = self.batch_sizes.len() - 1;
+        self.batch_sizes[size.saturating_sub(1).min(last)].inc();
     }
 
     pub(crate) fn record_swap(&self, new_epoch: u64) {
         self.swaps.inc();
-        // ordering: reporting-only copy of the epoch; the authoritative
-        // value is published under the epoch mutex in service.rs.
-        self.epoch_raw.store(new_epoch, Ordering::Relaxed);
         self.epoch.set(i64::try_from(new_epoch).unwrap_or(i64::MAX));
     }
 
-    /// Records one completed request's stages: per-stage histograms
-    /// plus a slot in the slowest-N span ring.
-    pub(crate) fn record_stages(&self, stages: &Stages, total: Duration, trace_id: TraceId) {
-        for (hist, (_, d)) in self.stage_hists.iter().zip(stages.iter()) {
-            if !d.is_zero() {
-                hist.record(d);
-            }
-        }
-        self.spans.record(&stages.to_span_record(trace_id, total));
+    pub(crate) fn record_wakeup(&self) {
+        self.wakeups.inc();
     }
 
     /// The slowest-`n` recorded queries' span records, descending by
@@ -375,82 +271,28 @@ impl MetricsShared {
 
     /// Renders every serve metric in Prometheus plaintext exposition
     /// format.
-    pub(crate) fn render(&self, batcher_wakeups: u64) -> String {
-        self.wakeups_gauge
-            .set(i64::try_from(batcher_wakeups).unwrap_or(i64::MAX));
+    pub(crate) fn render(&self) -> String {
         self.registry.render()
     }
 
-    pub(crate) fn snapshot(&self, batcher_wakeups: u64) -> ServiceMetrics {
+    pub(crate) fn snapshot(&self) -> ServiceMetrics {
         let uptime = self.started.elapsed();
         let served = self.served.get();
         let batches = self.batches.get();
-        let engine_us = self.engine_us_total.get();
         let latency = self.latency.snapshot();
-        let (batch_size_histogram, engine_time_by_size, weighted) = {
-            let shape = lock(&self.batch_shape);
-            let hist: Vec<(usize, u64)> = shape
-                .batch_hist
-                .iter()
-                .enumerate()
-                .filter(|&(_, &count)| count > 0)
-                .map(|(size, &count)| (size, count))
-                .collect();
-            let by_size: Vec<(usize, Duration)> = hist
-                .iter()
-                .map(|&(size, count)| {
-                    (
-                        size,
-                        Duration::from_micros(shape.engine_us_by_size[size] / count),
-                    )
-                })
-                .collect();
-            let weighted: u64 = hist.iter().map(|&(size, count)| size as u64 * count).sum();
-            (hist, by_size, weighted)
-        };
-        let tiers = {
-            let slots = lock(&self.tiers);
-            let mut tiers: Vec<TierMetrics> = slots
-                .iter()
-                .map(|t| {
-                    let snap = t.latency.snapshot();
-                    TierMetrics {
-                        tier: t.label.clone(),
-                        served: t.served.get(),
-                        failed: t.failed.get(),
-                        latency_p50: snap.percentile(0.50),
-                        latency_p95: snap.percentile(0.95),
-                        latency_p99: snap.percentile(0.99),
-                    }
-                })
-                .collect();
-            tiers.sort_by(|a, b| a.tier.cmp(&b.tier));
-            tiers
-        };
-        let stages = Stage::ALL
-            .into_iter()
-            .zip(&self.stage_hists)
-            .filter_map(|(stage, h)| {
-                let snap = h.snapshot();
-                (snap.count > 0).then(|| StageStat {
-                    stage,
-                    count: snap.count,
-                    total: Duration::from_micros(snap.sum_us),
-                    mean: snap.mean(),
-                    p95: snap.percentile(0.95),
-                })
-            })
+        let batch_size_histogram: Vec<(usize, u64)> = (1..)
+            .zip(self.batch_sizes.iter().map(Counter::get))
+            .filter(|&(_, count)| count > 0)
             .collect();
+        let weighted: u64 = batch_size_histogram
+            .iter()
+            .map(|&(size, count)| size as u64 * count)
+            .sum();
         ServiceMetrics {
             served,
             failed: self.failed.get(),
             shed: self.shed.get(),
             batches,
-            engine_time_total: Duration::from_micros(engine_us),
-            mean_engine_time_per_batch: Duration::from_micros(
-                engine_us.checked_div(batches).unwrap_or(0),
-            ),
-            engine_time_by_size,
             latency_p50: latency.percentile(0.50),
             latency_p95: latency.percentile(0.95),
             latency_p99: latency.percentile(0.99),
@@ -466,19 +308,17 @@ impl MetricsShared {
                 served as f64 / uptime.as_secs_f64()
             },
             uptime,
-            // ordering: reporting-only epoch copy; see record_swap.
-            epoch: self.epoch_raw.load(Ordering::Relaxed),
+            epoch: u64::try_from(self.epoch.get()).unwrap_or(0),
             swaps: self.swaps.get(),
-            batcher_wakeups,
-            tiers,
-            stages,
+            batcher_wakeups: self.wakeups.get(),
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::BatchPolicy;
 
     /// Histogram percentiles land on the containing log-bucket's upper
     /// bound: within 1/8 above the exact value (1/16 bucket width plus
@@ -491,18 +331,42 @@ mod tests {
         );
     }
 
+    /// The value of the sample `series` (name and label set, as
+    /// rendered) on an exposition page, after checking the page is
+    /// valid exposition.
+    pub(crate) fn sample(page: &str, series: &str) -> Option<f64> {
+        tkspmv_obs::validate_exposition(page).expect("valid exposition");
+        page.lines().find_map(|line| {
+            let value = line.strip_prefix(series)?.strip_prefix(' ')?;
+            Some(value.parse().expect("numeric sample"))
+        })
+    }
+
+    /// Records one batch of requests at `tier` with these latencies and
+    /// no stage split.
+    fn served(m: &MetricsShared, tier: &str, latencies_us: impl IntoIterator<Item = u64>) {
+        m.record_served(
+            tier,
+            latencies_us
+                .into_iter()
+                .map(|us| (Duration::from_micros(us), Stages::default(), TraceId::ZERO)),
+        );
+    }
+
+    fn metrics() -> MetricsShared {
+        MetricsShared::new(BatchPolicy::default().max_batch_size)
+    }
+
     #[test]
     fn snapshot_aggregates_counters() {
-        let m = MetricsShared::new();
-        for us in [100u64, 200, 300, 400] {
-            m.record_served(Duration::from_micros(us), "exact");
-        }
-        m.record_failed(2, "exact");
+        let m = metrics();
+        served(&m, "exact", [100, 200, 300, 400]);
+        m.record_failed("exact", 2);
         m.record_shed();
         m.record_batch(1, Duration::from_micros(90));
         m.record_batch(3, Duration::from_micros(120));
         m.record_batch(3, Duration::from_micros(180));
-        let s = m.snapshot(0);
+        let s = m.snapshot();
         assert_eq!(s.served, 4);
         assert_eq!(s.failed, 2);
         assert_eq!(s.shed, 1);
@@ -512,51 +376,99 @@ mod tests {
         assert_eq!(s.batch_size_histogram, vec![(1, 1), (3, 2)]);
         assert!((s.mean_batch_size - 7.0 / 3.0).abs() < 1e-12);
         assert!(s.throughput_qps > 0.0);
-        // Engine time: totals, per-batch mean, and the per-size
-        // amortisation curve (mean over the two size-3 batches).
-        assert_eq!(s.engine_time_total, Duration::from_micros(390));
-        assert_eq!(s.mean_engine_time_per_batch, Duration::from_micros(130));
+        // Engine time, summed across batches, is on the page.
+        let page = m.render();
         assert_eq!(
-            s.engine_time_by_size,
-            vec![
-                (1, Duration::from_micros(90)),
-                (3, Duration::from_micros(150)),
-            ]
+            sample(&page, "tkspmv_serve_engine_microseconds_total"),
+            Some(390.0)
         );
+    }
+
+    /// The size table has one slot per size up to the policy's
+    /// `max_batch_size`: a full batch lands in its last slot, and so
+    /// does every batch of an unbatched (`immediate`) policy.
+    #[test]
+    fn full_batches_land_in_the_last_slot_of_the_size_table() {
+        let coalescing = BatchPolicy::coalescing(4, Duration::from_millis(1));
+        let m = MetricsShared::new(coalescing.max_batch_size);
+        m.record_batch(4, Duration::from_micros(10));
+        m.record_batch(4, Duration::from_micros(10));
+        m.record_batch(2, Duration::from_micros(10));
+        assert_eq!(m.batch_sizes.len(), 4);
+        assert_eq!(m.snapshot().batch_size_histogram, vec![(2, 1), (4, 2)]);
+        assert!((m.snapshot().mean_batch_size - 10.0 / 3.0).abs() < 1e-12);
+
+        let m = MetricsShared::new(BatchPolicy::immediate().max_batch_size);
+        m.record_batch(1, Duration::from_micros(10));
+        assert_eq!(m.batch_sizes.len(), 1);
+        assert_eq!(m.snapshot().batch_size_histogram, vec![(1, 1)]);
+        assert_eq!(m.snapshot().mean_batch_size, 1.0);
     }
 
     #[test]
     fn empty_metrics_snapshot_is_all_zero() {
-        let s = MetricsShared::new().snapshot(0);
+        let m = metrics();
+        let s = m.snapshot();
         assert_eq!(s.served, 0);
         assert_eq!(s.mean_batch_size, 0.0);
         assert_eq!(s.latency_p99, Duration::ZERO);
         assert!(s.batch_size_histogram.is_empty());
-        assert!(s.tiers.is_empty());
-        assert!(s.stages.is_empty());
-        assert_eq!(s.engine_time_total, Duration::ZERO);
-        assert_eq!(s.mean_engine_time_per_batch, Duration::ZERO);
-        assert!(s.engine_time_by_size.is_empty());
+        assert_eq!((s.epoch, s.batcher_wakeups), (0, 0));
+        let page = m.render();
+        // No tier has been seen, no stage recorded, no engine time spent.
+        assert!(!page.contains("tkspmv_serve_tier_"), "{page}");
+        for stage in Stage::ALL {
+            let series = format!(
+                "tkspmv_serve_stage_seconds_count{{stage=\"{}\"}}",
+                stage.name()
+            );
+            assert_eq!(sample(&page, &series), Some(0.0), "{series}");
+        }
+        assert_eq!(
+            sample(&page, "tkspmv_serve_engine_microseconds_total"),
+            Some(0.0)
+        );
+        assert_eq!(
+            sample(&page, "tkspmv_serve_batcher_wakeups_total"),
+            Some(0.0)
+        );
     }
 
     #[test]
     fn tiers_are_accounted_separately_and_sorted() {
-        let m = MetricsShared::new();
-        m.record_served(Duration::from_micros(900), "pruned-c4");
-        m.record_served(Duration::from_micros(100), "exact");
-        m.record_served(Duration::from_micros(200), "exact");
-        m.record_failed(1, "pruned-c4");
-        let s = m.snapshot(0);
+        let m = metrics();
+        served(&m, "pruned-c4", [900]);
+        served(&m, "exact", [100, 200]);
+        m.record_failed("pruned-c4", 1);
+        let s = m.snapshot();
         assert_eq!(s.served, 3);
         assert_eq!(s.failed, 1);
-        let labels: Vec<&str> = s.tiers.iter().map(|t| t.tier.as_str()).collect();
-        assert_eq!(labels, ["exact", "pruned-c4"]);
-        let exact = &s.tiers[0];
-        assert_eq!((exact.served, exact.failed), (2, 0));
-        assert_close(exact.latency_p50, 100, "exact p50");
-        let pruned = &s.tiers[1];
-        assert_eq!((pruned.served, pruned.failed), (1, 1));
-        assert_close(pruned.latency_p99, 900, "pruned p99");
+        let page = m.render();
+        let tier = |series: &str, tier: &str, outcome: &str| {
+            let labels = if outcome.is_empty() {
+                format!("{{tier=\"{tier}\"}}")
+            } else {
+                format!("{{tier=\"{tier}\",outcome=\"{outcome}\"}}")
+            };
+            sample(&page, &format!("tkspmv_serve_tier_{series}{labels}"))
+        };
+        assert_eq!(tier("requests_total", "exact", "served"), Some(2.0));
+        assert_eq!(tier("requests_total", "exact", "failed"), None);
+        assert_eq!(tier("requests_total", "pruned-c4", "served"), Some(1.0));
+        assert_eq!(tier("requests_total", "pruned-c4", "failed"), Some(1.0));
+        // Per-tier latency: the exact tier's two requests sum to 300 µs,
+        // the pruned tier's one to 900 µs. The exact p50 (100 µs) and the
+        // pruned p99 (900 µs) land in the log buckets ending at 103 µs
+        // and 927 µs.
+        assert_eq!(tier("latency_seconds_count", "exact", ""), Some(2.0));
+        assert_eq!(tier("latency_seconds_sum", "exact", ""), Some(0.0003));
+        assert_eq!(tier("latency_seconds_count", "pruned-c4", ""), Some(1.0));
+        assert_eq!(tier("latency_seconds_sum", "pruned-c4", ""), Some(0.0009));
+        let bucket = |tier: &str, le: &str| {
+            format!("tkspmv_serve_tier_latency_seconds_bucket{{tier=\"{tier}\",le=\"{le}\"}}")
+        };
+        assert_eq!(sample(&page, &bucket("exact", "0.000103")), Some(1.0));
+        assert_eq!(sample(&page, &bucket("pruned-c4", "0.000927")), Some(1.0));
     }
 
     #[test]
@@ -565,14 +477,10 @@ mod tests {
         // early slow requests vanished from the percentiles. Histograms
         // keep everything: 100 slow samples stay visible as the p99
         // even after 100k fast ones.
-        let m = MetricsShared::new();
-        for _ in 0..100 {
-            m.record_served(Duration::from_millis(80), "exact");
-        }
-        for _ in 0..100_000 {
-            m.record_served(Duration::from_micros(150), "exact");
-        }
-        let s = m.snapshot(0);
+        let m = metrics();
+        served(&m, "exact", std::iter::repeat_n(80_000, 100));
+        served(&m, "exact", std::iter::repeat_n(150, 100_000));
+        let s = m.snapshot();
         assert_close(s.latency_p50, 150, "p50 is the fast mode");
         // p99.95 rank falls in the slow tail.
         assert!(
@@ -593,19 +501,15 @@ mod tests {
             let mut best = Duration::MAX;
             for _ in 0..5 {
                 let t = Instant::now();
-                std::hint::black_box(m.snapshot(0));
+                std::hint::black_box(m.snapshot());
                 best = best.min(t.elapsed());
             }
             best
         };
-        let m = MetricsShared::new();
-        for i in 0..10_000u64 {
-            m.record_served(Duration::from_micros(i % 1000), "exact");
-        }
+        let m = metrics();
+        served(&m, "exact", (0..10_000u64).map(|i| i % 1000));
         let small = timed_snapshot(&m);
-        for i in 0..1_000_000u64 {
-            m.record_served(Duration::from_micros(i % 1000), "exact");
-        }
+        served(&m, "exact", (0..1_000_000u64).map(|i| i % 1000));
         let large = timed_snapshot(&m);
         // Identical work modulo noise; a sort-the-samples design would
         // scale with the retained sample count. Generous bound to stay
@@ -623,27 +527,29 @@ mod tests {
     /// constant latency, and p99 must stay at that constant.)
     #[test]
     fn concurrent_snapshots_do_not_inflate_p99() {
-        let m = Arc::new(MetricsShared::new());
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let m = Arc::new(metrics());
+        let stop = Arc::new(AtomicBool::new(false));
         let storm = {
             let m = Arc::clone(&m);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut snaps = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    std::hint::black_box(m.snapshot(0));
+                    std::hint::black_box(m.snapshot());
                     snaps += 1;
                 }
                 snaps
             })
         };
-        for _ in 0..50_000 {
-            m.record_served(Duration::from_micros(400), "exact");
+        for _ in 0..50 {
+            served(&m, "exact", std::iter::repeat_n(400, 1_000));
         }
         stop.store(true, Ordering::Relaxed);
         let snaps = storm.join().expect("snapshot storm thread");
         assert!(snaps > 0);
-        let s = m.snapshot(0);
+        let s = m.snapshot();
         assert_eq!(s.served, 50_000);
         assert_close(s.latency_p99, 400, "p99 under snapshot storm");
     }
@@ -667,31 +573,46 @@ mod tests {
 
     #[test]
     fn stage_records_populate_histograms_and_ring() {
-        let m = MetricsShared::new();
+        let m = metrics();
         let b = StageBreakdown {
             queue: Duration::from_micros(120),
             engine: Duration::from_micros(300),
             merge: Duration::from_micros(40),
             ..Default::default()
         };
-        m.record_stages(&b.stages(), Duration::from_micros(500), TraceId::generate());
-        let s = m.snapshot(0);
-        let stages: Vec<Stage> = s.stages.iter().map(|st| st.stage).collect();
-        assert!(stages.contains(&Stage::Queue));
-        assert!(stages.contains(&Stage::Merge));
+        m.record_served(
+            "exact",
+            [(Duration::from_micros(500), b.stages(), TraceId::generate())],
+        );
+        let page = m.render();
+        let stage = |name: &str, series: &str| {
+            sample(
+                &page,
+                &format!("tkspmv_serve_stage_seconds_{series}{{stage=\"{name}\"}}"),
+            )
+        };
         // Nothing attributed: the whole engine interval lands on score.
-        assert!(stages.contains(&Stage::Score));
+        for (name, us) in [("queue", 120.0), ("score", 300.0), ("merge", 40.0)] {
+            assert_eq!(stage(name, "count"), Some(1.0), "{name}");
+            assert_eq!(stage(name, "sum"), Some(us / 1e6), "{name}");
+        }
+        for name in ["coalesce", "decode", "prune", "rescore", "wire", "fanout"] {
+            assert_eq!(stage(name, "count"), Some(0.0), "{name}");
+        }
         assert_eq!(m.slowest_spans(5).len(), 1);
         assert_eq!(m.slowest_spans(5)[0].total_us, 500);
     }
 
     #[test]
     fn render_is_valid_exposition_with_core_series() {
-        let m = MetricsShared::new();
-        m.record_served(Duration::from_micros(250), "exact");
+        let m = metrics();
+        served(&m, "exact", [250]);
         m.record_batch(1, Duration::from_micros(100));
         m.record_swap(3);
-        let page = m.render(7);
+        for _ in 0..7 {
+            m.record_wakeup();
+        }
+        let page = m.render();
         let names = tkspmv_obs::validate_exposition(&page).expect("valid exposition");
         for want in [
             "tkspmv_serve_requests_total",
@@ -699,7 +620,7 @@ mod tests {
             "tkspmv_serve_latency_seconds_bucket",
             "tkspmv_serve_latency_seconds_count",
             "tkspmv_serve_epoch",
-            "tkspmv_serve_batcher_wakeups",
+            "tkspmv_serve_batcher_wakeups_total",
         ] {
             assert!(
                 names.iter().any(|n| n == want),
@@ -708,5 +629,13 @@ mod tests {
         }
         assert!(page.contains("outcome=\"served\""));
         assert!(page.contains("tier=\"exact\""));
+        assert_eq!(
+            sample(&page, "tkspmv_serve_batcher_wakeups_total"),
+            Some(7.0)
+        );
+        // The snapshot reads the epoch and the wake-ups from the same
+        // registry series the page renders.
+        let s = m.snapshot();
+        assert_eq!((s.epoch, s.batcher_wakeups), (3, 7));
     }
 }

@@ -4,7 +4,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -203,7 +202,7 @@ fn finalize(
     let tier_label = query.tier.to_string();
     metrics.record_batch(batch_size, engine_time);
     if let Some(error) = failure {
-        metrics.record_failed(batch_size as u64, &tier_label);
+        metrics.record_failed(&tier_label, batch_size as u64);
         for responder in &responders {
             // A dropped ticket is fine; everyone else gets the first
             // shard failure.
@@ -225,10 +224,12 @@ fn finalize(
         let latency = responder.enqueued.elapsed();
         outputs.push((responder.tx, topk, latency, stages, responder.trace));
     }
-    for (_, _, latency, stages, trace) in &outputs {
-        metrics.record_served(*latency, &tier_label);
-        metrics.record_stages(&stages.stages(), *latency, *trace);
-    }
+    metrics.record_served(
+        &tier_label,
+        outputs
+            .iter()
+            .map(|(_, _, latency, stages, trace)| (*latency, stages.stages(), *trace)),
+    );
     for (tx, topk, latency, stages, _) in outputs {
         let _ = tx.send(Ok(ServedResult {
             topk,
@@ -261,9 +262,6 @@ struct Inner {
     policy: BatchPolicy,
     queue_capacity: usize,
     dim: usize,
-    /// Batcher wake-ups (batch seeds + condvar returns); the regression
-    /// counter proving the batcher never busy-spins.
-    batcher_wakeups: AtomicU64,
     metrics: MetricsShared,
 }
 
@@ -389,12 +387,10 @@ fn batcher_loop(inner: &Inner) {
                     .submit_cv
                     .wait(q)
                     .unwrap_or_else(PoisonError::into_inner);
-                // ordering: diagnostic wakeup counter, reporting only.
-                inner.batcher_wakeups.fetch_add(1, Ordering::Relaxed);
+                inner.metrics.record_wakeup();
             }
         };
-        // ordering: diagnostic wakeup counter, reporting only.
-        inner.batcher_wakeups.fetch_add(1, Ordering::Relaxed);
+        inner.metrics.record_wakeup();
         seed.extracted = Instant::now();
         let deadline = seed.enqueued + inner.policy.max_wait;
         let mut members = vec![seed];
@@ -424,8 +420,7 @@ fn batcher_loop(inner: &Inner) {
                     .wait_timeout(q, deadline - now)
                     .unwrap_or_else(PoisonError::into_inner)
                     .0;
-                // ordering: diagnostic wakeup counter, reporting only.
-                inner.batcher_wakeups.fetch_add(1, Ordering::Relaxed);
+                inner.metrics.record_wakeup();
             }
         }
         last_batch_size = members.len();
@@ -612,8 +607,7 @@ impl ServiceBuilder {
             policy: self.policy,
             queue_capacity: self.queue_capacity,
             dim,
-            batcher_wakeups: AtomicU64::new(0),
-            metrics: MetricsShared::new(),
+            metrics: MetricsShared::new(self.policy.max_batch_size),
         });
 
         #[expect(
@@ -819,9 +813,8 @@ impl TopKService {
             num_rows,
         });
         // Recorded while still holding the epoch lock so concurrent
-        // swaps cannot interleave install and record — metrics' epoch
-        // always matches the installed epoch. (Lock order epoch →
-        // metrics is nested nowhere else in reverse.)
+        // swaps cannot interleave install and record — the epoch gauge
+        // always matches the installed epoch.
         self.inner.metrics.record_swap(id);
         Ok(id)
     }
@@ -897,19 +890,17 @@ impl TopKService {
 
     /// Snapshots the service's metrics.
     pub fn metrics(&self) -> ServiceMetrics {
-        // ordering: point-in-time diagnostic read of the wakeup count.
-        let wakeups = self.inner.batcher_wakeups.load(Ordering::Relaxed);
-        self.inner.metrics.snapshot(wakeups)
+        self.inner.metrics.snapshot()
     }
 
     /// Renders the service's metrics in Prometheus plaintext exposition
-    /// format (the same series [`TopKService::metrics`] snapshots,
-    /// plus full latency histograms), ready to answer a `/metrics`
-    /// scrape.
+    /// format, ready to answer a `/metrics` scrape: the series
+    /// [`TopKService::metrics`] snapshots, with full latency histograms,
+    /// plus the per-tier (`tkspmv_serve_tier_*`), per-stage
+    /// (`tkspmv_serve_stage_seconds`) and engine-time
+    /// (`tkspmv_serve_engine_microseconds_total`) series.
     pub fn render_metrics(&self) -> String {
-        // ordering: point-in-time diagnostic read of the wakeup count.
-        let wakeups = self.inner.batcher_wakeups.load(Ordering::Relaxed);
-        self.inner.metrics.render(wakeups)
+        self.inner.metrics.render()
     }
 
     /// Returns the slowest `n` recently served requests' stage spans,
@@ -949,6 +940,7 @@ impl Drop for TopKService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::tests::sample;
     use tkspmv::backend::{BackendPerf, BackendStats, QueryResult};
     use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
 
@@ -1839,11 +1831,25 @@ mod tests {
                     .topk
             );
         }
+        let page = svc.render_metrics();
         let m = svc.shutdown();
         assert_eq!(m.served, 8);
-        let labels: Vec<&str> = m.tiers.iter().map(|t| t.tier.as_str()).collect();
+        let mut labels: Vec<&str> = page
+            .lines()
+            .filter_map(|l| l.strip_prefix("tkspmv_serve_tier_requests_total{tier=\""))
+            .filter_map(|l| l.split('"').next())
+            .collect();
+        labels.sort_unstable();
         assert_eq!(labels, ["exact", "pruned-c4"]);
-        assert!(m.tiers.iter().all(|t| t.served == 4 && t.failed == 0));
+        for tier in labels {
+            let series = |outcome| {
+                format!("tkspmv_serve_tier_requests_total{{tier=\"{tier}\",outcome=\"{outcome}\"}}")
+            };
+            assert_eq!(sample(&page, &series("served")), Some(4.0), "{tier}");
+            assert_eq!(sample(&page, &series("failed")), None, "{tier}");
+            let latency = format!("tkspmv_serve_tier_latency_seconds_count{{tier=\"{tier}\"}}");
+            assert_eq!(sample(&page, &latency), Some(4.0), "{tier}");
+        }
     }
 
     #[test]
@@ -1857,11 +1863,27 @@ mod tests {
             svc.submit(query_vector(64, 1), pruned(5, 0)),
             Err(ServeError::BadRequest(_))
         ));
+        let page = svc.render_metrics();
         let m = svc.shutdown();
         assert_eq!(m.failed, 1);
-        assert_eq!(m.tiers.len(), 1);
-        assert_eq!(m.tiers[0].tier, "pruned-c2");
-        assert_eq!(m.tiers[0].failed, 1);
+        // An immediate policy's size table has one slot; the failed
+        // batch of one lands in it.
+        assert_eq!(m.batch_size_histogram, vec![(1, 1)]);
+        let tiers: Vec<&str> = page
+            .lines()
+            .filter(|l| l.starts_with("tkspmv_serve_tier_"))
+            .collect();
+        assert_eq!(
+            tiers,
+            ["tkspmv_serve_tier_requests_total{tier=\"pruned-c2\",outcome=\"failed\"} 1"]
+        );
+        assert_eq!(
+            sample(
+                &page,
+                "tkspmv_serve_tier_requests_total{tier=\"pruned-c2\",outcome=\"failed\"}"
+            ),
+            Some(1.0)
+        );
     }
 
     #[test]
