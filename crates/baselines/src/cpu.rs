@@ -45,9 +45,8 @@ impl CpuTopK {
     /// Creates a runner with the given worker-thread count.
     ///
     /// The workers are the caller plus helpers of the resident compute
-    /// pool ([`fork_join`]); a count above
-    /// [`host_parallelism`] starts the missing helpers on the first
-    /// query, and they stay for the life of the process.
+    /// pool ([`fork_join`]), so at most [`host_parallelism`] of them run
+    /// at once whatever the count.
     ///
     /// # Panics
     ///

@@ -2,8 +2,7 @@
 //!
 //! Every `Ordering::Relaxed` and `Ordering::SeqCst` site must carry an
 //! `// ordering: <why this is sound>` justification on its statement (or
-//! the comment block directly above), or be listed in the checked-in
-//! baseline that CI forbids growing. `Relaxed` is audited because it is
+//! the comment block directly above). `Relaxed` is audited because it is
 //! the ordering that silently breaks cross-thread publication; `SeqCst`
 //! because it is almost always either a missing-reasoning default or an
 //! overpriced `Acquire`/`Release` — both deserve a written argument.

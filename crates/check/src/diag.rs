@@ -1,4 +1,4 @@
-//! Diagnostics: collection, baseline filtering, human and JSON output.
+//! Diagnostics: collection, human and JSON output.
 
 use std::fmt;
 use std::path::Path;
@@ -19,7 +19,7 @@ pub enum Lint {
 }
 
 impl Lint {
-    /// Stable lowercase name used in output and the baseline file.
+    /// Stable lowercase name used in output.
     pub fn name(self) -> &'static str {
         match self {
             Lint::Alloc => "alloc",
@@ -78,27 +78,6 @@ impl Report {
             message,
         });
     }
-
-    /// Splits findings into (kept, baselined) against baseline entries of
-    /// the form `<lint> <path>:<line>` (one per line, `#` comments).
-    pub fn apply_baseline(self, baseline: &str) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
-        let entries: Vec<&str> = baseline
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .collect();
-        let mut kept = Vec::new();
-        let mut suppressed = Vec::new();
-        for d in self.diagnostics {
-            let key = format!("{} {}:{}", d.lint.name(), d.path, d.line);
-            if entries.contains(&key.as_str()) {
-                suppressed.push(d);
-            } else {
-                kept.push(d);
-            }
-        }
-        (kept, suppressed)
-    }
 }
 
 /// Renders findings as a JSON array (machine output for CI artifacts).
@@ -146,17 +125,6 @@ fn json_escape_into(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn baseline_suppresses_exact_matches() {
-        let mut r = Report::default();
-        r.push(Lint::Atomics, Path::new("a.rs"), 3, "x".into());
-        r.push(Lint::Atomics, Path::new("a.rs"), 9, "y".into());
-        let (kept, suppressed) = r.apply_baseline("# comment\natomics a.rs:3\n");
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].line, 9);
-        assert_eq!(suppressed.len(), 1);
-    }
 
     #[test]
     fn json_escapes() {

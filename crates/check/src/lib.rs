@@ -7,7 +7,7 @@
 //! - **alloc** — hot-path modules (see `hot_paths.txt`) must not
 //!   allocate without an `// alloc-ok: <reason>` justification;
 //! - **atomics** — every `Ordering::Relaxed`/`SeqCst` site carries an
-//!   `// ordering: <why this is sound>` argument or a baseline entry;
+//!   `// ordering: <why this is sound>` argument;
 //! - **locks** — the declared lock hierarchy in `locks.toml` is
 //!   enforced by a per-function acquisition-nesting scan over the
 //!   cross-crate lock graph;
@@ -87,12 +87,6 @@ pub fn hot_paths(root: &Path) -> std::io::Result<Vec<String>> {
         .collect())
 }
 
-/// Reads the baseline file (`crates/check/baseline.txt`); missing file
-/// means an empty baseline.
-pub fn baseline(root: &Path) -> String {
-    std::fs::read_to_string(root.join("crates/check/baseline.txt")).unwrap_or_default()
-}
-
 fn crate_of(path: &Path) -> String {
     let mut comps = path.components().map(|c| c.as_os_str().to_string_lossy());
     match (comps.next().as_deref(), comps.next()) {
@@ -102,7 +96,7 @@ fn crate_of(path: &Path) -> String {
 }
 
 /// Runs the selected passes over the workspace at `root`, returning the
-/// raw report (baseline not yet applied).
+/// report.
 ///
 /// # Errors
 ///

@@ -8,15 +8,15 @@
 //! cargo run -p tkspmv_check -- --api            # public surface vs api.txt
 //! ```
 //!
-//! Exit code 0 when no un-baselined finding remains, 1 when findings
-//! survive the baseline, 2 on usage/configuration errors. With `--json`
+//! Exit code 0 when there is no finding, 1 when there are findings, 2
+//! on usage/configuration errors. With `--json`
 //! the machine-readable findings go to stdout (CI uploads them as an
 //! artifact) and the human rendering moves to stderr.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tkspmv_check::{baseline, diag, find_root, run, Options};
+use tkspmv_check::{diag, find_root, run, Options};
 
 const USAGE: &str = "usage: tkspmv_check [--all] [--alloc] [--atomics] [--locks] [--manifests] \
                      [--api] [--json] [--root <dir>]";
@@ -72,25 +72,19 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let (kept, suppressed) = report.apply_baseline(&baseline(&root));
-
+    let findings = report.diagnostics;
     if json {
-        println!("{}", diag::to_json(&kept));
-        for d in &kept {
+        println!("{}", diag::to_json(&findings));
+        for d in &findings {
             eprintln!("{d}");
         }
     } else {
-        for d in &kept {
+        for d in &findings {
             println!("{d}");
         }
     }
-    let summary = format!(
-        "tkspmv_check: {} finding(s), {} baselined",
-        kept.len(),
-        suppressed.len()
-    );
-    eprintln!("{summary}");
-    if kept.is_empty() {
+    eprintln!("tkspmv_check: {} finding(s)", findings.len());
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -131,9 +131,8 @@ impl PrunedBackend {
     /// Sets the worker-thread count for the prune scoring pass.
     ///
     /// The workers are the caller plus helpers of the resident compute
-    /// pool ([`fork_join`]); a count above [`host_parallelism`] starts
-    /// the missing helpers on the first query, and they stay for the
-    /// life of the process.
+    /// pool ([`fork_join`]), so at most [`host_parallelism`] of them run
+    /// at once whatever the count.
     ///
     /// # Errors
     ///

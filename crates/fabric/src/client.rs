@@ -26,7 +26,7 @@ pub struct NodeClient {
 
 /// A traced ranking: the entries plus the node's span record, filed
 /// under the query's trace id, when that id was non-zero.
-pub type TracedRanking = (Vec<(u32, f64)>, Option<SpanRecord>);
+type TracedRanking = (Vec<(u32, f64)>, Option<SpanRecord>);
 
 /// What a typed call can report: a transport/protocol failure or a
 /// node-side [`RpcError`].

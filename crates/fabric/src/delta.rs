@@ -192,8 +192,7 @@ impl DeltaCollection {
     /// the fold but before the epoch swap — the window a dying compactor
     /// is most interesting in. The hook may panic to simulate the death;
     /// serving state is unaffected and a later run recovers.
-    #[doc(hidden)]
-    pub fn compact_once_hooked<F: FnOnce()>(&self, hook: F) -> Result<(u64, u64), String> {
+    fn compact_once_hooked<F: FnOnce()>(&self, hook: F) -> Result<(u64, u64), String> {
         let _gate = lock(&self.compact_gate);
         // Snapshot under the state lock: the fold source and how many
         // delta rows this run will fold (appends landing later stay).
@@ -375,7 +374,10 @@ impl Drop for Compactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NodeClient, NodeServer};
     use std::sync::Arc;
+    use std::time::Duration;
+    use tkspmv::backend::QueryTier;
     use tkspmv_baselines::cpu::CpuTopK;
     use tkspmv_serve::BatchPolicy;
 
@@ -518,6 +520,48 @@ mod tests {
         assert_eq!(folded, 1);
         let (topk, ..) = c.query(x, &Query::new(1)).expect("query");
         assert_eq!(topk.entries()[0], (2, 7.0));
+    }
+
+    /// The dying compactor again, as a node's client sees it over the
+    /// wire.
+    #[test]
+    fn compactor_killed_mid_compaction_recovers_without_disturbing_serving() {
+        let deadline = Duration::from_secs(10);
+        let collection = Arc::new(collection(4, 4, 0));
+        let node = NodeServer::spawn(Arc::clone(&collection), "127.0.0.1:0").expect("bind");
+        let mut client = NodeClient::connect(node.local_addr(), deadline).expect("connect");
+
+        let ids = client
+            .append(&[(vec![1], vec![9.0])], deadline)
+            .expect("append");
+        assert_eq!(ids, vec![4]);
+        let epoch_before = collection.service().epoch();
+
+        // Kill the compactor after the fold, before the swap.
+        let victim = Arc::clone(&collection);
+        let death = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            victim.compact_once_hooked(|| panic!("compactor killed"))
+        }));
+        assert!(death.is_err(), "the injected panic must propagate");
+
+        // Serving epoch untouched, the delta row still answers via the wire.
+        assert_eq!(collection.service().epoch(), epoch_before);
+        let mut x = vec![0.0f32; 4];
+        x[1] = 1.0;
+        let entries = client
+            .query(&x, 1, QueryTier::Exact, deadline)
+            .expect("query while un-compacted");
+        assert_eq!(entries[0], (4, 9.0));
+
+        // The next run folds the same rows; the answer is bit-identical.
+        let (epoch, folded) = client.compact(deadline).expect("recovery compaction");
+        assert!(epoch > epoch_before);
+        assert_eq!(folded, 1);
+        let entries = client
+            .query(&x, 1, QueryTier::Exact, deadline)
+            .expect("query after recovery");
+        assert_eq!(entries[0], (4, 9.0));
+        node.shutdown();
     }
 
     #[test]

@@ -90,15 +90,6 @@ pub trait SpmvScalar: Copy + core::fmt::Debug + Send + Sync + 'static {
 
     /// Converts an accumulator value to `f64` for reporting.
     fn acc_to_f64(acc: Self::Acc) -> f64;
-
-    /// Convenience: `decode(encode(v))` as `f64` — the value the datapath
-    /// actually sees for an input `v`.
-    fn round_trip(value: f64) -> f64 {
-        Self::acc_to_f64(Self::mul(
-            Self::decode(Self::encode(value)),
-            Self::decode(Self::encode(1.0)),
-        ))
-    }
 }
 
 impl<const BITS: u32> SpmvScalar for UFixed<BITS> {

@@ -302,9 +302,36 @@ enum MetricHandle {
 
 #[derive(Debug)]
 struct Child {
+    /// The label pairs, as registered — empty for unlabeled.
+    pairs: Vec<(String, String)>,
     /// Rendered label set, e.g. `tier="exact"` — empty for unlabeled.
     labels: String,
     metric: MetricHandle,
+}
+
+impl Child {
+    /// A new child, its label set rendered once.
+    // alloc-ok(fn): registration path, once per (name, labels).
+    fn new(labels: &[(&str, &str)], metric: MetricHandle) -> Child {
+        Child {
+            pairs: labels
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            labels: render_labels(labels),
+            metric,
+        }
+    }
+
+    /// Whether this child carries exactly `labels`, in order.
+    fn has(&self, labels: &[(&str, &str)]) -> bool {
+        self.pairs.len() == labels.len()
+            && self
+                .pairs
+                .iter()
+                .zip(labels)
+                .all(|((k, v), &(lk, lv))| k == lk && v == lv)
+    }
 }
 
 #[derive(Debug)]
@@ -333,7 +360,7 @@ impl Registry {
     }
 
     // alloc-ok(fn): registration path, first call per (name, labels)
-    // only; hot callers cache the returned Arc handle.
+    // only; a hit compares label pairs and allocates nothing.
     fn get_or_insert(
         &self,
         name: &str,
@@ -342,21 +369,17 @@ impl Registry {
         labels: &[(&str, &str)],
         make: impl FnOnce() -> MetricHandle,
     ) -> MetricHandle {
-        let rendered = render_labels(labels);
         let mut families = self.families.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(f) = families.iter_mut().find(|f| f.name == name) {
             assert!(
                 f.kind == kind,
                 "metric `{name}` registered twice with different kinds"
             );
-            if let Some(c) = f.children.iter().find(|c| c.labels == rendered) {
+            if let Some(c) = f.children.iter().find(|c| c.has(labels)) {
                 return c.metric.clone();
             }
             let metric = make();
-            f.children.push(Child {
-                labels: rendered,
-                metric: metric.clone(),
-            });
+            f.children.push(Child::new(labels, metric.clone()));
             return metric;
         }
         let metric = make();
@@ -364,10 +387,7 @@ impl Registry {
             name: name.to_string(),
             help: help.to_string(),
             kind,
-            children: vec![Child {
-                labels: rendered,
-                metric: metric.clone(),
-            }],
+            children: vec![Child::new(labels, metric.clone())],
         });
         metric
     }

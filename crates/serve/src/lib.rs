@@ -13,28 +13,28 @@
 //! # Architecture
 //!
 //! ```text
-//!  callers ──submit──▶ bounded queue ──▶ seed + coalesce ──▶ fork_join ─┬─ shard 0 task ──┐
-//!     ▲                 (backpressure:    (queued company,               │  [rows 0..n/S]  │ merge_pairs
-//!     │                  QueueFull shed)   ≤ max_batch; waits            ├─      ...       ├────▶ responses
-//!  Ticket◀───────────────────────────────  ≤ max_wait from admission     └─ shard S-1 task ┘   + metrics
-//!                                          only after a batch of ≥ 2)
-//!                                         └──── one batch at a time, driven by the batcher thread ────┘
-//!                  shard tasks and each shard's partition tasks share one resident compute pool:
-//!                  the batcher plus host_parallelism() − 1 helpers
+//! callers ──submit──▶ bounded queue ──▶ seed + coalesce ──▶ shard 0 call ─▶ … ─▶ shard S-1 call ──▶ merge_pairs
+//!    ▲                 (backpressure:    (queued company,     [rows 0..n/S]                              │
+//!    │                  QueueFull shed)   ≤ max_batch; waits                                             │
+//!    │                                    ≤ max_wait from admission,                                     │
+//!    │                                    only after a batch of ≥ 2)                                     │
+//! Ticket◀────────────────────────────────────────────────────────────────────────── responses + metrics ◀┘
+//!                                       └──────── one batch at a time, driven by the batcher thread ─────────┘
+//!                 each shard call is one flat fan-out over the resident compute pool:
+//!                 the batcher plus host_parallelism() − 1 helpers
 //! ```
 //!
 //! - **Sharding** — [`TopKService`] splits the collection into `S`
 //!   row-contiguous shards ([`tkspmv::PreparedMatrix::prepare_row_shards`]),
 //!   each prepared once and held resident for the life of its epoch:
 //!   the paper's per-HBM-channel partitioning (§III-A) applied one
-//!   level up, at serving granularity. A batch runs one
-//!   [`tkspmv::fanout::fork_join`] task per shard on the resident
-//!   compute pool, with the batcher as its first participant; each
-//!   shard's backend fans out again onto the same pool. Shard tasks
-//!   and partition tasks therefore share `host_parallelism()` threads:
-//!   the shard count sets the serving-level partitioning, not how many
-//!   threads run, and a thread that runs out of its own shard's work
-//!   takes another shard's.
+//!   level up, at serving granularity. A batch runs its shards one
+//!   after another on the batcher thread, and each shard's backend call
+//!   is one flat fan-out over the resident compute pool
+//!   ([`tkspmv::fanout::fork_join`]), with the batcher as its first
+//!   participant. The shard count sets the serving-level partitioning,
+//!   not how many threads run, and a request's engine stage split is
+//!   the exact sum of its shard calls' splits.
 //! - **Micro-batching** — the batcher, the service's one thread,
 //!   coalesces concurrent same-`k` requests under a [`BatchPolicy`]
 //!   (`max_batch_size` / `max_wait`) into [`tkspmv::QueryBatch`]es, so
@@ -54,7 +54,7 @@
 //!   queueing unboundedly. Every other failure is equally typed:
 //!   rejected requests ([`ServeError::BadRequest`]), engine failures
 //!   ([`ServeError::Engine`]), and backend panics, which each shard
-//!   task catches so the service carries on
+//!   call catches so the service carries on
 //!   ([`ServeError::WorkerPanicked`]).
 //! - **Merge** — per-shard Top-K answers are re-based to global row
 //!   indices and reduced with [`tkspmv::TopKResult::merge_pairs`], the

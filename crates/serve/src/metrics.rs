@@ -24,14 +24,13 @@ const SPAN_RING_CAPACITY: usize = 512;
 ///
 /// `queue`, `coalesce`, `engine` and `merge` are exact wall intervals
 /// measured on the serving path. `engine_stages` subdivides the engine
-/// interval: it is the [`Stages`] the backend call that answered this
-/// request measured and returned with its result (from the slowest
-/// shard), so it is exact per request however many batches run
-/// concurrently, and never exceeds `engine`. For a batched request,
-/// `engine` is the whole batch's engine wall time (the request really
-/// was in the engine that long), and so is the accelerator's
-/// decode/score split. [`StageBreakdown::stages`] puts all of it in one
-/// [`Stages`].
+/// interval: it is the sum of the [`Stages`] this request's shard calls
+/// measured and returned with their results. The calls run one after
+/// another, so the sum is exact per request and never exceeds `engine`.
+/// For a batched request, `engine` is the whole batch's engine wall
+/// time (the request really was in the engine that long), and so is
+/// the accelerator's decode/score split. [`StageBreakdown::stages`] puts
+/// all of it in one [`Stages`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct StageBreakdown {
@@ -40,8 +39,8 @@ pub struct StageBreakdown {
     pub queue: Duration,
     /// Batcher coalescing: taken until the batch dispatched.
     pub coalesce: Duration,
-    /// Engine wall time for the batch: the slowest shard's backend
-    /// call, since a batch runs its shards concurrently.
+    /// Engine wall time for the batch: its shards' backend calls, which
+    /// run one after another.
     pub engine: Duration,
     /// The backend's own split of `engine` (decode/score on the exact
     /// path, prune/rescore on the staged one).

@@ -1,7 +1,8 @@
 //! The serving engine: bounded admission, dynamic micro-batching, a
-//! batcher that runs each batch over every shard at once, cross-shard
-//! merge, metrics and shutdown.
+//! batcher that runs each batch over its shards one after another,
+//! cross-shard merge, metrics and shutdown.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -9,7 +10,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tkspmv::backend::{MatrixShard, PreparedMatrix, Query, QueryTier, TopKBackend};
-use tkspmv::fanout::{fork_join, host_parallelism};
 use tkspmv::{EngineError, TopKResult};
 use tkspmv_obs::{SpanRecord, Stages, TraceId};
 use tkspmv_sparse::{Csr, DenseVector};
@@ -48,8 +48,8 @@ pub struct ServedResult {
     /// The precision tier this request was answered at.
     pub tier: QueryTier,
     /// Where the request spent its time, stage by stage (queue wait,
-    /// batch coalesce, engine — with the stage split its own backend
-    /// call measured — and cross-shard merge).
+    /// batch coalesce, engine — with the stage split its shard calls
+    /// measured — and cross-shard merge).
     pub stages: StageBreakdown,
 }
 
@@ -121,9 +121,9 @@ struct Responder {
 /// candidates and the engine stage times its result carried.
 type ShardAnswer = (Vec<(u32, f64)>, Stages);
 
-/// What one shard contributes to a batch: the wall time of its backend
-/// call, and one answer per query or the shard's failure.
-type ShardOutcome = (Duration, Result<Vec<ShardAnswer>, ServeError>);
+/// What one shard contributes to a batch: one answer per query, or the
+/// shard's failure.
+type ShardOutcome = Result<Vec<ShardAnswer>, ServeError>;
 
 /// Runs a batch against one shard's prepared partition and globalizes
 /// the row indices. A backend panic is caught here and reported as
@@ -134,7 +134,6 @@ fn run_shard(
     batch: &[DenseVector],
     query: &Query,
 ) -> ShardOutcome {
-    let started = Instant::now();
     let ran = catch_unwind(AssertUnwindSafe(|| {
         let results = backend.answer(shard.matrix(), batch, query)?;
         Ok(results
@@ -142,51 +141,38 @@ fn run_shard(
             .map(|r| (shard.globalize(&r.topk), r.stats.stage_times()))
             .collect())
     }));
-    let outcome = match ran {
+    match ran {
         Ok(Ok(answers)) => Ok(answers),
         Ok(Err(e)) => Err(ServeError::Engine(e)),
         Err(payload) => Err(ServeError::WorkerPanicked {
             detail: panic_detail(payload),
         }),
-    };
-    (started.elapsed(), outcome)
+    }
 }
 
 /// Merges every shard's candidates per query and answers every
 /// responder; the first shard failure, if any, goes to all of them.
-/// `engine_wall` is how long the batch's shard fan-out took. Only this
-/// batch's work is in it: while the pool's participants wait on the
-/// batch they run its tasks and no other call's.
+/// `engine` is the wall time of the batch's shard calls, which ran one
+/// after another, so each query's stage split — the sum of its shard
+/// calls' splits — is exact and fits inside it.
 fn finalize(
     metrics: &MetricsShared,
     query: &Query,
     responders: Vec<Responder>,
     shards: Vec<ShardOutcome>,
-    engine_wall: Duration,
+    engine: Duration,
 ) {
     let batch_size = responders.len();
-    // Time inside the backend's batch call summed over shards (the
-    // engine's share of the batch), and the stage split of the slowest
-    // shard's call. The shard calls share the compute pool's threads
-    // with each other's partition tasks, so a call may start late or
-    // lend its threads to another shard: no single call's span, only
-    // the fan-out's own, is how long the batch sat in the engine. The
-    // slowest call's split fits inside that span.
-    let mut engine_time = Duration::ZERO;
-    let mut slowest_call = Duration::ZERO;
     let mut stages = vec![Stages::default(); batch_size];
     let mut failure: Option<ServeError> = None;
     let mut per_query: Vec<Vec<(u32, f64)>> = vec![Vec::new(); batch_size];
-    for (engine, outcome) in shards {
-        engine_time += engine;
-        let slowest = engine >= slowest_call;
-        slowest_call = slowest_call.max(engine);
+    for outcome in shards {
         match outcome {
             Ok(shard_results) => {
                 for (q, (pairs, shard_stages)) in shard_results.into_iter().enumerate() {
                     per_query[q].extend(pairs);
-                    if slowest {
-                        stages[q] = shard_stages;
+                    for (stage, d) in shard_stages.iter() {
+                        stages[q].add(stage, d);
                     }
                 }
             }
@@ -199,8 +185,11 @@ fn finalize(
     // lock-free, so nothing here can stall submitters. Recording
     // *before* the sends keeps a blocking caller's next metrics()
     // snapshot consistent with the response it just received.
-    let tier_label = query.tier.to_string();
-    metrics.record_batch(batch_size, engine_time);
+    let tier_label = match query.tier {
+        QueryTier::Exact => Cow::Borrowed("exact"),
+        tier => Cow::Owned(tier.to_string()),
+    };
+    metrics.record_batch(batch_size, engine);
     if let Some(error) = failure {
         metrics.record_failed(&tier_label, batch_size as u64);
         for responder in &responders {
@@ -217,7 +206,7 @@ fn finalize(
         let stages = StageBreakdown {
             queue: responder.queue_wait,
             coalesce: responder.coalesce_wait,
-            engine: engine_wall,
+            engine,
             engine_stages,
             merge: merge_started.elapsed(),
         };
@@ -272,9 +261,9 @@ impl Inner {
     }
 
     /// Runs a coalesced set of same-`k`, same-tier, same-epoch requests
-    /// against every shard of their epoch — one compute-pool task per
-    /// shard, beside the shard engines' own partition tasks on the same
-    /// `host_parallelism()` threads — then merges and responds.
+    /// against every shard of their epoch, one shard after another (each
+    /// backend call fans out over the whole compute pool), then merges
+    /// and responds.
     fn run_batch(&self, members: Vec<Pending>) {
         // The batch's shared options; its members' trace ids stay with
         // their responders.
@@ -303,20 +292,19 @@ impl Inner {
         // The shard data comes from the batch's epoch, not from any
         // global "current" state: a hot swap installed after these
         // requests were admitted must not change what they run against.
-        // The shard tasks run on the resident compute pool, so they own
-        // their inputs.
-        let backend = Arc::clone(&self.backend);
-        let batch = Arc::new(queries);
-        let shards = Arc::clone(&epoch);
         let started = Instant::now();
-        let (outcomes, _) = fork_join(
-            epoch.shards.len(),
-            host_parallelism(),
-            || (),
-            move |(), s| run_shard(backend.as_ref(), &shards.shards[s], &batch, &query),
+        let outcomes = epoch
+            .shards
+            .iter()
+            .map(|shard| run_shard(self.backend.as_ref(), shard, &queries, &query))
+            .collect();
+        finalize(
+            &self.metrics,
+            &query,
+            responders,
+            outcomes,
+            started.elapsed(),
         );
-        let engine_wall = started.elapsed();
-        finalize(&self.metrics, &query, responders, outcomes, engine_wall);
     }
 }
 
@@ -424,7 +412,7 @@ fn batcher_loop(inner: &Inner) {
             }
         }
         last_batch_size = members.len();
-        // A panic past the shard tasks' own guards (merge or response
+        // A panic past the shard calls' own guards (merge or response
         // code) drops this batch's senders, so its tickets resolve to
         // `Disconnected` instead of hanging, and the batcher lives on.
         let _ = catch_unwind(AssertUnwindSafe(|| inner.run_batch(members)));
@@ -523,9 +511,10 @@ impl std::fmt::Debug for ServiceBuilder {
 impl ServiceBuilder {
     /// Row shards to split the collection into (default 2). Each shard
     /// is prepared independently, mirroring the paper's per-HBM-channel
-    /// partitions one level up, and a batch runs one compute-pool task
-    /// per shard; the pool's `host_parallelism()` threads, not the shard
-    /// count, bound how many run at once.
+    /// partitions one level up, and is the unit a snapshot persists. A
+    /// batch runs its shards one after another, and each shard's backend
+    /// call fans out over the whole compute pool, so the shard count sets
+    /// the data layout, not how many threads run.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -638,11 +627,9 @@ impl ServiceBuilder {
 /// paper's matrix-resident HBM channels). Concurrent callers
 /// [`submit`](TopKService::submit) queries into a bounded queue; the one
 /// service thread, the batcher, coalesces them under a [`BatchPolicy`]
-/// and runs each batch against every shard (one
-/// [`tkspmv::fanout::fork_join`] task per shard, on the resident
-/// compute pool the shards' engines share); per-shard Top-K
-/// answers are merged with [`TopKResult::merge_pairs`] and handed back
-/// through [`Ticket`]s.
+/// and runs each batch against every shard, one shard after another;
+/// per-shard Top-K answers are merged with [`TopKResult::merge_pairs`]
+/// and handed back through [`Ticket`]s.
 ///
 /// # Example
 ///

@@ -236,26 +236,6 @@ impl Csr {
             .collect()
     }
 
-    /// Scales every row to unit L2 norm (rows with zero norm are left
-    /// unchanged). Embedding collections are normalised so Top-K dot
-    /// products rank by cosine similarity.
-    pub fn normalize_rows(&mut self) {
-        for r in 0..self.num_rows {
-            let lo = self.row_ptr[r] as usize;
-            let hi = self.row_ptr[r + 1] as usize;
-            let norm = self.values[lo..hi]
-                .iter()
-                .map(|v| (*v as f64) * (*v as f64))
-                .sum::<f64>()
-                .sqrt();
-            if norm > 0.0 {
-                for v in &mut self.values[lo..hi] {
-                    *v = (*v as f64 / norm) as f32;
-                }
-            }
-        }
-    }
-
     /// Splits the matrix into `parts` row-contiguous partitions of
     /// near-equal row count (the §III-A partitioning scheme). The last
     /// partition absorbs the remainder. Returns `(first_row, submatrix)`
@@ -525,18 +505,6 @@ mod tests {
     #[should_panic(expected = "vector length mismatch")]
     fn spmv_checks_vector_length() {
         sample().spmv_exact(&[1.0]);
-    }
-
-    #[test]
-    fn normalize_rows_gives_unit_norm() {
-        let mut m = sample();
-        m.normalize_rows();
-        for r in [0usize, 1, 3] {
-            let norm: f64 = m.row(r).map(|(_, v)| (v as f64).powi(2)).sum();
-            assert!((norm - 1.0).abs() < 1e-6, "row {r} norm {norm}");
-        }
-        // Empty row untouched.
-        assert_eq!(m.row_nnz(2), 0);
     }
 
     #[test]

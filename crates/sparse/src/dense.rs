@@ -57,11 +57,6 @@ impl DenseVector {
         &mut self.values
     }
 
-    /// Consumes the vector, returning its values.
-    pub fn into_values(self) -> Vec<f32> {
-        self.values
-    }
-
     /// L2 norm.
     pub fn norm(&self) -> f64 {
         self.values

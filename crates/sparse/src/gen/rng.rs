@@ -103,13 +103,6 @@ impl Rng64 {
             slice.swap(i, j);
         }
     }
-
-    /// Derives an independent child generator (for per-partition or
-    /// per-thread streams).
-    #[must_use]
-    pub fn fork(&mut self) -> Rng64 {
-        Rng64::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -187,13 +180,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
         assert_ne!(v, (0..100).collect::<Vec<u32>>(), "shuffled order");
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut a = Rng64::new(1);
-        let mut child = a.fork();
-        // Parent and child streams differ.
-        assert_ne!(a.next_u64(), child.next_u64());
     }
 }

@@ -221,11 +221,6 @@ impl PacketLayout {
         nnz.div_ceil(self.entries_per_packet as u64)
     }
 
-    /// Bytes of HBM traffic to stream `nnz` entries (whole packets).
-    pub fn bytes_for(self, nnz: u64) -> u64 {
-        self.packets_for(nnz) * crate::packet::PACKET_BYTES as u64
-    }
-
     /// Operational intensity in non-zeros per byte: the figure of merit
     /// the roofline analysis (Figure 6) is built on.
     pub fn operational_intensity(self) -> f64 {
@@ -349,7 +344,6 @@ mod tests {
         assert_eq!(l.packets_for(1), 1);
         assert_eq!(l.packets_for(15), 1);
         assert_eq!(l.packets_for(16), 2);
-        assert_eq!(l.bytes_for(16), 128);
         assert!((l.operational_intensity() - 15.0 / 64.0).abs() < 1e-12);
     }
 }

@@ -459,49 +459,6 @@ fn only_retryable_node_errors_fail_over() {
 }
 
 #[test]
-fn compactor_killed_mid_compaction_recovers_without_disturbing_serving() {
-    let csr = diag_csr(4, 4);
-    let service = TopKService::builder(Arc::new(CpuTopK::new(1)))
-        .build(&csr)
-        .expect("service");
-    let collection = Arc::new(DeltaCollection::new(service, csr, 0));
-    let node = NodeServer::spawn(Arc::clone(&collection), "127.0.0.1:0").expect("bind");
-    let mut client = NodeClient::connect(node.local_addr(), DEADLINE).expect("connect");
-
-    let ids = client
-        .append(&[(vec![1], vec![9.0])], DEADLINE)
-        .expect("append");
-    assert_eq!(ids, vec![4]);
-    let epoch_before = collection.service().epoch();
-
-    // Kill the compactor after the fold, before the swap.
-    let victim = Arc::clone(&collection);
-    let death = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        victim.compact_once_hooked(|| panic!("compactor killed"))
-    }));
-    assert!(death.is_err(), "the injected panic must propagate");
-
-    // Serving epoch untouched, the delta row still answers via the wire.
-    assert_eq!(collection.service().epoch(), epoch_before);
-    let mut x = vec![0.0f32; 4];
-    x[1] = 1.0;
-    let entries = client
-        .query(&x, 1, QueryTier::Exact, DEADLINE)
-        .expect("query while un-compacted");
-    assert_eq!(entries[0], (4, 9.0));
-
-    // The next run folds the same rows; the answer is bit-identical.
-    let (epoch, folded) = client.compact(DEADLINE).expect("recovery compaction");
-    assert!(epoch > epoch_before);
-    assert_eq!(folded, 1);
-    let entries = client
-        .query(&x, 1, QueryTier::Exact, DEADLINE)
-        .expect("query after recovery");
-    assert_eq!(entries[0], (4, 9.0));
-    node.shutdown();
-}
-
-#[test]
 fn router_rejects_deadlines_the_node_batcher_would_eat() {
     // After a batch that had company, the node holds the next seed up
     // to max_wait before running it — a router deadline inside that

@@ -8,7 +8,6 @@
 //! tasks run beside each other.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -247,13 +246,8 @@ fn accelerator_fleet_node_spans_carry_the_engine_stage_split() {
 }
 
 /// A backend whose every result is stamped with stage values derived
-/// from the query itself, so a ticket can tell whose values it got. Its
-/// first two calls rendezvous, which forces two backend calls to be in
-/// flight at once.
-struct StampBackend {
-    calls: AtomicUsize,
-    overlap: Barrier,
-}
+/// from the query itself, so a ticket can tell whose values it got.
+struct StampBackend;
 
 fn stamp(x: &DenseVector) -> Stages {
     let id = x.as_slice()[0] as u64;
@@ -286,33 +280,27 @@ impl TopKBackend for StampBackend {
         queries: &[DenseVector],
         _query: &Query,
     ) -> Result<Vec<QueryResult>, EngineError> {
-        let answer = |x: &DenseVector| {
-            // ordering: test-only call counter; the barrier orders the
-            // two calls it admits.
-            if self.calls.fetch_add(1, Ordering::Relaxed) < 2 {
-                self.overlap.wait();
-            }
-            QueryResult {
-                topk: TopKResult::from_pairs(vec![(0, 1.0)]),
-                perf: BackendPerf::measured(1e-9, 1),
-                stats: BackendStats::Pruned {
-                    bits: 8,
-                    shortlist: 1,
-                    pruned: true,
-                    stages: stamp(x),
-                },
-            }
+        let answer = |x: &DenseVector| QueryResult {
+            topk: TopKResult::from_pairs(vec![(0, 1.0)]),
+            perf: BackendPerf::measured(1e-9, 1),
+            stats: BackendStats::Pruned {
+                bits: 8,
+                shortlist: 1,
+                pruned: true,
+                stages: stamp(x),
+            },
         };
         Ok(queries.iter().map(answer).collect())
     }
 }
 
-/// Concurrent submitters into a four-shard service (four overlapping
-/// backend calls per batch):
-/// every ticket's stage breakdown holds exactly the values its own
-/// backend call reported — nothing from the calls running beside it.
+/// Concurrent submitters into a four-shard service (four backend calls
+/// per batch): every ticket's engine stage split is exactly the sum of
+/// the values its own four shard calls reported — nothing from the other
+/// queries of its batch, or of any other batch.
 #[test]
 fn concurrent_requests_keep_their_own_stage_attribution() {
+    const SHARDS: usize = 4;
     const SUBMITTERS: usize = 8;
     const PER_SUBMITTER: usize = 40;
     let csr = SyntheticConfig {
@@ -323,14 +311,11 @@ fn concurrent_requests_keep_their_own_stage_attribution() {
         seed: 1,
     }
     .generate();
-    let service = TopKService::builder(Arc::new(StampBackend {
-        calls: AtomicUsize::new(0),
-        overlap: Barrier::new(2),
-    }))
-    .shards(4)
-    .batch_policy(BatchPolicy::coalescing(4, Duration::from_micros(200)))
-    .build(&csr)
-    .expect("service builds");
+    let service = TopKService::builder(Arc::new(StampBackend))
+        .shards(SHARDS)
+        .batch_policy(BatchPolicy::coalescing(4, Duration::from_micros(200)))
+        .build(&csr)
+        .expect("service builds");
 
     let start = Barrier::new(SUBMITTERS);
     std::thread::scope(|scope| {
@@ -348,8 +333,14 @@ fn concurrent_requests_keep_their_own_stage_attribution() {
                     .collect();
                 for (x, ticket) in tickets {
                     let served = ticket.wait().expect("served");
+                    let mut want = Stages::default();
+                    for _ in 0..SHARDS {
+                        for (stage, d) in stamp(&x).iter() {
+                            want.add(stage, d);
+                        }
+                    }
                     let got = served.stages.engine_stages;
-                    assert_eq!(got, stamp(&x), "query {:?}", x.as_slice());
+                    assert_eq!(got, want, "query {:?}", x.as_slice());
                 }
             });
         }

@@ -172,6 +172,42 @@ fn obs_recording_path_is_allocation_free() {
     );
 }
 
+/// Looking up a labelled series that already exists — as the service
+/// does for its tier series on every batch — must not allocate: the
+/// registry compares label pairs and renders a label set only when it
+/// registers a new series.
+#[test]
+#[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
+fn labelled_series_hit_is_allocation_free() {
+    use std::time::Duration;
+    use tkspmv_obs::Registry;
+
+    let registry = Registry::new();
+    let labels = [("tier", "exact"), ("outcome", "served")];
+    // Register both series, and pin this thread's histogram stripe.
+    registry
+        .counter_with("test_tier_requests_total", "test", &labels)
+        .inc();
+    registry
+        .histogram_with("test_tier_latency_seconds", "test", &labels[..1])
+        .record(Duration::from_micros(250));
+
+    let allocs = allocations_during(|| {
+        for _ in 0..100 {
+            registry
+                .counter_with("test_tier_requests_total", "test", &labels)
+                .inc();
+            registry
+                .histogram_with("test_tier_latency_seconds", "test", &labels[..1])
+                .record(Duration::from_micros(250));
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "a labelled series hit allocates ({allocs} calls per 100 lookups)"
+    );
+}
+
 /// The prune pass's warm scoring loop must be allocation-free: scoring
 /// 10x the rows through [`tkspmv_sparse::PruneIndex::score_rows`] into a
 /// caller-owned output slice must cost exactly zero allocation calls.
