@@ -1,8 +1,9 @@
 //! Baseline Top-K SpMV implementations the paper compares against.
 //!
-//! - [`cpu`]: a multi-threaded exact CSR Top-K SpMV equivalent to
-//!   `sparse_dot_topn` (the paper's CPU baseline, its ref. 1): row-parallel
-//!   dot products, one bounded selection per row range
+//! - [`cpu`]: a multi-threaded exact Top-K SpMV equivalent to
+//!   `sparse_dot_topn` (the paper's CPU baseline, its ref. 1): the same
+//!   dot products and sums, visited with the rows grouped by length, one
+//!   bounded selection per worker's range
 //!   ([`tkspmv::TopKResult::merge_pairs`]), the ranges merged at the end.
 //! - [`gpu`]: the paper has no GPU Top-K SpMV to compare against, so it
 //!   models one as cuSPARSE SpMV followed by a Thrust radix sort (plus an

@@ -148,11 +148,13 @@ pub trait TopKBackend: Send + Sync {
     /// snapshot contract, read next to [`TopKBackend::from_snapshot`].
     ///
     /// The default covers every backend whose prepared state is the
-    /// source [`Csr`] (the CPU and GPU baselines): that CSR, under
-    /// [`family`]. The accelerator persists its encoded BS-CSR
-    /// partitions instead; the `PrunedBackend` wrapper writes the CSR it
-    /// keeps plus its companion prune stream under the *inner* family,
-    /// so its snapshots stay loadable by the plain inner backend.
+    /// source [`Csr`] (the GPU baseline): that CSR, under [`family`].
+    /// The CPU baseline keeps its rows grouped by length and writes them
+    /// back in row order, so its snapshot is the same CSR. The
+    /// accelerator persists its encoded BS-CSR partitions instead; the
+    /// `PrunedBackend` wrapper writes the CSR it keeps plus its companion
+    /// prune stream under the *inner* family, so its snapshots stay
+    /// loadable by the plain inner backend.
     ///
     /// # Errors
     ///
@@ -169,11 +171,11 @@ pub trait TopKBackend: Send + Sync {
     /// backend may adopt and how it rebuilds its prepared state.
     ///
     /// The default accepts exactly its own [`family`] and re-prepares
-    /// from a CSR payload (free for the baselines, whose `prepare` is a
-    /// clone), dropping any companion section. The accelerator adopts
-    /// encoded partitions without re-running the layout solve and
-    /// encode; the `PrunedBackend` also accepts its inner family and
-    /// keeps the companion.
+    /// from a CSR payload (a clone for the GPU baseline; the CPU
+    /// baseline re-sorts its rows by length), dropping any companion
+    /// section. The accelerator adopts encoded partitions without
+    /// re-running the layout solve and encode; the `PrunedBackend` also
+    /// accepts its inner family and keeps the companion.
     ///
     /// # Errors
     ///
@@ -221,7 +223,8 @@ pub(crate) fn rejected(e: EngineError) -> SnapshotError {
 /// An embedding collection after a backend's one-time preparation step.
 ///
 /// The payload is backend-private (the accelerator stores BS-CSR
-/// partitions, the baselines keep the CSR); only the shape is visible.
+/// partitions, the CPU baseline its rows grouped by length, the GPU
+/// baseline the CSR); only the shape is visible.
 /// Hand it back to a backend of the *family* that prepared it —
 /// anything else fails with [`EngineError::BadQuery`], even when the
 /// private state types happen to coincide.
@@ -298,8 +301,8 @@ impl PreparedMatrix {
     /// [`EngineError::BadQuery`] naming both families if the matrix was
     /// prepared by a different family — the name is checked as well as
     /// the state type, so two backends that coincidentally store the
-    /// same type (the CPU and GPU baselines both keep a CSR) still
-    /// cannot consume each other's matrices.
+    /// same type (any two that keep the source CSR, as the GPU baseline
+    /// does) still cannot consume each other's matrices.
     pub fn downcast<T: Any + Send + Sync>(&self, family: &str) -> Result<Arc<T>, EngineError> {
         if self.family != family {
             return Err(EngineError::backend_mismatch(family, &self.family));
@@ -755,7 +758,8 @@ pub enum BackendStats {
     },
     /// The CPU baseline.
     Cpu {
-        /// Worker threads used.
+        /// Worker threads that ran: the requested count, at most the
+        /// rows and at most [`host_parallelism`](crate::fanout::host_parallelism).
         threads: usize,
     },
     /// The GPU model: component times of the two-kernel pipeline.

@@ -131,8 +131,8 @@ impl PrunedBackend {
     /// Sets the worker-thread count for the prune scoring pass.
     ///
     /// The workers are the caller plus helpers of the resident compute
-    /// pool ([`fork_join`]), so at most [`host_parallelism`] of them run
-    /// at once whatever the count.
+    /// pool ([`fork_join`]), so a count above [`host_parallelism`] runs
+    /// as [`host_parallelism`] workers.
     ///
     /// # Errors
     ///

@@ -10,6 +10,13 @@
 //! denominator, so the speedup ratios are directly comparable and
 //! scale-stable.
 //!
+//! The denominator is only as slow as the CPU code is. `CpuTopK` scores
+//! its rows grouped by length, with a fixed-trip-count loop per group
+//! (see `tkspmv_baselines::cpu`); that made it about twice as fast per
+//! non-zero as a CSR row walk, with the same sums and answers, so every
+//! reproduced speedup fell by the same factor. The GPU and FPGA times
+//! are modelled and did not move.
+//!
 //! Trait uniformity has one deliberate cost: every backend *executes*
 //! its query functionally (the GPU model really computes and sorts its
 //! output vector) even though only the modelled timings feed the table.

@@ -119,7 +119,8 @@ const USAGE: &str = "tkspmv_node: one fabric shard behind a TCP port
   --seed N               collection seed (default 42)
   --start-row N          global id of this node's row 0 (default 0)
   --shards N             service shards within the node (default 1)
-  --threads N            engine threads (default 1)
+  --threads N            engine threads (default 1; a count above the
+                         host's available parallelism runs as that many)
   --max-wait-us N        micro-batcher max wait (default 500)
   --max-batch N          micro-batcher max batch size (default 32)
   --queue-capacity N     bounded submit queue (default 1024)

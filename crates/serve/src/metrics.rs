@@ -121,7 +121,8 @@ const TIER_REQUESTS_HELP: &str = "Requests by tier and outcome.";
 /// The service's metric state: handles into one registry, the
 /// batch-size table and the span ring. Every record is lock-free
 /// (atomics and striped histograms) except the span-ring slot copy and
-/// the per-batch lookup of the batch's tier series in the registry.
+/// the per-batch lookup of the batch's tier series in the registry (a
+/// `/metrics` scrape holds that lock only while it copies the handles).
 pub(crate) struct MetricsShared {
     started: Instant,
     registry: Registry,
@@ -551,6 +552,55 @@ pub(crate) mod tests {
         let s = m.snapshot();
         assert_eq!(s.served, 50_000);
         assert_close(s.latency_p99, 400, "p99 under snapshot storm");
+    }
+
+    /// Batches recorded while another thread renders the page in a loop
+    /// lose no count: each batch finds its tier series in the registry
+    /// whether or not a scrape is copying the handles.
+    #[test]
+    fn no_count_is_lost_while_scrapes_render() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+        let m = Arc::new(metrics());
+        let stop = Arc::new(AtomicBool::new(false));
+        let renders = Arc::new(AtomicU64::new(0));
+        let scraper = {
+            let (m, stop, renders) = (Arc::clone(&m), Arc::clone(&stop), Arc::clone(&renders));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::black_box(m.render());
+                    renders.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        };
+        // The batches start once the scraper is rendering.
+        while renders.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        for _ in 0..1_000 {
+            served(&m, "exact", [100]);
+            m.record_failed("exact", 1);
+        }
+        stop.store(true, Ordering::Relaxed);
+        scraper.join().expect("scrape thread");
+        let page = m.render();
+        let exact = |series: &str, labels: &str| {
+            sample(
+                &page,
+                &format!("tkspmv_serve_tier_{series}{{tier=\"exact\"{labels}}}"),
+            )
+        };
+        assert_eq!(
+            exact("requests_total", ",outcome=\"served\""),
+            Some(1_000.0)
+        );
+        assert_eq!(
+            exact("requests_total", ",outcome=\"failed\""),
+            Some(1_000.0)
+        );
+        assert_eq!(exact("latency_seconds_count", ""), Some(1_000.0));
+        let s = m.snapshot();
+        assert_eq!((s.served, s.failed), (1_000, 1_000));
     }
 
     /// The engine interval is covered exactly: the 80 µs the backend

@@ -7,6 +7,7 @@ use tkspmv_baselines::cpu::{exact_topk, CpuTopK};
 use tkspmv_baselines::gpu::{GpuModel, GpuPrecision, GpuTopK};
 use tkspmv_fixed::Precision;
 use tkspmv_sparse::gen::{query_vector, NnzDistribution, SyntheticConfig};
+use tkspmv_sparse::snapshot::{Snapshot, SnapshotPayload};
 use tkspmv_sparse::{Csr, DenseVector};
 
 fn matrix() -> Csr {
@@ -38,6 +39,45 @@ fn bits(topk: &TopKResult) -> Vec<(u32, u64)> {
         .collect()
 }
 
+/// Columns the [`ragged`] tie query zeroes.
+const ZEROED: std::ops::Range<u32> = 120..124;
+
+/// Every row length from 0 to 40 and three rows longer than 64, with
+/// pseudo-random values, then rows that tie under a query of ones with
+/// [`ZEROED`] columns zeroed: `[1.0]`, `[0.5, 0.5]` and four `0.25`s
+/// all sum to `1.0` across length groups (twice, in both row orders),
+/// and rows of negative values on zeroed columns, whose products are
+/// all `-0.0`, sum to `+0.0` beside empty rows.
+fn ragged() -> Csr {
+    let mut state = 0x2545_f491_u32;
+    let mut value = move || {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        (state >> 8) as f32 / (1 << 23) as f32 - 1.0
+    };
+    let mut rows: Vec<Vec<(u32, f32)>> = (0..=40u32)
+        .chain([65, 80, 119])
+        .map(|len| (0..len).map(|j| ((j * 11 + len) % 119, value())).collect())
+        .collect();
+    let ones = [
+        vec![(5, 1.0)],
+        vec![(6, 0.5), (7, 0.5)],
+        vec![(1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25)],
+    ];
+    rows.extend(ones.iter().cloned());
+    rows.extend(ones.iter().rev().cloned());
+    rows.extend([
+        vec![(120, -0.5)],
+        vec![],
+        vec![(120, -0.5), (121, -0.25), (123, -1.0)],
+        vec![],
+    ]);
+    let triplets: Vec<(u32, u32, f32)> = (0u32..)
+        .zip(&rows)
+        .flat_map(|(r, row)| row.iter().map(move |&(c, v)| (r, c, v)))
+        .collect();
+    Csr::from_triplets(rows.len(), 128, &triplets).expect("valid")
+}
+
 #[test]
 fn cpu_matches_oracle_exactly() {
     let csr = matrix();
@@ -50,6 +90,49 @@ fn cpu_matches_oracle_exactly() {
         let oracle = exact_topk(&csr, x.as_slice(), 64);
         let got = cpu.query(&prepared, x, 64).unwrap().topk;
         assert_eq!(bits(&got), bits(&oracle), "query {q}");
+    }
+
+    // Rows of every length, ties across length groups, at every thread
+    // count and at cuts from one row to more than all of them.
+    let csr = ragged();
+    let rows = csr.num_rows();
+    let mut ties = vec![1.0; 128];
+    for c in ZEROED {
+        ties[c as usize] = 0.0;
+    }
+    let mut queries: Vec<DenseVector> = (0..3u64).map(|q| query_vector(128, q)).collect();
+    queries.push(DenseVector::from_values(ties));
+    queries.push(DenseVector::from_values(vec![-0.0; 128]));
+    for threads in 1..=4 {
+        let cpu = CpuTopK::new(threads);
+        let prepared = cpu.prepare(&csr).unwrap();
+        for (q, x) in queries.iter().enumerate() {
+            for k in [1, 100, rows, rows + 5] {
+                let oracle = exact_topk(&csr, x.as_slice(), k);
+                let got = cpu.query(&prepared, x, k).unwrap().topk;
+                assert_eq!(
+                    bits(&got),
+                    bits(&oracle),
+                    "{threads} threads, query {q}, k {k}"
+                );
+            }
+        }
+        // The prepared rows are stored by length; the snapshot is still
+        // the source CSR's.
+        let mut saved = Vec::new();
+        prepared.save(&cpu, &mut saved).unwrap();
+        let mut source = Vec::new();
+        Snapshot {
+            family: cpu.family(),
+            num_rows: rows as u64,
+            num_cols: 128,
+            nnz: csr.nnz() as u64,
+            payload: SnapshotPayload::Csr(csr.clone()),
+            companion: None,
+        }
+        .write_to(&mut source)
+        .unwrap();
+        assert_eq!(saved, source, "{threads} threads");
     }
 }
 
