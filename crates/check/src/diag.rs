@@ -6,13 +6,11 @@ use std::path::Path;
 /// Which lint produced a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lint {
-    /// Hot-path allocation lint.
-    Alloc,
     /// Atomic-ordering audit.
     Atomics,
     /// Lock-hierarchy deadlock detector.
     Locks,
-    /// Manifest drift / dependency-DAG guard.
+    /// Manifest drift guard (`workspace_guard`'s one entry point).
     Manifests,
     /// Public-surface ratchet.
     Api,
@@ -22,7 +20,6 @@ impl Lint {
     /// Stable lowercase name used in output.
     pub fn name(self) -> &'static str {
         match self {
-            Lint::Alloc => "alloc",
             Lint::Atomics => "atomics",
             Lint::Locks => "locks",
             Lint::Manifests => "manifests",

@@ -4,7 +4,7 @@
 //! comments included) or `#[cfg(test)]` / `#[test]` regions. This module
 //! splits a source file into per-line *code* text (strings and chars
 //! blanked, comments stripped) and per-line *comment* text (where the
-//! `alloc-ok:` / `ordering:` annotations live), then
+//! `ordering:` annotations live), then
 //! marks the line ranges belonging to test-only items.
 //!
 //! It is a lexer, not a parser: it understands exactly as much Rust

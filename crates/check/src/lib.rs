@@ -1,24 +1,29 @@
 //! `tkspmv_check` — the workspace invariant checker.
 //!
-//! A rust-tidy-style static analysis pass over `crates/`, encoding the
-//! repo's hardest-won properties as lints that hold on *every* path,
-//! not just the benchmarked ones:
+//! A rust-tidy-style static analysis pass over `crates/`, holding the
+//! repo's rules that neither the compiler nor a test holds, on *every*
+//! path, not just the benchmarked ones:
 //!
-//! - **alloc** — hot-path modules (see `hot_paths.txt`) must not
-//!   allocate without an `// alloc-ok: <reason>` justification;
 //! - **atomics** — every `Ordering::Relaxed`/`SeqCst` site carries an
 //!   `// ordering: <why this is sound>` argument;
 //! - **locks** — the declared lock hierarchy in `locks.toml` is
 //!   enforced by a per-function acquisition-nesting scan over the
 //!   cross-crate lock graph;
-//! - **manifests** — dependency-DAG acyclicity, layering, and
-//!   workspace-dependency pinning (folded in from the old
-//!   `workspace_guard` test);
 //! - **api** — the list of `pub` items must equal the checked-in
 //!   `api.txt`, so every change to the public surface shows in a diff.
 //!
 //! Run as `cargo run -p tkspmv_check -- --all` (CI gates on it); add
 //! `--json` for machine output.
+//!
+//! The [`manifests`] rules (workspace-pinned dependencies, no cargo
+//! feature, the member list matching the disk) run from one entry
+//! point, `eval`'s `workspace_guard` test, so `cargo test` holds them.
+//! Cargo itself refuses a dependency cycle, which keeps the crates
+//! layered.
+//!
+//! The allocation rule of the query path (a warm query allocates
+//! nothing that grows with the stream) is held at run time, by the
+//! counting allocator of `tests/zero_alloc.rs`.
 //!
 //! Two rules live in the compiler instead, as clippy lints over library
 //! code (CI's lib-only clippy step): a panicking call
@@ -30,7 +35,6 @@
 //! (`tkspmv::fanout`), so no `#[expect]` admits a thread start there.
 //! An `#[expect]` whose lint no longer fires fails the step too.
 
-pub mod alloc;
 pub mod api;
 pub mod atomics;
 pub mod diag;
@@ -46,14 +50,10 @@ use diag::Report;
 /// Which passes to run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Options {
-    /// Hot-path allocation lint.
-    pub alloc: bool,
     /// Atomic-ordering audit.
     pub atomics: bool,
     /// Lock-hierarchy detector.
     pub locks: bool,
-    /// Manifest drift guard.
-    pub manifests: bool,
     /// Public-surface ratchet.
     pub api: bool,
 }
@@ -62,29 +62,11 @@ impl Options {
     /// Every pass on.
     pub fn all() -> Self {
         Self {
-            alloc: true,
             atomics: true,
             locks: true,
-            manifests: true,
             api: true,
         }
     }
-}
-
-/// Reads the hot-path module list (`crates/check/hot_paths.txt`):
-/// workspace-relative file paths, one per line, `#` comments.
-///
-/// # Errors
-///
-/// I/O errors reading the list.
-pub fn hot_paths(root: &Path) -> std::io::Result<Vec<String>> {
-    let text = std::fs::read_to_string(root.join("crates/check/hot_paths.txt"))?;
-    Ok(text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect())
 }
 
 fn crate_of(path: &Path) -> String {
@@ -104,12 +86,6 @@ fn crate_of(path: &Path) -> String {
 /// are errors; findings are diagnostics in the report.
 pub fn run(root: &Path, opts: Options) -> Result<Report, String> {
     let mut report = Report::default();
-    if opts.manifests {
-        manifests::check(root, &mut report);
-    }
-    if !(opts.alloc || opts.atomics || opts.locks || opts.api) {
-        return Ok(report);
-    }
     let sources =
         scan::workspace_sources(root).map_err(|e| format!("walking workspace sources: {e}"))?;
     let mut lexed: Vec<(PathBuf, String, lexer::LexedFile)> = Vec::new();
@@ -118,15 +94,6 @@ pub fn run(root: &Path, opts: Options) -> Result<Report, String> {
             .map_err(|e| format!("reading {}: {e}", rel.display()))?;
         let krate = crate_of(&rel);
         lexed.push((rel, krate, lexer::lex(&text)));
-    }
-    if opts.alloc {
-        let hot = hot_paths(root).map_err(|e| format!("reading hot_paths.txt: {e}"))?;
-        for (rel, _, file) in &lexed {
-            let rel_str = rel.to_string_lossy().replace('\\', "/");
-            if hot.contains(&rel_str) {
-                alloc::check_file(rel, file, &mut report);
-            }
-        }
     }
     if opts.atomics {
         for (rel, _, file) in &lexed {

@@ -8,15 +8,16 @@
 //! statement/block-scope approximation, propagates acquisitions through
 //! direct calls with a fixpoint over the (name-matched) call graph, and
 //! then demands that every realized nesting edge goes *forward* in the
-//! declared order and that the resulting graph is acyclic.
+//! declared order. Forward edges in one total order cannot close a
+//! cycle, so no cycle check is needed.
 //!
 //! Approximations, all conservative (they can add edges, never hide a
 //! `lock()` call): `let`-bound guards live to the end of their
 //! enclosing block; temporaries die at the end of their statement;
 //! calls are matched to functions by bare name across the whole
 //! workspace; calls through closures or function-typed parameters are
-//! invisible. A false edge that trips the order check can be declared
-//! in the `allow` list with a reason.
+//! invisible. A false edge that trips the order check is mended at the
+//! site (or by reordering `locks.toml`), never waived.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -39,18 +40,15 @@ pub struct LockDecl {
 }
 
 /// The parsed `locks.toml`: declaration order *is* the acquisition
-/// order, plus explicitly allowed extra edges.
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct LockConfig {
     /// Declared locks, outermost-first.
     pub locks: Vec<LockDecl>,
-    /// Edges (`"a -> b"`) tolerated despite the declared order, each
-    /// carrying a written reason in the file.
-    pub allowed: Vec<(String, String)>,
 }
 
 /// Parses the minimal TOML subset `locks.toml` uses: `[[lock]]` tables
-/// with string and string-array values, plus a top-level `allow` array.
+/// with string and string-array values.
 ///
 /// # Errors
 ///
@@ -80,22 +78,6 @@ pub fn parse_config(text: &str) -> Result<LockConfig, String> {
         let (key, value) = (key.trim(), value.trim());
         let unquote = |v: &str| v.trim().trim_matches('"').to_string();
         match (key, current.as_mut()) {
-            ("allow", _) => {
-                for item in value.trim_matches(|c| c == '[' || c == ']').split(',') {
-                    let item = unquote(item);
-                    if item.is_empty() {
-                        continue;
-                    }
-                    let Some((a, b)) = item.split_once("->") else {
-                        return Err(format!(
-                            "locks.toml line {}: allow entries look like \"a -> b\"",
-                            idx + 1
-                        ));
-                    };
-                    cfg.allowed
-                        .push((a.trim().to_string(), b.trim().to_string()));
-                }
-            }
             ("name", Some(decl)) => decl.name = unquote(value),
             ("crate", Some(decl)) => decl.krate = unquote(value),
             ("patterns", Some(decl)) => {
@@ -108,7 +90,7 @@ pub fn parse_config(text: &str) -> Result<LockConfig, String> {
             }
             _ => {
                 return Err(format!(
-                    "locks.toml line {}: key `{key}` outside a [[lock]] table",
+                    "locks.toml line {}: unknown key `{key}`, or a key outside a [[lock]] table",
                     idx + 1
                 ));
             }
@@ -424,8 +406,8 @@ fn scan_file(
 
 /// Runs the detector over the given lexed files (path, crate, lexed).
 ///
-/// Reports: undeclared acquisition sites, order violations, cycles in
-/// the realized nesting graph, and declared locks that matched no site.
+/// Reports: undeclared acquisition sites, order violations (a backward
+/// or recursive nesting edge), and declared locks that matched no site.
 pub fn check(
     files: &[(std::path::PathBuf, String, LexedFile)],
     cfg: &LockConfig,
@@ -525,29 +507,20 @@ pub fn check(
     }
 
     let name = |i: usize| cfg.locks[i].name.as_str();
-    let allowed = |a: usize, b: usize| {
-        cfg.allowed
-            .iter()
-            .any(|(x, y)| x == name(a) && y == name(b))
-    };
     let locks_toml = Path::new("crates/check/locks.toml");
     for edge in edges.values() {
         if edge.from == edge.to {
-            if !allowed(edge.from, edge.to) {
-                report.push(
-                    Lint::Locks,
-                    locks_toml,
-                    0,
-                    format!(
-                        "recursive acquisition of `{}` {} — std::sync::Mutex self-deadlocks",
-                        name(edge.from),
-                        edge.site
-                    ),
-                );
-            }
-            continue;
-        }
-        if edge.from > edge.to && !allowed(edge.from, edge.to) {
+            report.push(
+                Lint::Locks,
+                locks_toml,
+                0,
+                format!(
+                    "recursive acquisition of `{}` {} — std::sync::Mutex self-deadlocks",
+                    name(edge.from),
+                    edge.site
+                ),
+            );
+        } else if edge.from > edge.to {
             report.push(
                 Lint::Locks,
                 locks_toml,
@@ -562,47 +535,6 @@ pub fn check(
                 ),
             );
         }
-    }
-
-    // Cycle check on the realized graph (the order check makes ordered
-    // edges acyclic by construction, but `allow`ed edges re-open the
-    // question).
-    let mut graph: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for edge in edges.values() {
-        if edge.from != edge.to {
-            graph.entry(edge.from).or_default().insert(edge.to);
-        }
-    }
-    let mut remaining: BTreeSet<usize> = graph
-        .iter()
-        .flat_map(|(k, vs)| std::iter::once(*k).chain(vs.iter().copied()))
-        .collect();
-    loop {
-        let ready: Vec<usize> = remaining
-            .iter()
-            .copied()
-            .filter(|n| {
-                graph
-                    .get(n)
-                    .map(|vs| vs.iter().all(|v| !remaining.contains(v)))
-                    .unwrap_or(true)
-            })
-            .collect();
-        if ready.is_empty() {
-            break;
-        }
-        for n in ready {
-            remaining.remove(&n);
-        }
-    }
-    if !remaining.is_empty() {
-        let names: Vec<&str> = remaining.iter().map(|&i| name(i)).collect();
-        report.push(
-            Lint::Locks,
-            locks_toml,
-            0,
-            format!("cycle in the realized lock graph among: {names:?}"),
-        );
     }
 
     for (i, decl) in cfg.locks.iter().enumerate() {

@@ -4,9 +4,11 @@
 //! cargo run -p tkspmv_check -- --all            # every pass, human output
 //! cargo run -p tkspmv_check -- --all --json     # JSON findings on stdout
 //! cargo run -p tkspmv_check -- --locks --api    # selected passes
-//! cargo run -p tkspmv_check -- --manifests      # drift guard only
 //! cargo run -p tkspmv_check -- --api            # public surface vs api.txt
 //! ```
+//!
+//! The manifest rules are not a pass here: `eval`'s `workspace_guard`
+//! test runs them under `cargo test`.
 //!
 //! Exit code 0 when there is no finding, 1 when there are findings, 2
 //! on usage/configuration errors. With `--json`
@@ -18,8 +20,8 @@ use std::process::ExitCode;
 
 use tkspmv_check::{diag, find_root, run, Options};
 
-const USAGE: &str = "usage: tkspmv_check [--all] [--alloc] [--atomics] [--locks] [--manifests] \
-                     [--api] [--json] [--root <dir>]";
+const USAGE: &str =
+    "usage: tkspmv_check [--all] [--atomics] [--locks] [--api] [--json] [--root <dir>]";
 
 fn main() -> ExitCode {
     let mut opts = Options::default();
@@ -29,10 +31,8 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--all" => opts = Options::all(),
-            "--alloc" => opts.alloc = true,
             "--atomics" => opts.atomics = true,
             "--locks" => opts.locks = true,
-            "--manifests" => opts.manifests = true,
             "--api" => opts.api = true,
             "--json" => json = true,
             "--root" => match args.next() {
@@ -52,7 +52,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if !(opts.alloc || opts.atomics || opts.locks || opts.manifests || opts.api) {
+    if !(opts.atomics || opts.locks || opts.api) {
         eprintln!("no passes selected\n{USAGE}");
         return ExitCode::from(2);
     }

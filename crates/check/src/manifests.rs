@@ -1,13 +1,14 @@
-//! Manifest drift / dependency-DAG guard (`--manifests`).
+//! Manifest drift guard.
 //!
-//! The crate dependency DAG must stay acyclic and honour the intended
-//! layering, every shared dependency must be pinned once in
+//! Every shared dependency must be pinned once in
 //! `[workspace.dependencies]` and referenced with `workspace = true`,
-//! the member list must match the directories on disk in both
-//! directions, no member may declare a cargo feature, and every crate
-//! the two tables below name must be a member (so a deleted crate
-//! cannot linger in them). `eval`'s `workspace_guard` test runs the
-//! same code under `cargo test`.
+//! every member directory on disk must be listed in `[workspace]
+//! members`, no member may declare a cargo feature, and every crate
+//! [`WORKSPACE_MANAGED`] names must be a member (so a deleted crate
+//! cannot linger in it). `eval`'s `workspace_guard` test is the one
+//! entry point. Cargo holds the rest: it refuses a dependency cycle
+//! (so a lower crate cannot depend on one that depends on it), a listed
+//! member without a manifest and a package without a name.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -27,22 +28,6 @@ pub const WORKSPACE_MANAGED: &[&str] = &[
     "tkspmv_eval",
     "tkspmv_check",
     "proptest",
-];
-
-/// The intended layering: `(lower, upper)` — lower must never depend on
-/// upper.
-pub const LAYERING: &[(&str, &str)] = &[
-    ("tkspmv_fixed", "tkspmv_sparse"),
-    ("tkspmv_sparse", "tkspmv"),
-    ("tkspmv", "tkspmv_baselines"),
-    ("tkspmv", "tkspmv_serve"),
-    ("tkspmv_baselines", "tkspmv_eval"),
-    ("tkspmv_serve", "tkspmv_eval"),
-    ("tkspmv_serve", "tkspmv_fabric"),
-    ("tkspmv_fabric", "tkspmv_eval"),
-    ("tkspmv_obs", "tkspmv_serve"),
-    ("tkspmv_obs", "tkspmv_fabric"),
-    ("tkspmv_obs", "tkspmv"),
 ];
 
 /// Minimal TOML scan: `(package_name, deps)` where `deps` maps a
@@ -139,85 +124,6 @@ pub fn check(root: &Path, report: &mut Report) {
         }
     };
 
-    // --- DAG acyclicity + layering -----------------------------------
-    let mut graph: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for (path, text) in &manifests {
-        let (name, deps) = scan_manifest(text);
-        if name.is_empty() {
-            report.push(Lint::Manifests, path, 0, "no [package] name".to_string());
-            continue;
-        }
-        let internal: BTreeSet<String> = deps
-            .keys()
-            .filter(|d| WORKSPACE_MANAGED.contains(&d.as_str()))
-            .cloned()
-            .collect();
-        graph.insert(name, internal);
-    }
-    let named: BTreeSet<&str> = WORKSPACE_MANAGED
-        .iter()
-        .copied()
-        .chain(LAYERING.iter().flat_map(|&(lower, upper)| [lower, upper]))
-        .collect();
-    for name in named.into_iter().filter(|n| !graph.contains_key(*n)) {
-        report.push(
-            Lint::Manifests,
-            Path::new("crates/check/src/manifests.rs"),
-            0,
-            format!("{name} is named in WORKSPACE_MANAGED or LAYERING but matches no member's [package] name"),
-        );
-    }
-    let mut remaining = graph.clone();
-    let mut order = Vec::new();
-    while !remaining.is_empty() {
-        let ready: Vec<String> = remaining
-            .iter()
-            .filter(|(_, deps)| deps.iter().all(|d| !remaining.contains_key(d)))
-            .map(|(n, _)| n.clone())
-            .collect();
-        if ready.is_empty() {
-            report.push(
-                Lint::Manifests,
-                Path::new("Cargo.toml"),
-                0,
-                format!(
-                    "dependency cycle among crates: {:?}",
-                    remaining.keys().collect::<Vec<_>>()
-                ),
-            );
-            break;
-        }
-        for name in ready {
-            remaining.remove(&name);
-            order.push(name);
-        }
-    }
-    let position: BTreeMap<&str, usize> = order
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
-    for (lower, upper) in LAYERING {
-        if let (Some(&pl), Some(&pu)) = (position.get(lower), position.get(upper)) {
-            if pl >= pu {
-                report.push(
-                    Lint::Manifests,
-                    Path::new("Cargo.toml"),
-                    0,
-                    format!("layering violated: {lower} should sort before {upper}"),
-                );
-            }
-        }
-        if graph.get(*lower).is_some_and(|deps| deps.contains(*upper)) {
-            report.push(
-                Lint::Manifests,
-                Path::new("Cargo.toml"),
-                0,
-                format!("{lower} must not depend on {upper}"),
-            );
-        }
-    }
-
     // --- workspace.dependencies coverage -----------------------------
     let mut in_table = BTreeSet::new();
     let mut section = String::new();
@@ -243,6 +149,7 @@ pub fn check(root: &Path, report: &mut Report) {
             );
         }
     }
+    let mut members = BTreeSet::new();
     for (path, text) in &manifests {
         let (member, deps) = scan_manifest(text);
         // A cargo feature is a build-time option: every one doubles the
@@ -265,9 +172,18 @@ pub fn check(root: &Path, report: &mut Report) {
                 );
             }
         }
+        members.insert(member);
+    }
+    for name in WORKSPACE_MANAGED.iter().filter(|n| !members.contains(**n)) {
+        report.push(
+            Lint::Manifests,
+            Path::new("crates/check/src/manifests.rs"),
+            0,
+            format!("{name} is named in WORKSPACE_MANAGED but matches no member's [package] name"),
+        );
     }
 
-    // --- member list matches the disk, both directions ---------------
+    // --- every member on disk is listed ------------------------------
     for (path, _) in &manifests {
         let rel = path
             .parent()
@@ -280,31 +196,6 @@ pub fn check(root: &Path, report: &mut Report) {
                 0,
                 format!("{rel} exists on disk but is not listed in [workspace] members"),
             );
-        }
-    }
-    let mut in_members = false;
-    for raw in root_text.lines() {
-        let line = raw.trim();
-        if line.starts_with("members") {
-            in_members = true;
-        }
-        if in_members {
-            for piece in line.split(',') {
-                let piece = piece.trim();
-                if let Some(rel) = piece.strip_prefix('"').and_then(|p| p.strip_suffix('"')) {
-                    if !root.join(rel).join("Cargo.toml").is_file() {
-                        report.push(
-                            Lint::Manifests,
-                            Path::new("Cargo.toml"),
-                            0,
-                            format!("member `{rel}` listed but has no Cargo.toml on disk"),
-                        );
-                    }
-                }
-            }
-            if line.ends_with(']') {
-                break;
-            }
         }
     }
 }
@@ -321,9 +212,8 @@ mod tests {
         assert_eq!(features_table_line(knob), Some(4));
     }
 
-    /// A workspace on disk with one package per name in `members`, each
-    /// depending on the names `LAYERING` puts below it, and every
-    /// `WORKSPACE_MANAGED` name pinned in its root table.
+    /// A workspace on disk with one package per name in `members`, and
+    /// every `WORKSPACE_MANAGED` name pinned in its root table.
     fn scratch_workspace(members: &[&str]) -> PathBuf {
         let root = std::env::temp_dir().join(format!("tkspmv_check_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
@@ -332,13 +222,7 @@ mod tests {
         for name in members {
             let dir = root.join("crates").join(name);
             std::fs::create_dir_all(&dir).unwrap();
-            let mut package = format!("[package]\nname = \"{name}\"\n\n[dependencies]\n");
-            for (lower, _) in LAYERING
-                .iter()
-                .filter(|(l, u)| u == name && members.contains(l))
-            {
-                package.push_str(&format!("{lower} = {{ workspace = true }}\n"));
-            }
+            let package = format!("[package]\nname = \"{name}\"\n\n[dependencies]\n");
             std::fs::write(dir.join("Cargo.toml"), package).unwrap();
             manifest.push_str(&format!("    \"crates/{name}\",\n"));
         }

@@ -15,7 +15,7 @@ pub const NON_CALL_WORDS: &[&str] = &[
 /// `Cargo.toml` members' bins), workspace-relative, sorted. Skips
 /// `target/`, `testdata/`, `vendor/`, and anything under `tests/`,
 /// `benches/` or `examples/` directories — the lints guard *library and
-/// binary* code; test code is free to allocate.
+/// binary* code, not tests.
 pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     walk(&root.join("crates"), root, &mut out)?;
@@ -82,8 +82,6 @@ pub fn annotated(file: &LexedFile, line: usize, marker: &str) -> bool {
 pub struct FnSpan {
     /// The function's bare name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub fn_line: usize,
     /// Token index of the body's opening `{` (exclusive of the brace
     /// itself when iterating the body).
     pub body_start: usize,
@@ -105,7 +103,6 @@ pub fn fn_spans(toks: &[Tok]) -> Vec<FnSpan> {
             break;
         };
         let name = name_tok.text.clone();
-        let fn_line = toks[i].line;
         // Find the body `{`, or a `;` ending a bodiless declaration.
         // Angle brackets in generics may nest; braces do not appear in
         // signatures (const-generic brace expressions are rare enough
@@ -145,7 +142,6 @@ pub fn fn_spans(toks: &[Tok]) -> Vec<FnSpan> {
         }
         spans.push(FnSpan {
             name,
-            fn_line,
             body_start: open,
             body_end: close,
         });

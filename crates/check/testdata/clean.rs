@@ -3,19 +3,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-fn annotated_paths(c: &AtomicU64) -> Vec<u32> {
-    // alloc-ok: fixture — documented one-time setup allocation.
-    let mut out = Vec::new();
+fn annotated_ordering(c: &AtomicU64) -> u64 {
     // ordering: fixture — a monotone counter nobody reads transactionally.
-    c.fetch_add(1, Ordering::Relaxed);
-    out.push(1);
-    out
-}
-
-// alloc-ok(fn): fixture — whole function is setup-time.
-fn exempt_function() -> String {
-    let s = String::new();
-    format!("{s}")
+    c.fetch_add(1, Ordering::Relaxed)
 }
 
 fn strings_do_not_count() -> &'static str {

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use tkspmv_check::diag::{Lint, Report};
 use tkspmv_check::lexer::lex;
-use tkspmv_check::{alloc, api, atomics, locks};
+use tkspmv_check::{api, atomics, locks};
 
 fn fixture(name: &str) -> (PathBuf, String) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -34,15 +34,6 @@ fn run_single_file(
     let mut report = Report::default();
     check(&path, &file, &mut report);
     report
-}
-
-#[test]
-fn alloc_fixture_fires_exactly_once() {
-    let (_, text) = fixture("alloc_fires.rs");
-    let report = run_single_file("alloc_fires.rs", alloc::check_file);
-    assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
-    assert_eq!(report.diagnostics[0].lint, Lint::Alloc);
-    assert_eq!(report.diagnostics[0].line, marked_line(&text));
 }
 
 #[test]
@@ -138,7 +129,6 @@ fn clean_fixture_passes_every_lint() {
     let (path, text) = fixture("clean.rs");
     let file = lex(&text);
     let mut report = Report::default();
-    alloc::check_file(&path, &file, &mut report);
     atomics::check_file(&path, &file, &mut report);
     assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
     assert_eq!(api::items("fixture", &file), Vec::new());

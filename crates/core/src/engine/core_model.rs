@@ -170,8 +170,6 @@ pub struct BatchScratch<S: SpmvScalar> {
 
 impl<S: SpmvScalar> BatchScratch<S> {
     /// Creates an empty scratch; the first batch sizes its buffers.
-    // alloc-ok(fn): cold constructor — the empty vecs here are the
-    // buffers whose reuse makes the batch loop allocation-free.
     pub fn new() -> Self {
         Self {
             dvals: Vec::new(),
@@ -392,8 +390,8 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     // read their own query slices and are not copied.
     let m = matrix.num_cols();
     let (wide, blocked) = block_split(b);
-    // alloc-ok: sized once per call to the full blocks, then written by
-    // position; a warm scratch that saw as many blocks does not grow.
+    // Sized once per call to the full blocks, then written by position:
+    // a warm scratch that saw as many blocks does not grow.
     scratch.xt.resize(blocked * m, S::decode(0));
     let (wide_xt, half_xt) = scratch.xt.split_at_mut(wide * m);
     transpose::<_, _, BLOCK_LANES>(&queries[..wide], wide_xt, m);
@@ -405,15 +403,15 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
     let (chunk_rows, ends, _) = matrix.row_ends();
     if blocked > 0 {
         let most_rows = chunk_rows.windows(2).map(|w| w[1] - w[0]).max();
-        // alloc-ok: sized once per call to the stream's largest per-chunk
-        // row count; a warm scratch that saw as many rows does not grow.
+        // Sized once per call to the stream's largest per-chunk row count:
+        // a warm scratch that saw as many rows does not grow.
         scratch
             .tile
             .resize(most_rows.unwrap_or(0) as usize * BLOCK_LANES, S::acc_zero());
     }
 
-    // alloc-ok: the chunk buffers are sized here, once per call (a no-op
-    // when the scratch last saw the same layout); the packet loop
+    // The chunk buffers are sized here, once per call (a no-op when the
+    // scratch last saw the same layout); the packet loop
     // writes into them by position, so nothing below grows with the
     // packet count.
     let per_packet = layout.entries_per_packet() as usize;
@@ -500,9 +498,8 @@ fn run_with_layout<'s, S: SpmvScalar, Q: AsRef<[S]>>(
 
     while scratch.outputs.len() < b {
         scratch.outputs.push(CoreOutput {
-            // alloc-ok: grows only when this batch is wider than any
-            // before; Vec::new itself is allocation-free, and steady
-            // state reuses the slots.
+            // Only a batch wider than any before adds slots; steady
+            // state reuses them.
             topk: Vec::new(),
             stats: CoreStats::default(),
         });
@@ -936,8 +933,6 @@ fn accumulate<S: SpmvScalar, const L: usize>(
 
 /// Quantises a dense query vector into the scalar domain `S` — the URAM
 /// upload step performed by the host before launching the kernel.
-// alloc-ok(fn): per-query host-side upload step, one vector per query;
-// the per-packet loop never calls this.
 pub fn quantize_vector<S: SpmvScalar>(x: &[f32]) -> Vec<S> {
     x.iter().map(|&v| S::decode(S::encode(v as f64))).collect()
 }

@@ -38,7 +38,6 @@ thread_local! {
     /// for one partition at a time, so it lives as long as the thread —
     /// a resident pool helper or a caller — and a warm query sizes
     /// nothing.
-    // alloc-ok: an empty shelf allocates nothing until its first scratch.
     static SHELF: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -55,7 +54,6 @@ fn with_scratch<S: SpmvScalar, R>(f: impl FnOnce(&mut BatchScratch<S>) -> R) -> 
         let slot = match shelf.iter().position(|s| s.is::<BatchScratch<S>>()) {
             Some(slot) => slot,
             None => {
-                // alloc-ok: first partition this thread walks at this scalar type.
                 shelf.push(Box::new(BatchScratch::<S>::new()));
                 shelf.len() - 1
             }
@@ -107,9 +105,6 @@ fn with_scratch<S: SpmvScalar, R>(f: impl FnOnce(&mut BatchScratch<S>) -> R) -> 
 ///
 /// Panics if `partitions` is empty, `k == 0`, or `k * partitions.len() <
 /// big_k` (the configuration could not possibly fill the requested K).
-// alloc-ok(fn): per-batch fan-out and owned result assembly; the
-// per-packet loop lives in run_core_batch_with_scratch, which reuses
-// each thread's BatchScratch across partitions and calls.
 pub(crate) fn run_multicore<S, P, Q>(
     partitions: Arc<P>,
     queries: Arc<[Q]>,

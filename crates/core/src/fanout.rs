@@ -16,8 +16,11 @@
 //! call queues one ticket per helper it wants and walks tasks itself.
 //! When no task is left it withdraws the tickets no helper has taken and
 //! waits for the taken ones to file. It never runs a queued ticket, so
-//! it waits only on threads that are walking its own tasks. The
-//! library's fan-outs are flat — no task fans out again — as the paper's
+//! it waits only on threads that are walking its own tasks. Every walk
+//! files each result straight into the job's one result list, sized for
+//! every task up front, so a call allocates the same whether a helper
+//! took its ticket or the caller withdrew it (`tests/zero_alloc.rs`
+//! counts both). The library's fan-outs are flat — no task fans out again — as the paper's
 //! host makes one pass over the per-core lists; a `fork_join` inside a
 //! task is still correct, a fan-out of its own on the same pool.
 //!
@@ -71,9 +74,6 @@ pub fn host_parallelism() -> usize {
 /// its original payload once every participant has finished; the
 /// other participants finish the remaining tasks first. The pool's
 /// threads survive it.
-// alloc-ok(fn): per-call result assembly — the task-ordered output and
-// the states; the per-task work and its reusable buffers live in the
-// caller's `init`/`body`.
 pub fn fork_join<W, R>(
     tasks: usize,
     participants: usize,
@@ -94,9 +94,6 @@ where
 }
 
 /// [`fork_join`] for two or more participants on `pool`.
-// alloc-ok(fn): per-call result assembly — the job, one claim list per
-// participant and the task-ordered output; the per-task work and its
-// reusable buffers live in the caller's `init`/`body`.
 fn run_on<W, R>(
     pool: &'static Pool,
     tasks: usize,
@@ -147,11 +144,11 @@ where
     );
     // Every participant has filed by now, so the payload can leave
     // exactly as the task raised it.
-    let (state, mut results) = own.unwrap_or_else(|payload| resume_unwind(payload));
+    let state = own.unwrap_or_else(|payload| resume_unwind(payload));
     if let Some(payload) = filed.panic {
         resume_unwind(payload);
     }
-    results.extend(filed.results);
+    let mut results = filed.results;
     results.sort_unstable_by_key(|&(task, _)| task);
     debug_assert!(results.iter().map(|&(task, _)| task).eq(0..tasks));
     let mut states = Vec::with_capacity(helpers + 1);
@@ -177,9 +174,12 @@ trait Ticket: Send + Sync {
     fn participate(&self);
 }
 
-/// What the helpers of one fan-out have handed back so far.
+/// What the participants of one fan-out have handed back so far.
 struct Filed<W, R> {
+    /// The helpers' final states.
     states: Vec<W>,
+    /// Every participant's results, tagged with their task. Its capacity
+    /// is `tasks` from the start, so no filing grows it.
     results: Vec<(usize, R)>,
     /// The first panic a helper caught, re-raised by the caller.
     panic: Option<Payload>,
@@ -204,14 +204,11 @@ where
     B: Fn(&mut W, usize) -> R,
 {
     /// One participant's walk: a fresh state, then tasks until none are
-    /// left. A panic ends the walk and comes back as the error.
-    // alloc-ok(fn): the participant's claim list, one per walk, sized
-    // for every task: the caller merges the others' claims into its own
-    // in place, and a call allocates the same however the claims fall.
-    fn walk(&self) -> Result<(W, Vec<(usize, R)>), Payload> {
+    /// left, each result filed as soon as it is made. A panic ends the
+    /// walk and comes back as the error.
+    fn walk(&self) -> Result<W, Payload> {
         catch_unwind(AssertUnwindSafe(|| {
             let mut state = (self.init)();
-            let mut claimed = Vec::with_capacity(self.tasks);
             loop {
                 // ordering: the counter only deals out distinct indices
                 // and publishes nothing — task inputs are owned by the
@@ -219,9 +216,10 @@ where
                 // mutex synchronises.
                 let task = self.next.fetch_add(1, Ordering::Relaxed);
                 if task >= self.tasks {
-                    break (state, claimed);
+                    break state;
                 }
-                claimed.push((task, (self.body)(&mut state, task)));
+                let result = (self.body)(&mut state, task);
+                lock(&self.filed).results.push((task, result));
             }
         }))
     }
@@ -239,10 +237,7 @@ where
         {
             let mut filed = lock(&self.filed);
             match walked {
-                Ok((state, claimed)) => {
-                    filed.states.push(state);
-                    filed.results.extend(claimed);
-                }
+                Ok(state) => filed.states.push(state),
                 Err(payload) => {
                     if filed.panic.is_none() {
                         filed.panic = Some(payload);
@@ -269,8 +264,6 @@ struct Pool {
 
 impl Pool {
     /// An empty pool: no ticket, no helper.
-    // alloc-ok(fn): an empty deque holds no buffer; it is built once,
-    // in a static.
     const fn new() -> Pool {
         Pool {
             tickets: Mutex::new(VecDeque::new()),
@@ -293,8 +286,8 @@ impl Pool {
     }
 
     /// Queues `helpers` copies of `ticket` and wakes as many helpers.
-    // alloc-ok(fn): the queue keeps its capacity, so it grows only
-    // until it has held the most tickets queued at once.
+    // The queue keeps its capacity, so it grows only until it has held
+    // the most tickets queued at once.
     fn enqueue(&self, ticket: &Arc<dyn Ticket>, helpers: usize) {
         let mut queue = lock(&self.tickets);
         for _ in 0..helpers {
@@ -362,7 +355,6 @@ impl Pool {
 /// crates where a thread starts. Helpers live as long as the process:
 /// nothing joins them, and no task panic can end one (`participate`
 /// catches it for the caller).
-// alloc-ok(fn): once per helper per process.
 fn start(pool: &'static Pool, index: usize) {
     #[expect(
         clippy::disallowed_methods,

@@ -92,8 +92,7 @@ impl<A: PartialOrd + Copy> TopKTracker<A> {
         assert!(k > 0, "top-k tracker needs at least one slot");
         Self {
             k,
-            // alloc-ok: one-time k-slot buffer at construction;
-            // insert() replaces in place and never grows it.
+            // insert() replaces in place and never grows it past k.
             slots: Vec::with_capacity(k),
             min_slot: 0,
             accepted: 0,
@@ -204,8 +203,6 @@ impl<A: PartialOrd + Copy> TopKTracker<A> {
 
     /// Extracts the tracked pairs sorted by value descending (ties by
     /// index ascending, for deterministic output).
-    // alloc-ok(fn): owned convenience extraction; the engine drains
-    // through write_sorted_into and a reused buffer.
     pub fn into_sorted(self) -> Vec<(u32, A)> {
         let mut out = Vec::new();
         self.write_sorted_into(&mut out);
@@ -270,15 +267,11 @@ impl TopKResult {
     }
 
     /// Ranked row indices, best first.
-    // alloc-ok(fn): caller-facing owned copy; the scoring loop reads
-    // entries() borrowed.
     pub fn indices(&self) -> Vec<u32> {
         self.entries.iter().map(|&(i, _)| i).collect()
     }
 
     /// Ranked scores, best first.
-    // alloc-ok(fn): caller-facing owned copy; the scoring loop reads
-    // entries() borrowed.
     pub fn scores(&self) -> Vec<f64> {
         self.entries.iter().map(|&(_, s)| s).collect()
     }
@@ -312,8 +305,6 @@ impl TopKResult {
     /// the per-shard candidate lists happen to be grouped or ordered
     /// (property-tested in `tests/serve_equivalence.rs`), including at
     /// the truncation boundary where a tie decides who makes the cut.
-    // alloc-ok(fn): per-query reduction; the one k-bounded heap becomes
-    // the owned result list in place.
     pub fn merge_pairs<I: IntoIterator<Item = (u32, f64)>>(pairs: I, k: usize) -> Self {
         let keys = pairs
             .into_iter()
@@ -341,7 +332,6 @@ impl TopKResult {
     /// deduplication changes nothing but the double-count; for
     /// approximate engines it deterministically prefers the better
     /// sighting.
-    // alloc-ok(fn): per-query reduction, same budget as merge_pairs.
     pub fn merge_pairs_dedup<I: IntoIterator<Item = (u32, f64)>>(pairs: I, k: usize) -> Self {
         let merged = Self::from_pairs(pairs.into_iter().collect());
         let mut seen = std::collections::HashSet::new();
@@ -357,8 +347,7 @@ impl TopKResult {
 /// ranking in the key: `(score, Reverse(row))` is [`rank_cmp`]'s.
 pub(crate) fn top_keys<K: Ord>(keys: impl IntoIterator<Item = K>, k: usize) -> Vec<Reverse<K>> {
     let keys = keys.into_iter();
-    // alloc-ok: the selection's one buffer, at most k keys (fewer when
-    // the input says it is shorter); the result reuses it.
+    // The selection's one buffer, at most k keys; the result reuses it.
     let mut heap = BinaryHeap::with_capacity(k.min(keys.size_hint().0));
     for key in keys {
         if heap.len() < k {
@@ -369,7 +358,6 @@ pub(crate) fn top_keys<K: Ord>(keys: impl IntoIterator<Item = K>, k: usize) -> V
             }
         }
     }
-    // alloc-ok: hands back the heap's own buffer.
     heap.into_vec()
 }
 

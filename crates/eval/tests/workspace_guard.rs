@@ -1,11 +1,10 @@
-//! Guards against manifest drift: the crate dependency DAG must stay
-//! acyclic and layered, every shared dependency must defer to
-//! `[workspace.dependencies]`, and the member list must match the disk.
+//! Guards against manifest drift: every shared dependency must defer to
+//! `[workspace.dependencies]`, every member directory must be listed,
+//! and no member may declare a cargo feature.
 //!
-//! The checks themselves live in `tkspmv_check` (`--manifests` mode of
-//! `cargo run -p tkspmv_check`), where CI runs them alongside the other
-//! invariant lints; this test is the `cargo test` entry point to the
-//! same code, so a plain test run still catches drift.
+//! The checks live in `tkspmv_check::manifests`; this test is their one
+//! entry point, so a plain `cargo test` catches drift. Cargo itself
+//! refuses a dependency cycle and a listed member without a manifest.
 
 use tkspmv_check::diag::Report;
 

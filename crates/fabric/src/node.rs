@@ -10,8 +10,11 @@
 //! Shutdown never blocks on a quiet client: open connections are
 //! registered and their sockets are shut down, which unblocks any
 //! reader, and every handler thread is joined before `shutdown`
-//! returns.
+//! returns. A connection that ends on its own leaves no trace: its
+//! handler drops its registry entry (closing the node's last copy of
+//! the socket), and the accept loop reaps its finished thread.
 
+use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,8 +48,9 @@ fn rpc_error_from_serve(e: &ServeError) -> RpcError {
 struct NodeShared {
     collection: Arc<DeltaCollection>,
     stop: AtomicBool,
-    /// One clone per live connection, so shutdown can unblock readers.
-    conns: Mutex<Vec<TcpStream>>,
+    /// One clone per live connection, by connection number, so shutdown
+    /// can unblock readers.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl NodeShared {
@@ -148,7 +152,7 @@ impl NodeServer {
         let shared = Arc::new(NodeShared {
             collection,
             stop: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
         });
         let handler_handles = Arc::new(Mutex::new(Vec::new()));
         let accept_shared = Arc::clone(&shared);
@@ -194,7 +198,7 @@ impl NodeServer {
         // Stop answering scrapes before serving state goes away.
         self.metrics.take();
         self.shared.stop.store(true, Ordering::Release);
-        for conn in lock(&self.shared.conns).drain(..) {
+        for (_, conn) in lock(&self.shared.conns).drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         if let Some(h) = self.accept_handle.take() {
@@ -221,12 +225,16 @@ fn accept_loop(
     shared: &Arc<NodeShared>,
     handlers: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
+    let mut next_id = 0u64;
     while !shared.stop.load(Ordering::Acquire) {
+        reap(handlers);
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
+                let id = next_id;
+                next_id += 1;
                 if let Ok(clone) = stream.try_clone() {
-                    lock(&shared.conns).push(clone);
+                    lock(&shared.conns).insert(id, clone);
                 }
                 let conn_shared = Arc::clone(shared);
                 #[expect(
@@ -235,16 +243,35 @@ fn accept_loop(
                 )]
                 let handle = std::thread::Builder::new()
                     .name("tkspmv-node-conn".to_string())
-                    .spawn(move || connection_loop(stream, &conn_shared));
-                match handle {
-                    Ok(h) => lock(handlers).push(h),
-                    Err(_) => { /* spawn refused; connection dropped */ }
+                    .spawn(move || {
+                        connection_loop(stream, &conn_shared);
+                        lock(&conn_shared.conns).remove(&id);
+                    });
+                if let Ok(h) = handle {
+                    lock(handlers).push(h);
+                } else {
+                    // Spawn refused: the connection is dropped.
+                    lock(&shared.conns).remove(&id);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        }
+    }
+}
+
+/// Joins the handlers whose connections ended on their own; a finished
+/// thread joins at once.
+fn reap(handlers: &Mutex<Vec<std::thread::JoinHandle<()>>>) {
+    let mut handles = lock(handlers);
+    let mut i = 0;
+    while i < handles.len() {
+        if handles[i].is_finished() {
+            let _ = handles.swap_remove(i).join();
+        } else {
+            i += 1;
         }
     }
 }
@@ -441,6 +468,33 @@ mod tests {
         raw.write_all(&bytes).expect("write");
         let resp = crate::wire::read_response(&mut raw).expect("typed answer");
         assert!(matches!(resp, Response::Error(RpcError::BadRequest { .. })));
+        node.shutdown();
+    }
+
+    #[test]
+    fn a_closed_connection_leaves_no_registry_entry_or_handle() {
+        let node = spawn_node(3, 0);
+        for _ in 0..20 {
+            let mut client = NodeClient::connect(node.local_addr(), DEADLINE).expect("connect");
+            client.ping(DEADLINE).expect("ping");
+        }
+        // Each dropped client ends its handler; the accept loop, which
+        // polls every 5 ms, joins the finished threads.
+        let give_up = std::time::Instant::now() + DEADLINE;
+        loop {
+            let live = (
+                lock(&node.shared.conns).len(),
+                lock(&node.handler_handles).len(),
+            );
+            if live == (0, 0) {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < give_up,
+                "(registry entries, handles) still {live:?} after every client left"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
         node.shutdown();
     }
 

@@ -127,7 +127,6 @@ struct Stripe {
 }
 
 impl Stripe {
-    // alloc-ok(fn): one-time bucket array at construction.
     fn new() -> Self {
         Self {
             buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
@@ -178,7 +177,6 @@ impl Default for Histogram {
 
 impl Histogram {
     /// A fresh, empty histogram (allocates its buckets once, up front).
-    // alloc-ok(fn): one-time stripe allocation at construction.
     pub fn new() -> Self {
         Self {
             stripes: (0..STRIPES).map(|_| Stripe::new()).collect(),
@@ -206,7 +204,6 @@ impl Histogram {
 
     /// Point-in-time view: stripe-summed bucket counts. O(buckets),
     /// regardless of how many samples were recorded.
-    // alloc-ok(fn): scrape-time summary, off the record path.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = vec![0u64; NUM_BUCKETS];
         let mut count = 0u64;
@@ -311,7 +308,6 @@ struct Child {
 
 impl Child {
     /// A new child, its label set rendered once.
-    // alloc-ok(fn): registration path, once per (name, labels).
     fn new(labels: &[(&str, &str)], metric: MetricHandle) -> Child {
         Child {
             pairs: labels
@@ -360,8 +356,8 @@ impl Registry {
         Self::default()
     }
 
-    // alloc-ok(fn): registration path, first call per (name, labels)
-    // only; a hit compares label pairs and allocates nothing.
+    // Only the first call per (name, labels) registers; a hit compares
+    // label pairs and allocates nothing.
     fn get_or_insert(
         &self,
         name: &str,
@@ -399,7 +395,6 @@ impl Registry {
     }
 
     /// Get-or-create a counter child with the given label pairs.
-    // alloc-ok(fn): registration path; hot callers cache the Arc.
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         match self.get_or_insert(name, help, MetricKind::Counter, labels, || {
             MetricHandle::Counter(Arc::new(Counter::new()))
@@ -414,7 +409,6 @@ impl Registry {
     }
 
     /// Get-or-create an unlabeled gauge.
-    // alloc-ok(fn): registration path; hot callers cache the Arc.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
         match self.get_or_insert(name, help, MetricKind::Gauge, &[], || {
             MetricHandle::Gauge(Arc::new(Gauge::new()))
@@ -434,7 +428,6 @@ impl Registry {
     }
 
     /// Get-or-create a histogram child with the given label pairs.
-    // alloc-ok(fn): registration path; hot callers cache the Arc.
     pub fn histogram_with(
         &self,
         name: &str,
@@ -462,7 +455,6 @@ impl Registry {
     /// their handles are copied; the page is formatted after it is
     /// released, so a scrape does not hold up a caller looking up a
     /// series.
-    // alloc-ok(fn): scrape-time rendering, off the record path.
     pub fn render(&self) -> String {
         let families = self
             .families
@@ -522,7 +514,6 @@ impl Registry {
     }
 }
 
-// alloc-ok(fn): registration/scrape-time label rendering.
 fn render_labels(labels: &[(&str, &str)]) -> String {
     let mut out = String::new();
     for (i, (k, v)) in labels.iter().enumerate() {
@@ -538,7 +529,6 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
     out
 }
 
-// alloc-ok(fn): scrape-time label rendering.
 fn brace(labels: &str) -> String {
     if labels.is_empty() {
         String::new()
@@ -547,7 +537,6 @@ fn brace(labels: &str) -> String {
     }
 }
 
-// alloc-ok(fn): scrape-time label rendering.
 fn brace_with(labels: &str, extra: &str) -> String {
     if labels.is_empty() {
         format!("{{{extra}}}")
@@ -565,8 +554,6 @@ fn brace_with(labels: &str, extra: &str) -> String {
 /// the shape `name{label="value",...} <float>`. Used by the scrape
 /// tests, CI, and `examples/cluster.rs` to prove the endpoints serve
 /// well-formed pages.
-// alloc-ok(fn): validation helper for tests and examples, never on the
-// record path.
 pub fn validate_exposition(text: &str) -> Result<Vec<String>, String> {
     let mut names = Vec::new();
     for (lineno, line) in text.lines().enumerate() {

@@ -178,7 +178,6 @@ impl TraceId {
     }
 
     /// Lowercase hex rendering (32 chars).
-    // alloc-ok(fn): export/log formatting, never on the record path.
     pub fn to_hex(&self) -> String {
         let mut s = String::with_capacity(32);
         for b in self.0 {
@@ -326,8 +325,8 @@ impl<T> std::fmt::Debug for SpanRing<T> {
 
 impl<T: RingRecord> SpanRing<T> {
     /// A ring with `capacity` reserved slots (min 1).
-    // alloc-ok(fn): one-time slot reservation at construction —
-    // record() then fills and overwrites slots in place.
+    // `record` fills and then overwrites these slots in place; the ring
+    // never grows.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
@@ -352,8 +351,7 @@ impl<T: RingRecord> SpanRing<T> {
     }
 
     /// The `n` slowest recorded queries, descending by total latency.
-    // alloc-ok(fn): scrape/debug-time copy out of the ring; the copy
-    // also keeps the sort outside the ring mutex.
+    // The copy out of the ring keeps the sort outside the ring mutex.
     pub fn slowest(&self, n: usize) -> Vec<T> {
         let mut filled = self
             .inner
@@ -387,8 +385,6 @@ pub struct SpanNode {
 
 impl SpanNode {
     /// A leafless node covering `[start_us, start_us + dur_us)`.
-    // alloc-ok(fn): trace-tree assembly, only for traced (sampled)
-    // queries; the empty vecs allocate on first push.
     pub fn new(name: impl Into<String>, start_us: u32, dur_us: u32) -> Self {
         Self {
             name: name.into(),
@@ -474,7 +470,6 @@ impl QueryTrace {
     }
 
     /// Renders the trace as a single JSON object (no trailing newline).
-    // alloc-ok(fn): export-time rendering, never on the record path.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         let _ = write!(
@@ -489,7 +484,6 @@ impl QueryTrace {
     }
 }
 
-// alloc-ok(fn): export-time rendering, never on the record path.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

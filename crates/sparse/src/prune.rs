@@ -85,8 +85,6 @@ impl PruneIndex {
     ///
     /// [`SparseError::DimensionTooLarge`] if the matrix has more than
     /// 65536 columns or more than `u32::MAX` non-zeros.
-    // alloc-ok(fn): one-time index construction (ingest/compaction),
-    // never on the query path.
     pub fn build(csr: &Csr, bits: PruneBits) -> Result<Self, SparseError> {
         if csr.num_cols() > u16::MAX as usize + 1 {
             return Err(SparseError::DimensionTooLarge {
@@ -137,8 +135,6 @@ impl PruneIndex {
     /// [`SparseError::IndexOutOfBounds`] if the arrays are inconsistent
     /// with the declared shape, [`SparseError::DimensionTooLarge`] for
     /// shapes the field widths cannot address.
-    // alloc-ok(fn): snapshot-load validation with owned-array handoff;
-    // error strings allocate only on rejected inputs.
     pub fn from_parts(
         bits: PruneBits,
         num_rows: usize,
@@ -287,8 +283,6 @@ impl PruneIndex {
 
     /// Quantises a query vector to the fixed `Q1.7` raw grid of the
     /// prune pass (round-to-nearest, saturating, NaN/negative to zero).
-    // alloc-ok(fn): per-query setup producing the reusable quantised
-    // vector; the per-row scoring loop is `score_rows`.
     pub fn quantize_query(&self, x: &[f32]) -> Vec<u16> {
         x.iter()
             .map(|&v| PruneQuery::from_f64(v as f64).raw() as u16)
@@ -325,7 +319,8 @@ impl PruneIndex {
         // overwhelmingly common case) index the slice directly, an
         // out-of-grid query pays a per-access saturation. Either way
         // the call never allocates — this is the warm prune pass, held
-        // to zero allocations by tests/zero_alloc.rs and the alloc lint.
+        // to zero allocations by tests/zero_alloc.rs's
+        // `prune_scoring_loop_is_allocation_free`.
         let q = &q[..self.num_cols];
         if q.iter().all(|&v| u32::from(v) <= PruneQuery::RAW_MAX) {
             self.score_rows_stream(first_row, out, |c| u32::from(q[c as usize]));

@@ -1,10 +1,21 @@
-//! Counting-allocator proof that the packet hot path is zero-allocation
-//! in steady state: streaming a matrix with 10x the packets through a
-//! warm [`BatchScratch`] must cost exactly the same number of heap
-//! allocations, i.e. the per-packet decode→accumulate→top-k loop —
-//! stage clock included — never touches the allocator; and a cold
-//! scratch sizes its buffers in a packet-count-independent number of
-//! allocations.
+//! The one holder of the query path's allocation rule: once warm, a
+//! query allocates nothing that grows with the stream or the
+//! collection, and nothing that depends on which thread ran what. A
+//! counting global allocator measures each path at run time:
+//!
+//! - the per-packet decode→accumulate→top-k loop on a warm
+//!   [`BatchScratch`] (`tkspmv::engine`, `tkspmv_sparse::packet`), stage
+//!   clock included, costs the same on 10x the packets at every batch
+//!   shape, and a cold scratch sizes its buffers in a
+//!   packet-count-independent number of allocations;
+//! - a warm accelerator query (the engine's fan-out and per-thread
+//!   scratch shelf) and a warm `CpuTopK` query on one thread or two
+//!   allocate only per-call results;
+//! - a compute-pool fan-out (`tkspmv::fanout`) costs the same whether a
+//!   helper walked its ticket or the caller withdrew it;
+//! - the exact Top-K selection (`tkspmv::topk`) keeps O(k) memory, the
+//!   prune pass's scoring loop, metric and span recording (`tkspmv_obs`)
+//!   and a warm frame encode allocate nothing.
 //!
 //! Ignored by default because the `#[global_allocator]` swap is global
 //! to this test binary (which is why the test lives alone in it); CI
@@ -266,33 +277,6 @@ fn wire_frame_encode_reuse_is_allocation_free() {
     );
 }
 
-/// The modules these allocation proofs exercise must be declared hot in
-/// `crates/check/hot_paths.txt`, so the static lint
-/// (`cargo run -p tkspmv_check -- --alloc`) holds the same line on
-/// every path the counting allocator can only spot-check.
-#[test]
-fn exercised_modules_are_declared_hot() {
-    let listing = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../crates/check/hot_paths.txt"
-    ))
-    .expect("hot-path listing exists");
-    for module in [
-        "crates/core/src/engine/core_model.rs",
-        "crates/core/src/topk.rs",
-        "crates/sparse/src/packet.rs",
-        "crates/sparse/src/prune.rs",
-        "crates/obs/src/metrics.rs",
-        "crates/obs/src/trace.rs",
-    ] {
-        assert!(
-            listing.lines().any(|l| l.trim() == module),
-            "{module} is exercised by tests/zero_alloc.rs but not declared \
-             hot in crates/check/hot_paths.txt"
-        );
-    }
-}
-
 #[test]
 #[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
 fn warm_batch_scratch_is_allocation_free_across_packet_count_and_batch_size() {
@@ -443,4 +427,127 @@ fn warm_accelerator_query_allocates_no_scratch() {
     };
     check(1, &b1, chunk_values);
     check(32, &b32, dim * 32 * value);
+}
+
+/// `CpuTopK`, the exact scorer of every fabric node, keeps no per-query
+/// buffer that grows with the collection: a warm query on one thread,
+/// and on two (one fan-out over the compute pool), costs the same calls
+/// and bytes on 1,500 rows as on 20,000.
+#[test]
+#[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
+fn warm_cpu_query_allocates_nothing_that_grows_with_the_collection() {
+    use tkspmv::backend::{PreparedMatrix, TopKBackend};
+    use tkspmv_baselines::cpu::CpuTopK;
+
+    let x = query_vector(1024, 9);
+    let k = 50;
+    for threads in [1, 2] {
+        let cpu = CpuTopK::new(threads);
+        let small = cpu.prepare(&synthetic(1_500, 3)).unwrap();
+        let large = cpu.prepare(&synthetic(20_000, 4)).unwrap();
+        for _ in 0..5 {
+            cpu.query(&large, &x, k).unwrap();
+        }
+        let run = |m: &PreparedMatrix| {
+            allocations_and_bytes_during(|| cpu.query(m, &x, k).unwrap().topk.len())
+        };
+        let (small_calls, large_calls) = (run(&small), run(&large));
+        assert_eq!(
+            small_calls, large_calls,
+            "a warm CpuTopK::new({threads}) query's allocation (calls, bytes) depends on the \
+             collection size"
+        );
+    }
+}
+
+/// A compute-pool fan-out allocates the same whether a helper walked its
+/// ticket or the caller withdrew it, so no count above depends on how a
+/// call's claims fell. Both shapes are forced, without sleeps: the
+/// ticket is withdrawn while another fan-out holds every helper, and it
+/// is walked when task 0 waits until task 1 has started, which only a
+/// second participant can do. A one-CPU host has no helper, so no
+/// ticket to withdraw or walk.
+#[test]
+#[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
+fn a_fan_out_allocates_the_same_whether_its_ticket_is_withdrawn_or_walked() {
+    use std::sync::{Arc, Condvar, Mutex};
+    use tkspmv::fanout::{fork_join, host_parallelism};
+
+    let host = host_parallelism();
+    if host == 1 {
+        eprintln!("skipped: one CPU, so the compute pool has no helper");
+        return;
+    }
+
+    /// How many tasks have started, and whether they may finish.
+    #[derive(Default)]
+    struct Gate {
+        state: Mutex<(usize, bool)>,
+        changed: Condvar,
+    }
+    impl Gate {
+        fn update(&self, f: impl FnOnce(&mut (usize, bool))) {
+            f(&mut self.state.lock().unwrap());
+            self.changed.notify_all();
+        }
+        fn wait_until(&self, done: impl Fn(&(usize, bool)) -> bool) {
+            let state = self.state.lock().unwrap();
+            drop(self.changed.wait_while(state, |s| !done(s)).unwrap());
+        }
+    }
+
+    // Two tasks on two participants; with `pair`, task 0 waits until
+    // task 1 has started. One closure type for both shapes, so the two
+    // jobs are the same size.
+    let gate = Arc::new(Gate::default());
+    let fan_out = |pair: bool| {
+        gate.update(|s| *s = (0, false));
+        let gate = Arc::clone(&gate);
+        fork_join(
+            2,
+            2,
+            || (),
+            move |(), task| {
+                if task == 1 {
+                    gate.update(|s| s.0 += 1);
+                } else if pair {
+                    gate.wait_until(|s| s.0 == 1);
+                }
+                task
+            },
+        )
+        .0
+        .len()
+    };
+    fan_out(true);
+
+    // Every participant of this fan-out blocks in its first task, so
+    // once `host` tasks have started, every helper is inside one.
+    let blocker_gate = Arc::new(Gate::default());
+    let blocker = {
+        let gate = Arc::clone(&blocker_gate);
+        std::thread::spawn(move || {
+            fork_join(
+                host,
+                host,
+                || (),
+                move |(), _| {
+                    gate.update(|s| s.0 += 1);
+                    gate.wait_until(|s| s.1);
+                },
+            )
+            .0
+            .len()
+        })
+    };
+    blocker_gate.wait_until(|s| s.0 == host);
+    let withdrawn = allocations_and_bytes_during(|| fan_out(false));
+    blocker_gate.update(|s| s.1 = true);
+    assert_eq!(blocker.join().unwrap(), host);
+
+    let walked = allocations_and_bytes_during(|| fan_out(true));
+    assert_eq!(
+        withdrawn, walked,
+        "a fan-out's allocation (calls, bytes) depends on whether a helper took its ticket"
+    );
 }
