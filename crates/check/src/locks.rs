@@ -13,7 +13,8 @@
 //!
 //! Approximations, all conservative (they can add edges, never hide a
 //! `lock()` call): `let`-bound guards live to the end of their
-//! enclosing block; temporaries die at the end of their statement;
+//! enclosing block; temporaries die at the end of their statement or
+//! match arm;
 //! calls are matched to functions by bare name across the whole
 //! workspace; calls through closures or function-typed parameters are
 //! invisible. A false edge that trips the order check is mended at the
@@ -269,6 +270,14 @@ fn scan_file(
                 }
                 ";" => {
                     guards.retain(|g| !matches!(g.scope, Scope::Stmt(d) if depth <= d));
+                    stmt_binding = false;
+                }
+                // A match arm's `=>`: the previous arm's guards at this
+                // depth have ended (the scrutinee's sit one level out).
+                "=" if body.get(i + 1).is_some_and(|n| n.text == ">") => {
+                    guards.retain(|g| match g.scope {
+                        Scope::Block(d) | Scope::Stmt(d) => d < depth,
+                    });
                     stmt_binding = false;
                 }
                 "let" | "for" | "while" | "if" | "match" => {

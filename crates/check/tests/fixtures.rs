@@ -86,42 +86,54 @@ fn api_module_paths_follow_the_source_tree() {
     }
 }
 
-#[test]
-fn locks_fixture_reports_the_backward_edge() {
+/// The lock findings on one file of the fixture crate, under the
+/// fixture hierarchy (outer before inner).
+fn lock_findings(path: PathBuf, text: &str) -> Vec<String> {
     let (_, config_text) = fixture("locks.toml");
     let cfg = locks::parse_config(&config_text).unwrap();
-    let (path, text) = fixture("locks_fires.rs");
-    let files = vec![(path, "fixture".to_string(), lex(&text))];
+    let files = vec![(path, "fixture".to_string(), lex(text))];
     let mut report = Report::default();
     locks::check(&files, &cfg, &mut report);
-    let violations: Vec<_> = report
+    report
         .diagnostics
         .iter()
         .filter(|d| d.lint == Lint::Locks)
-        .collect();
+        .map(|d| d.message.clone())
+        .collect()
+}
+
+#[test]
+fn locks_fixture_reports_the_backward_edge() {
+    let (path, text) = fixture("locks_fires.rs");
+    let violations = lock_findings(path, &text);
     assert_eq!(violations.len(), 1, "{violations:?}");
     assert!(
-        violations[0].message.contains("fixture.inner")
-            && violations[0].message.contains("fixture.outer"),
+        violations[0].contains("fixture.inner") && violations[0].contains("fixture.outer"),
         "{}",
-        violations[0].message
+        violations[0]
     );
 }
 
 #[test]
 fn locks_fixture_clean_in_declared_order() {
-    let (_, config_text) = fixture("locks.toml");
-    let cfg = locks::parse_config(&config_text).unwrap();
     let (path, text) = fixture("locks_clean.rs");
-    let files = vec![(path, "fixture".to_string(), lex(&text))];
-    let mut report = Report::default();
-    locks::check(&files, &cfg, &mut report);
-    let violations: Vec<_> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.lint == Lint::Locks)
-        .collect();
+    let violations = lock_findings(path, &text);
     assert!(violations.is_empty(), "{violations:?}");
+}
+
+/// A guard in a match's scrutinee lives through every arm, so an arm
+/// that takes an earlier lock nests backwards.
+#[test]
+fn locks_scrutinee_guard_lives_through_the_match() {
+    let text = "fn f(pair: &Pair) {\n    match lock(&pair.inner).pop() {\n        \
+                Some(v) => v,\n        None => lock(&pair.outer).len(),\n    };\n}\n";
+    let violations = lock_findings(PathBuf::from("scrutinee.rs"), text);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(
+        violations[0].contains("`fixture.outer` acquired while holding `fixture.inner`"),
+        "{}",
+        violations[0]
+    );
 }
 
 #[test]

@@ -305,6 +305,7 @@ impl TopKResult {
     /// the per-shard candidate lists happen to be grouped or ordered
     /// (property-tested in `tests/serve_equivalence.rs`), including at
     /// the truncation boundary where a tie decides who makes the cut.
+    /// A row passed twice is kept twice: callers pass each row once.
     pub fn merge_pairs<I: IntoIterator<Item = (u32, f64)>>(pairs: I, k: usize) -> Self {
         let keys = pairs
             .into_iter()
@@ -316,28 +317,6 @@ impl TopKResult {
             .into_iter()
             .map(|Reverse((key, Reverse(row)))| (row, f64::from_bits(total_order_key(key) as u64)))
             .collect();
-        Self { entries }
-    }
-
-    /// [`TopKResult::merge_pairs`] for candidate sets that may mention
-    /// the same row more than once: each row keeps only its
-    /// highest-ranked `(row, score)` pair under the total order before
-    /// the cut to `k`.
-    ///
-    /// This is the merge a *streaming-ingest* serving tier needs: a row
-    /// freshly folded from a delta shard into the base collection can
-    /// transiently be reported by both (the delta snapshot was taken
-    /// before a compaction epoch swap, the base query ran after it).
-    /// For exact engines both sightings carry bit-identical scores, so
-    /// deduplication changes nothing but the double-count; for
-    /// approximate engines it deterministically prefers the better
-    /// sighting.
-    pub fn merge_pairs_dedup<I: IntoIterator<Item = (u32, f64)>>(pairs: I, k: usize) -> Self {
-        let merged = Self::from_pairs(pairs.into_iter().collect());
-        let mut seen = std::collections::HashSet::new();
-        let mut entries = merged.entries;
-        entries.retain(|&(row, _)| seen.insert(row));
-        entries.truncate(k);
         Self { entries }
     }
 }
@@ -471,34 +450,6 @@ mod tests {
         let right = TopKResult::merge_pairs(pairs[2..].to_vec(), 3);
         let merged = TopKResult::merge([left, right], 3);
         assert_eq!(merged.indices(), expected);
-    }
-
-    #[test]
-    fn merge_dedup_keeps_one_sighting_per_row() {
-        // Row 4 is reported by both the delta shard and the freshly
-        // compacted base with an identical score; row 2 is reported
-        // twice with different scores (approximate-engine picture) and
-        // must keep the better one.
-        let pairs = vec![
-            (4u32, 0.8),
-            (1, 0.9),
-            (4, 0.8),
-            (2, 0.3),
-            (2, 0.5),
-            (7, 0.1),
-        ];
-        let merged = TopKResult::merge_pairs_dedup(pairs.clone(), 3);
-        assert_eq!(merged.entries(), &[(1, 0.9), (4, 0.8), (2, 0.5)]);
-        // The duplicate must not consume a slot at the cut: plain
-        // merge_pairs would have returned row 4 twice.
-        let naive = TopKResult::merge_pairs(pairs, 3);
-        assert_eq!(naive.indices(), vec![1, 4, 4]);
-        // Without duplicates the two merges agree exactly.
-        let unique = vec![(9u32, 0.5), (3, 0.7), (5, 0.2)];
-        assert_eq!(
-            TopKResult::merge_pairs_dedup(unique.clone(), 2),
-            TopKResult::merge_pairs(unique, 2)
-        );
     }
 
     #[test]

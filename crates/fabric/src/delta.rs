@@ -19,9 +19,13 @@
 //! the collection's own base + delta every time, so a compactor that
 //! dies mid-fold (before the swap) leaves nothing to repair, and one
 //! that dies between the swap and the bookkeeping merely causes the next
-//! run to rebuild the same collection. A query racing the swap can see a
-//! freshly folded row from both the new base and its delta snapshot;
-//! [`TopKResult::merge_pairs_dedup`] keeps one sighting.
+//! run to rebuild the same collection.
+//!
+//! A query names each row once: it reads the delta with the id range
+//! the read covers and cuts the base answer at that range. A base row
+//! inside it was folded by a compaction still pending at the read, and
+//! the delta scored it with the same [`exact_dot`] bits; a row past it
+//! was appended after the read, so only the base answer names it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -37,8 +41,9 @@ use tkspmv_sparse::{exact_dot, Csr, DenseVector};
 pub type SparseRow = (Vec<u32>, Vec<f32>);
 
 struct DeltaState {
-    /// The current base collection — the fold source of truth.
-    base: Csr,
+    /// The current base collection — the fold source of truth, shared
+    /// with a compaction's snapshot.
+    base: Arc<Csr>,
     /// Rows appended since the last completed compaction, in append
     /// order. Row `j` has global id `start_row + base.num_rows() + j`.
     delta: Vec<SparseRow>,
@@ -62,7 +67,7 @@ impl DeltaCollection {
             service,
             start_row,
             state: Mutex::new(DeltaState {
-                base,
+                base: Arc::new(base),
                 delta: Vec::new(),
             }),
             compact_gate: Mutex::new(()),
@@ -108,13 +113,16 @@ impl DeltaCollection {
         for (i, (cols, vals)) in rows.iter().enumerate() {
             validate_row(dim, cols, vals).map_err(|e| format!("append row {i}: {e}"))?;
         }
+        // Copied off-lock: under it the rows only get ids and move in.
+        let mut rows = rows.to_vec();
         let mut s = lock(&self.state);
         let first = self.start_row + s.base.num_rows() + s.delta.len();
         let last = first + rows.len();
         if last > u32::MAX as usize {
             return Err(format!("global row id {last} exceeds u32 row indexing"));
         }
-        s.delta.extend(rows.iter().cloned());
+        s.delta.append(&mut rows);
+        drop(s);
         Ok((first..last).map(|id| id as u32).collect())
     }
 
@@ -143,24 +151,18 @@ impl DeltaCollection {
     ) -> Result<(TopKResult, StageBreakdown, Duration), ServeError> {
         let started = std::time::Instant::now();
         check_query(self.service.dim(), x.len(), query).map_err(ServeError::BadRequest)?;
-        // Score the delta (and note where it starts) before querying the
-        // base, so a compaction landing in between can only duplicate
-        // rows — never drop them. Duplicates are deduped below. Delta
-        // rows are scored by the exact engines' own scorer, so a row
-        // scores bit-identically before and after compaction folds it
-        // into an exact base.
+        // The delta's top k and the ids this read covers, taken before
+        // the base query; the base answer is cut at them (module doc).
         let delta_started = std::time::Instant::now();
-        let delta_pairs: Vec<(u32, f64)> = {
+        let (read, delta_top) = {
             let s = lock(&self.state);
-            let delta_first = self.start_row + s.base.num_rows();
-            s.delta
-                .iter()
-                .enumerate()
-                .map(|(j, (cols, vals))| {
-                    let entries = cols.iter().copied().zip(vals.iter().copied());
-                    ((delta_first + j) as u32, exact_dot(entries, x.as_slice()))
-                })
-                .collect()
+            let first = self.start_row + s.base.num_rows();
+            let scores = s.delta.iter().enumerate().map(|(j, (cols, vals))| {
+                let entries = cols.iter().copied().zip(vals.iter().copied());
+                ((first + j) as u32, exact_dot(entries, x.as_slice()))
+            });
+            let read = first..first + s.delta.len();
+            (read, TopKResult::merge_pairs(scores, query.k))
         };
         let delta_scoring = delta_started.elapsed();
         let served = self.service.query(x, *query)?;
@@ -169,8 +171,10 @@ impl DeltaCollection {
             .topk
             .entries()
             .iter()
-            .map(|&(row, score)| (row + self.start_row as u32, score));
-        let topk = TopKResult::merge_pairs_dedup(base_pairs.chain(delta_pairs), query.k);
+            .map(|&(row, score)| (row + self.start_row as u32, score))
+            .filter(|&(row, _)| !read.contains(&(row as usize)));
+        let delta_pairs = delta_top.entries().iter().copied();
+        let topk = TopKResult::merge_pairs(base_pairs.chain(delta_pairs), query.k);
         let mut stages = served.stages;
         stages.merge += delta_scoring + merge_started.elapsed();
         Ok((topk, stages, started.elapsed()))
@@ -194,21 +198,23 @@ impl DeltaCollection {
     /// serving state is unaffected and a later run recovers.
     fn compact_once_hooked<F: FnOnce()>(&self, hook: F) -> Result<(u64, u64), String> {
         let _gate = lock(&self.compact_gate);
-        // Snapshot under the state lock: the fold source and how many
-        // delta rows this run will fold (appends landing later stay).
+        // Snapshot under the state lock: the fold source (shared, not
+        // copied) and how many delta rows this run will fold (appends
+        // landing later stay).
         let (base, rows) = {
             let s = lock(&self.state);
-            if s.delta.is_empty() {
-                return Ok((self.service.epoch(), 0));
-            }
-            (s.base.clone(), s.delta.clone())
+            (Arc::clone(&s.base), s.delta.clone())
         };
+        if rows.is_empty() {
+            return Ok((self.service.epoch(), 0));
+        }
         let folded = rows.len();
         // Off-lock: re-encode and prepare. The service keeps answering
         // from the old epoch the whole time.
-        let new_base = base
-            .append_rows(&rows)
-            .map_err(|e| format!("delta fold failed: {e}"))?;
+        let new_base = Arc::new(
+            base.append_rows(&rows)
+                .map_err(|e| format!("delta fold failed: {e}"))?,
+        );
         hook();
         let epoch = self
             .service
@@ -473,6 +479,38 @@ mod tests {
         assert_eq!(c.compact_once().expect("compact").1, 1);
         assert_eq!(score_bits(), before);
         assert_eq!(before, 0.0f64.to_bits());
+    }
+
+    /// A compaction that lands between a query's delta read and its base
+    /// query puts the rows it folds into the base answer too. Forced with
+    /// no timing: the service swaps to the folded collection while the
+    /// delta still holds those rows, and the swapped collection also
+    /// holds one row past them (appended and folded after the read,
+    /// which only the base names). Each row is named once, and the
+    /// answer is the folded collection's exact Top-K.
+    #[test]
+    fn a_compaction_between_the_delta_read_and_the_base_query_names_each_row_once() {
+        let c = collection(4, 8, 100);
+        let delta: Vec<SparseRow> = vec![(vec![0, 3], vec![2.0, 1.5]), (vec![1], vec![4.0])];
+        c.append(&delta).expect("append");
+        let folded = tiny_csr(4, 8)
+            .append_rows(&delta)
+            .and_then(|b| b.append_rows(&[(vec![2], vec![3.0])]))
+            .expect("fold");
+        c.service().swap_collection(&folded).expect("swap");
+        let x = DenseVector::from_values((0..8).map(|i| 1.0 + i as f32 / 8.0).collect());
+        let k = 2 * folded.num_rows();
+        let (topk, ..) = c.query(x.clone(), &Query::new(k)).expect("query");
+        let mut rows = topk.indices();
+        rows.sort_unstable();
+        assert_eq!(rows, (100..107).collect::<Vec<u32>>());
+        let expected = tkspmv_baselines::cpu::exact_topk(&folded, x.as_slice(), k);
+        let expected: Vec<_> = expected
+            .entries()
+            .iter()
+            .map(|&(r, s)| (r + 100, s))
+            .collect();
+        assert_eq!(topk.entries(), expected);
     }
 
     #[test]

@@ -233,9 +233,10 @@ fn accept_loop(
                 let _ = stream.set_nodelay(true);
                 let id = next_id;
                 next_id += 1;
-                if let Ok(clone) = stream.try_clone() {
-                    lock(&shared.conns).insert(id, clone);
-                }
+                let Ok(clone) = stream.try_clone() else {
+                    continue; // shutdown could not unblock its handler
+                };
+                lock(&shared.conns).insert(id, clone);
                 let conn_shared = Arc::clone(shared);
                 #[expect(
                     clippy::disallowed_methods,

@@ -5,8 +5,10 @@
 //! serving the same global row range. A query fans out to every group
 //! concurrently; per-group answers come back with global row ids and
 //! bit-exact scores, and are merged under the engine total order with
-//! [`TopKResult::merge_pairs_dedup`] — the process-level picture of the
-//! paper's per-HBM-channel Top-K units feeding one merge network.
+//! [`TopKResult::merge_pairs`], each row once: groups serve disjoint
+//! row ranges ([`Router::connect`] checks) and each gives one answer —
+//! the process-level picture of the paper's per-HBM-channel Top-K units
+//! feeding one merge network.
 //!
 //! # Deadlines and the batcher's wait
 //!
@@ -651,7 +653,7 @@ impl Router {
             return Err(FabricError::Partial { coverage });
         }
         Ok(RoutedResult {
-            topk: TopKResult::merge_pairs_dedup(pairs, k),
+            topk: TopKResult::merge_pairs(pairs, k),
             coverage,
             trace,
         })

@@ -6,8 +6,9 @@
 //! The fabric adds three layers that could each corrupt an answer —
 //! the wire encoding (scores cross as `f64::to_bits`), the per-shard
 //! globalization (`start_row` offsets), and the router merge
-//! (`merge_pairs_dedup` under the engine total order). Bit-identity
-//! against the direct reference pins all three at once.
+//! (`merge_pairs` under the engine total order, over disjoint row
+//! ranges). Bit-identity against the direct reference pins all three
+//! at once.
 //!
 //! Two tiers are exercised:
 //!

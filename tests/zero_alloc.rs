@@ -13,6 +13,8 @@
 //!   allocate only per-call results;
 //! - a compute-pool fan-out (`tkspmv::fanout`) costs the same whether a
 //!   helper walked its ticket or the caller withdrew it;
+//! - a warm fabric node query (`tkspmv_fabric::DeltaCollection`) keeps
+//!   O(k) of its delta shard;
 //! - the exact Top-K selection (`tkspmv::topk`) keeps O(k) memory, the
 //!   prune pass's scoring loop, metric and span recording (`tkspmv_obs`)
 //!   and a warm frame encode allocate nothing.
@@ -458,6 +460,51 @@ fn warm_cpu_query_allocates_nothing_that_grows_with_the_collection() {
              collection size"
         );
     }
+}
+
+/// A fabric node's query keeps O(k) of its delta shard: the largest
+/// single allocation of a warm `DeltaCollection::query` is the same
+/// with 64 delta rows as with 4,096, so neither the delta's scores nor
+/// the final merge are copied whole.
+#[test]
+#[ignore = "global-allocator accounting; run explicitly (CI does) with --ignored"]
+fn a_node_query_allocates_nothing_that_grows_with_the_delta() {
+    use std::sync::Arc;
+    use tkspmv::backend::Query;
+    use tkspmv_baselines::cpu::CpuTopK;
+    use tkspmv_fabric::DeltaCollection;
+    use tkspmv_serve::{BatchPolicy, TopKService};
+
+    let base = synthetic(1_500, 3);
+    let extra = synthetic(4_096, 4);
+    let x = query_vector(1024, 9);
+    let query = Query::new(50);
+    let largest = |delta_rows: usize| {
+        let service = TopKService::builder(Arc::new(CpuTopK::new(1)))
+            .shards(1)
+            .batch_policy(BatchPolicy::immediate())
+            .build(&base)
+            .unwrap();
+        let node = DeltaCollection::new(service, base.clone(), 0);
+        let rows: Vec<_> = (0..delta_rows)
+            .map(|r| extra.row(r).unzip::<u32, f32, Vec<_>, Vec<_>>())
+            .collect();
+        node.append(&rows).unwrap();
+        let run = || node.query(x.clone(), &query).unwrap().0.len();
+        for _ in 0..5 {
+            run();
+        }
+        (0..3)
+            .map(|_| largest_allocation_during(run))
+            .min()
+            .unwrap()
+    };
+    let (small, large) = (largest(64), largest(4_096));
+    assert_eq!(
+        small, large,
+        "a warm node query's largest allocation grows with the delta: {small} B with 64 rows, \
+         {large} B with 4,096"
+    );
 }
 
 /// A compute-pool fan-out allocates the same whether a helper walked its
