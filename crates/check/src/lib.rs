@@ -30,9 +30,11 @@
 //! (`unwrap`/`expect`/`panic!`/…) carries an
 //! `#[expect(clippy::…, reason = "invariant: …")]`, and a thread start
 //! (a `disallowed-methods` entry of the root `clippy.toml`) carries an
-//! `#[expect(clippy::disallowed_methods, reason = "…")]`. The compute
-//! crates forbid that lint everywhere but the compute pool
-//! (`tkspmv::fanout`), so no `#[expect]` admits a thread start there.
+//! `#[expect(clippy::disallowed_methods, reason = "…")]`. Every library
+//! thread start is long-lived (the reason begins `long-lived:`): none
+//! sits on the request path. The compute crates forbid that lint
+//! everywhere but the compute pool (`tkspmv::fanout`), so no `#[expect]`
+//! admits a thread start there.
 //! An `#[expect]` whose lint no longer fires fails the step too.
 
 pub mod api;

@@ -6,7 +6,7 @@
 //! call takes an explicit timeout that bounds connect, write, and read —
 //! a dead or wedged node surfaces as a typed timeout, never a hang.
 
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use tkspmv::backend::{Query, QueryTier};
@@ -21,7 +21,6 @@ use crate::SparseRow;
 /// A blocking connection to one fabric node.
 pub struct NodeClient {
     stream: TcpStream,
-    peer: SocketAddr,
 }
 
 /// A traced ranking: the entries plus the node's span record, filed
@@ -56,13 +55,6 @@ impl From<WireError> for CallError {
     }
 }
 
-impl CallError {
-    /// Whether the failure was the deadline expiring (socket timeout).
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, CallError::Wire(e) if e.is_timeout())
-    }
-}
-
 fn unexpected(got: &Response, expected: &'static str) -> CallError {
     CallError::Wire(WireError::Malformed {
         detail: format!("awaiting {expected}, node answered {got:?}"),
@@ -77,7 +69,7 @@ impl NodeClient {
             match TcpStream::connect_timeout(&peer, timeout) {
                 Ok(stream) => {
                     stream.set_nodelay(true).map_err(WireError::Io)?;
-                    return Ok(Self { stream, peer });
+                    return Ok(Self { stream });
                 }
                 Err(e) => last = Some(e),
             }
@@ -88,11 +80,6 @@ impl NodeClient {
                 "address resolved empty",
             )
         })))
-    }
-
-    /// The node's address.
-    pub fn peer(&self) -> SocketAddr {
-        self.peer
     }
 
     /// Sends one request and reads one response, both bounded by what

@@ -39,7 +39,7 @@
 //! caller's [`PartialPolicy`]. A query no node could answer (wrong
 //! dimension, `k = 0`, a zero shortlist factor) never leaves the
 //! router: it gets the typed [`RpcError::BadRequest`] a node would have
-//! sent, before any thread or byte, and moves no degradation counter.
+//! sent, before any call is queued, and moves no degradation counter.
 //!
 //! # One loop
 //!
@@ -47,11 +47,24 @@
 //! every group reports `(shard, result)` on one channel, and the loop
 //! wakes for an attempt result, the earliest hedge due, or the
 //! deadline. It owns the deadline, so the router never blocks past it
-//! however nodes die — attempts still in flight are left to their
+//! however nodes die — attempts still on the wire are left to their
 //! socket timeouts and report to nobody.
+//!
+//! # Connections
+//!
+//! As each HBM channel has one Top-K core for the whole run, each
+//! replica has `POOL_SLOTS` (4) resident workers, started by
+//! [`Router::connect`]. A worker owns one connection: dialled on first
+//! use, dropped after a wire failure. A replica's workers take every
+//! node call — a query's attempt or hedge, the `Info` fetch, an append,
+//! a compaction — from one queue, in arrival order, and drop unsent an
+//! attempt still queued past its query's deadline. So the request path
+//! starts no thread, and a wedged replica holds at most four of a
+//! router's connections. Dropping the router closes the queues; each
+//! worker ends after its current call.
 
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use tkspmv::backend::{Query, QueryTier};
@@ -63,7 +76,7 @@ use tkspmv_obs::{
 use crate::client::{CallError, NodeClient};
 use crate::delta::check_query;
 use crate::error::{FabricError, RpcError, ShardFailure};
-use crate::wire::NodeInfo;
+use crate::wire::{NodeInfo, WireError};
 use crate::SparseRow;
 
 /// Assembled traces the router keeps for the dump tool (`/traces`).
@@ -111,7 +124,7 @@ pub struct RouterConfig {
     /// every node's `max_wait` plus [`RouterConfig::headroom`]
     /// (validated at [`Router::connect`]).
     pub deadline: Duration,
-    /// Per-attempt TCP connect budget.
+    /// TCP connect budget of each dial.
     pub connect_timeout: Duration,
     /// Behaviour when shards fail (see [`PartialPolicy`]).
     pub partial: PartialPolicy,
@@ -257,57 +270,91 @@ impl RouterMetrics {
     }
 }
 
-/// Pooled connections kept per replica; calls beyond the pool open
-/// transient connections.
+/// Resident connection workers per replica.
 const POOL_SLOTS: usize = 4;
 
-/// A pooled connection slot set for one replica.
-struct ReplicaPool {
+/// A worker's connection: dialled on first use, dropped after a wire failure.
+struct Conn {
     addr: String,
-    slots: [Mutex<Option<NodeClient>>; POOL_SLOTS],
+    connect_timeout: Duration,
+    client: Option<NodeClient>,
 }
 
-impl ReplicaPool {
-    fn new(addr: String) -> Self {
-        Self {
-            addr,
-            slots: std::array::from_fn(|_| Mutex::new(None)),
-        }
-    }
-
-    /// Runs `f` over a pooled connection, opening one if needed; when
-    /// every slot is busy a transient connection is used instead, so
-    /// calls never queue behind each other. A wire failure poisons the
-    /// pooled connection (it is dropped, to be re-dialled next call).
-    fn call<T>(
-        &self,
-        connect_timeout: Duration,
+impl Conn {
+    fn run<T>(
+        &mut self,
         f: impl FnOnce(&mut NodeClient) -> Result<T, CallError>,
     ) -> Result<T, CallError> {
-        for slot in &self.slots {
-            let Ok(mut guard) = slot.try_lock() else {
-                continue;
-            };
-            if guard.is_none() {
-                *guard = Some(NodeClient::connect(self.addr.as_str(), connect_timeout)?);
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "invariant: the slot is filled two lines above when it was empty"
-            )]
-            let result = f(guard.as_mut().expect("slot filled above"));
-            if matches!(result, Err(CallError::Wire(_))) {
-                *guard = None;
-            }
-            return result;
+        let client = match &mut self.client {
+            Some(client) => client,
+            empty => empty.insert(NodeClient::connect(&*self.addr, self.connect_timeout)?),
+        };
+        let result = f(client);
+        if matches!(result, Err(CallError::Wire(_))) {
+            self.client = None;
         }
-        let mut client = NodeClient::connect(self.addr.as_str(), connect_timeout)?;
-        f(&mut client)
+        result
+    }
+}
+
+/// A queued call, run by whichever of its replica's workers takes it.
+type Call = Box<dyn FnOnce(&mut Conn) + Send>;
+
+/// One replica: `POOL_SLOTS` workers, each owning a [`Conn`], on one queue.
+struct Replica {
+    calls: mpsc::Sender<Call>,
+}
+
+impl Replica {
+    fn new(addr: &str, connect_timeout: Duration) -> Self {
+        let (tx, rx) = mpsc::channel::<Call>();
+        let rx = Arc::new(Mutex::new(rx));
+        for _ in 0..POOL_SLOTS {
+            let calls = Arc::clone(&rx);
+            let mut conn = Conn {
+                addr: addr.to_string(),
+                connect_timeout,
+                client: None,
+            };
+            #[expect(
+                clippy::disallowed_methods,
+                clippy::expect_used,
+                reason = "long-lived: a replica's connection workers, ending when the router \
+                          drops; invariant: spawn fails only on OS thread exhaustion"
+            )]
+            std::thread::Builder::new()
+                .name("tkspmv-router-conn".to_string())
+                .spawn(move || loop {
+                    // The queue's lock is held only to wait for a call.
+                    let next = calls.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                    let Ok(call) = next else { return };
+                    call(&mut conn);
+                })
+                .expect("spawn connection worker");
+        }
+        Self { calls: tx }
+    }
+
+    /// Queues `call`; the workers keep the queue open while it has a sender.
+    fn enqueue(&self, call: impl FnOnce(&mut Conn) + Send + 'static) {
+        let _ = self.calls.send(Box::new(call));
+    }
+
+    /// Runs `f` on one of the replica's connections and waits for it.
+    fn call<T: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut NodeClient) -> Result<T, CallError> + Send + 'static,
+    ) -> Result<T, CallError> {
+        let (tx, rx) = mpsc::channel();
+        self.enqueue(move |conn| drop(tx.send(conn.run(f))));
+        // Only a panic in the client loses the answer.
+        let lost = || CallError::Wire(WireError::Io(std::io::Error::other("call lost")));
+        rx.recv().unwrap_or_else(|_| Err(lost()))
     }
 }
 
 struct ShardGroup {
-    pools: Vec<Arc<ReplicaPool>>,
+    replicas: Vec<Replica>,
     info: NodeInfo,
 }
 
@@ -350,15 +397,15 @@ impl Router {
                     "shard group {i} has no replicas"
                 )));
             }
-            let pools: Vec<Arc<ReplicaPool>> = spec
+            let replicas: Vec<Replica> = spec
                 .replicas
                 .iter()
-                .map(|addr| Arc::new(ReplicaPool::new(addr.clone())))
+                .map(|addr| Replica::new(addr, config.connect_timeout))
                 .collect();
             let mut info = None;
             let mut last_err: Option<CallError> = None;
-            for pool in &pools {
-                match pool.call(config.connect_timeout, |c| c.info(config.deadline)) {
+            for replica in &replicas {
+                match replica.call(move |c| c.info(config.deadline)) {
                     Ok(i) => {
                         info = Some(i);
                         break;
@@ -379,7 +426,7 @@ impl Router {
                     ))
                 }
             };
-            shards.push(ShardGroup { pools, info });
+            shards.push(ShardGroup { replicas, info });
         }
         shards.sort_by_key(|s| s.info.start_row);
 
@@ -507,44 +554,30 @@ impl Router {
             query.trace = TraceId::generate();
         }
         let deadline = self.config.deadline;
-        let connect_timeout = self.config.connect_timeout;
         let x: Arc<[f32]> = Arc::from(x);
         let (tx, rx) = mpsc::channel::<(usize, Result<ShardAnswer, CallError>)>();
-        // The request path's one thread start: a replica attempt, which
-        // reports to the loop below and to nobody once the loop is gone.
+        // A replica attempt: a queued call that reports to the loop below.
         let launch = |shard: usize, replica: usize| {
-            let pool = Arc::clone(&self.shards[shard].pools[replica]);
             let (tx, x) = (tx.clone(), Arc::clone(&x));
-            let remaining = deadline
-                .saturating_sub(start.elapsed())
-                .max(Duration::from_millis(1));
-            #[expect(
-                clippy::disallowed_methods,
-                clippy::expect_used,
-                reason = "request path: one thread per replica attempt, the fan-out's only thread \
-                          start; invariant: spawn fails only on OS thread exhaustion, and the \
-                          attempt is lost without its thread"
-            )]
-            std::thread::Builder::new()
-                .name("tkspmv-router-attempt".to_string())
-                .spawn(move || {
-                    let sent_us = us(start.elapsed());
-                    let attempt = Instant::now();
-                    let result =
-                        pool.call(connect_timeout, |c| c.query_traced(&x, &query, remaining));
-                    let rtt_us = us(attempt.elapsed());
-                    let _ = tx.send((
-                        shard,
-                        result.map(|(entries, node_trace)| ShardAnswer {
-                            replica,
-                            entries,
-                            sent_us,
-                            rtt_us,
-                            node_trace,
-                        }),
-                    ));
-                })
-                .expect("spawn attempt thread");
+            self.shards[shard].replicas[replica].enqueue(move |conn| {
+                let sent = start.elapsed();
+                if sent >= deadline {
+                    return; // still queued at the deadline: the loop gave up
+                }
+                let attempt = Instant::now();
+                let result = conn.run(|c| c.query_traced(&x, &query, deadline - sent));
+                let rtt_us = us(attempt.elapsed());
+                let _ = tx.send((
+                    shard,
+                    result.map(|(entries, node_trace)| ShardAnswer {
+                        replica,
+                        entries,
+                        sent_us: us(sent),
+                        rtt_us,
+                        node_trace,
+                    }),
+                ));
+            });
         };
 
         let mut groups: Vec<GroupState> = Vec::new();
@@ -562,7 +595,7 @@ impl Router {
             // silence — and wake for the earliest start still ahead.
             let mut wake = deadline;
             for (shard, g) in groups.iter_mut().enumerate() {
-                let replicas = self.shards[shard].pools.len();
+                let replicas = self.shards[shard].replicas.len();
                 let due = |launched: usize| deadline / replicas as u32 * launched as u32;
                 if g.outcome.is_some() || g.launched == replicas {
                     continue;
@@ -608,7 +641,7 @@ impl Router {
                             true
                         }
                     };
-                    if retryable && g.launched < self.shards[shard].pools.len() {
+                    if retryable && g.launched < self.shards[shard].replicas.len() {
                         // Fail over immediately; don't wait for the stagger.
                         self.metrics.failovers.inc();
                         launch(shard, g.launched);
@@ -661,8 +694,8 @@ impl Router {
 
     /// Appends rows to the fleet's tail shard group (the one serving the
     /// highest row range — the only place appends keep global ids
-    /// contiguous). Every replica of the group must admit the rows with
-    /// the same ids; the ids are returned.
+    /// contiguous). Every replica of the group must admit the rows (one
+    /// copy, shared by every replica's call) with the same ids, returned.
     #[expect(
         clippy::expect_used,
         reason = "invariant: RouterConfig validation rejects an empty shard list and a group \
@@ -670,11 +703,12 @@ impl Router {
     )]
     pub fn append(&self, rows: &[SparseRow]) -> Result<Vec<u32>, FabricError> {
         let tail = self.shards.last().expect("validated non-empty");
+        let rows: Arc<[SparseRow]> = Arc::from(rows);
+        let deadline = self.config.deadline;
         let mut agreed: Option<Vec<u32>> = None;
-        for pool in &tail.pools {
-            let ids = pool.call(self.config.connect_timeout, |c| {
-                c.append(rows, self.config.deadline)
-            })?;
+        for replica in &tail.replicas {
+            let rows = Arc::clone(&rows);
+            let ids = replica.call(move |c| c.append(&rows, deadline))?;
             match &agreed {
                 None => agreed = Some(ids),
                 Some(prev) if *prev == ids => {}
@@ -695,13 +729,12 @@ impl Router {
     /// Asks every node in the fleet to fold its delta shard now.
     /// Returns `(epoch, folded)` per shard group (from the primary).
     pub fn compact_all(&self) -> Result<Vec<(u64, u64)>, FabricError> {
+        let deadline = self.config.deadline;
         let mut results = Vec::with_capacity(self.shards.len());
         for shard in self.shards.iter() {
             let mut first = None;
-            for pool in &shard.pools {
-                let r = pool.call(self.config.connect_timeout, |c| {
-                    c.compact(self.config.deadline)
-                })?;
+            for replica in &shard.replicas {
+                let r = replica.call(move |c| c.compact(deadline))?;
                 if first.is_none() {
                     first = Some(r);
                 }

@@ -21,9 +21,12 @@
 //!   `max_wait` (the most a query can wait, and only after a batch that
 //!   had company), and a lone query on an idle fleet does not wait for
 //!   company at all.
+//! - A wedged replica holds at most the router's pooled connections to
+//!   it, however many queries ask it, and a dropped router hangs up.
 
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use tkspmv::backend::QueryTier;
@@ -64,20 +67,32 @@ fn router_config(deadline: Duration) -> RouterConfig {
     }
 }
 
+/// The connections a fake node accepted, and how many of them the
+/// caller has hung up.
+#[derive(Default)]
+struct Connections {
+    accepted: AtomicUsize,
+    hung_up: AtomicUsize,
+}
+
 /// A fake node that answers `Info` honestly and every other request
-/// with `reply` — or, given none, goes silent forever on the first one.
+/// with `reply` — or, given none, never answers it (it keeps reading,
+/// so it still sees its caller hang up).
 fn spawn_scripted_shard(
     start_row: u64,
     rows: u64,
     dim: u64,
     reply: Option<RpcError>,
-) -> std::net::SocketAddr {
+) -> (std::net::SocketAddr, Arc<Connections>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
+    let connections = Arc::new(Connections::default());
+    let counts = Arc::clone(&connections);
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { continue };
-            let reply = reply.clone();
+            counts.accepted.fetch_add(1, Ordering::SeqCst);
+            let (reply, counts) = (reply.clone(), Arc::clone(&counts));
             std::thread::spawn(move || loop {
                 let response = match (read_request(&mut stream), &reply) {
                     (Ok(Request::Info), _) => Response::Info(NodeInfo {
@@ -91,12 +106,12 @@ fn spawn_scripted_shard(
                         queue_capacity: 1024,
                     }),
                     (Ok(_), Some(e)) => Response::Error(e.clone()),
-                    (Ok(_), None) => {
-                        // Wedge: never answer, never close.
-                        std::thread::sleep(Duration::from_secs(3600));
+                    // Wedge: never answer, never close.
+                    (Ok(_), None) => continue,
+                    (Err(_), _) => {
+                        counts.hung_up.fetch_add(1, Ordering::SeqCst);
                         return;
                     }
-                    (Err(_), _) => return,
                 };
                 if write_response(&mut stream, &response).is_err() {
                     return;
@@ -104,12 +119,12 @@ fn spawn_scripted_shard(
             });
         }
     });
-    addr
+    (addr, connections)
 }
 
 /// The shape of a process wedged mid-request.
 fn spawn_wedged_shard(start_row: u64, rows: u64, dim: u64) -> std::net::SocketAddr {
-    spawn_scripted_shard(start_row, rows, dim, None)
+    spawn_scripted_shard(start_row, rows, dim, None).0
 }
 
 /// One of the router's counters, read off its Prometheus rendering.
@@ -312,6 +327,76 @@ fn silent_primary_is_hedged_after_the_stagger() {
     live.shutdown();
 }
 
+/// Twelve concurrent queries against one wedged node: each replica has
+/// four resident connection workers, so the node sees at most four
+/// connections, and the queries still queued at their deadline are
+/// dropped without a dial. A worker frees at its socket timeout, which
+/// fires at least a timer tick after its query's deadline; the barrier
+/// starts the queries well within that tick of each other.
+#[test]
+fn a_wedged_replica_holds_at_most_the_pooled_connections() {
+    let (wedged, connections) = spawn_scripted_shard(0, 8, 8, None);
+    let router = Router::connect(
+        vec![ShardSpec::single(wedged.to_string())],
+        router_config(Duration::from_millis(400)),
+    )
+    .expect("connect");
+    let queries = 12;
+    let ready = Barrier::new(queries);
+    std::thread::scope(|s| {
+        for _ in 0..queries {
+            s.spawn(|| {
+                ready.wait();
+                let err = router
+                    .query(&[1.0f32; 8], 3, QueryTier::Exact)
+                    .expect_err("a wedged node answers nothing");
+                assert!(matches!(err, FabricError::NoCoverage { .. }), "{err:?}");
+            });
+        }
+    });
+    std::thread::sleep(Duration::from_millis(600));
+    let accepted = connections.accepted.load(Ordering::SeqCst);
+    assert!(
+        accepted <= 4,
+        "{accepted} connections to one wedged replica"
+    );
+}
+
+/// Dropping a router closes every connection it holds within a second:
+/// its connection workers end with it.
+#[test]
+fn a_dropped_router_hangs_up() {
+    let (node, connections) = spawn_scripted_shard(0, 8, 8, Some(RpcError::Overloaded));
+    let router = Router::connect(
+        vec![ShardSpec::single(node.to_string())],
+        router_config(Duration::from_millis(400)),
+    )
+    .expect("connect");
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                let err = router.query(&[1.0f32; 8], 3, QueryTier::Exact);
+                assert!(
+                    matches!(err, Err(FabricError::NoCoverage { .. })),
+                    "{err:?}"
+                );
+            });
+        }
+    });
+    let accepted = connections.accepted.load(Ordering::SeqCst);
+    assert!(accepted >= 1);
+    drop(router);
+    let dropped = Instant::now();
+    while connections.hung_up.load(Ordering::SeqCst) < accepted {
+        assert!(
+            dropped.elapsed() < Duration::from_secs(1),
+            "{} of {accepted} connections still open 1 s after the router dropped",
+            connections.hung_up.load(Ordering::SeqCst)
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn malformed_queries_never_leave_the_router() {
     let dim = 6;
@@ -440,7 +525,7 @@ fn only_retryable_node_errors_fail_over() {
     b.shutdown();
 
     // An overloaded primary says nothing about the secondary.
-    let shedding = spawn_scripted_shard(0, 6, dim as u64, Some(RpcError::Overloaded));
+    let (shedding, _) = spawn_scripted_shard(0, 6, dim as u64, Some(RpcError::Overloaded));
     let router = Router::connect(
         vec![ShardSpec::replicated([
             shedding.to_string(),
